@@ -41,6 +41,7 @@ func run() error {
 	polishRounds := flag.Int("polish", 2, "consensus polishing rounds (0 disables)")
 	minContig := flag.Int("min-contig", 0, "discard contigs shorter than this")
 	reorder := flag.String("reorder", "off", "overlap-graph read reordering before layout: off, rcm, farthest")
+	workers := flag.Int("workers", 0, "overlap and polish worker goroutines (0 = one per CPU); the output does not depend on it")
 	out := flag.String("out", "", "output FASTA path (default stdout)")
 	obsFlags := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -88,7 +89,8 @@ func run() error {
 		olc.WithMinOverlap(*minOverlap),
 		olc.WithPolishRounds(*polishRounds),
 		olc.WithMinContig(*minContig),
-		olc.WithReorder(mode))
+		olc.WithReorder(mode),
+		olc.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}

@@ -40,6 +40,7 @@ func run() error {
 	h := flag.Int("h", 24, "D-SOFT base-count threshold h")
 	stride := flag.Int("stride", 4, "D-SOFT seed stride (spread N seeds across the whole read)")
 	minOverlap := flag.Int("min-overlap", 1000, "minimum reported overlap length")
+	workers := flag.Int("workers", 0, "overlap worker goroutines (0 = one per CPU); the output does not depend on it")
 	out := flag.String("out", "", "output TSV path (default stdout)")
 	progressEvery := flag.Int("progress", 0, "print overlap throughput and ETA to stderr every N reads (0 disables)")
 	faultSpec := flag.String("faults", "", "fault-injection spec (requires DARWIN_ALLOW_FAULTS=1); see internal/faults")
@@ -91,7 +92,7 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 	overlaps, stats, cerr := olc.Overlap(ctx, seqs,
-		olc.WithConfig(cfg), olc.WithMinOverlap(*minOverlap))
+		olc.WithConfig(cfg), olc.WithMinOverlap(*minOverlap), olc.WithWorkers(*workers))
 	if cerr != nil && !errors.Is(cerr, context.Canceled) {
 		return cerr
 	}

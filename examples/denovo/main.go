@@ -67,8 +67,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	ctx := context.Background()
 	start = time.Now()
-	overlaps, stats := ovp.FindOverlaps(500)
+	overlaps, stats, err := ovp.Run(ctx, core.OverlapRun{MinOverlap: 500})
+	if err != nil {
+		return err
+	}
 	darwinTime := time.Since(start)
 	dConf := assembly.EvaluateOverlaps(reads, assembly.FromCoreOverlaps(overlaps), 1000, 0.8)
 
@@ -94,7 +98,6 @@ func run() error {
 		"darwin (ASIC)", hwSec, dalTime.Seconds()/hwSec)
 
 	// --- Layout + consensus ------------------------------------------
-	ctx := context.Background()
 	layout, err := olc.BuildLayoutContext(ctx, readLens, overlaps)
 	if err != nil {
 		return err
@@ -128,7 +131,7 @@ func run() error {
 	// the vast majority of read errors").
 	polished := contig
 	for round := 0; round < 2; round++ {
-		polished, err = olc.PolishContext(ctx, polished, seqs, core.DefaultConfig(12, readLen/3, 24))
+		polished, err = olc.PolishContext(ctx, polished, seqs, core.DefaultConfig(12, readLen/3, 24), 0)
 		if err != nil {
 			return err
 		}

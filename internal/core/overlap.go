@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"darwin/internal/dna"
@@ -13,10 +15,14 @@ import (
 // Overlap-step observability: overlap/reads_done advances once per
 // queried read (both strands), which is what drives -progress in
 // cmd/darwin-overlap; filter/align time lands in the shared stage
-// timers via the dsoft/gact packages.
+// timers via the dsoft/gact packages. overlap/workers and
+// overlap/worker_busy mirror core/workers and core/worker_busy:
+// utilization = busy seconds / (wall × workers).
 var (
-	cOverlapReads = obs.Default.Counter("overlap/reads_done")
-	cOverlapsOut  = obs.Default.Counter("overlap/overlaps_found")
+	cOverlapReads   = obs.Default.Counter("overlap/reads_done")
+	cOverlapsOut    = obs.Default.Counter("overlap/overlaps_found")
+	gOverlapWorkers = obs.Default.Gauge("overlap/workers")
+	tOverlapBusy    = obs.Default.Timer("overlap/worker_busy")
 )
 
 // Overlap is a detected pairwise overlap between two reads in the
@@ -109,23 +115,11 @@ func (o *Overlapper) readAt(p int) int {
 }
 
 // FindOverlaps queries every read against the concatenated reference
-// and returns deduplicated overlaps of at least minOverlap bases.
-// Each GACT extension is clipped to the segment of the read its
-// candidate falls in: N padding contributes nothing to scores (the
-// hardware's Σext semantics), so an unclipped extension would silently
-// bridge adjacent reads and misattribute the overlap.
+// and returns deduplicated overlaps of at least minOverlap bases: Run
+// with only the threshold set.
 func (o *Overlapper) FindOverlaps(minOverlap int) ([]Overlap, OverlapStats) {
-	out, stats, _ := o.FindOverlapsContext(context.Background(), minOverlap)
+	out, stats, _ := o.Run(context.Background(), OverlapRun{MinOverlap: minOverlap})
 	return out, stats
-}
-
-// FindOverlapsContext is FindOverlaps with cooperative cancellation:
-// ctx is checked between reads (each read is the unit of work, so
-// cancellation latency is one read's overlap pass). On cancellation it
-// returns the overlaps found so far together with ctx.Err(), so a
-// partial run still yields usable output.
-func (o *Overlapper) FindOverlapsContext(ctx context.Context, minOverlap int) ([]Overlap, OverlapStats, error) {
-	return o.FindOverlapsResumable(ctx, minOverlap, nil, 0, nil)
 }
 
 // OverlapCheckpoint is a resumable snapshot of an overlap pass taken
@@ -158,128 +152,179 @@ func keyOf(ov *Overlap) overlapKey {
 	return overlapKey{lo, hi, ov.QueryRev}
 }
 
-// FindOverlapsResumable is FindOverlapsContext with checkpointing:
-// when resume is non-nil, reads below resume.NextRead are skipped and
-// the deduplication state is rebuilt from resume.Overlaps; when save
-// is non-nil it receives a fresh checkpoint every `every` reads (and
-// once more on cancellation, so an interrupted pass always leaves its
-// latest read boundary behind). A non-nil error from save aborts the
-// pass — callers that want best-effort checkpointing swallow the
-// error in the callback.
-func (o *Overlapper) FindOverlapsResumable(ctx context.Context, minOverlap int, resume *OverlapCheckpoint, every int, save func(OverlapCheckpoint) error) ([]Overlap, OverlapStats, error) {
-	return o.Run(ctx, OverlapRun{
-		MinOverlap:      minOverlap,
-		Resume:          resume,
-		CheckpointEvery: every,
-		Save:            save,
-	})
-}
-
 // OverlapRun configures one overlap pass: the reporting threshold plus
 // the optional resume point, checkpoint cadence, and progress hook.
 type OverlapRun struct {
 	// MinOverlap is the minimum reported overlap length on the target
 	// read.
 	MinOverlap int
+	// Workers is how many engine clones query reads concurrently
+	// (0 = DefaultWorkers). The output does not depend on it.
+	Workers int
 	// Resume, when non-nil, restarts the pass at Resume.NextRead with
 	// the deduplication state rebuilt from Resume.Overlaps.
 	Resume *OverlapCheckpoint
 	// CheckpointEvery is how many reads between Save calls (0 disables
 	// periodic saves; a cancellation save still fires when Save is set).
 	CheckpointEvery int
-	// Save receives checkpoints. A non-nil return aborts the pass with
-	// that error; best-effort checkpointing swallows errors inside the
-	// callback.
+	// Save receives checkpoints, on the goroutine that called Run. A
+	// non-nil return aborts the pass with that error; best-effort
+	// checkpointing swallows errors inside the callback.
 	Save func(OverlapCheckpoint) error
-	// Progress, when non-nil, is called after each read completes with
-	// the cumulative count (including reads skipped via Resume).
+	// Progress, when non-nil, is called on the goroutine that called Run
+	// after each read is merged, with the cumulative count (including
+	// reads skipped via Resume).
 	Progress func(done, total int)
 }
 
-// Run executes the overlap pass described by r. Stats cover only the
-// reads processed by this call: a resumed pass reports the remaining
-// work, not the pre-checkpoint history.
+// readOverlaps is one read's contribution to a pass: its candidate
+// overlaps (forward strand then reverse, each in extension order) and
+// the statistics of producing them.
+type readOverlaps struct {
+	ovs []Overlap
+	st  MapStats
+}
+
+// queryRead runs read q, both strands, against the concatenated
+// reference on engine e. Each GACT extension is clipped to the segment
+// of the read its candidate falls in: N padding contributes nothing to
+// scores (the hardware's Σext semantics), so an unclipped extension
+// would silently bridge adjacent reads and misattribute the overlap.
+func (o *Overlapper) queryRead(e *Darwin, q, minOverlap int) readOverlaps {
+	var out readOverlaps
+	window := func(refPos int) (int, int, int) {
+		t := o.readAt(refPos)
+		return t, o.offsets[t], o.offsets[t] + len(o.reads[t])
+	}
+	for _, rev := range []bool{false, true} {
+		query := o.reads[q]
+		if rev {
+			e.revBuf = dna.AppendRevComp(e.revBuf[:0], query)
+			query = e.revBuf
+		}
+		alns, st := e.mapStrandClipped(query, rev, window, q)
+		out.st.add(st)
+		for _, a := range alns {
+			target := o.readAt(a.Result.RefStart)
+			tStart := a.Result.RefStart - o.offsets[target]
+			tEnd := min(a.Result.RefEnd-o.offsets[target], len(o.reads[target]))
+			if tEnd-tStart < minOverlap {
+				continue
+			}
+			out.ovs = append(out.ovs, Overlap{
+				Target:      target,
+				Query:       q,
+				QueryRev:    a.Reverse,
+				TargetStart: tStart,
+				TargetEnd:   tEnd,
+				QueryStart:  a.Result.QueryStart,
+				QueryEnd:    a.Result.QueryEnd,
+				Score:       a.Result.Score,
+			})
+		}
+	}
+	return out
+}
+
+// Run executes the overlap pass described by r. Workers query reads
+// concurrently on engine clones, at most a window of reads ahead of
+// the merge; the calling goroutine alone folds their results, strictly
+// in read order, and is the only one to call Progress and Save. The
+// fold is therefore the serial one — same tie-breaks, same checkpoint
+// boundaries, same statistic sums — so overlaps, counters and every
+// checkpoint are identical for any worker count and any resume point.
+//
+// ctx is checked before each read is merged: on cancellation Run saves
+// a checkpoint at the first unmerged read (when Save is set) and
+// returns the overlaps merged so far with ctx.Err(), joined with the
+// save's error if that failed too. No goroutine outlives Run.
+//
+// Stats cover only the reads processed by this call: a resumed pass
+// reports the remaining work, not the pre-checkpoint history. With
+// more than one worker Map.FiltrationTime and Map.AlignmentTime are
+// CPU time summed over workers, not wall time.
 func (o *Overlapper) Run(ctx context.Context, r OverlapRun) ([]Overlap, OverlapStats, error) {
 	stats := OverlapStats{TableBuildTime: o.darwin.TableBuildTime}
-	var ctxErr error
 	best := map[overlapKey]Overlap{}
-	startRead := 0
-	if r.Resume != nil {
-		if r.Resume.NextRead > 0 {
-			startRead = r.Resume.NextRead
-		}
-		for i := range r.Resume.Overlaps {
-			ov := r.Resume.Overlaps[i]
-			k := keyOf(&ov)
-			if cur, ok := best[k]; !ok || ov.Score > cur.Score {
-				best[k] = ov
+	merge := func(ovs []Overlap) {
+		for i := range ovs {
+			k := keyOf(&ovs[i])
+			if cur, ok := best[k]; !ok || ovs[i].Score > cur.Score {
+				best[k] = ovs[i]
 			}
 		}
 	}
-	minOverlap := r.MinOverlap
+	start, n := 0, len(o.reads)
+	if r.Resume != nil {
+		start = max(r.Resume.NextRead, 0)
+		merge(r.Resume.Overlaps)
+	}
+	workers := max(min(DefaultWorkers(r.Workers), n-start), 1)
+	gOverlapWorkers.Set(int64(workers))
+	// Each in-flight read owns the slot at its index modulo the window;
+	// a slot is free again once its read is merged, which is before the
+	// read a window later is fed, so no worker ever blocks on its send.
+	window := 2 * workers
+	slots := make([]chan readOverlaps, window)
+	for i := range slots {
+		slots[i] = make(chan readOverlaps, 1)
+	}
+	var stopped atomic.Bool // set by finish: reads still queued are dropped
+	feed, join, err := o.darwin.startClones(workers, window, func(w *cloneWorker, q int) {
+		if stopped.Load() {
+			return
+		}
+		busy := time.Now()
+		endSpan := obs.Trace.StartTID("overlap.read", w.tid)
+		res := o.queryRead(w.e, q, r.MinOverlap)
+		endSpan()
+		tOverlapBusy.Observe(time.Since(busy))
+		slots[q%window] <- res
+	})
+	if err != nil {
+		return nil, stats, err
+	}
+	// finish is every exit once workers run: it stops and joins them.
+	finish := func(err error) ([]Overlap, OverlapStats, error) {
+		stopped.Store(true)
+		join()
+		out := collectOverlaps(best)
+		cOverlapsOut.Add(int64(len(out)))
+		return out, stats, err
+	}
 	snapshot := func(nextRead int) OverlapCheckpoint {
 		return OverlapCheckpoint{NextRead: nextRead, Overlaps: collectOverlaps(best)}
 	}
-	for q := startRead; q < len(o.reads); q++ {
+	next := start
+	for q := start; q < n; q++ {
 		if err := ctx.Err(); err != nil {
-			ctxErr = err
-			// A final checkpoint at the cancellation boundary: read q has
-			// not been processed, so the interrupted pass resumes there.
+			// Read q has not been merged, so the interrupted pass
+			// resumes there. Workers stop before the save, not after it.
+			stopped.Store(true)
 			if r.Save != nil {
 				if serr := r.Save(snapshot(q)); serr != nil {
-					ctxErr = serr
+					err = errors.Join(err, serr)
 				}
 			}
-			break
+			return finish(err)
 		}
-		endSpan := obs.Trace.Start("overlap.read")
-		for _, rev := range []bool{false, true} {
-			query := o.reads[q]
-			if rev {
-				query = dna.RevComp(query)
-			}
-			alns, st := o.darwin.mapStrandClipped(query, rev, func(refPos int) (int, int, int) {
-				t := o.readAt(refPos)
-				return t, o.offsets[t], o.offsets[t] + len(o.reads[t])
-			}, q)
-			stats.Map.add(st)
-			for _, a := range alns {
-				target := o.readAt(a.Result.RefStart)
-				tStart := a.Result.RefStart - o.offsets[target]
-				tEnd := min(a.Result.RefEnd-o.offsets[target], len(o.reads[target]))
-				if tEnd-tStart < minOverlap {
-					continue
-				}
-				ov := Overlap{
-					Target:      target,
-					Query:       q,
-					QueryRev:    a.Reverse,
-					TargetStart: tStart,
-					TargetEnd:   tEnd,
-					QueryStart:  a.Result.QueryStart,
-					QueryEnd:    a.Result.QueryEnd,
-					Score:       a.Result.Score,
-				}
-				k := keyOf(&ov)
-				if cur, ok := best[k]; !ok || ov.Score > cur.Score {
-					best[k] = ov
-				}
-			}
+		for ; next < n && next < q+window; next++ {
+			feed <- next
 		}
-		endSpan()
+		res := <-slots[q%window]
+		merge(res.ovs)
+		stats.Map.add(res.st)
 		cOverlapReads.Inc()
 		if r.Progress != nil {
-			r.Progress(q+1, len(o.reads))
+			r.Progress(q+1, n)
 		}
-		if r.Save != nil && r.CheckpointEvery > 0 && (q+1)%r.CheckpointEvery == 0 && q+1 < len(o.reads) {
-			if serr := r.Save(snapshot(q + 1)); serr != nil {
-				return collectOverlaps(best), stats, serr
+		if r.Save != nil && r.CheckpointEvery > 0 && (q+1)%r.CheckpointEvery == 0 && q+1 < n {
+			if err := r.Save(snapshot(q + 1)); err != nil {
+				return finish(err)
 			}
 		}
 	}
-	out := collectOverlaps(best)
-	cOverlapsOut.Add(int64(len(out)))
-	return out, stats, ctxErr
+	return finish(nil)
 }
 
 // collectOverlaps flattens the deduplication map into the canonical

@@ -120,6 +120,16 @@ func WithWorkers(n int) MapOption {
 	return func(o *MapSettings) { o.Workers = n }
 }
 
+// DefaultWorkers resolves the de novo passes' worker-count setting
+// (OverlapRun.Workers, olc.WithWorkers): n when positive, otherwise one
+// worker per CPU the scheduler may use.
+func DefaultWorkers(n int) int {
+	if n > 0 {
+		return n
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
 // WithDeadlinePerRead bounds each individual read's wall-clock mapping
 // time. A read that exceeds the budget gets MapResult.Err wrapping
 // context.DeadlineExceeded while the rest of the batch proceeds: the
@@ -242,6 +252,49 @@ func runRead(e *Darwin, q dna.Seq, budget time.Duration) (out readOutcome, aband
 	}
 }
 
+// cloneWorker is one goroutine of a clone pool and the private engine
+// it maps on; work may replace e (Map retires an engine whose read was
+// abandoned).
+type cloneWorker struct {
+	e   *Darwin
+	tid int // 1-based, the worker's trace thread id
+}
+
+// startClones is the one clone-per-worker loop behind Darwin.Map and
+// Overlapper.Run: n goroutines, each owning a Clone of d, call work for
+// every index the caller sends on feed. queue is feed's buffer, so a
+// caller that must not block while workers are busy (Run's merging
+// goroutine) sizes it to its in-flight window; 0 hands indices over
+// synchronously. All clones are made before any goroutine starts, so a
+// Clone error leaves nothing running. join closes feed and returns
+// once every index sent has been worked and every goroutine has
+// exited; the caller sends nothing after calling it.
+func (d *Darwin) startClones(n, queue int, work func(w *cloneWorker, i int)) (feed chan<- int, join func(), err error) {
+	pool := make([]cloneWorker, n)
+	for i := range pool {
+		e, err := d.Clone()
+		if err != nil {
+			return nil, nil, err
+		}
+		pool[i] = cloneWorker{e: e, tid: i + 1}
+	}
+	next := make(chan int, queue)
+	var wg sync.WaitGroup
+	for i := range pool {
+		wg.Add(1)
+		go func(w *cloneWorker) {
+			defer wg.Done()
+			for i := range next {
+				work(w, i)
+			}
+		}(&pool[i])
+	}
+	return next, func() {
+		close(next)
+		wg.Wait()
+	}, nil
+}
+
 // Map maps every read, in input order, under ctx. It is the primary
 // batch entrypoint; MapAll and MapAllContext are deprecated wrappers
 // over it.
@@ -311,52 +364,39 @@ func (d *Darwin) Map(ctx context.Context, reads []dna.Seq, options ...MapOption)
 		return out, nil
 	}
 	gWorkers.Set(int64(workers))
-	engines := make([]*Darwin, workers)
-	for w := range engines {
-		e, err := d.Clone()
-		if err != nil {
-			return nil, err
-		}
-		engines[w] = e
-	}
 	workerErrs := make([]error, workers)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(e *Darwin, tid int) {
-			defer wg.Done()
-			for i := range next {
-				if ctx.Err() != nil || workerErrs[tid-1] != nil {
-					continue // drain remaining indices without mapping
-				}
-				endSpan := obs.Trace.StartTID("core.map_read.worker", tid)
-				readSpan := cmSpan.StartChild("core.read")
-				if readSpan != nil {
-					readSpan.SetAttr("read", int64(i))
-					readSpan.SetAttr("worker", int64(tid))
-					e.engine.SetSpan(readSpan)
-				}
-				busy := time.Now()
-				oc, abandoned := runRead(e, reads[i], o.DeadlinePerRead)
-				tWorkerBusy.Observe(time.Since(busy))
-				if readSpan != nil {
-					e.engine.SetSpan(nil)
-					finishReadSpan(readSpan, busy, oc)
-				}
-				endSpan()
-				out[i] = MapResult{Index: i, Alignments: oc.alns, Stats: oc.st, Err: oc.err}
-				if abandoned {
-					ne, cerr := d.Clone()
-					if cerr != nil {
-						workerErrs[tid-1] = cerr
-						continue
-					}
-					e = ne
-				}
-				prog.Step()
+	next, join, err := d.startClones(workers, 0, func(w *cloneWorker, i int) {
+		if ctx.Err() != nil || workerErrs[w.tid-1] != nil {
+			return // drain remaining indices without mapping
+		}
+		endSpan := obs.Trace.StartTID("core.map_read.worker", w.tid)
+		readSpan := cmSpan.StartChild("core.read")
+		if readSpan != nil {
+			readSpan.SetAttr("read", int64(i))
+			readSpan.SetAttr("worker", int64(w.tid))
+			w.e.engine.SetSpan(readSpan)
+		}
+		busy := time.Now()
+		oc, abandoned := runRead(w.e, reads[i], o.DeadlinePerRead)
+		tWorkerBusy.Observe(time.Since(busy))
+		if readSpan != nil {
+			w.e.engine.SetSpan(nil)
+			finishReadSpan(readSpan, busy, oc)
+		}
+		endSpan()
+		out[i] = MapResult{Index: i, Alignments: oc.alns, Stats: oc.st, Err: oc.err}
+		if abandoned {
+			ne, cerr := d.Clone()
+			if cerr != nil {
+				workerErrs[w.tid-1] = cerr
+				return
 			}
-		}(engines[w], w+1)
+			w.e = ne
+		}
+		prog.Step()
+	})
+	if err != nil {
+		return nil, err
 	}
 feed:
 	for i := range reads {
@@ -366,8 +406,7 @@ feed:
 			break feed
 		}
 	}
-	close(next)
-	wg.Wait()
+	join()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

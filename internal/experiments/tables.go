@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -258,8 +259,13 @@ func Table4(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// One worker: the software row is compared with the baseline's
+	// single-threaded wall clock.
 	darwinStart := time.Now()
-	dOv, ovStats := ovp.FindOverlaps(500)
+	dOv, ovStats, err := ovp.Run(context.Background(), core.OverlapRun{MinOverlap: 500, Workers: 1})
+	if err != nil {
+		return nil, err
+	}
 	darwinTime := time.Since(darwinStart)
 	dConf := assembly.EvaluateOverlaps(reads, assembly.FromCoreOverlaps(dOv), 1000, 0.8)
 

@@ -20,7 +20,8 @@ type Report struct {
 	Args        []string  `json:"args,omitempty"`
 	Start       time.Time `json:"start"`
 	WallSeconds float64   `json:"wall_seconds"`
-	// Workers is the mapping parallelism (gauge core/workers); stage
+	// Workers is the mapping parallelism (gauge core/workers, or
+	// overlap/workers for a run that only overlaps); stage
 	// timings are cumulative across workers, so with Workers > 1 they
 	// may legitimately sum past wall clock.
 	Workers int `json:"workers,omitempty"`
@@ -76,6 +77,10 @@ func (r *Run) Report() *Report {
 		Stages:      diff.Stages(),
 		Histograms:  diff.Histograms,
 		Throughput:  map[string]float64{},
+	}
+	if rep.Workers == 0 {
+		// A de novo run maps nothing through core.Map.
+		rep.Workers = int(diff.Gauges["overlap/workers"])
 	}
 	for _, st := range rep.Stages {
 		rep.StageSecondsTotal += st.Seconds

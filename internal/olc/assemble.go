@@ -48,6 +48,9 @@ type Settings struct {
 	// instead of indexing reads again — for multi-pass callers that
 	// already paid for the table build.
 	Overlapper *core.Overlapper
+	// Workers is how many engine clones the overlap and polish stages
+	// run on (0 = core.DefaultWorkers). Output does not depend on it.
+	Workers int
 }
 
 // Option adjusts one assembly pipeline setting, mirroring the
@@ -121,6 +124,13 @@ func WithOverlapper(o *core.Overlapper) Option {
 	return func(s *Settings) { s.Overlapper = o }
 }
 
+// WithWorkers sets the overlap and polish stages' worker count; 0 (the
+// default) is one per CPU. Overlaps and contigs are byte-identical for
+// every value.
+func WithWorkers(n int) Option {
+	return func(s *Settings) { s.Workers = n }
+}
+
 // Assembly is the result of a full pipeline run.
 type Assembly struct {
 	// Overlaps is the deduplicated overlap set layout consumed.
@@ -152,6 +162,7 @@ func overlapStage(ctx context.Context, reads []dna.Seq, s *Settings, minOverlap 
 	sctx, span := obs.StartSpan(ctx, "olc/overlap")
 	defer span.End()
 	span.SetAttr("reads", int64(len(reads)))
+	span.SetAttr("workers", int64(core.DefaultWorkers(s.Workers)))
 	if err := fpOverlap.Fire(); err != nil {
 		return nil, core.OverlapStats{}, err
 	}
@@ -175,6 +186,7 @@ func overlapStage(ctx context.Context, reads []dna.Seq, s *Settings, minOverlap 
 	}
 	overlaps, stats, err := ovp.Run(sctx, core.OverlapRun{
 		MinOverlap:      minOverlap,
+		Workers:         s.Workers,
 		Resume:          s.Resume,
 		CheckpointEvery: s.CheckpointEvery,
 		Save:            s.SaveCheckpoint,
@@ -200,7 +212,7 @@ func Overlap(ctx context.Context, reads []dna.Seq, options ...Option) ([]core.Ov
 // all-vs-all overlap (resumable via WithCheckpoint), an optional
 // overlap-graph read-reordering pass (WithReorder), greedy layout,
 // read splicing, and majority-vote polishing. It subsumes the
-// positional BuildLayout/Splice/Polish free functions; each stage is
+// positional BuildLayout/Splice/PolishContext free functions; each stage is
 // traced as a child span (olc/overlap, olc/layout, olc/consensus,
 // olc/polish) and guarded by a fault point of the same name.
 func Assemble(ctx context.Context, reads []dna.Seq, options ...Option) (*Assembly, error) {
@@ -302,6 +314,7 @@ func Assemble(ctx context.Context, reads []dna.Seq, options ...Option) (*Assembl
 			}
 		}
 		span.SetAttr("rounds", int64(totalRounds))
+		span.SetAttr("workers", int64(core.DefaultWorkers(s.Workers)))
 		done := 0
 		for i := range drafts {
 			d := &drafts[i]
@@ -311,7 +324,7 @@ func Assemble(ctx context.Context, reads []dna.Seq, options ...Option) (*Assembl
 					span.End()
 					return nil, err
 				}
-				polished, err := PolishContext(pctx, d.seq, reads, s.Config)
+				polished, err := PolishContext(pctx, d.seq, reads, s.Config, s.Workers)
 				if err != nil {
 					span.End()
 					return nil, err

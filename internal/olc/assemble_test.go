@@ -80,7 +80,7 @@ func TestAssembleMatchesLegacyPipeline(t *testing.T) {
 	for ci, contig := range layout.Contigs {
 		seq := Splice(seqs, contig)
 		for round := 0; round < polishRounds && len(contig.Placements) > 1; round++ {
-			polished, err := Polish(seq, seqs, cfg)
+			polished, err := PolishContext(context.Background(), seq, seqs, cfg, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

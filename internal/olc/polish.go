@@ -2,6 +2,7 @@ package olc
 
 import (
 	"context"
+	"fmt"
 	"sort"
 
 	"darwin/internal/core"
@@ -14,8 +15,13 @@ import (
 // stage would double-book that time.
 var tPolish = obs.Default.Timer("olc/polish")
 
-// Polish performs the consensus phase of OLC assembly (Section 2:
-// "the final DNA sequence is derived by taking a consensus of reads,
+// polishBatch bounds how many reads are mapped before their votes are
+// folded, so the alignments (CIGARs) held at once stay bounded however
+// large the read set.
+const polishBatch = 256
+
+// PolishContext performs the consensus phase of OLC assembly (Section
+// 2: "the final DNA sequence is derived by taking a consensus of reads,
 // which corrects the vast majority of read errors"): reads are mapped
 // back onto the draft contig with the Darwin engine, and each draft
 // position is re-called by majority vote over the aligned columns —
@@ -25,22 +31,20 @@ var tPolish = obs.Default.Timer("olc/polish")
 // raw read rate (~15% for PacBio) to well under 1%, mirroring the
 // consensus-accuracy argument of Section 2.
 //
-// Deprecated: use PolishContext, which adds cooperative cancellation.
-// This wrapper is bit-identical to the context form.
-func Polish(draft dna.Seq, reads []dna.Seq, cfg core.Config) (dna.Seq, error) {
-	return PolishContext(context.Background(), draft, reads, cfg)
-}
-
-// PolishContext is Polish with cooperative cancellation: ctx is
-// checked between reads (each read's remap is the unit of work), and
-// cancellation returns ctx.Err() with a nil sequence.
-func PolishContext(ctx context.Context, draft dna.Seq, reads []dna.Seq, cfg core.Config) (dna.Seq, error) {
+// Reads are mapped in batches on workers engine clones (0 =
+// core.DefaultWorkers) and their votes folded in read order; votes are
+// integer counts, so the output does not depend on workers. ctx is
+// checked between reads, and cancellation returns ctx.Err() with a nil
+// sequence. A read whose mapping fails (core.MapResult.Err) fails the
+// polish rather than silently losing its votes.
+func PolishContext(ctx context.Context, draft dna.Seq, reads []dna.Seq, cfg core.Config, workers int) (dna.Seq, error) {
 	defer tPolish.Time()()
 	defer obs.Trace.Start("olc.polish")()
 	engine, err := core.New(draft, cfg)
 	if err != nil {
 		return nil, err
 	}
+	workers = core.DefaultWorkers(workers)
 
 	type column struct {
 		base [4]int32         // votes for A/C/G/T at this draft position
@@ -50,15 +54,7 @@ func PolishContext(ctx context.Context, draft dna.Seq, reads []dna.Seq, cfg core
 	}
 	cols := make([]column, len(draft))
 
-	for _, read := range reads {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		alns, _ := engine.MapRead(read)
-		best := core.Best(alns)
-		if best == nil {
-			continue
-		}
+	vote := func(read dna.Seq, best *core.ReadAlignment) {
 		q := read
 		if best.Reverse {
 			q = dna.RevComp(read)
@@ -92,6 +88,21 @@ func PolishContext(ctx context.Context, draft dna.Seq, reads []dna.Seq, cfg core
 					c.ins[string(q[j:j+s.Len])]++
 				}
 				j += s.Len
+			}
+		}
+	}
+	for lo := 0; lo < len(reads); lo += polishBatch {
+		batch := reads[lo:min(lo+polishBatch, len(reads))]
+		results, err := engine.Map(ctx, batch, core.WithWorkers(workers))
+		if err != nil {
+			return nil, err
+		}
+		for i := range results {
+			if err := results[i].Err; err != nil {
+				return nil, fmt.Errorf("olc: polish: mapping read %d: %w", lo+i, err)
+			}
+			if best := core.Best(results[i].Alignments); best != nil {
+				vote(batch[i], best)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package olc
 
 import (
-	"bytes"
 	"context"
 	"testing"
 
@@ -45,34 +44,6 @@ func TestBuildLayoutWrapperIdentical(t *testing.T) {
 	}
 }
 
-// TestPolishWrapperIdentical: the deprecated Polish must return the
-// same sequence as PolishContext with a background context.
-func TestPolishWrapperIdentical(t *testing.T) {
-	seqs := testReads(t, 15000, 40)
-	cfg := testConfig()
-	asm, err := Assemble(context.Background(), seqs,
-		WithConfig(cfg), WithMinOverlap(1000), WithPolishRounds(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(asm.Contigs) == 0 {
-		t.Fatal("no contigs to polish")
-	}
-	draft := asm.Contigs[0].Seq
-
-	old, err := Polish(draft, seqs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now, err := PolishContext(context.Background(), draft, seqs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(old, now) {
-		t.Error("Polish and PolishContext outputs differ")
-	}
-}
-
 // TestContextWrappersCancel: the context variants must honour an
 // already-cancelled context.
 func TestContextWrappersCancel(t *testing.T) {
@@ -94,7 +65,7 @@ func TestContextWrappersCancel(t *testing.T) {
 	if _, err := BuildLayoutContext(ctx, readLens, overlaps); err == nil {
 		t.Error("BuildLayoutContext ignored cancelled context")
 	}
-	if _, err := PolishContext(ctx, seqs[0], seqs, testConfig()); err == nil {
+	if _, err := PolishContext(ctx, seqs[0], seqs, testConfig(), 0); err == nil {
 		t.Error("PolishContext ignored cancelled context")
 	}
 	if _, err := Assemble(ctx, seqs, WithConfig(testConfig())); err == nil {

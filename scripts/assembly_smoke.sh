@@ -12,6 +12,11 @@
 #   5. lint /metrics and assert the jobs/* families have samples
 #   6. run a second job end-to-end through darwin-client -jobs-target
 #      (submit → poll → fetch)
+#   7. darwin-overlap and darwin-assemble with -workers 1 against the
+#      default (one worker per CPU): overlap TSV and contig FASTA must
+#      be byte-identical
+# The job service has no worker setting, so legs 2-3 interrupt and
+# resume a pass running on the default worker count.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,11 +29,14 @@ cleanup() {
 trap cleanup EXIT
 
 echo "assembly-smoke: building binaries"
-go build -o "$tmp/bin/" ./cmd/darwind ./cmd/darwin-client ./cmd/genomesim ./cmd/readsim ./cmd/metricslint
+go build -o "$tmp/bin/" ./cmd/darwind ./cmd/darwin-client ./cmd/genomesim ./cmd/readsim ./cmd/metricslint \
+    ./cmd/darwin-overlap ./cmd/darwin-assemble
 
+# Sized so that the overlap pass, which runs on every core, still
+# outlasts the status poll that waits for its first checkpoint.
 echo "assembly-smoke: generating synthetic genome and reads"
-"$tmp/bin/genomesim" -len 20000 -seed 51 -out "$tmp/asm_genome.fa" 2>/dev/null
-"$tmp/bin/readsim" -ref "$tmp/asm_genome.fa" -n 120 -len 1500 -seed 52 -out "$tmp/asm_reads.fq" 2>/dev/null
+"$tmp/bin/genomesim" -len 40000 -seed 51 -out "$tmp/asm_genome.fa" 2>/dev/null
+"$tmp/bin/readsim" -ref "$tmp/asm_genome.fa" -n 240 -len 1500 -seed 52 -out "$tmp/asm_reads.fq" 2>/dev/null
 # The job payload goes up as FASTA.
 awk 'NR%4==1{sub(/^@/,">");print} NR%4==2{print}' "$tmp/asm_reads.fq" > "$tmp/asm_reads.fa"
 # darwind needs a mapping reference too; reuse the genome.
@@ -193,4 +201,21 @@ if ! wait "$pid"; then
     exit 1
 fi
 pid=""
-echo "assembly-smoke: OK (kill-and-resume durability, metrics, client mode)"
+
+# Worker-count invariance at the CLIs: one worker against the default.
+engine="-k 11 -n 400 -h 20 -stride 2"
+"$tmp/bin/darwin-overlap" -reads "$tmp/asm_reads.fq" $engine -workers 1 -out "$tmp/ov_w1.tsv" 2>/dev/null
+"$tmp/bin/darwin-overlap" -reads "$tmp/asm_reads.fq" $engine -out "$tmp/ov_all.tsv" 2>/dev/null
+"$tmp/bin/darwin-assemble" -reads "$tmp/asm_reads.fq" $engine -polish 1 -workers 1 -out "$tmp/asm_w1.fa" 2>/dev/null
+"$tmp/bin/darwin-assemble" -reads "$tmp/asm_reads.fq" $engine -polish 1 -out "$tmp/asm_all.fa" 2>/dev/null
+if [ "$(wc -l < "$tmp/ov_w1.tsv")" -lt 2 ] || ! grep -q '^>contig_' "$tmp/asm_w1.fa"; then
+    echo "assembly-smoke: FAIL — the -workers 1 run found no overlaps or built no contigs" >&2
+    exit 1
+fi
+if ! cmp "$tmp/ov_w1.tsv" "$tmp/ov_all.tsv" || ! cmp "$tmp/asm_w1.fa" "$tmp/asm_all.fa"; then
+    echo "assembly-smoke: FAIL — -workers 1 and the default worker count disagree" >&2
+    exit 1
+fi
+echo "assembly-smoke: -workers 1 and default give identical overlaps ($(($(wc -l < "$tmp/ov_w1.tsv") - 1))) and contigs"
+
+echo "assembly-smoke: OK (kill-and-resume durability, metrics, client mode, worker invariance)"
