@@ -139,7 +139,7 @@ func BenchmarkCorePipeline(b *testing.B) {
 	b.ResetTimer()
 	var cells int64
 	for i := 0; i < b.N; i++ {
-		results, err := engine.MapAll(seqs, 1)
+		results, err := engine.Map(context.Background(), seqs, core.WithWorkers(1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -239,11 +239,15 @@ func BenchmarkMapReadTraced(b *testing.B) {
 
 // BenchmarkShardMapAll measures the sharded scatter-gather engine in
 // its bounded-memory regime: an 8-shard index with a residency budget
-// of ~¼ the full seed table, so every MapAll batch rebuilds evicted
+// of ~¼ the full seed table, so every Map batch rebuilds evicted
 // shards (the worst case the shard-major batch order amortizes). It
 // writes the obs run report to BENCH_shard.json (`make bench-shard`);
 // scripts/benchdiff.sh diffs two such reports via the shared
-// core/reads counter.
+// core/reads counter. Afterwards it reports one_shard/mono: the wall
+// clock of a warmed one-shard mapper over the monolithic engine's on
+// the same batch — what scatter and gather cost when there is nothing
+// to scatter (both engines run the same per-read body and extension
+// fold, so the ratio should sit at 1).
 func BenchmarkShardMapAll(b *testing.B) {
 	g, err := genome.Generate(genome.Config{Length: 2_000_000, GC: 0.45, Seed: 83})
 	if err != nil {
@@ -271,7 +275,7 @@ func BenchmarkShardMapAll(b *testing.B) {
 	run := obs.NewRun("bench_shard")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.MapAll(seqs, 4); err != nil {
+		if _, err := engine.Map(context.Background(), seqs, core.WithWorkers(4)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -282,6 +286,26 @@ func BenchmarkShardMapAll(b *testing.B) {
 	if err := run.Report().WriteJSON("BENCH_shard.json"); err != nil {
 		b.Fatal(err)
 	}
+
+	one, err := shard.New(g.Seq, cfg, shard.Config{Shards: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Best of alternating repetitions; the first pair builds the
+	// one-shard table and warms both engines, and is not counted.
+	var best [2]time.Duration
+	for rep := 0; rep < 4; rep++ {
+		for e, m := range []core.Mapper{mono, one} {
+			start := time.Now()
+			if _, err := m.Map(context.Background(), seqs, core.WithWorkers(4)); err != nil {
+				b.Fatal(err)
+			}
+			if d := time.Since(start); rep > 0 && (best[e] == 0 || d < best[e]) {
+				best[e] = d
+			}
+		}
+	}
+	b.ReportMetric(best[1].Seconds()/best[0].Seconds(), "one_shard/mono")
 }
 
 // --- Kernel micro-benchmarks ---------------------------------------

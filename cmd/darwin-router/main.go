@@ -66,7 +66,7 @@ func run() error {
 	obsFlags := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
 
-	log, err := newLogger(os.Stderr, *logFormat, *logLevel)
+	log, err := obs.NewLogger(os.Stderr, *logFormat, *logLevel)
 	if err != nil {
 		return err
 	}

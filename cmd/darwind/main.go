@@ -101,7 +101,7 @@ func run() error {
 	obsFlags := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
 
-	log, err := newLogger(os.Stderr, *logFormat, *logLevel)
+	log, err := obs.NewLogger(os.Stderr, *logFormat, *logLevel)
 	if err != nil {
 		return err
 	}
@@ -319,25 +319,6 @@ func readSeqFile(path string) ([]dna.Record, error) {
 		return dna.ReadFASTQ(f)
 	}
 	return dna.ReadFASTA(f)
-}
-
-// newLogger builds the process logger on w. Text is the operator
-// default; json feeds log pipelines. Either way each /v1/map access
-// line carries its request_id, so grep by ID works across formats.
-func newLogger(w *os.File, format, level string) (*slog.Logger, error) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("-log-level %q: %w", level, err)
-	}
-	opts := &slog.HandlerOptions{Level: lvl}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(w, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(w, opts)), nil
-	default:
-		return nil, fmt.Errorf("-log-format %q: want text or json", format)
-	}
 }
 
 // dumpSlowCaptures flushes the slow-request ring into the log on

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -50,7 +51,7 @@ func run() error {
 	fmt.Printf("Reference %d bp; sample carries %d variants; %d reads at 15× (15%% error)\n\n",
 		genomeLen, len(truth), len(reads))
 
-	calls, err := varcall.Call(g.Seq, seqs, varcall.DefaultConfig(core.DefaultConfig(11, 700, 20)))
+	calls, err := varcall.CallContext(context.Background(), g.Seq, seqs, varcall.DefaultConfig(core.DefaultConfig(11, 700, 20)))
 	if err != nil {
 		return err
 	}

@@ -23,27 +23,27 @@ func simReads(t *testing.T, ref dna.Seq, n int, seed int64) []dna.Seq {
 	return seqs
 }
 
-// TestMapAllDefaultsWorkers: workers <= 0 must behave like a sensible
+// TestMapDefaultsWorkers: workers <= 0 must behave like a sensible
 // parallel run (one worker per CPU), not zero workers — and produce
 // the same results as an explicit single worker.
-func TestMapAllDefaultsWorkers(t *testing.T) {
+func TestMapDefaultsWorkers(t *testing.T) {
 	ref := testGenome(t, 80000, 311)
 	d, err := New(ref, DefaultConfig(11, 400, 18))
 	if err != nil {
 		t.Fatal(err)
 	}
 	seqs := simReads(t, ref, 12, 312)
-	want, err := d.MapAll(seqs, 1)
+	want, err := d.Map(context.Background(), seqs, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, -3} {
-		got, err := d.MapAll(seqs, workers)
+		got, err := d.Map(context.Background(), seqs, WithWorkers(workers))
 		if err != nil {
-			t.Fatalf("MapAll(workers=%d): %v", workers, err)
+			t.Fatalf("Map(workers=%d): %v", workers, err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("MapAll(workers=%d): %d results, want %d", workers, len(got), len(want))
+			t.Fatalf("Map(workers=%d): %d results, want %d", workers, len(got), len(want))
 		}
 		for i := range got {
 			a, b := Best(got[i].Alignments), Best(want[i].Alignments)
@@ -55,23 +55,17 @@ func TestMapAllDefaultsWorkers(t *testing.T) {
 				t.Fatalf("workers=%d read %d: results differ", workers, i)
 			}
 		}
-		wantWorkers := runtime.NumCPU()
-		if wantWorkers > len(seqs) {
-			wantWorkers = len(seqs)
-		}
-		if wantWorkers < 1 {
-			wantWorkers = 1
-		}
+		wantWorkers := min(DefaultWorkers(workers), len(seqs))
 		if g := gWorkers.Value(); g != int64(wantWorkers) {
 			t.Errorf("workers=%d: core/workers gauge = %d, want %d", workers, g, wantWorkers)
 		}
 	}
 }
 
-// TestMapAllContextCancelled: an already-cancelled context returns
+// TestMapContextCancelled: an already-cancelled context returns
 // immediately with context.Canceled from both the inline and the
 // worker-pool paths.
-func TestMapAllContextCancelled(t *testing.T) {
+func TestMapContextCancelled(t *testing.T) {
 	ref := testGenome(t, 60000, 313)
 	d, err := New(ref, DefaultConfig(11, 400, 18))
 	if err != nil {
@@ -81,16 +75,16 @@ func TestMapAllContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		if _, err := d.MapAllContext(ctx, seqs, workers); !errors.Is(err, context.Canceled) {
-			t.Errorf("MapAllContext(cancelled, workers=%d) = %v, want context.Canceled", workers, err)
+		if _, err := d.Map(ctx, seqs, WithWorkers(workers)); !errors.Is(err, context.Canceled) {
+			t.Errorf("Map(cancelled, workers=%d) = %v, want context.Canceled", workers, err)
 		}
 	}
 }
 
-// TestMapAllContextMidwayCancel cancels after the first read completes
+// TestMapContextMidwayCancel cancels after the first read completes
 // and asserts the call reports the cancellation instead of mapping the
 // whole set.
-func TestMapAllContextMidwayCancel(t *testing.T) {
+func TestMapContextMidwayCancel(t *testing.T) {
 	ref := testGenome(t, 60000, 315)
 	d, err := New(ref, DefaultConfig(11, 400, 18))
 	if err != nil {
@@ -108,10 +102,10 @@ func TestMapAllContextMidwayCancel(t *testing.T) {
 		}
 		cancel()
 	}()
-	_, err = d.MapAllContext(ctx, seqs, 2)
+	_, err = d.Map(ctx, seqs, WithWorkers(2))
 	<-done
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("MapAllContext after midway cancel = %v, want context.Canceled", err)
+		t.Fatalf("Map after midway cancel = %v, want context.Canceled", err)
 	}
 }
 

@@ -102,7 +102,7 @@ func DefaultConfig(k, n, h int) Config {
 //
 //   - Mapping: Map is the primary batch entrypoint (context-first,
 //     functional options); MapRead maps a single read inline on the
-//     receiver. MapAll/MapAllContext remain for compatibility only.
+//     receiver.
 //   - Concurrency: CloneMapper derives an engine that shares the
 //     immutable index (seed tables, reference bytes) but owns private
 //     mutable scratch — D-SOFT bin state, GACT traceback, candidate
@@ -123,14 +123,6 @@ type Mapper interface {
 	// failures land in MapResult.Err; batch-level failures (cancelled
 	// context) are returned as the error.
 	Map(ctx context.Context, reads []dna.Seq, options ...MapOption) ([]MapResult, error)
-	// MapAll maps every read with the given worker parallelism.
-	//
-	// Deprecated: use Map with WithWorkers.
-	MapAll(reads []dna.Seq, workers int) ([]MapResult, error)
-	// MapAllContext is MapAll with cancellation between reads.
-	//
-	// Deprecated: use Map with WithWorkers.
-	MapAllContext(ctx context.Context, reads []dna.Seq, workers int) ([]MapResult, error)
 	// CloneMapper returns an engine sharing immutable index state but
 	// with private mutable scratch, safe for another goroutine.
 	CloneMapper() (Mapper, error)
@@ -202,27 +194,7 @@ func New(ref dna.Seq, cfg Config) (*Darwin, error) {
 	}
 	buildTime := time.Since(start)
 	tIndex.Observe(buildTime)
-	stride := cfg.SeedStride
-	if stride < 1 {
-		stride = 1
-	}
-	filter, err := dsoft.New(table, dsoft.Config{
-		N:       cfg.SeedN,
-		H:       cfg.Threshold,
-		BinSize: cfg.BinSize,
-		Stride:  stride,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: configuring D-SOFT: %w", err)
-	}
-	g := cfg.GACT
-	g.MinFirstTile = cfg.HTile
-	cfg.GACT = g
-	engine, err := gact.NewEngine(&cfg.GACT)
-	if err != nil {
-		return nil, fmt.Errorf("core: configuring GACT: %w", err)
-	}
-	return &Darwin{ref: ref, table: table, filter: filter, engine: engine, cfg: cfg, TableBuildTime: buildTime}, nil
+	return assemble(ref, table, cfg, buildTime)
 }
 
 // NewWithTable assembles an engine around a prebuilt seed table — the
@@ -245,27 +217,50 @@ func NewWithTable(ref dna.Seq, table *seedtable.Table, cfg Config) (*Darwin, err
 	if table.RefLen() != len(ref) {
 		return nil, fmt.Errorf("core: seed table covers %d bases but reference has %d", table.RefLen(), len(ref))
 	}
-	stride := cfg.SeedStride
-	if stride < 1 {
-		stride = 1
-	}
+	return assemble(ref, table, cfg, 0)
+}
+
+// Parts is one goroutine's private mapping machinery — the hardware's
+// per-array SRAM: a D-SOFT filter (bin counts) and a GACT engine
+// (traceback). Everything else an engine holds is immutable and shared.
+type Parts struct {
+	Filter *dsoft.Filter
+	Engine *gact.Engine
+}
+
+// NewParts derives the filter and GACT engine cfg describes; it is the
+// one place the Config → dsoft.Config / gact.Config plumbing lives
+// (HTile becomes the engine's first-tile threshold), used by every
+// engine constructor here and by the sharded mapper's workers. A nil
+// table leaves the filter unbound, to be pointed at shard tables with
+// Filter.SetTable.
+func NewParts(table *seedtable.Table, cfg Config) (Parts, error) {
 	filter, err := dsoft.New(table, dsoft.Config{
 		N:       cfg.SeedN,
 		H:       cfg.Threshold,
 		BinSize: cfg.BinSize,
-		Stride:  stride,
+		Stride:  cfg.SeedStride,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("core: configuring D-SOFT: %w", err)
+		return Parts{}, fmt.Errorf("core: configuring D-SOFT: %w", err)
 	}
 	g := cfg.GACT
 	g.MinFirstTile = cfg.HTile
-	cfg.GACT = g
-	engine, err := gact.NewEngine(&cfg.GACT)
+	engine, err := gact.NewEngine(&g)
 	if err != nil {
-		return nil, fmt.Errorf("core: configuring GACT: %w", err)
+		return Parts{}, fmt.Errorf("core: configuring GACT: %w", err)
 	}
-	return &Darwin{ref: ref, table: table, filter: filter, engine: engine, cfg: cfg}, nil
+	return Parts{Filter: filter, Engine: engine}, nil
+}
+
+// assemble wraps fresh Parts around an index: the tail of New and
+// NewWithTable, and all of Clone.
+func assemble(ref dna.Seq, table *seedtable.Table, cfg Config, buildTime time.Duration) (*Darwin, error) {
+	parts, err := NewParts(table, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Darwin{ref: ref, table: table, filter: parts.Filter, engine: parts.Engine, cfg: cfg, TableBuildTime: buildTime}, nil
 }
 
 // Ref returns the indexed reference.
@@ -324,12 +319,54 @@ func (s *MapStats) add(o MapStats) {
 // callers never hand-sum fields; see the reflection test).
 func (s *MapStats) Add(o MapStats) { s.add(o) }
 
+// AddExtension folds one candidate's GACT extension outcome into the
+// read's statistics and alignment list — the single accounting rule
+// behind every mapping path (monolithic, overlap, sharded gather,
+// cluster merge). res is nil when the first tile fell below h_tile.
+func (s *MapStats) AddExtension(alns []ReadAlignment, res *align.Result, gst gact.Stats, rev bool) []ReadAlignment {
+	s.Tiles += gst.Tiles
+	s.Cells += gst.Cells
+	s.FirstTileScores = append(s.FirstTileScores, gst.FirstTileScore)
+	if res == nil {
+		return alns
+	}
+	s.PassedHTile++
+	return append(alns, ReadAlignment{Result: *res, Reverse: rev, FirstTileScore: gst.FirstTileScore})
+}
+
+// publishRead records one successfully mapped read in the core/*
+// roll-ups, whichever engine and entrypoint mapped it.
+func publishRead(alns []ReadAlignment, st *MapStats, elapsed time.Duration) {
+	cReads.Inc()
+	cAlignments.Add(int64(len(alns)))
+	if len(alns) == 0 {
+		cUnmapped.Inc()
+	}
+	hCandidates.Observe(float64(st.Candidates))
+	hMapLatency.Observe(float64(elapsed) / float64(time.Millisecond))
+}
+
 // MapRead maps a read against the reference, querying both strands
 // (Figure 6: "the forward and reverse-complement of P reads are used
 // as queries"). Alignments are sorted by descending score.
 func (d *Darwin) MapRead(q dna.Seq) ([]ReadAlignment, MapStats) {
 	endSpan := obs.Trace.Start("core.map_read")
 	start := time.Now()
+	out, stats := d.mapRead(q, nil)
+	SortAlignments(out)
+	publishRead(out, &stats, time.Since(start))
+	endSpan()
+	return out, stats
+}
+
+// mapRead runs the Fig. 6 pipeline for both orientations of q:
+// alignments in extension order, forward strand first, not yet sorted
+// or published. window, when non-nil, restricts each candidate's GACT
+// extension to the reference segment [lo, hi) it names for the
+// candidate's position, or drops the candidate (ok false) — the de novo
+// overlap step clips to the target read and drops self-hits this way.
+// Returned coordinates are global either way.
+func (d *Darwin) mapRead(q dna.Seq, window func(refPos int) (lo, hi int, ok bool)) ([]ReadAlignment, MapStats) {
 	var out []ReadAlignment
 	var stats MapStats
 	for _, rev := range []bool{false, true} {
@@ -338,97 +375,38 @@ func (d *Darwin) MapRead(q dna.Seq) ([]ReadAlignment, MapStats) {
 			d.revBuf = dna.AppendRevComp(d.revBuf[:0], q)
 			query = d.revBuf
 		}
-		alns, st := d.mapStrand(query, rev)
-		out = append(out, alns...)
-		stats.add(st)
-	}
-	SortAlignments(out)
-	cReads.Inc()
-	cAlignments.Add(int64(len(out)))
-	if len(out) == 0 {
-		cUnmapped.Inc()
-	}
-	hCandidates.Observe(float64(stats.Candidates))
-	hMapLatency.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-	endSpan()
-	return out, stats
-}
+		start := time.Now()
+		cands, dst := d.filter.QueryInto(query, d.cands[:0])
+		d.cands = cands
+		stats.DSOFT.Add(dst)
+		stats.Candidates += len(cands)
+		stats.FiltrationTime += time.Since(start)
 
-// mapStrand runs the Fig. 6 pipeline for one oriented query.
-func (d *Darwin) mapStrand(query dna.Seq, rev bool) ([]ReadAlignment, MapStats) {
-	var stats MapStats
-	start := time.Now()
-	cands, dst := d.filter.QueryInto(query, d.cands[:0])
-	d.cands = cands
-	stats.DSOFT = dst
-	stats.Candidates = len(cands)
-	stats.FiltrationTime = time.Since(start)
-
-	if d.cfg.MaxCandidates > 0 && len(cands) > d.cfg.MaxCandidates {
-		cands = cands[:d.cfg.MaxCandidates]
-	}
-
-	start = time.Now()
-	var out []ReadAlignment
-	for _, c := range cands {
-		res, gst, err := d.engine.Extend(d.ref, query, c.RefPos, c.QueryPos)
-		if err != nil {
-			continue // invalid anchor geometry; candidate is unusable
+		if d.cfg.MaxCandidates > 0 && len(cands) > d.cfg.MaxCandidates {
+			cands = cands[:d.cfg.MaxCandidates]
 		}
-		stats.Tiles += gst.Tiles
-		stats.Cells += gst.Cells
-		stats.FirstTileScores = append(stats.FirstTileScores, gst.FirstTileScore)
-		if res == nil {
-			continue
-		}
-		stats.PassedHTile++
-		out = append(out, ReadAlignment{Result: *res, Reverse: rev, FirstTileScore: gst.FirstTileScore})
-	}
-	stats.AlignmentTime = time.Since(start)
-	return out, stats
-}
 
-// mapStrandClipped is mapStrand with each candidate's GACT extension
-// restricted to a reference window: window(refPos) returns the target
-// segment id and its [lo, hi) bounds; candidates whose target equals
-// skipRead are dropped (a read's trivial self-hit in the de novo
-// concatenated reference). Returned coordinates are global.
-func (d *Darwin) mapStrandClipped(query dna.Seq, rev bool, window func(refPos int) (int, int, int), skipRead int) ([]ReadAlignment, MapStats) {
-	var stats MapStats
-	start := time.Now()
-	cands, dst := d.filter.QueryInto(query, d.cands[:0])
-	d.cands = cands
-	stats.DSOFT = dst
-	stats.Candidates = len(cands)
-	stats.FiltrationTime = time.Since(start)
-
-	if d.cfg.MaxCandidates > 0 && len(cands) > d.cfg.MaxCandidates {
-		cands = cands[:d.cfg.MaxCandidates]
+		start = time.Now()
+		for _, c := range cands {
+			lo, hi := 0, len(d.ref)
+			if window != nil {
+				var ok bool
+				if lo, hi, ok = window(c.RefPos); !ok {
+					continue
+				}
+			}
+			res, gst, err := d.engine.Extend(d.ref[lo:hi], query, c.RefPos-lo, c.QueryPos)
+			if err != nil {
+				continue // invalid anchor geometry; candidate is unusable
+			}
+			if res != nil {
+				res.RefStart += lo
+				res.RefEnd += lo
+			}
+			out = stats.AddExtension(out, res, gst, rev)
+		}
+		stats.AlignmentTime += time.Since(start)
 	}
-
-	start = time.Now()
-	var out []ReadAlignment
-	for _, c := range cands {
-		target, lo, hi := window(c.RefPos)
-		if target == skipRead || c.RefPos >= hi {
-			continue
-		}
-		res, gst, err := d.engine.Extend(d.ref[lo:hi], query, c.RefPos-lo, c.QueryPos)
-		if err != nil {
-			continue
-		}
-		stats.Tiles += gst.Tiles
-		stats.Cells += gst.Cells
-		stats.FirstTileScores = append(stats.FirstTileScores, gst.FirstTileScore)
-		if res == nil {
-			continue
-		}
-		stats.PassedHTile++
-		res.RefStart += lo
-		res.RefEnd += lo
-		out = append(out, ReadAlignment{Result: *res, Reverse: rev, FirstTileScore: gst.FirstTileScore})
-	}
-	stats.AlignmentTime = time.Since(start)
 	return out, stats
 }
 

@@ -1,197 +1,194 @@
-package core
+package core_test
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"darwin/internal/core"
+	"darwin/internal/dna"
 	"darwin/internal/faults"
+	"darwin/internal/genome"
+	"darwin/internal/obs"
+	"darwin/internal/readsim"
+	"darwin/internal/shard"
 )
 
-// zeroStatTimes clears the wall-clock stat fields so result sets from
-// different runs can be compared with DeepEqual: FiltrationTime and
-// AlignmentTime vary run to run even when the work is bit-identical.
-func zeroStatTimes(results []MapResult) {
-	for i := range results {
-		results[i].Stats.FiltrationTime = 0
-		results[i].Stats.AlignmentTime = 0
-	}
-}
-
-// TestMapWrappersBitIdentical is the deprecation contract: MapAll and
-// MapAllContext must be pure wrappers over Map — bit-identical
-// alignments, stats (modulo wall-clock fields), indices, and errors —
-// across worker counts, so migrating a caller can never change output.
-func TestMapWrappersBitIdentical(t *testing.T) {
-	ref := testGenome(t, 120000, 401)
-	d, err := New(ref, DefaultConfig(11, 500, 19))
+// mapContractEngines builds the three engines every Map contract case
+// runs over — the monolithic Darwin and the sharded mapper at 1 and 4
+// shards — on one genome, plus n reads simulated from it. The per-read
+// contract (isolation, deadline, progress, cancellation) is the shared
+// per-read body's, so it must hold identically for all of them.
+func mapContractEngines(t *testing.T, n int) (map[string]core.Mapper, []dna.Seq) {
+	t.Helper()
+	g, err := genome.Generate(genome.Config{
+		Length: 80000, GC: 0.45, RepeatFraction: 0.2, RepeatFamilies: 5,
+		RepeatUnitLen: 250, RepeatDivergence: 0.1, TandemFraction: 0.1, Seed: 403,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqs := simReads(t, ref, 10, 402)
-	for _, workers := range []int{1, 3} {
-		want, err := d.Map(context.Background(), seqs, WithWorkers(workers))
-		if err != nil {
+	cfg := core.DefaultConfig(11, 400, 18)
+	engines := map[string]core.Mapper{}
+	if engines["monolith"], err = core.New(g.Seq, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 4} {
+		if engines[fmt.Sprintf("shards=%d", shards)], err = shard.New(g.Seq, cfg, shard.Config{Shards: shards}); err != nil {
 			t.Fatal(err)
-		}
-		viaMapAll, err := d.MapAll(seqs, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaCtx, err := d.MapAllContext(context.Background(), seqs, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		zeroStatTimes(want)
-		zeroStatTimes(viaMapAll)
-		zeroStatTimes(viaCtx)
-		if !reflect.DeepEqual(viaMapAll, want) {
-			t.Errorf("workers=%d: MapAll diverges from Map", workers)
-		}
-		if !reflect.DeepEqual(viaCtx, want) {
-			t.Errorf("workers=%d: MapAllContext diverges from Map", workers)
 		}
 	}
+	sim, err := readsim.SimulateN(g.Seq, n, readsim.Config{Profile: readsim.PacBio, MeanLen: 1500, Seed: 404})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := make([]dna.Seq, len(sim))
+	for i := range sim {
+		reads[i] = sim[i].Seq
+	}
+	return engines, reads
 }
 
-// TestMapPanicIsolation: an injected panic while mapping one read must
-// surface as that read's MapResult.Err — the batch completes and every
-// other read maps normally.
-func TestMapPanicIsolation(t *testing.T) {
+// TestMapPerReadContract is the Map contract every engine shares, at
+// workers 1 (inline) and 3 (pooled). Which read a fault lands on depends
+// on scheduling once there are several workers, so the cases count
+// failed reads rather than name them.
+func TestMapPerReadContract(t *testing.T) {
 	defer faults.Default.Reset()
-	ref := testGenome(t, 80000, 403)
-	d, err := New(ref, DefaultConfig(11, 400, 18))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqs := simReads(t, ref, 6, 404)
-	clean, err := d.Map(context.Background(), seqs, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := faults.Default.Enable("core/map_read=every=3,panic=poisoned read"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := d.Map(context.Background(), seqs, WithWorkers(1))
-	faults.Default.Reset()
-	if err != nil {
-		t.Fatalf("Map must not fail the batch on a per-read panic: %v", err)
-	}
-	for i := range got {
-		if (i+1)%3 == 0 { // every=3 fires on calls 3, 6, ...
-			if got[i].Err == nil || !strings.Contains(got[i].Err.Error(), "panicked") {
-				t.Errorf("read %d: Err = %v, want contained panic", i, got[i].Err)
+	engines, reads := mapContractEngines(t, 7)
+	ctx := context.Background()
+	for name, eng := range engines {
+		clean, err := eng.Map(ctx, reads, core.WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// failedReads maps under the fault spec and returns the indices of
+		// reads whose Err satisfies isFault; every other read must be
+		// untouched by its neighbour's failure.
+		failedReads := func(t *testing.T, spec string, isFault func(error) bool, options ...core.MapOption) []int {
+			t.Helper()
+			if err := faults.Default.Enable(spec); err != nil {
+				t.Fatal(err)
 			}
-			if got[i].Alignments != nil {
-				t.Errorf("read %d: panicked read still has alignments", i)
+			got, err := eng.Map(ctx, reads, options...)
+			faults.Default.Reset()
+			if err != nil {
+				t.Fatalf("a per-read failure must not fail the batch: %v", err)
 			}
-			continue
-		}
-		if got[i].Err != nil {
-			t.Errorf("read %d: unexpected Err %v (blast radius exceeded one read)", i, got[i].Err)
-		}
-		if len(got[i].Alignments) != len(clean[i].Alignments) {
-			t.Errorf("read %d: %d alignments with a neighbor panicking, want %d",
-				i, len(got[i].Alignments), len(clean[i].Alignments))
-		}
-	}
-}
-
-// TestMapPerReadDeadline: a read held past WithDeadlinePerRead (via an
-// injected delay) fails individually with context.DeadlineExceeded;
-// the rest of the batch is unaffected.
-func TestMapPerReadDeadline(t *testing.T) {
-	defer faults.Default.Reset()
-	ref := testGenome(t, 80000, 405)
-	d, err := New(ref, DefaultConfig(11, 400, 18))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqs := simReads(t, ref, 5, 406)
-	// Delay only the third read's map call well past the budget. The
-	// margins are deliberately wide (a normal read maps in well under
-	// 1s even with the race detector's overhead, and 4s is well past
-	// the budget) so the test is timing-robust.
-	if err := faults.Default.Enable("core/map_read=after=2,times=1,delay=4s"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := d.Map(context.Background(), seqs, WithWorkers(1), WithDeadlinePerRead(time.Second))
-	faults.Default.Reset()
-	if err != nil {
-		t.Fatalf("Map must not fail the batch on a per-read deadline: %v", err)
-	}
-	for i := range got {
-		if i == 2 {
-			if !errors.Is(got[i].Err, context.DeadlineExceeded) {
-				t.Errorf("read 2: Err = %v, want DeadlineExceeded", got[i].Err)
-			}
-			continue
-		}
-		if got[i].Err != nil {
-			t.Errorf("read %d: unexpected Err %v", i, got[i].Err)
-		}
-	}
-}
-
-// TestMapProgress: the WithProgress callback fires once per read, is
-// monotonic, and ends at (total, total) regardless of worker count.
-func TestMapProgress(t *testing.T) {
-	ref := testGenome(t, 80000, 407)
-	d, err := New(ref, DefaultConfig(11, 400, 18))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqs := simReads(t, ref, 7, 408)
-	for _, workers := range []int{1, 3} {
-		var calls []int
-		_, err := d.Map(context.Background(), seqs, WithWorkers(workers),
-			WithProgress(func(done, total int) {
-				if total != len(seqs) {
-					t.Errorf("workers=%d: total = %d, want %d", workers, total, len(seqs))
+			var failed []int
+			for i := range got {
+				switch {
+				case got[i].Err == nil:
+					if !reflect.DeepEqual(got[i].Alignments, clean[i].Alignments) {
+						t.Errorf("read %d: alignments changed by a neighbour's failure (blast radius exceeded one read)", i)
+					}
+				case isFault(got[i].Err):
+					failed = append(failed, i)
+					if got[i].Alignments != nil {
+						t.Errorf("read %d: failed read still has alignments", i)
+					}
+				default:
+					t.Errorf("read %d: unexpected Err %v", i, got[i].Err)
 				}
-				calls = append(calls, done)
-			}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(calls) != len(seqs) {
-			t.Fatalf("workers=%d: %d progress calls for %d reads", workers, len(calls), len(seqs))
-		}
-		for i, done := range calls {
-			if done != i+1 {
-				t.Fatalf("workers=%d: progress not monotonic: %v", workers, calls)
 			}
+			return failed
+		}
+		for _, workers := range []int{1, 3} {
+			w := core.WithWorkers(workers)
+			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
+				// A panic becomes that read's Err; every=3 fires on the
+				// 3rd and 6th of 7 reads.
+				isPanic := func(err error) bool { return strings.Contains(err.Error(), "panicked") }
+				if failed := failedReads(t, "core/map_read=every=3,panic=poisoned read", isPanic, w); len(failed) != 2 {
+					t.Errorf("panicked reads %v, want 2 of them", failed)
+				} else if workers == 1 && !reflect.DeepEqual(failed, []int{2, 5}) {
+					t.Errorf("panicked reads %v, want [2 5]", failed)
+				}
+
+				// An injected error is confined to its read and
+				// recognizable via IsInjected.
+				if failed := failedReads(t, "core/map_read=after=1,times=1,error=bad read", faults.IsInjected, w); len(failed) != 1 {
+					t.Errorf("injected-error reads %v, want exactly one", failed)
+				} else if workers == 1 && failed[0] != 1 {
+					t.Errorf("injected error on read %d, want 1", failed[0])
+				}
+
+				// A read held past WithDeadlinePerRead fails alone with
+				// DeadlineExceeded. The stall is at the fault point, before
+				// any extension, so a clock that starts late or is only
+				// consulted between extensions misses it. Margins are wide
+				// (a read maps in well under 1s even under the race
+				// detector; 4s is well past the budget).
+				isDeadline := func(err error) bool { return errors.Is(err, context.DeadlineExceeded) }
+				if failed := failedReads(t, "core/map_read=after=2,times=1,delay=4s", isDeadline, w, core.WithDeadlinePerRead(time.Second)); len(failed) != 1 {
+					t.Errorf("deadline-expired reads %v, want exactly one", failed)
+				} else if workers == 1 && failed[0] != 2 {
+					t.Errorf("deadline expired on read %d, want 2", failed[0])
+				}
+
+				// Progress fires once per read, monotonic, ending at (n, n).
+				var calls []int
+				if _, err := eng.Map(ctx, reads, w, core.WithProgress(func(done, total int) {
+					if total != len(reads) {
+						t.Errorf("progress total = %d, want %d", total, len(reads))
+					}
+					calls = append(calls, done)
+				})); err != nil {
+					t.Fatal(err)
+				}
+				for i, done := range calls {
+					if done != i+1 {
+						t.Fatalf("progress not monotonic: %v", calls)
+					}
+				}
+				if len(calls) != len(reads) {
+					t.Errorf("%d progress calls for %d reads", len(calls), len(reads))
+				}
+
+				// A cancelled context is a batch-level failure: ctx.Err()
+				// and no results.
+				cctx, cancel := context.WithCancel(ctx)
+				cancel()
+				if res, err := eng.Map(cctx, reads, w); !errors.Is(err, context.Canceled) || res != nil {
+					t.Errorf("Map(cancelled) = %d results, %v; want none, context.Canceled", len(res), err)
+				}
+
+				// An empty batch is not an error.
+				if res, err := eng.Map(ctx, nil, w); err != nil || len(res) != 0 {
+					t.Errorf("Map(no reads) = %d results, %v; want 0, nil", len(res), err)
+				}
+			})
 		}
 	}
 }
 
-// TestMapInjectedFaultError: an error-action fault at core/map_read is
-// confined to the read it fired on and is recognizable via IsInjected.
-func TestMapInjectedFaultError(t *testing.T) {
-	defer faults.Default.Reset()
-	ref := testGenome(t, 80000, 409)
-	d, err := New(ref, DefaultConfig(11, 400, 18))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqs := simReads(t, ref, 4, 410)
-	if err := faults.Default.Enable("core/map_read=after=1,times=1,error=bad read"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := d.Map(context.Background(), seqs, WithWorkers(1))
-	faults.Default.Reset()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !faults.IsInjected(got[1].Err) {
-		t.Errorf("read 1: Err = %v, want injected fault", got[1].Err)
-	}
-	for _, i := range []int{0, 2, 3} {
-		if got[i].Err != nil {
-			t.Errorf("read %d: unexpected Err %v", i, got[i].Err)
+// TestMapRecordsUtilization: every engine's Map sets core/workers and
+// charges one core/worker_busy observation per read, so utilization =
+// busy / (wall × workers) is derivable from any run report — it read 0
+// for the sharded engine before both went through the shared per-read
+// body.
+func TestMapRecordsUtilization(t *testing.T) {
+	engines, reads := mapContractEngines(t, 6)
+	for name, eng := range engines {
+		for _, workers := range []int{1, 3} {
+			before := obs.Default.Snapshot()
+			if _, err := eng.Map(context.Background(), reads, core.WithWorkers(workers)); err != nil {
+				t.Fatal(err)
+			}
+			d := obs.Default.Snapshot().Sub(before)
+			if got := d.Gauges["core/workers"]; got != int64(workers) {
+				t.Errorf("%s workers=%d: core/workers = %d", name, workers, got)
+			}
+			if busy := d.Timers["core/worker_busy"]; busy.Count != int64(len(reads)) || busy.Seconds <= 0 {
+				t.Errorf("%s workers=%d: core/worker_busy = %+v, want %d observations of non-zero time", name, workers, busy, len(reads))
+			}
+			if got := d.Counters["core/reads"]; got != int64(len(reads)) {
+				t.Errorf("%s workers=%d: core/reads advanced by %d, want %d", name, workers, got, len(reads))
+			}
 		}
 	}
 }

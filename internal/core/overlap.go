@@ -189,39 +189,32 @@ type readOverlaps struct {
 // reference on engine e. Each GACT extension is clipped to the segment
 // of the read its candidate falls in: N padding contributes nothing to
 // scores (the hardware's Σext semantics), so an unclipped extension
-// would silently bridge adjacent reads and misattribute the overlap.
+// would silently bridge adjacent reads and misattribute the overlap. A
+// read's trivial self-hit in the concatenated reference is dropped.
 func (o *Overlapper) queryRead(e *Darwin, q, minOverlap int) readOverlaps {
-	var out readOverlaps
-	window := func(refPos int) (int, int, int) {
+	alns, st := e.mapRead(o.reads[q], func(refPos int) (lo, hi int, ok bool) {
 		t := o.readAt(refPos)
-		return t, o.offsets[t], o.offsets[t] + len(o.reads[t])
-	}
-	for _, rev := range []bool{false, true} {
-		query := o.reads[q]
-		if rev {
-			e.revBuf = dna.AppendRevComp(e.revBuf[:0], query)
-			query = e.revBuf
+		lo, hi = o.offsets[t], o.offsets[t]+len(o.reads[t])
+		return lo, hi, t != q && refPos < hi
+	})
+	out := readOverlaps{st: st}
+	for _, a := range alns {
+		target := o.readAt(a.Result.RefStart)
+		tStart := a.Result.RefStart - o.offsets[target]
+		tEnd := min(a.Result.RefEnd-o.offsets[target], len(o.reads[target]))
+		if tEnd-tStart < minOverlap {
+			continue
 		}
-		alns, st := e.mapStrandClipped(query, rev, window, q)
-		out.st.add(st)
-		for _, a := range alns {
-			target := o.readAt(a.Result.RefStart)
-			tStart := a.Result.RefStart - o.offsets[target]
-			tEnd := min(a.Result.RefEnd-o.offsets[target], len(o.reads[target]))
-			if tEnd-tStart < minOverlap {
-				continue
-			}
-			out.ovs = append(out.ovs, Overlap{
-				Target:      target,
-				Query:       q,
-				QueryRev:    a.Reverse,
-				TargetStart: tStart,
-				TargetEnd:   tEnd,
-				QueryStart:  a.Result.QueryStart,
-				QueryEnd:    a.Result.QueryEnd,
-				Score:       a.Result.Score,
-			})
-		}
+		out.ovs = append(out.ovs, Overlap{
+			Target:      target,
+			Query:       q,
+			QueryRev:    a.Reverse,
+			TargetStart: tStart,
+			TargetEnd:   tEnd,
+			QueryStart:  a.Result.QueryStart,
+			QueryEnd:    a.Result.QueryEnd,
+			Score:       a.Result.Score,
+		})
 	}
 	return out
 }
@@ -269,21 +262,22 @@ func (o *Overlapper) Run(ctx context.Context, r OverlapRun) ([]Overlap, OverlapS
 	for i := range slots {
 		slots[i] = make(chan readOverlaps, 1)
 	}
+	pool, err := o.darwin.clonePool(workers)
+	if err != nil {
+		return nil, stats, err
+	}
 	var stopped atomic.Bool // set by finish: reads still queued are dropped
-	feed, join, err := o.darwin.startClones(workers, window, func(w *cloneWorker, q int) {
+	feed, join := startWorkers(workers, window, func(tid, q int) {
 		if stopped.Load() {
 			return
 		}
 		busy := time.Now()
-		endSpan := obs.Trace.StartTID("overlap.read", w.tid)
-		res := o.queryRead(w.e, q, r.MinOverlap)
+		endSpan := obs.Trace.StartTID("overlap.read", tid)
+		res := o.queryRead(pool[tid-1], q, r.MinOverlap)
 		endSpan()
 		tOverlapBusy.Observe(time.Since(busy))
 		slots[q%window] <- res
 	})
-	if err != nil {
-		return nil, stats, err
-	}
 	// finish is every exit once workers run: it stops and joins them.
 	finish := func(err error) ([]Overlap, OverlapStats, error) {
 		stopped.Store(true)

@@ -8,14 +8,13 @@ import (
 	"time"
 
 	"darwin/internal/dna"
-	"darwin/internal/dsoft"
 	"darwin/internal/gact"
 	"darwin/internal/obs"
 )
 
-// MapAll observability: the worker gauge plus a busy-time timer, so
+// Batch observability: the worker gauge plus a busy-time timer, so
 // utilization = core/worker_busy seconds / (wall × core/workers) is
-// derivable from any run report.
+// derivable from any run report, whichever engine mapped the batch.
 var (
 	gWorkers    = obs.Default.Gauge("core/workers")
 	tWorkerBusy = obs.Default.Timer("core/worker_busy")
@@ -37,31 +36,7 @@ var (
 // abandoned read's goroutine may keep mutating its engine's scratch,
 // and the worker recovers by cloning a fresh engine from the original.
 func (d *Darwin) Clone() (*Darwin, error) {
-	stride := d.cfg.SeedStride
-	if stride < 1 {
-		stride = 1
-	}
-	filter, err := dsoft.New(d.table, dsoft.Config{
-		N:       d.cfg.SeedN,
-		H:       d.cfg.Threshold,
-		BinSize: d.cfg.BinSize,
-		Stride:  stride,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: cloning filter: %w", err)
-	}
-	engine, err := gact.NewEngine(&d.cfg.GACT)
-	if err != nil {
-		return nil, fmt.Errorf("core: cloning GACT engine: %w", err)
-	}
-	return &Darwin{
-		ref:            d.ref,
-		table:          d.table,
-		filter:         filter,
-		engine:         engine,
-		cfg:            d.cfg,
-		TableBuildTime: d.TableBuildTime,
-	}, nil
+	return assemble(d.ref, d.table, d.cfg, d.TableBuildTime)
 }
 
 // CloneMapper implements the Mapper interface over Clone.
@@ -92,7 +67,7 @@ type MapResult struct {
 // options through ResolveMapOptions, so the two engines read one
 // option vocabulary.
 type MapSettings struct {
-	// Workers is the worker-goroutine count (0 = one per CPU).
+	// Workers is the worker-goroutine count (0 = DefaultWorkers).
 	Workers int
 	// DeadlinePerRead bounds one read's wall-clock mapping time
 	// (0 = unbounded).
@@ -114,15 +89,17 @@ func ResolveMapOptions(options []MapOption) MapSettings {
 }
 
 // WithWorkers sets the number of worker goroutines. 1 runs inline on
-// the receiver; <= 0 (and the default) uses one worker per CPU.
-// Workers beyond len(reads) are not spawned.
+// the receiver; <= 0 (and the default) uses DefaultWorkers. Workers
+// beyond len(reads) are not spawned.
 func WithWorkers(n int) MapOption {
 	return func(o *MapSettings) { o.Workers = n }
 }
 
-// DefaultWorkers resolves the de novo passes' worker-count setting
-// (OverlapRun.Workers, olc.WithWorkers): n when positive, otherwise one
-// worker per CPU the scheduler may use.
+// DefaultWorkers resolves every worker-count setting (WithWorkers,
+// ScatterShards, OverlapRun.Workers, olc.WithWorkers): n when positive,
+// otherwise one worker per CPU the scheduler may use — a zero or
+// negative count is a configuration accident, not a request for zero
+// concurrency.
 func DefaultWorkers(n int) int {
 	if n > 0 {
 		return n
@@ -134,12 +111,12 @@ func DefaultWorkers(n int) int {
 // time. A read that exceeds the budget gets MapResult.Err wrapping
 // context.DeadlineExceeded while the rest of the batch proceeds: the
 // stuck read's goroutine is abandoned (it cannot be interrupted
-// mid-DP-tile) and its worker continues on a freshly cloned engine, so
-// one pathological read costs one engine clone, never the batch. (The
-// sharded mapper instead checks the budget cooperatively between
-// candidate extensions — its deadline granularity is one GACT
-// extension, not one tile.) Zero or negative disables the bound (the
-// default).
+// mid-DP-tile) and its worker continues on fresh private state, so one
+// pathological read costs one engine clone, never the batch. (The
+// sharded mapper runs the same watchdog around a read's extension
+// phase; its D-SOFT passes are interleaved with other reads' in
+// shard-major order and are not charged.) Zero or negative disables
+// the bound (the default).
 func WithDeadlinePerRead(d time.Duration) MapOption {
 	return func(o *MapSettings) { o.DeadlinePerRead = d }
 }
@@ -152,41 +129,170 @@ func WithProgress(fn func(done, total int)) MapOption {
 	return func(o *MapSettings) { o.Progress = fn }
 }
 
-// ProgressSink serializes WithProgress callbacks across workers. A nil
-// *ProgressSink is valid and does nothing, so callers can construct
-// one only when a callback was given.
-type ProgressSink struct {
-	mu    sync.Mutex
-	fn    func(done, total int)
+// startWorkers is the one worker loop behind every batch pass: n
+// goroutines call work(tid, i), tid in 1..n, for every index the caller
+// sends on feed. queue is feed's buffer, so a caller that must not
+// block while workers are busy (Overlapper.Run's merging goroutine)
+// sizes it to its in-flight window; 0 hands indices over synchronously.
+// join closes feed and returns once every index sent has been worked
+// and every goroutine has exited; the caller sends nothing after
+// calling it.
+func startWorkers(n, queue int, work func(tid, i int)) (feed chan<- int, join func()) {
+	next := make(chan int, queue)
+	var wg sync.WaitGroup
+	for tid := 1; tid <= n; tid++ {
+		wg.Add(1)
+		go func(tid int) {
+			defer wg.Done()
+			for i := range next {
+				work(tid, i)
+			}
+		}(tid)
+	}
+	return next, func() {
+		close(next)
+		wg.Wait()
+	}
+}
+
+// ForEach calls work(tid, i) for every i in [0, n): inline as worker 1
+// when workers <= 1, otherwise on that many goroutines, each index
+// handed to whichever is free. It returns ctx.Err() if ctx was
+// cancelled — checked between indices, so work already started always
+// finishes — else the first error a worker returned; that worker stops
+// at its error and the others drain the remaining indices.
+func ForEach(ctx context.Context, workers, n int, work func(tid, i int) error) error {
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := work(1, i); err != nil {
+				return err
+			}
+		}
+		return ctx.Err()
+	}
+	errs := make([]error, workers)
+	feed, join := startWorkers(workers, 0, func(tid, i int) {
+		if ctx.Err() == nil && errs[tid-1] == nil {
+			errs[tid-1] = work(tid, i)
+		}
+	})
+send:
+	for i := 0; i < n; i++ {
+		select {
+		case feed <- i:
+		case <-ctx.Done():
+			break send
+		}
+	}
+	join()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// clonePool returns n clones of d, one per worker goroutine. All are
+// made up front, so a Clone error leaves nothing running.
+func (d *Darwin) clonePool(n int) ([]*Darwin, error) {
+	pool := make([]*Darwin, n)
+	for i := range pool {
+		e, err := d.Clone()
+		if err != nil {
+			return nil, err
+		}
+		pool[i] = e
+	}
+	return pool, nil
+}
+
+// Batch is the state the reads of one Map call share: the resolved
+// worker count, the span their core.read spans hang under, the
+// per-read deadline and the progress callback. Both engines' Map build
+// one and run every read through Read.
+type Batch struct {
+	// Workers is the resolved worker count: DefaultWorkers of the
+	// setting, at most one per read, at least 1.
+	Workers int
+	// Parent is the span each read's core.read span is opened under
+	// (nil when the call is untraced).
+	Parent *obs.Span
+
+	budget time.Duration
+
+	mu    sync.Mutex // serializes progress callbacks across workers
 	done  int
 	total int
+	prog  func(done, total int)
 }
 
-// NewProgressSink returns a sink for fn over total reads, or nil when
-// fn is nil.
-func NewProgressSink(fn func(done, total int), total int) *ProgressSink {
-	if fn == nil {
-		return nil
-	}
-	return &ProgressSink{fn: fn, total: total}
+// NewBatch resolves o for a batch of n reads and records the worker
+// count in the core/workers gauge.
+func NewBatch(n int, o MapSettings) *Batch {
+	workers := max(min(DefaultWorkers(o.Workers), n), 1)
+	gWorkers.Set(int64(workers))
+	return &Batch{Workers: workers, budget: o.DeadlinePerRead, total: n, prog: o.Progress}
 }
 
-// Step records one completed read and invokes the callback.
-func (p *ProgressSink) Step() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.done++
-	p.fn(p.done, p.total)
-	p.mu.Unlock()
-}
-
-// readOutcome is one guarded read's result.
+// readOutcome is one guarded read's result. retire marks the private
+// state the read ran on as no longer trustworthy: it panicked
+// mid-update, or its goroutine was abandoned at the deadline and may
+// still be mutating it.
 type readOutcome struct {
-	alns []ReadAlignment
-	st   MapStats
-	err  error
+	alns   []ReadAlignment
+	st     MapStats
+	err    error
+	retire bool
+}
+
+// Read is the one guarded per-read body of every batch path: it maps
+// read i on worker tid by calling mapRead inside the safety envelope
+// and the per-read instrumentation, in this order — open the core.read
+// span (engine records its extensions into it), run mapRead under panic
+// recovery, the core/map_read fault point and the per-read deadline,
+// charge core/worker_busy, sort and publish the alignments, close the
+// span, report progress. mapRead returns the read's alignments in any
+// order; its error, a panic or a blown deadline all become the
+// MapResult's Err and never leave this read.
+//
+// retire reports that the private state mapRead ran on can no longer be
+// trusted (see readOutcome), so the caller must give worker tid fresh
+// state before its next read.
+func (b *Batch) Read(tid, i int, engine *gact.Engine, mapRead func() ([]ReadAlignment, MapStats, error)) (res MapResult, retire bool) {
+	endTrace := obs.Trace.StartTID("core.map_read.worker", tid)
+	sp := b.Parent.StartChild("core.read")
+	if sp != nil {
+		sp.SetAttr("read", int64(i))
+		sp.SetAttr("worker", int64(tid))
+		engine.SetSpan(sp)
+	}
+	busy := time.Now()
+	oc := runGuarded(mapRead, b.budget)
+	elapsed := time.Since(busy)
+	tWorkerBusy.Observe(elapsed)
+	if oc.err == nil {
+		SortAlignments(oc.alns)
+		publishRead(oc.alns, &oc.st, elapsed)
+	}
+	if sp != nil {
+		engine.SetSpan(nil)
+		finishReadSpan(sp, busy, oc)
+	}
+	endTrace()
+	if b.prog != nil {
+		b.mu.Lock()
+		b.done++
+		b.prog(b.done, b.total)
+		b.mu.Unlock()
+	}
+	return MapResult{Index: i, Alignments: oc.alns, Stats: oc.st, Err: oc.err}, oc.retire
 }
 
 // finishReadSpan closes one read's trace span: work attributes from
@@ -194,8 +300,10 @@ type readOutcome struct {
 // children carrying the same per-read durations the Registry's stage
 // timers aggregate — so a captured tree splits one read's latency the
 // same way the process-wide timers split the fleet's. The filter span
-// is anchored at the read's start and the align span immediately
-// after it, matching the pipeline's actual phase order.
+// is anchored at the read's start and the align span immediately after
+// it: the pipeline's phase order in the monolithic engine, and where
+// the read's time went, not when, in the sharded one (its filter passes
+// ran earlier, interleaved with other reads').
 func finishReadSpan(sp *obs.Span, busy time.Time, oc readOutcome) {
 	st := oc.st
 	sp.SetAttr("candidates", int64(st.Candidates))
@@ -211,93 +319,65 @@ func finishReadSpan(sp *obs.Span, busy time.Time, oc readOutcome) {
 	sp.End()
 }
 
-// mapReadRecovered maps one read with panic isolation: a panic
-// anywhere in the filter/extend pipeline (or injected at the
-// core/map_read fault point) becomes this read's Err instead of
-// killing the worker. The fault point fires inside the recover scope
-// so injected panics exercise the same containment as organic ones.
-func mapReadRecovered(e *Darwin, q dna.Seq) (out readOutcome) {
+// PanicError turns a recovered panic value into a per-read error and
+// counts it in core/read_panics; nil in, nil out. It must be handed
+// recover()'s result from directly inside the deferred function:
+//
+//	defer func() {
+//		if perr := core.PanicError(recover()); perr != nil { err = perr }
+//	}()
+func PanicError(r any) error {
+	if r == nil {
+		return nil
+	}
+	cReadPanics.Inc()
+	return fmt.Errorf("core: read mapping panicked: %v", r)
+}
+
+// runRecovered runs one read with panic isolation: a panic anywhere in
+// the filter/extend pipeline (or injected at the core/map_read fault
+// point) becomes this read's error instead of killing the worker. The
+// fault point fires inside the recover scope so injected panics
+// exercise the same containment as organic ones.
+func runRecovered(mapRead func() ([]ReadAlignment, MapStats, error)) (oc readOutcome) {
 	defer func() {
-		if r := recover(); r != nil {
-			cReadPanics.Inc()
-			out = readOutcome{err: fmt.Errorf("core: read mapping panicked: %v", r)}
+		if err := PanicError(recover()); err != nil {
+			oc = readOutcome{err: err, retire: true}
 		}
 	}()
 	if err := fpMapRead.Fire(); err != nil {
 		return readOutcome{err: err}
 	}
-	alns, st := e.MapRead(q)
-	return readOutcome{alns: alns, st: st}
+	alns, st, err := mapRead()
+	return readOutcome{alns: alns, st: st, err: err}
 }
 
-// runRead maps one read under an optional wall-clock budget. With no
-// budget it runs inline. With a budget it runs under a watchdog: on
-// expiry the read's goroutine is abandoned (reported via abandoned so
-// the caller retires the engine — its scratch may still be mutated by
-// the stray goroutine) and the read fails with a deadline error.
-func runRead(e *Darwin, q dna.Seq, budget time.Duration) (out readOutcome, abandoned bool) {
+// runGuarded is runRecovered under an optional wall-clock budget. With
+// no budget it runs inline. With a budget it runs under a watchdog: on
+// expiry the read's goroutine is abandoned and the read fails with a
+// deadline error.
+func runGuarded(mapRead func() ([]ReadAlignment, MapStats, error), budget time.Duration) readOutcome {
 	if budget <= 0 {
-		return mapReadRecovered(e, q), false
+		return runRecovered(mapRead)
 	}
 	ch := make(chan readOutcome, 1)
-	go func() { ch <- mapReadRecovered(e, q) }()
+	go func() { ch <- runRecovered(mapRead) }()
 	timer := time.NewTimer(budget)
 	defer timer.Stop()
 	select {
-	case o := <-ch:
-		return o, false
+	case oc := <-ch:
+		return oc
 	case <-timer.C:
 		cReadExpiry.Inc()
-		return readOutcome{err: fmt.Errorf("core: read exceeded per-read deadline %v: %w", budget, context.DeadlineExceeded)}, true
-	}
-}
-
-// cloneWorker is one goroutine of a clone pool and the private engine
-// it maps on; work may replace e (Map retires an engine whose read was
-// abandoned).
-type cloneWorker struct {
-	e   *Darwin
-	tid int // 1-based, the worker's trace thread id
-}
-
-// startClones is the one clone-per-worker loop behind Darwin.Map and
-// Overlapper.Run: n goroutines, each owning a Clone of d, call work for
-// every index the caller sends on feed. queue is feed's buffer, so a
-// caller that must not block while workers are busy (Run's merging
-// goroutine) sizes it to its in-flight window; 0 hands indices over
-// synchronously. All clones are made before any goroutine starts, so a
-// Clone error leaves nothing running. join closes feed and returns
-// once every index sent has been worked and every goroutine has
-// exited; the caller sends nothing after calling it.
-func (d *Darwin) startClones(n, queue int, work func(w *cloneWorker, i int)) (feed chan<- int, join func(), err error) {
-	pool := make([]cloneWorker, n)
-	for i := range pool {
-		e, err := d.Clone()
-		if err != nil {
-			return nil, nil, err
+		return readOutcome{
+			err:    fmt.Errorf("core: read exceeded per-read deadline %v: %w", budget, context.DeadlineExceeded),
+			retire: true,
 		}
-		pool[i] = cloneWorker{e: e, tid: i + 1}
 	}
-	next := make(chan int, queue)
-	var wg sync.WaitGroup
-	for i := range pool {
-		wg.Add(1)
-		go func(w *cloneWorker) {
-			defer wg.Done()
-			for i := range next {
-				work(w, i)
-			}
-		}(&pool[i])
-	}
-	return next, func() {
-		close(next)
-		wg.Wait()
-	}, nil
 }
 
-// Map maps every read, in input order, under ctx. It is the primary
-// batch entrypoint; MapAll and MapAllContext are deprecated wrappers
-// over it.
+// Map maps every read, in input order, under ctx: the primary batch
+// entrypoint.
 //
 // Cancellation is checked between reads — a read that has entered the
 // pipeline always completes (unless WithDeadlinePerRead abandons it),
@@ -309,128 +389,45 @@ func (d *Darwin) startClones(n, queue int, work func(w *cloneWorker, i int)) (fe
 // faults) are confined to that read's MapResult.Err; the rest of the
 // batch completes normally.
 func (d *Darwin) Map(ctx context.Context, reads []dna.Seq, options ...MapOption) ([]MapResult, error) {
-	o := ResolveMapOptions(options)
-	workers := o.Workers
-	if workers <= 0 {
-		// A zero or negative worker count is a configuration accident,
-		// not a request for zero concurrency: default to one worker per
-		// CPU rather than silently running single-threaded.
-		workers = runtime.NumCPU()
-	}
-	if workers > len(reads) {
-		workers = len(reads)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	b := NewBatch(len(reads), ResolveMapOptions(options))
 	// Trace hook: under a traced request the batch gets a core.map span
 	// with one core.read child per read; untraced callers (CLIs,
 	// benchmarks) pay one context lookup and per-read nil checks.
-	_, cmSpan := obs.StartSpan(ctx, "core.map")
-	defer cmSpan.End()
-	cmSpan.SetAttr("reads", int64(len(reads)))
-	cmSpan.SetAttr("workers", int64(workers))
-	out := make([]MapResult, len(reads))
-	prog := NewProgressSink(o.Progress, len(reads))
-	if workers <= 1 || len(reads) <= 1 {
-		gWorkers.Set(1)
-		e := d
-		for i, r := range reads {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			readSpan := cmSpan.StartChild("core.read")
-			if readSpan != nil {
-				readSpan.SetAttr("read", int64(i))
-				e.engine.SetSpan(readSpan)
-			}
-			busy := time.Now()
-			oc, abandoned := runRead(e, r, o.DeadlinePerRead)
-			tWorkerBusy.Observe(time.Since(busy))
-			if readSpan != nil {
-				e.engine.SetSpan(nil)
-				finishReadSpan(readSpan, busy, oc)
-			}
-			out[i] = MapResult{Index: i, Alignments: oc.alns, Stats: oc.st, Err: oc.err}
-			if abandoned {
-				ne, cerr := d.Clone()
-				if cerr != nil {
-					return nil, cerr
-				}
-				e = ne
-			}
-			prog.Step()
+	_, b.Parent = obs.StartSpan(ctx, "core.map")
+	defer b.Parent.End()
+	b.Parent.SetAttr("reads", int64(len(reads)))
+	b.Parent.SetAttr("workers", int64(b.Workers))
+	// One worker maps inline on the receiver; more map on clones so bin
+	// state never races. So does a lone worker under a deadline: an
+	// abandoned read's goroutine keeps mutating the engine it ran on,
+	// which must then be one this call owns, not one the caller reuses.
+	pool := []*Darwin{d}
+	if b.Workers > 1 || b.budget > 0 {
+		var err error
+		if pool, err = d.clonePool(b.Workers); err != nil {
+			return nil, err
 		}
-		return out, nil
 	}
-	gWorkers.Set(int64(workers))
-	workerErrs := make([]error, workers)
-	next, join, err := d.startClones(workers, 0, func(w *cloneWorker, i int) {
-		if ctx.Err() != nil || workerErrs[w.tid-1] != nil {
-			return // drain remaining indices without mapping
+	out := make([]MapResult, len(reads))
+	err := ForEach(ctx, b.Workers, len(reads), func(tid, i int) error {
+		e := pool[tid-1]
+		var retire bool
+		out[i], retire = b.Read(tid, i, e.engine, func() ([]ReadAlignment, MapStats, error) {
+			alns, st := e.mapRead(reads[i], nil)
+			return alns, st, nil
+		})
+		if retire {
+			var err error
+			pool[tid-1], err = d.Clone()
+			return err
 		}
-		endSpan := obs.Trace.StartTID("core.map_read.worker", w.tid)
-		readSpan := cmSpan.StartChild("core.read")
-		if readSpan != nil {
-			readSpan.SetAttr("read", int64(i))
-			readSpan.SetAttr("worker", int64(w.tid))
-			w.e.engine.SetSpan(readSpan)
-		}
-		busy := time.Now()
-		oc, abandoned := runRead(w.e, reads[i], o.DeadlinePerRead)
-		tWorkerBusy.Observe(time.Since(busy))
-		if readSpan != nil {
-			w.e.engine.SetSpan(nil)
-			finishReadSpan(readSpan, busy, oc)
-		}
-		endSpan()
-		out[i] = MapResult{Index: i, Alignments: oc.alns, Stats: oc.st, Err: oc.err}
-		if abandoned {
-			ne, cerr := d.Clone()
-			if cerr != nil {
-				workerErrs[w.tid-1] = cerr
-				return
-			}
-			w.e = ne
-		}
-		prog.Step()
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-feed:
-	for i := range reads {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	join()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range workerErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	return out, nil
-}
-
-// MapAll maps every read using the given number of worker goroutines
-// (1 runs inline; <= 0 defaults to runtime.NumCPU()). Results are
-// returned in input order; workers use cloned engines so bin state
-// never races.
-//
-// Deprecated: use Map with WithWorkers.
-func (d *Darwin) MapAll(reads []dna.Seq, workers int) ([]MapResult, error) {
-	return d.Map(context.Background(), reads, WithWorkers(workers))
-}
-
-// MapAllContext is MapAll with cancellation between reads.
-//
-// Deprecated: use Map with WithWorkers.
-func (d *Darwin) MapAllContext(ctx context.Context, reads []dna.Seq, workers int) ([]MapResult, error) {
-	return d.Map(ctx, reads, WithWorkers(workers))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -16,11 +17,11 @@ func stripTimes(s MapStats) MapStats {
 	return s
 }
 
-// TestMapAllWorkerCountInvariance maps one read set with 1 and 8
+// TestMapWorkerCountInvariance maps one read set with 1 and 8
 // workers and asserts bit-identical alignments and per-read stats —
 // under `go test -race` this also exercises the cloned-engine and
 // registry instrumentation paths for data races.
-func TestMapAllWorkerCountInvariance(t *testing.T) {
+func TestMapWorkerCountInvariance(t *testing.T) {
 	ref := testGenome(t, 120000, 227)
 	d, err := New(ref, DefaultConfig(11, 500, 20))
 	if err != nil {
@@ -35,11 +36,11 @@ func TestMapAllWorkerCountInvariance(t *testing.T) {
 		seqs[i] = reads[i].Seq
 	}
 
-	serial, err := d.MapAll(seqs, 1)
+	serial, err := d.Map(context.Background(), seqs, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := d.MapAll(seqs, 8)
+	parallel, err := d.Map(context.Background(), seqs, WithWorkers(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 	"darwin/internal/readsim"
 )
 
-func TestMapAllMatchesSequential(t *testing.T) {
+func TestMapMatchesSequential(t *testing.T) {
 	ref := testGenome(t, 150000, 191)
 	d, err := New(ref, DefaultConfig(11, 600, 20))
 	if err != nil {
@@ -22,11 +23,11 @@ func TestMapAllMatchesSequential(t *testing.T) {
 	for i := range reads {
 		seqs[i] = reads[i].Seq
 	}
-	seq, err := d.MapAll(seqs, 1)
+	seq, err := d.Map(context.Background(), seqs, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := d.MapAll(seqs, 4)
+	par, err := d.Map(context.Background(), seqs, WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +52,12 @@ func TestMapAllMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestMapAllDeterministicOrdering is the tie-breaking regression test:
+// TestMapDeterministicOrdering is the tie-breaking regression test:
 // a read matching two identical reference copies produces equal-score
 // alignments, whose order must be bit-stable across worker counts
 // (SortAlignments breaks score ties on reference span, query span,
 // then strand — a plain score sort left them in scheduling order).
-func TestMapAllDeterministicOrdering(t *testing.T) {
+func TestMapDeterministicOrdering(t *testing.T) {
 	ref := testGenome(t, 60000, 195)
 	// Plant an exact duplicate so equal-score ties actually occur.
 	copy(ref[40000:43000], ref[10000:13000])
@@ -73,7 +74,7 @@ func TestMapAllDeterministicOrdering(t *testing.T) {
 	var baseline []MapResult
 	sawTie := false
 	for _, workers := range []int{1, 2, 4} {
-		res, err := d.MapAll(reads, workers)
+		res, err := d.Map(context.Background(), reads, WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}

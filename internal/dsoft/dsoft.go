@@ -133,7 +133,7 @@ func (s *Stats) publish() {
 type Filter struct {
 	table *seedtable.Table
 	cfg   Config
-	k     int // seed size, pinned at New so SetTable can't change it
+	k     int // seed size, pinned by the first table bound so SetTable can't change it
 
 	// Bin state, sized to cover every possible diagonal. Diagonal
 	// d = i − j ranges over (−maxQ, refLen); bins are indexed by
@@ -147,7 +147,10 @@ type Filter struct {
 	saturateMax int32
 }
 
-// New creates a filter over the given seed table.
+// New creates a filter over the given seed table. A nil table yields
+// an unbound filter, to be pointed at a table with SetTable before its
+// first Query (the sharded mapper's workers, which exist before any
+// shard table does).
 func New(table *seedtable.Table, cfg Config) (*Filter, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("dsoft: seed count N=%d must be positive", cfg.N)
@@ -164,11 +167,11 @@ func New(table *seedtable.Table, cfg Config) (*Filter, error) {
 	if cfg.Stride <= 0 {
 		cfg.Stride = 1
 	}
-	f := &Filter{table: table, cfg: cfg, k: table.K(), saturateMax: 1<<31 - 1}
+	f := &Filter{cfg: cfg, saturateMax: 1<<31 - 1}
 	if cfg.SaturateCounts {
 		f.saturateMax = 31 // 5-bit counter
 	}
-	return f, nil
+	return f, f.SetTable(table)
 }
 
 // Config returns the filter's configuration.
@@ -182,8 +185,12 @@ func (f *Filter) Config() Config { return f.cfg }
 // shard table is not pinned between queries; the filter must be
 // rebound before its next Query.
 func (f *Filter) SetTable(t *seedtable.Table) error {
-	if t != nil && t.K() != f.k {
-		return fmt.Errorf("dsoft: cannot rebind filter from k=%d to k=%d", f.k, t.K())
+	if t != nil {
+		if f.k == 0 {
+			f.k = t.K()
+		} else if t.K() != f.k {
+			return fmt.Errorf("dsoft: cannot rebind filter from k=%d to k=%d", f.k, t.K())
+		}
 	}
 	f.table = t
 	return nil

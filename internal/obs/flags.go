@@ -3,6 +3,8 @@ package obs
 import (
 	"flag"
 	"fmt"
+	"io"
+	"log/slog"
 	"os"
 )
 
@@ -103,4 +105,24 @@ func (s *Session) Close() error {
 		}
 	}
 	return firstErr
+}
+
+// NewLogger builds a daemon's process logger on w from its -log-format
+// and -log-level flags. Text is the operator default; json feeds log
+// pipelines. Either way each access line carries its request_id, so
+// grep by ID works across formats.
+func NewLogger(w io.Writer, format, level string) (*slog.Logger, error) {
+	var lvl slog.Level
+	if err := lvl.UnmarshalText([]byte(level)); err != nil {
+		return nil, fmt.Errorf("-log-level %q: %w", level, err)
+	}
+	opts := &slog.HandlerOptions{Level: lvl}
+	switch format {
+	case "text":
+		return slog.New(slog.NewTextHandler(w, opts)), nil
+	case "json":
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
+	default:
+		return nil, fmt.Errorf("-log-format %q: want text or json", format)
+	}
 }

@@ -212,7 +212,7 @@ func Overlap(ctx context.Context, reads []dna.Seq, options ...Option) ([]core.Ov
 // all-vs-all overlap (resumable via WithCheckpoint), an optional
 // overlap-graph read-reordering pass (WithReorder), greedy layout,
 // read splicing, and majority-vote polishing. It subsumes the
-// positional BuildLayout/Splice/PolishContext free functions; each stage is
+// positional BuildLayoutContext/Splice/PolishContext free functions; each stage is
 // traced as a child span (olc/overlap, olc/layout, olc/consensus,
 // olc/polish) and guarded by a fault point of the same name.
 func Assemble(ctx context.Context, reads []dna.Seq, options ...Option) (*Assembly, error) {

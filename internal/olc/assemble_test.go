@@ -51,7 +51,7 @@ func contigsEqual(a, b []dna.Record) bool {
 }
 
 // TestAssembleMatchesLegacyPipeline: the option-based Assemble must
-// reproduce the positional BuildLayout/Splice/Polish pipeline (the
+// reproduce the positional BuildLayoutContext/Splice/PolishContext pipeline (the
 // historical darwin-assemble flow) byte for byte.
 func TestAssembleMatchesLegacyPipeline(t *testing.T) {
 	seqs := testReads(t, 20000, 60)
@@ -75,7 +75,7 @@ func TestAssembleMatchesLegacyPipeline(t *testing.T) {
 	for i := range seqs {
 		readLens[i] = len(seqs[i])
 	}
-	layout := BuildLayout(readLens, overlaps)
+	layout := mustLayout(t, readLens, overlaps)
 	var legacy []dna.Record
 	for ci, contig := range layout.Contigs {
 		seq := Splice(seqs, contig)

@@ -74,19 +74,9 @@ func (f *fragment) span(readLens []int) (int, int) {
 	return lo, hi
 }
 
-// BuildLayout constructs contigs from overlaps. readLens gives each
-// read's length.
-//
-// Deprecated: use BuildLayoutContext, which adds cooperative
-// cancellation. This wrapper is bit-identical to the context form.
-func BuildLayout(readLens []int, overlaps []core.Overlap) *Layout {
-	l, _ := buildLayout(context.Background(), readLens, overlaps, nil)
-	return l
-}
-
-// BuildLayoutContext is BuildLayout with cooperative cancellation: ctx
-// is checked periodically during the greedy merge, and cancellation
-// returns ctx.Err() with a nil layout.
+// BuildLayoutContext constructs contigs from overlaps; readLens gives
+// each read's length. ctx is checked periodically during the greedy
+// merge, and cancellation returns ctx.Err() with a nil layout.
 func BuildLayoutContext(ctx context.Context, readLens []int, overlaps []core.Overlap) (*Layout, error) {
 	return buildLayout(ctx, readLens, overlaps, nil)
 }

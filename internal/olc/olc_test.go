@@ -1,6 +1,7 @@
 package olc
 
 import (
+	"context"
 	"testing"
 
 	"darwin/internal/align"
@@ -9,6 +10,16 @@ import (
 	"darwin/internal/genome"
 	"darwin/internal/readsim"
 )
+
+// mustLayout is BuildLayoutContext under a context that never cancels.
+func mustLayout(t *testing.T, readLens []int, overlaps []core.Overlap) *Layout {
+	t.Helper()
+	l, err := BuildLayoutContext(context.Background(), readLens, overlaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
 
 // TestLayoutSimpleChain: three reads tiling a region with known
 // overlaps must form one contig in the right order.
@@ -19,7 +30,7 @@ func TestLayoutSimpleChain(t *testing.T) {
 		{Target: 0, Query: 1, TargetStart: 600, TargetEnd: 1000, QueryStart: 0, QueryEnd: 400, Score: 400},
 		{Target: 1, Query: 2, TargetStart: 600, TargetEnd: 1000, QueryStart: 0, QueryEnd: 400, Score: 390},
 	}
-	l := BuildLayout(readLens, overlaps)
+	l := mustLayout(t, readLens, overlaps)
 	if len(l.Contigs) != 1 {
 		t.Fatalf("contigs = %d, want 1", len(l.Contigs))
 	}
@@ -45,7 +56,7 @@ func TestLayoutReverseOrientation(t *testing.T) {
 	overlaps := []core.Overlap{
 		{Target: 0, Query: 1, QueryRev: true, TargetStart: 600, TargetEnd: 1000, QueryStart: 0, QueryEnd: 400, Score: 400},
 	}
-	l := BuildLayout(readLens, overlaps)
+	l := mustLayout(t, readLens, overlaps)
 	if len(l.Contigs) != 1 {
 		t.Fatalf("contigs = %d, want 1", len(l.Contigs))
 	}
@@ -70,7 +81,7 @@ func TestLayoutSkipsCycles(t *testing.T) {
 		// ignored (same fragment).
 		{Target: 1, Query: 0, TargetStart: 400, TargetEnd: 500, QueryStart: 0, QueryEnd: 100, Score: 100},
 	}
-	l := BuildLayout(readLens, overlaps)
+	l := mustLayout(t, readLens, overlaps)
 	if len(l.Contigs) != 1 {
 		t.Fatalf("contigs = %d, want 1", len(l.Contigs))
 	}
@@ -92,7 +103,7 @@ func TestSpliceExactTiling(t *testing.T) {
 		{Target: 0, Query: 1, TargetStart: 800, TargetEnd: 1200, QueryStart: 0, QueryEnd: 400, Score: 400},
 		{Target: 1, Query: 2, TargetStart: 1000, TargetEnd: 1400, QueryStart: 0, QueryEnd: 400, Score: 399},
 	}
-	l := BuildLayout(readLens, overlaps)
+	l := mustLayout(t, readLens, overlaps)
 	if len(l.Contigs) != 1 {
 		t.Fatalf("contigs = %d, want 1", len(l.Contigs))
 	}
@@ -127,7 +138,7 @@ func TestEndToEndAssembly(t *testing.T) {
 		t.Fatal(err)
 	}
 	overlaps, _ := ov.FindOverlaps(500)
-	l := BuildLayout(readLens, overlaps)
+	l := mustLayout(t, readLens, overlaps)
 	st := Summarize(l)
 	if st.Contigs > 20 {
 		t.Errorf("assembly too fragmented: %s", st)
@@ -178,5 +189,34 @@ func TestSummarizeStats(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Error("empty render")
+	}
+}
+
+// TestContextCancel: every context-taking stage must honour an
+// already-cancelled context.
+func TestContextCancel(t *testing.T) {
+	seqs := testReads(t, 15000, 40)
+	readLens := make([]int, len(seqs))
+	for i := range seqs {
+		readLens[i] = len(seqs[i])
+	}
+	ovp, err := core.NewOverlapper(seqs, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	overlaps, _ := ovp.FindOverlaps(500)
+	if len(overlaps) == 0 {
+		t.Fatal("no overlaps for cancellation probe")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := BuildLayoutContext(ctx, readLens, overlaps); err == nil {
+		t.Error("BuildLayoutContext ignored cancelled context")
+	}
+	if _, err := PolishContext(ctx, seqs[0], seqs, testConfig(), 0); err == nil {
+		t.Error("PolishContext ignored cancelled context")
+	}
+	if _, err := Assemble(ctx, seqs, WithConfig(testConfig())); err == nil {
+		t.Error("Assemble ignored cancelled context")
 	}
 }

@@ -38,7 +38,7 @@ func TestPolishReducesError(t *testing.T) {
 		t.Fatal(err)
 	}
 	overlaps, _ := ovp.FindOverlaps(500)
-	layout := BuildLayout(readLens, overlaps)
+	layout := mustLayout(t, readLens, overlaps)
 	draft := Splice(seqs, layout.Contigs[0])
 	if len(draft) < 12000 {
 		t.Fatalf("draft too short: %d", len(draft))

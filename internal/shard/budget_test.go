@@ -10,6 +10,7 @@
 package shard
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -49,15 +50,15 @@ func TestBudgetedGenomeScaleMapping(t *testing.T) {
 	}
 	workers := 4
 
-	// Both engines are timed end-to-end (index construction + MapAll):
-	// the sharded engine builds its tables lazily inside MapAll, so a
+	// Both engines are timed end-to-end (index construction + Map):
+	// the sharded engine builds its tables lazily inside Map, so a
 	// map-only timer would charge index construction to one side only.
 	start := time.Now()
 	mono, err := core.New(ref, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := mono.MapAll(queries, workers)
+	want, err := mono.Map(context.Background(), queries, core.WithWorkers(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestBudgetedGenomeScaleMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sm.MapAll(queries, workers)
+	got, err := sm.Map(context.Background(), queries, core.WithWorkers(workers))
 	if err != nil {
 		t.Fatal(err)
 	}

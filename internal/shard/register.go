@@ -18,7 +18,6 @@ import (
 var (
 	fpIndexBuild = faults.Default.Point("index/build")
 	fpShardBuild = faults.Default.Point("shard/build")
-	fpMapRead    = faults.Default.Point("core/map_read")
 )
 
 // The sharded mapper links itself into core.Open: any binary that

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -162,11 +163,11 @@ func TestBoundaryEquivalence(t *testing.T) {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		reads := boundaryReads(t, ref, sm.Set().Geometry())
-		want, err := mono.MapAll(reads, 4)
+		want, err := mono.Map(context.Background(), reads, core.WithWorkers(4))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sm.MapAll(reads, 4)
+		got, err := sm.Map(context.Background(), reads, core.WithWorkers(4))
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -192,7 +193,7 @@ func TestBoundaryEquivalence(t *testing.T) {
 // TestDeterminism maps one batch under every combination of worker and
 // shard counts and requires bit-identical results (satellite of the
 // stable-ordering guarantee; the monolithic path is covered by
-// core's TestMapAllDeterministicOrdering).
+// core's TestMapDeterministicOrdering).
 func TestDeterminism(t *testing.T) {
 	ref := testGenome(t, 90000, 301)
 	cfg := smallConfig()
@@ -214,7 +215,7 @@ func TestDeterminism(t *testing.T) {
 			workerCounts = []int{1, 5}
 		}
 		for _, workers := range workerCounts {
-			res, err := sm.MapAll(reads, workers)
+			res, err := sm.Map(context.Background(), reads, core.WithWorkers(workers))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -247,11 +248,11 @@ func TestEvictionThrash(t *testing.T) {
 	builds0 := obs.Default.Counter("shard/builds").Value()
 	evict0 := obs.Default.Counter("shard/evictions").Value()
 	for round := 0; round < 2; round++ {
-		want, err := mono.MapAll(reads, 3)
+		want, err := mono.Map(context.Background(), reads, core.WithWorkers(3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sm.MapAll(reads, 3)
+		got, err := sm.Map(context.Background(), reads, core.WithWorkers(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,9 +291,9 @@ func TestEvictionThrash(t *testing.T) {
 	}
 }
 
-// TestMapReadMatchesMapAll checks the single-read surface agrees with
+// TestMapReadMatchesMap checks the single-read surface agrees with
 // the batch surface and the monolithic engine.
-func TestMapReadMatchesMapAll(t *testing.T) {
+func TestMapReadMatchesMap(t *testing.T) {
 	ref := testGenome(t, 60000, 501)
 	cfg := smallConfig()
 	mono, err := core.New(ref, cfg)
@@ -336,7 +337,7 @@ func TestCloneSharesBudget(t *testing.T) {
 	done := make(chan error, 2)
 	for _, m := range []core.Mapper{sm, m2} {
 		go func(m core.Mapper) {
-			_, err := m.MapAll(reads, 2)
+			_, err := m.Map(context.Background(), reads, core.WithWorkers(2))
 			done <- err
 		}(m)
 	}

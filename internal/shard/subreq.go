@@ -11,8 +11,8 @@ package shard
 // is bit-identical to core.Darwin no matter how the shards were
 // assigned to workers.
 //
-// The one structural difference from the in-process gather
-// (gatherRead) is where truncation happens. A worker sees only its own
+// Worker and in-process mapping are one executor (ScatterMapper.run);
+// the one structural difference is where truncation happens. A worker sees only its own
 // shards' candidates, so it cannot know which of them survive the
 // global per-strand MaxCandidates cut; it therefore extends all of
 // them and ships the outcomes, and the router applies the global
@@ -25,15 +25,12 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sort"
-	"time"
+	"slices"
 
 	"darwin/internal/align"
 	"darwin/internal/core"
 	"darwin/internal/dna"
-	"darwin/internal/dsoft"
 	"darwin/internal/gact"
-	"darwin/internal/obs"
 )
 
 // CandExt is one D-SOFT candidate in global reference coordinates
@@ -65,6 +62,49 @@ type CandExt struct {
 	Cells          int64 `json:"cl,omitempty"`
 }
 
+// wireForm records one candidate's Engine.Extend outcome.
+func wireForm(c gcand, res *align.Result, gst gact.Stats, err error) CandExt {
+	ce := CandExt{QueryPos: c.QueryPos, RefPos: c.RefPos}
+	if err != nil {
+		return ce
+	}
+	ce.Ext = true
+	ce.FirstTileScore = gst.FirstTileScore
+	ce.Tiles = gst.Tiles
+	ce.Cells = gst.Cells
+	if res != nil {
+		ce.Aligned = true
+		ce.Score = res.Score
+		ce.RefStart = res.RefStart
+		ce.RefEnd = res.RefEnd
+		ce.QueryStart = res.QueryStart
+		ce.QueryEnd = res.QueryEnd
+		ce.Cigar = res.Cigar.String()
+	}
+	return ce
+}
+
+// outcome is wireForm's inverse for a candidate whose extension ran:
+// the alignment (nil when the first tile rejected it) and work stats.
+func (c *CandExt) outcome() (*align.Result, gact.Stats, error) {
+	gst := gact.Stats{Tiles: c.Tiles, Cells: c.Cells, FirstTileScore: c.FirstTileScore}
+	if !c.Aligned {
+		return nil, gst, nil
+	}
+	cig, err := align.ParseCigar(c.Cigar)
+	if err != nil {
+		return nil, gst, fmt.Errorf("shard: candidate (q=%d r=%d): %w", c.QueryPos, c.RefPos, err)
+	}
+	return &align.Result{
+		Score:      c.Score,
+		RefStart:   c.RefStart,
+		RefEnd:     c.RefEnd,
+		QueryStart: c.QueryStart,
+		QueryEnd:   c.QueryEnd,
+		Cigar:      cig,
+	}, gst, nil
+}
+
 // ReadScatter is one read's sub-response from one worker: all of the
 // worker's core-owned candidates for the read, split by strand
 // (forward, reverse-complement), each with its extension outcome.
@@ -84,25 +124,17 @@ type ReadScatter struct {
 // core-owned candidate is extended (no MaxCandidates truncation; see
 // the package comment) and reported, including failed extensions, so
 // the caller can apply the global truncation and still account every
-// candidate. Results are deterministic for any worker count: each
-// strand's candidates are sorted into (QueryPos, RefPos) order.
+// candidate. Results are deterministic for any worker count (<= 0 =
+// core.DefaultWorkers): each strand's candidates are sorted into
+// (QueryPos, RefPos) order.
 //
 // Per-read failures (panics, the core/map_read fault point) land in
 // that read's ReadScatter.Err; batch-level failures (cancelled
 // context, shard build errors, shard IDs out of range) return an
 // error.
 func (m *ScatterMapper) ScatterShards(ctx context.Context, reads []dna.Seq, shardIDs []int, workers int) ([]ReadScatter, error) {
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(reads) {
-		workers = len(reads)
-	}
-	if len(reads) == 0 {
-		return []ReadScatter{}, nil
-	}
-	ids := append([]int(nil), shardIDs...)
-	sort.Ints(ids)
+	ids := slices.Clone(shardIDs)
+	slices.Sort(ids)
 	for i, id := range ids {
 		if id < 0 || id >= len(m.set.shards) {
 			return nil, fmt.Errorf("shard: scatter shard %d out of range [0,%d)", id, len(m.set.shards))
@@ -111,141 +143,18 @@ func (m *ScatterMapper) ScatterShards(ctx context.Context, reads []dna.Seq, shar
 			return nil, fmt.Errorf("shard: scatter shard %d listed twice", id)
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := m.ensureWorkers(workers); err != nil {
-		return nil, err
-	}
-	_, mSpan := obs.StartSpan(ctx, "shard.scatter_shards")
-	defer mSpan.End()
-	mSpan.SetAttr("reads", int64(len(reads)))
-	mSpan.SetAttr("shards", int64(len(ids)))
-
-	revs := make([]dna.Seq, len(reads))
-	for i, r := range reads {
-		revs[i] = dna.RevComp(r)
-	}
-	acc := make([]perRead, len(reads))
-
-	// Scatter phase: identical to Map's, restricted to the given
-	// shards. Shard-major so each table is acquired once per batch.
-	scatterStart := time.Now()
-	for _, si := range ids {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		table, err := m.set.Acquire(si)
-		if err != nil {
-			return nil, err
-		}
-		part := m.set.shards[si].part
-		err = m.runStriped(ctx, workers, len(reads), func(w *workerState, i int) error {
-			if w.filter == nil {
-				f, ferr := dsoft.New(table, m.dcfg)
-				if ferr != nil {
-					return ferr
-				}
-				w.filter = f
-			} else if ferr := w.filter.SetTable(table); ferr != nil {
-				return ferr
-			}
-			pr := &acc[i]
-			if pr.err != nil {
-				return nil
-			}
-			if perr := m.scatterRead(w, pr, reads[i], revs[i], part); perr != nil {
-				pr.err = perr
-				w.filter = nil
-			}
-			return nil
-		})
-		for _, w := range m.workers[:workers] {
-			if w.filter != nil {
-				w.filter.SetTable(nil)
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	tScatter.Observe(time.Since(scatterStart))
-
-	// Extension phase: extend every core-owned candidate untruncated
-	// and record outcomes instead of building alignments.
-	gatherStart := time.Now()
 	out := make([]ReadScatter, len(reads))
-	err := m.runStriped(ctx, workers, len(reads), func(w *workerState, i int) error {
-		out[i] = m.extendRead(w, i, reads[i], revs[i], &acc[i])
-		return nil
-	})
-	tGather.Observe(time.Since(gatherStart))
+	res, err := m.run(ctx, "shard.scatter_shards", reads, ids, 0, core.MapSettings{Workers: workers}, out)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	for i := range out {
+		out[i].Read = i
+		if res[i].Err != nil {
+			out[i] = ReadScatter{Read: i, Err: res[i].Err.Error()}
+		}
 	}
 	return out, nil
-}
-
-// extendRead runs the worker half of the gather for one read: sort
-// each strand's candidates, extend them all, and record outcomes.
-// Panic isolation and the core/map_read fault point mirror gatherRead,
-// so the distributed path exercises the same per-read containment.
-func (m *ScatterMapper) extendRead(w *workerState, i int, fwd, rev dna.Seq, pr *perRead) (out ReadScatter) {
-	defer func() {
-		if r := recover(); r != nil {
-			cReadPanics.Inc()
-			if e, eerr := gact.NewEngine(&m.gcfg); eerr == nil {
-				w.engine = e
-			}
-			out = ReadScatter{Read: i, Err: fmt.Sprintf("shard: read scatter-extend panicked: %v", r)}
-		}
-	}()
-	if pr.err != nil {
-		return ReadScatter{Read: i, Err: pr.err.Error()}
-	}
-	if err := fpMapRead.Fire(); err != nil {
-		return ReadScatter{Read: i, Err: err.Error()}
-	}
-	out = ReadScatter{Read: i}
-	for strand := range pr.strand {
-		cs := pr.strand[strand]
-		sort.Slice(cs, func(a, b int) bool {
-			if cs[a].QueryPos != cs[b].QueryPos {
-				return cs[a].QueryPos < cs[b].QueryPos
-			}
-			return cs[a].RefPos < cs[b].RefPos
-		})
-		query := fwd
-		if strand == 1 {
-			query = rev
-		}
-		exts := make([]CandExt, 0, len(cs))
-		for _, c := range cs {
-			ce := CandExt{QueryPos: c.QueryPos, RefPos: c.RefPos}
-			res, gst, err := w.engine.Extend(m.set.ref, query, c.RefPos, c.QueryPos)
-			if err == nil {
-				ce.Ext = true
-				ce.FirstTileScore = gst.FirstTileScore
-				ce.Tiles = gst.Tiles
-				ce.Cells = gst.Cells
-				if res != nil {
-					ce.Aligned = true
-					ce.Score = res.Score
-					ce.RefStart = res.RefStart
-					ce.RefEnd = res.RefEnd
-					ce.QueryStart = res.QueryStart
-					ce.QueryEnd = res.QueryEnd
-					ce.Cigar = res.Cigar.String()
-				}
-			}
-			exts = append(exts, ce)
-		}
-		out.Strand[strand] = exts
-	}
-	return out
 }
 
 // MergeReadScatters recombines one read's sub-responses from disjoint
@@ -258,12 +167,13 @@ func (m *ScatterMapper) extendRead(w *workerState, i int, fwd, rev dna.Seq, pr *
 // The merge reproduces the monolithic pipeline stage by stage: per
 // strand, concatenate and sort candidates by (QueryPos, RefPos) —
 // recovering the filter's emission order — count them, truncate to
-// maxCandidates, then keep the recorded extension outcomes of the
-// survivors and sort alignments with core.SortAlignments. MapStats
-// work fields (Candidates, PassedHTile, Tiles, Cells,
-// FirstTileScores) are rebuilt exactly; D-SOFT filter stats and stage
-// timings stay zero (they describe per-worker work, which scales with
-// the shard count and is reported by the workers' own metrics).
+// maxCandidates, then fold the recorded extension outcomes of the
+// survivors exactly as the in-process gather folds live ones, and sort
+// alignments with core.SortAlignments. MapStats work fields
+// (Candidates, PassedHTile, Tiles, Cells, FirstTileScores) are rebuilt
+// exactly; D-SOFT filter stats and stage timings stay zero (they
+// describe per-worker work, which scales with the shard count and is
+// reported by the workers' own metrics).
 func MergeReadScatters(maxCandidates int, parts []ReadScatter) (core.MapResult, error) {
 	if len(parts) == 0 {
 		return core.MapResult{}, fmt.Errorf("shard: merge of zero sub-responses")
@@ -288,12 +198,7 @@ func MergeReadScatters(maxCandidates int, parts []ReadScatter) (core.MapResult, 
 		for _, p := range parts {
 			cs = append(cs, p.Strand[strand]...)
 		}
-		sort.Slice(cs, func(a, b int) bool {
-			if cs[a].QueryPos != cs[b].QueryPos {
-				return cs[a].QueryPos < cs[b].QueryPos
-			}
-			return cs[a].RefPos < cs[b].RefPos
-		})
+		sortCandidates(cs, func(c CandExt) (int, int) { return c.QueryPos, c.RefPos })
 		// Disjoint shard cores mean no candidate can arrive twice; a
 		// duplicate is a double-merge (the exactly-one-merge property
 		// violated upstream) and must fail loudly rather than skew
@@ -304,36 +209,16 @@ func MergeReadScatters(maxCandidates int, parts []ReadScatter) (core.MapResult, 
 			}
 		}
 		stats.Candidates += len(cs)
-		if maxCandidates > 0 && len(cs) > maxCandidates {
-			cs = cs[:maxCandidates]
-		}
-		for _, c := range cs {
-			if !c.Ext {
+		cs = truncate(cs, maxCandidates)
+		for i := range cs {
+			if !cs[i].Ext {
 				continue
 			}
-			stats.Tiles += c.Tiles
-			stats.Cells += c.Cells
-			stats.FirstTileScores = append(stats.FirstTileScores, c.FirstTileScore)
-			if !c.Aligned {
-				continue
-			}
-			stats.PassedHTile++
-			cig, err := align.ParseCigar(c.Cigar)
+			res, gst, err := cs[i].outcome()
 			if err != nil {
-				return core.MapResult{}, fmt.Errorf("shard: candidate (q=%d r=%d): %w", c.QueryPos, c.RefPos, err)
+				return core.MapResult{}, err
 			}
-			alns = append(alns, core.ReadAlignment{
-				Result: align.Result{
-					Score:      c.Score,
-					RefStart:   c.RefStart,
-					RefEnd:     c.RefEnd,
-					QueryStart: c.QueryStart,
-					QueryEnd:   c.QueryEnd,
-					Cigar:      cig,
-				},
-				Reverse:        strand == 1,
-				FirstTileScore: c.FirstTileScore,
-			})
+			alns = stats.AddExtension(alns, res, gst, strand == 1)
 		}
 	}
 	core.SortAlignments(alns)
