@@ -75,7 +75,7 @@ type result struct {
 
 // timingAgg accumulates per-stage server-side durations parsed from
 // Server-Timing response headers, so the client summary can split
-// "where did p99 go" into admit / queue_wait / batch without a
+// "where did p99 go" into admit / queue_wait / map without a
 // server-side debug endpoint round-trip.
 type timingAgg struct {
 	mu     sync.Mutex

@@ -1,8 +1,9 @@
 // Command darwind is the long-running alignment service: it loads the
 // reference index once (the cost the paper's Table 3 amortizes away),
 // keeps it resident in an LRU cache, and maps reads arriving over
-// HTTP/JSON through a micro-batcher with admission control and
-// graceful drain.
+// HTTP/JSON: each request takes a slot of an admission gate (one slot
+// per CPU, -queue waiters, overflow → 429) and maps on its own core
+// under its own deadline, with graceful drain.
 //
 // Usage:
 //
@@ -17,7 +18,7 @@
 //	GET  /v1/indexes resident index metadata
 //
 // SIGTERM/SIGINT starts a graceful drain: /readyz flips to 503, new
-// requests are rejected, in-flight batches flush, and the final
+// requests are rejected, in-flight requests finish, and the final
 // darwin-run-report/v1 is written if -report was given.
 package main
 
@@ -73,19 +74,14 @@ func run() error {
 	indexWrite := flag.String("index-write", "", "build the default index, write it to this .dwi path, then serve from it")
 	noSidecar := flag.Bool("no-sidecar", false, "do not auto-load <ref>.dwi sidecar indexes next to reference FASTAs")
 	allowRefLoad := flag.Bool("allow-ref-load", false, "let requests name reference FASTA paths to load on demand")
-	batchReads := flag.Int("batch-reads", 64, "flush a micro-batch at this many reads")
-	batchWait := flag.Duration("batch-wait", 2*time.Millisecond, "max time a partial batch waits for company")
-	queueBound := flag.Int("queue", 256, "admission queue bound (overflow → 429)")
-	executors := flag.Int("executors", 0, "concurrent batch executors (0 = NumCPU)")
-	batchWorkers := flag.Int("batch-workers", 1, "mapping workers within one batch")
+	queueBound := flag.Int("queue", 256, "max /v1/map requests waiting for a mapping slot, one slot per CPU (overflow → 429)")
 	reqTimeout := flag.Duration("req-timeout", 60*time.Second, "per-request deadline cap")
 	maxReads := flag.Int("max-reads", 1024, "max reads per request")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to flush in-flight work on shutdown")
-	readDeadline := flag.Duration("read-deadline", 0, "per-read mapping deadline within a batch (0 = none)")
+	readDeadline := flag.Duration("read-deadline", 0, "per-read mapping deadline within a request (0 = none)")
 	indexBudget := flag.Float64("index-budget", 0.5, "fraction of a request's deadline an on-demand index load may consume")
 	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive index-build failures that open a source's circuit breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker rejects before admitting a probe build")
-	shedWatermark := flag.Float64("shed-watermark", 0.75, "queue-depth fraction that triggers batch-size shedding under sustained load")
 	leakCheck := flag.Bool("leak-check", false, "after drain, verify goroutines returned to the pre-serve baseline (exit 1 on leak)")
 	workerName := flag.String("worker-name", "", "cluster-worker mode: this process's name in the cluster map (requires -cluster-workers and a sharded engine)")
 	clusterWorkers := flag.String("cluster-workers", "", "cluster roster as name=url,name=url — must match darwin-router's -workers exactly")
@@ -197,21 +193,14 @@ func run() error {
 	}
 
 	srv := server.New(server.Config{
-		DefaultRef:     *refPath,
-		DefaultIndex:   defaultIndex,
-		DisableSidecar: *noSidecar,
-		Core:           cfg,
-		Shard:          scfg,
-		CacheSize:      *cacheSize,
-		Batch: server.BatcherConfig{
-			MaxBatchReads:   *batchReads,
-			MaxWait:         *batchWait,
-			QueueBound:      *queueBound,
-			Executors:       *executors,
-			WorkersPerBatch: *batchWorkers,
-			ReadDeadline:    *readDeadline,
-			ShedHighWater:   *shedWatermark,
-		},
+		DefaultRef:         *refPath,
+		DefaultIndex:       defaultIndex,
+		DisableSidecar:     *noSidecar,
+		Core:               cfg,
+		Shard:              scfg,
+		CacheSize:          *cacheSize,
+		QueueBound:         *queueBound,
+		ReadDeadline:       *readDeadline,
 		RequestTimeout:     *reqTimeout,
 		MaxReadsPerRequest: *maxReads,
 		AllowRefLoad:       *allowRefLoad,
@@ -224,9 +213,8 @@ func run() error {
 		Jobs:               jobMgr,
 	})
 
-	// The leak-check baseline is taken after server assembly (batcher
-	// executors are long-lived by design) but before warm/serve, so it
-	// measures exactly the goroutines the drain is supposed to reclaim.
+	// The leak-check baseline is taken before warm/serve, so it measures
+	// exactly the goroutines the drain is supposed to reclaim.
 	baselineGoroutines := runtime.NumGoroutine()
 
 	warmStart := time.Now()
@@ -277,8 +265,8 @@ func run() error {
 	}
 
 	// Drain sequence: stop admitting (readyz → 503, map → 503), let
-	// in-flight handlers finish via HTTP shutdown, then flush any
-	// batches still pending in the micro-batcher.
+	// in-flight handlers finish via HTTP shutdown, then close the
+	// admission gates and wait for them to empty.
 	srv.StartDrain()
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
@@ -286,7 +274,7 @@ func run() error {
 		return fmt.Errorf("http shutdown: %w", err)
 	}
 	if err := srv.Drain(ctx); err != nil {
-		return fmt.Errorf("batcher drain: %w", err)
+		return fmt.Errorf("drain: %w", err)
 	}
 	if jobMgr != nil {
 		// Job drain cancels running pipelines; each saves a final
@@ -345,7 +333,7 @@ func dumpSlowCaptures(log *slog.Logger, caps []obs.SlowCapture) {
 // checkGoroutineLeak waits (up to ~3s) for the goroutine count to
 // settle back to the pre-serve baseline. A small tolerance absorbs
 // runtime helpers (signal handling, finalizers) that come and go
-// outside our control; anything beyond it is a real leak — an executor
+// outside our control; anything beyond it is a real leak — a handler
 // or watchdog the drain failed to reclaim. Returns the excess count,
 // or 0 if the process settled.
 func checkGoroutineLeak(baseline int) int {

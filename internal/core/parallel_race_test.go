@@ -71,7 +71,7 @@ func TestMapWorkerCountInvariance(t *testing.T) {
 // TestClonePerWorkerConcurrentUse exercises the serving pattern: a
 // shared warm engine, one long-lived clone per worker, and concurrent
 // MapRead traffic interleaved across all clones (the index cache +
-// micro-batcher layout of internal/server). Each read's alignments
+// pooled-clone layout of internal/server). Each read's alignments
 // and work counts must be byte-identical to mapping it serially on
 // the original engine — under `go test -race` this also proves the
 // clones share no mutable state.
@@ -111,7 +111,7 @@ func TestClonePerWorkerConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := range next {
 				// Each clone maps several reads back to back, like a
-				// worker draining successive micro-batches.
+				// pooled clone serving successive requests.
 				gotAlns[i], gotStats[i] = e.MapRead(seqs[i])
 			}
 		}(clone)

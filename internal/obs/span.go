@@ -10,7 +10,7 @@ import (
 
 // Span is one node of a request-scoped trace tree: a named, timed
 // stage of one request's journey through the serving path (admission,
-// index load, queue wait, batch execution, per-read mapping, GACT
+// index load, queue wait, the map stage, per-read mapping, GACT
 // extension), with integer attributes (reads, candidates, tiles,
 // cells, shard hits) and child spans for sub-stages.
 //
@@ -23,8 +23,8 @@ import (
 // CLIs, benchmarks — is unaffected.
 //
 // All methods are safe on a nil *Span (they do nothing), and safe for
-// concurrent use: batch execution attaches children from executor
-// goroutines while the request handler still owns the root. Child
+// concurrent use: a multi-worker Map attaches children from its worker
+// goroutines while the caller still owns the root. Child
 // count per span is bounded (maxSpanChildren); beyond it children are
 // counted as dropped rather than accumulated, so a pathological read
 // with thousands of GACT extensions cannot balloon a captured tree.
@@ -60,9 +60,7 @@ func NewRequestSpan(requestID, name string) *Span {
 	return s
 }
 
-// NewSpan starts a free-standing root span with no request identity —
-// used for shared work (a coalesced batch) that is later adopted into
-// the trees of every request it served.
+// NewSpan starts a free-standing root span with no request identity.
 func NewSpan(name string) *Span { return NewRequestSpan("", name) }
 
 // RequestID returns the request identity of the span's tree ("" for
@@ -118,22 +116,6 @@ func (s *Span) AddTimedChild(name string, start time.Time, d time.Duration) *Spa
 	s.children = append(s.children, c)
 	s.mu.Unlock()
 	return c
-}
-
-// Adopt attaches an existing span (typically a shared batch span) as a
-// child of s. The adopted span keeps its own timing and subtree; a
-// span adopted by several parents appears in each tree.
-func (s *Span) Adopt(c *Span) {
-	if s == nil || c == nil {
-		return
-	}
-	s.mu.Lock()
-	if len(s.children) >= maxSpanChildren {
-		s.dropped++
-	} else {
-		s.children = append(s.children, c)
-	}
-	s.mu.Unlock()
 }
 
 // End closes the span. Safe to call more than once; only the first
@@ -246,9 +228,7 @@ type SpanSnapshot struct {
 }
 
 // Snapshot deep-copies the tree rooted at s. Start offsets are
-// relative to the snapshotted root's own start (an adopted batch span
-// keeps absolute coherence because offsets are derived from wall
-// times).
+// relative to the snapshotted root's own start.
 func (s *Span) Snapshot() SpanSnapshot {
 	if s == nil {
 		return SpanSnapshot{}

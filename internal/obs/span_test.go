@@ -118,32 +118,6 @@ func TestSpanChildCapDropsNotGrows(t *testing.T) {
 	}
 }
 
-func TestSpanAdoptSharedBatch(t *testing.T) {
-	// Two requests coalesced into one batch: the shared batch span is
-	// adopted into both trees, and each root keeps its own request ID.
-	a := NewRequestSpan("req-a", "map")
-	b := NewRequestSpan("req-b", "map")
-	batch := NewSpan("server.batch")
-	batch.SetAttr("reads", 8)
-	batch.End()
-	a.Adopt(batch)
-	b.Adopt(batch)
-	a.End()
-	b.End()
-
-	sa, sb := a.Snapshot(), b.Snapshot()
-	if sa.RequestID != "req-a" || sb.RequestID != "req-b" {
-		t.Fatalf("request IDs did not survive batching: %q, %q", sa.RequestID, sb.RequestID)
-	}
-	fa, fb := sa.Find("server.batch"), sb.Find("server.batch")
-	if fa == nil || fb == nil {
-		t.Fatal("batch span missing from an adopting tree")
-	}
-	if fa.Attrs["reads"] != 8 || fb.Attrs["reads"] != 8 {
-		t.Fatal("batch attrs missing from an adopting tree")
-	}
-}
-
 func TestSpanConcurrentChildren(t *testing.T) {
 	root := NewSpan("root")
 	var wg sync.WaitGroup

@@ -1,7 +1,7 @@
 // Package server is the darwind serving layer: a resident index
-// cache, a micro-batcher that coalesces small requests into
-// context-bounded Map batches, and the HTTP/JSON front end with
-// admission control and graceful drain.
+// cache, an admission gate that runs each request's context-bounded
+// Map call on its own core, and the HTTP/JSON front end with graceful
+// drain.
 //
 // The paper's co-processor only reaches its headline throughput
 // because the host amortizes index construction: the reference seed
@@ -9,7 +9,7 @@
 // 3 separates the one-time index cost from per-read filter+align
 // work). A batch CLI pays that cost per invocation; a long-running
 // service pays it once. This package is the software realization of
-// that host-side regime — warm indexes, saturated batch workers, and
+// that host-side regime — warm indexes, every core mapping, and
 // explicit backpressure when offered load exceeds capacity.
 package server
 
@@ -40,7 +40,7 @@ var (
 
 // IndexEntry is one resident index: a warm engine plus the reference
 // metadata needed to emit SAM records, and a small pool of engine
-// clones so concurrent single-worker batches never share mutable
+// clones so concurrent single-worker requests never share mutable
 // D-SOFT bin state.
 type IndexEntry struct {
 	// Key identifies the entry in the cache.
@@ -99,7 +99,7 @@ func newIndexEntry(key string, engine core.Mapper, shards *shard.Set, ref *core.
 // Acquire returns an engine clone for exclusive use; pair with
 // Release. Clones share the immutable seed table (and, for sharded
 // indexes, the residency budget), so this is cheap relative to an
-// index build but still worth pooling per batch.
+// index build but still worth pooling per request.
 func (e *IndexEntry) Acquire() (core.Mapper, error) {
 	select {
 	case c := <-e.clones:
@@ -285,7 +285,7 @@ func buildRecovered(build func() (*IndexEntry, error)) (entry *IndexEntry, err e
 
 // insertLocked adds an entry, evicting from the LRU tail past
 // capacity. Evicted entries are simply unreferenced; in-flight
-// batches holding them finish normally.
+// requests holding them finish normally.
 func (c *IndexCache) insertLocked(key string, entry *IndexEntry) {
 	if el, ok := c.entries[key]; ok {
 		el.Value = entry

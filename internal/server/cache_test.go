@@ -14,8 +14,7 @@ import (
 	"darwin/internal/shard"
 )
 
-// testEntry builds a real (tiny) index entry for cache and batcher
-// tests.
+// testEntry builds a real (tiny) index entry for cache tests.
 func testEntry(t *testing.T, key string, seed int64, n int) *IndexEntry {
 	t.Helper()
 	ref := dna.Random(rand.New(rand.NewSource(seed)), n, 0.5)

@@ -19,9 +19,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"time"
 
-	"darwin/internal/dna"
 	"darwin/internal/obs"
 	"darwin/internal/shard"
 )
@@ -52,7 +50,7 @@ type WorkerConfig struct {
 	// is not knowable before the build). cmd/darwind wires this to the
 	// cluster map's rendezvous assignment.
 	AssignShards func(shards int) ([]int, error)
-	// ScatterConcurrency bounds concurrent sub-requests (default 4);
+	// ScatterConcurrency is the scatter gate's slot count (default 4);
 	// excess load sheds with 429 + Retry-After so the router's hedging
 	// and failover see backpressure instead of queueing.
 	ScatterConcurrency int
@@ -204,47 +202,9 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request) {
 	rctx := r.Context()
 	cScatterReqs.Inc()
-	if r.Method != http.MethodPost {
-		cScatterReqsFailed.Inc()
-		httpError(rctx, w, http.StatusMethodNotAllowed, CodeMethodNotAllow, "POST required")
+	req, reads, timeout, ok := s.readRequest(w, r, cScatterReqsFailed, true)
+	if !ok {
 		return
-	}
-	if s.draining.Load() {
-		cScatterReqsFailed.Inc()
-		w.Header().Set("Retry-After", "5")
-		httpError(rctx, w, http.StatusServiceUnavailable, CodeDraining, "draining")
-		return
-	}
-	if !s.ready.Load() {
-		cScatterReqsFailed.Inc()
-		w.Header().Set("Retry-After", "1")
-		httpError(rctx, w, http.StatusServiceUnavailable, CodeWarming, "index warming")
-		return
-	}
-	var req ScatterRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		cScatterReqsFailed.Inc()
-		httpError(rctx, w, http.StatusBadRequest, CodeBadRequest, "bad request body: %v", err)
-		return
-	}
-	if len(req.Reads) == 0 || len(req.Shards) == 0 {
-		cScatterReqsFailed.Inc()
-		httpError(rctx, w, http.StatusBadRequest, CodeBadRequest, "scatter needs reads and shards")
-		return
-	}
-	if len(req.Reads) > s.cfg.MaxReadsPerRequest {
-		cScatterReqsFailed.Inc()
-		httpError(rctx, w, http.StatusRequestEntityTooLarge, CodeTooManyReads,
-			"%d reads exceeds per-request limit %d", len(req.Reads), s.cfg.MaxReadsPerRequest)
-		return
-	}
-	for i, rd := range req.Reads {
-		if len(rd.Seq) == 0 {
-			cScatterReqsFailed.Inc()
-			httpError(rctx, w, http.StatusBadRequest, CodeBadRequest, "read %d (%q) has an empty sequence", i, rd.Name)
-			return
-		}
 	}
 	for _, id := range req.Shards {
 		if !s.ownsShard(id) {
@@ -254,27 +214,20 @@ func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Bounded admission: the router prefers a fast 429 it can fail
-	// over or hedge against to a queue that smears tail latency.
-	select {
-	case s.scatterSem <- struct{}{}:
-		defer func() { <-s.scatterSem }()
-	default:
-		cScatterShed.Inc()
+	ctx, cancel := context.WithTimeout(rctx, timeout)
+	defer cancel()
+
+	// The scatter gate has no waiting places, so this never blocks; a
+	// sub-request that slipped past the preamble as the drain began is
+	// shed like any other, and the router fails over.
+	if err := s.scatterGate.acquire(ctx); err != nil {
 		cScatterReqsFailed.Inc()
+		cScatterShed.Inc()
 		w.Header().Set("Retry-After", "1")
 		httpError(rctx, w, http.StatusTooManyRequests, CodeQueueFull, "scatter admission full, retry later")
 		return
 	}
-
-	timeout := s.cfg.RequestTimeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(rctx, timeout)
-	defer cancel()
+	defer s.scatterGate.release()
 
 	entry := s.defaultEntry.Load()
 	mapper, err := entry.Acquire()
@@ -290,10 +243,6 @@ func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request) {
 		httpError(rctx, w, http.StatusInternalServerError, CodeInternal, "worker engine is not sharded")
 		return
 	}
-	reads := make([]dna.Seq, len(req.Reads))
-	for i := range req.Reads {
-		reads[i] = req.Reads[i].Seq
-	}
 	cScatterReads.Add(int64(len(reads)))
 	results, err := sm.ScatterShards(ctx, reads, req.Shards, 1)
 	if err != nil {
@@ -305,10 +254,9 @@ func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request) {
 			// The router cancels losing hedge/failover attempts the
 			// moment a sibling wins; that is normal operation, not a
 			// worker failure, so it stays out of the failure counter
-			// and the 5xx (ERROR-level) access log. 499 is the
-			// client-closed-request convention.
+			// and the 5xx (ERROR-level) access log.
 			cScatterCanceled.Inc()
-			httpError(rctx, w, 499, CodeCanceled, "scatter canceled by caller")
+			httpError(rctx, w, statusClientClosedRequest, CodeCanceled, "scatter canceled by caller")
 		default:
 			cScatterReqsFailed.Inc()
 			httpError(rctx, w, http.StatusInternalServerError, CodeInternal, "%v", err)

@@ -5,13 +5,15 @@ import "darwin/internal/faults"
 // Fault injection points for the serving layer (armed only via
 // faults.Setup):
 //
-//   - server/admit fires per admitted /v1/map request before it is
-//     submitted to the batcher — an error turns into a structured 503,
-//     a delay models slow admission control.
-//   - server/flush fires per batch flush inside the executor — an
-//     error or panic must fail only that batch's jobs with structured
-//     errors, never the executor pool (the recover wrapper in runBatch
-//     is what a chaos run is proving).
+//   - server/admit fires per validated mapping request (/v1/map and
+//     /v1/cluster/scatter) before it asks the gate for a slot — an
+//     error turns into a structured 503, a delay models slow admission
+//     control.
+//   - server/flush fires per /v1/map request that holds a slot, just
+//     before its Map call — an error or panic must fail only that
+//     request with a structured error and free its slot (the recover
+//     wrapper in mapReads is what a chaos run is proving). The name
+//     predates the gate and is kept so existing -faults specs parse.
 //   - server/stream fires per NDJSON response line — an error replaces
 //     that read's line with a structured error line, a delay models a
 //     slow client connection.

@@ -103,8 +103,8 @@ func (s *Server) withObs(h http.Handler) http.Handler {
 }
 
 // serverTiming renders the span's direct stage children as a
-// Server-Timing header value (e.g. "admit;dur=0.3, queue;dur=1.2,
-// batch;dur=8.0, total;dur=9.9") so clients see where server-side
+// Server-Timing header value (e.g. "admit;dur=0.3, queue_wait;dur=1.2,
+// map;dur=8.0, total;dur=9.9") so clients see where server-side
 // time went without a debug endpoint round-trip. Only the
 // server.-prefixed children appear, under their short names.
 func serverTiming(span *obs.Span) string {

@@ -6,13 +6,18 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"darwin/internal/faults"
+	"darwin/internal/obs"
 )
 
 func TestBreakerStateMachine(t *testing.T) {
@@ -56,15 +61,15 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
-// TestBatcherPanicIsolatesOneRead: a read that panics mid-map (injected
-// at core/map_read) fails only its own response line; the other reads
-// in the same micro-batch — including other reads of the same request —
-// come back with records and the response is still a 200.
-func TestBatcherPanicIsolatesOneRead(t *testing.T) {
+// TestPanicIsolatesOneRead: a read that panics mid-map (injected at
+// core/map_read) fails only its own response line; the other reads of
+// the same request come back with records and the response is still a
+// 200.
+func TestPanicIsolatesOneRead(t *testing.T) {
 	defer faults.Default.Reset()
 	_, ts, reads := testService(t, Config{})
 	// The warm index is built; arm the per-read point now so the third
-	// map call of the upcoming batch panics.
+	// map call of the upcoming request panics.
 	if err := faults.Default.Enable("core/map_read=after=2,times=1,panic=poisoned read"); err != nil {
 		t.Fatal(err)
 	}
@@ -106,6 +111,109 @@ func TestBatcherPanicIsolatesOneRead(t *testing.T) {
 		if len(line.Records) == 0 {
 			t.Errorf("read %d: no records", i)
 		}
+	}
+}
+
+// TestFlushPanicFailsOneRequest: a panic in the map stage (injected at
+// server/flush) is answered to that request as a structured 500 and
+// gives its slot back — the next request on the same one-slot gate
+// maps normally.
+func TestFlushPanicFailsOneRequest(t *testing.T) {
+	defer faults.Default.Reset()
+	s, ts, reads := testService(t, Config{})
+	s.mapGate = newGate(1, 0)
+	if err := faults.Default.Enable("server/flush=times=1,panic=poisoned request"); err != nil {
+		t.Fatal(err)
+	}
+	body := mapRequestBody(t, reads[:1])
+	resp, err := http.Post(ts.URL+"/v1/map", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatalf("panicked request did not get the structured envelope: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || eb.Error.Code != CodeInternal {
+		t.Fatalf("panicked request: status=%d code=%q, want 500 %s", resp.StatusCode, eb.Error.Code, CodeInternal)
+	}
+	resp, err = http.Post(ts.URL+"/v1/map", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the panic: status %d, want 200 (the slot was not given back)", resp.StatusCode)
+	}
+}
+
+// TestMapCanceledVsDeadline: a caller that hangs up mid-request is
+// answered 499 canceled — a WARN access line that spends no error
+// budget — while a request that outlives its own timeout_ms is a 504;
+// either way the request stops mapping instead of finishing its reads.
+func TestMapCanceledVsDeadline(t *testing.T) {
+	defer faults.Default.Reset()
+	var logs bytes.Buffer
+	s, _, reads := testService(t, Config{Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	// Every read takes at least 40ms, so a request's eight reads outlast
+	// both the hang-up and the 60ms deadline below.
+	if err := faults.Default.Enable("core/map_read=delay=40ms"); err != nil {
+		t.Fatal(err)
+	}
+	handler := s.Handler()
+	// serve runs one request in process, so its access line is written
+	// before serve returns; it reports how many reads were mapped.
+	serve := func(ctx context.Context, timeoutMS int) (*httptest.ResponseRecorder, int64) {
+		req := MapRequest{TimeoutMS: timeoutMS}
+		for i, r := range reads {
+			req.Reads = append(req.Reads, ReadInput{Name: fmt.Sprintf("read%d", i), Seq: r.Seq})
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs.Reset()
+		before := obs.Default.Snapshot()
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/map", bytes.NewReader(body)).WithContext(ctx))
+		return rec, obs.Default.Snapshot().Sub(before).Counters["core/reads"]
+	}
+	check := func(what string, rec *httptest.ResponseRecorder, mapped int64, status int, code, level string) {
+		t.Helper()
+		var eb ErrorBody
+		if err := json.NewDecoder(rec.Body).Decode(&eb); err != nil {
+			t.Fatalf("%s: no structured envelope: %v", what, err)
+		}
+		if rec.Code != status || eb.Error.Code != code {
+			t.Errorf("%s: status=%d code=%q, want %d %s", what, rec.Code, eb.Error.Code, status, code)
+		}
+		if !strings.Contains(logs.String(), "level="+level) {
+			t.Errorf("%s: access line %q, want level=%s", what, logs.String(), level)
+		}
+		if mapped >= int64(len(reads)) {
+			t.Errorf("%s: all %d reads were mapped, want the request to stop early", what, mapped)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		// Hang up once the request is mapping.
+		for len(s.mapGate.slots) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	rec, mapped := serve(ctx, 0)
+	check("caller hang-up", rec, mapped, statusClientClosedRequest, CodeCanceled, "WARN")
+	if f := s.stats.failures.Total(time.Minute); f != 0 {
+		t.Errorf("caller hang-up counted as %d SLO failures, want 0", f)
+	}
+
+	rec, mapped = serve(context.Background(), 60)
+	check("own deadline", rec, mapped, http.StatusGatewayTimeout, CodeDeadline, "ERROR")
+	if f := s.stats.failures.Total(time.Minute); f != 1 {
+		t.Errorf("blown deadline counted as %d SLO failures, want 1", f)
 	}
 }
 
@@ -184,13 +292,13 @@ func TestIndexBuildPanicCountsTowardBreaker(t *testing.T) {
 // TestDrainGoroutineBaselineWithFaults: after a chaos burst (injected
 // flush faults and per-read panics) and a full drain, the process's
 // goroutine count must settle back to the pre-serve baseline — a leak
-// here means an executor, watchdog, or build goroutine survived its
+// here means a handler, watchdog, or build goroutine survived its
 // request.
 func TestDrainGoroutineBaselineWithFaults(t *testing.T) {
 	defer faults.Default.Reset()
 	baseline := runtime.NumGoroutine()
 
-	s, ts, reads := testService(t, Config{Batch: BatcherConfig{MaxWait: 5 * time.Millisecond}})
+	s, ts, reads := testService(t, Config{})
 	if err := faults.Default.Enable("server/flush=p=0.3,error=chaos;core/map_read=every=5,panic=poisoned"); err != nil {
 		t.Fatal(err)
 	}

@@ -30,6 +30,8 @@ var (
 	cRequestsFailed   = obs.Default.Counter("server/requests_failed")
 	cReadsIn          = obs.Default.Counter("server/reads_in")
 	cRejectedDraining = obs.Default.Counter("server/rejected_draining")
+	cMapCanceled      = obs.Default.Counter("server/map_canceled")
+	cMapPanics        = obs.Default.Counter("server/map_panics")
 	gDraining         = obs.Default.Gauge("server/draining")
 	hRequestLatency   = obs.Default.Histogram("server/request_latency_ms", 0, 10000, 100)
 )
@@ -57,8 +59,14 @@ type Config struct {
 	Shard shard.Config
 	// CacheSize bounds resident indexes (default 4).
 	CacheSize int
-	// Batch tunes micro-batching and admission control.
-	Batch BatcherConfig
+	// QueueBound caps the /v1/map requests waiting for a mapping slot
+	// (one slot per CPU); a request past it is refused with 429
+	// (default 256).
+	QueueBound int
+	// ReadDeadline bounds one read's wall-clock mapping time
+	// (core.WithDeadlinePerRead); zero disables it. One stuck read then
+	// fails individually instead of stalling its request.
+	ReadDeadline time.Duration
 	// RequestTimeout caps per-request wall time (default 60s); a
 	// request's timeout_ms can only shorten it.
 	RequestTimeout time.Duration
@@ -128,21 +136,30 @@ func (c Config) withDefaults() Config {
 	if c.SlowCapture <= 0 {
 		c.SlowCapture = 16
 	}
-	c.Batch = c.Batch.withDefaults()
+	if c.QueueBound <= 0 {
+		c.QueueBound = 256
+	}
 	c.Worker = c.Worker.withDefaults()
 	return c
 }
 
-// Server is the darwind service: index cache + micro-batcher behind
+// Server is the darwind service: index cache + admission gates behind
 // an HTTP/JSON API.
 type Server struct {
-	cfg     Config
-	cache   *IndexCache
-	batcher *Batcher
-	mux     *http.ServeMux
-	log     *slog.Logger
-	stats   *sloTracker
-	slow    *obs.SlowRing
+	cfg   Config
+	cache *IndexCache
+	mux   *http.ServeMux
+	log   *slog.Logger
+	stats *sloTracker
+	slow  *obs.SlowRing
+
+	// mapGate admits /v1/map requests: one slot per CPU, QueueBound
+	// waiters. scatterGate admits cluster sub-requests in worker mode:
+	// ScatterConcurrency slots and no waiters, because the router
+	// prefers a fast 429 it can fail over or hedge against to a queue
+	// that smears tail latency.
+	mapGate     *gate
+	scatterGate *gate
 
 	ready        atomic.Bool
 	draining     atomic.Bool
@@ -153,10 +170,6 @@ type Server struct {
 	brMu     sync.Mutex
 	breakers map[string]*Breaker
 
-	// scatterSem bounds concurrent cluster sub-requests in worker mode
-	// (nil otherwise); a full semaphore sheds with 429 + Retry-After.
-	scatterSem chan struct{}
-
 	// jobs is the assembly job manager (nil when the job API is off).
 	jobs *jobs.Manager
 }
@@ -166,15 +179,15 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:      cfg,
-		cache:    NewIndexCache(cfg.CacheSize),
-		batcher:  NewBatcher(cfg.Batch),
-		log:      cfg.Logger,
-		stats:    newSLOTracker(),
-		slow:     obs.NewSlowRing(cfg.SlowCapture),
-		breakers: make(map[string]*Breaker),
+		cfg:         cfg,
+		cache:       NewIndexCache(cfg.CacheSize),
+		mapGate:     newGate(core.DefaultWorkers(0), cfg.QueueBound),
+		scatterGate: newGate(cfg.Worker.ScatterConcurrency, 0),
+		log:         cfg.Logger,
+		stats:       newSLOTracker(),
+		slow:        obs.NewSlowRing(cfg.SlowCapture),
+		breakers:    make(map[string]*Breaker),
 	}
-	s.batcher.Start()
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
@@ -184,7 +197,6 @@ func New(cfg Config) *Server {
 	s.mux.Handle("/metrics", obs.MetricsHandler(obs.Default))
 	s.mux.HandleFunc("/debug/slow", s.handleSlow)
 	if cfg.Worker.Enabled {
-		s.scatterSem = make(chan struct{}, cfg.Worker.ScatterConcurrency)
 		s.mux.HandleFunc("/v1/shards", s.handleShards)
 		s.mux.HandleFunc("/v1/cluster/scatter", s.handleScatter)
 	}
@@ -239,20 +251,23 @@ func (s *Server) Warm(ctx context.Context) error {
 func (s *Server) Ready() bool { return s.ready.Load() && !s.draining.Load() }
 
 // StartDrain stops admitting requests: /readyz flips to 503 so load
-// balancers stop routing here, new /v1/map requests get 503, and the
-// batcher rejects new jobs while in-flight ones complete.
+// balancers stop routing here and new mapping requests get 503, while
+// in-flight ones complete.
 func (s *Server) StartDrain() {
 	s.draining.Store(true)
 	gDraining.Set(1)
 }
 
-// Drain completes a graceful shutdown: after StartDrain and after the
-// HTTP server has finished in-flight handlers, it flushes the
-// batcher's pending work. Returns ctx.Err() if the deadline passes
-// with work still in flight.
+// Drain completes a graceful shutdown: after StartDrain it closes both
+// admission gates and waits for every request they admitted, waiting
+// or mapping, to finish. Returns ctx.Err() if the deadline passes with
+// work still in flight.
 func (s *Server) Drain(ctx context.Context) error {
 	s.StartDrain()
-	return s.batcher.Drain(ctx)
+	if err := s.mapGate.drain(ctx); err != nil {
+		return err
+	}
+	return s.scatterGate.drain(ctx)
 }
 
 // breakerFor returns (creating if needed) the circuit breaker for an
@@ -325,7 +340,7 @@ func (s *Server) loadEntry(ctx context.Context, source string) (*IndexEntry, boo
 		// build counts as a breaker failure like any other.
 		entry, err := buildRecovered(func() (*IndexEntry, error) {
 			if ipath != "" {
-				e, lerr := LoadEntry(key, ipath, s.cfg.Core, s.cfg.Shard, s.cfg.Batch.Executors)
+				e, lerr := LoadEntry(key, ipath, s.cfg.Core, s.cfg.Shard, cap(s.mapGate.slots))
 				if lerr == nil {
 					s.log.Info("index mapped from file",
 						"path", ipath, "mapped_bytes", e.MappedBytes,
@@ -342,7 +357,7 @@ func (s *Server) loadEntry(ctx context.Context, source string) (*IndexEntry, boo
 			if err != nil {
 				return nil, err
 			}
-			return BuildEntry(key, recs, s.cfg.Core, s.cfg.Shard, s.cfg.Batch.Executors)
+			return BuildEntry(key, recs, s.cfg.Core, s.cfg.Shard, cap(s.mapGate.slots))
 		})
 		if err != nil {
 			br.Failure()
@@ -470,6 +485,101 @@ type MapResponseLine struct {
 	RequestID string       `json:"request_id,omitempty"`
 }
 
+// statusClientClosedRequest is the client-closed-request convention
+// (nginx's 499): the caller went away before the answer was ready.
+// Neither a server failure nor an ERROR-level access line.
+const statusClientClosedRequest = 499
+
+// mapBody is the request body of both mapping endpoints as readRequest
+// decodes it: a /v1/map body carries no shards, a scatter body no
+// reference or all.
+type mapBody struct {
+	MapRequest
+	Shards []int `json:"shards"`
+}
+
+// readRequest is the preamble /v1/map and /v1/cluster/scatter share:
+// method, drain and readiness checks, then — as the server.admit stage
+// — body decode, read-count and empty-sequence validation and the
+// server/admit fault point. It returns the body, its reads' sequences
+// and the request's deadline (the server cap, shortened by the
+// client's timeout_ms). ok is false when it has answered the request
+// itself, counting the failure on failed; scatter bodies must also name
+// shards.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, failed *obs.Counter, scatter bool) (req mapBody, reads []dna.Seq, timeout time.Duration, ok bool) {
+	ctx := r.Context()
+	if r.Method != http.MethodPost {
+		failed.Inc()
+		httpError(ctx, w, http.StatusMethodNotAllowed, CodeMethodNotAllow, "POST required")
+		return
+	}
+	if s.draining.Load() {
+		cRejectedDraining.Inc()
+		w.Header().Set("Retry-After", "5")
+		httpError(ctx, w, http.StatusServiceUnavailable, CodeDraining, "draining")
+		return
+	}
+	if !s.ready.Load() {
+		failed.Inc()
+		w.Header().Set("Retry-After", "1")
+		httpError(ctx, w, http.StatusServiceUnavailable, CodeWarming, "index warming")
+		return
+	}
+
+	// One span child covers decode, validation and the admission fault
+	// point — admission rejections are cheap by design, and the span
+	// proves it.
+	span := obs.SpanFromContext(ctx)
+	admit := span.StartChild("server.admit")
+	defer admit.End()
+	reject := func(status int, code, format string, args ...any) {
+		failed.Inc()
+		httpError(ctx, w, status, code, format, args...)
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err := dec.Decode(&req); err != nil {
+		reject(http.StatusBadRequest, CodeBadRequest, "bad request body: %v", err)
+		return
+	}
+	switch {
+	case scatter && (len(req.Reads) == 0 || len(req.Shards) == 0):
+		reject(http.StatusBadRequest, CodeBadRequest, "scatter needs reads and shards")
+		return
+	case len(req.Reads) == 0:
+		reject(http.StatusBadRequest, CodeBadRequest, "no reads")
+		return
+	case len(req.Reads) > s.cfg.MaxReadsPerRequest:
+		reject(http.StatusRequestEntityTooLarge, CodeTooManyReads,
+			"%d reads exceeds per-request limit %d", len(req.Reads), s.cfg.MaxReadsPerRequest)
+		return
+	}
+	reads = make([]dna.Seq, len(req.Reads))
+	for i, rd := range req.Reads {
+		if len(rd.Seq) == 0 {
+			reject(http.StatusBadRequest, CodeBadRequest, "read %d (%q) has an empty sequence", i, rd.Name)
+			return
+		}
+		reads[i] = rd.Seq
+	}
+	// An injected error here exercises the structured-error path before
+	// any stage budget is spent.
+	if err := fpAdmit.Fire(); err != nil {
+		w.Header().Set("Retry-After", "1")
+		reject(http.StatusServiceUnavailable, CodeFaultInjected, "%v", err)
+		return
+	}
+	admit.SetAttr("reads", int64(len(reads)))
+	span.SetAttr("reads", int64(len(reads)))
+
+	timeout = s.cfg.RequestTimeout
+	if req.TimeoutMS > 0 {
+		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
+			timeout = d
+		}
+	}
+	return req, reads, timeout, true
+}
+
 func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	cRequests.Inc()
@@ -479,82 +589,16 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	rctx := r.Context()
 	span := obs.SpanFromContext(rctx)
 
-	if r.Method != http.MethodPost {
-		cRequestsFailed.Inc()
-		httpError(rctx, w, http.StatusMethodNotAllowed, CodeMethodNotAllow, "POST required")
+	body, reads, timeout, ok := s.readRequest(w, r, cRequestsFailed, false)
+	if !ok {
 		return
 	}
-	if s.draining.Load() {
-		cRejectedDraining.Inc()
-		w.Header().Set("Retry-After", "5")
-		httpError(rctx, w, http.StatusServiceUnavailable, CodeDraining, "draining")
-		return
-	}
-	if !s.ready.Load() {
-		cRequestsFailed.Inc()
-		w.Header().Set("Retry-After", "1")
-		httpError(rctx, w, http.StatusServiceUnavailable, CodeWarming, "index warming")
-		return
-	}
+	req := body.MapRequest
 
-	// Admission stage: decode, validate, and the admission fault
-	// point. One span child covers it all — admission rejections are
-	// cheap by design, and the span proves it.
-	admit := span.StartChild("server.admit")
-	var req MapRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		admit.End()
-		cRequestsFailed.Inc()
-		httpError(rctx, w, http.StatusBadRequest, CodeBadRequest, "bad request body: %v", err)
-		return
-	}
-	if len(req.Reads) == 0 {
-		admit.End()
-		cRequestsFailed.Inc()
-		httpError(rctx, w, http.StatusBadRequest, CodeBadRequest, "no reads")
-		return
-	}
-	if len(req.Reads) > s.cfg.MaxReadsPerRequest {
-		admit.End()
-		cRequestsFailed.Inc()
-		httpError(rctx, w, http.StatusRequestEntityTooLarge, CodeTooManyReads,
-			"%d reads exceeds per-request limit %d", len(req.Reads), s.cfg.MaxReadsPerRequest)
-		return
-	}
-	for i, rd := range req.Reads {
-		if len(rd.Seq) == 0 {
-			admit.End()
-			cRequestsFailed.Inc()
-			httpError(rctx, w, http.StatusBadRequest, CodeBadRequest, "read %d (%q) has an empty sequence", i, rd.Name)
-			return
-		}
-	}
-
-	// Admission fault point: an injected error here exercises the
-	// structured-error path before any stage budget is spent.
-	if err := fpAdmit.Fire(); err != nil {
-		admit.End()
-		cRequestsFailed.Inc()
-		w.Header().Set("Retry-After", "1")
-		httpError(rctx, w, http.StatusServiceUnavailable, CodeFaultInjected, "%v", err)
-		return
-	}
-	admit.SetAttr("reads", int64(len(req.Reads)))
-	admit.End()
-	span.SetAttr("reads", int64(len(req.Reads)))
-
-	// Per-request deadline: the server cap, shortened by the client's
-	// timeout_ms. The total budget is split across stages — an
-	// on-demand index load may consume at most IndexBudgetFrac of it,
-	// the map stage gets whatever remains.
-	timeout := s.cfg.RequestTimeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	// The total budget is split across stages — an on-demand index load
+	// may consume at most IndexBudgetFrac of it, the map stage gets
+	// whatever remains.
+	ctx, cancel := context.WithTimeout(rctx, timeout)
 	defer cancel()
 
 	// Resolve the index: warm default, or an on-demand load when the
@@ -599,54 +643,98 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	reads := make([]dna.Seq, len(req.Reads))
-	for i := range req.Reads {
-		reads[i] = req.Reads[i].Seq
-	}
 	cReadsIn.Add(int64(len(reads)))
 	s.stats.observeReads(len(reads))
 
-	job, err := s.batcher.Submit(ctx, entry, reads, req.All)
+	results, err := s.mapReads(ctx, entry, reads)
+	if st := serverTiming(span); st != "" {
+		w.Header().Set("Server-Timing", st)
+	}
 	if err != nil {
+		if ctx.Err() != nil {
+			cJobsCancelled.Inc()
+		}
+		if rctx.Err() != nil {
+			// The caller hung up; that is not the server failing. A
+			// request that merely outlived its own deadline leaves rctx
+			// alive and falls through to 504.
+			cMapCanceled.Inc()
+			httpError(rctx, w, statusClientClosedRequest, CodeCanceled, "request canceled by caller")
+			return
+		}
 		cRequestsFailed.Inc()
 		switch {
-		case err == ErrQueueFull:
+		case errors.Is(err, ErrQueueFull):
 			w.Header().Set("Retry-After", "1")
 			httpError(rctx, w, http.StatusTooManyRequests, CodeQueueFull, "admission queue full, retry later")
-		case err == ErrDraining:
+		case errors.Is(err, ErrDraining):
 			w.Header().Set("Retry-After", "5")
 			httpError(rctx, w, http.StatusServiceUnavailable, CodeDraining, "draining")
+		case ctx.Err() != nil:
+			httpError(rctx, w, http.StatusGatewayTimeout, CodeDeadline, "request deadline exceeded")
+		case faults.IsInjected(err):
+			httpError(rctx, w, http.StatusServiceUnavailable, CodeFaultInjected, "%v", err)
 		default:
 			httpError(rctx, w, http.StatusInternalServerError, CodeInternal, "%v", err)
 		}
 		return
 	}
-	res := job.Wait()
-	if res.Err != nil {
-		cRequestsFailed.Inc()
-		if st := serverTiming(span); st != "" {
-			w.Header().Set("Server-Timing", st)
-		}
-		switch {
-		case res.Err == context.DeadlineExceeded || res.Err == context.Canceled:
-			httpError(rctx, w, http.StatusGatewayTimeout, CodeDeadline, "request deadline exceeded")
-		case faults.IsInjected(res.Err):
-			httpError(rctx, w, http.StatusServiceUnavailable, CodeFaultInjected, "%v", res.Err)
-		default:
-			httpError(rctx, w, http.StatusInternalServerError, CodeInternal, "%v", res.Err)
-		}
-		return
-	}
 	cRequestsOK.Inc()
 
-	if st := serverTiming(span); st != "" {
-		w.Header().Set("Server-Timing", st)
-	}
 	if r.URL.Query().Get("format") == "sam" {
-		s.writeSAM(w, entry, req, res.Results)
+		s.writeSAM(w, entry, req, results)
 		return
 	}
-	s.writeNDJSON(w, obs.RequestIDFromContext(rctx), entry, req, res.Results)
+	s.writeNDJSON(w, obs.RequestIDFromContext(rctx), entry, req, results)
+}
+
+// mapReads is the map stage of one /v1/map request: wait for a slot of
+// the map gate, then map the reads with one worker on a pooled engine
+// clone, under the request's own context — a request that is cancelled
+// or out of time stops mapping at its next read and frees its slot.
+//
+// The slot is the shared resource a faulty request must not take down:
+// a panic anywhere in the stage (or injected at server/flush) is
+// recovered into the request's error. Per-read failures never reach
+// this level — core's Map confines them to MapResult.Err.
+func (s *Server) mapReads(ctx context.Context, entry *IndexEntry, reads []dna.Seq) (results []core.MapResult, err error) {
+	span := obs.SpanFromContext(ctx)
+	enqueued := time.Now()
+	err = s.mapGate.acquire(ctx)
+	if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrDraining) {
+		cJobsRejected.Inc()
+		return nil, err
+	}
+	cJobs.Inc()
+	wait := time.Since(enqueued)
+	hQueueWait.Observe(float64(wait) / float64(time.Millisecond))
+	span.AddTimedChild("server.queue_wait", enqueued, wait)
+	if err != nil {
+		return nil, err // ctx ended before a slot came free
+	}
+	defer s.mapGate.release()
+
+	stage := span.StartChild("server.map")
+	defer stage.End()
+	defer func() {
+		if r := recover(); r != nil {
+			cMapPanics.Inc()
+			results, err = nil, fmt.Errorf("server: mapping panicked: %v", r)
+		}
+	}()
+	stage.SetAttr("reads", int64(len(reads)))
+	if err := fpFlush.Fire(); err != nil {
+		return nil, err
+	}
+	engine, err := entry.Acquire()
+	if err != nil {
+		return nil, err
+	}
+	results, err = engine.Map(obs.ContextWithSpan(ctx, stage), reads,
+		core.WithWorkers(1), core.WithDeadlinePerRead(s.cfg.ReadDeadline))
+	// Not deferred: a clone that panicked mid-read is not pooled again.
+	entry.Release(engine)
+	return results, err
 }
 
 // RecordsFor converts one read's alignments to SAM records — the same

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"darwin/internal/core"
 	"darwin/internal/dna"
 	"darwin/internal/readsim"
 )
@@ -231,61 +232,124 @@ func TestMapRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// TestMapQueueOverflow429: with the batcher unstarted (same-package
-// surgery), the admission queue fills and overflow requests get 429 +
-// Retry-After while queued requests time out at their deadline — the
-// admission-control contract under a stalled backend.
-func TestMapQueueOverflow429(t *testing.T) {
+// TestConcurrentRequestsMatchDirectMapping: more concurrent requests
+// than the gate has slots, and every one of them gets record bytes
+// equal to RecordsFor over an in-process Map of its reads.
+func TestConcurrentRequestsMatchDirectMapping(t *testing.T) {
 	s, ts, reads := testService(t, Config{})
-	// Swap in a tiny, never-started batcher: jobs queue but never run.
-	s.batcher = NewBatcher(BatcherConfig{QueueBound: 2})
-
-	body := func() []byte {
-		b, _ := json.Marshal(MapRequest{
-			TimeoutMS: 300,
-			Reads:     []ReadInput{{Name: "r", Seq: reads[0].Seq}},
-		})
-		return b
+	s.mapGate = newGate(2, 16)
+	entry := s.defaultEntry.Load()
+	seqs := make([]dna.Seq, len(reads))
+	for i := range reads {
+		seqs[i] = reads[i].Seq
 	}
+	direct, err := entry.Engine.Map(context.Background(), seqs, core.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const n, per = 6, 2 // 6 requests of 2 reads on 2 slots
 	var wg sync.WaitGroup
-	codes := make([]int, 5)
-	for i := range codes {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/map", "application/json", bytes.NewReader(body()))
+			off := i % (len(reads) / per) * per
+			resp, err := http.Post(ts.URL+"/v1/map", "application/json", bytes.NewReader(mapRequestBody(t, reads[off:off+per])))
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			defer resp.Body.Close()
-			codes[i] = resp.StatusCode
-			if resp.StatusCode == http.StatusTooManyRequests && resp.Header.Get("Retry-After") == "" {
-				t.Error("429 without Retry-After header")
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("request %d: status %d", i, resp.StatusCode)
+				return
+			}
+			sc := bufio.NewScanner(resp.Body)
+			sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+			for k := 0; sc.Scan(); k++ {
+				var line struct {
+					Records json.RawMessage `json:"records"`
+				}
+				if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+					t.Errorf("request %d line %d: %v", i, k, err)
+					return
+				}
+				want, err := json.Marshal(RecordsFor(entry.Ref, fmt.Sprintf("read%d", k), seqs[off+k], direct[off+k].Alignments, false))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(line.Records, want) {
+					t.Errorf("request %d read %d: served records differ from direct mapping", i, k)
+				}
 			}
 		}(i)
 	}
 	wg.Wait()
-	var too, timeout int
-	for _, c := range codes {
-		switch c {
-		case http.StatusTooManyRequests:
-			too++
-		case http.StatusGatewayTimeout:
-			timeout++
-		default:
-			t.Errorf("unexpected status %d under overflow", c)
+}
+
+// TestMapQueueOverflow429: with the one mapping slot held (a stalled
+// backend), the waiting places fill and overflow requests get 429 +
+// Retry-After while the waiting requests time out at their deadline —
+// and the queue-depth gauge is back at zero afterwards.
+func TestMapQueueOverflow429(t *testing.T) {
+	s, ts, reads := testService(t, Config{})
+	s.mapGate = newGate(1, 2)
+	if err := s.mapGate.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer s.mapGate.release()
+
+	// A generous deadline: the two admitted requests must still be
+	// waiting when the three overflow ones arrive.
+	body, _ := json.Marshal(MapRequest{
+		TimeoutMS: 1000,
+		Reads:     []ReadInput{{Name: "r", Seq: reads[0].Seq}},
+	})
+	post := func(code *int) {
+		resp, err := http.Post(ts.URL+"/v1/map", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		*code = resp.StatusCode
+		if resp.StatusCode == http.StatusTooManyRequests && resp.Header.Get("Retry-After") == "" {
+			t.Error("429 without Retry-After header")
 		}
 	}
-	if too != 3 || timeout != 2 {
-		t.Errorf("codes = %v: want exactly 2 admitted (504 at deadline) and 3 rejected (429)", codes)
+	var wg sync.WaitGroup
+	codes := make([]int, 5)
+	for i := range codes {
+		if i == 2 {
+			waitFor(t, "two requests to queue", func() bool { w, _ := s.mapGate.counts(); return w == 2 })
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			post(&codes[i])
+		}(i)
+	}
+	wg.Wait()
+	for i, c := range codes {
+		want := http.StatusGatewayTimeout // admitted, 504 at its deadline
+		if i >= 2 {
+			want = http.StatusTooManyRequests
+		}
+		if c != want {
+			t.Errorf("request %d: status %d, want %d (codes %v)", i, c, want, codes)
+		}
+	}
+	if d := gQueueDepth.Value(); d != 0 {
+		t.Errorf("server/queue_depth = %d after the overload, want 0", d)
 	}
 }
 
 // TestServerDrain: requests in flight when drain starts are all
 // answered; requests after drain get 503.
 func TestServerDrain(t *testing.T) {
-	s, ts, reads := testService(t, Config{Batch: BatcherConfig{MaxWait: 50 * time.Millisecond}})
+	s, ts, reads := testService(t, Config{})
 	body := mapRequestBody(t, reads)
 
 	const n = 6

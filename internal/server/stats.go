@@ -50,7 +50,8 @@ func newSLOTracker() *sloTracker {
 func (t *sloTracker) observe(d time.Duration, status int, errCode string) {
 	t.requests.Inc()
 	t.mapLatencyMS.Observe(float64(d) / float64(time.Millisecond))
-	if status >= 400 {
+	// A caller hanging up spends no error budget.
+	if status >= 400 && status != statusClientClosedRequest {
 		t.failures.Inc()
 		if errCode == "" {
 			errCode = "unknown"

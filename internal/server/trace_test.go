@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -63,8 +64,11 @@ func TestTracedRequestSpanTree(t *testing.T) {
 	if got := resp.Header.Get("X-Request-ID"); got != reqID {
 		t.Errorf("response X-Request-ID = %q, want %q", got, reqID)
 	}
-	if st := resp.Header.Get("Server-Timing"); !strings.Contains(st, "total;dur=") {
-		t.Errorf("Server-Timing %q missing total stage", st)
+	st := resp.Header.Get("Server-Timing")
+	for _, stage := range []string{"admit;dur=", "queue_wait;dur=", "map;dur=", "total;dur="} {
+		if !strings.Contains(st, stage) {
+			t.Errorf("Server-Timing %q missing stage %q", st, stage)
+		}
 	}
 	if len(lines) != len(reads) {
 		t.Fatalf("%d NDJSON lines for %d reads", len(lines), len(reads))
@@ -96,10 +100,24 @@ func TestTracedRequestSpanTree(t *testing.T) {
 			t.Errorf("stage timer %s advanced (%d obs) but has no span in the tree", name, ts.Count)
 		}
 	}
-	// The serving pipeline's own stages, by name.
-	for _, name := range []string{"server.admit", "server.queue_wait", "server.batch", "core.map", "core.read"} {
-		if tree.Find(name) == nil {
-			t.Errorf("span %s missing from captured tree", name)
+	// The serving pipeline's own stages: the root's children are the
+	// request's sequential stages and nothing else, and the engine's
+	// spans hang under the map stage.
+	var stages []string
+	for _, c := range tree.Children {
+		stages = append(stages, c.Name)
+	}
+	if want := []string{"server.admit", "server.queue_wait", "server.map"}; !reflect.DeepEqual(stages, want) {
+		t.Errorf("root children = %v, want %v", stages, want)
+	}
+	if m := tree.Find("server.map"); m != nil {
+		if m.Attrs["reads"] != int64(len(reads)) {
+			t.Errorf("server.map attrs %v, want reads=%d", m.Attrs, len(reads))
+		}
+		for _, name := range []string{"core.map", "core.read"} {
+			if m.Find(name) == nil {
+				t.Errorf("span %s missing under server.map", name)
+			}
 		}
 	}
 	// A mapped PacBio read accepts at least one candidate, so the GACT
@@ -153,7 +171,7 @@ func TestTracedRequestShardedSpanTree(t *testing.T) {
 	if tree.RequestID != reqID {
 		t.Errorf("captured tree request_id %q, want %q", tree.RequestID, reqID)
 	}
-	for _, name := range []string{"server.batch", "shard.map", "shard.scatter", "shard.gather", "core.read", "stage/filter", "stage/align", "gact.extend"} {
+	for _, name := range []string{"server.admit", "server.queue_wait", "server.map", "shard.map", "shard.scatter", "shard.gather", "core.read", "stage/filter", "stage/align", "gact.extend"} {
 		if tree.Find(name) == nil {
 			t.Errorf("span %s missing from sharded tree", name)
 		}
@@ -168,18 +186,13 @@ func TestTracedRequestShardedSpanTree(t *testing.T) {
 	}
 }
 
-// TestRequestIDSurvivesBatching fires concurrent requests with
-// distinct IDs into a coalescing batcher and checks every response
-// keeps its own identity: the batch is shared, the request is not.
-func TestRequestIDSurvivesBatching(t *testing.T) {
-	srv, ts, reads := testService(t, Config{
-		SlowCapture: 16,
-		Batch: BatcherConfig{
-			MaxBatchReads: 64,
-			MaxWait:       20 * time.Millisecond,
-			Executors:     1, // one executor so requests coalesce
-		},
-	})
+// TestConcurrentRequestsOwnTheirSpans fires concurrent requests with
+// distinct IDs and distinct read counts at a one-slot gate and checks
+// that no request's identity or span subtree leaks into another's:
+// every capture has exactly one map stage, sized to its own reads.
+func TestConcurrentRequestsOwnTheirSpans(t *testing.T) {
+	srv, ts, reads := testService(t, Config{SlowCapture: 16})
+	srv.mapGate = newGate(1, 16) // one slot, so the requests queue behind each other
 	const n = 4
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -187,15 +200,18 @@ func TestRequestIDSurvivesBatching(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			id := fmt.Sprintf("batch-id-%04d", i)
-			body := mapRequestBody(t, reads[i%len(reads):i%len(reads)+1])
-			resp, lines := postMap(t, ts.URL, id, body)
+			id := fmt.Sprintf("own-id-%04d", i)
+			resp, lines := postMap(t, ts.URL, id, mapRequestBody(t, reads[:i+1]))
 			if resp.StatusCode != http.StatusOK {
 				errs[i] = fmt.Errorf("status %d", resp.StatusCode)
 				return
 			}
 			if got := resp.Header.Get("X-Request-ID"); got != id {
 				errs[i] = fmt.Errorf("header id %q, want %q", got, id)
+				return
+			}
+			if len(lines) != i+1 {
+				errs[i] = fmt.Errorf("%d lines for %d reads", len(lines), i+1)
 				return
 			}
 			for _, line := range lines {
@@ -212,8 +228,6 @@ func TestRequestIDSurvivesBatching(t *testing.T) {
 			t.Errorf("request %d: %v", i, err)
 		}
 	}
-	// Every request's captured tree carries its own ID and a batch
-	// span (shared or not — coalescing is timing-dependent).
 	caps := srv.SlowCaptures()
 	if len(caps) != n {
 		t.Fatalf("%d captures, want %d", len(caps), n)
@@ -221,12 +235,30 @@ func TestRequestIDSurvivesBatching(t *testing.T) {
 	seen := map[string]bool{}
 	for _, c := range caps {
 		seen[c.RequestID] = true
-		if c.Span.Find("server.batch") == nil {
-			t.Errorf("capture %s has no server.batch span", c.RequestID)
+		var wantReads int64
+		if _, err := fmt.Sscanf(c.RequestID, "own-id-%d", &wantReads); err != nil {
+			t.Errorf("unexpected capture %q", c.RequestID)
+			continue
+		}
+		wantReads++
+		var maps, coreReads int64
+		c.Span.Walk(func(sp obs.SpanSnapshot) {
+			switch sp.Name {
+			case "server.map":
+				maps++
+				if sp.Attrs["reads"] != wantReads {
+					t.Errorf("capture %s: server.map reads=%d, want %d", c.RequestID, sp.Attrs["reads"], wantReads)
+				}
+			case "core.read":
+				coreReads++
+			}
+		})
+		if maps != 1 || coreReads != wantReads {
+			t.Errorf("capture %s: %d server.map and %d core.read spans, want 1 and %d", c.RequestID, maps, coreReads, wantReads)
 		}
 	}
 	for i := 0; i < n; i++ {
-		if id := fmt.Sprintf("batch-id-%04d", i); !seen[id] {
+		if id := fmt.Sprintf("own-id-%04d", i); !seen[id] {
 			t.Errorf("no capture for %s", id)
 		}
 	}

@@ -53,7 +53,7 @@ echo "chaos-smoke: ungated -faults correctly refused"
 
 spec='server/flush=p=0.15,error=chaos flush;core/map_read=every=9,panic=poisoned read;server/stream=p=0.02,error=stream hiccup;seed=11'
 DARWIN_ALLOW_FAULTS=1 "$tmp/bin/darwind" -addr 127.0.0.1:0 -ref "$tmp/ref.fa" \
-    -k 11 -n 400 -h 20 -batch-wait 2ms \
+    -k 11 -n 400 -h 20 \
     -allow-ref-load -breaker-threshold 2 -breaker-cooldown 60s \
     -leak-check -faults "$spec" 2> "$tmp/darwind.log" &
 pid=$!
@@ -148,7 +148,7 @@ echo "chaos-smoke: index/load fault with a sidecar present"
 [ -f "$tmp/ref.fa.dwi" ] || { echo "chaos-smoke: FAIL — no sidecar written" >&2; exit 1; }
 
 DARWIN_ALLOW_FAULTS=1 "$tmp/bin/darwind" -addr 127.0.0.1:0 -ref "$tmp/ref.fa" \
-    -k 11 -n 400 -h 20 -batch-wait 2ms \
+    -k 11 -n 400 -h 20 \
     -faults 'index/load=error=chaos index load;seed=13' 2> "$tmp/darwind3.log" &
 pid=$!
 
@@ -205,7 +205,7 @@ echo "chaos-smoke: cluster/scatter fault through darwin-router"
 "$tmp/bin/darwin-index" build -ref "$tmp/ref.fa" -out "$tmp/cluster.dwi" \
     -k 11 -n 400 -h 20 -shards 2 2>/dev/null
 
-cluster_flags=(-ref "$tmp/ref.fa" -index "$tmp/cluster.dwi" -k 11 -n 400 -h 20 -shards 2 -batch-wait 2ms)
+cluster_flags=(-ref "$tmp/ref.fa" -index "$tmp/cluster.dwi" -k 11 -n 400 -h 20 -shards 2)
 roster_names='cw0=placeholder:1,cw1=placeholder:2'
 "$tmp/bin/darwind" -addr 127.0.0.1:0 "${cluster_flags[@]}" \
     -worker-name cw0 -cluster-workers "$roster_names" -cluster-replication 2 2> "$tmp/cw0.log" &
@@ -288,7 +288,7 @@ echo "chaos-smoke: jobs/checkpoint fault during an assembly job"
 awk 'NR%4==1{sub(/^@/,">");print} NR%4==2{print}' "$tmp/jobreads.fq" > "$tmp/jobreads.fa"
 
 DARWIN_ALLOW_FAULTS=1 "$tmp/bin/darwind" -addr 127.0.0.1:0 -ref "$tmp/ref.fa" \
-    -k 11 -n 400 -h 20 -batch-wait 2ms \
+    -k 11 -n 400 -h 20 \
     -jobs-dir "$tmp/chaosjobs" -jobs-checkpoint-every 4 \
     -faults 'jobs/checkpoint=every=1,error=chaos checkpoint;seed=23' 2> "$tmp/darwind4.log" &
 pid=$!

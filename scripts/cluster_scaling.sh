@@ -76,7 +76,7 @@ echo "cluster-scaling: generating 4 Mbp genome + 32 x 3 kbp reads"
 
 # FASTA-built engines (no .dwi): an evicted shard costs a real
 # BuildRange rebuild, which is exactly what a resident budget buys off.
-engine_flags=(-k 13 -n 600 -h 24 -shards 8 -batch-wait 2ms -no-sidecar)
+engine_flags=(-k 13 -n 600 -h 24 -shards 8 -no-sidecar)
 
 # --- A1: unbounded monolith (also sizes the budget) -----------------
 echo "cluster-scaling: monolith, unbounded"
@@ -158,7 +158,7 @@ echo
 echo "cluster-scaling: hedge tail latency (2 workers, replication 2)"
 "$tmp/bin/genomesim" -len 150000 -seed 41 -out "$tmp/href.fa" 2>/dev/null
 "$tmp/bin/readsim" -ref "$tmp/href.fa" -n 32 -len 1200 -seed 42 -out "$tmp/hreads.fq" 2>/dev/null
-hflags=(-k 11 -n 400 -h 20 -shards 2 -batch-wait 2ms -no-sidecar)
+hflags=(-k 11 -n 400 -h 20 -shards 2 -no-sidecar)
 hroster='node0=placeholder:0,node1=placeholder:1'
 hpids=()
 for i in 0 1; do

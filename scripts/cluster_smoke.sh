@@ -60,7 +60,7 @@ echo "cluster-smoke: generating genome, reads, and the shared .dwi index"
 "$tmp/bin/darwin-index" build -ref "$tmp/ref.fa" -k 11 -n 400 -h 20 -shards 4 2>/dev/null
 [ -f "$tmp/ref.fa.dwi" ] || { echo "cluster-smoke: FAIL — no .dwi written" >&2; exit 1; }
 
-engine_flags=(-k 11 -n 400 -h 20 -shards 4 -batch-wait 2ms)
+engine_flags=(-k 11 -n 400 -h 20 -shards 4)
 
 echo "cluster-smoke: mapping through a monolithic darwind"
 "$tmp/bin/darwind" -addr 127.0.0.1:0 -ref "$tmp/ref.fa" -index "$tmp/ref.fa.dwi" \

@@ -25,7 +25,7 @@ echo "serve-smoke: generating synthetic genome and reads"
 "$tmp/bin/readsim" -ref "$tmp/ref.fa" -n 48 -len 1200 -seed 9 -out "$tmp/reads.fq" 2>/dev/null
 
 "$tmp/bin/darwind" -addr 127.0.0.1:0 -ref "$tmp/ref.fa" \
-    -k 11 -n 400 -h 20 -batch-wait 2ms \
+    -k 11 -n 400 -h 20 \
     -shards 4 -shard-mem 256M \
     -report "$tmp/darwind_report.json" 2> "$tmp/darwind.log" &
 pid=$!
@@ -111,7 +111,7 @@ echo "serve-smoke: phase 2 — cold boot from a prebuilt index"
     -k 11 -n 400 -h 20 -shards 4 2>/dev/null
 
 "$tmp/bin/darwind" -addr 127.0.0.1:0 -ref "$tmp/ref.fa" -index "$tmp/ref.dwi" \
-    -k 11 -n 400 -h 20 -batch-wait 2ms \
+    -k 11 -n 400 -h 20 \
     -shards 4 -shard-mem 256M 2> "$tmp/darwind2.log" &
 pid=$!
 
