@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test check race vet loc test-allocs bench bench-core bench-kernel bench-shard bench-traced bench-index benchdiff benchdiff-traced serve-smoke chaos-smoke index-smoke cluster-smoke assembly-smoke metrics-lint clean
+.PHONY: build test check race vet loc test-allocs fuzz bench bench-core bench-kernel bench-shard bench-traced bench-index benchdiff benchdiff-traced serve-smoke chaos-smoke index-smoke cluster-smoke assembly-smoke metrics-lint clean
 
 build:
 	$(GO) build ./...
@@ -29,9 +29,17 @@ loc:
 # detector changes allocation behaviour), so check runs them in a
 # separate non-race pass.
 test-allocs:
-	$(GO) test -run 'ZeroSteadyStateAllocs' ./internal/align/
+	$(GO) test -run 'SteadyStateAllocs' ./internal/align/ ./internal/gact/
 
-check: vet race test-allocs serve-smoke chaos-smoke index-smoke cluster-smoke assembly-smoke metrics-lint
+# Bounded runs of the differential fuzz targets, on top of their
+# committed seed corpora (testdata/fuzz, which plain `go test` replays):
+# Myers infix vs its quadratic oracle, and gact.Engine.Extend — score
+# pass, banded refills, bitvector tier — vs the free reference Extend.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzMyersInfix$$' -fuzztime 20s ./internal/align/
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineExtend$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/gact/
+
+check: vet race test-allocs fuzz serve-smoke chaos-smoke index-smoke cluster-smoke assembly-smoke metrics-lint
 
 # End-to-end serving check: darwind on a synthetic genome, load from
 # darwin-client, non-empty SAM back, clean drain on SIGTERM.

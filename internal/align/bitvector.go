@@ -27,10 +27,13 @@ import (
 // the band, in-band values are computed from in-band or boundary
 // values, and out-of-band reads see lower bounds (0-initialized H,
 // negInf gap rows) that cannot displace the true winner under the
-// kernel's fixed tie order. MaxI/MaxJ become in-band maxima, which is
-// why the tier only runs on extension tiles (TileResult documents
-// MaxI/MaxJ as meaningful only when firstTile was set — first tiles
-// always take the LUT path).
+// kernel's fixed tie order. MaxI/MaxJ become in-band maxima, so a
+// banded tile is always one whose traceback starts at its bottom-right
+// cell: an extension tile — or the sub-tile a first tile's score pass
+// cut out for it (kernel.go, firstTile), which ends at the tile's best
+// cell. There the score pass has computed H(n,m) itself, the tightest
+// S the bound admits, so first tiles band without a bitvector pass and
+// without the gate below.
 //
 // The divergence gate makes the tier a *fast path* rather than a
 // wager: when the rescored bound sits too far below the tile's
@@ -45,18 +48,23 @@ const (
 	// KernelAuto (the default) runs the bitvector fast path on
 	// extension tiles, falling back to the full LUT kernel when the
 	// divergence gate rejects, the tile contains N codes, or the
-	// geometry is unfriendly. Results are bit-identical to KernelLUT
-	// on every field GACT consumes (Score, IOff, JOff, Cigar; plus
-	// MaxI/MaxJ on first tiles, which always take the LUT path).
+	// geometry is unfriendly; a first tile that passes its score pass
+	// is refilled inside the band its exact score proves, or in full
+	// when that band spans the sub-tile. Results are bit-identical to
+	// KernelLUT on every field GACT consumes (Score, IOff, JOff, Cigar;
+	// plus MaxI/MaxJ on first tiles, which come from the score pass in
+	// every mode).
 	KernelAuto KernelMode = iota
-	// KernelLUT always runs the full branchless affine-LUT kernel —
-	// the PR 3 behaviour, and the reference the property tests pin.
+	// KernelLUT always runs the full branchless affine-LUT fill (over
+	// the score pass's sub-tile, for a first tile) — the reference the
+	// property tests pin.
 	KernelLUT
-	// KernelBitvector forces the bitvector tier whenever it is
-	// expressible (no divergence fallback; the band is clamped to the
-	// tile instead). Same bit-identical results — the band bound stays
-	// provable — but divergent tiles pay bitvector + full-width fill,
-	// so this mode exists for benchmarking and diagnostics.
+	// KernelBitvector forces the bitvector tier on every extension tile
+	// that can express it (no divergence fallback; the band is clamped
+	// to the tile instead). Same bit-identical results — the band bound
+	// stays provable — but divergent tiles pay bitvector + full-width
+	// fill, so this mode exists for benchmarking and diagnostics. First
+	// tiles run as under KernelAuto.
 	KernelBitvector
 )
 
@@ -97,12 +105,15 @@ const (
 	bitvecMaxBlocks = 16
 )
 
-// KernelStats counts tiles and DP cells per kernel path. LUTTiles and
-// LUTCells cover every tile computed by the full LUT fill — fallbacks
-// included; FallbackTiles is the subset that attempted the bitvector
-// tier first and hit the divergence/profit gate. BitvectorCells counts
-// only the banded cells actually filled, so cells-per-second can be
-// compared per path.
+// KernelStats counts tiles and DP cells per kernel path, one tile per
+// AlignTile call. LUTTiles covers every tile whose pointer matrix came
+// from a full LUT fill — fallbacks included — and every first tile
+// rejected on its score pass; BitvectorTiles the banded ones.
+// FallbackTiles is the subset of LUTTiles that attempted the bitvector
+// pass first and hit the divergence/profit gate. The cell counts are
+// the cells actually filled, so cells-per-second can be compared per
+// path: BitvectorCells the banded fills, LUTCells the full fills plus
+// the n·m cells of every first tile's score pass.
 type KernelStats struct {
 	LUTTiles       int64
 	LUTCells       int64
@@ -133,70 +144,54 @@ func (a *TileAligner) SetKernelDivergence(d int) {
 // KernelStats returns the aligner's cumulative per-path counts.
 func (a *TileAligner) KernelStats() KernelStats { return a.ks }
 
-// tryBitvector attempts the bit-parallel tier on a precoded extension
-// tile. It reports false — leaving no trace beyond FallbackTiles when
-// the divergence gate fired — if the tile must take the LUT path.
-func (a *TileAligner) tryBitvector(rc, qc []byte, maxOff int) (TileResult, bool) {
+// bitvectorBand runs the bit-parallel pass on a precoded extension tile
+// and returns the band its bound proves sufficient, or −1 — leaving no
+// trace beyond FallbackTiles when the divergence gate fired — if the
+// tile must take the full LUT fill.
+func (a *TileAligner) bitvectorBand(rc, qc []byte) int {
 	n, m := len(rc), len(qc)
 	if n < bitvecMinSide || m < bitvecMinSide || (m+63)/64 > bitvecMaxBlocks {
-		return TileResult{}, false
+		return -1
 	}
 	// The edit model cannot express the LUT's N-scores-zero columns.
 	if bytes.IndexByte(rc, dna.CodeN) >= 0 || bytes.IndexByte(qc, dna.CodeN) >= 0 {
-		return TileResult{}, false
+		return -1
 	}
 
 	er, err := a.bv.alignCodes(rc, qc, EditGlobal)
 	if err != nil {
-		return TileResult{}, false
+		return -1
 	}
 	sbv := a.rescoreCodes(rc, qc, er.Cigar)
-
-	wmax := int(a.wmax)
-	num := wmax*(n+m) - 2*sbv // twice (perfect bound − S_bv), ≥ 0
-	den := wmax + 2*int(a.ext)
+	band := a.gapBand(n, m, sbv)
+	if a.mode == KernelBitvector {
+		return min(band, n+m) // clamp: the banded fill degenerates to the full fill
+	}
 	side := min(n, m)
-	if a.mode != KernelBitvector {
-		maxDiv := a.maxDiv
-		if maxDiv <= 0 {
-			// Default: cap the band near 2·side/5. A band of b fills
-			// ~(2b+1)/side of the matrix, so the banded fill still beats
-			// the full one by ≥15% at the cap — enough to cover the
-			// Myers pass — while wider bands approach the full fill with
-			// the bitvector work as pure overhead (the 2·band+1 ≥ side
-			// profit gate below catches those).
-			maxDiv = den * side / 5
-		}
-		if num > 2*maxDiv {
-			a.ks.FallbackTiles++
-			return TileResult{}, false
-		}
+	maxDiv := a.maxDiv
+	if maxDiv <= 0 {
+		// Default: cap the band near 2·side/5. A band of b fills
+		// ~(2b+1)/side of the matrix, so the banded fill still beats
+		// the full one by ≥15% at the cap — enough to cover the Myers
+		// pass — while wider bands approach the full fill with the
+		// bitvector work as pure overhead (the 2·band+1 ≥ side profit
+		// gate catches those).
+		maxDiv = (int(a.wmax) + 2*int(a.ext)) * side / 5
 	}
-	band := num/den + 2 // +2 slack over the provable gap bound
-	if 2*band+1 >= side {
-		if a.mode != KernelBitvector {
-			a.ks.FallbackTiles++
-			return TileResult{}, false
-		}
-		if band > n+m {
-			band = n + m // clamp: banded fill degenerates to the full fill
-		}
+	// Twice (perfect bound − S_bv) against twice the threshold.
+	if int(a.wmax)*(n+m)-2*sbv > 2*maxDiv || 2*band+1 >= side {
+		a.ks.FallbackTiles++
+		return -1
 	}
+	return band
+}
 
-	cells := a.fillCoded(rc, qc, band)
-	a.ks.BitvectorTiles++
-	a.ks.BitvectorCells += cells
-
-	score := int(a.hRow[n]) // H of the bottom-right cell — exact in-band
-	cigar, iOff, jOff := a.traceback(n+1, n, m, maxOff)
-	return TileResult{
-		Score: score,
-		IOff:  iOff,
-		JOff:  jOff,
-		MaxI:  a.maxI, // in-band maxima; see the file comment
-		MaxJ:  a.maxJ,
-		Cigar: cigar,
-	}, true
+// gapBand is the band that provably holds the traceback from (n, m) of
+// a tile whose bottom-right cell scores at least s: the gap-base bound
+// of the file comment, plus 2 slack.
+func (a *TileAligner) gapBand(n, m, s int) int {
+	wmax := int(a.wmax)
+	return (wmax*(n+m)-2*s)/(wmax+2*int(a.ext)) + 2
 }
 
 // rescoreCodes scores an edit-path cigar over precoded tiles under the

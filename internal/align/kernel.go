@@ -57,7 +57,7 @@ type TileAligner struct {
 	qCode      []byte // precoded query tile
 	cig        Cigar  // traceback path buffer
 
-	// Fill results for the current tile.
+	// Results of the current tile's last fill or score pass.
 	maxScore   int32
 	maxI, maxJ int
 }
@@ -102,7 +102,7 @@ func (a *TileAligner) Preallocate(side int) {
 // the aligner's internal buffer and is only valid until the next call;
 // callers that retain it across tiles must copy it first.
 func (a *TileAligner) AlignTile(rTile, qTile dna.Seq, firstTile bool, maxOff int) TileResult {
-	return a.align(rTile, qTile, firstTile, maxOff, false)
+	return a.align(rTile, qTile, firstMin(firstTile), maxOff, false)
 }
 
 // AlignTileReversed aligns the reversed tile — the tile whose contents
@@ -113,10 +113,31 @@ func (a *TileAligner) AlignTile(rTile, qTile dna.Seq, firstTile bool, maxOff int
 // per-extension full-sequence reversal copies. The same Cigar aliasing
 // rule as AlignTile applies.
 func (a *TileAligner) AlignTileReversed(rTile, qTile dna.Seq, firstTile bool, maxOff int) TileResult {
-	return a.align(rTile, qTile, firstTile, maxOff, true)
+	return a.align(rTile, qTile, firstMin(firstTile), maxOff, true)
 }
 
-func (a *TileAligner) align(rTile, qTile dna.Seq, firstTile bool, maxOff int, reversed bool) TileResult {
+// AlignFirstTile is AlignTile(rTile, qTile, true, maxOff) for a caller
+// that discards tiles scoring below minScore (GACT's h_tile filter,
+// Figure 12): such a tile comes back with its exact Score, MaxI and
+// MaxJ but no path (zero IOff and JOff, empty Cigar), at the cost of
+// the score pass alone — no pointer matrix is written and no
+// traceback runs.
+func (a *TileAligner) AlignFirstTile(rTile, qTile dna.Seq, maxOff, minScore int) TileResult {
+	return a.align(rTile, qTile, max(1, minScore), maxOff, false)
+}
+
+// firstMin is the minScore of a first tile whose caller set no
+// threshold: every tile with a non-empty path has one.
+func firstMin(firstTile bool) int {
+	if firstTile {
+		return 1
+	}
+	return 0
+}
+
+// align runs one tile: an extension tile when minFirst is 0, else a
+// first tile whose path is wanted only at a score of minFirst or more.
+func (a *TileAligner) align(rTile, qTile dna.Seq, minFirst, maxOff int, reversed bool) TileResult {
 	n, m := len(rTile), len(qTile)
 	if n == 0 || m == 0 {
 		return TileResult{}
@@ -130,7 +151,11 @@ func (a *TileAligner) align(rTile, qTile dna.Seq, firstTile bool, maxOff int, re
 		}
 		a.ks.LUTTiles++
 		a.ks.LUTCells += int64(n) * int64(m)
-		return AlignTile(rTile, qTile, firstTile, maxOff, &a.sc)
+		res := AlignTile(rTile, qTile, minFirst > 0, maxOff, &a.sc)
+		if res.Score < minFirst {
+			res = TileResult{Score: res.Score, MaxI: res.MaxI, MaxJ: res.MaxJ}
+		}
+		return res
 	}
 	if maxOff <= 0 {
 		maxOff = max(n, m)
@@ -146,31 +171,65 @@ func (a *TileAligner) align(rTile, qTile dna.Seq, firstTile bool, maxOff int, re
 	}
 	a.rCode, a.qCode = rc, qc
 
-	// The bitvector tier handles extension tiles only: first tiles
-	// need the exact global-maximum cell (MaxI/MaxJ), which a banded
-	// fill cannot guarantee.
-	if a.mode != KernelLUT && !firstTile {
-		if res, ok := a.tryBitvector(rc, qc, maxOff); ok {
-			return res
+	if minFirst > 0 {
+		return a.firstTile(rc, qc, minFirst, maxOff)
+	}
+	band := -1
+	if a.mode != KernelLUT {
+		band = a.bitvectorBand(rc, qc)
+	}
+	return a.fillTrace(rc, qc, band, maxOff)
+}
+
+// firstTile composes a first tile from the two things it is: a score
+// pass that locates the best cell (maxI, maxJ) — all the h_tile filter
+// reads — and, for a tile that passes, an extension tile over the
+// sub-tile rc[:maxI] × qc[:maxJ], which ends at that cell. H(i, j)
+// depends only on rc[:i] and qc[:j], so the sub-tile's matrix is the
+// full matrix's top-left corner, cell for cell and pointer for
+// pointer, and the traceback from its bottom-right cell is the
+// traceback from the full tile's best cell. The score pass has already
+// computed that cell's score exactly, so the band bound of bitvector.go
+// applies with S = maxScore and no bitvector pass.
+func (a *TileAligner) firstTile(rc, qc []byte, minScore, maxOff int) TileResult {
+	a.maxCell(rc, qc, a.open == a.ext)
+	score, maxI, maxJ := int(a.maxScore), a.maxI, a.maxJ
+	a.ks.LUTCells += int64(len(rc)) * int64(len(qc))
+	if score < minScore {
+		a.ks.LUTTiles++
+		return TileResult{Score: score, MaxI: maxI, MaxJ: maxJ}
+	}
+	band := -1
+	if a.mode != KernelLUT {
+		if b := a.gapBand(maxI, maxJ, score); 2*b+1 < min(maxI, maxJ) {
+			band = b
 		}
 	}
+	res := a.fillTrace(rc[:maxI], qc[:maxJ], band, maxOff)
+	res.MaxI, res.MaxJ = maxI, maxJ
+	return res
+}
 
-	cells := a.fillCoded(rc, qc, -1)
-	a.ks.LUTTiles++
-	a.ks.LUTCells += cells
-
-	startI, startJ := n, m
-	score := int(a.hRow[n]) // H of the bottom-right cell
-	if firstTile {
-		startI, startJ = a.maxI, a.maxJ
-		score = int(a.maxScore)
+// fillTrace fills the precoded tile — the full matrix when band < 0,
+// else fillCoded's diagonal band — and traces back from the
+// bottom-right cell, counting the tile under the tier that filled it.
+func (a *TileAligner) fillTrace(rc, qc []byte, band, maxOff int) TileResult {
+	n, m := len(rc), len(qc)
+	cells := a.fillCoded(rc, qc, band)
+	if band < 0 {
+		a.ks.LUTTiles++
+		a.ks.LUTCells += cells
+	} else {
+		a.ks.BitvectorTiles++
+		a.ks.BitvectorCells += cells
 	}
-	cigar, iOff, jOff := a.traceback(n+1, startI, startJ, maxOff)
+	score := int(a.hRow[n]) // H of the bottom-right cell, exact in-band
+	cigar, iOff, jOff := a.traceback(n+1, n, m, maxOff)
 	return TileResult{
 		Score: score,
 		IOff:  iOff,
 		JOff:  jOff,
-		MaxI:  a.maxI,
+		MaxI:  a.maxI, // in-band maxima when banded; see bitvector.go
 		MaxJ:  a.maxJ,
 		Cigar: cigar,
 	}

@@ -143,6 +143,11 @@ func TestKernelOversizeFallback(t *testing.T) {
 	if !tileResultsEqual(gotRev, wantRev) {
 		t.Fatalf("reversed fallback diverged: got %+v want %+v", gotRev, wantRev)
 	}
+	// Below its threshold a first tile keeps the score and drops the path.
+	wantMin := TileResult{Score: want.Score, MaxI: want.MaxI, MaxJ: want.MaxJ}
+	if got := ta.AlignFirstTile(rTile, qTile, 0, want.Score+1); !tileResultsEqual(got, wantMin) {
+		t.Fatalf("thresholded fallback: got %+v want %+v", got, wantMin)
+	}
 }
 
 // Validate must reject parameters that would overflow the int16 LUT.

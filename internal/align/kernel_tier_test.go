@@ -12,7 +12,7 @@ import (
 // tileContractDiff compares two TileResults on the fields GACT
 // consumes: Score, IOff, JOff, and Cigar always; MaxI/MaxJ only when
 // firstTile was set (TileResult documents them as meaningful only
-// then, and the banded tier never runs on first tiles). It returns ""
+// then; a banded extension tile reports in-band maxima). It returns ""
 // on a match, else a description of the first difference.
 func tileContractDiff(got, want TileResult, firstTile bool) string {
 	if got.Score != want.Score {
@@ -43,9 +43,10 @@ func cloneTile(res TileResult) TileResult {
 }
 
 // tierSeq makes tile-tier-sized sequences, occasionally N-laced (which
-// must force the LUT path without changing results) and with lengths
+// must force the LUT path without changing results), with lengths
 // biased toward the 64-bit block boundaries the bitvector recurrence
-// is touchiest at.
+// is touchiest at, and occasionally low-complexity — homopolymers and
+// short tandem repeats, whose matrices are full of tied maxima.
 func tierSeq(rng *rand.Rand, n int) dna.Seq {
 	if rng.Intn(3) == 0 {
 		// Snap near a block boundary: 63, 64, 65, 127, 128, 129, ...
@@ -53,6 +54,12 @@ func tierSeq(rng *rand.Rand, n int) dna.Seq {
 		n = max(1, k-1+rng.Intn(3))
 	}
 	s := dna.Random(rng, n, 0.5)
+	if rng.Intn(6) == 0 {
+		unit := dna.Random(rng, 1+rng.Intn(3), 0.5)
+		for i := range s {
+			s[i] = unit[i%len(unit)]
+		}
+	}
 	if rng.Intn(5) == 0 {
 		for x := 0; x < 1+rng.Intn(3); x++ {
 			s[rng.Intn(len(s))] = 'N'
@@ -61,12 +68,45 @@ func tierSeq(rng *rand.Rand, n int) dna.Seq {
 	return s
 }
 
-// The cross-kernel property (the tentpole's correctness claim): across
+// tierTile draws one tile: mostly tile-sized pairs at assorted
+// identities, sometimes a degenerate shape — a single row or column, a
+// tile below bitvecMinSide, an odd height (the score pass's row-pair
+// tail).
+func tierTile(rng *rand.Rand) (rTile, qTile dna.Seq) {
+	switch rng.Intn(8) {
+	case 0:
+		return tierSeq(rng, 1), tierSeq(rng, 1+rng.Intn(40))[:1]
+	case 1:
+		return tierSeq(rng, 1)[:1], tierSeq(rng, 1+rng.Intn(100))
+	case 2:
+		return tierSeq(rng, 1+rng.Intn(100)), tierSeq(rng, 1)[:1]
+	case 3:
+		rTile = tierSeq(rng, 2+rng.Intn(bitvecMinSide-2))
+		return rTile, mutate(rng, rTile, 0.1)
+	}
+	rTile = tierSeq(rng, 32+rng.Intn(200))
+	switch rng.Intn(4) {
+	case 0:
+		qTile = tierSeq(rng, 32+rng.Intn(200))
+	case 1:
+		qTile = mutate(rng, rTile, 0.4)
+	default:
+		qTile = mutate(rng, rTile, 0.03+rng.Float64()*0.2)
+	}
+	if len(qTile) > 1 && rng.Intn(2) == 0 {
+		qTile = qTile[:len(qTile)-1+len(qTile)%2] // odd height
+	}
+	return rTile, qTile
+}
+
+// The cross-kernel property (the kernel's correctness claim): across
 // random scorings, tile shapes, identities, divergence thresholds,
-// orientations, and first/extension flavours, the auto and forced
-// bitvector tiers return results identical to the LUT kernel on every
-// field GACT consumes. The banded fill's provable-window argument is
-// exactly what this hammers.
+// orientations, and first/extension flavours, all three tiers return
+// results identical to the free AlignTile oracle on every field GACT
+// consumes — MaxI/MaxJ included on first tiles, whose score pass must
+// reproduce the oracle's earliest-row-then-column tie rule. A first
+// tile asked for with a threshold (AlignFirstTile) is that same tile,
+// minus the path when it scores below the threshold.
 func TestQuickKernelTiers(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -75,44 +115,40 @@ func TestQuickKernelTiers(t *testing.T) {
 			// Affine (open > extend) exercises the gap-chain open bits.
 			sc.GapOpen = sc.GapExtend + 1 + rng.Intn(3)
 		}
-		lut, err := NewTileAligner(&sc)
-		if err != nil {
-			t.Logf("NewTileAligner: %v", err)
-			return false
+		tiers := map[string]*TileAligner{}
+		for _, mode := range []KernelMode{KernelLUT, KernelAuto, KernelBitvector} {
+			ta, err := NewTileAligner(&sc)
+			if err != nil {
+				t.Logf("NewTileAligner: %v", err)
+				return false
+			}
+			ta.SetKernel(mode)
+			tiers[mode.String()] = ta
 		}
-		lut.SetKernel(KernelLUT)
-		auto, _ := NewTileAligner(&sc)
-		auto.SetKernel(KernelAuto)
-		forced, _ := NewTileAligner(&sc)
-		forced.SetKernel(KernelBitvector)
 		if rng.Intn(2) == 0 {
 			// Random divergence thresholds, tiny ones included: they may
 			// change *when* auto falls back, never *what* it returns.
 			d := rng.Intn(200)
-			auto.SetKernelDivergence(d)
-			forced.SetKernelDivergence(d)
+			for _, ta := range tiers {
+				ta.SetKernelDivergence(d)
+			}
 		}
 		for it := 0; it < 6; it++ {
-			rTile := tierSeq(rng, 32+rng.Intn(200))
-			var qTile dna.Seq
-			switch rng.Intn(4) {
-			case 0:
-				qTile = tierSeq(rng, 32+rng.Intn(200))
-			case 1:
-				qTile = mutate(rng, rTile, 0.4)
-			default:
-				qTile = mutate(rng, rTile, 0.03+rng.Float64()*0.2)
-			}
-			firstTile := rng.Intn(4) == 0
+			rTile, qTile := tierTile(rng)
+			firstTile := rng.Intn(2) == 0
 			maxOff := 0
 			if rng.Intn(3) > 0 {
 				maxOff = 1 + rng.Intn(200)
 			}
-			// The kernel cigars alias per-aligner buffers; copy the
-			// expectations so the second orientation can't clobber them.
-			want := cloneTile(lut.AlignTile(rTile, qTile, firstTile, maxOff))
-			wantRev := cloneTile(lut.AlignTileReversed(rTile, qTile, firstTile, maxOff))
-			for name, ta := range map[string]*TileAligner{"auto": auto, "bitvector": forced} {
+			want := AlignTile(rTile, qTile, firstTile, maxOff, &sc)
+			wantRev := AlignTile(dna.Reverse(rTile), dna.Reverse(qTile), firstTile, maxOff, &sc)
+			// A threshold on either side of the score, or absent.
+			minScore := rng.Intn(2*want.Score + 2)
+			wantMin := want
+			if want.Score < max(1, minScore) {
+				wantMin = TileResult{Score: want.Score, MaxI: want.MaxI, MaxJ: want.MaxJ}
+			}
+			for name, ta := range tiers {
 				got := ta.AlignTile(rTile, qTile, firstTile, maxOff)
 				if d := tileContractDiff(got, want, firstTile); d != "" {
 					t.Logf("%s mismatch (seed %d it %d, first %v): %s\n got %+v\nwant %+v",
@@ -121,8 +157,17 @@ func TestQuickKernelTiers(t *testing.T) {
 				}
 				gotRev := ta.AlignTileReversed(rTile, qTile, firstTile, maxOff)
 				if d := tileContractDiff(gotRev, wantRev, firstTile); d != "" {
-					t.Logf("%s reversed mismatch (seed %d it %d): %s\n got %+v\nwant %+v",
-						name, seed, it, d, gotRev, wantRev)
+					t.Logf("%s reversed mismatch (seed %d it %d, first %v): %s\n got %+v\nwant %+v",
+						name, seed, it, firstTile, d, gotRev, wantRev)
+					return false
+				}
+				if !firstTile {
+					continue
+				}
+				gotMin := ta.AlignFirstTile(rTile, qTile, maxOff, minScore)
+				if d := tileContractDiff(gotMin, wantMin, true); d != "" {
+					t.Logf("%s AlignFirstTile(min %d) mismatch (seed %d it %d): %s\n got %+v\nwant %+v",
+						name, minScore, seed, it, d, gotMin, wantMin)
 					return false
 				}
 			}
@@ -130,6 +175,57 @@ func TestQuickKernelTiers(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(2))}); err != nil {
+		t.Error(err)
+	}
+}
+
+// The score pass in isolation: maxCell leaves exactly the maximum, and
+// the cell holding it, that the pointer-writing fill leaves — on
+// tie-heavy and degenerate tiles too — and under open == ext the
+// collapsed recurrence agrees with the affine one run on the same
+// scoring.
+func TestQuickMaxCell(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		sc := Simple(1+rng.Intn(3), 1+rng.Intn(3), 1+rng.Intn(2))
+		sc.W[rng.Intn(4)][rng.Intn(4)] = rng.Intn(7) - 3 // asymmetric
+		if rng.Intn(2) == 0 {
+			sc.GapOpen = sc.GapExtend + 1 + rng.Intn(3)
+		}
+		ta, err := NewTileAligner(&sc)
+		if err != nil {
+			t.Logf("NewTileAligner: %v", err)
+			return false
+		}
+		for it := 0; it < 8; it++ {
+			rTile, qTile := tierTile(rng)
+			rc, qc := dna.AppendCodes(nil, rTile), dna.AppendCodes(nil, qTile)
+			ta.grow(len(rc)+1, len(qc)+1)
+			ta.fillCoded(rc, qc, -1)
+			wantScore, wantI, wantJ := ta.maxScore, ta.maxI, ta.maxJ
+			check := func(path string) bool {
+				if ta.maxScore != wantScore || ta.maxI != wantI || ta.maxJ != wantJ {
+					t.Logf("%s (seed %d it %d, %d×%d, %+v): max %d at (%d,%d), fillCoded has %d at (%d,%d)",
+						path, seed, it, len(rc), len(qc), sc, ta.maxScore, ta.maxI, ta.maxJ, wantScore, wantI, wantJ)
+					return false
+				}
+				return true
+			}
+			linear := sc.GapOpen == sc.GapExtend
+			ta.maxCell(rc, qc, linear)
+			if !check("maxCell") {
+				return false
+			}
+			if linear {
+				ta.maxCell(rc, qc, false)
+				if !check("affine rows under open == ext") {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(3))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -180,14 +276,58 @@ func TestKernelTierFallbackRate(t *testing.T) {
 			fb, ks.BitvectorTiles-before.BitvectorTiles)
 	}
 
-	// First tiles never take the bitvector tier.
+}
+
+// A first tile is one logical tile to the counters, whichever passes it
+// ran: BitvectorTiles + LUTTiles advances by exactly one (gact derives
+// gact/tile_bitvector + gact/tile_lut == gact/tiles and the bench's
+// align.bitvector_share from that). A rejected first tile is a LUT
+// tile of n·m cells — the score pass; an accepted one counts under the
+// tier of its refill, with the score pass's cells on the LUT side.
+func TestFirstTileKernelStats(t *testing.T) {
+	rng := rand.New(rand.NewSource(98))
+	sc := GACTEval()
+	ta, err := NewTileAligner(&sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const side = 384
+	rTile := dna.Random(rng, side, 0.45)
+
+	// Unrelated query under an h_tile threshold: rejected.
+	res := ta.AlignFirstTile(rTile, dna.Random(rng, side, 0.45), side-128, 90)
+	if res.Score <= 0 || res.Score >= 90 || len(res.Cigar) != 0 || res.IOff != 0 || res.JOff != 0 {
+		t.Fatalf("unrelated first tile: %+v, want a positive score below 90 and no path", res)
+	}
+	if want := (KernelStats{LUTTiles: 1, LUTCells: side * side}); ta.KernelStats() != want {
+		t.Errorf("rejected first tile counted %+v, want %+v", ta.KernelStats(), want)
+	}
+
+	// High-identity query: accepted, refilled in a band around the path.
+	before := ta.KernelStats()
+	qTile := mutate(rng, rTile, 0.05)[:side]
+	res = ta.AlignFirstTile(rTile, qTile, side-128, 90)
+	if res.Score < 90 || len(res.Cigar) == 0 {
+		t.Fatalf("high-identity first tile: %+v, want an accepted tile", res)
+	}
+	ks := ta.KernelStats()
+	if ks.BitvectorTiles != before.BitvectorTiles+1 || ks.LUTTiles != before.LUTTiles || ks.FallbackTiles != 0 {
+		t.Errorf("accepted first tile: %+v -> %+v, want one more bitvector tile", before, ks)
+	}
+	if ks.LUTCells != before.LUTCells+side*side {
+		t.Errorf("accepted first tile added %d LUT cells, want the score pass's %d", ks.LUTCells-before.LUTCells, side*side)
+	}
+	if refill := ks.BitvectorCells - before.BitvectorCells; refill <= 0 || refill >= side*side/2 {
+		t.Errorf("accepted first tile refilled %d cells, want a band well under the %d-cell matrix", refill, side*side)
+	}
+
+	// KernelLUT refills the whole sub-tile.
+	ta.SetKernel(KernelLUT)
 	before = ks
-	rTile := dna.Random(rng, 384, 0.45)
-	qTile := mutate(rng, rTile, 0.05)
-	ta.AlignTile(rTile, qTile, true, 384-128)
+	ta.AlignTile(rTile, qTile, true, side-128)
 	ks = ta.KernelStats()
-	if ks.BitvectorTiles != before.BitvectorTiles || ks.LUTTiles != before.LUTTiles+1 {
-		t.Errorf("first tile took the bitvector path: %+v -> %+v", before, ks)
+	if ks.LUTTiles != before.LUTTiles+1 || ks.BitvectorTiles != before.BitvectorTiles {
+		t.Errorf("KernelLUT first tile: %+v -> %+v, want one more LUT tile", before, ks)
 	}
 }
 

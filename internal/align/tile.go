@@ -14,7 +14,8 @@ type TileResult struct {
 	IOff, JOff int
 	// MaxI, MaxJ locate the highest-scoring cell (1-based DP
 	// coordinates, i.e. bases consumed from the tile origin). Only
-	// meaningful when firstTile was set.
+	// meaningful when firstTile was set: an extension tile filled in a
+	// band reports the band's maximum.
 	MaxI, MaxJ int
 	// Cigar is the tile-local traceback path, in forward order.
 	Cigar Cigar

@@ -32,8 +32,9 @@ type engStep struct {
 // TileAligner (the allocation-free DP kernel), a step arena for tile
 // paths, and scratch cigars for the two extension directions, so a
 // rejected candidate — the common case downstream of D-SOFT — costs no
-// heap allocation at all, and an accepted one allocates only its
-// returned Result.
+// heap allocation at all (nor, since the kernel is told the h_tile
+// threshold, a pointer matrix or a traceback), and an accepted one
+// allocates only its returned Result.
 //
 // Right extension runs on the reversed coordinate frame without ever
 // materializing reversed sequences: tiles are cut from the forward
@@ -128,18 +129,23 @@ func (e *Engine) Extend(R, Q dna.Seq, iSeed, jSeed int) (res *align.Result, stat
 	defer e.publishKernel()
 	e.arena = e.arena[:0]
 
-	// First tile, spanning forward from the candidate. Traceback
-	// starts at the highest-scoring cell.
+	// First tile, spanning forward from the candidate. The kernel is
+	// told the h_tile threshold: a tile below it — the common case
+	// downstream of D-SOFT — costs a score pass, and only a tile that
+	// passes is traced back from its highest-scoring cell.
 	fT := cfg.firstT()
 	iEnd, jEnd := min(len(R), iSeed+fT), min(len(Q), jSeed+fT)
+	minFirst := max(1, cfg.MinFirstTile)
 	ftStart := time.Now()
 	endSpan := obs.Trace.Start("gact.first_tile")
-	first := e.ta.AlignTile(R[iSeed:iEnd], Q[jSeed:jEnd], true, fT-cfg.O)
+	first := e.ta.AlignFirstTile(R[iSeed:iEnd], Q[jSeed:jEnd], fT-cfg.O, minFirst)
 	endSpan()
-	tFirstTile.Observe(time.Since(ftStart))
+	ftTime := time.Since(ftStart)
+	tFirstTile.Observe(ftTime)
 	stats.add(iEnd-iSeed, jEnd-jSeed)
 	stats.FirstTileScore = first.Score
-	if first.Score <= 0 || len(first.Cigar) == 0 || first.Score < cfg.MinFirstTile {
+	if first.Score < minFirst {
+		tFirstReject.Observe(ftTime)
 		stats.publish(true)
 		return nil, stats, nil
 	}
@@ -162,7 +168,7 @@ func (e *Engine) Extend(R, Q dna.Seq, iSeed, jSeed int) (res *align.Result, stat
 	rightI = len(R) - revI
 	rightJ = len(Q) - revJ
 
-	var cigar align.Cigar
+	cigar := make(align.Cigar, 0, len(leftCigar)+firstLen+len(revCigar))
 	cigar = cigar.Concat(leftCigar)
 	cigar = cigar.Concat(align.Cigar(e.arena[:firstLen]))
 	cigar = cigar.Concat(revCigar.Reverse())

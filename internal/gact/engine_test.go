@@ -7,6 +7,7 @@ import (
 
 	"darwin/internal/align"
 	"darwin/internal/dna"
+	"darwin/internal/obs"
 	"darwin/internal/readsim"
 )
 
@@ -116,6 +117,52 @@ func TestEngineErrors(t *testing.T) {
 	bad.T = 0
 	if _, err := NewEngine(&bad); err == nil {
 		t.Error("NewEngine should reject an invalid config")
+	}
+}
+
+// The kernel-tier counters partition the tiles: every tile Engine.Extend
+// runs — a first tile rejected on its score pass, one refilled in a
+// band, an extension tile on either tier — lands in exactly one of
+// gact/tile_bitvector and gact/tile_lut (the bench derives
+// align.bitvector_share from the two), and a rejected candidate is one
+// LUT tile whose filled cells are the tile's area.
+func TestKernelCountersPartitionTiles(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MinFirstTile = 90
+	engine, err := NewEngine(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, query, iSeed, jSeed := simPair(t, 3000, readsim.PacBio, 907)
+	junk := dna.Random(rand.New(rand.NewSource(908)), 1000, 0.5)
+
+	before := obs.Default.Snapshot()
+	res, _, err := engine.Extend(ref, junk, iSeed, 0)
+	if err != nil || res != nil {
+		t.Fatalf("junk candidate: res=%v err=%v, want rejection", res, err)
+	}
+	d := obs.Default.Snapshot().Sub(before).Counters
+	if d["gact/tiles"] != 1 || d["gact/tile_lut"] != 1 || d["gact/tile_bitvector"] != 0 || d["gact/htile_rejects"] != 1 ||
+		d["gact/cells_lut"] != d["gact/cells"] || d["gact/cells"] != 384*384 {
+		t.Errorf("rejected candidate counted %v, want one LUT tile of 384² cells", d)
+	}
+
+	before = obs.Default.Snapshot()
+	for i := 0; i < 3; i++ {
+		if res, _, err := engine.Extend(ref, query, iSeed, jSeed); err != nil || res == nil {
+			t.Fatalf("true candidate: res=%v err=%v, want an alignment", res, err)
+		}
+		if _, _, err := engine.Extend(ref, junk, iSeed+i, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	diff := obs.Default.Snapshot().Sub(before)
+	d = diff.Counters
+	if d["gact/tile_bitvector"] == 0 || d["gact/tile_bitvector"]+d["gact/tile_lut"] != d["gact/tiles"] {
+		t.Errorf("tile_bitvector %d + tile_lut %d != tiles %d", d["gact/tile_bitvector"], d["gact/tile_lut"], d["gact/tiles"])
+	}
+	if ft, rej := diff.Timers["gact/first_tile"], diff.Timers["gact/first_tile_reject"]; ft.Count != 6 || rej.Count != 3 || rej.Seconds <= 0 || rej.Seconds >= ft.Seconds {
+		t.Errorf("first_tile %+v, first_tile_reject %+v: want 6 first tiles, 3 of them rejected, taking part of the time", ft, rej)
 	}
 }
 

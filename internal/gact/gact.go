@@ -24,7 +24,10 @@ import (
 // tile/cell counts — the "alignment" half of the paper's Figure 13
 // split — under the disjoint stage/align timer, with the first-tile
 // filter (Figure 12) broken out as a sub-timer, score histogram, and
-// reject counter. Per-tile spans go to the tracer when enabled.
+// reject counter; gact/first_tile_reject is the part of
+// gact/first_tile spent on tiles the filter then discarded, so
+// first_tile_reject ÷ stage/align is the share of alignment time that
+// bought nothing. Per-tile spans go to the tracer when enabled.
 var (
 	cExtensions   = obs.Default.Counter("gact/extensions")
 	cTiles        = obs.Default.Counter("gact/tiles")
@@ -32,6 +35,7 @@ var (
 	cHTileRejects = obs.Default.Counter("gact/htile_rejects")
 	tAlign        = obs.Default.Timer("stage/align")
 	tFirstTile    = obs.Default.Timer("gact/first_tile")
+	tFirstReject  = obs.Default.Timer("gact/first_tile_reject")
 	hFirstScore   = obs.Default.Histogram("gact/first_tile_score", 0, 384, 48)
 	hTilesPerExt  = obs.Default.Histogram("gact/tiles_per_extension", 0, 128, 32)
 
@@ -180,10 +184,12 @@ func Extend(R, Q dna.Seq, iSeed, jSeed int, cfg *Config) (*align.Result, *Stats,
 	endSpan := obs.Trace.Start("gact.first_tile")
 	first := align.AlignTile(R[iSeed:iEnd], Q[jSeed:jEnd], true, fT-cfg.O, &cfg.Scoring)
 	endSpan()
-	tFirstTile.Observe(time.Since(ftStart))
+	ftTime := time.Since(ftStart)
+	tFirstTile.Observe(ftTime)
 	stats.add(iEnd-iSeed, jEnd-jSeed)
 	stats.FirstTileScore = first.Score
 	if first.Score <= 0 || len(first.Cigar) == 0 || first.Score < cfg.MinFirstTile {
+		tFirstReject.Observe(ftTime)
 		stats.publish(true)
 		return nil, stats, nil
 	}
@@ -303,7 +309,7 @@ func ExtendLeftOnly(R, Q dna.Seq, iSeed, jSeed int, cfg *Config) (*align.Result,
 	first := align.AlignTile(R[iStart:iSeed], Q[jStart:jSeed], true, fT-cfg.O, &cfg.Scoring)
 	stats.add(iSeed-iStart, jSeed-jStart)
 	stats.FirstTileScore = first.Score
-	if first.Score <= 0 || len(first.Cigar) == 0 {
+	if first.Score <= 0 || len(first.Cigar) == 0 || first.Score < cfg.MinFirstTile {
 		stats.publish(true)
 		return nil, stats, nil
 	}

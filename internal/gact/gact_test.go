@@ -183,6 +183,45 @@ func TestExtendSpuriousCandidate(t *testing.T) {
 	}
 }
 
+// The h_tile filter is one predicate on all three entrypoints: a first
+// tile scoring below MinFirstTile rejects the candidate before any
+// extension tile runs (ExtendLeftOnly used to reject only on an empty
+// first tile).
+func TestHTileFilterOnEveryEntrypoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	ref := dna.Random(rng, 1200, 0.5)
+	query := dna.Random(rng, 1200, 0.5)
+	cfg := DefaultConfig()
+	open, stats, err := ExtendLeftOnly(ref, query, len(ref), len(query), &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if open == nil || stats.FirstTileScore <= 0 || stats.FirstTileScore >= 90 {
+		t.Fatalf("unfiltered unrelated pair: result %v, first tile %d; want an alignment off a first tile in (0, 90)", open, stats.FirstTileScore)
+	}
+	cfg.MinFirstTile = 90
+	engine, err := NewEngine(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, extend := range map[string]func() (*align.Result, *Stats, error){
+		"ExtendLeftOnly": func() (*align.Result, *Stats, error) { return ExtendLeftOnly(ref, query, len(ref), len(query), &cfg) },
+		"Extend":         func() (*align.Result, *Stats, error) { return Extend(ref, query, 0, 0, &cfg) },
+		"Engine.Extend": func() (*align.Result, *Stats, error) {
+			res, st, err := engine.Extend(ref, query, 0, 0)
+			return res, &st, err
+		},
+	} {
+		res, st, err := extend()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res != nil || st.Tiles != 1 || st.FirstTileScore <= 0 || st.FirstTileScore >= 90 {
+			t.Errorf("%s under h_tile 90: result %v, stats %+v; want a rejection after one tile", name, res, *st)
+		}
+	}
+}
+
 func TestExtendErrors(t *testing.T) {
 	cfg := DefaultConfig()
 	R := dna.NewSeq("ACGTACGTACGT")

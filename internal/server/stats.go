@@ -117,6 +117,28 @@ func (t *sloTracker) window(d time.Duration) windowStats {
 	return out
 }
 
+// alignStats says, cumulatively since start, how much of the alignment
+// stage went to first tiles the h_tile filter then threw away — the
+// cost of loose D-SOFT candidates (Figure 12), which on noisy reads is
+// most of the mapping time. The inputs are on /metrics as
+// darwin_stage_align and darwin_gact_first_tile_reject.
+type alignStats struct {
+	Seconds                float64 `json:"seconds"`
+	FirstTileRejectSeconds float64 `json:"first_tile_reject_seconds"`
+	RejectShare            float64 `json:"reject_share"`
+}
+
+func readAlignStats() alignStats {
+	st := alignStats{
+		Seconds:                obs.Default.Timer("stage/align").Total().Seconds(),
+		FirstTileRejectSeconds: obs.Default.Timer("gact/first_tile_reject").Total().Seconds(),
+	}
+	if st.Seconds > 0 {
+		st.RejectShare = st.FirstTileRejectSeconds / st.Seconds
+	}
+	return st
+}
+
 // statsResponse is the /v1/stats body.
 type statsResponse struct {
 	Now          time.Time              `json:"now"`
@@ -124,6 +146,7 @@ type statsResponse struct {
 	Draining     bool                   `json:"draining"`
 	QueueDepth   int64                  `json:"queue_depth"`
 	Windows      map[string]windowStats `json:"windows"`
+	Align        alignStats             `json:"align"`
 	Breakers     map[string]string      `json:"breakers,omitempty"`
 	SlowCaptures int                    `json:"slow_captures"`
 }
@@ -135,6 +158,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Draining:     s.draining.Load(),
 		QueueDepth:   obs.Default.Gauge("server/queue_depth").Value(),
 		Windows:      make(map[string]windowStats, len(statsWindows)),
+		Align:        readAlignStats(),
 		SlowCaptures: s.slow.Len(),
 	}
 	for _, win := range statsWindows {

@@ -339,7 +339,7 @@ func TestMetricsAndStatsEndpoints(t *testing.T) {
 	if err := obs.LintOpenMetrics(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("/metrics failed lint: %v", err)
 	}
-	for _, want := range []string{"darwin_core_reads_total", "darwin_server_reads_in_total", "darwin_stage_align_seconds_total"} {
+	for _, want := range []string{"darwin_core_reads_total", "darwin_server_reads_in_total", "darwin_stage_align_seconds_total", "darwin_gact_first_tile_reject_seconds_total"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("/metrics missing %s", want)
 		}
@@ -365,5 +365,8 @@ func TestMetricsAndStatsEndpoints(t *testing.T) {
 		if win.MapLatencyP99 <= 0 {
 			t.Errorf("%s window p99 = %v, want > 0", label, win.MapLatencyP99)
 		}
+	}
+	if a := stats.Align; a.Seconds <= 0 || a.FirstTileRejectSeconds > a.Seconds || a.RejectShare != a.FirstTileRejectSeconds/a.Seconds {
+		t.Errorf("/v1/stats align block %+v: want alignment time and the reject share of it", a)
 	}
 }

@@ -56,7 +56,8 @@ curl -fsS -X POST "http://$addr/v1/map" -H 'Content-Type: application/json' \
 curl -fsS "http://$addr/metrics" > "$tmp/metrics.txt"
 "$tmp/bin/metricslint" < "$tmp/metrics.txt"
 
-for want in darwin_core_reads_total darwin_shard_ darwin_server_ "# EOF"; do
+for want in darwin_core_reads_total darwin_shard_ darwin_server_ \
+    darwin_gact_first_tile_reject_seconds_total "# EOF"; do
     if ! grep -q "$want" "$tmp/metrics.txt"; then
         echo "metrics-lint: FAIL — /metrics missing expected content: $want" >&2
         exit 1
@@ -72,9 +73,10 @@ if ! grep -Eq '^darwin_gact_tile_bitvector_total [1-9]' "$tmp/metrics.txt"; then
 fi
 
 # The SLO endpoint must serve both windows with a non-zero request
-# count after the traffic above.
+# count after the traffic above, and the first-tile reject share of
+# the alignment stage.
 curl -fsS "http://$addr/v1/stats" > "$tmp/stats.json"
-for want in '"1m"' '"5m"' '"map_latency_ms_p99"'; do
+for want in '"1m"' '"5m"' '"map_latency_ms_p99"' '"reject_share"'; do
     if ! grep -q "$want" "$tmp/stats.json"; then
         echo "metrics-lint: FAIL — /v1/stats missing $want:" >&2
         cat "$tmp/stats.json" >&2
