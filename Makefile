@@ -1,11 +1,12 @@
 # Developer workflow targets. `make check` is the gate perf and
-# refactor PRs must keep green (vet + full test suite under the race
-# detector); `make bench` regenerates the perf trajectory, including
-# the BENCH_core.json run report written by BenchmarkCorePipeline.
+# refactor PRs must keep green (vet, the full test suite under the race
+# detector, allocation pins, fuzz targets, the smoke scripts);
+# `make bench` runs the paper table/figure and kernel micro-benchmarks.
+# End-to-end performance is `go run ./bench` (bench/README.md).
 
 GO ?= go
 
-.PHONY: build test check race vet loc test-allocs fuzz bench bench-core bench-kernel bench-shard bench-traced bench-index benchdiff benchdiff-traced serve-smoke chaos-smoke index-smoke cluster-smoke assembly-smoke metrics-lint clean
+.PHONY: build test check race vet loc test-allocs fuzz bench serve-smoke chaos-smoke index-smoke cluster-smoke assembly-smoke metrics-lint
 
 build:
 	$(GO) build ./...
@@ -84,51 +85,3 @@ metrics-lint:
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
-
-# Just the core-pipeline benchmark and its machine-readable report.
-bench-core:
-	$(GO) test -bench=BenchmarkCorePipeline -run '^$$' .
-	@echo "report: BENCH_core.json"
-
-# The kernel benchmarks: single tile (auto and forced-bitvector
-# tiers), D-SOFT query, and end-to-end MapRead, whose run writes the
-# BENCH_kernel.json report that benchdiff compares against a recorded
-# baseline.
-bench-kernel:
-	$(GO) test -bench='BenchmarkAlignTile$$|BenchmarkAlignTileBitvector$$|BenchmarkGACTTile$$|BenchmarkDSOFTQuery$$|BenchmarkMapRead$$' -benchmem -run '^$$' .
-	@echo "report: BENCH_kernel.json"
-
-# The sharded scatter-gather engine under a ¼-index residency budget
-# (the bounded-memory worst case: every batch rebuilds evicted shards).
-# Writes the BENCH_shard.json run report; diff two runs with
-# ./scripts/benchdiff.sh BENCH_shard_old.json BENCH_shard.json.
-bench-shard:
-	$(GO) test -bench='BenchmarkShardMapAll$$' -benchmem -run '^$$' .
-	@echo "report: BENCH_shard.json"
-
-# MapRead under a live request span — the tracing-overhead guard's
-# traced half. Writes BENCH_kernel_traced.json.
-bench-traced:
-	$(GO) test -bench='BenchmarkMapReadTraced$$' -benchmem -run '^$$' .
-	@echo "report: BENCH_kernel_traced.json"
-
-# Cold-start comparison: time-to-first-mapped-read building the index
-# from FASTA vs mapping a prebuilt .dwi file. Writes BENCH_index.json
-# with the measured speedup (see EXPERIMENTS.md).
-bench-index:
-	$(GO) test -bench='BenchmarkIndexColdStart' -benchmem -run '^$$' .
-	@echo "report: BENCH_index.json"
-
-# Compare the committed pre-kernel baseline against the current run;
-# exits non-zero on a >10% throughput regression.
-benchdiff:
-	./scripts/benchdiff.sh BENCH_kernel_before.json BENCH_kernel.json
-
-# Tracing-overhead gate: traced MapRead must stay within 3% of the
-# untraced kernel run. Regenerate both sides on the same machine
-# (`make bench-kernel bench-traced`) before judging a diff.
-benchdiff-traced:
-	./scripts/benchdiff.sh -threshold 0.03 BENCH_kernel.json BENCH_kernel_traced.json
-
-clean:
-	rm -f BENCH_core.json

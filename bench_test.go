@@ -8,16 +8,10 @@
 package darwin_test
 
 import (
-	"bytes"
-	"context"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
-	"time"
 
 	"darwin/internal/align"
-	"darwin/internal/core"
 	"darwin/internal/dna"
 	"darwin/internal/dsoft"
 	"darwin/internal/dsoftsim"
@@ -27,11 +21,8 @@ import (
 	"darwin/internal/gactsim"
 	"darwin/internal/genome"
 	"darwin/internal/hw"
-	"darwin/internal/indexio"
-	"darwin/internal/obs"
 	"darwin/internal/readsim"
 	"darwin/internal/seedtable"
-	"darwin/internal/shard"
 )
 
 // benchExperiment runs one experiment per iteration and reports a few
@@ -112,200 +103,6 @@ func BenchmarkFig13Waterfall(b *testing.B) {
 	benchExperiment(b, "fig13", map[string]string{
 		"line1/total_ms": "graphmap_ms", "line6/total_ms": "darwin_ms",
 	})
-}
-
-// BenchmarkCorePipeline measures the full software engine (D-SOFT +
-// GACT read mapping) on a fixed synthetic workload and writes the obs
-// run report to BENCH_core.json — the machine-readable trajectory
-// point every perf PR diffs against its predecessor.
-func BenchmarkCorePipeline(b *testing.B) {
-	g, err := genome.Generate(genome.Config{Length: 300_000, GC: 0.45, Seed: 81})
-	if err != nil {
-		b.Fatal(err)
-	}
-	engine, err := core.New(g.Seq, core.DefaultConfig(11, 600, 20))
-	if err != nil {
-		b.Fatal(err)
-	}
-	reads, err := readsim.SimulateN(g.Seq, 16, readsim.Config{Profile: readsim.PacBio, MeanLen: 3000, Seed: 82})
-	if err != nil {
-		b.Fatal(err)
-	}
-	seqs := make([]dna.Seq, len(reads))
-	for i := range reads {
-		seqs[i] = reads[i].Seq
-	}
-	run := obs.NewRun("bench_core")
-	b.ResetTimer()
-	var cells int64
-	for i := 0; i < b.N; i++ {
-		results, err := engine.Map(context.Background(), seqs, core.WithWorkers(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range results {
-			cells += r.Stats.Cells
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(cells)/b.Elapsed().Seconds()/1e6, "Mcells/s")
-	b.ReportMetric(float64(len(seqs)*b.N)/b.Elapsed().Seconds(), "reads/s")
-	if err := run.Report().WriteJSON("BENCH_core.json"); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkMapRead measures single-thread MapRead throughput — the
-// end-to-end number the tile-kernel perf work is judged by — and
-// writes the obs run report to BENCH_kernel.json (`make bench-kernel`),
-// the kernel-path trajectory point scripts/benchdiff.sh diffs.
-func BenchmarkMapRead(b *testing.B) {
-	g, err := genome.Generate(genome.Config{Length: 300_000, GC: 0.45, Seed: 81})
-	if err != nil {
-		b.Fatal(err)
-	}
-	engine, err := core.New(g.Seq, core.DefaultConfig(11, 600, 20))
-	if err != nil {
-		b.Fatal(err)
-	}
-	reads, err := readsim.SimulateN(g.Seq, 16, readsim.Config{Profile: readsim.PacBio, MeanLen: 3000, Seed: 82})
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := obs.NewRun("bench_kernel")
-	b.ResetTimer()
-	var cells int64
-	for i := 0; i < b.N; i++ {
-		alns, st := engine.MapRead(reads[i%len(reads)].Seq)
-		cells += st.Cells
-		if len(alns) == 0 {
-			b.Fatal("read did not map")
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(cells)/b.Elapsed().Seconds()/1e6, "Mcells/s")
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "reads/s")
-	if err := run.Report().WriteJSON("BENCH_kernel.json"); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkMapReadTraced is BenchmarkMapRead with every read mapped
-// under a live request span, the way darwind's serving path maps it:
-// a root span in the context, a core.map/core.read tree growing under
-// it, and the GACT engine recording per-extension attributes. Writes
-// BENCH_kernel_traced.json; `make benchdiff-traced` gates the tracing
-// overhead at 3% against BENCH_kernel.json.
-func BenchmarkMapReadTraced(b *testing.B) {
-	g, err := genome.Generate(genome.Config{Length: 300_000, GC: 0.45, Seed: 81})
-	if err != nil {
-		b.Fatal(err)
-	}
-	engine, err := core.New(g.Seq, core.DefaultConfig(11, 600, 20))
-	if err != nil {
-		b.Fatal(err)
-	}
-	reads, err := readsim.SimulateN(g.Seq, 16, readsim.Config{Profile: readsim.PacBio, MeanLen: 3000, Seed: 82})
-	if err != nil {
-		b.Fatal(err)
-	}
-	batches := make([][]dna.Seq, len(reads))
-	for i, r := range reads {
-		batches[i] = []dna.Seq{r.Seq}
-	}
-	run := obs.NewRun("bench_kernel_traced")
-	b.ResetTimer()
-	var cells int64
-	for i := 0; i < b.N; i++ {
-		span := obs.NewRequestSpan(obs.NewRequestID(), "bench POST /v1/map")
-		ctx := obs.ContextWithSpan(context.Background(), span)
-		res, err := engine.Map(ctx, batches[i%len(batches)], core.WithWorkers(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		cells += res[0].Stats.Cells
-		if len(res[0].Alignments) == 0 {
-			b.Fatal("read did not map")
-		}
-		span.End()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(cells)/b.Elapsed().Seconds()/1e6, "Mcells/s")
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "reads/s")
-	if err := run.Report().WriteJSON("BENCH_kernel_traced.json"); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkShardMapAll measures the sharded scatter-gather engine in
-// its bounded-memory regime: an 8-shard index with a residency budget
-// of ~¼ the full seed table, so every Map batch rebuilds evicted
-// shards (the worst case the shard-major batch order amortizes). It
-// writes the obs run report to BENCH_shard.json (`make bench-shard`);
-// scripts/benchdiff.sh diffs two such reports via the shared
-// core/reads counter. Afterwards it reports one_shard/mono: the wall
-// clock of a warmed one-shard mapper over the monolithic engine's on
-// the same batch — what scatter and gather cost when there is nothing
-// to scatter (both engines run the same per-read body and extension
-// fold, so the ratio should sit at 1).
-func BenchmarkShardMapAll(b *testing.B) {
-	g, err := genome.Generate(genome.Config{Length: 2_000_000, GC: 0.45, Seed: 83})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.DefaultConfig(13, 600, 22)
-	// Size the budget from the monolithic table: ¼ of the full index.
-	mono, err := core.New(g.Seq, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	budget := mono.Table().Bytes() / 4
-	engine, err := shard.New(g.Seq, cfg, shard.Config{Shards: 8, MaxResidentBytes: budget})
-	if err != nil {
-		b.Fatal(err)
-	}
-	reads, err := readsim.SimulateN(g.Seq, 32, readsim.Config{Profile: readsim.PacBio, MeanLen: 3000, Seed: 84})
-	if err != nil {
-		b.Fatal(err)
-	}
-	seqs := make([]dna.Seq, len(reads))
-	for i := range reads {
-		seqs[i] = reads[i].Seq
-	}
-	run := obs.NewRun("bench_shard")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.Map(context.Background(), seqs, core.WithWorkers(4)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(len(seqs)*b.N)/b.Elapsed().Seconds(), "reads/s")
-	b.ReportMetric(float64(engine.Set().PeakResidentBytes())/float64(1<<20), "peak_MiB")
-	b.ReportMetric(float64(budget)/float64(1<<20), "budget_MiB")
-	if err := run.Report().WriteJSON("BENCH_shard.json"); err != nil {
-		b.Fatal(err)
-	}
-
-	one, err := shard.New(g.Seq, cfg, shard.Config{Shards: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Best of alternating repetitions; the first pair builds the
-	// one-shard table and warms both engines, and is not counted.
-	var best [2]time.Duration
-	for rep := 0; rep < 4; rep++ {
-		for e, m := range []core.Mapper{mono, one} {
-			start := time.Now()
-			if _, err := m.Map(context.Background(), seqs, core.WithWorkers(4)); err != nil {
-				b.Fatal(err)
-			}
-			if d := time.Since(start); rep > 0 && (best[e] == 0 || d < best[e]) {
-				best[e] = d
-			}
-		}
-	}
-	b.ReportMetric(best[1].Seconds()/best[0].Seconds(), "one_shard/mono")
 }
 
 // --- Kernel micro-benchmarks ---------------------------------------
@@ -457,19 +254,6 @@ func BenchmarkSmithWaterman2k(b *testing.B) {
 	}
 }
 
-// BenchmarkBandedGlobal measures the banded heuristic the baselines
-// extend with.
-func BenchmarkBandedGlobal(b *testing.B) {
-	ref, q := benchPair(b, 2000, readsim.PacBio)
-	sc := align.GACTEval()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := align.BandedGlobal(ref[:2000], q[:min(len(q), 2000)], 256, &sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkDSOFTQuery measures the software filter (the memory-bound
 // stage Darwin's accelerator targets).
 func BenchmarkDSOFTQuery(b *testing.B) {
@@ -609,86 +393,5 @@ func BenchmarkDarwinEstimator(b *testing.B) {
 	w := hw.Workload{SeedsPerRead: 1500, HitsPerSeed: 30, TilesPerRead: 120, TileT: 320, TileO: 128}
 	for i := 0; i < b.N; i++ {
 		d.Estimate(w)
-	}
-}
-
-// BenchmarkIndexColdStart compares time-to-first-mapped-read for the
-// two cold-start paths a darwin/darwind boot takes: parsing the
-// reference FASTA and building the seed table, versus mapping a
-// prebuilt .dwi index file (indexio.Open, which replaces both steps).
-// The load sub-benchmark reports the measured speedup; the obs run
-// report goes to BENCH_index.json (`make bench-index`) — the
-// build-once/load-many trajectory point EXPERIMENTS.md records.
-func BenchmarkIndexColdStart(b *testing.B) {
-	g, err := genome.Generate(genome.Config{Length: 1_000_000, GC: 0.45, Seed: 85})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.DefaultConfig(12, 600, 24)
-	recs := []dna.Record{{Name: "chr1", Seq: g.Seq}}
-	dir := b.TempDir()
-	refPath := filepath.Join(dir, "ref.fa")
-	var fasta bytes.Buffer
-	if err := dna.WriteFASTA(&fasta, recs); err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(refPath, fasta.Bytes(), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	path := filepath.Join(dir, "ref.fa.dwi")
-	if _, err := indexio.WriteFile(path, recs, cfg, core.ShardSpec{}); err != nil {
-		b.Fatal(err)
-	}
-	reads, err := readsim.SimulateN(g.Seq, 1, readsim.Config{Profile: readsim.PacBio, MeanLen: 1000, Seed: 86})
-	if err != nil {
-		b.Fatal(err)
-	}
-	query := reads[0].Seq
-
-	run := obs.NewRun("bench_index")
-	var buildNs float64
-	b.Run("build_from_fasta", func(b *testing.B) {
-		start := time.Now()
-		for i := 0; i < b.N; i++ {
-			f, err := os.Open(refPath)
-			if err != nil {
-				b.Fatal(err)
-			}
-			parsed, err := dna.ReadFASTA(f)
-			f.Close()
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng, _, err := core.Open(core.OpenConfig{Records: parsed, Core: cfg})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if alns, _ := eng.(*core.Darwin).MapRead(query); len(alns) == 0 {
-				b.Fatal("read did not map")
-			}
-		}
-		buildNs = float64(time.Since(start).Nanoseconds()) / float64(b.N)
-		b.ReportMetric(buildNs/1e6, "first_read_ms")
-	})
-	b.Run("mmap_load", func(b *testing.B) {
-		start := time.Now()
-		for i := 0; i < b.N; i++ {
-			l, err := indexio.Open(path, cfg, core.ShardSpec{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if alns, _ := l.Mapper.(*core.Darwin).MapRead(query); len(alns) == 0 {
-				b.Fatal("read did not map")
-			}
-			l.File.Close()
-		}
-		loadNs := float64(time.Since(start).Nanoseconds()) / float64(b.N)
-		b.ReportMetric(loadNs/1e6, "first_read_ms")
-		if buildNs > 0 && loadNs > 0 {
-			b.ReportMetric(buildNs/loadNs, "cold_start_speedup")
-		}
-	})
-	if err := run.Report().WriteJSON("BENCH_index.json"); err != nil {
-		b.Fatal(err)
 	}
 }

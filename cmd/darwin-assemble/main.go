@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -55,17 +54,7 @@ func run() error {
 	}
 	defer session.Close()
 
-	f, err := os.Open(*readsPath)
-	if err != nil {
-		return err
-	}
-	var recs []dna.Record
-	if strings.HasSuffix(*readsPath, ".fq") || strings.HasSuffix(*readsPath, ".fastq") {
-		recs, err = dna.ReadFASTQ(f)
-	} else {
-		recs, err = dna.ReadFASTA(f)
-	}
-	f.Close()
+	recs, err := dna.ReadFile(*readsPath)
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"darwin/internal/core"
@@ -52,12 +51,7 @@ func run() error {
 	}
 	defer session.Close()
 
-	rf, err := os.Open(*refPath)
-	if err != nil {
-		return err
-	}
-	refRecs, err := dna.ReadFASTA(rf)
-	rf.Close()
+	refRecs, err := dna.ReadFile(*refPath)
 	if err != nil {
 		return err
 	}
@@ -66,17 +60,7 @@ func run() error {
 	}
 	refName, ref := refRecs[0].Name, refRecs[0].Seq
 
-	qf, err := os.Open(*readsPath)
-	if err != nil {
-		return err
-	}
-	var readRecs []dna.Record
-	if strings.HasSuffix(*readsPath, ".fq") || strings.HasSuffix(*readsPath, ".fastq") {
-		readRecs, err = dna.ReadFASTQ(qf)
-	} else {
-		readRecs, err = dna.ReadFASTA(qf)
-	}
-	qf.Close()
+	readRecs, err := dna.ReadFile(*readsPath)
 	if err != nil {
 		return err
 	}

@@ -80,17 +80,7 @@ func runJobMode(cfg jobModeConfig) error {
 
 	// Parse locally (FASTA or FASTQ by extension) and submit canonical
 	// FASTA: malformed read sets fail here, not server-side.
-	f, err := os.Open(cfg.readsPath)
-	if err != nil {
-		return err
-	}
-	var recs []dna.Record
-	if strings.HasSuffix(cfg.readsPath, ".fq") || strings.HasSuffix(cfg.readsPath, ".fastq") {
-		recs, err = dna.ReadFASTQ(f)
-	} else {
-		recs, err = dna.ReadFASTA(f)
-	}
-	f.Close()
+	recs, err := dna.ReadFile(cfg.readsPath)
 	if err != nil {
 		return err
 	}

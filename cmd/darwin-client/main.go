@@ -209,7 +209,7 @@ func run() error {
 	}
 	defer session.Close()
 
-	reads, err := readSeqFile(*readsPath)
+	reads, err := dna.ReadFile(*readsPath)
 	if err != nil {
 		return err
 	}
@@ -574,16 +574,4 @@ func summarize(w io.Writer, results []result, wall time.Duration, timing *timing
 	if v := cInvalid.Value(); v > 0 {
 		fmt.Fprintf(w, "malformed lines: %d\n", v)
 	}
-}
-
-func readSeqFile(path string) ([]dna.Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".fq") || strings.HasSuffix(path, ".fastq") {
-		return dna.ReadFASTQ(f)
-	}
-	return dna.ReadFASTA(f)
 }

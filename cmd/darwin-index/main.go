@@ -88,7 +88,7 @@ func runBuild(args []string) error {
 		outPath = indexfile.SidecarPath(*refPath)
 	}
 
-	recs, err := readSeqFile(*refPath)
+	recs, err := dna.ReadFile(*refPath)
 	if err != nil {
 		return err
 	}
@@ -153,16 +153,4 @@ func onePath(cmd string, args []string) (string, error) {
 		return "", fmt.Errorf("%s: exactly one index file path expected", cmd)
 	}
 	return args[0], nil
-}
-
-func readSeqFile(path string) ([]dna.Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".fq") || strings.HasSuffix(path, ".fastq") {
-		return dna.ReadFASTQ(f)
-	}
-	return dna.ReadFASTA(f)
 }

@@ -94,12 +94,7 @@ func run() error {
 }
 
 func firstSeq(path string) (dna.Seq, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	recs, err := dna.ReadFASTA(f)
+	recs, err := dna.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}

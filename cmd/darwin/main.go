@@ -13,9 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"darwin/internal/align"
 	"darwin/internal/core"
 	"darwin/internal/dna"
 	"darwin/internal/faults"
@@ -23,7 +21,7 @@ import (
 	"darwin/internal/indexio"
 	"darwin/internal/obs"
 	"darwin/internal/sam"
-	"darwin/internal/shard"
+	"darwin/internal/server"
 )
 
 func main() {
@@ -34,31 +32,19 @@ func main() {
 }
 
 func run() error {
-	refPath := flag.String("ref", "", "reference FASTA (required)")
+	refPath := flag.String("ref", "", "reference FASTA (required unless -index names a prebuilt index)")
 	readsPath := flag.String("reads", "", "reads FASTA/FASTQ (required)")
-	k := flag.Int("k", 12, "D-SOFT seed size k")
-	n := flag.Int("n", 750, "D-SOFT seeds per query strand N")
-	h := flag.Int("h", 24, "D-SOFT base-count threshold h")
-	hTile := flag.Int("htile", 90, "first GACT tile score threshold (0 disables)")
-	tileT := flag.Int("T", 320, "GACT tile size T")
-	tileO := flag.Int("O", 128, "GACT tile overlap O")
-	tileKernel := flag.String("tile-kernel", "auto", "tile DP kernel tier: auto (bitvector fast path with LUT fallback), bitvector, or lut")
+	engineFlags := indexio.AddFlags(flag.CommandLine)
 	out := flag.String("out", "", "output SAM path (default stdout)")
 	allAlignments := flag.Bool("all", false, "report all alignments, not just the best")
 	workers := flag.Int("workers", 1, "mapping worker goroutines")
-	shards := flag.Int("shards", 0, "split the reference index into this many shards (0 = monolithic)")
-	shardOverlap := flag.Int("shard-overlap", 0, "shard overlap margin in bases (0 = exactness minimum)")
-	shardMem := flag.String("shard-mem", "", "resident shard seed-table budget, e.g. 512M (empty = unbounded)")
-	indexPath := flag.String("index", "", "load the reference index from this prebuilt .dwi file (darwin-index build) instead of building it")
-	indexWrite := flag.String("index-write", "", "build the reference index, write it to this .dwi path, then map from it")
-	noSidecar := flag.Bool("no-sidecar", false, "do not auto-load a <ref>.dwi sidecar index next to the reference")
 	progressEvery := flag.Int("progress", 0, "print mapping throughput and ETA to stderr every N reads (0 disables)")
 	faultSpec := flag.String("faults", "", "fault-injection spec (requires DARWIN_ALLOW_FAULTS=1); see internal/faults")
 	obsFlags := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *refPath == "" || *readsPath == "" {
-		return fmt.Errorf("-ref and -reads are required")
+	if *readsPath == "" {
+		return fmt.Errorf("-reads is required")
 	}
 	if spec, err := faults.Setup(*faultSpec); err != nil {
 		return err
@@ -71,86 +57,44 @@ func run() error {
 	}
 	defer session.Close()
 
-	if *indexPath != "" && *indexWrite != "" {
-		return fmt.Errorf("-index and -index-write are mutually exclusive")
+	cfg, spec, src, err := engineFlags.Resolve(*refPath)
+	if err != nil {
+		return err
+	}
+	if engineFlags.IndexWrite != "" {
+		fmt.Fprintf(os.Stderr, "darwin: wrote index %s\n", src.Index)
 	}
 
 	tLoad := obs.Default.Timer("stage/load_input").Time()
-	// With an explicit -index the reference FASTA is never parsed — the
-	// index file carries the reference bytes, which is the point of the
-	// cold-start path.
-	var refRecs []dna.Record
-	if *indexPath == "" {
-		refRecs, err = readSeqFile(*refPath)
-		if err != nil {
-			return err
-		}
-		if len(refRecs) == 0 {
-			return fmt.Errorf("no sequences in %s", *refPath)
-		}
-	}
-	reads, err := readSeqFile(*readsPath)
+	reads, err := dna.ReadFile(*readsPath)
 	tLoad()
 	if err != nil {
 		return err
 	}
 
-	cfg := core.DefaultConfig(*k, *n, *h)
-	cfg.HTile = *hTile
-	cfg.GACT.T = *tileT
-	cfg.GACT.O = *tileO
-	kernelMode, err := align.ParseKernelMode(*tileKernel)
+	// With an index file the reference FASTA is never parsed — the file
+	// carries the reference bytes, which is the point of the cold-start
+	// path.
+	l, err := indexio.OpenSource(src, cfg, spec)
 	if err != nil {
 		return err
 	}
-	cfg.GACT.Kernel = kernelMode
-	spec := core.ShardSpec{Shards: *shards, Overlap: *shardOverlap}
-	if *shardMem != "" {
-		mem, err := shard.ParseBytes(*shardMem)
-		if err != nil {
-			return err
-		}
-		spec.MaxResidentBytes = mem
-	}
-	openCfg := core.OpenConfig{Records: refRecs, Core: cfg, Shard: spec}
-	sidecar := false
-	switch {
-	case *indexWrite != "":
-		if _, err := indexio.WriteFile(*indexWrite, refRecs, cfg, spec); err != nil {
-			return fmt.Errorf("writing index %s: %w", *indexWrite, err)
-		}
-		fmt.Fprintf(os.Stderr, "darwin: wrote index %s\n", *indexWrite)
-		openCfg.IndexPath = *indexWrite
-	case *indexPath != "":
-		openCfg.IndexPath = *indexPath
-	case !*noSidecar:
-		sc := indexfile.SidecarPath(*refPath)
-		if st, serr := os.Stat(sc); serr == nil && !st.IsDir() {
-			openCfg.IndexPath = sc
-			sidecar = true
-		}
-	}
-	engine, ref, err := core.Open(openCfg)
-	if err != nil && sidecar {
+	if l.Fallback != nil {
 		// A discovered sidecar is opportunistic: corruption or a
 		// parameter mismatch degrades to the ordinary FASTA build.
-		fmt.Fprintf(os.Stderr, "darwin: sidecar index %s unusable (%v); rebuilding from FASTA\n", openCfg.IndexPath, err)
-		openCfg.IndexPath = ""
-		engine, ref, err = core.Open(openCfg)
+		fmt.Fprintf(os.Stderr, "darwin: sidecar index %s unusable (%v); rebuilding from FASTA\n", indexfile.SidecarPath(*refPath), l.Fallback)
 	}
-	if err != nil {
-		return err
+	if l.File != nil {
+		fmt.Fprintf(os.Stderr, "darwin: mapped prebuilt index %s (no build pass)\n", l.File.Path())
 	}
-	if openCfg.IndexPath != "" {
-		fmt.Fprintf(os.Stderr, "darwin: mapped prebuilt index %s (no build pass)\n", openCfg.IndexPath)
-	}
-	if sm, ok := engine.(*shard.ScatterMapper); ok {
-		geo := sm.Set().Geometry()
+	engine, ref := l.Mapper, l.Ref
+	if l.Set != nil {
+		geo := l.Set.Geometry()
 		fmt.Fprintf(os.Stderr, "darwin: partitioned %d sequences, %d bp into %d shards of %d bp (+%d bp overlap, k=%d); tables build lazily\n",
-			ref.NumSeqs(), len(ref.Seq()), len(geo.Parts), geo.ShardSize, geo.Overlap, *k)
+			ref.NumSeqs(), len(ref.Seq()), len(geo.Parts), geo.ShardSize, geo.Overlap, cfg.SeedK)
 	} else {
 		fmt.Fprintf(os.Stderr, "darwin: indexed %d sequences, %d bp (k=%d) in %s\n",
-			ref.NumSeqs(), len(ref.Seq()), *k, engine.IndexBuildTime())
+			ref.NumSeqs(), len(ref.Seq()), cfg.SeedK, engine.IndexBuildTime())
 	}
 
 	sqs := make([]sam.RefSeq, ref.NumSeqs())
@@ -186,6 +130,9 @@ func run() error {
 		return err
 	}
 
+	// One emission path for every face of the mapper: server.RecordsFor
+	// turns a read with no locatable alignment into an unmapped record,
+	// and the mapped count is derived from what was emitted.
 	tEmit := obs.Default.Timer("stage/emit")
 	mapped, failed := 0, 0
 	for ri, rec := range reads {
@@ -198,40 +145,12 @@ func run() error {
 			alns = nil
 		}
 		stopEmit := tEmit.Time()
-		if len(alns) == 0 {
-			err := w.Write(sam.Record{QName: rec.Name, Flag: sam.FlagUnmapped, Seq: rec.Seq})
-			stopEmit()
-			if err != nil {
-				return err
-			}
-			continue
+		recs := server.RecordsFor(ref, rec.Name, rec.Seq, alns, *allAlignments)
+		if recs[0].Flag&sam.FlagUnmapped == 0 {
+			mapped++
 		}
-		mapped++
-		emit := alns[:1]
-		if *allAlignments {
-			emit = alns
-		}
-		for _, a := range emit {
-			seqIdx, localStart, _, err := ref.LocateSpan(a.Result.RefStart, a.Result.RefEnd)
-			if err != nil {
-				continue // degenerate cross-sequence span
-			}
-			flagBits := 0
-			seq := rec.Seq
-			if a.Reverse {
-				flagBits |= sam.FlagReverse
-				seq = dna.RevComp(seq)
-			}
-			if err := w.Write(sam.Record{
-				QName: rec.Name,
-				Flag:  flagBits,
-				RName: ref.Name(seqIdx),
-				Pos:   localStart,
-				MapQ:  60,
-				Cigar: sam.CigarWithClips(a.Result.Cigar, a.Result.QueryStart, a.Result.QueryEnd, len(seq)),
-				Seq:   seq,
-				Tags:  []string{fmt.Sprintf("AS:i:%d", a.Result.Score), fmt.Sprintf("ft:i:%d", a.FirstTileScore)},
-			}); err != nil {
+		for _, r := range recs {
+			if err := w.Write(r); err != nil {
 				stopEmit()
 				return err
 			}
@@ -247,16 +166,4 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "darwin: mapped %d/%d reads\n", mapped, len(reads))
 	}
 	return nil
-}
-
-func readSeqFile(path string) ([]dna.Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".fq") || strings.HasSuffix(path, ".fastq") {
-		return dna.ReadFASTQ(f)
-	}
-	return dna.ReadFASTA(f)
 }

@@ -33,20 +33,15 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
-	"darwin/internal/align"
 	"darwin/internal/cluster"
-	"darwin/internal/core"
-	"darwin/internal/dna"
 	"darwin/internal/faults"
 	"darwin/internal/indexio"
 	"darwin/internal/jobs"
 	"darwin/internal/obs"
 	"darwin/internal/server"
-	"darwin/internal/shard"
 )
 
 func main() {
@@ -59,20 +54,8 @@ func main() {
 func run() error {
 	addr := flag.String("addr", ":8844", "listen address (use :0 for an ephemeral port)")
 	refPath := flag.String("ref", "", "default reference FASTA, indexed at startup (required)")
-	k := flag.Int("k", 12, "D-SOFT seed size k")
-	n := flag.Int("n", 750, "D-SOFT seeds per query strand N")
-	h := flag.Int("h", 24, "D-SOFT base-count threshold h")
-	hTile := flag.Int("htile", 90, "first GACT tile score threshold (0 disables)")
-	tileT := flag.Int("T", 320, "GACT tile size T")
-	tileO := flag.Int("O", 128, "GACT tile overlap O")
-	tileKernel := flag.String("tile-kernel", "auto", "tile DP kernel tier: auto (bitvector fast path with LUT fallback), bitvector, or lut")
+	engineFlags := indexio.AddFlags(flag.CommandLine)
 	cacheSize := flag.Int("cache", 4, "max resident indexes (LRU)")
-	shards := flag.Int("shards", 0, "split each reference index into this many shards (0 = monolithic)")
-	shardOverlap := flag.Int("shard-overlap", 0, "shard overlap margin in bases (0 = exactness minimum)")
-	shardMem := flag.String("shard-mem", "", "resident shard seed-table budget, e.g. 512M (empty = unbounded)")
-	indexPath := flag.String("index", "", "cold-start the default reference from this prebuilt .dwi index (darwin-index build); load failure is fatal")
-	indexWrite := flag.String("index-write", "", "build the default index, write it to this .dwi path, then serve from it")
-	noSidecar := flag.Bool("no-sidecar", false, "do not auto-load <ref>.dwi sidecar indexes next to reference FASTAs")
 	allowRefLoad := flag.Bool("allow-ref-load", false, "let requests name reference FASTA paths to load on demand")
 	queueBound := flag.Int("queue", 256, "max /v1/map requests waiting for a mapping slot, one slot per CPU (overflow → 429)")
 	reqTimeout := flag.Duration("req-timeout", 60*time.Second, "per-request deadline cap")
@@ -115,44 +98,15 @@ func run() error {
 	}
 	defer session.Close()
 
-	cfg := core.DefaultConfig(*k, *n, *h)
-	cfg.HTile = *hTile
-	cfg.GACT.T = *tileT
-	cfg.GACT.O = *tileO
-	kernelMode, err := align.ParseKernelMode(*tileKernel)
+	// -index / -index-write name the default reference's index file;
+	// sidecar discovery applies to every reference the server loads.
+	resolveStart := time.Now()
+	cfg, scfg, src, err := engineFlags.Resolve(*refPath)
 	if err != nil {
 		return err
 	}
-	cfg.GACT.Kernel = kernelMode
-	scfg := shard.Config{Shards: *shards, Overlap: *shardOverlap}
-	if *shardMem != "" {
-		mem, err := shard.ParseBytes(*shardMem)
-		if err != nil {
-			return err
-		}
-		scfg.MaxResidentBytes = mem
-	}
-	if *indexPath != "" && *indexWrite != "" {
-		return fmt.Errorf("-index and -index-write are mutually exclusive")
-	}
-	defaultIndex := *indexPath
-	if *indexWrite != "" {
-		recs, err := readSeqFile(*refPath)
-		if err != nil {
-			return err
-		}
-		spec := core.ShardSpec{
-			Shards:           scfg.Shards,
-			ShardSize:        scfg.ShardSize,
-			Overlap:          scfg.Overlap,
-			MaxResidentBytes: scfg.MaxResidentBytes,
-		}
-		writeStart := time.Now()
-		if _, err := indexio.WriteFile(*indexWrite, recs, cfg, spec); err != nil {
-			return fmt.Errorf("writing index %s: %w", *indexWrite, err)
-		}
-		log.Info("index written", "path", *indexWrite, "took", time.Since(writeStart).Round(time.Millisecond))
-		defaultIndex = *indexWrite
+	if engineFlags.IndexWrite != "" {
+		log.Info("index written", "path", src.Index, "took", time.Since(resolveStart).Round(time.Millisecond))
 	}
 
 	var workerCfg server.WorkerConfig
@@ -194,8 +148,8 @@ func run() error {
 
 	srv := server.New(server.Config{
 		DefaultRef:         *refPath,
-		DefaultIndex:       defaultIndex,
-		DisableSidecar:     *noSidecar,
+		DefaultIndex:       src.Index,
+		DisableSidecar:     !src.Sidecar,
 		Core:               cfg,
 		Shard:              scfg,
 		CacheSize:          *cacheSize,
@@ -221,7 +175,7 @@ func run() error {
 	if err := srv.Warm(context.Background()); err != nil {
 		return fmt.Errorf("warming default index: %w", err)
 	}
-	log.Info("default index warm", "k", *k, "took", time.Since(warmStart).Round(time.Millisecond))
+	log.Info("default index warm", "k", cfg.SeedK, "took", time.Since(warmStart).Round(time.Millisecond))
 
 	if jobMgr != nil {
 		// Recovery after warm: resumed jobs start executing immediately,
@@ -294,19 +248,6 @@ func run() error {
 		log.Info("leak check passed, goroutines back to baseline")
 	}
 	return nil
-}
-
-// readSeqFile parses a reference FASTA/FASTQ for -index-write.
-func readSeqFile(path string) ([]dna.Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".fq") || strings.HasSuffix(path, ".fastq") {
-		return dna.ReadFASTQ(f)
-	}
-	return dna.ReadFASTA(f)
 }
 
 // dumpSlowCaptures flushes the slow-request ring into the log on

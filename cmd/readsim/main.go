@@ -46,12 +46,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Open(*refPath)
-	if err != nil {
-		return err
-	}
-	recs, err := dna.ReadFASTA(f)
-	f.Close()
+	recs, err := dna.ReadFile(*refPath)
 	if err != nil {
 		return err
 	}

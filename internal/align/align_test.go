@@ -38,42 +38,6 @@ func naiveLocalScore(ref, query dna.Seq, sc *Scoring) int {
 	return best
 }
 
-// naiveGlobalScore is an O(mn) affine-gap global alignment oracle.
-func naiveGlobalScore(ref, query dna.Seq, sc *Scoring) int {
-	n, m := len(ref), len(query)
-	gap := func(l int) int {
-		if l <= 0 {
-			return 0
-		}
-		return sc.GapOpen + (l-1)*sc.GapExtend
-	}
-	H := make([][]int, m+1)
-	E := make([][]int, m+1)
-	F := make([][]int, m+1)
-	for j := 0; j <= m; j++ {
-		H[j] = make([]int, n+1)
-		E[j] = make([]int, n+1)
-		F[j] = make([]int, n+1)
-		for i := 0; i <= n; i++ {
-			E[j][i], F[j][i] = negInf, negInf
-		}
-	}
-	for i := 1; i <= n; i++ {
-		H[0][i] = -gap(i)
-		E[0][i] = -gap(i)
-	}
-	for j := 1; j <= m; j++ {
-		H[j][0] = -gap(j)
-		F[j][0] = -gap(j)
-		for i := 1; i <= n; i++ {
-			E[j][i] = max(H[j][i-1]-sc.GapOpen, E[j][i-1]-sc.GapExtend)
-			F[j][i] = max(H[j-1][i]-sc.GapOpen, F[j-1][i]-sc.GapExtend)
-			H[j][i] = max(H[j-1][i-1]+sc.Sub(ref[i-1], query[j-1]), max(E[j][i], F[j][i]))
-		}
-	}
-	return H[m][n]
-}
-
 // naiveEditDistance is an O(mn) Levenshtein oracle.
 func naiveEditDistance(ref, query dna.Seq, infix bool) int {
 	n, m := len(ref), len(query)
@@ -330,63 +294,6 @@ func TestTileDissimilarTerminates(t *testing.T) {
 	res := AlignTile(a, b, false, 0, &sc)
 	if res.IOff > 50 || res.JOff > 50 {
 		t.Errorf("offsets out of range: %+v", res)
-	}
-}
-
-func TestBandedGlobalMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
-	for trial := 0; trial < 40; trial++ {
-		ref := dna.Random(rng, 10+rng.Intn(50), 0.5)
-		query := mutate(rng, ref, 0.15)
-		sc := Simple(1, 1, 1)
-		// A band wide enough to cover the whole matrix must equal the
-		// unbanded global optimum.
-		res, err := BandedGlobal(ref, query, len(ref)+len(query), &sc)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		want := naiveGlobalScore(ref, query, &sc)
-		if res.Score != want {
-			t.Fatalf("trial %d: banded %d, oracle %d\nref=%s\nq=%s", trial, res.Score, want, ref, query)
-		}
-		if err := res.Check(ref, query); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if got := res.Rescore(ref, query, &sc); got != res.Score {
-			t.Fatalf("trial %d: path rescores to %d, want %d (cigar %s)", trial, got, res.Score, res.Cigar)
-		}
-	}
-}
-
-func TestBandedNarrowStillGlobal(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
-	ref := dna.Random(rng, 200, 0.5)
-	query := mutate(rng, ref, 0.1)
-	sc := Simple(1, 1, 1)
-	res, err := BandedGlobal(ref, query, 32, &sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Check(ref, query); err != nil {
-		t.Fatal(err)
-	}
-	// Narrow band is a lower bound on the global score.
-	if want := naiveGlobalScore(ref, query, &sc); res.Score > want {
-		t.Errorf("banded score %d exceeds optimum %d", res.Score, want)
-	}
-}
-
-func TestBandedLengthMismatch(t *testing.T) {
-	// Band must auto-widen to bridge a large length difference.
-	ref := dna.NewSeq("ACGTACGTACGTACGTACGTACGT")
-	query := dna.NewSeq("ACGT")
-	sc := Simple(1, 1, 1)
-	res, err := BandedGlobal(ref, query, 1, &sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Check(ref, query); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -200,13 +200,11 @@ func SmithWaterman(ref, query dna.Seq, sc *Scoring) (*Result, error) {
 	return res, nil
 }
 
-// scoreBuf is the pooled row state ScoreOnly and BandedGlobal reuse
-// across calls: DP rows, a banded pointer matrix, and precoded
-// sequence buffers, so neither pays per-call row allocations or
-// per-cell Sub decodes.
+// scoreBuf is the pooled row state ScoreOnly reuses across calls: DP
+// rows and precoded sequence buffers, so it pays neither per-call row
+// allocations nor per-cell Sub decodes.
 type scoreBuf struct {
 	rows  [][]int
-	ptr   []byte
 	rCode []byte
 	qCode []byte
 }

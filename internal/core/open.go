@@ -1,14 +1,11 @@
 package core
 
-import (
-	"fmt"
+import "darwin/internal/dna"
 
-	"darwin/internal/dna"
-)
-
-// ShardSpec is the shard geometry part of OpenConfig, mirrored from
-// internal/shard.Config so core can describe a sharded deployment
-// without importing the shard package (which imports core).
+// ShardSpec is the shard geometry of a sharded deployment — the moral
+// equivalent of Darwin's DRAM-channel partitioning decisions. It is
+// declared here, below internal/shard (which imports core and names it
+// shard.Config), so every layer describes geometry with one type.
 type ShardSpec struct {
 	// Shards is the number of shards to split the reference into.
 	// Mutually exclusive with ShardSize.
@@ -16,85 +13,40 @@ type ShardSpec struct {
 	// ShardSize is the shard core size in bases (rounded up to the
 	// D-SOFT bin size). Used when Shards is zero.
 	ShardSize int
-	// Overlap is the margin each shard's extent extends beyond its
-	// core; values below the candidate-exactness minimum are raised.
+	// Overlap is the margin each shard's extent extends beyond its core
+	// on both sides. Values below the candidate-exactness minimum
+	// (shard.MinOverlap) are raised to it, so correctness never depends
+	// on this knob.
 	Overlap int
-	// MaxResidentBytes bounds resident shard seed-table bytes (LRU
-	// eviction). Zero means unbounded.
+	// MaxResidentBytes bounds the total bytes of shard seed tables kept
+	// resident (LRU eviction). Zero means unbounded. The budget covers
+	// the seed tables only — the packed reference sequence (1 byte per
+	// base) always stays resident, since GACT extension reads it
+	// directly at global coordinates.
 	MaxResidentBytes int64
 }
 
-// Enabled reports whether the spec asks for sharding at all. A zero
-// ShardSpec means "use the monolithic engine".
+// Enabled reports whether the spec asks for sharding at all (a shard
+// count or size was given). A zero ShardSpec means "use the monolithic
+// engine".
 func (s ShardSpec) Enabled() bool { return s.Shards > 0 || s.ShardSize > 0 }
 
-// OpenConfig describes one reference index to construct: the records
-// to concatenate, the engine parameters, and the shard geometry that
-// selects the implementation.
+// OpenConfig is Open's argument: the records to concatenate and the
+// engine parameters.
 type OpenConfig struct {
 	// Records is the multi-sequence reference, concatenated with the
-	// engine's N-padding separator invariant. Ignored when IndexPath
-	// is set — the index file carries the reference bytes.
+	// engine's N-padding separator invariant.
 	Records []dna.Record
 	// Core holds the full Darwin parameter set.
 	Core Config
-	// Shard selects the sharded scatter-gather mapper when Enabled;
-	// otherwise the monolithic engine is built.
-	Shard ShardSpec
-	// IndexPath, when set, loads the mapper from a prebuilt persistent
-	// index file (internal/indexfile) instead of building from Records:
-	// the file is mapped and its tables served as views, so no build
-	// pass runs. The file's parameters and shard geometry must match
-	// Core and Shard (a sharded file with a zero Shard spec adopts the
-	// file's geometry). Requires a registered opener (import
-	// darwin/internal/indexio).
-	IndexPath string
 }
 
-// shardedFactory is installed by internal/shard's init so Open can
-// build a ScatterMapper without core importing shard (shard imports
-// core, so the dependency must point this way).
-var shardedFactory func(recs []dna.Record, cfg Config, spec ShardSpec) (Mapper, *Reference, error)
-
-// RegisterSharded installs the sharded-mapper constructor. Called from
-// internal/shard's init; last registration wins.
-func RegisterSharded(f func(recs []dna.Record, cfg Config, spec ShardSpec) (Mapper, *Reference, error)) {
-	shardedFactory = f
-}
-
-// indexOpener is installed by internal/indexio's init so Open can load
-// a mapper from a persistent index file without core importing the
-// index packages (indexio imports core and shard).
-var indexOpener func(path string, cfg Config, spec ShardSpec) (Mapper, *Reference, error)
-
-// RegisterIndexOpener installs the persistent-index loader. Called
-// from internal/indexio's init; last registration wins.
-func RegisterIndexOpener(f func(path string, cfg Config, spec ShardSpec) (Mapper, *Reference, error)) {
-	indexOpener = f
-}
-
-// Open is the single construction entrypoint for a Mapper: it
-// concatenates the records and selects monolithic Darwin or the
-// sharded scatter-gather mapper from cfg.Shard, so callers (CLIs, the
-// serving layer's index cache) never branch on geometry themselves.
-// The two implementations are alignment-bit-identical; geometry only
-// changes memory residency and build scheduling.
+// Open builds the monolithic engine over cfg.Records. It is NewMulti by
+// another name, returning the Mapper interface; the benchmark harness
+// compiles against it. Choosing between the monolithic and sharded
+// engines, or loading a persistent index file, is indexio.OpenSource's
+// job.
 func Open(cfg OpenConfig) (Mapper, *Reference, error) {
-	if cfg.IndexPath != "" {
-		if indexOpener == nil {
-			return nil, nil, fmt.Errorf("core: open: index load requested but not linked (import darwin/internal/indexio)")
-		}
-		return indexOpener(cfg.IndexPath, cfg.Core, cfg.Shard)
-	}
-	if len(cfg.Records) == 0 {
-		return nil, nil, fmt.Errorf("core: open: no reference records")
-	}
-	if cfg.Shard.Enabled() {
-		if shardedFactory == nil {
-			return nil, nil, fmt.Errorf("core: open: sharded mapper requested but not linked (import darwin/internal/shard)")
-		}
-		return shardedFactory(cfg.Records, cfg.Core, cfg.Shard)
-	}
 	eng, ref, err := NewMulti(cfg.Records, cfg.Core)
 	if err != nil {
 		return nil, nil, err

@@ -3,6 +3,8 @@ package dna
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -255,6 +257,49 @@ func TestFASTQErrors(t *testing.T) {
 	for _, in := range bad {
 		if _, err := ReadFASTQ(strings.NewReader(in)); err == nil {
 			t.Errorf("ReadFASTQ(%q) = nil error, want error", in)
+		}
+	}
+}
+
+// TestReadFile: the format is chosen by suffix — .fq and .fastq parse
+// as FASTQ, anything else as FASTA — and a missing file is an error.
+func TestReadFile(t *testing.T) {
+	const fasta, fastq = ">r1 a read\nACGT\nacgt\n", "@r1\nACGTACGT\n+\nIIIIIIII\n"
+	dir := t.TempDir()
+	cases := []struct {
+		name, content string
+		wantQual      bool
+		wantErr       bool
+	}{
+		{"reads.fq", fastq, true, false},
+		{"reads.fastq", fastq, true, false},
+		{"reads.fa", fasta, false, false},
+		{"reads.txt", fasta, false, false}, // unknown suffix → FASTA
+		{"reads.dat", fastq, false, true},  // FASTQ content read as FASTA
+		{"reads.fq.bak", fasta, false, false},
+		{"empty.fq", "", false, false},
+		{"missing.fa", "", false, true},
+	}
+	for _, tc := range cases {
+		path := filepath.Join(dir, tc.name)
+		if tc.name != "missing.fa" {
+			if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		recs, err := ReadFile(path)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("ReadFile(%s) error = %v, want error: %v", tc.name, err, tc.wantErr)
+			continue
+		}
+		if err != nil || tc.content == "" {
+			if len(recs) != 0 {
+				t.Errorf("ReadFile(%s) = %d records, want none", tc.name, len(recs))
+			}
+			continue
+		}
+		if len(recs) != 1 || recs[0].Name != "r1" || recs[0].Seq.String() != "ACGTACGT" || (recs[0].Qual != nil) != tc.wantQual {
+			t.Errorf("ReadFile(%s) = %+v", tc.name, recs)
 		}
 	}
 }

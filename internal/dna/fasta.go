@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 )
 
@@ -18,6 +19,21 @@ type Record struct {
 	Seq Seq
 	// Qual holds per-base quality bytes for FASTQ records; nil for FASTA.
 	Qual []byte
+}
+
+// ReadFile reads every record of the sequence file at path: FASTQ when
+// the name ends in .fq or .fastq, FASTA otherwise. An empty file is not
+// an error here — whether zero records is legal is the caller's rule.
+func ReadFile(path string) ([]Record, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if strings.HasSuffix(path, ".fq") || strings.HasSuffix(path, ".fastq") {
+		return ReadFASTQ(f)
+	}
+	return ReadFASTA(f)
 }
 
 // ReadFASTA parses all records from a FASTA stream. Sequence lines may be

@@ -1,36 +1,125 @@
-// Package indexio glues the persistent index format (internal/
-// indexfile) to the engine stack: it builds index content from
-// reference records under an engine configuration, and loads a mapped
-// index file back into a core.Mapper — monolithic or sharded — whose
-// seed tables and reference are views over the file bytes.
+// Package indexio is the one way to turn a reference into a warm
+// mapper. OpenSource resolves a Source — parsed records or a FASTA/FASTQ
+// path, an explicitly named persistent index file, or a discovered
+// `<ref>.dwi` sidecar — under an engine configuration and a shard
+// geometry into a Loaded: the monolithic or sharded core.Mapper, its
+// Reference and, for a file, the mapping the tables are views over.
+// The rule for when a bad index file may be ignored lives here and
+// nowhere else.
 //
-// The package registers itself as core.Open's index opener, so any
-// binary that imports it can set OpenConfig.IndexPath and load instead
-// of build. It sits above core, shard, and indexfile (all of which it
-// imports); indexfile itself stays a pure format package.
+// The package also glues the persistent index format (internal/
+// indexfile) to the engine stack: Build/WriteFile produce index content
+// from reference records exactly as the engines build it. It sits above
+// core, shard, and indexfile (all of which it imports); indexfile
+// itself stays a pure format package.
 package indexio
 
 import (
 	"fmt"
+	"os"
 
 	"darwin/internal/core"
 	"darwin/internal/dna"
 	"darwin/internal/indexfile"
+	"darwin/internal/obs"
 	"darwin/internal/seedtable"
 	"darwin/internal/shard"
 )
 
-func init() {
-	core.RegisterIndexOpener(func(path string, cfg core.Config, spec core.ShardSpec) (core.Mapper, *core.Reference, error) {
-		l, err := Open(path, cfg, spec)
-		if err != nil {
-			return nil, nil, err
+// Parsing the reference is input loading in the run report's stage
+// accounting, the same stage cmd/darwin books its reads file under.
+var tLoadInput = obs.Default.Timer("stage/load_input")
+
+// Source names where a reference comes from.
+type Source struct {
+	// Records is an already parsed reference. When nil, Path is parsed
+	// instead — but only if a build is needed: a source that resolves to
+	// an index file never opens the FASTA.
+	Records []dna.Record
+	// Path is the reference FASTA/FASTQ.
+	Path string
+	// Index is an index file an operator named: failing to load it is
+	// an error, never a silent rebuild.
+	Index string
+	// Sidecar lets a `<Path>.dwi` file next to the reference stand in
+	// for a build. A discovered file is opportunistic: one that fails to
+	// load (corruption, other parameters or geometry) falls back to
+	// building from Records/Path, and Loaded.Fallback says why.
+	Sidecar bool
+}
+
+// IndexFile resolves the index file src loads from, "" when it builds:
+// the explicit Index, else an existing sidecar when discovery is on.
+func (src Source) IndexFile() (path string, explicit bool) {
+	if src.Index != "" {
+		return src.Index, true
+	}
+	if src.Sidecar && src.Path != "" {
+		sc := indexfile.SidecarPath(src.Path)
+		if st, err := os.Stat(sc); err == nil && !st.IsDir() {
+			return sc, false
 		}
-		// The mapping stays alive for the life of the mapper (its seed
-		// tables and reference alias the mapped bytes); it is reclaimed
-		// at process exit, like the heap index it replaces.
-		return l.Mapper, l.Ref, nil
-	})
+	}
+	return "", false
+}
+
+// Loaded is an opened reference. When File is non-nil the mapper and
+// reference are views over its mapped bytes, so it must stay open as
+// long as either is in use.
+type Loaded struct {
+	Mapper core.Mapper
+	Ref    *core.Reference
+	// Set is the sharded engine's residency-managed shard set; nil for
+	// the monolithic engine.
+	Set *shard.Set
+	// File is the mapped index file; nil when the index was built.
+	File *indexfile.File
+	// Fallback is why a discovered sidecar was passed over for a build;
+	// nil otherwise. The caller owns the log line.
+	Fallback error
+}
+
+// OpenSource turns src into a warm mapper under cfg, sharded when spec
+// is enabled. An index file is mapped and its tables served as views —
+// no build pass, no FASTA parse; otherwise the reference is built, the
+// two engines being alignment-bit-identical.
+func OpenSource(src Source, cfg core.Config, spec core.ShardSpec) (*Loaded, error) {
+	var fallback error
+	if path, explicit := src.IndexFile(); path != "" {
+		l, err := Open(path, cfg, spec)
+		if err == nil {
+			return l, nil
+		}
+		if explicit {
+			return nil, err
+		}
+		fallback = err
+	}
+	recs := src.Records
+	if recs == nil {
+		stop := tLoadInput.Time()
+		var err error
+		recs, err = dna.ReadFile(src.Path)
+		stop()
+		if err != nil {
+			return nil, err
+		}
+		if len(recs) == 0 {
+			return nil, fmt.Errorf("no sequences in %s", src.Path)
+		}
+	}
+	if spec.Enabled() {
+		m, ref, err := shard.NewMulti(recs, cfg, spec)
+		if err != nil {
+			return nil, err
+		}
+		return &Loaded{Mapper: m, Ref: ref, Set: m.Set(), Fallback: fallback}, nil
+	}
+	eng, ref, err := core.NewMulti(recs, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Loaded{Mapper: eng, Ref: ref, Fallback: fallback}, nil
 }
 
 // resolveParams canonicalizes an engine configuration into the
@@ -149,21 +238,14 @@ func WriteFile(path string, recs []dna.Record, cfg core.Config, spec core.ShardS
 	return idx, nil
 }
 
-// Loaded is an index loaded from a file: the mapper and reference are
-// views over File's mapped bytes, so File must stay open as long as
-// either is in use.
-type Loaded struct {
-	Mapper core.Mapper
-	Ref    *core.Reference
-	File   *indexfile.File
-}
-
 // Open maps the index file at path and assembles a mapper from it
 // under cfg/spec. The file's parameters must match cfg exactly, and
 // its shard geometry must match what spec would partition (a sharded
 // file with a zero spec adopts the file's geometry; a monolithic file
 // with a sharded spec — or vice versa — is a geometry mismatch).
-// Rejections are indexfile.FormatErrors with stable codes.
+// Rejections are indexfile.FormatErrors with stable codes. This is
+// OpenSource's index-file arm — OpenSource(Source{Index: path}, …) —
+// under the signature the benchmark harness compiles against.
 func Open(path string, cfg core.Config, spec core.ShardSpec) (*Loaded, error) {
 	f, err := indexfile.Open(path, indexfile.Options{})
 	if err != nil {
@@ -234,7 +316,7 @@ func assemble(f *indexfile.File, cfg core.Config, spec core.ShardSpec) (*Loaded,
 	if err != nil {
 		return nil, err
 	}
-	return &Loaded{Mapper: m, Ref: ref, File: f}, nil
+	return &Loaded{Mapper: m, Ref: ref, Set: set, File: f}, nil
 }
 
 // fileGeometry reconstructs the shard partition recorded in the file.

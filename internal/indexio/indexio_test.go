@@ -1,7 +1,10 @@
 package indexio
 
 import (
+	"bytes"
+	"context"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -57,7 +60,7 @@ func TestBitIdentityMonolithic(t *testing.T) {
 				t.Fatalf("k=%d win=%d: %v", k, win, err)
 			}
 			defer l.File.Close()
-			fresh, freshRef, err := core.Open(core.OpenConfig{Records: recs, Core: cfg})
+			freshEng, freshRef, err := core.NewMulti(recs, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +69,6 @@ func TestBitIdentityMonolithic(t *testing.T) {
 			if !ok {
 				t.Fatalf("k=%d win=%d: loaded mapper is %T, want *core.Darwin", k, win, l.Mapper)
 			}
-			freshEng := fresh.(*core.Darwin)
 			if !reflect.DeepEqual(loadedEng.Table().Parts(), freshEng.Table().Parts()) {
 				t.Errorf("k=%d win=%d: loaded table differs from freshly built (bit-identity violated)", k, win)
 			}
@@ -201,23 +203,169 @@ func TestMismatchRejections(t *testing.T) {
 	}
 }
 
-// TestOpenConfigIndexPath: the core.Open front door loads through the
-// registered opener.
-func TestOpenConfigIndexPath(t *testing.T) {
+// TestOpenSource drives the one front door over every kind of source,
+// monolithic and sharded: whatever the source, the mapper must align
+// exactly as a freshly built monolithic engine does, Set is non-nil
+// exactly when sharded, an index file is used exactly when a usable
+// one resolves, and only a discovered sidecar may be passed over.
+func TestOpenSource(t *testing.T) {
 	recs := testRecords(57, 50_000)
 	cfg := testConfig(11)
-	path := writeIndex(t, recs, cfg, core.ShardSpec{})
-	eng, ref, err := core.Open(core.OpenConfig{Core: cfg, IndexPath: path})
+	fresh, _, err := core.NewMulti(recs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.NumSeqs() != 2 {
-		t.Errorf("loaded reference has %d sequences, want 2", ref.NumSeqs())
+	reads := sampleReads(recs, 4, 800, 58)
+	want, err := fresh.Map(context.Background(), reads)
+	if err != nil {
+		t.Fatal(err)
 	}
-	reads := sampleReads(recs, 2, 600, 58)
-	alns, _ := eng.(*core.Darwin).MapRead(reads[0])
-	if len(alns) == 0 {
-		t.Error("read failed to map through an index-path engine")
+
+	writeFASTA := func(t *testing.T, dir string) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := dna.WriteFASTA(&buf, recs); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "ref.fa")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	writeDWI := func(t *testing.T, path string, cfg core.Config, spec core.ShardSpec, corrupt bool) {
+		t.Helper()
+		if _, err := WriteFile(path, recs, cfg, spec); err != nil {
+			t.Fatal(err)
+		}
+		if !corrupt {
+			return
+		}
+		// Flip a payload byte: the header still reads, the section
+		// checksum does not.
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)-1] ^= 0x01
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	geometries := []struct {
+		name string
+		spec core.ShardSpec
+		// otherCfg/otherSpec describe an index this geometry must refuse.
+		otherCfg  core.Config
+		otherSpec core.ShardSpec
+	}{
+		{"monolith", core.ShardSpec{}, testConfig(12), core.ShardSpec{}},
+		{"4shards", core.ShardSpec{Shards: 4}, cfg, core.ShardSpec{Shards: 3}},
+	}
+	for _, g := range geometries {
+		sources := []struct {
+			name         string
+			src          func(t *testing.T, dir string) Source
+			fromFile     bool
+			fallbackCode string
+			errCode      string
+		}{
+			{name: "records", src: func(t *testing.T, dir string) Source {
+				return Source{Records: recs}
+			}},
+			{name: "fasta_path", src: func(t *testing.T, dir string) Source {
+				return Source{Path: writeFASTA(t, dir), Sidecar: true}
+			}},
+			{name: "explicit_dwi", fromFile: true, src: func(t *testing.T, dir string) Source {
+				// No Path at all: an explicit index needs no FASTA.
+				writeDWI(t, filepath.Join(dir, "x.dwi"), cfg, g.spec, false)
+				return Source{Index: filepath.Join(dir, "x.dwi")}
+			}},
+			{name: "sidecar", fromFile: true, src: func(t *testing.T, dir string) Source {
+				// The FASTA is unparseable: a usable sidecar must keep it unopened.
+				ref := filepath.Join(dir, "ref.fa")
+				if err := os.WriteFile(ref, []byte("not a FASTA\n"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				writeDWI(t, indexfile.SidecarPath(ref), cfg, g.spec, false)
+				return Source{Path: ref, Sidecar: true}
+			}},
+			{name: "sidecar_ignored", src: func(t *testing.T, dir string) Source {
+				ref := writeFASTA(t, dir)
+				writeDWI(t, indexfile.SidecarPath(ref), cfg, g.spec, true)
+				return Source{Path: ref}
+			}},
+			{name: "corrupt_sidecar", fallbackCode: indexfile.CodeChecksumMismatch, src: func(t *testing.T, dir string) Source {
+				ref := writeFASTA(t, dir)
+				writeDWI(t, indexfile.SidecarPath(ref), cfg, g.spec, true)
+				return Source{Path: ref, Sidecar: true}
+			}},
+			{name: "mismatched_sidecar", fallbackCode: indexfile.CodeGeometryMismatch, src: func(t *testing.T, dir string) Source {
+				ref := writeFASTA(t, dir)
+				writeDWI(t, indexfile.SidecarPath(ref), g.otherCfg, g.otherSpec, false)
+				return Source{Path: ref, Sidecar: true}
+			}},
+			{name: "corrupt_explicit_dwi", errCode: indexfile.CodeChecksumMismatch, src: func(t *testing.T, dir string) Source {
+				// The FASTA is fine, but an operator-named index never falls back.
+				writeDWI(t, filepath.Join(dir, "x.dwi"), cfg, g.spec, true)
+				return Source{Path: writeFASTA(t, dir), Index: filepath.Join(dir, "x.dwi"), Sidecar: true}
+			}},
+			{name: "empty_records", errCode: "-", src: func(t *testing.T, dir string) Source {
+				return Source{Records: []dna.Record{}}
+			}},
+		}
+		for _, sc := range sources {
+			t.Run(g.name+"/"+sc.name, func(t *testing.T) {
+				l, err := OpenSource(sc.src(t, t.TempDir()), cfg, g.spec)
+				if sc.errCode != "" {
+					if err == nil {
+						t.Fatal("open succeeded, want an error")
+					}
+					if sc.errCode != "-" && indexfile.ErrCode(err) != sc.errCode {
+						t.Fatalf("error %v has code %q, want %q", err, indexfile.ErrCode(err), sc.errCode)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if l.File != nil {
+					defer l.File.Close()
+				}
+				if (l.File != nil) != sc.fromFile {
+					t.Errorf("File = %v, want from file: %v", l.File, sc.fromFile)
+				}
+				if got := indexfile.ErrCode(l.Fallback); got != sc.fallbackCode {
+					t.Errorf("Fallback = %v (code %q), want code %q", l.Fallback, got, sc.fallbackCode)
+				}
+				if sharded := g.spec.Enabled(); (l.Set != nil) != sharded {
+					t.Errorf("Set = %v, want non-nil exactly when sharded (%v)", l.Set, sharded)
+				}
+				switch m := l.Mapper.(type) {
+				case *core.Darwin:
+					if g.spec.Enabled() {
+						t.Error("sharded spec selected the monolithic engine")
+					}
+				case *shard.ScatterMapper:
+					if m.Set() != l.Set || len(l.Set.Geometry().Parts) != g.spec.Shards {
+						t.Errorf("sharded engine over %d parts, want %d over Loaded.Set", len(m.Set().Geometry().Parts), g.spec.Shards)
+					}
+				}
+				if l.Ref.NumSeqs() != len(recs) {
+					t.Errorf("reference has %d sequences, want %d", l.Ref.NumSeqs(), len(recs))
+				}
+				got, err := l.Mapper.Map(context.Background(), reads)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if got[i].Err != nil || !reflect.DeepEqual(got[i].Alignments, want[i].Alignments) {
+						t.Errorf("read %d: result differs from a freshly built engine (err %v)", i, got[i].Err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -413,7 +413,7 @@ func (m *Manager) Recover() (restarted int, err error) {
 			continue
 		}
 		// Resumable: reload the payload and the checkpoint.
-		recs, lerr := readFASTAFile(filepath.Join(m.dirOf(id), "reads.fa"))
+		recs, lerr := dna.ReadFile(filepath.Join(m.dirOf(id), "reads.fa"))
 		if lerr != nil {
 			m.failJob(j, lerr, "")
 			continue
@@ -707,15 +707,6 @@ func readStatus(path string) (Status, error) {
 		return Status{}, err
 	}
 	return st, nil
-}
-
-func readFASTAFile(path string) ([]dna.Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return dna.ReadFASTA(f)
 }
 
 func writeFASTAFile(path string, recs []dna.Record) error {

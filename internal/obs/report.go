@@ -114,17 +114,3 @@ func (rep *Report) WriteJSON(path string) error {
 	}
 	return nil
 }
-
-// ReadReport loads a report written by WriteJSON (for trajectory
-// tooling and tests).
-func ReadReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("obs: decoding report %s: %w", path, err)
-	}
-	return &rep, nil
-}

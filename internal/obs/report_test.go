@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -46,8 +48,12 @@ func TestRunReportRoundTrip(t *testing.T) {
 	if err := rep.WriteJSON(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadReport(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var back Report
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Schema != rep.Schema || back.Counters["gact/cells"] != 1_000_000 ||

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"darwin/internal/core"
-	"darwin/internal/dna"
 	"darwin/internal/indexio"
 	"darwin/internal/obs"
 	"darwin/internal/sam"
@@ -75,25 +74,33 @@ type IndexEntry struct {
 	clones chan core.Mapper
 }
 
-// newIndexEntry wraps a warm engine, keeping up to poolSize idle
-// clones.
-func newIndexEntry(key string, engine core.Mapper, shards *shard.Set, ref *core.Reference, poolSize int) *IndexEntry {
+// newIndexEntry wraps an opened reference as a cache entry, keeping up
+// to poolSize idle clones. For a mapped index file the mapping lives as
+// long as the process (the entry's engine aliases it), so the file is
+// never closed here.
+func newIndexEntry(key string, l *indexio.Loaded, poolSize int) *IndexEntry {
 	if poolSize < 1 {
 		poolSize = 1
 	}
-	sqs := make([]sam.RefSeq, ref.NumSeqs())
+	sqs := make([]sam.RefSeq, l.Ref.NumSeqs())
 	for i := range sqs {
-		sqs[i] = sam.RefSeq{Name: ref.Name(i), Len: ref.Len(i)}
+		sqs[i] = sam.RefSeq{Name: l.Ref.Name(i), Len: l.Ref.Len(i)}
 	}
-	return &IndexEntry{
+	e := &IndexEntry{
 		Key:       key,
-		Engine:    engine,
-		Shards:    shards,
-		Ref:       ref,
+		Engine:    l.Mapper,
+		Shards:    l.Set,
+		Ref:       l.Ref,
 		SQ:        sqs,
-		BuildTime: engine.IndexBuildTime(),
+		BuildTime: l.Mapper.IndexBuildTime(),
 		clones:    make(chan core.Mapper, poolSize),
 	}
+	if l.File != nil {
+		e.IndexFile = l.File.Path()
+		e.Fingerprint = l.File.Info().Fingerprint
+		e.MappedBytes = l.File.MappedBytes()
+	}
+	return e
 }
 
 // Acquire returns an engine clone for exclusive use; pair with
@@ -125,64 +132,6 @@ func IndexKey(source string, cfg core.Config, scfg shard.Config) string {
 	return fmt.Sprintf("%s|k=%d n=%d stride=%d h=%d B=%d htile=%d gact=%+v table=%+v maxcand=%d shard=%+v",
 		source, cfg.SeedK, cfg.SeedN, cfg.SeedStride, cfg.Threshold, cfg.BinSize, cfg.HTile,
 		cfg.GACT, cfg.TableOptions, cfg.MaxCandidates, scfg)
-}
-
-// BuildEntry indexes records under cfg and wraps them as a cache
-// entry (the build func used by both warmup and on-demand loads).
-// Engine selection — monolithic vs the bounded-memory scatter-gather
-// engine — is core.Open's job; this layer only recovers the shard set
-// for /v1/indexes residency reporting.
-func BuildEntry(key string, recs []dna.Record, cfg core.Config, scfg shard.Config, clonePool int) (*IndexEntry, error) {
-	stop := tIndexBuild.Time()
-	defer stop()
-	engine, ref, err := core.Open(core.OpenConfig{
-		Records: recs,
-		Core:    cfg,
-		Shard: core.ShardSpec{
-			Shards:           scfg.Shards,
-			ShardSize:        scfg.ShardSize,
-			Overlap:          scfg.Overlap,
-			MaxResidentBytes: scfg.MaxResidentBytes,
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	var set *shard.Set
-	if sm, ok := engine.(*shard.ScatterMapper); ok {
-		set = sm.Set()
-	}
-	return newIndexEntry(key, engine, set, ref, clonePool), nil
-}
-
-// LoadEntry cold-starts a cache entry from a persistent index file:
-// the file is mapped and its seed tables and reference served as
-// views, so no build pass runs — a mapped load is just a fast build,
-// and the entry flows through the same singleflight, breaker, and
-// index-budget paths as one built from FASTA. The mapping lives as
-// long as the process (the entry's engine aliases it), so the file is
-// never closed here.
-func LoadEntry(key, path string, cfg core.Config, scfg shard.Config, clonePool int) (*IndexEntry, error) {
-	stop := tIndexLoad.Time()
-	defer stop()
-	l, err := indexio.Open(path, cfg, core.ShardSpec{
-		Shards:           scfg.Shards,
-		ShardSize:        scfg.ShardSize,
-		Overlap:          scfg.Overlap,
-		MaxResidentBytes: scfg.MaxResidentBytes,
-	})
-	if err != nil {
-		return nil, err
-	}
-	var set *shard.Set
-	if sm, ok := l.Mapper.(*shard.ScatterMapper); ok {
-		set = sm.Set()
-	}
-	e := newIndexEntry(key, l.Mapper, set, l.Ref, clonePool)
-	e.IndexFile = path
-	e.Fingerprint = l.File.Info().Fingerprint
-	e.MappedBytes = l.File.MappedBytes()
-	return e, nil
 }
 
 // buildCall is one in-flight singleflight build.

@@ -11,6 +11,7 @@ import (
 
 	"darwin/internal/core"
 	"darwin/internal/dna"
+	"darwin/internal/indexio"
 	"darwin/internal/shard"
 )
 
@@ -18,11 +19,18 @@ import (
 func testEntry(t *testing.T, key string, seed int64, n int) *IndexEntry {
 	t.Helper()
 	ref := dna.Random(rand.New(rand.NewSource(seed)), n, 0.5)
-	entry, err := BuildEntry(key, []dna.Record{{Name: "chr1", Seq: ref}}, testCoreConfig(), shard.Config{}, 2)
+	return buildEntry(t, key, []dna.Record{{Name: "chr1", Seq: ref}}, shard.Config{})
+}
+
+// buildEntry opens recs through the front door, as Server.loadEntry
+// does, and wraps the result with a two-clone pool.
+func buildEntry(t *testing.T, key string, recs []dna.Record, scfg shard.Config) *IndexEntry {
+	t.Helper()
+	l, err := indexio.OpenSource(indexio.Source{Records: recs}, testCoreConfig(), scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return entry
+	return newIndexEntry(key, l, 2)
 }
 
 func testCoreConfig() core.Config {
@@ -155,19 +163,13 @@ func TestIndexKeyDistinguishesShardGeometry(t *testing.T) {
 	}
 }
 
-// TestBuildEntrySharded checks a sharded entry serves the same
+// TestEntrySharded checks a sharded entry serves the same
 // alignments as a monolithic one and exposes its residency snapshot.
-func TestBuildEntrySharded(t *testing.T) {
+func TestEntrySharded(t *testing.T) {
 	ref := dna.Random(rand.New(rand.NewSource(47)), 60000, 0.5)
 	recs := []dna.Record{{Name: "chr1", Seq: ref}}
-	mono, err := BuildEntry("m", recs, testCoreConfig(), shard.Config{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := BuildEntry("s", recs, testCoreConfig(), shard.Config{Shards: 3, MaxResidentBytes: 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mono := buildEntry(t, "m", recs, shard.Config{})
+	sharded := buildEntry(t, "s", recs, shard.Config{Shards: 3, MaxResidentBytes: 1})
 	if mono.Shards != nil {
 		t.Error("monolithic entry reports a shard set")
 	}

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,6 +15,7 @@ import (
 	"darwin/internal/dna"
 	"darwin/internal/faults"
 	"darwin/internal/indexfile"
+	"darwin/internal/indexio"
 	"darwin/internal/jobs"
 	"darwin/internal/obs"
 	"darwin/internal/sam"
@@ -283,24 +282,17 @@ func (s *Server) breakerFor(key string) *Breaker {
 	return br
 }
 
-// indexFor resolves the persistent index file to try for a reference
-// source: the explicitly configured DefaultIndex when source is the
-// default reference, else an auto-discovered `<source>.dwi` sidecar.
-// explicit reports whether a load failure must fail the request (an
-// operator named the file) or may fall back to a FASTA build (the
-// sidecar was merely discovered).
-func (s *Server) indexFor(source string) (path string, explicit bool) {
+// sourceFor names where a reference source (a FASTA path) is opened
+// from: the explicitly configured DefaultIndex when source is the
+// default reference, else the FASTA itself with `<source>.dwi` sidecar
+// discovery unless disabled. What a failed index load means for each
+// is indexio.OpenSource's rule.
+func (s *Server) sourceFor(source string) indexio.Source {
+	src := indexio.Source{Path: source, Sidecar: !s.cfg.DisableSidecar}
 	if s.cfg.DefaultIndex != "" && source == s.cfg.DefaultRef {
-		return s.cfg.DefaultIndex, true
+		src.Index = s.cfg.DefaultIndex
 	}
-	if s.cfg.DisableSidecar {
-		return "", false
-	}
-	sc := indexfile.SidecarPath(source)
-	if st, err := os.Stat(sc); err == nil && !st.IsDir() {
-		return sc, false
-	}
-	return "", false
+	return src
 }
 
 // loadEntry resolves source (a FASTA path) to a warm index via the
@@ -310,25 +302,19 @@ func (s *Server) indexFor(source string) (path string, explicit bool) {
 // fail fast with ErrCircuitOpen instead of re-queuing a doomed build,
 // and a breaker rejection is never itself counted as a build failure.
 //
-// When a persistent index file resolves for the source (explicit
-// DefaultIndex or discovered sidecar), its content fingerprint joins
-// the cache key — rewriting the file invalidates the cached entry —
-// and the singleflighted "build" maps the file instead of indexing
-// the FASTA. A mapped load is just a fast build: breaker accounting
-// and the index-stage budget apply unchanged.
+// When a persistent index file resolves for the source, its content
+// fingerprint joins the cache key — rewriting the file invalidates the
+// cached entry (a file whose header cannot be read leaves the key
+// unsalted, and the open below decides whether that is fatal) — and
+// the singleflighted "build" maps the file instead of indexing the
+// FASTA. A mapped load is just a fast build: breaker accounting and
+// the index-stage budget apply unchanged.
 func (s *Server) loadEntry(ctx context.Context, source string) (*IndexEntry, bool, error) {
 	key := IndexKey(source, s.cfg.Core, s.cfg.Shard)
-	ipath, explicit := s.indexFor(source)
-	if ipath != "" {
-		fp, err := indexfile.ReadFingerprint(ipath)
-		switch {
-		case err == nil:
+	src := s.sourceFor(source)
+	if ipath, _ := src.IndexFile(); ipath != "" {
+		if fp, err := indexfile.ReadFingerprint(ipath); err == nil {
 			key += fmt.Sprintf("|dwi=%016x", fp)
-		case explicit:
-			return nil, false, fmt.Errorf("server: index %s: %w", ipath, err)
-		default:
-			s.log.Warn("ignoring unreadable sidecar index", "path", ipath, "error", err)
-			ipath = ""
 		}
 	}
 	br := s.breakerFor(key)
@@ -339,25 +325,25 @@ func (s *Server) loadEntry(ctx context.Context, source string) (*IndexEntry, boo
 		// buildRecovered here (not just in the cache) so a panicking
 		// build counts as a breaker failure like any other.
 		entry, err := buildRecovered(func() (*IndexEntry, error) {
-			if ipath != "" {
-				e, lerr := LoadEntry(key, ipath, s.cfg.Core, s.cfg.Shard, cap(s.mapGate.slots))
-				if lerr == nil {
-					s.log.Info("index mapped from file",
-						"path", ipath, "mapped_bytes", e.MappedBytes,
-						"fingerprint", fmt.Sprintf("%016x", e.Fingerprint))
-					return e, nil
-				}
-				if explicit {
-					return nil, fmt.Errorf("server: loading index %s: %w", ipath, lerr)
-				}
-				s.log.Warn("sidecar index load failed; rebuilding from FASTA",
-					"path", ipath, "error", lerr)
-			}
-			recs, err := readFASTAPath(source)
+			start := time.Now()
+			l, err := indexio.OpenSource(src, s.cfg.Core, s.cfg.Shard)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("server: opening reference %s: %w", source, err)
 			}
-			return BuildEntry(key, recs, s.cfg.Core, s.cfg.Shard, cap(s.mapGate.slots))
+			e := newIndexEntry(key, l, cap(s.mapGate.slots))
+			if l.File != nil {
+				tIndexLoad.Observe(time.Since(start))
+				s.log.Info("index mapped from file",
+					"path", e.IndexFile, "mapped_bytes", e.MappedBytes,
+					"fingerprint", fmt.Sprintf("%016x", e.Fingerprint))
+				return e, nil
+			}
+			tIndexBuild.Observe(time.Since(start))
+			if l.Fallback != nil {
+				s.log.Warn("sidecar index load failed; rebuilding from FASTA",
+					"path", indexfile.SidecarPath(source), "error", l.Fallback)
+			}
+			return e, nil
 		})
 		if err != nil {
 			br.Failure()
@@ -376,27 +362,6 @@ func retryAfterSeconds(d time.Duration) int {
 		secs = 1
 	}
 	return secs
-}
-
-func readFASTAPath(path string) ([]dna.Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var recs []dna.Record
-	if strings.HasSuffix(path, ".fq") || strings.HasSuffix(path, ".fastq") {
-		recs, err = dna.ReadFASTQ(f)
-	} else {
-		recs, err = dna.ReadFASTA(f)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("server: no sequences in %s", path)
-	}
-	return recs, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

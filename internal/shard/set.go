@@ -36,32 +36,9 @@ var (
 // exactly as it counts rebuilt bytes.
 type TableLoader func(i int) (*seedtable.Table, error)
 
-// Config holds the sharding knobs, the moral equivalent of Darwin's
-// DRAM-channel partitioning decisions.
-type Config struct {
-	// Shards is the number of shards to split the reference into.
-	// Mutually exclusive with ShardSize.
-	Shards int
-	// ShardSize is the shard core size in bases (rounded up to the
-	// D-SOFT bin size). Used when Shards is zero.
-	ShardSize int
-	// Overlap is the margin each shard's extent extends beyond its core
-	// on both sides. Values below the candidate-exactness minimum
-	// (MinOverlap) are raised to it, so correctness never depends on
-	// this knob.
-	Overlap int
-	// MaxResidentBytes bounds the total bytes of shard seed tables kept
-	// resident (LRU eviction). Zero means unbounded. The budget covers
-	// the seed tables only — the packed reference sequence (1 byte per
-	// base) always stays resident, since GACT extension reads it
-	// directly at global coordinates.
-	MaxResidentBytes int64
-}
-
-// Enabled reports whether this configuration asks for sharding at all
-// (a shard count or size was given). A zero Config means "use the
-// monolithic engine".
-func (c Config) Enabled() bool { return c.Shards > 0 || c.ShardSize > 0 }
+// Config is the shard geometry and residency budget: one type with
+// core.ShardSpec, so no layer copies it field by field.
+type Config = core.ShardSpec
 
 // shardState is one shard's lazily built seed table plus its LRU hook.
 // The per-shard mutex singleflights concurrent builds of the same
