@@ -17,6 +17,8 @@
 //	GET  /healthz     liveness
 //	GET  /readyz      readiness (200 once the cluster probe passed)
 //	GET  /metrics     OpenMetrics, cluster/* families
+//	GET  /v1/stats    rolling 1m/5m SLO windows, as on darwind
+//	GET  /debug/slow  slowest requests, each scatter span naming its worker
 //
 // At boot the router probes every worker's /v1/shards and refuses to
 // serve unless all workers agree on geometry, reference layout, index
@@ -28,11 +30,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"darwin/internal/cluster"
@@ -115,35 +113,5 @@ func run() error {
 	log.Info("cluster probe passed", "workers", len(roster), "replication", *replication,
 		"took", time.Since(probeStart).Round(time.Millisecond))
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: rt.Handler()}
-	errCh := make(chan error, 1)
-	go func() {
-		if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			errCh <- err
-		}
-	}()
-	// Full URL inline, matching darwind: smoke scripts scrape the bound
-	// address out of this line.
-	log.Info(fmt.Sprintf("serving on http://%s/ (POST /v1/map, /healthz, /readyz, /metrics, /v1/cluster)", ln.Addr()))
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
-	select {
-	case err := <-errCh:
-		return err
-	case sig := <-sigCh:
-		log.Info("signal received, draining", "signal", sig.String())
-	}
-	rt.StartDrain()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		return fmt.Errorf("http shutdown: %w", err)
-	}
-	log.Info("drain complete")
-	return nil
+	return rt.Serve(*addr, "POST /v1/map, /healthz, /readyz, /metrics, /v1/stats, /v1/cluster", 30*time.Second, nil)
 }

@@ -24,16 +24,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 	"time"
 
 	"darwin/internal/cluster"
@@ -190,56 +184,29 @@ func run() error {
 		}
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	errCh := make(chan error, 1)
-	go func() {
-		if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			errCh <- err
-		}
-	}()
-	// The message keeps the full URL inline (not an attr): the smoke
-	// scripts and operators scrape the bound address out of this line.
 	endpoints := "POST /v1/map, /healthz, /readyz, /metrics, /v1/stats"
 	if jobMgr != nil {
 		endpoints += ", /v1/jobs"
 	}
-	log.Info(fmt.Sprintf("serving on http://%s/ (%s)", ln.Addr(), endpoints))
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
-	select {
-	case err := <-errCh:
-		return err
-	case sig := <-sigCh:
-		log.Info("signal received, draining (stop accepting, flush in-flight)", "signal", sig.String())
-	}
-
-	// Drain sequence: stop admitting (readyz → 503, map → 503), let
-	// in-flight handlers finish via HTTP shutdown, then close the
-	// admission gates and wait for them to empty.
-	srv.StartDrain()
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		return fmt.Errorf("http shutdown: %w", err)
-	}
-	if err := srv.Drain(ctx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	if jobMgr != nil {
-		// Job drain cancels running pipelines; each saves a final
-		// checkpoint at its cancellation boundary, so the next process
-		// resumes instead of restarting.
-		if err := jobMgr.Drain(ctx); err != nil {
-			return fmt.Errorf("jobs drain: %w", err)
+	err = srv.Serve(*addr, endpoints, *drainTimeout, func(ctx context.Context) error {
+		// After the HTTP shutdown, close the admission gates and wait
+		// for them to empty.
+		if err := srv.Drain(ctx); err != nil {
+			return fmt.Errorf("drain: %w", err)
 		}
+		if jobMgr != nil {
+			// Job drain cancels running pipelines; each saves a final
+			// checkpoint at its cancellation boundary, so the next process
+			// resumes instead of restarting.
+			if err := jobMgr.Drain(ctx); err != nil {
+				return fmt.Errorf("jobs drain: %w", err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	log.Info("drain complete, all in-flight work flushed")
-	dumpSlowCaptures(log, srv.SlowCaptures())
 
 	if *leakCheck {
 		if leaked := checkGoroutineLeak(baselineGoroutines); leaked > 0 {
@@ -248,27 +215,6 @@ func run() error {
 		log.Info("leak check passed, goroutines back to baseline")
 	}
 	return nil
-}
-
-// dumpSlowCaptures flushes the slow-request ring into the log on
-// drain, one line per capture with its full span tree, so the
-// slowest requests of a finished process survive it — /debug/slow
-// dies with the listener.
-func dumpSlowCaptures(log *slog.Logger, caps []obs.SlowCapture) {
-	if len(caps) == 0 {
-		return
-	}
-	log.Info("slow-request captures at drain", "count", len(caps))
-	for _, c := range caps {
-		tree, err := json.Marshal(c.Span)
-		if err != nil {
-			continue
-		}
-		log.Info("slow request",
-			"request_id", c.RequestID,
-			"duration_us", c.DurationUS,
-			"span", string(tree))
-	}
 }
 
 // checkGoroutineLeak waits (up to ~3s) for the goroutine count to

@@ -3,89 +3,13 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
-	"darwin/internal/core"
-	"darwin/internal/faults"
 	"darwin/internal/obs"
-	"darwin/internal/sam"
 	"darwin/internal/server"
 )
-
-var hRequestLatency = obs.Default.Histogram("cluster/request_latency_ms", 0, 10000, 100)
-
-// statusWriter mirrors the worker-side wrapper: record what the
-// handler told the client so the access line can report it.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	if w.status == 0 {
-		w.status = status
-	}
-	w.ResponseWriter.WriteHeader(status)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// Handler returns the router's HTTP surface behind its observability
-// middleware. The middleware applies darwind's exact ingress identity
-// rule (server.RequestIDFrom), so the ID a client sends — or the one
-// minted here — is the ID every worker hop logs.
-func (rt *Router) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		reqID := server.RequestIDFrom(r)
-		span := obs.NewRequestSpan(reqID, r.Method+" "+r.URL.Path)
-		ctx := obs.ContextWithSpan(r.Context(), span)
-		w.Header().Set("X-Request-ID", reqID)
-		sw := &statusWriter{ResponseWriter: w}
-		rt.mux.ServeHTTP(sw, r.WithContext(ctx))
-		span.End()
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
-		if r.URL.Path == "/v1/map" {
-			hRequestLatency.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-		}
-		rt.log.Info("request",
-			"method", r.Method, "path", r.URL.Path, "status", sw.status,
-			"duration_ms", float64(time.Since(start))/float64(time.Millisecond),
-			"request_id", reqID)
-	})
-}
-
-func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprintln(w, "ok")
-}
-
-func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	switch {
-	case rt.draining.Load():
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-	case !rt.ready.Load():
-		http.Error(w, "cluster probe pending", http.StatusServiceUnavailable)
-	default:
-		fmt.Fprintln(w, "ready")
-	}
-}
 
 // handleTopology serves the resolved cluster view: the shard→replica
 // assignment, per-worker breaker state, and rolling latency — the
@@ -135,154 +59,38 @@ func (rt *Router) handleTopology(w http.ResponseWriter, _ *http.Request) {
 	enc.Encode(v)
 }
 
+// handleMap is /v1/map on the router: darwind's preamble, the scatter
+// and merge that stand where darwind maps, then darwind's error mapping
+// and response writers.
 func (rt *Router) handleMap(w http.ResponseWriter, r *http.Request) {
-	cRequests.Inc()
-	rctx := r.Context()
-	span := obs.SpanFromContext(rctx)
-	reqID := obs.RequestIDFromContext(rctx)
-	traceparent := r.Header.Get("traceparent")
-
-	if r.Method != http.MethodPost {
-		cRequestsFailed.Inc()
-		server.WriteError(rctx, w, http.StatusMethodNotAllowed, server.CodeMethodNotAllow, "POST required")
+	ep := rt.Map()
+	body, _, timeout, ok := ep.Read(w, r)
+	if !ok {
 		return
 	}
-	if rt.draining.Load() {
-		cRequestsFailed.Inc()
-		w.Header().Set("Retry-After", "5")
-		server.WriteError(rctx, w, http.StatusServiceUnavailable, server.CodeDraining, "draining")
-		return
-	}
-	if !rt.ready.Load() {
-		cRequestsFailed.Inc()
-		w.Header().Set("Retry-After", "1")
-		server.WriteError(rctx, w, http.StatusServiceUnavailable, server.CodeWarming, "cluster probe pending")
-		return
-	}
-	var req server.MapRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		cRequestsFailed.Inc()
-		server.WriteError(rctx, w, http.StatusBadRequest, server.CodeBadRequest, "bad request body: %v", err)
-		return
-	}
+	req := body.MapRequest
 	if req.Reference != "" {
-		cRequestsFailed.Inc()
-		server.WriteError(rctx, w, http.StatusForbidden, server.CodeRefLoadDisabled,
+		ep.Reject(w, r, http.StatusForbidden, server.CodeRefLoadDisabled,
 			"the cluster serves one pinned reference; per-request references are not routable")
 		return
 	}
-	if len(req.Reads) == 0 {
-		cRequestsFailed.Inc()
-		server.WriteError(rctx, w, http.StatusBadRequest, server.CodeBadRequest, "no reads")
-		return
-	}
-	if len(req.Reads) > rt.cfg.MaxReadsPerRequest {
-		cRequestsFailed.Inc()
-		server.WriteError(rctx, w, http.StatusRequestEntityTooLarge, server.CodeTooManyReads,
-			"%d reads exceeds per-request limit %d", len(req.Reads), rt.cfg.MaxReadsPerRequest)
-		return
-	}
-	for i, rd := range req.Reads {
-		if len(rd.Seq) == 0 {
-			cRequestsFailed.Inc()
-			server.WriteError(rctx, w, http.StatusBadRequest, server.CodeBadRequest, "read %d (%q) has an empty sequence", i, rd.Name)
-			return
-		}
-	}
-	span.SetAttr("reads", int64(len(req.Reads)))
+	span := obs.SpanFromContext(r.Context())
 	span.SetAttr("shards", int64(rt.shardCount))
-
-	timeout := rt.cfg.RequestTimeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(rctx, timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
 	// Workers get the remaining budget in their own timeout_ms so a
 	// sub-request shed by the router's deadline is also shed worker-side.
-	subTimeoutMS := int(timeout / time.Millisecond)
-	byShard, err := rt.scatterAll(ctx, span, req.Reads, subTimeoutMS, reqID, traceparent)
+	byShard, err := rt.scatterAll(ctx, span, req.Reads, int(timeout/time.Millisecond),
+		obs.RequestIDFromContext(ctx), r.Header.Get("traceparent"))
 	if err != nil {
-		cRequestsFailed.Inc()
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			server.WriteError(rctx, w, http.StatusGatewayTimeout, server.CodeDeadline, "request deadline exceeded")
-		case faults.IsInjected(err):
-			server.WriteError(rctx, w, http.StatusServiceUnavailable, server.CodeFaultInjected, "%v", err)
-		default:
-			server.WriteError(rctx, w, http.StatusBadGateway, server.CodeScatterFailed, "%v", err)
-		}
+		ep.Fail(ctx, w, r, err, http.StatusBadGateway, server.CodeScatterFailed)
 		return
 	}
 	results, err := rt.mergeAll(byShard, len(req.Reads))
 	if err != nil {
-		cRequestsFailed.Inc()
-		server.WriteError(rctx, w, http.StatusInternalServerError, server.CodeInternal, "merge: %v", err)
+		ep.Fail(ctx, w, r, fmt.Errorf("merge: %w", err), http.StatusInternalServerError, server.CodeInternal)
 		return
 	}
-	cRequestsOK.Inc()
-	if r.URL.Query().Get("format") == "sam" {
-		rt.writeSAM(w, req, results)
-		return
-	}
-	rt.writeNDJSON(w, reqID, req, results)
-}
-
-// writeNDJSON mirrors the worker's NDJSON emission line for line, so a
-// client cannot tell a router from a single darwind.
-func (rt *Router) writeNDJSON(w http.ResponseWriter, reqID string, req server.MapRequest, results []core.MapResult) {
-	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	for i, rd := range req.Reads {
-		var line server.MapResponseLine
-		switch {
-		case results[i].Err != nil:
-			line = server.MapResponseLine{Read: rd.Name, Error: results[i].Err.Error()}
-		default:
-			recs := server.RecordsFor(rt.ref, rd.Name, rd.Seq, results[i].Alignments, req.All)
-			mapped := false
-			for _, rec := range recs {
-				if rec.Flag&sam.FlagUnmapped == 0 {
-					mapped = true
-					break
-				}
-			}
-			line = server.MapResponseLine{Read: rd.Name, Mapped: mapped, Records: recs}
-		}
-		line.RequestID = reqID
-		if err := enc.Encode(line); err != nil {
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-}
-
-// writeSAM streams the merged batch as SAM with the same header the
-// workers would emit — program name included — because byte identity
-// with monolithic darwind is the cluster's correctness contract.
-func (rt *Router) writeSAM(w http.ResponseWriter, req server.MapRequest, results []core.MapResult) {
-	w.Header().Set("Content-Type", "text/x-sam; charset=utf-8")
-	for _, line := range sam.HeaderLines(rt.sq, "darwind") {
-		fmt.Fprintln(w, line)
-	}
-	flusher, _ := w.(http.Flusher)
-	for i, rd := range req.Reads {
-		alns := results[i].Alignments
-		if results[i].Err != nil {
-			alns = nil
-		}
-		for _, rec := range server.RecordsFor(rt.ref, rd.Name, rd.Seq, alns, req.All) {
-			fmt.Fprintln(w, rec.Line())
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	rt.WriteResults(w, r, rt.ref, rt.sq, req, results)
 }

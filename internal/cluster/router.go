@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"darwin/internal/core"
@@ -20,22 +19,20 @@ import (
 	"darwin/internal/shard"
 )
 
-// Router observability. The cluster/* namespace is the router's own;
-// worker-side scatter work shows up under server/* on each worker.
+// Router observability. The cluster/* namespace is the router's own —
+// its serving front counts requests under it too; worker-side scatter
+// work shows up under server/* on each worker.
 var (
-	cRequests       = obs.Default.Counter("cluster/requests")
-	cRequestsOK     = obs.Default.Counter("cluster/requests_ok")
-	cRequestsFailed = obs.Default.Counter("cluster/requests_failed")
-	cSubreqs        = obs.Default.Counter("cluster/scatter_subreqs")
-	cSubreqFails    = obs.Default.Counter("cluster/scatter_subreq_fails")
-	cFailovers      = obs.Default.Counter("cluster/replica_failovers")
-	cHedgeFired     = obs.Default.Counter("cluster/hedge_fired")
-	cHedgeWins      = obs.Default.Counter("cluster/hedge_wins")
-	cHedgeCancels   = obs.Default.Counter("cluster/hedge_cancelled")
-	cBreakerOpens   = obs.Default.Counter("cluster/breaker_opens")
-	cBreakerFast    = obs.Default.Counter("cluster/breaker_fast_fails")
-	gWorkers        = obs.Default.Gauge("cluster/workers")
-	hSubreqLatency  = obs.Default.Histogram("cluster/subreq_latency_ms", 0, 10000, 100)
+	cSubreqs       = obs.Default.Counter("cluster/scatter_subreqs")
+	cSubreqFails   = obs.Default.Counter("cluster/scatter_subreq_fails")
+	cFailovers     = obs.Default.Counter("cluster/replica_failovers")
+	cHedgeFired    = obs.Default.Counter("cluster/hedge_fired")
+	cHedgeWins     = obs.Default.Counter("cluster/hedge_wins")
+	cHedgeCancels  = obs.Default.Counter("cluster/hedge_cancelled")
+	cBreakerOpens  = obs.Default.Counter("cluster/breaker_opens")
+	cBreakerFast   = obs.Default.Counter("cluster/breaker_fast_fails")
+	gWorkers       = obs.Default.Gauge("cluster/workers")
+	hSubreqLatency = obs.Default.Histogram("cluster/subreq_latency_ms", 0, 10000, 100)
 
 	fpScatter = faults.Default.Point("cluster/scatter")
 )
@@ -91,15 +88,6 @@ func (c Config) withDefaults() Config {
 	if c.HedgeMax < c.HedgeMin {
 		c.HedgeMax = c.HedgeMin
 	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 60 * time.Second
-	}
-	if c.MaxReadsPerRequest <= 0 {
-		c.MaxReadsPerRequest = 1024
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
-	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
 	}
@@ -127,14 +115,15 @@ type workerState struct {
 // the cluster map, a layout-only Reference for coordinate translation,
 // and per-worker breakers/latency windows. Everything else is
 // re-derived per request, so any number of routers can front the same
-// worker fleet.
+// worker fleet. Its HTTP face is the serving front darwind answers
+// through, so a client cannot tell the two apart.
 type Router struct {
+	*server.Front
 	cfg     Config
 	cmap    *Map
 	workers []*workerState
 	log     *slog.Logger
 	client  *http.Client
-	mux     *http.ServeMux
 
 	// Cluster-wide invariants learned at Probe time.
 	ref           *core.Reference
@@ -142,9 +131,6 @@ type Router struct {
 	shardCount    int
 	maxCandidates int
 	fingerprint   string
-
-	ready    atomic.Bool
-	draining atomic.Bool
 }
 
 // New assembles a router; call Probe to learn the cluster's geometry
@@ -156,6 +142,7 @@ func New(cfg Config) (*Router, error) {
 		return nil, err
 	}
 	rt := &Router{
+		Front:  server.NewFront("cluster", cfg.Logger, cfg.RequestTimeout, cfg.MaxReadsPerRequest, cfg.MaxBodyBytes, 0),
 		cfg:    cfg,
 		cmap:   cmap,
 		log:    cfg.Logger,
@@ -169,12 +156,8 @@ func New(cfg Config) (*Router, error) {
 		})
 	}
 	gWorkers.Set(int64(len(rt.workers)))
-	rt.mux = http.NewServeMux()
-	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("/readyz", rt.handleReadyz)
-	rt.mux.HandleFunc("/v1/map", rt.handleMap)
-	rt.mux.HandleFunc("/v1/cluster", rt.handleTopology)
-	rt.mux.Handle("/metrics", obs.MetricsHandler(obs.Default))
+	rt.HandleFunc("/v1/map", rt.handleMap)
+	rt.HandleFunc("/v1/cluster", rt.handleTopology)
 	return rt, nil
 }
 
@@ -243,17 +226,9 @@ func (rt *Router) Probe(ctx context.Context) error {
 	rt.shardCount = first.Geometry.Shards
 	rt.maxCandidates = first.MaxCandidates
 	rt.fingerprint = first.Fingerprint
-	rt.ready.Store(true)
+	rt.SetReady()
 	return nil
 }
-
-// Ready reports whether the cluster probe succeeded and the router is
-// not draining.
-func (rt *Router) Ready() bool { return rt.ready.Load() && !rt.draining.Load() }
-
-// StartDrain flips /readyz to 503 and rejects new /v1/map requests;
-// in-flight scatters complete under the HTTP server's shutdown grace.
-func (rt *Router) StartDrain() { rt.draining.Store(true) }
 
 // attemptResult is one replica attempt's outcome.
 type attemptResult struct {

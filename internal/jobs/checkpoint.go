@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"os"
-	"path/filepath"
 
 	"darwin/internal/core"
 	"darwin/internal/dna"
@@ -110,27 +109,7 @@ func WriteCheckpoint(path string, fingerprint uint64, c core.OverlapCheckpoint) 
 	}
 	le.PutUint32(buf[off:off+4], crc32.Checksum(buf[4:off], castagnoli))
 
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err = tmp.Write(buf); err != nil {
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		return err
-	}
-	if err = tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return writeFileAtomic(path, buf)
 }
 
 // ReadCheckpoint loads and verifies a checkpoint: magic, version,
@@ -151,10 +130,12 @@ func ReadCheckpoint(path string, fingerprint uint64) (*core.OverlapCheckpoint, e
 	if v := le.Uint32(buf[4:8]); v != ckptVersion {
 		return nil, ckptErr(CodeBadVersion, path, "version %d, want %d", v, ckptVersion)
 	}
+	// The count is on-disk input: compare it with the records the file
+	// has room for, never multiply it — 1<<58 records of 64 bytes wrap
+	// to a length of zero.
 	count := le.Uint64(buf[24:32])
-	want := ckptHdrLen + ckptRecLen*int(count) + 4
-	if len(buf) != want {
-		return nil, ckptErr(CodeTruncated, path, "%d bytes, want %d for %d overlaps", len(buf), want, count)
+	if room := len(buf) - ckptHdrLen - 4; room%ckptRecLen != 0 || count != uint64(room/ckptRecLen) {
+		return nil, ckptErr(CodeTruncated, path, "%d bytes do not hold %d overlaps", len(buf), count)
 	}
 	stored := le.Uint32(buf[len(buf)-4:])
 	if got := crc32.Checksum(buf[4:len(buf)-4], castagnoli); got != stored {

@@ -1,7 +1,9 @@
 package jobs
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -84,6 +86,14 @@ func TestCheckpointCorruption(t *testing.T) {
 		{"truncated records", func(d []byte) []byte { return d[:len(d)-20] }, 42, CodeTruncated},
 		{"payload bit flip", func(d []byte) []byte { d[40] ^= 0x01; return d }, 42, CodeChecksumMismatch},
 		{"wrong fingerprint", func(d []byte) []byte { return d }, 43, CodePayloadMismatch},
+		// 1<<58 records of 64 bytes wrap to zero, so a 36-byte file with
+		// a valid CRC once passed the length check and panicked in make.
+		{"overflowing count", func(d []byte) []byte {
+			d = d[:ckptHdrLen+4]
+			binary.LittleEndian.PutUint64(d[24:32], 1<<58)
+			binary.LittleEndian.PutUint32(d[ckptHdrLen:], crc32.Checksum(d[4:ckptHdrLen], castagnoli))
+			return d
+		}, 42, CodeTruncated},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -15,7 +15,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -24,14 +23,8 @@ import (
 	"darwin/internal/shard"
 )
 
-// Worker-mode observability.
-var (
-	cScatterReqs       = obs.Default.Counter("server/scatter_requests")
-	cScatterReqsFailed = obs.Default.Counter("server/scatter_requests_failed")
-	cScatterReads      = obs.Default.Counter("server/scatter_reads")
-	cScatterShed       = obs.Default.Counter("server/scatter_shed")
-	cScatterCanceled   = obs.Default.Counter("server/scatter_canceled")
-)
+// cScatterShed counts sub-requests the scatter gate refused.
+var cScatterShed = obs.Default.Counter("server/scatter_shed")
 
 // WorkerConfig enables and tunes cluster-worker mode.
 type WorkerConfig struct {
@@ -200,31 +193,27 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request) {
-	rctx := r.Context()
-	cScatterReqs.Inc()
-	req, reads, timeout, ok := s.readRequest(w, r, cScatterReqsFailed, true)
+	ep := s.scatterEP
+	req, reads, timeout, ok := ep.Read(w, r)
 	if !ok {
 		return
 	}
 	for _, id := range req.Shards {
 		if !s.ownsShard(id) {
-			cScatterReqsFailed.Inc()
-			httpError(rctx, w, http.StatusConflict, CodeShardNotOwned,
+			ep.Reject(w, r, http.StatusConflict, CodeShardNotOwned,
 				"worker %q does not own shard %d (stale cluster map?)", s.cfg.Worker.Name, id)
 			return
 		}
 	}
-	ctx, cancel := context.WithTimeout(rctx, timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
 	// The scatter gate has no waiting places, so this never blocks; a
 	// sub-request that slipped past the preamble as the drain began is
-	// shed like any other, and the router fails over.
+	// refused like any other, and the router fails over.
 	if err := s.scatterGate.acquire(ctx); err != nil {
-		cScatterReqsFailed.Inc()
 		cScatterShed.Inc()
-		w.Header().Set("Retry-After", "1")
-		httpError(rctx, w, http.StatusTooManyRequests, CodeQueueFull, "scatter admission full, retry later")
+		ep.Fail(ctx, w, r, err, http.StatusInternalServerError, CodeInternal)
 		return
 	}
 	defer s.scatterGate.release()
@@ -232,35 +221,21 @@ func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request) {
 	entry := s.defaultEntry.Load()
 	mapper, err := entry.Acquire()
 	if err != nil {
-		cScatterReqsFailed.Inc()
-		httpError(rctx, w, http.StatusInternalServerError, CodeInternal, "engine clone: %v", err)
+		ep.Reject(w, r, http.StatusInternalServerError, CodeInternal, "engine clone: %v", err)
 		return
 	}
 	defer entry.Release(mapper)
 	sm, ok := mapper.(*shard.ScatterMapper)
 	if !ok {
-		cScatterReqsFailed.Inc()
-		httpError(rctx, w, http.StatusInternalServerError, CodeInternal, "worker engine is not sharded")
+		ep.Reject(w, r, http.StatusInternalServerError, CodeInternal, "worker engine is not sharded")
 		return
 	}
-	cScatterReads.Add(int64(len(reads)))
 	results, err := sm.ScatterShards(ctx, reads, req.Shards, 1)
 	if err != nil {
-		switch {
-		case err == context.DeadlineExceeded || ctx.Err() == context.DeadlineExceeded:
-			cScatterReqsFailed.Inc()
-			httpError(rctx, w, http.StatusGatewayTimeout, CodeDeadline, "scatter deadline exceeded")
-		case errors.Is(err, context.Canceled) || rctx.Err() == context.Canceled:
-			// The router cancels losing hedge/failover attempts the
-			// moment a sibling wins; that is normal operation, not a
-			// worker failure, so it stays out of the failure counter
-			// and the 5xx (ERROR-level) access log.
-			cScatterCanceled.Inc()
-			httpError(rctx, w, statusClientClosedRequest, CodeCanceled, "scatter canceled by caller")
-		default:
-			cScatterReqsFailed.Inc()
-			httpError(rctx, w, http.StatusInternalServerError, CodeInternal, "%v", err)
-		}
+		// The router cancels losing hedge and failover attempts the
+		// moment a sibling wins; Fail answers those 499, outside the
+		// failure counter and the ERROR-level access log.
+		ep.Fail(ctx, w, r, err, http.StatusInternalServerError, CodeInternal)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")

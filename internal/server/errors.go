@@ -55,13 +55,6 @@ type ErrorDetail struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
-// WriteError is the structured-error writer, exported so the cluster
-// router's responses carry the exact envelope the worker API does —
-// one error shape for clients regardless of which tier rejected them.
-func WriteError(ctx context.Context, w http.ResponseWriter, status int, code string, format string, args ...any) {
-	httpError(ctx, w, status, code, format, args...)
-}
-
 // httpError writes a structured JSON error with status code, carrying
 // ctx's request identity in the envelope. Headers (Retry-After etc.)
 // must be set before calling.

@@ -73,7 +73,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, s.maxBodyBytes)
 	kind := jobs.Kind(firstNonEmpty(r.URL.Query().Get("kind"), string(jobs.KindAssemble)))
 	params := jobs.DefaultParams()
 	var recs []dna.Record

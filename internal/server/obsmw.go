@@ -3,6 +3,7 @@ package server
 import (
 	"log/slog"
 	"net/http"
+	"time"
 
 	"darwin/internal/obs"
 )
@@ -51,11 +52,11 @@ func setErrCode(w http.ResponseWriter, code string) {
 	}
 }
 
-// withObs wraps the whole service: mints the request identity, roots
+// withObs wraps the whole tier: mints the request identity, roots
 // the span tree in the request context, echoes X-Request-ID, emits
-// the slog access line, feeds the SLO windows, and offers /v1/map
-// spans to the slow-request ring.
-func (s *Server) withObs(h http.Handler) http.Handler {
+// the slog access line, feeds the latency histogram and the SLO
+// windows, and offers /v1/map spans to the slow-request ring.
+func (f *Front) withObs(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		reqID := requestIDFrom(r)
 		span := obs.NewRequestSpan(reqID, r.Method+" "+r.URL.Path)
@@ -71,8 +72,9 @@ func (s *Server) withObs(h http.Handler) http.Handler {
 		d := span.Duration()
 		isMap := r.URL.Path == "/v1/map"
 		if isMap {
-			s.stats.observe(d, sw.status, sw.errCode)
-			s.slow.Offer(span)
+			f.hRequestLatency.Observe(float64(d) / float64(time.Millisecond))
+			f.stats.observe(d, sw.status, sw.errCode)
+			f.slow.Offer(span)
 		}
 
 		// Access line: one per request on the serving endpoints. The
@@ -98,7 +100,7 @@ func (s *Server) withObs(h http.Handler) http.Handler {
 		if sw.errCode != "" {
 			attrs = append(attrs, slog.String("error_code", sw.errCode))
 		}
-		s.log.LogAttrs(ctx, level, "request", attrs...)
+		f.log.LogAttrs(ctx, level, "request", attrs...)
 	})
 }
 

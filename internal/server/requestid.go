@@ -20,11 +20,6 @@ import (
 // not payload smuggling. Longer values are truncated, not rejected.
 const maxRequestIDLen = 64
 
-// RequestIDFrom extracts or mints a request's identity — exported for
-// the cluster router, which must apply darwind's exact ingress rule so
-// one ID threads an entire scatter-gather span tree across processes.
-func RequestIDFrom(r *http.Request) string { return requestIDFrom(r) }
-
 // requestIDFrom extracts or mints the request's identity.
 func requestIDFrom(r *http.Request) string {
 	if id := sanitizeRequestID(r.Header.Get("X-Request-ID")); id != "" {

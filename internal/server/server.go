@@ -22,18 +22,9 @@ import (
 	"darwin/internal/shard"
 )
 
-// HTTP-layer observability.
-var (
-	cRequests         = obs.Default.Counter("server/requests")
-	cRequestsOK       = obs.Default.Counter("server/requests_ok")
-	cRequestsFailed   = obs.Default.Counter("server/requests_failed")
-	cReadsIn          = obs.Default.Counter("server/reads_in")
-	cRejectedDraining = obs.Default.Counter("server/rejected_draining")
-	cMapCanceled      = obs.Default.Counter("server/map_canceled")
-	cMapPanics        = obs.Default.Counter("server/map_panics")
-	gDraining         = obs.Default.Gauge("server/draining")
-	hRequestLatency   = obs.Default.Histogram("server/request_latency_ms", 0, 10000, 100)
-)
+// cMapPanics counts mapping stages that panicked and were recovered
+// into their request's error.
+var cMapPanics = obs.Default.Counter("server/map_panics")
 
 // Config assembles the service.
 type Config struct {
@@ -111,15 +102,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 4
 	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 60 * time.Second
-	}
-	if c.MaxReadsPerRequest <= 0 {
-		c.MaxReadsPerRequest = 1024
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
-	}
 	if c.IndexBudgetFrac <= 0 || c.IndexBudgetFrac > 1 {
 		c.IndexBudgetFrac = 0.5
 	}
@@ -132,9 +114,6 @@ func (c Config) withDefaults() Config {
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
-	if c.SlowCapture <= 0 {
-		c.SlowCapture = 16
-	}
 	if c.QueueBound <= 0 {
 		c.QueueBound = 256
 	}
@@ -143,14 +122,11 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the darwind service: index cache + admission gates behind
-// an HTTP/JSON API.
+// the serving front the cluster router shares.
 type Server struct {
+	*Front
 	cfg   Config
 	cache *IndexCache
-	mux   *http.ServeMux
-	log   *slog.Logger
-	stats *sloTracker
-	slow  *obs.SlowRing
 
 	// mapGate admits /v1/map requests: one slot per CPU, QueueBound
 	// waiters. scatterGate admits cluster sub-requests in worker mode:
@@ -159,9 +135,8 @@ type Server struct {
 	// that smears tail latency.
 	mapGate     *gate
 	scatterGate *gate
+	scatterEP   *Endpoint
 
-	ready        atomic.Bool
-	draining     atomic.Bool
 	defaultEntry atomic.Pointer[IndexEntry]
 
 	// breakers holds one circuit breaker per index key, so one doomed
@@ -178,44 +153,28 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
+		Front:       NewFront("server", cfg.Logger, cfg.RequestTimeout, cfg.MaxReadsPerRequest, cfg.MaxBodyBytes, cfg.SlowCapture),
 		cfg:         cfg,
 		cache:       NewIndexCache(cfg.CacheSize),
 		mapGate:     newGate(core.DefaultWorkers(0), cfg.QueueBound),
 		scatterGate: newGate(cfg.Worker.ScatterConcurrency, 0),
-		log:         cfg.Logger,
-		stats:       newSLOTracker(),
-		slow:        obs.NewSlowRing(cfg.SlowCapture),
 		breakers:    make(map[string]*Breaker),
 	}
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	s.mux.HandleFunc("/v1/map", s.handleMap)
-	s.mux.HandleFunc("/v1/indexes", s.handleIndexes)
-	s.mux.HandleFunc("/v1/stats", s.handleStats)
-	s.mux.Handle("/metrics", obs.MetricsHandler(obs.Default))
-	s.mux.HandleFunc("/debug/slow", s.handleSlow)
+	s.Front.tierStats = s.darwindStats
+	s.HandleFunc("/v1/map", s.handleMap)
+	s.HandleFunc("/v1/indexes", s.handleIndexes)
+	s.scatterEP = s.endpoint("scatter_requests", "scatter_requests_failed", "scatter_canceled", "scatter_reads", true)
 	if cfg.Worker.Enabled {
-		s.mux.HandleFunc("/v1/shards", s.handleShards)
-		s.mux.HandleFunc("/v1/cluster/scatter", s.handleScatter)
+		s.HandleFunc("/v1/shards", s.handleShards)
+		s.HandleFunc("/v1/cluster/scatter", s.handleScatter)
 	}
 	if cfg.Jobs != nil {
 		s.jobs = cfg.Jobs
-		s.mux.HandleFunc("/v1/jobs", s.handleJobs)
-		s.mux.HandleFunc("/v1/jobs/", s.handleJob)
+		s.HandleFunc("/v1/jobs", s.handleJobs)
+		s.HandleFunc("/v1/jobs/", s.handleJob)
 	}
 	return s
 }
-
-// Handler returns the service's HTTP handler: the API mux behind the
-// observability middleware (request IDs, span roots, access logs,
-// SLO windows).
-func (s *Server) Handler() http.Handler { return s.withObs(s.mux) }
-
-// SlowCaptures returns the retained slowest-request span trees,
-// slowest first — the same data /debug/slow serves, for the drain
-// dump.
-func (s *Server) SlowCaptures() []obs.SlowCapture { return s.slow.Snapshot() }
 
 // Warm loads the default reference into the cache and marks the
 // server ready. Blocking by design: readiness means the index is
@@ -241,20 +200,8 @@ func (s *Server) Warm(ctx context.Context) error {
 		}
 	}
 	s.defaultEntry.Store(entry)
-	s.ready.Store(true)
+	s.SetReady()
 	return nil
-}
-
-// Ready reports whether the default index is warm and the server is
-// not draining.
-func (s *Server) Ready() bool { return s.ready.Load() && !s.draining.Load() }
-
-// StartDrain stops admitting requests: /readyz flips to 503 so load
-// balancers stop routing here and new mapping requests get 503, while
-// in-flight ones complete.
-func (s *Server) StartDrain() {
-	s.draining.Store(true)
-	gDraining.Set(1)
 }
 
 // Drain completes a graceful shutdown: after StartDrain it closes both
@@ -364,22 +311,6 @@ func retryAfterSeconds(d time.Duration) int {
 	return secs
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprintln(w, "ok")
-}
-
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	switch {
-	case s.draining.Load():
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-	case !s.ready.Load():
-		http.Error(w, "index warming", http.StatusServiceUnavailable)
-	default:
-		fmt.Fprintln(w, "ready")
-	}
-}
-
 func (s *Server) handleIndexes(w http.ResponseWriter, _ *http.Request) {
 	type shardingInfo struct {
 		shard.Stats
@@ -450,111 +381,9 @@ type MapResponseLine struct {
 	RequestID string       `json:"request_id,omitempty"`
 }
 
-// statusClientClosedRequest is the client-closed-request convention
-// (nginx's 499): the caller went away before the answer was ready.
-// Neither a server failure nor an ERROR-level access line.
-const statusClientClosedRequest = 499
-
-// mapBody is the request body of both mapping endpoints as readRequest
-// decodes it: a /v1/map body carries no shards, a scatter body no
-// reference or all.
-type mapBody struct {
-	MapRequest
-	Shards []int `json:"shards"`
-}
-
-// readRequest is the preamble /v1/map and /v1/cluster/scatter share:
-// method, drain and readiness checks, then — as the server.admit stage
-// — body decode, read-count and empty-sequence validation and the
-// server/admit fault point. It returns the body, its reads' sequences
-// and the request's deadline (the server cap, shortened by the
-// client's timeout_ms). ok is false when it has answered the request
-// itself, counting the failure on failed; scatter bodies must also name
-// shards.
-func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, failed *obs.Counter, scatter bool) (req mapBody, reads []dna.Seq, timeout time.Duration, ok bool) {
-	ctx := r.Context()
-	if r.Method != http.MethodPost {
-		failed.Inc()
-		httpError(ctx, w, http.StatusMethodNotAllowed, CodeMethodNotAllow, "POST required")
-		return
-	}
-	if s.draining.Load() {
-		cRejectedDraining.Inc()
-		w.Header().Set("Retry-After", "5")
-		httpError(ctx, w, http.StatusServiceUnavailable, CodeDraining, "draining")
-		return
-	}
-	if !s.ready.Load() {
-		failed.Inc()
-		w.Header().Set("Retry-After", "1")
-		httpError(ctx, w, http.StatusServiceUnavailable, CodeWarming, "index warming")
-		return
-	}
-
-	// One span child covers decode, validation and the admission fault
-	// point — admission rejections are cheap by design, and the span
-	// proves it.
-	span := obs.SpanFromContext(ctx)
-	admit := span.StartChild("server.admit")
-	defer admit.End()
-	reject := func(status int, code, format string, args ...any) {
-		failed.Inc()
-		httpError(ctx, w, status, code, format, args...)
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		reject(http.StatusBadRequest, CodeBadRequest, "bad request body: %v", err)
-		return
-	}
-	switch {
-	case scatter && (len(req.Reads) == 0 || len(req.Shards) == 0):
-		reject(http.StatusBadRequest, CodeBadRequest, "scatter needs reads and shards")
-		return
-	case len(req.Reads) == 0:
-		reject(http.StatusBadRequest, CodeBadRequest, "no reads")
-		return
-	case len(req.Reads) > s.cfg.MaxReadsPerRequest:
-		reject(http.StatusRequestEntityTooLarge, CodeTooManyReads,
-			"%d reads exceeds per-request limit %d", len(req.Reads), s.cfg.MaxReadsPerRequest)
-		return
-	}
-	reads = make([]dna.Seq, len(req.Reads))
-	for i, rd := range req.Reads {
-		if len(rd.Seq) == 0 {
-			reject(http.StatusBadRequest, CodeBadRequest, "read %d (%q) has an empty sequence", i, rd.Name)
-			return
-		}
-		reads[i] = rd.Seq
-	}
-	// An injected error here exercises the structured-error path before
-	// any stage budget is spent.
-	if err := fpAdmit.Fire(); err != nil {
-		w.Header().Set("Retry-After", "1")
-		reject(http.StatusServiceUnavailable, CodeFaultInjected, "%v", err)
-		return
-	}
-	admit.SetAttr("reads", int64(len(reads)))
-	span.SetAttr("reads", int64(len(reads)))
-
-	timeout = s.cfg.RequestTimeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	return req, reads, timeout, true
-}
-
 func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	cRequests.Inc()
-	defer func() {
-		hRequestLatency.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-	}()
-	rctx := r.Context()
-	span := obs.SpanFromContext(rctx)
-
-	body, reads, timeout, ok := s.readRequest(w, r, cRequestsFailed, false)
+	ep := s.Map()
+	body, reads, timeout, ok := ep.Read(w, r)
 	if !ok {
 		return
 	}
@@ -563,7 +392,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	// The total budget is split across stages — an on-demand index load
 	// may consume at most IndexBudgetFrac of it, the map stage gets
 	// whatever remains.
-	ctx, cancel := context.WithTimeout(rctx, timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
 	// Resolve the index: warm default, or an on-demand load when the
@@ -571,13 +400,12 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	entry := s.defaultEntry.Load()
 	if req.Reference != "" && req.Reference != s.cfg.DefaultRef {
 		if !s.cfg.AllowRefLoad {
-			cRequestsFailed.Inc()
-			httpError(rctx, w, http.StatusForbidden, CodeRefLoadDisabled, "on-demand reference loading is disabled (-allow-ref-load)")
+			ep.Reject(w, r, http.StatusForbidden, CodeRefLoadDisabled, "on-demand reference loading is disabled (-allow-ref-load)")
 			return
 		}
 		indexBudget := time.Duration(float64(timeout) * s.cfg.IndexBudgetFrac)
 		ictx, icancel := context.WithTimeout(ctx, indexBudget)
-		idxSpan := span.StartChild("server.index")
+		idxSpan := obs.SpanFromContext(ctx).StartChild("server.index")
 		entry2, hit, err := s.loadEntry(ictx, req.Reference)
 		icancel()
 		if hit {
@@ -585,72 +413,36 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		}
 		idxSpan.End()
 		if err != nil {
-			cRequestsFailed.Inc()
 			switch {
 			case errors.Is(err, ErrCircuitOpen):
 				w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSeconds(s.cfg.BreakerCooldown)))
-				httpError(rctx, w, http.StatusServiceUnavailable, CodeCircuitOpen, "reference %q: %v", req.Reference, err)
+				ep.Reject(w, r, http.StatusServiceUnavailable, CodeCircuitOpen, "reference %q: %v", req.Reference, err)
 			case errors.Is(err, context.DeadlineExceeded):
-				httpError(rctx, w, http.StatusGatewayTimeout, CodeDeadline,
+				ep.Reject(w, r, http.StatusGatewayTimeout, CodeDeadline,
 					"index build for %q exceeded its stage budget (%v of the request deadline)", req.Reference, indexBudget)
 			case faults.IsInjected(err):
-				httpError(rctx, w, http.StatusServiceUnavailable, CodeFaultInjected, "loading reference %q: %v", req.Reference, err)
+				ep.Reject(w, r, http.StatusServiceUnavailable, CodeFaultInjected, "loading reference %q: %v", req.Reference, err)
 			default:
-				httpError(rctx, w, http.StatusBadRequest, CodeRefLoadFailed, "loading reference %q: %v", req.Reference, err)
+				ep.Reject(w, r, http.StatusBadRequest, CodeRefLoadFailed, "loading reference %q: %v", req.Reference, err)
 			}
 			return
 		}
 		entry = entry2
 	}
 	if entry == nil {
-		cRequestsFailed.Inc()
-		httpError(rctx, w, http.StatusServiceUnavailable, CodeNoIndex, "no default index")
+		ep.Reject(w, r, http.StatusServiceUnavailable, CodeNoIndex, "no default index")
 		return
 	}
 
-	cReadsIn.Add(int64(len(reads)))
-	s.stats.observeReads(len(reads))
-
 	results, err := s.mapReads(ctx, entry, reads)
-	if st := serverTiming(span); st != "" {
-		w.Header().Set("Server-Timing", st)
-	}
 	if err != nil {
 		if ctx.Err() != nil {
 			cJobsCancelled.Inc()
 		}
-		if rctx.Err() != nil {
-			// The caller hung up; that is not the server failing. A
-			// request that merely outlived its own deadline leaves rctx
-			// alive and falls through to 504.
-			cMapCanceled.Inc()
-			httpError(rctx, w, statusClientClosedRequest, CodeCanceled, "request canceled by caller")
-			return
-		}
-		cRequestsFailed.Inc()
-		switch {
-		case errors.Is(err, ErrQueueFull):
-			w.Header().Set("Retry-After", "1")
-			httpError(rctx, w, http.StatusTooManyRequests, CodeQueueFull, "admission queue full, retry later")
-		case errors.Is(err, ErrDraining):
-			w.Header().Set("Retry-After", "5")
-			httpError(rctx, w, http.StatusServiceUnavailable, CodeDraining, "draining")
-		case ctx.Err() != nil:
-			httpError(rctx, w, http.StatusGatewayTimeout, CodeDeadline, "request deadline exceeded")
-		case faults.IsInjected(err):
-			httpError(rctx, w, http.StatusServiceUnavailable, CodeFaultInjected, "%v", err)
-		default:
-			httpError(rctx, w, http.StatusInternalServerError, CodeInternal, "%v", err)
-		}
+		ep.Fail(ctx, w, r, err, http.StatusInternalServerError, CodeInternal)
 		return
 	}
-	cRequestsOK.Inc()
-
-	if r.URL.Query().Get("format") == "sam" {
-		s.writeSAM(w, entry, req, results)
-		return
-	}
-	s.writeNDJSON(w, obs.RequestIDFromContext(rctx), entry, req, results)
+	s.WriteResults(w, r, entry.Ref, entry.SQ, req, results)
 }
 
 // mapReads is the map stage of one /v1/map request: wait for a slot of
@@ -743,76 +535,4 @@ func RecordsFor(ref *core.Reference, name string, seq dna.Seq, alns []core.ReadA
 		return []sam.Record{{QName: name, Flag: sam.FlagUnmapped, Seq: seq}}
 	}
 	return out
-}
-
-// writeNDJSON streams one MapResponseLine per read, flushing after
-// each line so clients see results as they are encoded. A read that
-// failed (panic isolation, per-read deadline, injected fault) gets an
-// error line instead of records — the other reads in the request are
-// unaffected, which is the whole point of per-read isolation.
-func (s *Server) writeNDJSON(w http.ResponseWriter, reqID string, entry *IndexEntry, req MapRequest, results []core.MapResult) {
-	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	for i, rd := range req.Reads {
-		var line MapResponseLine
-		switch {
-		case results[i].Err != nil:
-			line = MapResponseLine{Read: rd.Name, Error: results[i].Err.Error()}
-		default:
-			if err := fpStream.Fire(); err != nil {
-				// Injected stream fault: degrade this one line to a
-				// structured error, keep streaming the rest.
-				line = MapResponseLine{Read: rd.Name, Error: err.Error()}
-				break
-			}
-			recs := RecordsFor(entry.Ref, rd.Name, rd.Seq, results[i].Alignments, req.All)
-			// Mapped reflects the emitted records, not the raw alignment
-			// count: recordsFor can drop every alignment (degenerate
-			// cross-sequence spans) and emit an unmapped placeholder.
-			mapped := false
-			for _, rec := range recs {
-				if rec.Flag&sam.FlagUnmapped == 0 {
-					mapped = true
-					break
-				}
-			}
-			line = MapResponseLine{
-				Read:    rd.Name,
-				Mapped:  mapped,
-				Records: recs,
-			}
-		}
-		line.RequestID = reqID
-		if err := enc.Encode(line); err != nil {
-			return // client went away
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-}
-
-// writeSAM streams the response as SAM text (header + one line per
-// record).
-func (s *Server) writeSAM(w http.ResponseWriter, entry *IndexEntry, req MapRequest, results []core.MapResult) {
-	w.Header().Set("Content-Type", "text/x-sam; charset=utf-8")
-	for _, line := range sam.HeaderLines(entry.SQ, "darwind") {
-		fmt.Fprintln(w, line)
-	}
-	flusher, _ := w.(http.Flusher)
-	for i, rd := range req.Reads {
-		// SAM has no per-record error channel; a failed read becomes an
-		// unmapped placeholder so record count still matches read count.
-		alns := results[i].Alignments
-		if results[i].Err != nil {
-			alns = nil
-		}
-		for _, rec := range RecordsFor(entry.Ref, rd.Name, rd.Seq, alns, req.All) {
-			fmt.Fprintln(w, rec.Line())
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
 }

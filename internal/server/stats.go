@@ -146,43 +146,53 @@ type statsResponse struct {
 	Draining     bool                   `json:"draining"`
 	QueueDepth   int64                  `json:"queue_depth"`
 	Windows      map[string]windowStats `json:"windows"`
-	Align        alignStats             `json:"align"`
+	Align        *alignStats            `json:"align,omitempty"`
 	Breakers     map[string]string      `json:"breakers,omitempty"`
 	SlowCaptures int                    `json:"slow_captures"`
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
+func (f *Front) handleStats(w http.ResponseWriter, _ *http.Request) {
 	resp := statsResponse{
 		Now:          time.Now(),
-		Ready:        s.Ready(),
-		Draining:     s.draining.Load(),
-		QueueDepth:   obs.Default.Gauge("server/queue_depth").Value(),
+		Ready:        f.Ready(),
+		Draining:     f.draining.Load(),
 		Windows:      make(map[string]windowStats, len(statsWindows)),
-		Align:        readAlignStats(),
-		SlowCaptures: s.slow.Len(),
+		SlowCaptures: f.slow.Len(),
 	}
 	for _, win := range statsWindows {
-		resp.Windows[win.label] = s.stats.window(win.d)
+		resp.Windows[win.label] = f.stats.window(win.d)
 	}
-	s.brMu.Lock()
-	if len(s.breakers) > 0 {
-		resp.Breakers = make(map[string]string, len(s.breakers))
-		for key, br := range s.breakers {
-			resp.Breakers[key] = br.State()
-		}
+	if f.tierStats != nil {
+		f.tierStats(&resp)
 	}
-	s.brMu.Unlock()
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(resp)
 }
 
+// darwindStats adds darwind's own sections to /v1/stats: the map gate's
+// queue, the alignment-stage split and the per-source build breakers. A
+// router has none of the three.
+func (s *Server) darwindStats(resp *statsResponse) {
+	resp.QueueDepth = gQueueDepth.Value()
+	align := readAlignStats()
+	resp.Align = &align
+	s.brMu.Lock()
+	defer s.brMu.Unlock()
+	if len(s.breakers) > 0 {
+		resp.Breakers = make(map[string]string, len(s.breakers))
+		for key, br := range s.breakers {
+			resp.Breakers[key] = br.State()
+		}
+	}
+}
+
 // handleSlow serves the slow-request capture ring: the top-K slowest
 // /v1/map requests since start, each with its full span tree, slowest
 // first.
-func (s *Server) handleSlow(w http.ResponseWriter, _ *http.Request) {
-	caps := s.slow.Snapshot() // already slowest-first
+func (f *Front) handleSlow(w http.ResponseWriter, _ *http.Request) {
+	caps := f.slow.Snapshot() // already slowest-first
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -24,6 +24,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -184,7 +185,9 @@ func MergeReadScatters(maxCandidates int, parts []ReadScatter) (core.MapResult, 
 			return core.MapResult{}, fmt.Errorf("shard: merging mismatched reads %d and %d", read, p.Read)
 		}
 		if p.Err != "" {
-			return core.MapResult{Index: read, Err: fmt.Errorf("shard: sub-request read failure: %s", p.Err)}, nil
+			// Verbatim: the read's error line must read the same through
+			// a router as from the engine that failed it.
+			return core.MapResult{Index: read, Err: errors.New(p.Err)}, nil
 		}
 	}
 	var alns []core.ReadAlignment

@@ -7,11 +7,13 @@
 #   3. boot 2 cluster workers from the shared .dwi (replication 2, so
 #      each worker owns every shard) and a router over them
 #   4. map the same reads through the router and assert the SAM is
-#      byte-identical to the monolith
+#      byte-identical to the monolith, the router's /metrics lints
+#      clean, and its /v1/stats and /debug/slow answer
 #   5. SIGSTOP whichever worker is primary for shard 0: sub-requests
 #      to it hang, the hedge fires after -hedge-delay, the survivor
-#      answers — the batch must complete, stay byte-identical, and
-#      darwin_cluster_hedge_fired_total must go positive
+#      answers — the batch must complete, stay byte-identical,
+#      darwin_cluster_hedge_fired_total must go positive, and the
+#      router must have logged nothing at ERROR
 #   6. SIGKILL the stopped worker: connections now fail outright, the
 #      router fails over immediately — still byte-identical
 #   7. SIGTERM the router, assert clean drain
@@ -130,6 +132,23 @@ if ! grep -q '^darwin_cluster_requests_total ' "$tmp/router_metrics.txt"; then
 fi
 echo "cluster-smoke: router /metrics exposition is lint-clean with cluster/* families"
 
+# The router answers through darwind's serving front, so it has the SLO
+# windows and the slow-request ring too — and its captured span trees
+# say which worker answered each shard.
+curl -fsS "http://$router_addr/v1/stats" > "$tmp/router_stats.json"
+if ! grep -Eq '"requests": [1-9]' "$tmp/router_stats.json"; then
+    echo "cluster-smoke: FAIL — router /v1/stats windows saw no requests:" >&2
+    cat "$tmp/router_stats.json" >&2
+    exit 1
+fi
+curl -fsS "http://$router_addr/debug/slow" > "$tmp/router_slow.json"
+if ! grep -q '"cluster.scatter"' "$tmp/router_slow.json" || ! grep -Eq '"worker": "w[01]"' "$tmp/router_slow.json"; then
+    echo "cluster-smoke: FAIL — router /debug/slow has no cluster.scatter span naming its worker:" >&2
+    head -c 2000 "$tmp/router_slow.json" >&2
+    exit 1
+fi
+echo "cluster-smoke: router serves /v1/stats and /debug/slow (scatter spans name their worker)"
+
 # Shard 0's primary is deterministic (rendezvous over names); read it
 # from the router's topology view so the right worker gets degraded.
 primary=$(curl -fsS "http://$router_addr/v1/cluster" | tr -d ' \n' \
@@ -154,6 +173,13 @@ hedged=$(curl -fsS "http://$router_addr/metrics" \
     | awk '/^darwin_cluster_hedge_fired_total /{print int($2)}')
 if [ -z "$hedged" ] || [ "$hedged" -lt 1 ]; then
     echo "cluster-smoke: FAIL — batch completed but hedge_fired=$hedged (expected > 0)" >&2
+    exit 1
+fi
+# A hedge that carries a batch is the router working, not failing:
+# nothing up to here may have logged at ERROR.
+if grep -q 'level=ERROR' "$tmp/router.log"; then
+    echo "cluster-smoke: FAIL — router logged at ERROR while hedging past a stalled replica:" >&2
+    grep 'level=ERROR' "$tmp/router.log" >&2
     exit 1
 fi
 echo "cluster-smoke: batch completed via hedged replica (hedge_fired=$hedged), SAM still byte-identical"
