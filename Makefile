@@ -2,7 +2,8 @@
 # refactor PRs must keep green (vet, the full test suite under the race
 # detector, allocation pins, fuzz targets, the smoke scripts);
 # `make bench` runs the paper table/figure and kernel micro-benchmarks.
-# End-to-end performance is `go run ./bench` (bench/README.md).
+# End-to-end performance is `go run ./bench` (bench/README.md);
+# `scripts/bench_pair.sh <parent-ref>` runs it parent against change.
 
 GO ?= go
 

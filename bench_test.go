@@ -137,47 +137,17 @@ func BenchmarkGACTTile(b *testing.B) {
 	b.ReportMetric(float64(320*320), "cells/op")
 }
 
-// BenchmarkAlignTile measures the same 320×320 tile on the reusable
-// allocation-free kernel (align.TileAligner) in its default auto mode
-// — the production tile path, bitvector tier included;
-// BenchmarkGACTTile above is the allocating full-LUT reference oracle
-// it is compared against.
-func BenchmarkAlignTile(b *testing.B) {
-	ref, q := benchPair(b, 400, readsim.PacBio)
-	sc := align.GACTEval()
-	ta, err := align.NewTileAligner(&sc)
+// anchoredTile returns a side×side tile pair whose alignment starts at
+// its corner, the way an extension tile continues an existing
+// alignment (benchPair's whole region would add a spurious leading
+// shift that widens the band).
+func anchoredTile(b *testing.B, profile readsim.Profile, side int) (dna.Seq, dna.Seq) {
+	b.Helper()
+	g, err := genome.Generate(genome.Config{Length: side + 280, GC: 0.45, Seed: 71})
 	if err != nil {
 		b.Fatal(err)
 	}
-	ta.Preallocate(320)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ta.AlignTile(ref[:320], q[:320], false, 192)
-	}
-	b.ReportMetric(float64(320*320), "cells/op")
-	b.ReportMetric(float64(320*320)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcells/s")
-}
-
-// BenchmarkAlignTileBitvector contrasts the two kernel tiers on the
-// workload the bitvector tier exists for: a high-identity (~3% error,
-// HiFi/corrected-read class) 320×320 extension tile, where the
-// provable band is narrow. The lut sub-benchmark is the full fill,
-// the bitvector one is the Myers pass + affine rescore + banded fill.
-// Both report Mcells/s as the *effective* rate over the geometric
-// tile area (matching BenchmarkAlignTile), so the sub-benchmark ratio
-// is the tier's end-to-end win; with KernelAuto the production path
-// gets the bitvector rate whenever the divergence gate admits the
-// tile.
-func BenchmarkAlignTileBitvector(b *testing.B) {
-	// An anchored ~3% tile: an extension tile continues an existing
-	// alignment, so its corner offset is near zero (benchPair's whole
-	// region would add a spurious leading shift that widens the band).
-	hifi := readsim.Profile{Name: "HiFi", Sub: 0.005, Ins: 0.015, Del: 0.010}
-	g, err := genome.Generate(genome.Config{Length: 600, GC: 0.45, Seed: 71})
-	if err != nil {
-		b.Fatal(err)
-	}
-	reads, err := readsim.SimulateN(g.Seq, 1, readsim.Config{Profile: hifi, MeanLen: 400, Seed: 72})
+	reads, err := readsim.SimulateN(g.Seq, 1, readsim.Config{Profile: profile, MeanLen: side + 80, Seed: 72})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -187,33 +157,78 @@ func BenchmarkAlignTileBitvector(b *testing.B) {
 		region = dna.RevComp(g.Seq)
 		start = len(region) - r.RefEnd
 	}
-	start = min(start, len(region)-320)
-	ref, q := region[start:], r.Seq
-	sc := align.GACTEval()
-	run := func(b *testing.B, mode align.KernelMode) *align.TileAligner {
-		ta, err := align.NewTileAligner(&sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ta.Preallocate(320)
-		ta.SetKernel(mode)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ta.AlignTile(ref[:320], q[:320], false, 192)
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(320*320), "cells/op")
-		b.ReportMetric(float64(320*320)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcells/s")
-		return ta
+	start = min(start, len(region)-side)
+	return region[start:][:side], r.Seq[:side]
+}
+
+// benchTile times extension tiles of ref × q on a TileAligner in the
+// given mode, reporting the effective rate over the geometric tile
+// area and the cost per cell the pointer fill actually wrote.
+func benchTile(b *testing.B, sc *align.Scoring, mode align.KernelMode, ref, q dna.Seq) align.KernelStats {
+	ta, err := align.NewTileAligner(sc)
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.Run("lut", func(b *testing.B) { run(b, align.KernelLUT) })
+	ta.Preallocate(max(len(ref), len(q)))
+	ta.SetKernel(mode)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ta.AlignTile(ref, q, false, 192)
+	}
+	b.StopTimer()
+	ks := ta.KernelStats()
+	area := float64(len(ref) * len(q))
+	filled := float64(ks.LUTCells + ks.BitvectorCells)
+	b.ReportMetric(area, "cells/op")
+	b.ReportMetric(area*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcells/s")
+	b.ReportMetric(filled/float64(b.N), "filled_cells/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/filled, "ns/filled_cell")
+	return ks
+}
+
+// BenchmarkAlignTile measures a 320×320 extension tile at PacBio's 15 %
+// error on the reusable allocation-free kernel (align.TileAligner) —
+// BenchmarkGACTTile above is the allocating reference oracle — under
+// the paper's linear scoring (open == ext, the linear-gap pointer fill)
+// and under an affine one (open > ext, the affine fill). auto is the
+// production path: Myers pass, rescore, banded fill, traceback; lut is
+// the full fill and traceback alone, so its ns/filled_cell is the fill
+// loop's cost per cell.
+func BenchmarkAlignTile(b *testing.B) {
+	ref, q := anchoredTile(b, readsim.PacBio, 320)
+	affine := align.GACTEval()
+	affine.GapOpen = 2
+	for _, sc := range []struct {
+		name string
+		sc   align.Scoring
+	}{{"linear", align.GACTEval()}, {"affine", affine}} {
+		b.Run(sc.name+"/auto", func(b *testing.B) {
+			if ks := benchTile(b, &sc.sc, align.KernelAuto, ref, q); ks.BitvectorTiles != int64(b.N) {
+				b.Fatalf("auto banded %d of %d tiles: %+v", ks.BitvectorTiles, b.N, ks)
+			}
+		})
+		b.Run(sc.name+"/lut", func(b *testing.B) { benchTile(b, &sc.sc, align.KernelLUT, ref, q) })
+	}
+}
+
+// BenchmarkAlignTileBitvector contrasts the two kernel tiers on the
+// workload the bitvector tier exists for: a high-identity (~3% error,
+// HiFi/corrected-read class) 320×320 extension tile, where the
+// provable band is narrow. The lut sub-benchmark is the full fill,
+// the bitvector one is the Myers pass + affine rescore + banded fill.
+// Both report Mcells/s as the *effective* rate over the geometric
+// tile area, so the sub-benchmark ratio is the tier's end-to-end win;
+// with KernelAuto the production path gets the bitvector rate whenever
+// the divergence gate admits the tile.
+func BenchmarkAlignTileBitvector(b *testing.B) {
+	hifi := readsim.Profile{Name: "HiFi", Sub: 0.005, Ins: 0.015, Del: 0.010}
+	ref, q := anchoredTile(b, hifi, 320)
+	sc := align.GACTEval()
+	b.Run("lut", func(b *testing.B) { benchTile(b, &sc, align.KernelLUT, ref, q) })
 	b.Run("bitvector", func(b *testing.B) {
-		ta := run(b, align.KernelBitvector)
-		ks := ta.KernelStats()
-		if ks.BitvectorTiles != int64(b.N) {
+		if ks := benchTile(b, &sc, align.KernelBitvector, ref, q); ks.BitvectorTiles != int64(b.N) {
 			b.Fatalf("bitvector tier ran %d of %d tiles: %+v", ks.BitvectorTiles, b.N, ks)
 		}
-		b.ReportMetric(float64(ks.BitvectorCells)/float64(b.N), "filled_cells/op")
 	})
 }
 
@@ -225,6 +240,25 @@ func BenchmarkGACTExtend10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := gact.Extend(ref, q, 0, 0, &cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEngineExtend10k is the same alignment on the production
+// path: one reused gact.Engine (allocation-free TileAligner, score-pass
+// first tile, bitvector tier) instead of the allocating reference
+// gact.Extend above.
+func BenchmarkEngineExtend10k(b *testing.B) {
+	ref, q := benchPair(b, 10000, readsim.PacBio)
+	cfg := gact.DefaultConfig()
+	engine, err := gact.NewEngine(&cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := engine.Extend(ref, q, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,13 +13,28 @@ import (
 	"darwin/internal/dna"
 )
 
+// allocScorings are a scoring for each of the pointer fill's row
+// functions: the paper's, whose open == ext selects linearRow, and an
+// affine one.
+func allocScorings() map[string]Scoring {
+	affine := GACTEval()
+	affine.GapOpen = 2
+	return map[string]Scoring{"linear": GACTEval(), "affine": affine}
+}
+
 // The tile kernel's steady state — buffers warmed by a first call —
-// must not allocate at all, in either orientation. This is the
-// tentpole invariant of the allocation-free kernel; any regression
-// (a stray slice growth, an escaping closure, a lut copy) fails here.
+// must not allocate at all, in either orientation, under either scoring.
+// This is the tentpole invariant of the allocation-free kernel; any
+// regression (a stray slice growth, an escaping closure, a lut copy)
+// fails here.
 func TestTileAlignerZeroSteadyStateAllocs(t *testing.T) {
+	for name, sc := range allocScorings() {
+		t.Run(name, func(t *testing.T) { testTileAlignerAllocs(t, sc) })
+	}
+}
+
+func testTileAlignerAllocs(t *testing.T, sc Scoring) {
 	rng := rand.New(rand.NewSource(11))
-	sc := GACTEval()
 	ta, err := NewTileAligner(&sc)
 	if err != nil {
 		t.Fatal(err)
@@ -50,8 +65,13 @@ func TestTileAlignerZeroSteadyStateAllocs(t *testing.T) {
 // the aligner's embedded scratch. The stats assertions pin that the
 // measured path really was the bitvector one, not a silent fallback.
 func TestTileAlignerBitvectorZeroSteadyStateAllocs(t *testing.T) {
+	for name, sc := range allocScorings() {
+		t.Run(name, func(t *testing.T) { testBitvectorAllocs(t, sc) })
+	}
+}
+
+func testBitvectorAllocs(t *testing.T, sc Scoring) {
 	rng := rand.New(rand.NewSource(13))
-	sc := GACTEval()
 	ta, err := NewTileAligner(&sc)
 	if err != nil {
 		t.Fatal(err)

@@ -27,13 +27,13 @@ import (
 // the band, in-band values are computed from in-band or boundary
 // values, and out-of-band reads see lower bounds (0-initialized H,
 // negInf gap rows) that cannot displace the true winner under the
-// kernel's fixed tie order. MaxI/MaxJ become in-band maxima, so a
-// banded tile is always one whose traceback starts at its bottom-right
-// cell: an extension tile — or the sub-tile a first tile's score pass
-// cut out for it (kernel.go, firstTile), which ends at the tile's best
-// cell. There the score pass has computed H(n,m) itself, the tightest
-// S the bound admits, so first tiles band without a bitvector pass and
-// without the gate below.
+// kernel's fixed tie order. The band says nothing about cells outside
+// it, so a banded tile is always one whose traceback starts at its
+// bottom-right cell: an extension tile — or the sub-tile a first tile's
+// score pass cut out for it (kernel.go, firstTile), which ends at the
+// tile's best cell. There the score pass has computed H(n,m) itself,
+// the tightest S the bound admits, so first tiles band without a
+// bitvector pass and without the gate below.
 //
 // The divergence gate makes the tier a *fast path* rather than a
 // wager: when the rescored bound sits too far below the tile's
@@ -55,9 +55,9 @@ const (
 	// plus MaxI/MaxJ on first tiles, which come from the score pass in
 	// every mode).
 	KernelAuto KernelMode = iota
-	// KernelLUT always runs the full branchless affine-LUT fill (over
-	// the score pass's sub-tile, for a first tile) — the reference the
-	// property tests pin.
+	// KernelLUT always runs the full branchless LUT fill (over the score
+	// pass's sub-tile, for a first tile) — the reference the property
+	// tests pin.
 	KernelLUT
 	// KernelBitvector forces the bitvector tier on every extension tile
 	// that can express it (no divergence fallback; the band is clamped
@@ -171,11 +171,13 @@ func (a *TileAligner) bitvectorBand(rc, qc []byte) int {
 	maxDiv := a.maxDiv
 	if maxDiv <= 0 {
 		// Default: cap the band near 2·side/5. A band of b fills
-		// ~(2b+1)/side of the matrix, so the banded fill still beats
-		// the full one by ≥15% at the cap — enough to cover the Myers
-		// pass — while wider bands approach the full fill with the
-		// bitvector work as pure overhead (the 2·band+1 ≥ side profit
-		// gate catches those).
+		// 1 − (1 − b/side)² of the matrix, 64 % at the cap. Measured on
+		// 320² tiles with the linear-gap fill (~1.9 ns/cell, Myers pass
+		// and rescore ≈ 22 µs): the banded path costs 0.74 of the full
+		// fill at the cap and 0.82 just past it (EXPERIMENTS.md, PR 19),
+		// so every admitted tile still wins; wider bands approach the
+		// full fill with the bitvector work as pure overhead (the
+		// 2·band+1 ≥ side profit gate catches those).
 		maxDiv = (int(a.wmax) + 2*int(a.ext)) * side / 5
 	}
 	// Twice (perfect bound − S_bv) against twice the threshold.

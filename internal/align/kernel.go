@@ -57,7 +57,8 @@ type TileAligner struct {
 	qCode      []byte // precoded query tile
 	cig        Cigar  // traceback path buffer
 
-	// Results of the current tile's last fill or score pass.
+	// The best cell of the current first tile, written by the score
+	// pass (maxCell) alone; the pointer fills track no maximum.
 	maxScore   int32
 	maxI, maxJ int
 }
@@ -211,11 +212,11 @@ func (a *TileAligner) firstTile(rc, qc []byte, minScore, maxOff int) TileResult 
 }
 
 // fillTrace fills the precoded tile — the full matrix when band < 0,
-// else fillCoded's diagonal band — and traces back from the
+// else the diagonal band fillCoded describes — and traces back from the
 // bottom-right cell, counting the tile under the tier that filled it.
 func (a *TileAligner) fillTrace(rc, qc []byte, band, maxOff int) TileResult {
 	n, m := len(rc), len(qc)
-	cells := a.fillCoded(rc, qc, band)
+	cells := a.fillCoded(rc, qc, band, a.open == a.ext)
 	if band < 0 {
 		a.ks.LUTTiles++
 		a.ks.LUTCells += cells
@@ -225,14 +226,7 @@ func (a *TileAligner) fillTrace(rc, qc []byte, band, maxOff int) TileResult {
 	}
 	score := int(a.hRow[n]) // H of the bottom-right cell, exact in-band
 	cigar, iOff, jOff := a.traceback(n+1, n, m, maxOff)
-	return TileResult{
-		Score: score,
-		IOff:  iOff,
-		JOff:  jOff,
-		MaxI:  a.maxI, // in-band maxima when banded; see bitvector.go
-		MaxJ:  a.maxJ,
-		Cigar: cigar,
-	}
+	return TileResult{Score: score, IOff: iOff, JOff: jOff, Cigar: cigar}
 }
 
 // grow ensures the pointer matrix and rows cover a w×h DP grid.
@@ -255,9 +249,12 @@ func (a *TileAligner) grow(w, h int) {
 // fillCoded computes the local affine-gap DP matrix exactly as
 // fillLocal does, over precoded sequences with the int16 LUT and int32
 // rows, and returns the number of cells filled. After it returns, hRow
-// holds H over the final query row and maxScore/maxI/maxJ locate the
-// highest-scoring cell (earliest row, then earliest column, on ties —
-// the systolic array's convention).
+// holds H over the final query row. It tracks no maximum: its tiles
+// trace back from their bottom-right cell (a first tile's best cell
+// comes from the score pass, maxcell.go). With linear set it advances
+// rows by the collapsed recurrence of linearRow, which open == ext
+// makes valid and which writes the same pointer bytes and the same
+// hRow; the affine one is valid always.
 //
 // band < 0 fills the full matrix. band ≥ 0 restricts row j to columns
 // within ±band of the back-diagonal through (n, m) — i ∈
@@ -266,19 +263,20 @@ func (a *TileAligner) grow(w, h int) {
 // initialization (hRow 0, vRow negInf), which are valid lower bounds
 // of the true values: bands only move right as j grows, so a cell
 // first entering the band has never been written this tile. In-band
-// values, the traceback path, and hRow[n] are exact; maxScore/maxI/
-// maxJ are in-band maxima.
-func (a *TileAligner) fillCoded(rc, qc []byte, band int) int64 {
+// values, the traceback path, and hRow[n] are exact.
+func (a *TileAligner) fillCoded(rc, qc []byte, band int, linear bool) int64 {
 	n, m := len(rc), len(qc)
-	w, h := n+1, m+1
+	w := n + 1
 
 	hRow := a.hRow[:w]
 	vRow := a.vRow[:w]
 	for i := range hRow {
 		hRow[i] = 0
 	}
-	for i := range vRow {
-		vRow[i] = negInf32
+	if !linear {
+		for i := range vRow {
+			vRow[i] = negInf32
+		}
 	}
 	// Only row 0 and column 0 of the pointer matrix are read without
 	// being written (traceback stops on their hNull); the interior is
@@ -289,19 +287,11 @@ func (a *TileAligner) fillCoded(rc, qc []byte, band int) int64 {
 		ptr[i] = 0
 	}
 
-	open, ext := a.open, a.ext
-	maxScore := int32(0)
-	maxI, maxJ := 0, 0
 	var cells int64
-	for j := 1; j < h; j++ {
+	for j := 1; j <= m; j++ {
 		lo, hi := 1, n
 		if band >= 0 {
-			if lo = j + (n - m) - band; lo < 1 {
-				lo = 1
-			}
-			if hi = j + (n - m) + band; hi > n {
-				hi = n
-			}
+			lo, hi = max(1, j+(n-m)-band), min(n, j+(n-m)+band)
 			if hi < lo {
 				continue // row entirely outside the band
 			}
@@ -313,72 +303,126 @@ func (a *TileAligner) fillCoded(rc, qc []byte, band int) int64 {
 		leftH := negInf32
 		rowPtr := ptr[j*w : j*w+w]
 		if lo == 1 {
-			hRow[0] = 0
 			leftH = 0
 			rowPtr[0] = 0
 		}
-		hPrev := negInf32 // horizontal gap score at (j, i-1)
-		// A fixed-size array pointer into the LUT row: the &7-masked
-		// index is provably < LUTStride, so the per-cell load carries
-		// no bounds check.
-		lutRow := (*[LUTStride]int16)(a.lut[(int(qc[j-1])&7)*LUTStride:])
-		// The selection logic below is the reference fillLocal's,
-		// rewritten as single-assignment conditionals and max() so the
-		// compiler emits conditional moves instead of branches — on
-		// noisy-read tiles the per-cell branches are data-dependent and
-		// mispredict heavily, which dominated the fill's runtime.
-		for i := lo; i <= hi; i++ {
-			// Horizontal gap (consumes reference): depends on (j, i-1).
-			hOpen := leftH - open
-			hExt := hPrev - ext
-			hGap := max(hOpen, hExt)
-			var p byte
-			if hOpen >= hExt {
-				p = horizOpenBit
-			}
-
-			// Vertical gap (consumes query): depends on (j-1, i).
-			vOpen := hRow[i] - open
-			vExt := vRow[i] - ext
-			vGap := max(vOpen, vExt)
-			if vOpen >= vExt {
-				p |= vertOpenBit
-			}
-
-			// H source selection, earliest-wins on ties (strict >
-			// against the running best, as in the reference).
-			diagScore := diag + int32(lutRow[rc[i-1]&7])
-			best := int32(0)
-			src := int32(hNull)
-			if diagScore > best {
-				src = hDiag
-			}
-			best = max(best, diagScore)
-			if hGap > best {
-				src = hHoriz
-			}
-			best = max(best, hGap)
-			if vGap > best {
-				src = hVert
-			}
-			best = max(best, vGap)
-			rowPtr[i] = p | byte(src)
-
-			diag = hRow[i]
-			hRow[i] = best
-			leftH = best
-			vRow[i] = vGap
-			hPrev = hGap
-
-			if best > maxScore {
-				maxScore = best
-				maxI, maxJ = i, j
-			}
+		lut := [LUTStride]int16(a.lut.Row(qc[j-1]))
+		if linear {
+			linearRow(hRow[lo:hi+1], rowPtr[lo:hi+1], rc[lo-1:hi], lut, diag, leftH, a.open)
+		} else {
+			affineRow(hRow[lo:hi+1], vRow[lo:hi+1], rowPtr[lo:hi+1], rc[lo-1:hi], lut, diag, leftH, a.open, a.ext)
 		}
 		cells += int64(hi - lo + 1)
 	}
-	a.maxScore, a.maxI, a.maxJ = maxScore, maxI, maxJ
 	return cells
+}
+
+// affineRow advances h and v, the H and vertical-gap rows over one
+// query row's in-band columns, and writes the columns' pointer bytes to
+// p. rc holds their reference codes, lut the row's substitution
+// scores; diag and left are H diagonally above and left of the first
+// column. The row loops are their own functions, never inlined, so
+// that their live values stay in registers — inside fillCoded's row
+// loop the compiler spills and reloads a dozen of the outer loop's per
+// cell — and lut comes by value so that indexing it needs no nil check.
+//
+// The selection logic is the reference fillLocal's, rewritten as
+// single-assignment conditionals and max() so the compiler emits
+// conditional moves instead of branches — on noisy-read tiles the
+// per-cell branches are data-dependent and mispredict heavily, which
+// dominated the fill's runtime.
+//
+//go:noinline
+func affineRow(h, v []int32, p, rc []byte, lut [LUTStride]int16, diag, left, open, ext int32) {
+	h, v, p = h[:len(rc)], v[:len(rc)], p[:len(rc)]
+	hPrev := negInf32 // horizontal gap score at the column to the left
+	for k, c := range rc {
+		// Horizontal gap (consumes reference): depends on (j, i-1).
+		hOpen := left - open
+		hExt := hPrev - ext
+		hGap := max(hOpen, hExt)
+		var bits byte
+		if hOpen >= hExt {
+			bits = horizOpenBit
+		}
+
+		// Vertical gap (consumes query): depends on (j-1, i).
+		up := h[k]
+		vOpen := up - open
+		vExt := v[k] - ext
+		vGap := max(vOpen, vExt)
+		if vOpen >= vExt {
+			bits |= vertOpenBit
+		}
+
+		// H source selection, earliest-wins on ties (strict >
+		// against the running best, as in the reference).
+		diagScore := diag + int32(lut[c&7])
+		best := int32(0)
+		src := int32(hNull)
+		if diagScore > best {
+			src = hDiag
+		}
+		best = max(best, diagScore)
+		if hGap > best {
+			src = hHoriz
+		}
+		best = max(best, hGap)
+		if vGap > best {
+			src = hVert
+		}
+		best = max(best, vGap)
+		p[k] = bits | byte(src)
+
+		diag = up
+		h[k] = best
+		left = best
+		v[k] = vGap
+		hPrev = hGap
+	}
+}
+
+// linearRow is affineRow under open == ext == g (the paper's GACT
+// scoring), at about half the work per cell. H is the maximum over its
+// cell's gap scores, so a gap never scores more extended than
+// reopened. Horizontally, H(j, i−1) ≥ hGap(j, i−1), and at a row's
+// first cell both are negInf32 or H is the column-0 zero; vertically,
+// h[k] ≥ v[k] where row j−1 wrote them and 0 ≥ negInf32 where nothing
+// has. So both of affineRow's open-vs-extend comparisons come out
+// "open" (they are ≥) at every cell: the gap scores are
+// H(neighbour) − g, both open bits are always set, and the gap rows
+// drop out of the recurrence — v is neither read nor written.
+//
+//go:noinline
+func linearRow(h []int32, p, rc []byte, lut [LUTStride]int16, diag, left, g int32) {
+	h, p = h[:len(rc)], p[:len(rc)]
+	const open = horizOpenBit | vertOpenBit
+	for k, c := range rc {
+		up := h[k]
+		hGap := left - g
+		vGap := up - g
+		// affineRow's selection, tie order included.
+		diagScore := diag + int32(lut[c&7])
+		best := int32(0)
+		src := int32(open | hNull)
+		if diagScore > best {
+			src = open | hDiag
+		}
+		best = max(best, diagScore)
+		if hGap > best {
+			src = open | hHoriz
+		}
+		best = max(best, hGap)
+		if vGap > best {
+			src = open | hVert
+		}
+		best = max(best, vGap)
+		p[k] = byte(src)
+
+		diag = up
+		h[k] = best
+		left = best
+	}
 }
 
 // traceback walks pointers from cell (i, j) exactly like tracebackFrom,

@@ -11,9 +11,9 @@ import (
 
 // tileContractDiff compares two TileResults on the fields GACT
 // consumes: Score, IOff, JOff, and Cigar always; MaxI/MaxJ only when
-// firstTile was set (TileResult documents them as meaningful only
-// then; a banded extension tile reports in-band maxima). It returns ""
-// on a match, else a description of the first difference.
+// firstTile was set (TileResult documents them as first-tile fields;
+// the pointer fills track no maximum). It returns "" on a match, else
+// a description of the first difference.
 func tileContractDiff(got, want TileResult, firstTile bool) string {
 	if got.Score != want.Score {
 		return fmt.Sprintf("score %d != %d", got.Score, want.Score)
@@ -180,7 +180,7 @@ func TestQuickKernelTiers(t *testing.T) {
 }
 
 // The score pass in isolation: maxCell leaves exactly the maximum, and
-// the cell holding it, that the pointer-writing fill leaves — on
+// the cell holding it, that the reference fillLocal finds — on
 // tie-heavy and degenerate tiles too — and under open == ext the
 // collapsed recurrence agrees with the affine one run on the same
 // scoring.
@@ -201,12 +201,11 @@ func TestQuickMaxCell(t *testing.T) {
 			rTile, qTile := tierTile(rng)
 			rc, qc := dna.AppendCodes(nil, rTile), dna.AppendCodes(nil, qTile)
 			ta.grow(len(rc)+1, len(qc)+1)
-			ta.fillCoded(rc, qc, -1)
-			wantScore, wantI, wantJ := ta.maxScore, ta.maxI, ta.maxJ
+			want := fillLocal(rTile, qTile, &sc)
 			check := func(path string) bool {
-				if ta.maxScore != wantScore || ta.maxI != wantI || ta.maxJ != wantJ {
-					t.Logf("%s (seed %d it %d, %d×%d, %+v): max %d at (%d,%d), fillCoded has %d at (%d,%d)",
-						path, seed, it, len(rc), len(qc), sc, ta.maxScore, ta.maxI, ta.maxJ, wantScore, wantI, wantJ)
+				if int(ta.maxScore) != want.maxScore || ta.maxI != want.maxI || ta.maxJ != want.maxJ {
+					t.Logf("%s (seed %d it %d, %d×%d, %+v): max %d at (%d,%d), fillLocal has %d at (%d,%d)",
+						path, seed, it, len(rc), len(qc), sc, ta.maxScore, ta.maxI, ta.maxJ, want.maxScore, want.maxI, want.maxJ)
 					return false
 				}
 				return true
@@ -226,6 +225,72 @@ func TestQuickMaxCell(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(3))}); err != nil {
+		t.Error(err)
+	}
+}
+
+// The linear-gap fill in isolation: under any open == ext scoring (gap
+// cost 0 included), tile shape and band, fillCoded's linear rows leave
+// the pointer bytes of every in-band cell, the H row and the cell count
+// that its affine rows leave — so whatever traceback reads is the same
+// byte. Each fill keeps its own aligner across tiles, so stale
+// out-of-band state from earlier, differently shaped tiles is in play.
+func TestQuickLinearFillMatchesAffine(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		sc := Simple(1+rng.Intn(3), 1+rng.Intn(3), rng.Intn(4))
+		sc.W[rng.Intn(4)][rng.Intn(4)] = rng.Intn(7) - 3 // asymmetric
+		lin, err := NewTileAligner(&sc)
+		if err != nil {
+			t.Logf("NewTileAligner: %v", err)
+			return false
+		}
+		aff, _ := NewTileAligner(&sc)
+		for it := 0; it < 8; it++ {
+			rTile, qTile := tierTile(rng)
+			if rng.Intn(3) == 0 {
+				rTile = tierSeq(rng, 1+rng.Intn(400))
+				qTile = mutate(rng, rTile, rng.Float64()*0.3)
+			}
+			rc, qc := dna.AppendCodes(nil, rTile), dna.AppendCodes(nil, qTile)
+			n, m := len(rc), len(qc)
+			// No band, the diagonal alone, narrow, clamped at one or both
+			// tile edges, wider than the tile.
+			band := []int{-1, 0, rng.Intn(8), rng.Intn(max(n, m)), max(n, m) + rng.Intn(8), n + m}[rng.Intn(6)]
+			lin.grow(n+1, m+1)
+			aff.grow(n+1, m+1)
+			gotCells, wantCells := lin.fillCoded(rc, qc, band, true), aff.fillCoded(rc, qc, band, false)
+			fail := func(format string, args ...any) bool {
+				t.Logf("seed %d it %d, %d×%d band %d, %+v: "+format,
+					append([]any{seed, it, n, m, band, sc}, args...)...)
+				return false
+			}
+			if gotCells != wantCells {
+				return fail("filled %d cells, affine %d", gotCells, wantCells)
+			}
+			for i := 0; i <= n; i++ {
+				if lin.hRow[i] != aff.hRow[i] {
+					return fail("hRow[%d] = %d, affine %d", i, lin.hRow[i], aff.hRow[i])
+				}
+			}
+			w := n + 1
+			for j := 0; j <= m; j++ {
+				lo, hi := 0, n // row 0 and column 0 are boundary
+				if j > 0 && band >= 0 {
+					if lo, hi = max(1, j+(n-m)-band), min(n, j+(n-m)+band); lo == 1 {
+						lo = 0
+					}
+				}
+				for i := lo; i <= hi; i++ {
+					if got, want := lin.ptr[j*w+i], aff.ptr[j*w+i]; got != want {
+						return fail("ptr(%d,%d) = %04b, affine %04b", i, j, got, want)
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(4))}); err != nil {
 		t.Error(err)
 	}
 }

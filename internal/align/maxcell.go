@@ -6,8 +6,9 @@ import "darwin/internal/dna"
 // 12) reads one number off a first tile — the score of its best cell —
 // and a traceback needs only that cell's position on top, so the pass
 // keeps score rows and writes no pointer bytes. It leaves in maxScore,
-// maxI and maxJ exactly what fillCoded(rc, qc, -1) leaves there, ties
-// included (earliest row, then earliest column).
+// maxI and maxJ — which nothing else writes — the best cell of the
+// reference fillLocal, ties included (earliest row, then earliest
+// column).
 //
 // Two query rows advance per inner iteration, row A = j at column k+1
 // and row B = j+1 at column k. The skew hands row B its upper

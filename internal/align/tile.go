@@ -13,9 +13,10 @@ type TileResult struct {
 	// traceback, each at most the maxOff passed to AlignTile.
 	IOff, JOff int
 	// MaxI, MaxJ locate the highest-scoring cell (1-based DP
-	// coordinates, i.e. bases consumed from the tile origin). Only
-	// meaningful when firstTile was set: an extension tile filled in a
-	// band reports the band's maximum.
+	// coordinates, i.e. bases consumed from the tile origin). First
+	// tiles only: an extension tile traces back from its bottom-right
+	// cell, and what it leaves here is unspecified (the TileAligner
+	// leaves zeros, the reference AlignTile the tile's best cell).
 	MaxI, MaxJ int
 	// Cigar is the tile-local traceback path, in forward order.
 	Cigar Cigar
