@@ -33,13 +33,15 @@ loc:
 test-allocs:
 	$(GO) test -run 'SteadyStateAllocs' ./internal/align/ ./internal/gact/
 
-# Bounded runs of the differential fuzz targets, on top of their
-# committed seed corpora (testdata/fuzz, which plain `go test` replays):
-# Myers infix vs its quadratic oracle, and gact.Engine.Extend — score
-# pass, banded refills, bitvector tier — vs the free reference Extend.
+# Bounded runs of the fuzz targets, on top of their committed seed
+# corpora (testdata/fuzz, which plain `go test` replays): Myers infix vs
+# its quadratic oracle, gact.Engine.Extend — score pass, banded
+# refills, bitvector tier — vs the free reference Extend, and the .dwi
+# reader on re-sealed mutated index files (no panic, only coded errors).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMyersInfix$$' -fuzztime 20s ./internal/align/
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineExtend$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/gact/
+	$(GO) test -run '^$$' -fuzz '^FuzzIndexOpen$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/indexfile/
 
 check: vet race test-allocs fuzz serve-smoke chaos-smoke index-smoke cluster-smoke assembly-smoke metrics-lint
 

@@ -295,7 +295,7 @@ func BenchmarkDSOFTQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tab, err := seedtable.Build(g.Seq, 11, seedtable.DefaultOptions())
+	tab, err := seedtable.Build(g.Seq, 11, seedtable.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func BenchmarkSeedTableBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := seedtable.Build(g.Seq, 12, seedtable.DefaultOptions()); err != nil {
+		if _, err := seedtable.Build(g.Seq, 12, seedtable.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -395,7 +395,7 @@ func BenchmarkDSOFTSim(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tab, err := seedtable.Build(g.Seq, 6, seedtable.DefaultOptions())
+	tab, err := seedtable.Build(g.Seq, 6, seedtable.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -167,7 +167,7 @@ func TestEvaluateOverlapsEndToEnd(t *testing.T) {
 
 func TestEvaluateDSOFT(t *testing.T) {
 	ref := testGenome(t, 150000, 129)
-	tab, err := seedtable.Build(ref, 11, seedtable.DefaultOptions())
+	tab, err := seedtable.Build(ref, 11, seedtable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

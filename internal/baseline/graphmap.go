@@ -46,7 +46,7 @@ func DefaultGraphMapConfig() GraphMapConfig {
 
 // NewGraphMapLike builds the mapper over a reference.
 func NewGraphMapLike(ref dna.Seq, cfg GraphMapConfig) (*GraphMapLike, error) {
-	tab, err := seedtable.Build(ref, cfg.K, seedtable.DefaultOptions())
+	tab, err := seedtable.Build(ref, cfg.K, seedtable.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -86,7 +86,6 @@ func DefaultConfig(k, n, h int) Config {
 		HTile:         90,
 		GACT:          g,
 		MaxCandidates: 256,
-		TableOptions:  seedtable.DefaultOptions(),
 	}
 }
 
@@ -94,9 +93,9 @@ func DefaultConfig(k, n, h int) Config {
 // (Darwin) and the sharded scatter-gather mapper (internal/shard): one
 // read or a batch in, score-sorted alignments in global reference
 // coordinates out, bit-identical across the two implementations.
-// Construct one with Open, which selects the implementation from
-// shard geometry; the serving layer holds this interface so an index
-// cache entry can be backed by either engine.
+// Construct one with indexio.OpenSource, which selects the
+// implementation from shard geometry; the serving layer holds this
+// interface so an index cache entry can be backed by either engine.
 //
 // The surface splits into three concerns:
 //

@@ -238,7 +238,7 @@ func (f *Filter) QueryInto(q dna.Seq, out []Candidate) ([]Candidate, Stats) {
 
 	end := f.cfg.Start + f.cfg.N*f.cfg.Stride
 	for j := f.cfg.Start; j < end && j+k <= len(q); j += f.cfg.Stride {
-		code, ok := f.table.PackQuery(q, j)
+		code, ok := dna.PackSeed(q, j, k)
 		if !ok {
 			st.SeedsSkipped++
 			continue
@@ -299,7 +299,7 @@ func (f *Filter) Trace(q dna.Seq) [][]int {
 	var out [][]int
 	end := f.cfg.Start + f.cfg.N*f.cfg.Stride
 	for j := f.cfg.Start; j < end && j+k <= len(q); j += f.cfg.Stride {
-		code, ok := f.table.PackQuery(q, j)
+		code, ok := dna.PackSeed(q, j, k)
 		if !ok {
 			continue
 		}

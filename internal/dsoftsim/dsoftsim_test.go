@@ -22,7 +22,7 @@ func traceWorkload(t *testing.T) [][]int {
 	// k=6 on the 500 kbp genome gives ~120 hits/seed — the same
 	// barrier-amortization regime as the paper's k=12 on GRCh38
 	// (~490 hits/seed).
-	tab, err := seedtable.Build(g.Seq, 6, seedtable.DefaultOptions())
+	tab, err := seedtable.Build(g.Seq, 6, seedtable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

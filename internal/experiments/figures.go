@@ -242,7 +242,7 @@ func Fig11(o Options) (*Result, error) {
 	tb.Header = []string{"(k,N)", "h", "sensitivity", "false hit rate"}
 	values := map[string]float64{}
 	for _, s := range settings {
-		tab, err := seedtable.Build(ref, s.k, seedtable.DefaultOptions())
+		tab, err := seedtable.Build(ref, s.k, seedtable.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -283,7 +283,7 @@ func Fig12(o Options) (*Result, error) {
 			return nil, err
 		}
 		k, n, h := classConfig(p, o.ReadLen)
-		tab, err := seedtable.Build(ref, k, seedtable.DefaultOptions())
+		tab, err := seedtable.Build(ref, k, seedtable.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -117,7 +117,7 @@ func Table3(o Options) (*Result, error) {
 		ks = []int{6, 8, 10}
 	}
 	for _, k := range ks {
-		tab, err := seedtable.Build(ref, k, seedtable.DefaultOptions())
+		tab, err := seedtable.Build(ref, k, seedtable.Options{})
 		if err != nil {
 			return nil, err
 		}

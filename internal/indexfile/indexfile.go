@@ -15,14 +15,14 @@
 // # Layout
 //
 //	offset 0   magic   "DWINDEX\x00" (8 bytes)
-//	offset 8   u32     format version (currently 1)
+//	offset 8   u32     format version (currently 2)
 //	offset 12  u32     header length H
 //	offset 16  header  H bytes (see below)
 //	16+H       u32     CRC-32C of the header bytes
 //	...        payload sections at 64-byte-aligned offsets
 //
-// The header records the seeding parameters (k, mask multiplier and
-// floor, minimizer window, spaced pattern), the reference metadata
+// The header records the seeding parameters (k, masking on or off, the
+// D-SOFT bin size, the applied mask threshold), the reference metadata
 // (sequence names, lengths, global offsets, N-pad bin size), the shard
 // geometry, per-table mask statistics, and a section table giving each
 // payload section's kind, owning table, absolute offset, byte length,
@@ -50,8 +50,9 @@ import (
 // Magic opens every index file.
 const Magic = "DWINDEX\x00"
 
-// Version is the current format version.
-const Version = 1
+// Version is the current format version; a file of any other version
+// is rejected as bad_version.
+const Version = 2
 
 // Ext is the conventional file extension; SidecarPath derives the
 // auto-discovered sidecar name for a reference FASTA from it.
@@ -127,16 +128,10 @@ func formatErr(code, path, format string, args ...any) *FormatError {
 // Params are the seeding parameters the index was built with. A loader
 // must reject an index whose params differ from the runtime engine
 // configuration — the tables would be self-consistent but answer the
-// wrong queries. Defaults are resolved before storing (MaskMultiplier
-// 32, MaskFloor 8), so comparison is canonical.
+// wrong queries.
 type Params struct {
-	SeedK           int
-	MaskMultiplier  int
-	MaskFloor       int
-	NoMask          bool
-	MinimizerWindow int
-	// Pattern is the spaced-seed template, "" for contiguous k-mers.
-	Pattern string
+	SeedK  int
+	NoMask bool
 	// BinSize is the D-SOFT bin size B, which is also the reference
 	// N-padding unit and the shard-boundary alignment unit.
 	BinSize int
@@ -220,16 +215,6 @@ type Info struct {
 	FileSize    int64
 }
 
-// header bounds: a corrupt length field must not drive a huge
-// allocation before the CRC check has a chance to reject the header.
-const (
-	maxSeqs     = 1 << 24
-	maxTables   = 1 << 20
-	maxNameLen  = 1 << 16
-	maxPattern  = 1 << 10
-	maxSections = 4 * maxTables
-)
-
 // hdrWriter appends little-endian header fields.
 type hdrWriter struct{ buf []byte }
 
@@ -275,9 +260,9 @@ func (r *hdrReader) u64() uint64 {
 	return v
 }
 
-func (r *hdrReader) str(maxLen int) string {
+func (r *hdrReader) str() string {
 	n := int(r.u32())
-	if r.fail || n < 0 || n > maxLen || r.off+n > len(r.buf) {
+	if r.fail || n > len(r.buf)-r.off {
 		r.fail = true
 		return ""
 	}
@@ -288,6 +273,17 @@ func (r *hdrReader) str(maxLen int) string {
 
 func (r *hdrReader) boolean() bool { return r.u32() != 0 }
 
+// count reads an entry count, latching failure unless that many
+// entries of at least entryLen bytes fit in the rest of the header — a
+// corrupt count must not drive a huge allocation.
+func (r *hdrReader) count(entryLen int) int {
+	n := int(r.u32())
+	if n > (len(r.buf)-r.off)/entryLen {
+		r.fail = true
+	}
+	return n
+}
+
 // encodeHeader renders the header blob. Section placement fields are
 // fixed-size, so encoding with placeholder offsets yields the final
 // length — Write encodes once to learn it, places the sections, and
@@ -296,11 +292,7 @@ func encodeHeader(info *Info, secs []section) []byte {
 	w := &hdrWriter{}
 	p := info.Params
 	w.u32(uint32(p.SeedK))
-	w.u32(uint32(p.MaskMultiplier))
-	w.u32(uint32(p.MaskFloor))
 	w.boolean(p.NoMask)
-	w.u32(uint32(p.MinimizerWindow))
-	w.str(p.Pattern)
 	w.u32(uint32(p.BinSize))
 	w.u32(uint32(p.MaskThreshold))
 	w.u64(uint64(info.RefLen))
@@ -343,22 +335,18 @@ func decodeHeader(path string, blob []byte) (*Info, []section, error) {
 	info := &Info{Version: Version}
 	p := &info.Params
 	p.SeedK = int(r.u32())
-	p.MaskMultiplier = int(r.u32())
-	p.MaskFloor = int(r.u32())
 	p.NoMask = r.boolean()
-	p.MinimizerWindow = int(r.u32())
-	p.Pattern = r.str(maxPattern)
 	p.BinSize = int(r.u32())
 	p.MaskThreshold = int(r.u32())
 	info.RefLen = int(r.u64())
-	nSeqs := int(r.u32())
-	if r.fail || nSeqs < 1 || nSeqs > maxSeqs {
+	nSeqs := r.count(20) // name length, offset, length
+	if r.fail || nSeqs < 1 {
 		return bad("implausible sequence count %d", nSeqs)
 	}
 	info.Seqs = make([]SeqMeta, nSeqs)
 	for i := range info.Seqs {
 		info.Seqs[i] = SeqMeta{
-			Name:   r.str(maxNameLen),
+			Name:   r.str(),
 			Offset: int(r.u64()),
 			Length: int(r.u64()),
 		}
@@ -366,8 +354,8 @@ func decodeHeader(path string, blob []byte) (*Info, []section, error) {
 	info.ShardCount = int(r.u32())
 	info.ShardSize = int(r.u32())
 	info.Overlap = int(r.u32())
-	nTables := int(r.u32())
-	if r.fail || nTables < 1 || nTables > maxTables {
+	nTables := r.count(48)
+	if r.fail || nTables < 1 {
 		return bad("implausible table count %d", nTables)
 	}
 	wantTables := 1
@@ -388,8 +376,8 @@ func decodeHeader(path string, blob []byte) (*Info, []section, error) {
 			MaskedHits:  int(r.u64()),
 		}
 	}
-	nSecs := int(r.u32())
-	if r.fail || nSecs < 1 || nSecs > maxSections {
+	nSecs := r.count(28)
+	if r.fail || nSecs < 1 {
 		return bad("implausible section count %d", nSecs)
 	}
 	secs := make([]section, nSecs)

@@ -22,7 +22,7 @@ import (
 // Go cannot recover as a test failure).
 func TestMappingIsReadOnly(t *testing.T) {
 	ref := dna.Random(rand.New(rand.NewSource(45)), 30000, 0.5)
-	idx := buildIndex(t, ref, 11, seedtable.Options{}, "")
+	idx := buildIndex(t, ref, 11, seedtable.Options{})
 	path := filepath.Join(t.TempDir(), "x.dwi")
 	if err := Write(path, idx); err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestViewsZeroCopy(t *testing.T) {
 		t.Skip("zero-copy views require a little-endian host")
 	}
 	ref := dna.Random(rand.New(rand.NewSource(46)), 30000, 0.5)
-	idx := buildIndex(t, ref, 11, seedtable.Options{}, "")
+	idx := buildIndex(t, ref, 11, seedtable.Options{})
 	path := filepath.Join(t.TempDir(), "x.dwi")
 	if err := Write(path, idx); err != nil {
 		t.Fatal(err)

@@ -107,7 +107,7 @@ func (f *File) parse(opts Options) error {
 	info.Fingerprint = fingerprint(blob)
 	info.FileSize = int64(len(data))
 	for i, s := range secs {
-		if s.offset < hdrEnd+4 || s.offset+s.length > int64(len(data)) {
+		if s.offset < hdrEnd+4 || s.length < 0 || s.length > int64(len(data))-s.offset {
 			return formatErr(CodeTruncated, path, "section %d [%d,%d) outside file of %d bytes",
 				i, s.offset, s.offset+s.length, len(data))
 		}
@@ -194,7 +194,6 @@ func (f *File) Table(i int) (*seedtable.Table, error) {
 		MaskThreshold: f.info.Params.MaskThreshold,
 		MaskedSeeds:   meta.MaskedSeeds,
 		MaskedHits:    meta.MaskedHits,
-		Pattern:       f.info.Params.Pattern,
 		Ptr:           viewU32(f.findSection(secPtr, ti)),
 		Codes:         viewU32(f.findSection(secCodes, ti)),
 		Spans:         viewPairs(f.findSection(secSpans, ti)),
@@ -275,9 +274,13 @@ func ReadFingerprint(path string) (uint64, error) {
 		return 0, formatErr(CodeBadVersion, path, "format version %d, this build reads %d", v, Version)
 	}
 	headerLen := int(binary.LittleEndian.Uint32(pre[12:]))
+	// Check the claimed length against the file before allocating it.
+	if size := fileSize(osf); int64(preambleLen+headerLen+4) > size {
+		return 0, formatErr(CodeTruncated, path, "header claims %d bytes past a %d-byte file", headerLen, size)
+	}
 	buf := make([]byte, headerLen+4)
 	if _, err := osf.ReadAt(buf, preambleLen); err != nil {
-		return 0, formatErr(CodeTruncated, path, "header claims %d bytes past a %d-byte file", headerLen, fileSize(osf))
+		return 0, fmt.Errorf("indexfile: reading %s header: %w", path, err)
 	}
 	blob := buf[:headerLen]
 	wantCRC := binary.LittleEndian.Uint32(buf[headerLen:])

@@ -13,52 +13,27 @@ import (
 
 // buildIndex builds one monolithic in-memory index over ref: global
 // mask, then a table under that mask, the way internal/indexio does.
-// A spaced pattern (pat != "") builds unmasked — the contiguous-k-mer
-// global mask does not apply to spaced-seed codes — and the seed size
-// is the pattern's weight, matching BuildSpaced.
-func buildIndex(t *testing.T, ref dna.Seq, k int, opts seedtable.Options, pat string) *Index {
+func buildIndex(t *testing.T, ref dna.Seq, k int, opts seedtable.Options) *Index {
 	t.Helper()
-	var tab *seedtable.Table
-	var maskCodes []uint32
-	maskThreshold := 0
-	var err error
-	if pat == "" {
-		var mask *seedtable.MaskSet
-		mask, err = seedtable.ComputeMask(ref, k, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Mask = mask
-		maskCodes = mask.Codes()
-		maskThreshold = mask.Threshold()
-		tab, err = seedtable.Build(ref, k, opts)
-	} else {
-		var sp *seedtable.SpacedPattern
-		sp, err = seedtable.ParsePattern(pat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.NoMask = true
-		k = sp.Weight()
-		tab, err = seedtable.BuildSpaced(ref, sp, opts)
+	mask, err := seedtable.ComputeMask(ref, k, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
+	opts.Mask = mask
+	tab, err := seedtable.Build(ref, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &Index{
 		Params: Params{
-			SeedK:           k,
-			MaskMultiplier:  32,
-			MaskFloor:       8,
-			NoMask:          opts.NoMask,
-			MinimizerWindow: opts.MinimizerWindow,
-			Pattern:         pat,
-			BinSize:         128,
-			MaskThreshold:   maskThreshold,
+			SeedK:         k,
+			NoMask:        opts.NoMask,
+			BinSize:       128,
+			MaskThreshold: mask.Threshold(),
 		},
 		Ref:       []byte(ref),
 		Seqs:      []SeqMeta{{Name: "chr1", Offset: 0, Length: len(ref)}},
-		MaskCodes: maskCodes,
+		MaskCodes: mask.Codes(),
 		Tables:    []TableMeta{{ExtentStart: 0, ExtentEnd: len(ref), CoreStart: 0, CoreEnd: len(ref)}},
 		Parts:     []seedtable.Parts{tab.Parts()},
 	}
@@ -93,27 +68,24 @@ func equalU32(a, b []uint32) bool {
 }
 
 // TestRoundTrip is the format-level half of the bit-identity
-// invariant: every table variant (dense, sparse k>12, minimizer
-// -sampled, spaced) written and mapped back must reproduce the exact
-// in-memory arrays of the freshly built table.
+// invariant: every table variant (dense, sparse k>12, unmasked)
+// written and mapped back must reproduce the exact in-memory arrays of
+// the freshly built table.
 func TestRoundTrip(t *testing.T) {
 	ref := repetitiveRef(41, 60000)
 	cases := []struct {
 		name string
 		k    int
 		opts seedtable.Options
-		pat  string
 	}{
 		{name: "dense_k8", k: 8},
 		{name: "dense_k11", k: 11},
 		{name: "sparse_k13", k: 13},
-		{name: "minimizer_w3", k: 11, opts: seedtable.Options{MinimizerWindow: 3}},
-		{name: "spaced", k: 6, pat: "1101011"},
 		{name: "nomask", k: 11, opts: seedtable.Options{NoMask: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			idx := buildIndex(t, ref, tc.k, tc.opts, tc.pat)
+			idx := buildIndex(t, ref, tc.k, tc.opts)
 			path := filepath.Join(t.TempDir(), "x.dwi")
 			if err := Write(path, idx); err != nil {
 				t.Fatal(err)
@@ -166,7 +138,7 @@ func TestRoundTrip(t *testing.T) {
 // differs, and ReadFingerprint agrees with the full Open.
 func TestFingerprint(t *testing.T) {
 	ref := dna.Random(rand.New(rand.NewSource(42)), 20000, 0.5)
-	idx := buildIndex(t, ref, 11, seedtable.Options{}, "")
+	idx := buildIndex(t, ref, 11, seedtable.Options{})
 	dir := t.TempDir()
 	a, b := filepath.Join(dir, "a.dwi"), filepath.Join(dir, "b.dwi")
 	if err := Write(a, idx); err != nil {
@@ -194,7 +166,7 @@ func TestFingerprint(t *testing.T) {
 		t.Errorf("ReadFingerprint %016x != Verify fingerprint %016x", fpA, info.Fingerprint)
 	}
 
-	idx2 := buildIndex(t, ref[:10000], 11, seedtable.Options{}, "")
+	idx2 := buildIndex(t, ref[:10000], 11, seedtable.Options{})
 	c := filepath.Join(dir, "c.dwi")
 	if err := Write(c, idx2); err != nil {
 		t.Fatal(err)
@@ -227,7 +199,7 @@ func corrupt(t *testing.T, path string, mutate func([]byte) []byte) string {
 // on.
 func TestCorruptionCodes(t *testing.T) {
 	ref := dna.Random(rand.New(rand.NewSource(43)), 30000, 0.5)
-	idx := buildIndex(t, ref, 11, seedtable.Options{}, "")
+	idx := buildIndex(t, ref, 11, seedtable.Options{})
 	path := filepath.Join(t.TempDir(), "x.dwi")
 	if err := Write(path, idx); err != nil {
 		t.Fatal(err)
@@ -276,7 +248,7 @@ func TestCorruptionCodes(t *testing.T) {
 // load — the signal chaos probes watch.
 func TestLoadErrorsCounted(t *testing.T) {
 	ref := dna.Random(rand.New(rand.NewSource(44)), 20000, 0.5)
-	idx := buildIndex(t, ref, 11, seedtable.Options{}, "")
+	idx := buildIndex(t, ref, 11, seedtable.Options{})
 	path := filepath.Join(t.TempDir(), "x.dwi")
 	if err := Write(path, idx); err != nil {
 		t.Fatal(err)

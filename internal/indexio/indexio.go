@@ -122,29 +122,9 @@ func OpenSource(src Source, cfg core.Config, spec core.ShardSpec) (*Loaded, erro
 	return &Loaded{Mapper: eng, Ref: ref, Fallback: fallback}, nil
 }
 
-// resolveParams canonicalizes an engine configuration into the
-// parameter block the file stores: masking defaults resolved exactly
-// as seedtable.Options resolves them, so build-time and load-time
-// configurations compare field-for-field.
-func resolveParams(cfg core.Config) indexfile.Params {
-	o := cfg.TableOptions
-	mm := o.MaskMultiplier
-	if mm == 0 {
-		mm = 32
-	}
-	floor := o.MaskFloor
-	if floor == 0 {
-		floor = 8
-	}
-	return indexfile.Params{
-		SeedK:           cfg.SeedK,
-		MaskMultiplier:  mm,
-		MaskFloor:       floor,
-		NoMask:          o.NoMask,
-		MinimizerWindow: o.MinimizerWindow,
-		Pattern:         "", // core's engine configuration is contiguous k-mers
-		BinSize:         cfg.BinSize,
-	}
+// params is the parameter block an index built under cfg stores.
+func params(cfg core.Config) indexfile.Params {
+	return indexfile.Params{SeedK: cfg.SeedK, NoMask: cfg.TableOptions.NoMask, BinSize: cfg.BinSize}
 }
 
 // Build constructs the index content for recs under cfg: the N-padded
@@ -170,10 +150,10 @@ func Build(recs []dna.Record, cfg core.Config, spec core.ShardSpec) (*indexfile.
 	opts := cfg.TableOptions
 	opts.Mask = mask
 
-	params := resolveParams(cfg)
-	params.MaskThreshold = mask.Threshold()
+	p := params(cfg)
+	p.MaskThreshold = mask.Threshold()
 	idx := &indexfile.Index{
-		Params:    params,
+		Params:    p,
 		Ref:       []byte(seq),
 		MaskCodes: mask.Codes(),
 	}
@@ -262,7 +242,7 @@ func Open(path string, cfg core.Config, spec core.ShardSpec) (*Loaded, error) {
 // assemble builds the mapper and reference views over an open file.
 func assemble(f *indexfile.File, cfg core.Config, spec core.ShardSpec) (*Loaded, error) {
 	info := f.Info()
-	if err := checkParams(f.Path(), info.Params, resolveParams(cfg)); err != nil {
+	if err := checkParams(f.Path(), info.Params, params(cfg)); err != nil {
 		return nil, err
 	}
 	seq, err := f.Ref()
@@ -351,16 +331,8 @@ func checkParams(path string, got, want indexfile.Params) error {
 	switch {
 	case got.SeedK != want.SeedK:
 		return mismatch("seed size k", got.SeedK, want.SeedK)
-	case got.MaskMultiplier != want.MaskMultiplier:
-		return mismatch("mask multiplier", got.MaskMultiplier, want.MaskMultiplier)
-	case got.MaskFloor != want.MaskFloor:
-		return mismatch("mask floor", got.MaskFloor, want.MaskFloor)
 	case got.NoMask != want.NoMask:
 		return mismatch("masking", maskMode(got.NoMask), maskMode(want.NoMask))
-	case got.MinimizerWindow != want.MinimizerWindow:
-		return mismatch("minimizer window", got.MinimizerWindow, want.MinimizerWindow)
-	case got.Pattern != want.Pattern:
-		return mismatch("spaced pattern", pattern(got.Pattern), pattern(want.Pattern))
 	case got.BinSize != want.BinSize:
 		return mismatch("bin size B", got.BinSize, want.BinSize)
 	}
@@ -372,13 +344,6 @@ func maskMode(noMask bool) string {
 		return "disabled"
 	}
 	return "enabled"
-}
-
-func pattern(p string) string {
-	if p == "" {
-		return "contiguous"
-	}
-	return p
 }
 
 // checkGeometry rejects a sharded index whose recorded partition

@@ -49,15 +49,15 @@ func writeIndex(t *testing.T, recs []dna.Record, cfg core.Config, spec core.Shar
 // same arrays, and the same alignments for every read.
 func TestBitIdentityMonolithic(t *testing.T) {
 	for _, k := range []int{8, 11, 13} { // 13 exercises the sparse representation
-		for _, win := range []int{0, 3} {
+		for _, noMask := range []bool{false, true} {
 			recs := testRecords(51, 90_000)
 			cfg := testConfig(k)
-			cfg.TableOptions.MinimizerWindow = win
+			cfg.TableOptions.NoMask = noMask
 			path := writeIndex(t, recs, cfg, core.ShardSpec{})
 
 			l, err := Open(path, cfg, core.ShardSpec{})
 			if err != nil {
-				t.Fatalf("k=%d win=%d: %v", k, win, err)
+				t.Fatalf("k=%d noMask=%v: %v", k, noMask, err)
 			}
 			defer l.File.Close()
 			freshEng, freshRef, err := core.NewMulti(recs, cfg)
@@ -67,17 +67,17 @@ func TestBitIdentityMonolithic(t *testing.T) {
 
 			loadedEng, ok := l.Mapper.(*core.Darwin)
 			if !ok {
-				t.Fatalf("k=%d win=%d: loaded mapper is %T, want *core.Darwin", k, win, l.Mapper)
+				t.Fatalf("k=%d noMask=%v: loaded mapper is %T, want *core.Darwin", k, noMask, l.Mapper)
 			}
 			if !reflect.DeepEqual(loadedEng.Table().Parts(), freshEng.Table().Parts()) {
-				t.Errorf("k=%d win=%d: loaded table differs from freshly built (bit-identity violated)", k, win)
+				t.Errorf("k=%d noMask=%v: loaded table differs from freshly built (bit-identity violated)", k, noMask)
 			}
 			if !reflect.DeepEqual([]byte(l.Ref.Seq()), []byte(freshRef.Seq())) {
-				t.Errorf("k=%d win=%d: loaded reference bytes differ", k, win)
+				t.Errorf("k=%d noMask=%v: loaded reference bytes differ", k, noMask)
 			}
 			for i := 0; i < l.Ref.NumSeqs(); i++ {
 				if l.Ref.Name(i) != freshRef.Name(i) || l.Ref.Len(i) != freshRef.Len(i) {
-					t.Errorf("k=%d win=%d: sequence %d metadata differs", k, win, i)
+					t.Errorf("k=%d noMask=%v: sequence %d metadata differs", k, noMask, i)
 				}
 			}
 
@@ -87,7 +87,7 @@ func TestBitIdentityMonolithic(t *testing.T) {
 				a, _ := loadedEng.MapRead(rd)
 				b, _ := freshEng.MapRead(rd)
 				if !reflect.DeepEqual(a, b) {
-					t.Errorf("k=%d win=%d read %d: alignments differ between loaded and built", k, win, ri)
+					t.Errorf("k=%d noMask=%v read %d: alignments differ between loaded and built", k, noMask, ri)
 				}
 			}
 		}
@@ -182,9 +182,9 @@ func TestMismatchRejections(t *testing.T) {
 		spec core.ShardSpec
 	}{
 		{"wrong_k", mono, testConfig(12), core.ShardSpec{}},
-		{"wrong_minimizer", mono, func() core.Config {
+		{"wrong_masking", mono, func() core.Config {
 			c := testConfig(11)
-			c.TableOptions.MinimizerWindow = 5
+			c.TableOptions.NoMask = true
 			return c
 		}(), core.ShardSpec{}},
 		{"mono_file_sharded_spec", mono, cfg, core.ShardSpec{Shards: 2}},

@@ -15,11 +15,6 @@ import (
 // stage would double-book that time.
 var tPolish = obs.Default.Timer("olc/polish")
 
-// polishBatch bounds how many reads are mapped before their votes are
-// folded, so the alignments (CIGARs) held at once stay bounded however
-// large the read set.
-const polishBatch = 256
-
 // PolishContext performs the consensus phase of OLC assembly (Section
 // 2: "the final DNA sequence is derived by taking a consensus of reads,
 // which corrects the vast majority of read errors"): reads are mapped
@@ -31,86 +26,22 @@ const polishBatch = 256
 // raw read rate (~15% for PacBio) to well under 1%, mirroring the
 // consensus-accuracy argument of Section 2.
 //
-// Reads are mapped in batches on workers engine clones (0 =
-// core.DefaultWorkers) and their votes folded in read order; votes are
-// integer counts, so the output does not depend on workers. ctx is
-// checked between reads, and cancellation returns ctx.Err() with a nil
-// sequence. A read whose mapping fails (core.MapResult.Err) fails the
-// polish rather than silently losing its votes.
+// The votes are MapPileup's: workers engine clones (0 =
+// core.DefaultWorkers), output independent of workers, cancellation
+// checked between reads, and a read whose mapping fails fails the
+// polish.
 func PolishContext(ctx context.Context, draft dna.Seq, reads []dna.Seq, cfg core.Config, workers int) (dna.Seq, error) {
 	defer tPolish.Time()()
 	defer obs.Trace.Start("olc.polish")()
-	engine, err := core.New(draft, cfg)
+	cols, err := MapPileup(ctx, draft, reads, cfg, workers)
 	if err != nil {
-		return nil, err
-	}
-	workers = core.DefaultWorkers(workers)
-
-	type column struct {
-		base [4]int32         // votes for A/C/G/T at this draft position
-		del  int32            // votes to delete this position
-		ins  map[string]int32 // votes for an insertion after this position
-		cov  int32            // reads covering this column
-	}
-	cols := make([]column, len(draft))
-
-	vote := func(read dna.Seq, best *core.ReadAlignment) {
-		q := read
-		if best.Reverse {
-			q = dna.RevComp(read)
-		}
-		i, j := best.Result.RefStart, best.Result.QueryStart
-		for _, s := range best.Result.Cigar {
-			switch s.Op {
-			case 'M':
-				for x := 0; x < s.Len; x++ {
-					c := &cols[i+x]
-					c.cov++
-					if code := dna.Code(q[j+x]); code < 4 {
-						c.base[code]++
-					}
-				}
-				i += s.Len
-				j += s.Len
-			case 'D':
-				for x := 0; x < s.Len; x++ {
-					c := &cols[i+x]
-					c.cov++
-					c.del++
-				}
-				i += s.Len
-			case 'I':
-				if i > 0 {
-					c := &cols[i-1]
-					if c.ins == nil {
-						c.ins = make(map[string]int32)
-					}
-					c.ins[string(q[j:j+s.Len])]++
-				}
-				j += s.Len
-			}
-		}
-	}
-	for lo := 0; lo < len(reads); lo += polishBatch {
-		batch := reads[lo:min(lo+polishBatch, len(reads))]
-		results, err := engine.Map(ctx, batch, core.WithWorkers(workers))
-		if err != nil {
-			return nil, err
-		}
-		for i := range results {
-			if err := results[i].Err; err != nil {
-				return nil, fmt.Errorf("olc: polish: mapping read %d: %w", lo+i, err)
-			}
-			if best := core.Best(results[i].Alignments); best != nil {
-				vote(batch[i], best)
-			}
-		}
+		return nil, fmt.Errorf("olc: polish: %w", err)
 	}
 
 	out := make(dna.Seq, 0, len(draft))
 	for i := range cols {
 		c := &cols[i]
-		if c.cov == 0 {
+		if c.Cov == 0 {
 			out = append(out, draft[i])
 			continue
 		}
@@ -119,11 +50,11 @@ func PolishContext(ctx context.Context, draft dna.Seq, reads []dna.Seq, cfg core
 		// is placed at different columns by different reads, so a
 		// true extra base's votes split across the run while spurious
 		// votes stay near the per-read deletion rate (~4.5%).
-		if c.del*3 > c.cov {
+		if c.Del*3 > c.Cov {
 			// Position dropped; insertions recorded after it still apply.
 		} else {
 			bestBase, bestVotes := draft[i], int32(0)
-			for code, v := range c.base {
+			for code, v := range c.Base {
 				if v > bestVotes {
 					bestVotes = v
 					bestBase = dna.Base(byte(code))
@@ -134,7 +65,7 @@ func PolishContext(ctx context.Context, draft dna.Seq, reads []dna.Seq, cfg core
 			}
 			out = append(out, bestBase)
 		}
-		if len(c.ins) > 0 {
+		if len(c.Ins) > 0 {
 			// The most-voted insertion wins if a strict majority of
 			// covering reads saw an insertion here.
 			var total int32
@@ -143,7 +74,7 @@ func PolishContext(ctx context.Context, draft dna.Seq, reads []dna.Seq, cfg core
 				n int32
 			}
 			var ivs []iv
-			for s, n := range c.ins {
+			for s, n := range c.Ins {
 				total += n
 				ivs = append(ivs, iv{s, n})
 			}
@@ -152,7 +83,7 @@ func PolishContext(ctx context.Context, draft dna.Seq, reads []dna.Seq, cfg core
 			// neighbouring columns, while spurious read insertions at
 			// any one site stay near the per-read insertion rate
 			// (~9% for PacBio).
-			if total*3 > c.cov {
+			if total*3 > c.Cov {
 				sort.Slice(ivs, func(a, b int) bool {
 					if ivs[a].n != ivs[b].n {
 						return ivs[a].n > ivs[b].n

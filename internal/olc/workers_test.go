@@ -74,9 +74,9 @@ func TestAssembleCancelResumeAcrossWorkerCounts(t *testing.T) {
 
 // TestPolishWorkerCountInvariance: votes are integer counts folded in
 // read order, so the polished sequence is the same on one engine or
-// several. The read set spans more than one polishBatch.
+// several. The read set spans more than one pileupBatch.
 func TestPolishWorkerCountInvariance(t *testing.T) {
-	seqs := testReads(t, 6000, polishBatch+8)
+	seqs := testReads(t, 6000, pileupBatch+8)
 	cfg := testConfig()
 	draft := seqs[0] // a raw read: ~80 others cover it and out-vote its errors
 	want, err := PolishContext(context.Background(), draft, seqs, cfg, 1)

@@ -15,7 +15,7 @@ import (
 // position table is a dense pointer array over sequentially stored hit
 // lists (Section 3, Figure 3), with no pointer graph to fix up.
 type Parts struct {
-	// K is the seed size (pattern weight for spaced tables).
+	// K is the seed size.
 	K int
 	// RefLen is the indexed window length.
 	RefLen int
@@ -25,9 +25,6 @@ type Parts struct {
 	// MaskedSeeds and MaskedHits record what masking removed.
 	MaskedSeeds int
 	MaskedHits  int
-	// Pattern is the spaced-seed template string, "" for a contiguous
-	// k-mer table.
-	Pattern string
 
 	// Ptr is the dense pointer table (4^K+1 entries); nil in sparse
 	// mode (K > directLimit).
@@ -51,20 +48,11 @@ func (t *Table) Parts() Parts {
 		MaskThreshold: t.maskMax,
 		MaskedSeeds:   t.maskedSeeds,
 		MaskedHits:    t.maskedHits,
-		Pattern:       t.patternString(),
 		Ptr:           t.ptr,
 		Codes:         t.codes,
 		Spans:         t.spans,
 		Pos:           t.pos,
 	}
-}
-
-// patternString renders the spaced pattern, "" for contiguous tables.
-func (t *Table) patternString() string {
-	if t.pattern == nil {
-		return ""
-	}
-	return t.pattern.String()
 }
 
 // FromParts reconstructs a Table from its flat storage. The slices are
@@ -73,11 +61,8 @@ func (t *Table) patternString() string {
 // validates the structural invariants that keep Lookup in bounds —
 // content integrity (bit flips) is the index file's checksum job.
 func FromParts(p Parts) (*Table, error) {
-	if p.K < 1 || p.K > dna.MaxSeedSize {
-		return nil, fmt.Errorf("seedtable: seed size %d out of range [1,%d]", p.K, dna.MaxSeedSize)
-	}
-	if p.RefLen < p.K {
-		return nil, fmt.Errorf("seedtable: window length %d shorter than seed size %d", p.RefLen, p.K)
+	if err := checkK(p.K, p.RefLen, "window"); err != nil {
+		return nil, err
 	}
 	t := &Table{
 		k:           p.K,
@@ -85,16 +70,6 @@ func FromParts(p Parts) (*Table, error) {
 		maskMax:     p.MaskThreshold,
 		maskedSeeds: p.MaskedSeeds,
 		maskedHits:  p.MaskedHits,
-	}
-	if p.Pattern != "" {
-		pat, err := ParsePattern(p.Pattern)
-		if err != nil {
-			return nil, err
-		}
-		if pat.Weight() != p.K {
-			return nil, fmt.Errorf("seedtable: pattern %q weight %d != table seed size %d", p.Pattern, pat.Weight(), p.K)
-		}
-		t.pattern = pat
 	}
 	if p.Dense() {
 		if len(p.Codes) != 0 || len(p.Spans) != 0 {

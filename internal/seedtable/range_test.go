@@ -8,7 +8,7 @@ import (
 )
 
 // testRef builds a repetitive reference with N gaps so masking and
-// minimizer-window resets both engage.
+// the rolling pack's resets both engage.
 func testRef(t *testing.T, n int, seed int64) dna.Seq {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -68,19 +68,8 @@ func rangeEquiv(t *testing.T, ref dna.Seq, k int, opts Options, start, end int) 
 
 func TestBuildRangeMatchesGlobal(t *testing.T) {
 	ref := testRef(t, 6000, 11)
-	opts := DefaultOptions()
-	opts.MaskFloor = 4 // make the planted repeat maskable at this scale
+	var opts Options
 	for _, win := range [][2]int{{0, 2048}, {1024, 3072}, {2048, 6000}, {5000, 6000}} {
-		rangeEquiv(t, ref, 7, opts, win[0], win[1])
-	}
-}
-
-func TestBuildRangeMatchesGlobalWithMinimizers(t *testing.T) {
-	ref := testRef(t, 6000, 13)
-	opts := DefaultOptions()
-	opts.MaskFloor = 4
-	opts.MinimizerWindow = 5
-	for _, win := range [][2]int{{0, 2048}, {1024, 3072}, {2048, 6000}} {
 		rangeEquiv(t, ref, 7, opts, win[0], win[1])
 	}
 }
@@ -88,15 +77,12 @@ func TestBuildRangeMatchesGlobalWithMinimizers(t *testing.T) {
 func TestBuildRangeMatchesGlobalSparse(t *testing.T) {
 	// k > directLimit exercises the sparse build and sparse ComputeMask.
 	ref := testRef(t, 4000, 17)
-	opts := DefaultOptions()
-	opts.MaskFloor = 4
-	rangeEquiv(t, ref, directLimit+1, opts, 1024, 3000)
+	rangeEquiv(t, ref, directLimit+1, Options{}, 1024, 3000)
 }
 
 func TestComputeMaskMatchesBuild(t *testing.T) {
 	ref := testRef(t, 6000, 19)
-	opts := DefaultOptions()
-	opts.MaskFloor = 4
+	var opts Options
 	mask, err := ComputeMask(ref, 7, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +120,7 @@ func TestComputeMaskMatchesBuild(t *testing.T) {
 
 func TestTableBytes(t *testing.T) {
 	ref := testRef(t, 4000, 23)
-	tab, err := Build(ref, 7, DefaultOptions())
+	tab, err := Build(ref, 7, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

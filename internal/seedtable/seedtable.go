@@ -24,25 +24,20 @@ import (
 // sorted sparse representation; lookups behave identically.
 const directLimit = 12
 
-// Options configures table construction.
+// Darwin's masking rule (Section 5): a seed occurring more than
+// maskMultiplier·|R|/4^k times is masked. maskFloor keeps the cutoff
+// meaningful when |R| ≪ 4^k (scaled-down genomes), where the raw
+// formula would mask every seed that occurs at all.
+const (
+	maskMultiplier = 32
+	maskFloor      = 8
+)
+
+// Options configures table construction. The zero value is the paper's
+// masking rule.
 type Options struct {
-	// MaskMultiplier is the high-frequency masking factor: seeds with
-	// more than MaskMultiplier·|R|/4^k occurrences are masked (their
-	// hit lists emptied). Darwin uses 32. Zero applies the default.
-	MaskMultiplier int
-	// MaskFloor is the minimum mask threshold, needed when |R| ≪ 4^k
-	// (scaled-down genomes) where the raw formula would mask every seed.
-	// Zero applies a default of 8.
-	MaskFloor int
 	// NoMask disables masking entirely.
 	NoMask bool
-	// MinimizerWindow, when ≥ 2, stores only minimizer positions: the
-	// lowest-hashed seed of every window of that many consecutive
-	// seeds (Roberts et al., cited in Section 10 as the standard way
-	// to shrink seed storage). Every window of MinimizerWindow
-	// consecutive seed positions retains at least one entry. Zero or
-	// one stores every position.
-	MinimizerWindow int
 	// Mask, when non-nil, replaces local frequency thresholding with a
 	// precomputed masked-seed set (ComputeMask). Sharded builds use
 	// this so every shard masks exactly the seeds a whole-reference
@@ -91,45 +86,36 @@ func (opts Options) maskThreshold(refLen int, k int) int {
 	if opts.NoMask {
 		return 0
 	}
-	mm := opts.MaskMultiplier
-	if mm == 0 {
-		mm = 32
-	}
-	floor := opts.MaskFloor
-	if floor == 0 {
-		floor = 8
-	}
-	max := mm * refLen / dna.NumSeeds(k)
-	if max < floor {
-		max = floor
-	}
-	return max
+	return max(maskMultiplier*refLen/dna.NumSeeds(k), maskFloor)
 }
 
-// ComputeMask counts stored seed occurrences over the whole reference
-// (after minimizer sampling, exactly as Build would store them) and
+// checkK rejects seed sizes the 2-bit packed uint32 codes cannot hold
+// and a sequence (what: "reference" or "window") of n bases too short
+// to hold one seed.
+func checkK(k, n int, what string) error {
+	if k < 1 || k > dna.MaxSeedSize {
+		return fmt.Errorf("seedtable: seed size %d out of range [1,%d]", k, dna.MaxSeedSize)
+	}
+	if n < k {
+		return fmt.Errorf("seedtable: %s length %d shorter than seed size %d", what, n, k)
+	}
+	return nil
+}
+
+// ComputeMask counts seed occurrences over the whole reference and
 // returns the set of codes Build would mask. The result is passed to
 // per-shard BuildRange calls via Options.Mask.
 func ComputeMask(ref dna.Seq, k int, opts Options) (*MaskSet, error) {
-	if k < 1 || k > dna.MaxSeedSize {
-		return nil, fmt.Errorf("seedtable: seed size %d out of range [1,%d]", k, dna.MaxSeedSize)
-	}
-	if len(ref) < k {
-		return nil, fmt.Errorf("seedtable: reference length %d shorter than seed size %d", len(ref), k)
+	if err := checkK(k, len(ref), "reference"); err != nil {
+		return nil, err
 	}
 	m := &MaskSet{threshold: opts.maskThreshold(len(ref), k), codes: map[uint32]struct{}{}}
 	if m.threshold == 0 {
 		return m, nil
 	}
-	scan := func(fn func(code uint32, pos int)) {
-		if s := minimizerSampler(opts.MinimizerWindow); s != nil {
-			fn = s(fn)
-		}
-		forEachSeed(ref, k, fn)
-	}
 	if k <= directLimit {
 		counts := make([]uint32, dna.NumSeeds(k))
-		scan(func(code uint32, _ int) { counts[code]++ })
+		forEachSeed(ref, k, func(code uint32, _ int) { counts[code]++ })
 		for c, n := range counts {
 			if int(n) > m.threshold {
 				m.codes[uint32(c)] = struct{}{}
@@ -140,7 +126,7 @@ func ComputeMask(ref dna.Seq, k int, opts Options) (*MaskSet, error) {
 	// Sparse k: sort the code stream and run-length count, the same
 	// O(occurrences) strategy buildSparse uses.
 	codes := make([]uint32, 0, len(ref))
-	scan(func(code uint32, _ int) { codes = append(codes, code) })
+	forEachSeed(ref, k, func(code uint32, _ int) { codes = append(codes, code) })
 	sort.Slice(codes, func(a, b int) bool { return codes[a] < codes[b] })
 	for i := 0; i < len(codes); {
 		j := i
@@ -155,18 +141,12 @@ func ComputeMask(ref dna.Seq, k int, opts Options) (*MaskSet, error) {
 	return m, nil
 }
 
-// DefaultOptions returns the paper's masking configuration.
-func DefaultOptions() Options { return Options{MaskMultiplier: 32, MaskFloor: 8} }
-
 // Table is a seed position table over one reference sequence.
 type Table struct {
 	k       int
 	refLen  int
 	maskMax int
 	mask    *MaskSet // non-nil: precomputed global mask instead of local counts
-	drop    int      // range builds: scan warm-up positions to discard/shift
-	sample  func(emit func(code uint32, pos int)) func(code uint32, pos int)
-	pattern *SpacedPattern // non-nil for spaced-seed tables
 
 	// Dense mode (k ≤ directLimit): ptr has 4^k+1 entries; the hits for
 	// seed code c occupy pos[ptr[c]:ptr[c+1]].
@@ -187,113 +167,57 @@ type Table struct {
 
 // Build constructs the table for all k-mers of ref.
 func Build(ref dna.Seq, k int, opts Options) (*Table, error) {
-	if k < 1 || k > dna.MaxSeedSize {
-		return nil, fmt.Errorf("seedtable: seed size %d out of range [1,%d]", k, dna.MaxSeedSize)
+	if err := checkK(k, len(ref), "reference"); err != nil {
+		return nil, err
 	}
-	if len(ref) < k {
-		return nil, fmt.Errorf("seedtable: reference length %d shorter than seed size %d", len(ref), k)
+	return build(ref, k, opts), nil
+}
+
+// BuildRange constructs a seed table over the reference window
+// [start, end) — one shard of a physically partitioned index, the
+// software analogue of Darwin tiling its seed-position table across
+// four LPDDR4 channels (Section 5). Stored positions are window-local
+// (global position minus start) and RefLen reports the window length,
+// so a D-SOFT filter over the table sizes its bin state to the shard,
+// not the genome.
+//
+// With opts.Mask = ComputeMask(ref, k, opts) every shard masks exactly
+// the globally high-frequency seeds, and Lookup(code) on this table
+// returns exactly the whole-reference hit list restricted to start
+// positions in [start, end−k], shifted by −start. Without it, masking
+// thresholds on the window length, and a seed's fate can differ
+// between shard sizes.
+func BuildRange(ref dna.Seq, start, end, k int, opts Options) (*Table, error) {
+	if start < 0 || end > len(ref) || start >= end {
+		return nil, fmt.Errorf("seedtable: window [%d,%d) outside reference [0,%d)", start, end, len(ref))
 	}
-	t := &Table{k: k, refLen: len(ref)}
+	if err := checkK(k, end-start, "window"); err != nil {
+		return nil, err
+	}
+	return build(ref[start:end], k, opts), nil
+}
+
+// build indexes every k-mer of seq under opts' mask.
+func build(seq dna.Seq, k int, opts Options) *Table {
+	t := &Table{k: k, refLen: len(seq), mask: opts.Mask}
 	if opts.Mask != nil {
-		t.mask = opts.Mask
 		t.maskMax = opts.Mask.Threshold()
 	} else {
-		t.maskMax = opts.maskThreshold(len(ref), k)
+		t.maskMax = opts.maskThreshold(len(seq), k)
 	}
-	t.sample = minimizerSampler(opts.MinimizerWindow)
 	if k <= directLimit {
-		t.buildDense(ref)
+		t.buildDense(seq)
 	} else {
-		t.buildSparse(ref)
+		t.buildSparse(seq)
 	}
-	return t, nil
-}
-
-// minimizerSampler returns a filter over (code, pos) seed streams that
-// keeps only per-window minimizers, or nil when sampling is disabled.
-// It is stateful and must be consumed in position order, which the
-// build passes guarantee.
-func minimizerSampler(w int) func(emit func(code uint32, pos int)) func(code uint32, pos int) {
-	if w < 2 {
-		return nil
-	}
-	return func(emit func(code uint32, pos int)) func(code uint32, pos int) {
-		type entry struct {
-			code uint32
-			pos  int
-			h    uint32
-		}
-		var window []entry // monotone deque of window minima candidates
-		lastEmitted := -1
-		expect := -1 // next contiguous position (N gaps reset the window)
-		fill := 0    // consecutive seeds since the last reset
-		return func(code uint32, pos int) {
-			if pos != expect {
-				window = window[:0]
-				fill = 0
-			}
-			expect = pos + 1
-			fill++
-			h := hashSeed(code)
-			for len(window) > 0 && window[len(window)-1].h >= h {
-				window = window[:len(window)-1]
-			}
-			window = append(window, entry{code, pos, h})
-			if window[0].pos <= pos-w {
-				window = window[1:]
-			}
-			if fill >= w && window[0].pos != lastEmitted {
-				emit(window[0].code, window[0].pos)
-				lastEmitted = window[0].pos
-			}
-		}
-	}
-}
-
-// hashSeed mixes a seed code so minimizer selection is not biased
-// toward poly-A (the lexicographically smallest seeds).
-func hashSeed(code uint32) uint32 {
-	x := code
-	x ^= x >> 16
-	x *= 0x7feb352d
-	x ^= x >> 15
-	x *= 0x846ca68b
-	x ^= x >> 16
-	return x
-}
-
-// forEachStored visits every seed occurrence the table stores —
-// all positions, or only minimizers when sampling is enabled. Range
-// builds scan t.drop warm-up positions ahead of the window so the
-// minimizer deque reaches steady state before the first stored
-// position; warm-up emissions are discarded and survivors shifted to
-// window-local coordinates.
-func (t *Table) forEachStored(ref dna.Seq, fn func(code uint32, pos int)) {
-	if t.drop > 0 {
-		inner := fn
-		drop := t.drop
-		fn = func(code uint32, pos int) {
-			if pos < drop {
-				return
-			}
-			inner(code, pos-drop)
-		}
-	}
-	if t.sample != nil {
-		fn = t.sample(fn)
-	}
-	if t.pattern != nil {
-		forEachSeedSpaced(ref, t.pattern, fn)
-		return
-	}
-	forEachSeed(ref, t.k, fn)
+	return t
 }
 
 // buildDense uses a two-pass counting sort into a 4^k+1 pointer table.
 func (t *Table) buildDense(ref dna.Seq) {
 	n := dna.NumSeeds(t.k)
 	counts := make([]uint32, n+1)
-	t.forEachStored(ref, func(code uint32, _ int) {
+	forEachSeed(ref, t.k, func(code uint32, _ int) {
 		counts[code+1]++
 	})
 	// Mask high-frequency seeds by zeroing their counts: seeds in the
@@ -324,7 +248,7 @@ func (t *Table) buildDense(ref dna.Seq) {
 	t.pos = make([]uint32, t.ptr[n])
 	fill := make([]uint32, n)
 	copy(fill, t.ptr[:n])
-	t.forEachStored(ref, func(code uint32, i int) {
+	forEachSeed(ref, t.k, func(code uint32, i int) {
 		if t.ptr[code+1] == t.ptr[code] {
 			return // masked (or impossible) seed
 		}
@@ -337,7 +261,7 @@ func (t *Table) buildDense(ref dna.Seq) {
 // derives per-code spans; memory is O(occurrences) instead of O(4^k).
 func (t *Table) buildSparse(ref dna.Seq) {
 	pairs := make([]uint64, 0, len(ref))
-	t.forEachStored(ref, func(code uint32, i int) {
+	forEachSeed(ref, t.k, func(code uint32, i int) {
 		pairs = append(pairs, uint64(code)<<32|uint64(uint32(i)))
 	})
 	sort.Slice(pairs, func(a, b int) bool { return pairs[a] < pairs[b] })
@@ -435,31 +359,14 @@ func (t *Table) Lookup(code uint32) []uint32 {
 	return t.pos[sp[0]:sp[1]]
 }
 
-// LookupSeq packs the seed of q starting at pos (contiguous k bases,
-// or the table's spaced pattern) and looks it up. Seeds with N in a
-// care position return nil (they are skipped, as in hardware).
+// LookupSeq packs the k bases of q starting at pos and looks them up.
+// Seeds containing N return nil (they are skipped, as in hardware).
 func (t *Table) LookupSeq(q dna.Seq, pos int) []uint32 {
-	var code uint32
-	var ok bool
-	if t.pattern != nil {
-		code, ok = t.pattern.Pack(q, pos)
-	} else {
-		code, ok = dna.PackSeed(q, pos, t.k)
-	}
+	code, ok := dna.PackSeed(q, pos, t.k)
 	if !ok {
 		return nil
 	}
 	return t.Lookup(code)
-}
-
-// PackQuery extracts the seed code at q[pos] using the table's scheme
-// (contiguous k-mer or spaced pattern) — the packing D-SOFT must use
-// when drawing query seeds against this table.
-func (t *Table) PackQuery(q dna.Seq, pos int) (uint32, bool) {
-	if t.pattern != nil {
-		return t.pattern.Pack(q, pos)
-	}
-	return dna.PackSeed(q, pos, t.k)
 }
 
 // Stats summarizes the table for reporting and for the DRAM model.

@@ -6,9 +6,10 @@
 // genome", Section 2).
 //
 // Reads are mapped with the Darwin engine, aligned columns are piled
-// up against the reference, and positions where a majority of
-// covering reads disagree with the reference are emitted as SNP,
-// insertion, or deletion calls.
+// up against the reference (olc.MapPileup, the pileup consensus
+// polishing reads), and positions where a majority of covering reads
+// disagree with the reference are emitted as SNP, insertion, or
+// deletion calls.
 package varcall
 
 import (
@@ -16,9 +17,9 @@ import (
 	"fmt"
 	"sort"
 
-	"darwin/internal/align"
 	"darwin/internal/core"
 	"darwin/internal/dna"
+	"darwin/internal/olc"
 )
 
 // Kind classifies a variant call.
@@ -67,8 +68,9 @@ func DefaultConfig(coreCfg core.Config) Config {
 	return Config{Core: coreCfg, MinDepth: 5, MinFrac: 0.5}
 }
 
-// CallContext maps the reads and returns variant calls sorted by
-// position. Cancellation is honoured between reads.
+// CallContext maps the reads on one engine clone per CPU and returns
+// variant calls sorted by position. Cancellation is honoured between
+// reads, and a read that fails to map fails the call.
 func CallContext(ctx context.Context, ref dna.Seq, reads []dna.Seq, cfg Config) ([]Variant, error) {
 	if len(ref) == 0 {
 		return nil, fmt.Errorf("varcall: empty reference")
@@ -79,108 +81,55 @@ func CallContext(ctx context.Context, ref dna.Seq, reads []dna.Seq, cfg Config) 
 	if cfg.MinFrac <= 0 || cfg.MinFrac > 1 {
 		return nil, fmt.Errorf("varcall: MinFrac %v out of (0,1]", cfg.MinFrac)
 	}
-	engine, err := core.New(ref, cfg.Core)
+	cols, err := olc.MapPileup(ctx, ref, reads, cfg.Core, 0)
 	if err != nil {
-		return nil, err
-	}
-
-	type column struct {
-		base [4]int32
-		del  int32
-		ins  map[string]int32
-		cov  int32
-	}
-	cols := make([]column, len(ref))
-	for _, read := range reads {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		alns, _ := engine.MapRead(read)
-		best := core.Best(alns)
-		if best == nil {
-			continue
-		}
-		q := read
-		if best.Reverse {
-			q = dna.RevComp(read)
-		}
-		i, j := best.Result.RefStart, best.Result.QueryStart
-		for _, s := range best.Result.Cigar {
-			switch s.Op {
-			case align.OpMatch:
-				for x := 0; x < s.Len; x++ {
-					c := &cols[i+x]
-					c.cov++
-					if code := dna.Code(q[j+x]); code < 4 {
-						c.base[code]++
-					}
-				}
-				i += s.Len
-				j += s.Len
-			case align.OpDel:
-				for x := 0; x < s.Len; x++ {
-					c := &cols[i+x]
-					c.cov++
-					c.del++
-				}
-				i += s.Len
-			case align.OpIns:
-				if i > 0 {
-					c := &cols[i-1]
-					if c.ins == nil {
-						c.ins = make(map[string]int32)
-					}
-					c.ins[string(q[j:j+s.Len])]++
-				}
-				j += s.Len
-			}
-		}
+		return nil, fmt.Errorf("varcall: %w", err)
 	}
 
 	var out []Variant
 	for pos := range cols {
 		c := &cols[pos]
-		if int(c.cov) < cfg.MinDepth {
+		if int(c.Cov) < cfg.MinDepth {
 			continue
 		}
 		refCode := dna.Code(ref[pos])
 		// SNP: the top non-reference base with majority support.
 		bestBase, bestVotes := byte(0), int32(0)
-		for code, v := range c.base {
+		for code, v := range c.Base {
 			if byte(code) != refCode && v > bestVotes {
 				bestVotes = v
 				bestBase = byte(code)
 			}
 		}
-		if float64(bestVotes) >= cfg.MinFrac*float64(c.cov) {
+		if float64(bestVotes) >= cfg.MinFrac*float64(c.Cov) {
 			out = append(out, Variant{
 				Pos: pos, Kind: SNP,
 				Ref: string(ref[pos : pos+1]), Alt: string(dna.Base(bestBase)),
-				Depth: int(c.cov), Support: int(bestVotes),
+				Depth: int(c.Cov), Support: int(bestVotes),
 			})
 		}
 		// Deletion of this base.
-		if float64(c.del) >= cfg.MinFrac*float64(c.cov) {
+		if float64(c.Del) >= cfg.MinFrac*float64(c.Cov) {
 			out = append(out, Variant{
 				Pos: pos, Kind: Del,
 				Ref:   string(ref[pos : pos+1]),
-				Depth: int(c.cov), Support: int(c.del),
+				Depth: int(c.Cov), Support: int(c.Del),
 			})
 		}
 		// Insertion after this base: most common inserted sequence.
-		if len(c.ins) > 0 {
+		if len(c.Ins) > 0 {
 			var total int32
 			bestSeq, bestN := "", int32(0)
-			for s, n := range c.ins {
+			for s, n := range c.Ins {
 				total += n
 				if n > bestN || (n == bestN && s < bestSeq) {
 					bestSeq, bestN = s, n
 				}
 			}
-			if float64(total) >= cfg.MinFrac*float64(c.cov) {
+			if float64(total) >= cfg.MinFrac*float64(c.Cov) {
 				out = append(out, Variant{
 					Pos: pos, Kind: Ins, Alt: bestSeq,
-					Depth: int(c.cov), Support: int(total),
+					Depth: int(c.Cov), Support: int(total),
 				})
 			}
 		}

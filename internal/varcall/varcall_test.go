@@ -6,6 +6,7 @@ import (
 
 	"darwin/internal/core"
 	"darwin/internal/dna"
+	"darwin/internal/faults"
 	"darwin/internal/genome"
 	"darwin/internal/readsim"
 )
@@ -162,5 +163,31 @@ func TestCallErrors(t *testing.T) {
 	cfg.MinFrac = 0
 	if _, err := CallContext(context.Background(), dna.NewSeq("ACGTACGTACGTACGT"), nil, cfg); err == nil {
 		t.Error("MinFrac 0 should error")
+	}
+}
+
+// TestCallSurfacesReadFailure: a read whose mapping fails (here an
+// injected fault) fails the call with that error instead of being
+// skipped or taking the process down.
+func TestCallSurfacesReadFailure(t *testing.T) {
+	defer faults.Default.Reset()
+	g, err := genome.Generate(genome.Config{Length: 20000, GC: 0.45, Seed: 189})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads, err := readsim.Simulate(g.Seq, readsim.Config{Profile: readsim.PacBio, MeanLen: 2000, Coverage: 3, Seed: 190})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := make([]dna.Seq, len(reads))
+	for i := range reads {
+		seqs[i] = reads[i].Seq
+	}
+	if err := faults.Default.Enable("core/map_read=after=5,times=1,error=bad read"); err != nil {
+		t.Fatal(err)
+	}
+	_, err = CallContext(context.Background(), g.Seq, seqs, DefaultConfig(core.DefaultConfig(11, 600, 20)))
+	if !faults.IsInjected(err) {
+		t.Errorf("err = %v, want the injected read failure", err)
 	}
 }

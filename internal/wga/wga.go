@@ -101,7 +101,7 @@ func Align(ref, query dna.Seq, cfg Config) ([]Block, Stats, error) {
 	if len(ref) == 0 || len(query) == 0 {
 		return nil, stats, fmt.Errorf("wga: empty genome (ref %d, query %d)", len(ref), len(query))
 	}
-	table, err := seedtable.Build(ref, cfg.SeedK, seedtable.DefaultOptions())
+	table, err := seedtable.Build(ref, cfg.SeedK, seedtable.Options{})
 	if err != nil {
 		return nil, stats, err
 	}

@@ -4,7 +4,9 @@
 #   2. darwin-index build + inspect + verify (monolithic and sharded)
 #   3. map reads three ways — FASTA build, explicit -index, discovered
 #      sidecar — and assert the SAM output is byte-identical
-#   4. corrupt the sidecar: verify fails with checksum_mismatch, and
+#   4. a format-version-1 sidecar is passed over as bad_version (same
+#      SAM from the FASTA build) and refused as an explicit -index
+#   5. corrupt the sidecar: verify fails with checksum_mismatch, and
 #      darwin falls back to the FASTA build with identical output
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -31,7 +33,7 @@ cat "$tmp/build.log"
 [ -f "$tmp/ref.fa.dwi" ] || { echo "index-smoke: FAIL — no sidecar written" >&2; exit 1; }
 "$tmp/bin/darwin-index" verify "$tmp/ref.fa.dwi"
 "$tmp/bin/darwin-index" inspect "$tmp/ref.fa.dwi" > "$tmp/inspect.json"
-grep -q '"Version": 1' "$tmp/inspect.json" || {
+grep -q '"Version": 2' "$tmp/inspect.json" || {
     echo "index-smoke: FAIL — inspect output missing version:" >&2
     cat "$tmp/inspect.json" >&2
     exit 1
@@ -72,6 +74,30 @@ diff "$tmp/base.sam" "$tmp/shard.sam" || {
     exit 1
 }
 
+echo "index-smoke: an old-format sidecar is passed over, an old -index refused"
+mkdir "$tmp/old"
+cp "$tmp/ref.fa" "$tmp/ref.fa.dwi" "$tmp/old/"
+printf '\x01' | dd of="$tmp/old/ref.fa.dwi" bs=1 seek=8 conv=notrunc 2>/dev/null
+"$tmp/bin/darwin" -ref "$tmp/old/ref.fa" $args -out "$tmp/old.sam" 2> "$tmp/old.log"
+grep "rebuilding from FASTA" "$tmp/old.log" | grep -q "bad_version" || {
+    echo "index-smoke: FAIL — version-1 sidecar not passed over as bad_version:" >&2
+    cat "$tmp/old.log" >&2
+    exit 1
+}
+diff "$tmp/base.sam" "$tmp/old.sam" || {
+    echo "index-smoke: FAIL — SAM after passing over the old sidecar differs" >&2
+    exit 1
+}
+if "$tmp/bin/darwin" -ref "$tmp/old/ref.fa" $args -index "$tmp/old/ref.fa.dwi" -out /dev/null 2> "$tmp/old_idx.log"; then
+    echo "index-smoke: FAIL — version-1 explicit -index did not fail" >&2
+    exit 1
+fi
+grep -q "bad_version" "$tmp/old_idx.log" || {
+    echo "index-smoke: FAIL — version-1 explicit -index not reported as bad_version:" >&2
+    cat "$tmp/old_idx.log" >&2
+    exit 1
+}
+
 echo "index-smoke: corruption is detected and degraded gracefully"
 size=$(wc -c < "$tmp/ref.fa.dwi")
 printf '\xff' | dd of="$tmp/ref.fa.dwi" bs=1 seek=$((size - 1)) conv=notrunc 2>/dev/null
@@ -101,4 +127,4 @@ if "$tmp/bin/darwin" -ref "$tmp/ref.fa" $args -index "$tmp/ref.fa.dwi" -out /dev
     exit 1
 fi
 
-echo "index-smoke: OK (bit-identical SAM across build/index/sidecar, corruption detected)"
+echo "index-smoke: OK (bit-identical SAM across build/index/sidecar, old format and corruption detected)"
