@@ -1,13 +1,14 @@
 # Developer workflow targets. `make check` is the gate perf and
 # refactor PRs must keep green (vet, the full test suite under the race
-# detector, allocation pins, fuzz targets, the smoke scripts);
+# detector, allocation pins, the scalar score-pass fallback, fuzz
+# targets, the smoke scripts);
 # `make bench` runs the paper table/figure and kernel micro-benchmarks.
 # End-to-end performance is `go run ./bench` (bench/README.md);
 # `scripts/bench_pair.sh <parent-ref>` runs it parent against change.
 
 GO ?= go
 
-.PHONY: build test check race vet loc test-allocs fuzz bench serve-smoke chaos-smoke index-smoke cluster-smoke assembly-smoke metrics-lint
+.PHONY: build test check race vet loc test-allocs fallback fuzz bench serve-smoke chaos-smoke index-smoke cluster-smoke assembly-smoke metrics-lint
 
 build:
 	$(GO) build ./...
@@ -33,17 +34,28 @@ loc:
 test-allocs:
 	$(GO) test -run 'SteadyStateAllocs' ./internal/align/ ./internal/gact/
 
+# The scalar score pass the vector one falls back to: run under the
+# purego tag (TestQuickMaxCell, FuzzEngineExtend's corpus and the rest
+# of both packages on linearPair), and vetted for arm64, which has no
+# assembly and cannot be run here.
+fallback:
+	$(GO) test -tags purego ./internal/align/ ./internal/gact/
+	GOARCH=arm64 $(GO) vet ./internal/align/ ./internal/gact/
+
 # Bounded runs of the fuzz targets, on top of their committed seed
 # corpora (testdata/fuzz, which plain `go test` replays): Myers infix vs
-# its quadratic oracle, gact.Engine.Extend — score pass, banded
+# its quadratic oracle, the score pass as production runs it (the AVX2
+# lanes on amd64) vs the scalar pass and fillLocal, gact.Engine.Extend —
+# score pass, banded
 # refills, bitvector tier — vs the free reference Extend, and the .dwi
 # reader on re-sealed mutated index files (no panic, only coded errors).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMyersInfix$$' -fuzztime 20s ./internal/align/
+	$(GO) test -run '^$$' -fuzz '^FuzzMaxCell$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/align/
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineExtend$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/gact/
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexOpen$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/indexfile/
 
-check: vet race test-allocs fuzz serve-smoke chaos-smoke index-smoke cluster-smoke assembly-smoke metrics-lint
+check: vet race test-allocs fallback fuzz serve-smoke chaos-smoke index-smoke cluster-smoke assembly-smoke metrics-lint
 
 # End-to-end serving check: darwind on a synthetic genome, load from
 # darwin-client, non-empty SAM back, clean drain on SIGTERM.

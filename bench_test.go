@@ -219,7 +219,7 @@ func BenchmarkAlignTile(b *testing.B) {
 // Both report Mcells/s as the *effective* rate over the geometric
 // tile area, so the sub-benchmark ratio is the tier's end-to-end win;
 // with KernelAuto the production path gets the bitvector rate whenever
-// the divergence gate admits the tile.
+// the profit gate admits the tile.
 func BenchmarkAlignTileBitvector(b *testing.B) {
 	hifi := readsim.Profile{Name: "HiFi", Sub: 0.005, Ins: 0.015, Del: 0.010}
 	ref, q := anchoredTile(b, hifi, 320)
@@ -230,6 +230,37 @@ func BenchmarkAlignTileBitvector(b *testing.B) {
 			b.Fatalf("bitvector tier ran %d of %d tiles: %+v", ks.BitvectorTiles, b.N, ks)
 		}
 	})
+}
+
+// BenchmarkScorePass times the first tile's score pass alone — what a
+// candidate the h_tile filter rejects costs — on a 384×384 tile of an
+// ONT_1D read against its own region and against an unrelated one,
+// under the paper's scoring. The threshold sits above any score a 384²
+// tile can reach, so every tile is rejected and no refill runs; ns/cell
+// is the production pass (the AVX2 lanes on amd64, the scalar row pairs
+// under -tags purego).
+func BenchmarkScorePass(b *testing.B) {
+	const side = 384
+	ref, q := anchoredTile(b, readsim.ONT1D, side)
+	unrelated := dna.Random(rand.New(rand.NewSource(73)), side, 0.45)
+	sc := align.GACTEval()
+	for _, pair := range []struct {
+		name string
+		ref  dna.Seq
+	}{{"ont1d", ref}, {"unrelated", unrelated}} {
+		b.Run(pair.name, func(b *testing.B) {
+			ta, err := align.NewTileAligner(&sc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ta.Preallocate(side)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ta.AlignFirstTile(pair.ref, q, side-128, side+1)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(side*side), "ns/cell")
+		})
+	}
 }
 
 // BenchmarkGACTExtend10k measures a full 10 kbp GACT alignment

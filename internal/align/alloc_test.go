@@ -58,6 +58,27 @@ func testTileAlignerAllocs(t *testing.T, sc Scoring) {
 	}); n != 0 {
 		t.Errorf("AlignTileReversed steady state allocates %.1f times per call, want 0", n)
 	}
+
+	// First tiles under an h_tile threshold: one rejected on its score
+	// pass (the vector pass, under the linear scoring on amd64) and one
+	// that passes and is refilled.
+	unrelated := dna.Random(rng, 384, 0.45)
+	if res := ta.AlignFirstTile(rTile, unrelated, 256, 90); res.Score >= 90 || len(res.Cigar) != 0 {
+		t.Fatalf("unrelated first tile: %+v, want a reject", res)
+	}
+	if res := ta.AlignFirstTile(rTile, qTile, 256, 90); res.Score < 90 || len(res.Cigar) == 0 {
+		t.Fatalf("related first tile: %+v, want a pass", res)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		ta.AlignFirstTile(rTile, unrelated, 256, 90)
+	}); n != 0 {
+		t.Errorf("rejected AlignFirstTile steady state allocates %.1f times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		ta.AlignFirstTile(rTile, qTile, 256, 90)
+	}); n != 0 {
+		t.Errorf("accepted AlignFirstTile steady state allocates %.1f times per call, want 0", n)
+	}
 }
 
 // The bitvector tier's steady state must also be allocation-free: the

@@ -35,11 +35,10 @@ import (
 // the tightest S the bound admits, so first tiles band without a
 // bitvector pass and without the gate below.
 //
-// The divergence gate makes the tier a *fast path* rather than a
-// wager: when the rescored bound sits too far below the tile's
-// perfect-score bound (low-identity or unrelated tiles, where the band
-// would be wide anyway), the tile falls back to the full LUT fill and
-// is counted in KernelStats.FallbackTiles.
+// The profit gate makes the tier a *fast path* rather than a wager:
+// when the band the rescored bound proves reaches across the tile
+// (low-identity or unrelated tiles), the tile falls back to the full
+// LUT fill and is counted in KernelStats.FallbackTiles.
 
 // KernelMode selects the TileAligner's tile-kernel tier.
 type KernelMode uint8
@@ -47,7 +46,7 @@ type KernelMode uint8
 const (
 	// KernelAuto (the default) runs the bitvector fast path on
 	// extension tiles, falling back to the full LUT kernel when the
-	// divergence gate rejects, the tile contains N codes, or the
+	// profit gate rejects, the tile contains N codes, or the
 	// geometry is unfriendly; a first tile that passes its score pass
 	// is refilled inside the band its exact score proves, or in full
 	// when that band spans the sub-tile. Results are bit-identical to
@@ -60,7 +59,7 @@ const (
 	// tests pin.
 	KernelLUT
 	// KernelBitvector forces the bitvector tier on every extension tile
-	// that can express it (no divergence fallback; the band is clamped
+	// that can express it (no profit fallback; the band is clamped
 	// to the tile instead). Same bit-identical results — the band bound
 	// stays provable — but divergent tiles pay bitvector + full-width
 	// fill, so this mode exists for benchmarking and diagnostics. First
@@ -110,10 +109,10 @@ const (
 // from a full LUT fill — fallbacks included — and every first tile
 // rejected on its score pass; BitvectorTiles the banded ones.
 // FallbackTiles is the subset of LUTTiles that attempted the bitvector
-// pass first and hit the divergence/profit gate. The cell counts are
-// the cells actually filled, so cells-per-second can be compared per
-// path: BitvectorCells the banded fills, LUTCells the full fills plus
-// the n·m cells of every first tile's score pass.
+// pass first and hit the profit gate (or a divergence cap). The cell
+// counts are the cells actually filled, so cells-per-second can be
+// compared per path: BitvectorCells the banded fills, LUTCells the full
+// fills plus the n·m cells of every first tile's score pass.
 type KernelStats struct {
 	LUTTiles       int64
 	LUTCells       int64
@@ -128,11 +127,10 @@ func (a *TileAligner) SetKernel(mode KernelMode) { a.mode = mode }
 // Kernel returns the aligner's kernel tier.
 func (a *TileAligner) Kernel() KernelMode { return a.mode }
 
-// SetKernelDivergence overrides the auto tier's fallback threshold:
-// the maximum allowed gap, in score units, between the tile's
-// perfect-score bound wmax·(n+m)/2 and the bitvector path's rescored
-// bound S_bv. Zero (the default) picks a geometry-derived threshold
-// that caps the band near a quarter of the tile side. Negative values
+// SetKernelDivergence adds a fallback threshold to the auto tier's
+// profit gate: the maximum allowed gap, in score units, between the
+// tile's perfect-score bound wmax·(n+m)/2 and the bitvector path's
+// rescored bound S_bv. Zero (the default) sets no cap. Negative values
 // are treated as zero.
 func (a *TileAligner) SetKernelDivergence(d int) {
 	if d < 0 {
@@ -146,7 +144,7 @@ func (a *TileAligner) KernelStats() KernelStats { return a.ks }
 
 // bitvectorBand runs the bit-parallel pass on a precoded extension tile
 // and returns the band its bound proves sufficient, or −1 — leaving no
-// trace beyond FallbackTiles when the divergence gate fired — if the
+// trace beyond FallbackTiles when the gate fired — if the
 // tile must take the full LUT fill.
 func (a *TileAligner) bitvectorBand(rc, qc []byte) int {
 	n, m := len(rc), len(qc)
@@ -167,21 +165,15 @@ func (a *TileAligner) bitvectorBand(rc, qc []byte) int {
 	if a.mode == KernelBitvector {
 		return min(band, n+m) // clamp: the banded fill degenerates to the full fill
 	}
-	side := min(n, m)
-	maxDiv := a.maxDiv
-	if maxDiv <= 0 {
-		// Default: cap the band near 2·side/5. A band of b fills
-		// 1 − (1 − b/side)² of the matrix, 64 % at the cap. Measured on
-		// 320² tiles with the linear-gap fill (~1.9 ns/cell, Myers pass
-		// and rescore ≈ 22 µs): the banded path costs 0.74 of the full
-		// fill at the cap and 0.82 just past it (EXPERIMENTS.md, PR 19),
-		// so every admitted tile still wins; wider bands approach the
-		// full fill with the bitvector work as pure overhead (the
-		// 2·band+1 ≥ side profit gate catches those).
-		maxDiv = (int(a.wmax) + 2*int(a.ext)) * side / 5
-	}
-	// Twice (perfect bound − S_bv) against twice the threshold.
-	if int(a.wmax)*(n+m)-2*sbv > 2*maxDiv || 2*band+1 >= side {
+	// By default only the profit gate: a band reaching across the tile
+	// fills it whole, with the bitvector work as pure overhead. Below
+	// that the banded fill wins — on 320² tiles with the linear-gap fill
+	// it costs 0.82–0.95 of a full fill at bands 131–159 and breaks even
+	// near 175 (EXPERIMENTS.md, PR 19), and the tile has already paid its
+	// Myers pass. A divergence cap set with SetKernelDivergence also
+	// compares twice (perfect bound − S_bv) against twice the cap.
+	diverged := a.maxDiv > 0 && int(a.wmax)*(n+m)-2*sbv > 2*a.maxDiv
+	if diverged || 2*band+1 >= min(n, m) {
 		a.ks.FallbackTiles++
 		return -1
 	}

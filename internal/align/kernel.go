@@ -41,7 +41,7 @@ type TileAligner struct {
 	maxSide   int // kernel side limit; a test knob, maxKernelSide in production
 
 	// Kernel-tier state (see bitvector.go): the selected mode, the
-	// divergence-gate override, the scoring's maximum substitution
+	// optional divergence cap, the scoring's maximum substitution
 	// score (the band derivation's wmax), the embedded bitvector
 	// scratch, and the per-path counters.
 	mode   KernelMode
@@ -61,6 +61,13 @@ type TileAligner struct {
 	// pass (maxCell) alone; the pointer fills track no maximum.
 	maxScore   int32
 	maxI, maxJ int
+
+	// The vector score pass (maxcell_amd64.go): its substitution table,
+	// nil where it cannot run, its int16 H row and the padded reversed
+	// reference it streams.
+	vecSub *[16]byte
+	h16    []int16
+	rRev   []byte
 }
 
 // NewTileAligner validates sc and returns an aligner with empty
@@ -84,6 +91,7 @@ func NewTileAligner(sc *Scoring) (*TileAligner, error) {
 		ext:     int32(sc.GapExtend),
 		maxSide: maxKernelSide,
 		wmax:    int32(wmax), // > 0: Validate requires a positive match
+		vecSub:  vectorSub(sc),
 	}, nil
 }
 
@@ -243,6 +251,12 @@ func (a *TileAligner) grow(w, h int) {
 	}
 	if cap(a.qCode) < h {
 		a.qCode = make([]byte, 0, h)
+	}
+	// The vector pass's padding: 15 columns either side of the tile,
+	// and the 32-byte loads past the row's last one (maxCellVector).
+	if a.vecSub != nil && cap(a.h16) < w+39 {
+		a.h16 = make([]int16, w+39)
+		a.rRev = make([]byte, w+29)
 	}
 }
 

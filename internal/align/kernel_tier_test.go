@@ -296,8 +296,10 @@ func TestQuickLinearFillMatchesAffine(t *testing.T) {
 }
 
 // The auto tier must actually engage on the workload it exists for —
-// high-identity extension tiles — and must fall back on low-identity
-// tiles rather than fill wide bands.
+// high-identity extension tiles — and must fall back on unrelated tiles,
+// whose proven band spans the tile, rather than fill it banded; a
+// divergence cap (SetKernelDivergence) turns low-identity tiles away
+// too.
 func TestKernelTierFallbackRate(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	sc := GACTEval()
@@ -325,8 +327,21 @@ func TestKernelTierFallbackRate(t *testing.T) {
 			ks.BitvectorCells, ks.BitvectorTiles, 320*320)
 	}
 
-	// Low-identity reads: the divergence gate must punt to the LUT.
+	// Unrelated tiles: the profit gate must punt to the LUT.
 	before := ks
+	for it := 0; it < 40; it++ {
+		ta.AlignTile(dna.Random(rng, 320, 0.45), dna.Random(rng, 320, 0.45), false, 320-128)
+	}
+	ks = ta.KernelStats()
+	if fb := ks.FallbackTiles - before.FallbackTiles; fb < 30 {
+		t.Errorf("unrelated tiles: only %d of 40 fell back (bitvector %d)",
+			fb, ks.BitvectorTiles-before.BitvectorTiles)
+	}
+
+	// Low-identity reads under a divergence cap of a fifth of the tile's
+	// perfect-score bound.
+	ta.SetKernelDivergence(320 / 5)
+	before = ks
 	for it := 0; it < 40; it++ {
 		rTile := dna.Random(rng, 320, 0.45)
 		qTile := mutate(rng, rTile, 0.45)
@@ -337,10 +352,9 @@ func TestKernelTierFallbackRate(t *testing.T) {
 	}
 	ks = ta.KernelStats()
 	if fb := ks.FallbackTiles - before.FallbackTiles; fb < 30 {
-		t.Errorf("low-identity tiles: only %d of 40 fell back (bitvector %d)",
+		t.Errorf("low-identity tiles under a divergence cap: only %d of 40 fell back (bitvector %d)",
 			fb, ks.BitvectorTiles-before.BitvectorTiles)
 	}
-
 }
 
 // A first tile is one logical tile to the counters, whichever passes it

@@ -1,6 +1,10 @@
 package align
 
-import "darwin/internal/dna"
+import (
+	"math"
+
+	"darwin/internal/dna"
+)
 
 // This file is the first tile's score pass. The h_tile filter (Figure
 // 12) reads one number off a first tile — the score of its best cell —
@@ -18,8 +22,48 @@ import "darwin/internal/dna"
 
 // maxCell locates the highest-scoring cell of the precoded tile. With
 // linear set it runs the collapsed recurrence of linearPair, which
-// open == ext makes valid; the affine one is valid always.
+// open == ext makes valid — on 16 AVX2 lanes (maxcell_amd64.go) where
+// the CPU has them and int16 cannot overflow — and the affine one,
+// which is valid always, otherwise.
 func (a *TileAligner) maxCell(rc, qc []byte, linear bool) {
+	if linear && a.vectorOK(len(rc), len(qc)) {
+		a.maxCellVector(rc, qc)
+		return
+	}
+	a.maxCellScalar(rc, qc, linear)
+}
+
+// vectorOK reports whether the vector pass is exact on an n×m tile:
+// the scoring fits its int8 table (vecSub set) and no cell can exceed
+// int16 — a local path aligns at most min(n, m) pairs, each worth at
+// most wmax.
+func (a *TileAligner) vectorOK(n, m int) bool {
+	return a.vecSub != nil && int(a.wmax)*min(n, m) <= math.MaxInt16
+}
+
+// vectorSub is the vector pass's substitution table for sc, int8
+// W[r][q] at q·4 | r, or nil when the CPU lacks the pass or sc's
+// scores do not fit it.
+func vectorSub(sc *Scoring) *[16]byte {
+	if !useAVX2 || sc.GapOpen != sc.GapExtend {
+		return nil
+	}
+	var t [16]byte
+	for r := range 4 {
+		for q := range 4 {
+			w := sc.W[r][q]
+			if w < -127 || w > 127 {
+				return nil
+			}
+			t[q*4|r] = byte(int8(w))
+		}
+	}
+	return &t
+}
+
+// maxCellScalar is maxCell on the scalar row pairs: the pass wherever
+// vectorOK does not hold, and the oracle of the vector one.
+func (a *TileAligner) maxCellScalar(rc, qc []byte, linear bool) {
 	hRow, vRow := a.hRow[:len(rc)+1], a.vRow[:len(rc)+1]
 	for i := range hRow {
 		hRow[i] = 0

@@ -43,7 +43,7 @@ var (
 	// reference AlignTile, which has no tiers): tiles and actually
 	// filled DP cells per path. tile_lut counts every full-LUT fill,
 	// fallbacks included; tile_fallback is the subset that attempted
-	// the bitvector tier and hit its divergence gate, so the fallback
+	// the bitvector tier and hit its profit gate, so the fallback
 	// rate is tile_fallback / (tile_bitvector + tile_fallback). Note
 	// gact/cells stays the *geometric* tile area — the work a
 	// cell-at-a-time kernel would do — so cells/s measures effective
@@ -84,10 +84,10 @@ type Config struct {
 	// align.KernelAuto, enables the bitvector fast path with its
 	// provable bit-identical fallback; see align.KernelMode).
 	Kernel align.KernelMode
-	// KernelDivergence overrides the auto tier's fallback threshold:
-	// the maximum allowed gap, in score units, between a tile's
-	// perfect-score bound and the bitvector path's rescored bound.
-	// Zero picks a geometry-derived default.
+	// KernelDivergence adds a fallback threshold to the auto tier's
+	// profit gate: the maximum allowed gap, in score units, between a
+	// tile's perfect-score bound and the bitvector path's rescored
+	// bound. Zero sets no cap.
 	KernelDivergence int
 }
 
