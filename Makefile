@@ -34,10 +34,10 @@ loc:
 test-allocs:
 	$(GO) test -run 'SteadyStateAllocs' ./internal/align/ ./internal/gact/
 
-# The scalar score pass the vector one falls back to: run under the
-# purego tag (TestQuickMaxCell, FuzzEngineExtend's corpus and the rest
-# of both packages on linearPair), and vetted for arm64, which has no
-# assembly and cannot be run here.
+# The scalar passes the vector ones fall back to: run under the purego
+# tag (TestQuickMaxCell, FuzzFill's and FuzzEngineExtend's corpora and
+# the rest of both packages on linearPair and linearRow), and vetted for
+# arm64, which has no assembly and cannot be run here.
 fallback:
 	$(GO) test -tags purego ./internal/align/ ./internal/gact/
 	GOARCH=arm64 $(GO) vet ./internal/align/ ./internal/gact/
@@ -45,13 +45,16 @@ fallback:
 # Bounded runs of the fuzz targets, on top of their committed seed
 # corpora (testdata/fuzz, which plain `go test` replays): Myers infix vs
 # its quadratic oracle, the score pass as production runs it (the AVX2
-# lanes on amd64) vs the scalar pass and fillLocal, gact.Engine.Extend —
-# score pass, banded
-# refills, bitvector tier — vs the free reference Extend, and the .dwi
-# reader on re-sealed mutated index files (no panic, only coded errors).
+# lanes on amd64) vs the scalar pass and fillLocal, the pointer fill as
+# production runs it (the AVX2 lanes again) vs the scalar rows and the
+# reference AlignTile, gact.Engine.Extend — score pass, banded refills,
+# bitvector tier — vs the free reference Extend, and the .dwi reader on
+# re-sealed mutated index files (no panic, only coded errors, and
+# Lookup answers on every table it accepts).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMyersInfix$$' -fuzztime 20s ./internal/align/
 	$(GO) test -run '^$$' -fuzz '^FuzzMaxCell$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/align/
+	$(GO) test -run '^$$' -fuzz '^FuzzFill$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/align/
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineExtend$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/gact/
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexOpen$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/indexfile/
 

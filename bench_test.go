@@ -8,6 +8,7 @@
 package darwin_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -191,9 +192,10 @@ func benchTile(b *testing.B, sc *align.Scoring, mode align.KernelMode, ref, q dn
 // BenchmarkGACTTile above is the allocating reference oracle — under
 // the paper's linear scoring (open == ext, the linear-gap pointer fill)
 // and under an affine one (open > ext, the affine fill). auto is the
-// production path: Myers pass, rescore, banded fill, traceback; lut is
-// the full fill and traceback alone, so its ns/filled_cell is the fill
-// loop's cost per cell.
+// production path: the full vector fill for the linear scoring on amd64
+// with AVX2, the Myers pass, rescore and banded fill otherwise, then
+// traceback; lut is the full fill and traceback alone, so its
+// ns/filled_cell is the fill loop's cost per cell.
 func BenchmarkAlignTile(b *testing.B) {
 	ref, q := anchoredTile(b, readsim.PacBio, 320)
 	affine := align.GACTEval()
@@ -202,11 +204,7 @@ func BenchmarkAlignTile(b *testing.B) {
 		name string
 		sc   align.Scoring
 	}{{"linear", align.GACTEval()}, {"affine", affine}} {
-		b.Run(sc.name+"/auto", func(b *testing.B) {
-			if ks := benchTile(b, &sc.sc, align.KernelAuto, ref, q); ks.BitvectorTiles != int64(b.N) {
-				b.Fatalf("auto banded %d of %d tiles: %+v", ks.BitvectorTiles, b.N, ks)
-			}
-		})
+		b.Run(sc.name+"/auto", func(b *testing.B) { benchTile(b, &sc.sc, align.KernelAuto, ref, q) })
 		b.Run(sc.name+"/lut", func(b *testing.B) { benchTile(b, &sc.sc, align.KernelLUT, ref, q) })
 	}
 }
@@ -230,6 +228,29 @@ func BenchmarkAlignTileBitvector(b *testing.B) {
 			b.Fatalf("bitvector tier ran %d of %d tiles: %+v", ks.BitvectorTiles, b.N, ks)
 		}
 	})
+}
+
+// BenchmarkProfitGate is the break-even table of the auto tier's profit
+// gate: 320×320 extension tiles at total error rates from 1 to 30 %
+// (PacBio's substitution/insertion/deletion mix), each as a full fill
+// (lut) and as the Myers pass + rescore + banded fill (bitvector, no
+// gate). band is the half-width the Myers bound proved; auto takes the
+// banded fill while 2·band + 1 < 320, so the table says where that
+// rule and the faster of the two paths part.
+func BenchmarkProfitGate(b *testing.B) {
+	const side = 320
+	sc := align.GACTEval()
+	total := readsim.PacBio.Sub + readsim.PacBio.Ins + readsim.PacBio.Del
+	for _, pct := range []int{1, 3, 6, 9, 12, 15, 20, 25, 30} {
+		f := float64(pct) / 100 / total
+		profile := readsim.Profile{Name: "mix", Sub: readsim.PacBio.Sub * f, Ins: readsim.PacBio.Ins * f, Del: readsim.PacBio.Del * f}
+		ref, q := anchoredTile(b, profile, side)
+		b.Run(fmt.Sprintf("err=%d%%/lut", pct), func(b *testing.B) { benchTile(b, &sc, align.KernelLUT, ref, q) })
+		b.Run(fmt.Sprintf("err=%d%%/bitvector", pct), func(b *testing.B) {
+			ks := benchTile(b, &sc, align.KernelBitvector, ref, q)
+			b.ReportMetric((float64(ks.BitvectorCells)/float64(ks.BitvectorTiles)/side-1)/2, "band")
+		})
+	}
 }
 
 // BenchmarkScorePass times the first tile's score pass alone — what a

@@ -13,9 +13,9 @@ import (
 	"darwin/internal/dna"
 )
 
-// allocScorings are a scoring for each of the pointer fill's row
-// functions: the paper's, whose open == ext selects linearRow, and an
-// affine one.
+// allocScorings are a scoring for each of the pointer fills: the
+// paper's, whose open == ext selects the vector fill on amd64 with AVX2
+// and linearRow elsewhere, and an affine one (affineRow).
 func allocScorings() map[string]Scoring {
 	affine := GACTEval()
 	affine.GapOpen = 2
@@ -44,7 +44,10 @@ func testTileAlignerAllocs(t *testing.T, sc Scoring) {
 	if len(qTile) > 384 {
 		qTile = qTile[:384]
 	}
-	// Warm the monotonic buffers (pointer matrix, rows, codes, cigar).
+	if want := useAVX2 && sc.GapOpen == sc.GapExtend; ta.vectorOK(len(rTile), len(qTile)) != want {
+		t.Fatalf("vector fill eligibility %v, want %v: the pin would measure the wrong fill", !want, want)
+	}
+	// Warm the monotonic buffers (pointer buffer, rows, codes, cigar).
 	ta.AlignTile(rTile, qTile, true, 256)
 	ta.AlignTileReversed(rTile, qTile, false, 192)
 
@@ -82,9 +85,13 @@ func testTileAlignerAllocs(t *testing.T, sc Scoring) {
 }
 
 // The bitvector tier's steady state must also be allocation-free: the
-// Myers pass, the affine rescore, and the banded fill all run out of
-// the aligner's embedded scratch. The stats assertions pin that the
-// measured path really was the bitvector one, not a silent fallback.
+// Myers pass, the affine rescore, and the banded fill — the vector one
+// under the paper's scoring on amd64 — all run out of the aligner's
+// embedded scratch, and so does an accepted first tile's banded refill.
+// KernelBitvector keeps the vector-eligible extension tiles on the tier
+// (KernelAuto gives them the full vector fill); the stats assertions
+// pin that the measured path really was the bitvector one, not a
+// silent fallback.
 func TestTileAlignerBitvectorZeroSteadyStateAllocs(t *testing.T) {
 	for name, sc := range allocScorings() {
 		t.Run(name, func(t *testing.T) { testBitvectorAllocs(t, sc) })
@@ -97,14 +104,16 @@ func testBitvectorAllocs(t *testing.T, sc Scoring) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ta.SetKernel(KernelBitvector)
 	rTile := dna.Random(rng, 320, 0.45)
 	qTile := mutate(rng, rTile, 0.08)
 	if len(qTile) > 320 {
 		qTile = qTile[:320]
 	}
-	// Warm the buffers (extension tiles: the tier's only admission).
+	// Warm the buffers.
 	ta.AlignTile(rTile, qTile, false, 192)
 	ta.AlignTileReversed(rTile, qTile, false, 192)
+	ta.AlignFirstTile(rTile, qTile, 192, 90)
 	before := ta.KernelStats()
 	if before.BitvectorTiles == 0 {
 		t.Fatalf("warmup tiles did not take the bitvector path: %+v", before)
@@ -121,10 +130,17 @@ func testBitvectorAllocs(t *testing.T, sc Scoring) {
 	}); n != 0 {
 		t.Errorf("bitvector AlignTileReversed steady state allocates %.1f times per call, want 0", n)
 	}
+	if n := testing.AllocsPerRun(runs, func() {
+		if res := ta.AlignFirstTile(rTile, qTile, 192, 90); len(res.Cigar) == 0 {
+			t.Fatalf("first tile %+v, want an accepted one", res)
+		}
+	}); n != 0 {
+		t.Errorf("accepted banded AlignFirstTile steady state allocates %.1f times per call, want 0", n)
+	}
 	after := ta.KernelStats()
 	// AllocsPerRun executes runs+1 warmup+measured iterations per call.
-	if got := after.BitvectorTiles - before.BitvectorTiles; got < 2*(runs+1) {
-		t.Errorf("measured loops took the bitvector path %d times, want %d — the pin measured the wrong path", got, 2*(runs+1))
+	if got := after.BitvectorTiles - before.BitvectorTiles; got < 3*(runs+1) {
+		t.Errorf("measured loops took the bitvector path %d times, want %d — the pin measured the wrong path", got, 3*(runs+1))
 	}
 }
 

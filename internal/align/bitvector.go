@@ -38,21 +38,26 @@ import (
 // The profit gate makes the tier a *fast path* rather than a wager:
 // when the band the rescored bound proves reaches across the tile
 // (low-identity or unrelated tiles), the tile falls back to the full
-// LUT fill and is counted in KernelStats.FallbackTiles.
+// LUT fill and is counted in KernelStats.FallbackTiles. A tile the
+// vector pointer fill takes (maxcell_amd64.go) skips the tier under
+// KernelAuto altogether: that fill does a whole 320² tile in about the
+// time of the Myers pass, rescore and banded fill at ≈ 10 % error, so
+// the tier pays only on tiles more similar than that, and the mapping
+// workloads' tiles are not (EXPERIMENTS.md, BenchmarkProfitGate).
 
 // KernelMode selects the TileAligner's tile-kernel tier.
 type KernelMode uint8
 
 const (
 	// KernelAuto (the default) runs the bitvector fast path on
-	// extension tiles, falling back to the full LUT kernel when the
-	// profit gate rejects, the tile contains N codes, or the
-	// geometry is unfriendly; a first tile that passes its score pass
-	// is refilled inside the band its exact score proves, or in full
-	// when that band spans the sub-tile. Results are bit-identical to
-	// KernelLUT on every field GACT consumes (Score, IOff, JOff, Cigar;
-	// plus MaxI/MaxJ on first tiles, which come from the score pass in
-	// every mode).
+	// extension tiles the vector fill does not take, falling back to
+	// the full LUT kernel when the profit gate rejects, the tile
+	// contains N codes, or the geometry is unfriendly; a first tile
+	// that passes its score pass is refilled inside the band its exact
+	// score proves, or in full when that band spans the sub-tile.
+	// Results are bit-identical to KernelLUT on every field GACT
+	// consumes (Score, IOff, JOff, Cigar; plus MaxI/MaxJ on first
+	// tiles, which come from the score pass in every mode).
 	KernelAuto KernelMode = iota
 	// KernelLUT always runs the full branchless LUT fill (over the score
 	// pass's sub-tile, for a first tile) — the reference the property
@@ -148,6 +153,9 @@ func (a *TileAligner) KernelStats() KernelStats { return a.ks }
 // tile must take the full LUT fill.
 func (a *TileAligner) bitvectorBand(rc, qc []byte) int {
 	n, m := len(rc), len(qc)
+	if a.mode == KernelAuto && a.vectorOK(n, m) {
+		return -1 // the full vector fill costs about what the pass does
+	}
 	if n < bitvecMinSide || m < bitvecMinSide || (m+63)/64 > bitvecMaxBlocks {
 		return -1
 	}
@@ -167,11 +175,12 @@ func (a *TileAligner) bitvectorBand(rc, qc []byte) int {
 	}
 	// By default only the profit gate: a band reaching across the tile
 	// fills it whole, with the bitvector work as pure overhead. Below
-	// that the banded fill wins — on 320² tiles with the linear-gap fill
-	// it costs 0.82–0.95 of a full fill at bands 131–159 and breaks even
-	// near 175 (EXPERIMENTS.md, PR 19), and the tile has already paid its
-	// Myers pass. A divergence cap set with SetKernelDivergence also
-	// compares twice (perfect bound − S_bv) against twice the cap.
+	// that the banded fill wins — on 320² tiles with the scalar
+	// linear-gap fill it costs 0.82–0.95 of a full fill at bands 131–159
+	// and breaks even near 175 (EXPERIMENTS.md), and the tile has
+	// already paid its Myers pass. A divergence cap set with
+	// SetKernelDivergence also compares twice (perfect bound − S_bv)
+	// against twice the cap.
 	diverged := a.maxDiv > 0 && int(a.wmax)*(n+m)-2*sbv > 2*a.maxDiv
 	if diverged || 2*band+1 >= min(n, m) {
 		a.ks.FallbackTiles++

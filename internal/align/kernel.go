@@ -20,7 +20,8 @@ const maxKernelSide = 1 << 15
 // property test compares against — but owns its DP state so the steady
 // state allocates nothing:
 //
-//   - the (T+1)² pointer matrix, score rows, precoded tile buffers, and
+//   - the pointer buffer (one byte per cell, in gactsim's per-PE bank
+//     layout, ptrIndex), score rows, precoded tile buffers, and
 //     traceback path grow monotonically and are reused across tiles;
 //   - each tile's sequences are pre-encoded to base codes once, and the
 //     inner loop reads substitution scores from a flat int16 LUT — no
@@ -51,7 +52,7 @@ type TileAligner struct {
 	ks     KernelStats
 
 	// Reusable state, grown monotonically.
-	ptr        []byte // (n+1)×(m+1) pointer matrix, row-major
+	ptr        []byte // pointer bytes, at ptrIndex
 	hRow, vRow []int32
 	rCode      []byte // precoded reference tile
 	qCode      []byte // precoded query tile
@@ -62,9 +63,9 @@ type TileAligner struct {
 	maxScore   int32
 	maxI, maxJ int
 
-	// The vector score pass (maxcell_amd64.go): its substitution table,
-	// nil where it cannot run, its int16 H row and the padded reversed
-	// reference it streams.
+	// The vector passes (maxcell_amd64.go): their substitution table,
+	// nil where they cannot run, their int16 H row and the padded
+	// reversed reference they stream.
 	vecSub *[16]byte
 	h16    []int16
 	rRev   []byte
@@ -220,11 +221,11 @@ func (a *TileAligner) firstTile(rc, qc []byte, minScore, maxOff int) TileResult 
 }
 
 // fillTrace fills the precoded tile — the full matrix when band < 0,
-// else the diagonal band fillCoded describes — and traces back from the
+// else the diagonal band bandCols describes — and traces back from the
 // bottom-right cell, counting the tile under the tier that filled it.
 func (a *TileAligner) fillTrace(rc, qc []byte, band, maxOff int) TileResult {
 	n, m := len(rc), len(qc)
-	cells := a.fillCoded(rc, qc, band, a.open == a.ext)
+	cells, score := a.fill(rc, qc, band)
 	if band < 0 {
 		a.ks.LUTTiles++
 		a.ks.LUTCells += cells
@@ -232,14 +233,46 @@ func (a *TileAligner) fillTrace(rc, qc []byte, band, maxOff int) TileResult {
 		a.ks.BitvectorTiles++
 		a.ks.BitvectorCells += cells
 	}
-	score := int(a.hRow[n]) // H of the bottom-right cell, exact in-band
-	cigar, iOff, jOff := a.traceback(n+1, n, m, maxOff)
+	cigar, iOff, jOff := a.traceback(n, m, maxOff)
 	return TileResult{Score: score, IOff: iOff, JOff: jOff, Cigar: cigar}
 }
 
-// grow ensures the pointer matrix and rows cover a w×h DP grid.
+// fill writes the tile's pointers and returns the cells it counts and
+// H(n, m), exact in-band. Where the vector score pass is exact it runs
+// on the same 16 lanes (fillVector), elsewhere on the scalar rows
+// (fillCoded); both leave the same traceback.
+func (a *TileAligner) fill(rc, qc []byte, band int) (cells int64, score int) {
+	if a.vectorOK(len(rc), len(qc)) {
+		return a.fillVector(rc, qc, band)
+	}
+	cells = a.fillCoded(rc, qc, band, a.open == a.ext)
+	return cells, int(a.hRow[len(rc)])
+}
+
+// The pointer buffer is laid out as gactsim's traceback memory: the
+// tile's query rows run through a 16-PE array in blocks of 16, one row
+// per PE, and each PE writes its pointers into its own bank at (block,
+// step). pad = (−m) mod 16 N rows are prepended, so that the last block
+// ends at row m. In block b, lane r holds query row j = 16b + r − pad + 1
+// and at step t (0 ≤ t ≤ n+14) is at column i = t − r + 1; its pointer
+// byte is at (b·(n+15) + t)·16 + r, which makes one step of the array
+// one 16-byte store (fillVector), and one query row a stride-16 run
+// (fillCoded). Row 0 and column 0 have no bytes: they are hNull.
+
+// ptrIndex is the buffer position of cell (i, j), 1 ≤ i ≤ n and
+// 1 ≤ j ≤ m, of an n×m tile's pointers.
+func ptrIndex(n, m, i, j int) int {
+	p := j - 1 + (-m & 15) // row j's row in the padded tile, from 0
+	r := p & 15
+	return ((p>>4)*(n+15)+i+r-1)*16 + r
+}
+
+// ptrLen is the size of an n×m tile's pointer buffer.
+func ptrLen(n, m int) int { return (m + 15) / 16 * (n + 15) * 16 }
+
+// grow ensures the buffers cover a w×h DP grid, an (w−1)×(h−1) tile.
 func (a *TileAligner) grow(w, h int) {
-	if need := w * h; cap(a.ptr) < need {
+	if need := ptrLen(w-1, h-1); cap(a.ptr) < need {
 		a.ptr = make([]byte, need)
 	}
 	if cap(a.hRow) < w {
@@ -252,12 +285,23 @@ func (a *TileAligner) grow(w, h int) {
 	if cap(a.qCode) < h {
 		a.qCode = make([]byte, 0, h)
 	}
-	// The vector pass's padding: 15 columns either side of the tile,
+	// The vector passes' padding: 15 columns either side of the tile,
 	// and the 32-byte loads past the row's last one (maxCellVector).
 	if a.vecSub != nil && cap(a.h16) < w+39 {
 		a.h16 = make([]int16, w+39)
 		a.rRev = make([]byte, w+29)
 	}
+}
+
+// bandCols is the column range [lo, hi] of query row j in an n×m tile:
+// the whole row when band < 0, else the columns within ±band of the
+// back-diagonal through (n, m). Both bounds never decrease as j grows,
+// and hi < lo (the row misses the band) only where hi < 1.
+func bandCols(n, m, j, band int) (lo, hi int) {
+	if band < 0 {
+		return 1, n
+	}
+	return max(1, j+(n-m)-band), min(n, j+(n-m)+band)
 }
 
 // fillCoded computes the local affine-gap DP matrix exactly as
@@ -270,61 +314,45 @@ func (a *TileAligner) grow(w, h int) {
 // makes valid and which writes the same pointer bytes and the same
 // hRow; the affine one is valid always.
 //
-// band < 0 fills the full matrix. band ≥ 0 restricts row j to columns
-// within ±band of the back-diagonal through (n, m) — i ∈
-// [j+(n−m)−band, j+(n−m)+band] — the bitvector tier's provably
-// sufficient window (see bitvector.go). Out-of-band cells keep their
+// band < 0 fills the full matrix. band ≥ 0 restricts row j to the
+// columns bandCols gives, the bitvector tier's provably sufficient
+// window (see bitvector.go). Out-of-band cells keep their
 // initialization (hRow 0, vRow negInf), which are valid lower bounds
 // of the true values: bands only move right as j grows, so a cell
-// first entering the band has never been written this tile. In-band
-// values, the traceback path, and hRow[n] are exact.
+// first entering the band has never been written this tile. The
+// traceback path and hRow[n] are exact.
 func (a *TileAligner) fillCoded(rc, qc []byte, band int, linear bool) int64 {
 	n, m := len(rc), len(qc)
-	w := n + 1
-
-	hRow := a.hRow[:w]
-	vRow := a.vRow[:w]
-	for i := range hRow {
-		hRow[i] = 0
-	}
+	hRow := a.hRow[:n+1]
+	clear(hRow)
 	if !linear {
+		vRow := a.vRow[:n+1]
 		for i := range vRow {
 			vRow[i] = negInf32
 		}
 	}
-	// Only row 0 and column 0 of the pointer matrix are read without
-	// being written (traceback stops on their hNull); the interior is
-	// fully overwritten for the current tile, so a reused matrix needs
-	// no wholesale clear.
-	ptr := a.ptr
-	for i := 0; i < w; i++ {
-		ptr[i] = 0
-	}
-
+	// Every in-band pointer byte is written for the current tile, and
+	// traceback reads no other, so a reused buffer needs no clear.
 	var cells int64
 	for j := 1; j <= m; j++ {
-		lo, hi := 1, n
-		if band >= 0 {
-			lo, hi = max(1, j+(n-m)-band), min(n, j+(n-m)+band)
-			if hi < lo {
-				continue // row entirely outside the band
-			}
+		lo, hi := bandCols(n, m, j, band)
+		if hi < lo {
+			continue // row entirely outside the band
 		}
 		diag := hRow[lo-1] // H(j-1, lo-1)
 		// H(j, lo-1): 0 on the column-0 boundary, otherwise out of band
 		// (the traceback provably never crosses a band edge, so the
 		// underestimate only weakens candidates that cannot win).
 		leftH := negInf32
-		rowPtr := ptr[j*w : j*w+w]
 		if lo == 1 {
 			leftH = 0
-			rowPtr[0] = 0
 		}
+		p := a.ptr[ptrIndex(n, m, lo, j):]
 		lut := [LUTStride]int16(a.lut.Row(qc[j-1]))
 		if linear {
-			linearRow(hRow[lo:hi+1], rowPtr[lo:hi+1], rc[lo-1:hi], lut, diag, leftH, a.open)
+			linearRow(hRow[lo:hi+1], p, rc[lo-1:hi], lut, diag, leftH, a.open)
 		} else {
-			affineRow(hRow[lo:hi+1], vRow[lo:hi+1], rowPtr[lo:hi+1], rc[lo-1:hi], lut, diag, leftH, a.open, a.ext)
+			affineRow(hRow[lo:hi+1], a.vRow[lo:hi+1], p, rc[lo-1:hi], lut, diag, leftH, a.open, a.ext)
 		}
 		cells += int64(hi - lo + 1)
 	}
@@ -335,7 +363,8 @@ func (a *TileAligner) fillCoded(rc, qc []byte, band int, linear bool) int64 {
 // query row's in-band columns, and writes the columns' pointer bytes to
 // p. rc holds their reference codes, lut the row's substitution
 // scores; diag and left are H diagonally above and left of the first
-// column. The row loops are their own functions, never inlined, so
+// column; column k's pointer byte is p[16k] (the layout of ptrIndex).
+// The row loops are their own functions, never inlined, so
 // that their live values stay in registers — inside fillCoded's row
 // loop the compiler spills and reloads a dozen of the outer loop's per
 // cell — and lut comes by value so that indexing it needs no nil check.
@@ -348,7 +377,7 @@ func (a *TileAligner) fillCoded(rc, qc []byte, band int, linear bool) int64 {
 //
 //go:noinline
 func affineRow(h, v []int32, p, rc []byte, lut [LUTStride]int16, diag, left, open, ext int32) {
-	h, v, p = h[:len(rc)], v[:len(rc)], p[:len(rc)]
+	h, v = h[:len(rc)], v[:len(rc)]
 	hPrev := negInf32 // horizontal gap score at the column to the left
 	for k, c := range rc {
 		// Horizontal gap (consumes reference): depends on (j, i-1).
@@ -386,7 +415,7 @@ func affineRow(h, v []int32, p, rc []byte, lut [LUTStride]int16, diag, left, ope
 			src = hVert
 		}
 		best = max(best, vGap)
-		p[k] = bits | byte(src)
+		p[16*k] = bits | byte(src)
 
 		diag = up
 		h[k] = best
@@ -409,7 +438,7 @@ func affineRow(h, v []int32, p, rc []byte, lut [LUTStride]int16, diag, left, ope
 //
 //go:noinline
 func linearRow(h []int32, p, rc []byte, lut [LUTStride]int16, diag, left, g int32) {
-	h, p = h[:len(rc)], p[:len(rc)]
+	h = h[:len(rc)]
 	const open = horizOpenBit | vertOpenBit
 	for k, c := range rc {
 		up := h[k]
@@ -431,7 +460,7 @@ func linearRow(h []int32, p, rc []byte, lut [LUTStride]int16, diag, left, g int3
 			src = open | hVert
 		}
 		best = max(best, vGap)
-		p[k] = byte(src)
+		p[16*k] = byte(src)
 
 		diag = up
 		h[k] = best
@@ -439,17 +468,21 @@ func linearRow(h []int32, p, rc []byte, lut [LUTStride]int16, diag, left, g int3
 	}
 }
 
-// traceback walks pointers from cell (i, j) exactly like tracebackFrom,
-// appending into the aligner's reused path buffer.
-func (a *TileAligner) traceback(w, i, j, maxOff int) (Cigar, int, int) {
+// traceback walks the pointers of an n×m tile from its bottom-right
+// cell exactly like tracebackFrom, appending into the aligner's reused
+// path buffer.
+func (a *TileAligner) traceback(n, m, maxOff int) (Cigar, int, int) {
 	cig := a.cig[:0]
 	iOff, jOff := 0, 0
 	state := stateH
-	for i > 0 || j > 0 {
+	for i, j := n, m; i > 0 || j > 0; {
 		if iOff >= maxOff || jOff >= maxOff {
 			break
 		}
-		p := a.ptr[j*w+i]
+		var p byte // hNull on row 0 and column 0
+		if i > 0 && j > 0 {
+			p = a.ptr[ptrIndex(n, m, i, j)]
+		}
 		switch state {
 		case stateH:
 			switch p & hMask {

@@ -231,9 +231,10 @@ func TestQuickMaxCell(t *testing.T) {
 
 // The linear-gap fill in isolation: under any open == ext scoring (gap
 // cost 0 included), tile shape and band, fillCoded's linear rows leave
-// the pointer bytes of every in-band cell, the H row and the cell count
-// that its affine rows leave — so whatever traceback reads is the same
-// byte. Each fill keeps its own aligner across tiles, so stale
+// the pointer bytes of every in-band cell (row 0 and column 0 have
+// none), the H row and the cell count that its affine rows leave — so
+// whatever traceback reads is the same byte. Each fill keeps its own
+// aligner across tiles, so stale
 // out-of-band state from earlier, differently shaped tiles is in play.
 func TestQuickLinearFillMatchesAffine(t *testing.T) {
 	f := func(seed int64) bool {
@@ -273,16 +274,10 @@ func TestQuickLinearFillMatchesAffine(t *testing.T) {
 					return fail("hRow[%d] = %d, affine %d", i, lin.hRow[i], aff.hRow[i])
 				}
 			}
-			w := n + 1
-			for j := 0; j <= m; j++ {
-				lo, hi := 0, n // row 0 and column 0 are boundary
-				if j > 0 && band >= 0 {
-					if lo, hi = max(1, j+(n-m)-band), min(n, j+(n-m)+band); lo == 1 {
-						lo = 0
-					}
-				}
+			for j := 1; j <= m; j++ {
+				lo, hi := bandCols(n, m, j, band)
 				for i := lo; i <= hi; i++ {
-					if got, want := lin.ptr[j*w+i], aff.ptr[j*w+i]; got != want {
+					if got, want := lin.ptr[ptrIndex(n, m, i, j)], aff.ptr[ptrIndex(n, m, i, j)]; got != want {
 						return fail("ptr(%d,%d) = %04b, affine %04b", i, j, got, want)
 					}
 				}
@@ -295,17 +290,27 @@ func TestQuickLinearFillMatchesAffine(t *testing.T) {
 	}
 }
 
-// The auto tier must actually engage on the workload it exists for —
-// high-identity extension tiles — and must fall back on unrelated tiles,
-// whose proven band spans the tile, rather than fill it banded; a
-// divergence cap (SetKernelDivergence) turns low-identity tiles away
-// too.
+// On tiles the scalar rows fill, the auto tier must actually engage on
+// the workload it exists for — high-identity extension tiles — and must
+// fall back on unrelated tiles, whose proven band spans the tile,
+// rather than fill it banded; a divergence cap (SetKernelDivergence)
+// turns low-identity tiles away too. Tiles the vector fill takes skip
+// the tier under auto, without counting a fallback.
 func TestKernelTierFallbackRate(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	sc := GACTEval()
-	ta, err := NewTileAligner(&sc)
+	vec, err := NewTileAligner(&sc)
 	if err != nil {
 		t.Fatal(err)
+	}
+	ta, _ := NewTileAligner(&sc)
+	ta.vecSub = nil // the scalar passes, as under purego
+	if vec.vecSub != nil {
+		rTile := dna.Random(rng, 320, 0.45)
+		vec.AlignTile(rTile, mutate(rng, rTile, 0.10)[:300], false, 320-128)
+		if ks := vec.KernelStats(); ks != (KernelStats{LUTTiles: 1, LUTCells: 320 * 300}) {
+			t.Errorf("vector-eligible extension tile under auto counted %+v, want one full fill", ks)
+		}
 	}
 
 	// High-identity reads: the PacBio-like regime of the paper's tiles.

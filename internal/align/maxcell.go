@@ -33,7 +33,7 @@ func (a *TileAligner) maxCell(rc, qc []byte, linear bool) {
 	a.maxCellScalar(rc, qc, linear)
 }
 
-// vectorOK reports whether the vector pass is exact on an n×m tile:
+// vectorOK reports whether the vector passes are exact on an n×m tile:
 // the scoring fits its int8 table (vecSub set) and no cell can exceed
 // int16 — a local path aligns at most min(n, m) pairs, each worth at
 // most wmax.

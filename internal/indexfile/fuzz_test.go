@@ -54,8 +54,9 @@ func seedIndexes(f *testing.F) [][]byte {
 // FuzzIndexOpen feeds mutated index files to the reader. Each input is
 // re-sealed (header and section CRC-32Cs recomputed) before it is
 // written, so mutations reach the structural checks behind the
-// checksums. Open, Inspect, ReadFingerprint, Ref and Table must never
-// panic, and every rejection must be a FormatError with a known code.
+// checksums. Open, Inspect, ReadFingerprint, Ref, Table and Lookup on a
+// table Table returned must never panic, and every rejection must be a
+// FormatError with a known code.
 func FuzzIndexOpen(f *testing.F) {
 	for _, data := range seedIndexes(f) {
 		f.Add(data)
@@ -94,9 +95,20 @@ func FuzzIndexOpen(f *testing.F) {
 		defer file.Close()
 		_, err = file.Ref()
 		check("Ref", err)
+		k := file.Info().Params.SeedK
 		for i := 0; i < file.NumTables(); i++ {
-			_, err := file.Table(i)
+			tab, err := file.Table(i)
 			check(fmt.Sprintf("Table(%d)", i), err)
+			if err != nil {
+				continue
+			}
+			// Sampled codes across the seed space, its first and last
+			// included: a table the reader accepted must answer every one.
+			seeds := uint64(1) << (2 * min(k, 16))
+			for c := uint64(0); c < seeds; c += seeds/61 + 1 {
+				tab.Lookup(uint32(c))
+			}
+			tab.Lookup(uint32(seeds - 1))
 		}
 	})
 }

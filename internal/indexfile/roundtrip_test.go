@@ -1,6 +1,7 @@
 package indexfile
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -260,5 +261,72 @@ func TestLoadErrorsCounted(t *testing.T) {
 	}
 	if cLoadErrors.Value() != before+1 {
 		t.Errorf("index/load_errors did not increment (was %d, now %d)", before, cLoadErrors.Value())
+	}
+}
+
+// A dense pointer table is checked only at its last entry when a file
+// opens, so a CRC-valid file can carry a pointer pair that decreases or
+// runs past the position table. Lookup must answer nil for the seeds on
+// either side of such an entry, not panic, and every other seed as the
+// pristine table does.
+func TestLookupCorruptPointerPair(t *testing.T) {
+	ref := dna.Random(rand.New(rand.NewSource(45)), 30000, 0.5)
+	path := filepath.Join(t.TempDir(), "x.dwi")
+	if err := Write(path, buildIndex(t, ref, 11, seedtable.Options{})); err != nil {
+		t.Fatal(err)
+	}
+	info, err := Inspect(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ptrOff int64 = -1
+	for _, s := range info.Sections {
+		if s.Kind == "ptr" {
+			ptrOff = s.Offset
+		}
+	}
+	if ptrOff < 0 {
+		t.Fatal("k=11 index has no dense pointer section")
+	}
+	pristine, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pristine.Close()
+	want, err := pristine.Table(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, ok := dna.PackSeed(ref, 1000, 11)
+	if !ok || len(want.Lookup(code)) == 0 || code == 0 {
+		t.Fatalf("seed %d at 1000 has no hits", code)
+	}
+	bad := corrupt(t, path, func(b []byte) []byte {
+		// ptr[code] past every position: ptr[code−1] < ptr[code] runs
+		// off the table, ptr[code] > ptr[code+1] decreases.
+		binary.LittleEndian.PutUint32(b[ptrOff+4*int64(code):], 0xfffffff0)
+		return Reseal(b)
+	})
+	f, err := Open(bad, Options{})
+	if err != nil {
+		t.Fatalf("re-sealed file: %v", err)
+	}
+	defer f.Close()
+	tab, err := f.Table(0)
+	if err != nil {
+		t.Fatalf("re-sealed file's table: %v", err)
+	}
+	for _, c := range []uint32{code - 1, code} {
+		if got := tab.Lookup(c); got != nil {
+			t.Errorf("Lookup(%d) = %d positions, want nil", c, len(got))
+		}
+	}
+	for c := uint32(0); c < 1<<22; c += 997 {
+		if c == code-1 || c == code {
+			continue
+		}
+		if got := tab.Lookup(c); !equalU32(got, want.Lookup(c)) {
+			t.Fatalf("Lookup(%d) = %v, pristine %v", c, got, want.Lookup(c))
+		}
 	}
 }

@@ -339,14 +339,18 @@ func (t *Table) Bytes() int64 {
 
 // Lookup returns the reference positions of the seed with the given
 // packed code, in ascending order. The returned slice aliases internal
-// storage and must not be modified. Masked and absent seeds return nil.
+// storage and must not be modified. Masked and absent seeds return nil,
+// and so does a seed whose pointer pair a corrupt (yet CRC-valid) index
+// file made decreasing or ran past the position table: FromParts checks
+// only the pointer table's last entry, since a full check would read
+// all 4^k pointers, every page of a mapped file, at open.
 func (t *Table) Lookup(code uint32) []uint32 {
 	if t.ptr != nil {
 		if int(code) >= len(t.ptr)-1 {
 			return nil
 		}
 		s, e := t.ptr[code], t.ptr[code+1]
-		if s == e {
+		if s >= e || int(e) > len(t.pos) {
 			return nil
 		}
 		return t.pos[s:e]
