@@ -48,15 +48,18 @@ fallback:
 # lanes on amd64) vs the scalar pass and fillLocal, the pointer fill as
 # production runs it (the AVX2 lanes again) vs the scalar rows and the
 # reference AlignTile, gact.Engine.Extend — score pass, banded refills,
-# bitvector tier — vs the free reference Extend, and the .dwi reader on
+# bitvector tier — vs the free reference Extend, the .dwi reader on
 # re-sealed mutated index files (no panic, only coded errors, and
-# Lookup answers on every table it accepts).
+# Lookup answers on every table it accepts), and the DWCP checkpoint
+# reader on re-sealed mutated checkpoints (coded errors, or a
+# checkpoint that writes back byte-identically).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMyersInfix$$' -fuzztime 20s ./internal/align/
 	$(GO) test -run '^$$' -fuzz '^FuzzMaxCell$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/align/
 	$(GO) test -run '^$$' -fuzz '^FuzzFill$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/align/
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineExtend$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/gact/
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexOpen$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/indexfile/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/jobs/
 
 check: vet race test-allocs fallback fuzz serve-smoke chaos-smoke index-smoke cluster-smoke assembly-smoke metrics-lint
 

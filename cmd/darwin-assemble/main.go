@@ -39,7 +39,6 @@ func run() error {
 	minOverlap := flag.Int("min-overlap", 1000, "minimum overlap length")
 	polishRounds := flag.Int("polish", 2, "consensus polishing rounds (0 disables)")
 	minContig := flag.Int("min-contig", 0, "discard contigs shorter than this")
-	reorder := flag.String("reorder", "off", "overlap-graph read reordering before layout: off, rcm, farthest")
 	workers := flag.Int("workers", 0, "overlap and polish worker goroutines (0 = one per CPU); the output does not depend on it")
 	out := flag.String("out", "", "output FASTA path (default stdout)")
 	obsFlags := obs.AddFlags(flag.CommandLine)
@@ -62,10 +61,6 @@ func run() error {
 	for i := range recs {
 		seqs[i] = recs[i].Seq
 	}
-	mode, err := olc.ParseReorderMode(*reorder)
-	if err != nil {
-		return err
-	}
 
 	cfg := core.DefaultConfig(*k, *n, *h)
 	cfg.SeedStride = *stride
@@ -78,17 +73,12 @@ func run() error {
 		olc.WithMinOverlap(*minOverlap),
 		olc.WithPolishRounds(*polishRounds),
 		olc.WithMinContig(*minContig),
-		olc.WithReorder(mode),
 		olc.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "darwin-assemble: overlap step %s (%d overlaps, table build %s)\n",
 		time.Since(start).Round(time.Millisecond), len(asm.Overlaps), asm.OverlapStats.TableBuildTime.Round(time.Millisecond))
-	if r := asm.Reorder; r != nil {
-		fmt.Fprintf(os.Stderr, "darwin-assemble: reorder %s: bandwidth max %d -> %d, mean %.1f -> %.1f (%d edges)\n",
-			r.Mode, r.MaxBefore, r.MaxAfter, r.MeanBefore, r.MeanAfter, r.Edges)
-	}
 	fmt.Fprintf(os.Stderr, "darwin-assemble: layout %s\n", asm.Stats)
 	outRecs := asm.Contigs
 

@@ -21,7 +21,6 @@ type jobModeConfig struct {
 	target     string
 	readsPath  string
 	kind       string
-	reorder    string
 	minOverlap int
 	polish     int
 	minContig  int
@@ -91,9 +90,6 @@ func runJobMode(cfg jobModeConfig) error {
 
 	q := url.Values{}
 	q.Set("kind", cfg.kind)
-	if cfg.reorder != "" {
-		q.Set("reorder", cfg.reorder)
-	}
 	if cfg.minOverlap > 0 {
 		q.Set("min_overlap", strconv.Itoa(cfg.minOverlap))
 	}

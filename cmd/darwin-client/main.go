@@ -157,7 +157,6 @@ func run() error {
 	strict := flag.Bool("strict", false, "validate 200 NDJSON responses; malformed or per-read error lines fail the run")
 	jobsTarget := flag.String("jobs-target", "", "assembly-job mode: submit -reads as a job to this darwind (host:port or URL), poll it, fetch the result")
 	jobKind := flag.String("job-kind", "assemble", "job mode: overlap or assemble")
-	jobReorder := flag.String("job-reorder", "", "job mode: read-reordering pass (off, rcm, farthest)")
 	jobMinOverlap := flag.Int("job-min-overlap", 0, "job mode: nominal minimum overlap length (0 = server default)")
 	jobPolish := flag.Int("job-polish", -1, "job mode: polishing rounds (-1 = server default)")
 	jobMinContig := flag.Int("job-min-contig", 0, "job mode: drop contigs shorter than this")
@@ -174,7 +173,6 @@ func run() error {
 			target:     *jobsTarget,
 			readsPath:  *readsPath,
 			kind:       *jobKind,
-			reorder:    *jobReorder,
 			minOverlap: *jobMinOverlap,
 			polish:     *jobPolish,
 			minContig:  *jobMinContig,

@@ -42,6 +42,7 @@ const (
 	CodeTruncated        = "truncated"
 	CodeChecksumMismatch = "checksum_mismatch"
 	CodePayloadMismatch  = "payload_mismatch"
+	CodeBadRecord        = "bad_record"
 )
 
 // CheckpointError is a structured checkpoint rejection: a stable Code
@@ -158,7 +159,12 @@ func ReadCheckpoint(path string, fingerprint uint64) (*core.OverlapCheckpoint, e
 		ov := &c.Overlaps[i]
 		ov.Target = int(f())
 		ov.Query = int(f())
-		ov.QueryRev = f() != 0
+		switch rev := f(); rev {
+		case 0, 1:
+			ov.QueryRev = rev == 1
+		default:
+			return nil, ckptErr(CodeBadRecord, path, "overlap %d: rev flag %d, want 0 or 1", i, rev)
+		}
 		ov.TargetStart = int(f())
 		ov.TargetEnd = int(f())
 		ov.QueryStart = int(f())

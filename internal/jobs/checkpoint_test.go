@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -91,9 +92,14 @@ func TestCheckpointCorruption(t *testing.T) {
 		{"overflowing count", func(d []byte) []byte {
 			d = d[:ckptHdrLen+4]
 			binary.LittleEndian.PutUint64(d[24:32], 1<<58)
-			binary.LittleEndian.PutUint32(d[ckptHdrLen:], crc32.Checksum(d[4:ckptHdrLen], castagnoli))
-			return d
+			return reseal(d)
 		}, 42, CodeTruncated},
+		// A rev flag other than 0 or 1 under a valid CRC would decode
+		// to a checkpoint that does not write back the same bytes.
+		{"bad rev flag", func(d []byte) []byte {
+			d[ckptHdrLen+16] = 2
+			return reseal(d)
+		}, 42, CodeBadRecord},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -114,6 +120,67 @@ func TestCheckpointCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// reseal recomputes a checkpoint's trailing CRC-32C in place.
+func reseal(d []byte) []byte {
+	if len(d) >= 8 {
+		binary.LittleEndian.PutUint32(d[len(d)-4:], crc32.Checksum(d[4:len(d)-4], castagnoli))
+	}
+	return d
+}
+
+// FuzzReadCheckpoint feeds the DWCP reader hostile files. Each input
+// is re-sealed (CRC) and read under its own fingerprint field, so
+// mutations reach the structural checks. Every input must either fail
+// with a *CheckpointError or decode to a checkpoint that
+// WriteCheckpoint writes back byte for byte; none may panic.
+func FuzzReadCheckpoint(f *testing.F) {
+	ovs := append(testCheckpoint().Overlaps,
+		core.Overlap{Target: 4, Query: 9, QueryRev: true, TargetStart: -3, QueryEnd: 1 << 40, Score: -1})
+	dir := f.TempDir()
+	for _, n := range []int{0, 1, 3} {
+		path := filepath.Join(dir, "seed.dwc")
+		c := core.OverlapCheckpoint{NextRead: 5 + n, Overlaps: ovs[:n]}
+		if err := WriteCheckpoint(path, uint64(n)*0x9E3779B97F4A7C15, c); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = reseal(append([]byte(nil), data...))
+		var fp uint64
+		if len(data) >= 16 {
+			fp = binary.LittleEndian.Uint64(data[8:16])
+		}
+		dir := t.TempDir()
+		in, out := filepath.Join(dir, "in.dwc"), filepath.Join(dir, "out.dwc")
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := ReadCheckpoint(in, fp)
+		if err != nil {
+			var ce *CheckpointError
+			if !errors.As(err, &ce) {
+				t.Fatalf("%v is not a *CheckpointError", err)
+			}
+			return
+		}
+		if err := WriteCheckpoint(out, fp, *c); err != nil {
+			t.Fatal(err)
+		}
+		back, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(back, data) {
+			t.Fatalf("accepted checkpoint does not write back byte-identically (%d bytes in, %d out)", len(data), len(back))
+		}
+	})
 }
 
 func TestReadsFingerprintSensitivity(t *testing.T) {

@@ -8,7 +8,8 @@
 // bit-identical to an uninterrupted run (the core overlap pass is
 // deterministic in read order and deduplication).
 //
-// On-disk layout, one directory per job under the manager root:
+// On-disk layout, one directory per job under the manager root, every
+// file written through writeFileAtomic:
 //
 //	<dir>/<id>/job.json        status snapshot (state is the commit point)
 //	<dir>/<id>/reads.fa        submitted payload
@@ -18,6 +19,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -85,15 +87,14 @@ func (s State) Terminal() bool {
 // Params are the resolved pipeline parameters a job runs with —
 // resolved, because job.json must replay them exactly on resume.
 type Params struct {
-	MinOverlap   int    `json:"min_overlap"`
-	PolishRounds int    `json:"polish_rounds"`
-	MinContig    int    `json:"min_contig"`
-	Reorder      string `json:"reorder"`
+	MinOverlap   int `json:"min_overlap"`
+	PolishRounds int `json:"polish_rounds"`
+	MinContig    int `json:"min_contig"`
 }
 
 // DefaultParams mirrors the assembly CLI defaults.
 func DefaultParams() Params {
-	return Params{MinOverlap: 1000, PolishRounds: 2, Reorder: "off"}
+	return Params{MinOverlap: 1000, PolishRounds: 2}
 }
 
 // StageProgress is one pipeline stage's progress counter.
@@ -104,11 +105,10 @@ type StageProgress struct {
 
 // ResultMeta summarizes a finished job's output.
 type ResultMeta struct {
-	Overlaps int                `json:"overlaps,omitempty"`
-	Contigs  int                `json:"contigs,omitempty"`
-	TotalLen int                `json:"total_len,omitempty"`
-	N50      int                `json:"n50,omitempty"`
-	Reorder  *olc.ReorderReport `json:"reorder,omitempty"`
+	Overlaps int `json:"overlaps,omitempty"`
+	Contigs  int `json:"contigs,omitempty"`
+	TotalLen int `json:"total_len,omitempty"`
+	N50      int `json:"n50,omitempty"`
 }
 
 // Status is a job's externally visible snapshot; it is also the
@@ -237,16 +237,20 @@ func New(cfg Config) (*Manager, error) {
 // dirOf returns a job's directory.
 func (m *Manager) dirOf(id string) string { return filepath.Join(m.cfg.Dir, id) }
 
-// Submit persists a new job and enqueues it on the bounded executor.
+// Submit validates and persists a new job and enqueues it on the
+// bounded executor.
 func (m *Manager) Submit(kind Kind, recs []dna.Record, p Params) (Status, error) {
-	if kind != KindOverlap && kind != KindAssemble {
+	switch {
+	case kind != KindOverlap && kind != KindAssemble:
 		return Status{}, fmt.Errorf("jobs: unknown kind %q", kind)
-	}
-	if len(recs) == 0 {
+	case len(recs) == 0:
 		return Status{}, fmt.Errorf("jobs: empty read set")
-	}
-	if _, err := olc.ParseReorderMode(p.Reorder); err != nil {
-		return Status{}, err
+	case p.MinOverlap <= 0:
+		return Status{}, fmt.Errorf("jobs: min_overlap %d, want > 0", p.MinOverlap)
+	case p.PolishRounds < 0:
+		return Status{}, fmt.Errorf("jobs: polish_rounds %d, want >= 0", p.PolishRounds)
+	case p.MinContig < 0:
+		return Status{}, fmt.Errorf("jobs: min_contig %d, want >= 0", p.MinContig)
 	}
 	m.mu.Lock()
 	if m.draining {
@@ -272,15 +276,7 @@ func (m *Manager) Submit(kind Kind, recs []dna.Record, p Params) (Status, error)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return Status{}, err
 	}
-	pf, err := os.Create(filepath.Join(dir, "reads.fa"))
-	if err != nil {
-		return Status{}, err
-	}
-	if err := dna.WriteFASTA(pf, recs); err != nil {
-		pf.Close()
-		return Status{}, err
-	}
-	if err := pf.Close(); err != nil {
+	if err := writeFASTAFile(filepath.Join(dir, "reads.fa"), recs); err != nil {
 		return Status{}, err
 	}
 
@@ -384,9 +380,11 @@ func (m *Manager) ResultFile(id string) (path, contentType string, err error) {
 
 // Recover scans the persistence root and restarts every job a prior
 // process left pending or running, resuming the overlap stage from its
-// checkpoint when one verifies. A corrupt checkpoint fails the job
-// with ErrorCode "checkpoint_corrupt" rather than silently recomputing
-// — the operator decides whether to resubmit.
+// checkpoint when one verifies. A payload that is unreadable or holds
+// a different read count than job.json fails the job with ErrorCode
+// "payload_corrupt", and a corrupt checkpoint with "checkpoint_corrupt",
+// rather than silently computing on bad input — the operator decides
+// whether to resubmit.
 func (m *Manager) Recover() (restarted int, err error) {
 	entries, err := os.ReadDir(m.cfg.Dir)
 	if err != nil {
@@ -414,8 +412,11 @@ func (m *Manager) Recover() (restarted int, err error) {
 		}
 		// Resumable: reload the payload and the checkpoint.
 		recs, lerr := dna.ReadFile(filepath.Join(m.dirOf(id), "reads.fa"))
+		if lerr == nil && len(recs) != st.Reads {
+			lerr = fmt.Errorf("jobs: payload holds %d reads, job.json says %d", len(recs), st.Reads)
+		}
 		if lerr != nil {
-			m.failJob(j, lerr, "")
+			m.failJob(j, lerr, "payload_corrupt")
 			continue
 		}
 		j.reads = make([]dna.Seq, len(recs))
@@ -526,12 +527,10 @@ func (m *Manager) execute(ctx context.Context, j *job, resume *core.OverlapCheck
 	defer span.End()
 	ctx = obs.ContextWithSpan(ctx, span)
 
-	mode, _ := olc.ParseReorderMode(p.Reorder)
 	opts := []olc.Option{
 		olc.WithMinOverlap(p.MinOverlap),
 		olc.WithPolishRounds(p.PolishRounds),
 		olc.WithMinContig(p.MinContig),
-		olc.WithReorder(mode),
 		olc.WithProgress(func(stage string, done, total int) {
 			j.mu.Lock()
 			j.st.Stages[stage] = StageProgress{Done: done, Total: total}
@@ -558,7 +557,6 @@ func (m *Manager) execute(ctx context.Context, j *job, resume *core.OverlapCheck
 			meta.Contigs = len(asm.Contigs)
 			meta.TotalLen = asm.Stats.TotalLen
 			meta.N50 = asm.Stats.N50
-			meta.Reorder = asm.Reorder
 			err = writeFASTAFile(filepath.Join(m.dirOf(id), "result.fa"), asm.Contigs)
 		}
 	}
@@ -672,7 +670,8 @@ func (j *job) snapshot() Status {
 	return j.st.clone()
 }
 
-// writeFileAtomic writes via temp-file + rename in path's directory.
+// writeFileAtomic writes via temp-file + fsync + rename in path's
+// directory.
 func writeFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
@@ -710,15 +709,11 @@ func readStatus(path string) (Status, error) {
 }
 
 func writeFASTAFile(path string, recs []dna.Record) error {
-	f, err := os.Create(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := dna.WriteFASTA(&buf, recs); err != nil {
 		return err
 	}
-	if err := dna.WriteFASTA(f, recs); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeFileAtomic(path, buf.Bytes())
 }
 
 // overlapLine is the NDJSON result record for one overlap.
@@ -734,11 +729,8 @@ type overlapLine struct {
 }
 
 func writeOverlapResult(path string, ovs []core.Overlap) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	for i := range ovs {
 		o := &ovs[i]
 		if err := enc.Encode(overlapLine{
@@ -746,9 +738,8 @@ func writeOverlapResult(path string, ovs []core.Overlap) error {
 			TargetStart: o.TargetStart, TargetEnd: o.TargetEnd,
 			QueryStart: o.QueryStart, QueryEnd: o.QueryEnd, Score: o.Score,
 		}); err != nil {
-			f.Close()
 			return err
 		}
 	}
-	return f.Close()
+	return writeFileAtomic(path, buf.Bytes())
 }

@@ -3,6 +3,7 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -35,7 +36,7 @@ func testRecords(t *testing.T, n int) []dna.Record {
 }
 
 func testParams() Params {
-	return Params{MinOverlap: 1000, PolishRounds: 0, Reorder: "off"}
+	return Params{MinOverlap: 1000, PolishRounds: 0}
 }
 
 func newTestManager(t *testing.T, dir string, ckptEvery int) *Manager {
@@ -77,10 +78,20 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := m.Submit(KindAssemble, nil, testParams()); err == nil {
 		t.Error("empty read set accepted")
 	}
-	p := testParams()
-	p.Reorder = "sideways"
-	if _, err := m.Submit(KindAssemble, recs, p); err == nil {
-		t.Error("bad reorder mode accepted")
+	for name, bad := range map[string]func(*Params){
+		"min_overlap 0":    func(p *Params) { p.MinOverlap = 0 },
+		"min_overlap -1":   func(p *Params) { p.MinOverlap = -1 },
+		"polish_rounds -1": func(p *Params) { p.PolishRounds = -1 },
+		"min_contig -1":    func(p *Params) { p.MinContig = -1 },
+	} {
+		p := testParams()
+		bad(&p)
+		if _, err := m.Submit(KindAssemble, recs, p); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	if len(m.List()) != 0 {
+		t.Errorf("rejected submissions left %d jobs", len(m.List()))
 	}
 	if _, err := m.Get("jmissing"); err != ErrNotFound {
 		t.Errorf("Get(missing) = %v, want ErrNotFound", err)
@@ -398,5 +409,95 @@ func TestRecoverSkipsTerminalJobs(t *testing.T) {
 	// Its result remains servable.
 	if _, _, err := m2.ResultFile(st.ID); err != nil {
 		t.Errorf("ResultFile after recover: %v", err)
+	}
+}
+
+// writeJobDir hand-writes a pending job's directory the way an earlier
+// process would have left it: job.json plus a reads.fa payload.
+func writeJobDir(t *testing.T, root, id string, reads int, params string, recs []dna.Record) {
+	t.Helper()
+	dir := filepath.Join(root, id)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	status := fmt.Sprintf(`{"id": %q, "kind": "assemble", "state": "pending", "reads": %d,
+		"params": %s, "created_at": "2026-01-02T03:04:05Z", "checkpoints": 0}`, id, reads, params)
+	if err := os.WriteFile(filepath.Join(dir, "job.json"), []byte(status), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFASTAFile(filepath.Join(dir, "reads.fa"), recs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoverShortPayload: a reads.fa holding fewer records than
+// job.json's read count fails the job with payload_corrupt instead of
+// assembling the shorter set.
+func TestRecoverShortPayload(t *testing.T) {
+	dir := t.TempDir()
+	writeJobDir(t, dir, "jshort", 3, `{"min_overlap": 1000, "polish_rounds": 0, "min_contig": 0}`,
+		testRecords(t, 3)[:2])
+	m := newTestManager(t, dir, 0)
+	defer m.Drain(context.Background())
+	restarted, err := m.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restarted != 0 {
+		t.Errorf("restarted = %d, want 0", restarted)
+	}
+	st, err := m.Get("jshort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateFailed || st.ErrorCode != "payload_corrupt" {
+		t.Errorf("state = %s, code = %q; want failed, payload_corrupt", st.State, st.ErrorCode)
+	}
+}
+
+// TestRecoverLegacyParams: a job.json written by an older version may
+// carry a parameter this one no longer has. Such a job still recovers
+// and produces the same contigs as a fresh submission of its reads.
+func TestRecoverLegacyParams(t *testing.T) {
+	recs := testRecords(t, 20)
+	ref := newTestManager(t, t.TempDir(), 0)
+	defer ref.Drain(context.Background())
+	refSt, err := ref.Submit(KindAssemble, recs, testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitState(t, ref, refSt.ID, 2*time.Minute); fin.State != StateDone {
+		t.Fatalf("reference run: %s (%s)", fin.State, fin.Error)
+	}
+	refPath, _, err := ref.ResultFile(refSt.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(refPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	writeJobDir(t, dir, "jlegacy", len(recs),
+		`{"min_overlap": 1000, "polish_rounds": 0, "min_contig": 0, "reorder": "rcm"}`, recs)
+	m := newTestManager(t, dir, 0)
+	defer m.Drain(context.Background())
+	if restarted, err := m.Recover(); err != nil || restarted != 1 {
+		t.Fatalf("Recover = %d, %v; want 1, nil", restarted, err)
+	}
+	if fin := waitState(t, m, "jlegacy", 2*time.Minute); fin.State != StateDone {
+		t.Fatalf("recovered job: %s (%s)", fin.State, fin.Error)
+	}
+	path, _, err := m.ResultFile("jlegacy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("recovered legacy job's contigs differ from a fresh run's")
 	}
 }

@@ -28,9 +28,6 @@ type Settings struct {
 	PolishRounds int
 	// MinContig drops contigs shorter than this from the output.
 	MinContig int
-	// Reorder selects the overlap-graph read-reordering pass applied
-	// before layout (ReorderOff leaves input order).
-	Reorder ReorderMode
 	// Progress, when non-nil, receives per-stage progress: stage is one
 	// of "overlap", "layout", "consensus", "polish".
 	Progress func(stage string, done, total int)
@@ -59,7 +56,7 @@ type Option func(*Settings)
 
 // DefaultSettings returns the pipeline defaults: the engine tuned as
 // the assembly CLIs tune it (k=12, N=1300, h=24, stride 4), a 1 kb
-// nominal minimum overlap, two polishing rounds, no reordering.
+// nominal minimum overlap, two polishing rounds.
 func DefaultSettings() Settings {
 	cfg := core.DefaultConfig(12, 1300, 24)
 	cfg.SeedStride = 4
@@ -93,13 +90,6 @@ func WithPolishRounds(n int) Option {
 // WithMinContig drops output contigs shorter than n.
 func WithMinContig(n int) Option {
 	return func(s *Settings) { s.MinContig = n }
-}
-
-// WithReorder enables the overlap-graph read-reordering pass before
-// layout. Reordering changes the layout stage's memory access pattern,
-// never its output: contigs are identical under every mode.
-func WithReorder(mode ReorderMode) Option {
-	return func(s *Settings) { s.Reorder = mode }
 }
 
 // WithProgress installs a per-stage progress callback.
@@ -146,8 +136,6 @@ type Assembly struct {
 	Contigs []dna.Record
 	// Stats summarizes the layout (pre-MinContig filtering).
 	Stats Stats
-	// Reorder reports the read-reordering pass, nil when it was off.
-	Reorder *ReorderReport
 }
 
 // progress is a nil-safe stage progress call.
@@ -209,8 +197,7 @@ func Overlap(ctx context.Context, reads []dna.Seq, options ...Option) ([]core.Ov
 }
 
 // Assemble runs the full overlap-layout-consensus pipeline under ctx:
-// all-vs-all overlap (resumable via WithCheckpoint), an optional
-// overlap-graph read-reordering pass (WithReorder), greedy layout,
+// all-vs-all overlap (resumable via WithCheckpoint), greedy layout,
 // read splicing, and majority-vote polishing. It subsumes the
 // positional BuildLayoutContext/Splice/PolishContext free functions; each stage is
 // traced as a child span (olc/overlap, olc/layout, olc/consensus,
@@ -233,10 +220,7 @@ func Assemble(ctx context.Context, reads []dna.Seq, options ...Option) (*Assembl
 	}
 	asm := &Assembly{Overlaps: overlaps, OverlapStats: ostats}
 
-	// Layout, optionally preceded by the reorder pass. The permutation
-	// only changes which cache lines the merge walks; buildLayout keys
-	// every decision on original read ids, so contigs are identical
-	// under every mode (tested property).
+	// Layout.
 	{
 		lctx, span := obs.StartSpan(ctx, "olc/layout")
 		span.SetAttr("overlaps", int64(len(overlaps)))
@@ -245,18 +229,7 @@ func Assemble(ctx context.Context, reads []dna.Seq, options ...Option) (*Assembl
 			return nil, err
 		}
 		s.progress("layout", 0, 1)
-		order, report, err := ReorderReads(lctx, len(reads), overlaps, s.Reorder)
-		if err != nil {
-			span.End()
-			return nil, err
-		}
-		asm.Reorder = report
-		if report != nil {
-			span.SetLabel("reorder", report.Mode.String())
-			span.SetAttr("bandwidth_before", int64(report.MaxBefore))
-			span.SetAttr("bandwidth_after", int64(report.MaxAfter))
-		}
-		layout, err := buildLayout(lctx, readLens, overlaps, order)
+		layout, err := BuildLayoutContext(lctx, readLens, overlaps)
 		if err != nil {
 			span.End()
 			return nil, err

@@ -180,45 +180,6 @@ func TestAssembleCancelSavesBoundaryCheckpoint(t *testing.T) {
 	}
 }
 
-// TestAssembleReorderInvariance: reordering changes the layout stage's
-// iteration order, never its output — contigs must be byte-identical
-// under every mode.
-func TestAssembleReorderInvariance(t *testing.T) {
-	seqs := testReads(t, 20000, 60)
-	cfg := testConfig()
-	opts := []Option{WithConfig(cfg), WithMinOverlap(1000), WithPolishRounds(0)}
-
-	base, err := Assemble(context.Background(), seqs, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Reorder != nil {
-		t.Error("Reorder report non-nil with reordering off")
-	}
-	for _, mode := range []ReorderMode{ReorderRCM, ReorderFarthest} {
-		asm, err := Assemble(context.Background(), seqs, append(opts, WithReorder(mode))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !contigsEqual(base.Contigs, asm.Contigs) {
-			t.Errorf("mode %s: contigs differ from unordered run", mode)
-		}
-		r := asm.Reorder
-		if r == nil {
-			t.Fatalf("mode %s: nil reorder report", mode)
-		}
-		if r.Mode != mode {
-			t.Errorf("report mode = %s, want %s", r.Mode, mode)
-		}
-		if r.Edges == 0 {
-			t.Errorf("mode %s: zero edges in report", mode)
-		}
-		if r.MaxAfter > r.MaxBefore {
-			t.Logf("mode %s: bandwidth grew %d -> %d (allowed, but unusual)", mode, r.MaxBefore, r.MaxAfter)
-		}
-	}
-}
-
 // TestAssembleWithOverlapperReuse: a pre-built engine must give the
 // same result as letting Assemble build its own.
 func TestAssembleWithOverlapperReuse(t *testing.T) {
@@ -272,7 +233,7 @@ func TestOverlapResumedComplete(t *testing.T) {
 // TestDefaultSettingsShape guards the documented defaults.
 func TestDefaultSettingsShape(t *testing.T) {
 	s := DefaultSettings()
-	if s.MinOverlap != 1000 || s.PolishRounds != 2 || s.Reorder != ReorderOff {
+	if s.MinOverlap != 1000 || s.PolishRounds != 2 {
 		t.Errorf("defaults = %+v", s)
 	}
 	if s.Config.SeedK != 12 || s.Config.SeedStride != 4 {

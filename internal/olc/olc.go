@@ -78,43 +78,12 @@ func (f *fragment) span(readLens []int) (int, int) {
 // each read's length. ctx is checked periodically during the greedy
 // merge, and cancellation returns ctx.Err() with a nil layout.
 func BuildLayoutContext(ctx context.Context, readLens []int, overlaps []core.Overlap) (*Layout, error) {
-	return buildLayout(ctx, readLens, overlaps, nil)
-}
-
-// buildLayout is the one greedy-layout implementation. order, when
-// non-nil, is a processing permutation (order[p] = original read index
-// handled at position p): the layout's working arrays are indexed in
-// permuted space — the cache-locality win of reordering — while every
-// tie-break is keyed on original read indices, so the merge decisions
-// (and therefore the returned layout, which is always expressed in
-// original indices) are identical for every permutation.
-func buildLayout(ctx context.Context, readLens []int, overlaps []core.Overlap, order []int) (*Layout, error) {
 	defer tLayout.Time()()
 	defer obs.Trace.Start("olc.layout")()
 	n := len(readLens)
-	if order != nil && len(order) != n {
-		return nil, fmt.Errorf("olc: layout order has %d entries for %d reads", len(order), n)
-	}
-	// pos maps original read index → processing position; identity when
-	// no reorder is in effect.
-	pos := make([]int, n)
-	lens := make([]int, n)
-	if order == nil {
-		for i := 0; i < n; i++ {
-			pos[i] = i
-			lens[i] = readLens[i]
-		}
-	} else {
-		for p, orig := range order {
-			pos[orig] = p
-			lens[p] = readLens[orig]
-		}
-	}
 
 	// Canonical processing order: score descending, ties broken on the
-	// original unordered pair, then orientation, then coordinates. The
-	// comparator never consults permuted positions, so the decision
-	// sequence is permutation-invariant.
+	// unordered pair, then orientation, then coordinates.
 	ovs := append([]core.Overlap(nil), overlaps...)
 	sort.Slice(ovs, func(x, y int) bool {
 		if ovs[x].Score != ovs[y].Score {
@@ -154,12 +123,12 @@ func buildLayout(ctx context.Context, readLens []int, overlaps []core.Overlap, o
 			}
 		}
 		o := &ovs[i]
-		a, b := pos[o.Target], pos[o.Query]
+		a, b := o.Target, o.Query
 		fa, fb := fragOf[a], fragOf[b]
 		if fa == fb {
 			continue // already placed relative to each other
 		}
-		lenA, lenB := lens[a], lens[b]
+		lenA, lenB := readLens[a], readLens[b]
 		pa, pb := where[a], where[b]
 
 		// Place oriented b relative to a-forward: b starts at
@@ -180,11 +149,11 @@ func buildLayout(ctx context.Context, readLens []int, overlaps []core.Overlap, o
 		// Rigidly move fb so that b lands at (wantRev, wantOff).
 		if pb.Rev != wantRev {
 			// Reflect fb in place around its own span.
-			lo, hi := fb.span(lens)
+			lo, hi := fb.span(readLens)
 			for j := range fb.placements {
 				p := &fb.placements[j]
 				p.Rev = !p.Rev
-				p.Offset = lo + hi - (p.Offset + lens[p.Read])
+				p.Offset = lo + hi - (p.Offset + readLens[p.Read])
 				where[p.Read] = *p
 			}
 			pb = where[b]
@@ -215,19 +184,12 @@ func buildLayout(ctx context.Context, readLens []int, overlaps []core.Overlap, o
 		}
 	}
 
-	// Emission: placements are mapped back to original read indices, so
-	// the layout a caller sees is independent of the processing order.
 	layout := &Layout{}
 	for _, f := range frags {
 		if len(f.placements) == 0 {
 			continue
 		}
 		ps := append([]Placement(nil), f.placements...)
-		if order != nil {
-			for j := range ps {
-				ps[j].Read = order[ps[j].Read]
-			}
-		}
 		sort.Slice(ps, func(x, y int) bool {
 			if ps[x].Offset != ps[y].Offset {
 				return ps[x].Offset < ps[y].Offset

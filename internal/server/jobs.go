@@ -39,8 +39,6 @@ type JobRequest struct {
 	PolishRounds *int `json:"polish_rounds,omitempty"`
 	// MinContig drops contigs shorter than this (default 0).
 	MinContig int `json:"min_contig,omitempty"`
-	// Reorder selects the read-reordering pass: off, rcm, or farthest.
-	Reorder string `json:"reorder,omitempty"`
 }
 
 // handleJobs serves the collection: POST submits, GET lists.
@@ -89,17 +87,16 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		if req.Kind != "" {
 			kind = jobs.Kind(req.Kind)
 		}
-		if req.MinOverlap > 0 {
+		// Zero means the server default; jobs.Submit rejects any other
+		// value out of range.
+		if req.MinOverlap != 0 {
 			params.MinOverlap = req.MinOverlap
 		}
 		if req.PolishRounds != nil {
 			params.PolishRounds = *req.PolishRounds
 		}
-		if req.MinContig > 0 {
+		if req.MinContig != 0 {
 			params.MinContig = req.MinContig
-		}
-		if req.Reorder != "" {
-			params.Reorder = req.Reorder
 		}
 		for i, rd := range req.Reads {
 			name := rd.Name
@@ -145,7 +142,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	if v := q.Get("min_overlap"); v != "" {
 		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
+		if err != nil {
 			s.jobBadParam(ctx, w, "min_overlap", v)
 			return
 		}
@@ -153,7 +150,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if v := q.Get("polish"); v != "" {
 		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
+		if err != nil {
 			s.jobBadParam(ctx, w, "polish", v)
 			return
 		}
@@ -161,14 +158,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if v := q.Get("min_contig"); v != "" {
 		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
+		if err != nil {
 			s.jobBadParam(ctx, w, "min_contig", v)
 			return
 		}
 		params.MinContig = n
-	}
-	if v := q.Get("reorder"); v != "" {
-		params.Reorder = v
 	}
 
 	for i := range recs {
@@ -264,7 +258,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // handleJobResult streams a done job's output file, or explains with a
 // structured code why there is nothing to stream: job_not_done while
 // the pipeline runs, job_canceled after a cancel, the job's own error
-// code (checkpoint_corrupt, fault_injected, internal) after a failure.
+// code (checkpoint_corrupt, payload_corrupt, fault_injected, internal)
+// after a failure.
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request, id string) {
 	ctx := r.Context()
 	st, err := s.jobs.Get(id)

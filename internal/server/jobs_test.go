@@ -264,9 +264,10 @@ func TestJobsHTTPErrors(t *testing.T) {
 	}
 	wantEnvelopeCode(t, resp, http.StatusBadRequest, CodeBadRequest)
 
-	// Bad reorder mode is rejected at submit.
-	resp, err = http.Post(ts.URL+"/v1/jobs?reorder=sideways", "text/x-fasta",
-		strings.NewReader(">r0\nACGTACGT\n"))
+	// An out-of-range JSON parameter is rejected at submit, as the same
+	// value in the query is.
+	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"reads":[{"name":"r0","seq":"ACGTACGT"}],"polish_rounds":-1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
