@@ -47,7 +47,9 @@ fallback:
 # its quadratic oracle, the score pass as production runs it (the AVX2
 # lanes on amd64) vs the scalar pass and fillLocal, the pointer fill as
 # production runs it (the AVX2 lanes again) vs the scalar rows and the
-# reference AlignTile, gact.Engine.Extend — score pass, banded refills,
+# reference AlignTile, ParseCigar on worker-supplied CIGAR text (no
+# panic, and whatever it accepts prints back unchanged),
+# gact.Engine.Extend — score pass, banded refills,
 # bitvector tier — vs the free reference Extend, the .dwi reader on
 # re-sealed mutated index files (no panic, only coded errors, and
 # Lookup answers on every table it accepts), and the DWCP checkpoint
@@ -57,6 +59,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMyersInfix$$' -fuzztime 20s ./internal/align/
 	$(GO) test -run '^$$' -fuzz '^FuzzMaxCell$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/align/
 	$(GO) test -run '^$$' -fuzz '^FuzzFill$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/align/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseCigar$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/align/
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineExtend$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/gact/
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexOpen$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/indexfile/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/jobs/

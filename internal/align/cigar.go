@@ -90,7 +90,8 @@ func (c Cigar) String() string {
 // M/I/D operations the GACT traceback emits, no clips — back into a
 // path. Round-tripping through String and ParseCigar is exact: Check's
 // canonical-form invariant (positive runs, adjacent runs merged) means
-// the string form carries the full step structure.
+// the string form carries the full step structure, and ParseCigar
+// accepts only strings String can print.
 func ParseCigar(s string) (Cigar, error) {
 	var c Cigar
 	i := 0
@@ -102,8 +103,10 @@ func ParseCigar(s string) (Cigar, error) {
 		if j == i || j == len(s) {
 			return nil, fmt.Errorf("align: malformed cigar %q at offset %d", s, i)
 		}
+		// A leading zero is a zero run or a padded one ("01M"), neither of
+		// which String prints.
 		n, err := strconv.Atoi(s[i:j])
-		if err != nil || n <= 0 {
+		if err != nil || s[i] == '0' {
 			return nil, fmt.Errorf("align: bad cigar run length in %q at offset %d", s, i)
 		}
 		op := Op(s[j])

@@ -31,6 +31,7 @@ func TestParseCigarRejects(t *testing.T) {
 		"M",     // missing length
 		"3",     // missing op
 		"0M",    // zero run
+		"01M",   // zero-padded run
 		"-2M",   // negative run
 		"3M4M",  // non-canonical adjacent runs
 		"5S3M",  // clips are a SAM rendering, not a path op
@@ -41,4 +42,21 @@ func TestParseCigarRejects(t *testing.T) {
 			t.Errorf("%q: parsed to %v, want error", s, c)
 		}
 	}
+}
+
+// FuzzParseCigar: ParseCigar never panics, and any string it accepts is
+// canonical — Cigar.String prints it back unchanged.
+func FuzzParseCigar(f *testing.F) {
+	for _, s := range []string{"", "12M", "3M1I4M2D", "01M", "0M", "3M4M", "5S3M", "99999999999999999999M", "-1M"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		c, err := ParseCigar(s)
+		if err != nil {
+			return
+		}
+		if got := c.String(); got != s {
+			t.Fatalf("ParseCigar(%q) re-serialises as %q", s, got)
+		}
+	})
 }

@@ -63,8 +63,9 @@ type Config struct {
 	// size 384). Zero disables it.
 	HTile int
 	// GACT holds the tile parameters, scoring, and kernel-tier
-	// selection (GACT.Kernel; the zero value enables the bitvector
-	// fast path with its bit-identical LUT fallback).
+	// selection (GACT.Kernel; under the zero value the bitvector fast
+	// path, with its bit-identical LUT fallback, runs only on tiles the
+	// vector fill does not take).
 	GACT gact.Config
 	// MaxCandidates bounds GACT work per query strand as a safety
 	// valve against pathological repeat regions. Zero means no bound.
@@ -118,7 +119,7 @@ type Mapper interface {
 	// SortAlignments order.
 	MapRead(q dna.Seq) ([]ReadAlignment, MapStats)
 	// Map maps every read under ctx, results in input order. Options:
-	// WithWorkers, WithDeadlinePerRead, WithProgress. Per-read
+	// WithWorkers, WithDeadlinePerRead. Per-read
 	// failures land in MapResult.Err; batch-level failures (cancelled
 	// context) are returned as the error.
 	Map(ctx context.Context, reads []dna.Seq, options ...MapOption) ([]MapResult, error)

@@ -130,25 +130,6 @@ func TestMapPerReadContract(t *testing.T) {
 					t.Errorf("deadline expired on read %d, want 2", failed[0])
 				}
 
-				// Progress fires once per read, monotonic, ending at (n, n).
-				var calls []int
-				if _, err := eng.Map(ctx, reads, w, core.WithProgress(func(done, total int) {
-					if total != len(reads) {
-						t.Errorf("progress total = %d, want %d", total, len(reads))
-					}
-					calls = append(calls, done)
-				})); err != nil {
-					t.Fatal(err)
-				}
-				for i, done := range calls {
-					if done != i+1 {
-						t.Fatalf("progress not monotonic: %v", calls)
-					}
-				}
-				if len(calls) != len(reads) {
-					t.Errorf("%d progress calls for %d reads", len(calls), len(reads))
-				}
-
 				// A cancelled context is a batch-level failure: ctx.Err()
 				// and no results.
 				cctx, cancel := context.WithCancel(ctx)

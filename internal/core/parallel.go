@@ -72,8 +72,6 @@ type MapSettings struct {
 	// DeadlinePerRead bounds one read's wall-clock mapping time
 	// (0 = unbounded).
 	DeadlinePerRead time.Duration
-	// Progress, when non-nil, is invoked after each read completes.
-	Progress func(done, total int)
 }
 
 // MapOption configures a Map call.
@@ -119,14 +117,6 @@ func DefaultWorkers(n int) int {
 // the bound (the default).
 func WithDeadlinePerRead(d time.Duration) MapOption {
 	return func(o *MapSettings) { o.DeadlinePerRead = d }
-}
-
-// WithProgress registers a callback invoked after each read completes
-// with (reads done so far, total reads). Calls are serialized; the
-// callback must be fast — it runs on the mapping workers' critical
-// path.
-func WithProgress(fn func(done, total int)) MapOption {
-	return func(o *MapSettings) { o.Progress = fn }
 }
 
 // startWorkers is the one worker loop behind every batch pass: n
@@ -214,9 +204,9 @@ func (d *Darwin) clonePool(n int) ([]*Darwin, error) {
 }
 
 // Batch is the state the reads of one Map call share: the resolved
-// worker count, the span their core.read spans hang under, the
-// per-read deadline and the progress callback. Both engines' Map build
-// one and run every read through Read.
+// worker count, the span their core.read spans hang under and the
+// per-read deadline. Both engines' Map build one and run every read
+// through Read.
 type Batch struct {
 	// Workers is the resolved worker count: DefaultWorkers of the
 	// setting, at most one per read, at least 1.
@@ -226,11 +216,6 @@ type Batch struct {
 	Parent *obs.Span
 
 	budget time.Duration
-
-	mu    sync.Mutex // serializes progress callbacks across workers
-	done  int
-	total int
-	prog  func(done, total int)
 }
 
 // NewBatch resolves o for a batch of n reads and records the worker
@@ -238,7 +223,7 @@ type Batch struct {
 func NewBatch(n int, o MapSettings) *Batch {
 	workers := max(min(DefaultWorkers(o.Workers), n), 1)
 	gWorkers.Set(int64(workers))
-	return &Batch{Workers: workers, budget: o.DeadlinePerRead, total: n, prog: o.Progress}
+	return &Batch{Workers: workers, budget: o.DeadlinePerRead}
 }
 
 // readOutcome is one guarded read's result. retire marks the private
@@ -258,9 +243,9 @@ type readOutcome struct {
 // span (engine records its extensions into it), run mapRead under panic
 // recovery, the core/map_read fault point and the per-read deadline,
 // charge core/worker_busy, sort and publish the alignments, close the
-// span, report progress. mapRead returns the read's alignments in any
-// order; its error, a panic or a blown deadline all become the
-// MapResult's Err and never leave this read.
+// span. mapRead returns the read's alignments in any order; its error,
+// a panic or a blown deadline all become the MapResult's Err and never
+// leave this read.
 //
 // retire reports that the private state mapRead ran on can no longer be
 // trusted (see readOutcome), so the caller must give worker tid fresh
@@ -286,12 +271,6 @@ func (b *Batch) Read(tid, i int, engine *gact.Engine, mapRead func() ([]ReadAlig
 		finishReadSpan(sp, busy, oc)
 	}
 	endTrace()
-	if b.prog != nil {
-		b.mu.Lock()
-		b.done++
-		b.prog(b.done, b.total)
-		b.mu.Unlock()
-	}
 	return MapResult{Index: i, Alignments: oc.alns, Stats: oc.st, Err: oc.err}, oc.retire
 }
 

@@ -28,7 +28,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	ref, query, iSeed, jSeed := simPair(t, 2000, readsim.PacBio, 905)
 	junk := dna.Random(rand.New(rand.NewSource(906)), len(query), 0.5)
 
-	// Warm the arena, step and cigar buffers.
+	// Warm the path and kernel buffers.
 	if res, _, err := engine.Extend(ref, query, iSeed, jSeed); err != nil || res == nil {
 		t.Fatalf("warm-up candidate: res=%v err=%v, want an alignment", res, err)
 	}

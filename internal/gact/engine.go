@@ -2,6 +2,7 @@ package gact
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -17,24 +18,14 @@ import (
 // is contained by core's per-read recover.
 var fpExtend = faults.Default.Point("gact/extend")
 
-// engStep is one extension tile the Engine has consumed. The tile's
-// path lives in the Engine's step arena as [cigOff, cigOff+cigLen)
-// — an offset pair rather than a slice, because the arena may
-// reallocate while later tiles append to it.
-type engStep struct {
-	cigOff, cigLen int
-	i, j           int // coordinates after consuming this tile
-	cumulative     int
-}
-
 // Engine is the stateful GACT aligner: the free function Extend with
 // the per-candidate allocations hoisted into reusable state. It owns a
-// TileAligner (the allocation-free DP kernel), a step arena for tile
-// paths, and scratch cigars for the two extension directions, so a
-// rejected candidate — the common case downstream of D-SOFT — costs no
-// heap allocation at all (nor, since the kernel is told the h_tile
-// threshold, a pointer matrix or a traceback), and an accepted one
-// allocates only its returned Result.
+// TileAligner (the allocation-free DP kernel) and a buffer the
+// candidate's path is assembled in, so a rejected candidate — the
+// common case downstream of D-SOFT — costs no heap allocation at all
+// (nor, since the kernel is told the h_tile threshold, a pointer
+// matrix or a traceback), and an accepted one allocates only its
+// returned Result.
 //
 // Right extension runs on the reversed coordinate frame without ever
 // materializing reversed sequences: tiles are cut from the forward
@@ -56,10 +47,9 @@ type Engine struct {
 	// — the clear must not race the stray goroutine's load.
 	span atomic.Pointer[obs.Span]
 
-	// Reused across Extend calls.
-	arena  []align.Step   // tile paths for the current candidate
-	steps  []engStep      // extendDir loop state
-	dirCig [2]align.Cigar // per-direction assembled paths
+	// path is the current candidate's alignment under assembly (see
+	// Extend), reused across Extend calls.
+	path align.Cigar
 
 	// lastKS is the kernel-stat snapshot at the end of the previous
 	// Extend, so publishKernel can emit per-call deltas to the shared
@@ -127,7 +117,6 @@ func (e *Engine) Extend(R, Q dna.Seq, iSeed, jSeed int) (res *align.Result, stat
 	}
 	defer tAlign.Time()()
 	defer e.publishKernel()
-	e.arena = e.arena[:0]
 
 	// First tile, spanning forward from the candidate. The kernel is
 	// told the h_tile threshold: a tile below it — the common case
@@ -149,10 +138,6 @@ func (e *Engine) Extend(R, Q dna.Seq, iSeed, jSeed int) (res *align.Result, stat
 		stats.publish(true)
 		return nil, stats, nil
 	}
-	// first.Cigar aliases the kernel's buffer; bank it in the arena
-	// before extension tiles overwrite it.
-	firstLen := len(first.Cigar)
-	e.arena = append(e.arena, first.Cigar...)
 
 	// Global coordinates of the alignment's right end (the first
 	// tile's max cell) and of the running left end.
@@ -161,24 +146,26 @@ func (e *Engine) Extend(R, Q dna.Seq, iSeed, jSeed int) (res *align.Result, stat
 	curI := rightI - first.IOff
 	curJ := rightJ - first.JOff
 
-	// Left extension (Algorithm 2 with t already consumed), then right
-	// extension as a left extension in the mirrored coordinate frame.
-	leftCigar, leftI, leftJ := e.extendDir(R, Q, curI, curJ, &stats, false)
-	revCigar, revI, revJ := e.extendDir(R, Q, len(R)-rightI, len(Q)-rightJ, &stats, true)
+	// The path is assembled in one buffer without knowing the tile count
+	// up front: first.Cigar (which aliases the kernel's buffer) goes in
+	// back-to-front, then each left tile's path back-to-front, so
+	// reversing the buffer yields the left tiles outermost-first followed
+	// by the first tile. Right extension runs as a left extension in the
+	// mirrored coordinate frame, where a tile's path read back-to-front is
+	// its forward-frame path, so its tiles append in order.
+	e.path = appendReversed(e.path[:0], first.Cigar)
+	leftI, leftJ := e.extendDir(R, Q, curI, curJ, &stats, false)
+	e.path.Reverse()
+	revI, revJ := e.extendDir(R, Q, len(R)-rightI, len(Q)-rightJ, &stats, true)
 	rightI = len(R) - revI
 	rightJ = len(Q) - revJ
-
-	cigar := make(align.Cigar, 0, len(leftCigar)+firstLen+len(revCigar))
-	cigar = cigar.Concat(leftCigar)
-	cigar = cigar.Concat(align.Cigar(e.arena[:firstLen]))
-	cigar = cigar.Concat(revCigar.Reverse())
 
 	res = &align.Result{
 		RefStart:   leftI,
 		RefEnd:     rightI,
 		QueryStart: leftJ,
 		QueryEnd:   rightJ,
-		Cigar:      cigar,
+		Cigar:      slices.Clone(e.path),
 	}
 	res.Score = res.Rescore(R, Q, &cfg.Scoring)
 	stats.publish(false)
@@ -203,19 +190,16 @@ func (e *Engine) publishKernel() {
 	e.lastKS = ks
 }
 
-// extendDir runs extendLeft's loop over the engine's reused state.
-// With rev set, (iCurr, jCurr) and the returned coordinates are in the
-// reversed frame — position x of Reverse(R) — and each tile is cut
-// from the forward slices: reversed-frame rR[iStart:iCurr] is
-// R[len(R)−iCurr : len(R)−iStart] read back-to-front, which
-// AlignTileReversed precodes directly. The returned cigar aliases a
-// per-direction scratch buffer, valid until this direction index runs
-// again.
-func (e *Engine) extendDir(R, Q dna.Seq, iCurr, jCurr int, stats *Stats, rev bool) (align.Cigar, int, int) {
+// extendDir runs extendLeft's loop, appending each consumed tile's
+// path back-to-front to e.path, and returns the final left-end
+// coordinates. With rev set, (iCurr, jCurr) and the returned
+// coordinates are in the reversed frame — position x of Reverse(R) —
+// and each tile is cut from the forward slices: reversed-frame
+// rR[iStart:iCurr] is R[len(R)−iCurr : len(R)−iStart] read
+// back-to-front, which AlignTileReversed precodes directly.
+func (e *Engine) extendDir(R, Q dna.Seq, iCurr, jCurr int, stats *Stats, rev bool) (int, int) {
 	cfg := &e.cfg
 	rLen, qLen := len(R), len(Q)
-	e.steps = e.steps[:0]
-	cum, bestCum, bestIdx := 0, 0, -1
 	for iCurr > 0 && jCurr > 0 {
 		iStart, jStart := max(0, iCurr-cfg.T), max(0, jCurr-cfg.T)
 		endSpan := obs.Trace.Start("gact.tile")
@@ -230,83 +214,18 @@ func (e *Engine) extendDir(R, Q dna.Seq, iCurr, jCurr int, stats *Stats, rev boo
 		if res.IOff == 0 && res.JOff == 0 {
 			break
 		}
-		// Score the consumed path segment for the Y-drop accounting
-		// (res.Cigar still aliases the kernel here; segScore only reads).
-		cum += segScore(R, Q, res.Cigar, iCurr-res.IOff, jCurr-res.JOff, &cfg.Scoring, rev)
+		e.path = appendReversed(e.path, res.Cigar)
 		iCurr -= res.IOff
 		jCurr -= res.JOff
-		off := len(e.arena)
-		e.arena = append(e.arena, res.Cigar...)
-		e.steps = append(e.steps, engStep{cigOff: off, cigLen: len(res.Cigar), i: iCurr, j: jCurr, cumulative: cum})
-		if cum > bestCum {
-			bestCum = cum
-			bestIdx = len(e.steps) - 1
-		}
-		if cfg.YDrop > 0 && cum < bestCum-cfg.YDrop {
-			break
-		}
 	}
-	// Keep tiles up to the cumulative maximum when Y-drop is active;
-	// otherwise keep everything (Algorithm 2's behaviour).
-	keep := len(e.steps)
-	if cfg.YDrop > 0 {
-		keep = bestIdx + 1
-	}
-	endI, endJ := iCurr, jCurr
-	if keep < len(e.steps) {
-		if keep == 0 {
-			// Roll all the way back to the extension origin.
-			if len(e.steps) > 0 {
-				first := e.steps[0]
-				fc := align.Cigar(e.arena[first.cigOff : first.cigOff+first.cigLen])
-				endI = first.i + fc.RefLen()
-				endJ = first.j + fc.QueryLen()
-			}
-			return nil, endI, endJ
-		}
-		endI, endJ = e.steps[keep-1].i, e.steps[keep-1].j
-	}
-	// Forward path order: the last-kept tile is leftmost.
-	idx := 0
-	if rev {
-		idx = 1
-	}
-	cig := e.dirCig[idx][:0]
-	for x := keep - 1; x >= 0; x-- {
-		s := e.steps[x]
-		cig = cig.Concat(align.Cigar(e.arena[s.cigOff : s.cigOff+s.cigLen]))
-	}
-	e.dirCig[idx] = cig
-	return cig, endI, endJ
+	return iCurr, jCurr
 }
 
-// segScore is Result.Rescore for one tile's path starting at (i, j):
-// in the forward frame when rev is false, in the reversed frame when
-// rev is true — reversed-frame position x reads forward byte
-// len−1−x, so no reversed sequence is ever materialized.
-func segScore(R, Q dna.Seq, cig align.Cigar, i, j int, sc *align.Scoring, rev bool) int {
-	score := 0
-	for _, s := range cig {
-		switch s.Op {
-		case align.OpMatch:
-			if rev {
-				for k := 0; k < s.Len; k++ {
-					score += sc.Sub(R[len(R)-1-(i+k)], Q[len(Q)-1-(j+k)])
-				}
-			} else {
-				for k := 0; k < s.Len; k++ {
-					score += sc.Sub(R[i+k], Q[j+k])
-				}
-			}
-			i += s.Len
-			j += s.Len
-		case align.OpIns:
-			score -= sc.GapOpen + (s.Len-1)*sc.GapExtend
-			j += s.Len
-		case align.OpDel:
-			score -= sc.GapOpen + (s.Len-1)*sc.GapExtend
-			i += s.Len
-		}
+// appendReversed appends c's steps to dst last to first, merging runs
+// as Concat does.
+func appendReversed(dst, c align.Cigar) align.Cigar {
+	for x := len(c) - 1; x >= 0; x-- {
+		dst = dst.Concat(c[x : x+1])
 	}
-	return score
+	return dst
 }

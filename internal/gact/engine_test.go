@@ -28,9 +28,10 @@ func extendEqual(t *testing.T, label string, res *align.Result, stats Stats, wan
 }
 
 // TestEngineMatchesExtend is the end-to-end equivalence property: over
-// random configurations — including Y-drop, the h_tile filter, both
-// read orientations, and repeated reuse of one engine — Engine.Extend
-// must be bit-identical to the free function Extend.
+// random configurations — including a first tile the size of the
+// extension tiles, the h_tile filter, both read orientations, and
+// repeated reuse of one engine — Engine.Extend must be bit-identical to
+// the free function Extend.
 func TestEngineMatchesExtend(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 12; trial++ {
@@ -39,10 +40,9 @@ func TestEngineMatchesExtend(t *testing.T) {
 		case 1:
 			cfg = Config{T: 64 + rng.Intn(128), O: 16 + rng.Intn(32), Scoring: cfg.Scoring}
 		case 2:
-			cfg.YDrop = 20 + rng.Intn(100)
+			cfg.FirstTileT = 0
 		case 3:
 			cfg.MinFirstTile = 50 + rng.Intn(200)
-			cfg.YDrop = 50
 		}
 		engine, err := NewEngine(&cfg)
 		if err != nil {

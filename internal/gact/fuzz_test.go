@@ -49,7 +49,7 @@ func fuzzRelated(ref dna.Seq, edits []byte) dna.Seq {
 // overlap, a first-tile size that is absent, or just above the overlap,
 // or larger than the tile; an h_tile threshold that is absent, small,
 // or above any score a tile can reach; a scoring with open == ext (zero
-// gap cost included) or open > ext; Y-drop; and the kernel tier.
+// gap cost included) or open > ext; and the kernel tier.
 func fuzzConfig(tile, overlap, first, hTile, scoring, mode uint8) Config {
 	cfg := Config{T: 8 + int(tile)%120}
 	cfg.O = int(overlap) % cfg.T
@@ -65,7 +65,6 @@ func fuzzConfig(tile, overlap, first, hTile, scoring, mode uint8) Config {
 	cfg.Scoring = align.Simple(1+int(scoring&3), 1+int(scoring>>2&3), int(scoring>>4&3)%3)
 	cfg.Scoring.GapOpen += int(scoring >> 6)
 	cfg.Kernel = align.KernelMode(mode % 3)
-	cfg.YDrop = int(mode >> 2)
 	return cfg
 }
 

@@ -70,19 +70,12 @@ type Config struct {
 	// candidates whose first tile scores below it are discarded before
 	// any extension tiles run. Zero disables the filter.
 	MinFirstTile int
-	// YDrop, when positive, terminates an extension direction once its
-	// cumulative path score falls more than YDrop below that
-	// direction's running maximum, rolling the alignment back to the
-	// maximum (at tile granularity) — the LASTZ extension strategy
-	// Section 11 proposes adding to GACT for divergent whole-genome
-	// alignment. Zero disables it (the paper's read-assembly
-	// configuration).
-	YDrop int
 	// Scoring configures the PE array's 18 scoring parameters.
 	Scoring align.Scoring
 	// Kernel selects the Engine's tile-kernel tier (the zero value,
-	// align.KernelAuto, enables the bitvector fast path with its
-	// provable bit-identical fallback; see align.KernelMode).
+	// align.KernelAuto, runs the bitvector fast path, with its provable
+	// bit-identical fallback, only on tiles the vector fill does not
+	// take; see align.KernelMode).
 	Kernel align.KernelMode
 	// KernelDivergence adds a fallback threshold to the auto tier's
 	// profit gate: the maximum allowed gap, in score units, between a
@@ -227,17 +220,11 @@ func Extend(R, Q dna.Seq, iSeed, jSeed int, cfg *Config) (*align.Result, *Stats,
 }
 
 // extendLeft runs the non-first-tile loop of Algorithm 2 from
-// (iCurr, jCurr), returning the prepended path and the final left-end
-// coordinates. With YDrop set, the extension rolls back to the
-// best-scoring tile boundary once the cumulative score drops too far.
+// (iCurr, jCurr) until a tile consumes nothing or a sequence start is
+// reached, returning the prepended path and the final left-end
+// coordinates.
 func extendLeft(R, Q dna.Seq, iCurr, jCurr int, cfg *Config, stats *Stats) (align.Cigar, int, int) {
-	type tileStep struct {
-		cigar      align.Cigar
-		i, j       int // coordinates after consuming this tile
-		cumulative int
-	}
-	var steps []tileStep
-	cum, bestCum, bestIdx := 0, 0, -1
+	var cigar align.Cigar
 	for iCurr > 0 && jCurr > 0 {
 		iStart, jStart := max(0, iCurr-cfg.T), max(0, jCurr-cfg.T)
 		endSpan := obs.Trace.Start("gact.tile")
@@ -247,49 +234,11 @@ func extendLeft(R, Q dna.Seq, iCurr, jCurr int, cfg *Config, stats *Stats) (alig
 		if res.IOff == 0 && res.JOff == 0 {
 			break
 		}
-		// Score the consumed path segment for the Y-drop accounting.
-		seg := align.Result{
-			RefStart: iCurr - res.IOff, RefEnd: iCurr,
-			QueryStart: jCurr - res.JOff, QueryEnd: jCurr,
-			Cigar: res.Cigar,
-		}
-		cum += seg.Rescore(R, Q, &cfg.Scoring)
+		cigar = res.Cigar.Concat(cigar)
 		iCurr -= res.IOff
 		jCurr -= res.JOff
-		steps = append(steps, tileStep{cigar: res.Cigar, i: iCurr, j: jCurr, cumulative: cum})
-		if cum > bestCum {
-			bestCum = cum
-			bestIdx = len(steps) - 1
-		}
-		if cfg.YDrop > 0 && cum < bestCum-cfg.YDrop {
-			break
-		}
 	}
-	// Keep tiles up to the cumulative maximum when Y-drop is active;
-	// otherwise keep everything (Algorithm 2's behaviour).
-	keep := len(steps)
-	if cfg.YDrop > 0 {
-		keep = bestIdx + 1
-	}
-	var cigar align.Cigar
-	endI, endJ := iCurr, jCurr
-	if keep < len(steps) {
-		if keep == 0 {
-			// Roll all the way back to the extension origin.
-			if len(steps) > 0 {
-				first := steps[0]
-				endI = first.i + first.cigar.RefLen()
-				endJ = first.j + first.cigar.QueryLen()
-			}
-			return nil, endI, endJ
-		}
-		endI, endJ = steps[keep-1].i, steps[keep-1].j
-	}
-	// Forward path order: the last-kept tile is leftmost.
-	for x := keep - 1; x >= 0; x-- {
-		cigar = cigar.Concat(steps[x].cigar)
-	}
-	return cigar, endI, endJ
+	return cigar, iCurr, jCurr
 }
 
 // ExtendLeftOnly runs pure left extension per Algorithm 2 from

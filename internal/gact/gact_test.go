@@ -285,84 +285,6 @@ func TestExtendFromMiddle(t *testing.T) {
 	}
 }
 
-// TestYDropStopsAtJunction: two sequences share a middle segment
-// flanked by a moderately-diverged region (45% substitutions) and then
-// junk. Under subcritical scoring (Y-drop's natural pairing, as in
-// LASTZ — under the supercritical (1,−1,1) scheme the stitched path's
-// cumulative score rises even through junk, so no drop ever occurs),
-// Y-drop must keep the alignment near the similarity boundary and the
-// rolled-back result must stay self-consistent.
-func TestYDropStopsAtJunction(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	sc := align.Simple(2, 3, 5)
-	sc.GapExtend = 2
-	common := dna.Random(rng, 2000, 0.5)
-	// Diverged flank: enough similarity for tiles to keep consuming,
-	// but net-negative under the scoring.
-	flank := common[:0:0]
-	flankSrc := dna.Random(rng, 1500, 0.5)
-	for _, b := range flankSrc {
-		if rng.Float64() < 0.45 {
-			flank = append(flank, dna.MutatePoint(rng, b))
-		} else {
-			flank = append(flank, b)
-		}
-	}
-	ref := append(append(dna.Seq{}, common...), flankSrc...)
-	ref = append(ref, dna.Random(rng, 2000, 0.5)...)
-	query := append(append(dna.Seq{}, common.Clone()...), flank...)
-	query = append(query, dna.Random(rng, 2000, 0.5)...)
-
-	cfg := Config{T: 320, O: 128, FirstTileT: 384, YDrop: 60, Scoring: sc}
-	res, _, err := Extend(ref, query, 500, 500, &cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res == nil {
-		t.Fatal("no alignment")
-	}
-	if err := res.Check(ref, query); err != nil {
-		t.Fatal(err)
-	}
-	// The alignment must cover the common segment and stop within a
-	// couple of tiles after it (the flank is net-negative).
-	if res.RefEnd < 1800 {
-		t.Errorf("alignment ends at %d, should cover the 2000 bp common segment", res.RefEnd)
-	}
-	const slack = 900
-	if res.RefEnd > 2000+slack {
-		t.Errorf("Y-drop extension reached ref %d, want ≤ %d", res.RefEnd, 2000+slack)
-	}
-	// The rolled-back path must not end on a net-negative excursion:
-	// its score must be at least the common segment's contribution.
-	if res.Score < 1500 {
-		t.Errorf("score %d too low for a 2000 bp near-exact match", res.Score)
-	}
-}
-
-// TestYDropPreservesCleanAlignments: on a fully-similar pair, Y-drop
-// must not change the result.
-func TestYDropPreservesCleanAlignments(t *testing.T) {
-	ref, query, iSeed, jSeed := simPair(t, 3000, readsim.PacBio, 600)
-	base := DefaultConfig()
-	withDrop := base
-	withDrop.YDrop = 200
-	a, _, err := Extend(ref, query, iSeed, jSeed, &base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := Extend(ref, query, iSeed, jSeed, &withDrop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == nil || b == nil {
-		t.Fatal("no alignment")
-	}
-	if a.Score != b.Score || a.Cigar.String() != b.Cigar.String() {
-		t.Errorf("Y-drop changed a clean alignment: %d vs %d", a.Score, b.Score)
-	}
-}
-
 func TestConstantMemoryProperty(t *testing.T) {
 	// The compute-intensive step must not allocate more than O(T²)
 	// per tile: verify Cells per tile ≤ FirstTileT².

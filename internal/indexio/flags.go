@@ -38,7 +38,7 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.HTile, "htile", 90, "first GACT tile score threshold (0 disables)")
 	fs.IntVar(&f.TileT, "T", 320, "GACT tile size T")
 	fs.IntVar(&f.TileO, "O", 128, "GACT tile overlap O")
-	fs.StringVar(&f.TileKernel, "tile-kernel", "auto", "tile DP kernel tier: auto (bitvector fast path with LUT fallback), bitvector, or lut")
+	fs.StringVar(&f.TileKernel, "tile-kernel", "auto", "tile DP kernel tier: auto (vector fill where it applies, else bitvector fast path with LUT fallback), bitvector, or lut")
 	fs.IntVar(&f.Shards, "shards", 0, "split the reference index into this many shards (0 = monolithic)")
 	fs.IntVar(&f.ShardOverlap, "shard-overlap", 0, "shard overlap margin in bases (0 = exactness minimum)")
 	fs.StringVar(&f.ShardMem, "shard-mem", "", "resident shard seed-table budget, e.g. 512M (empty = unbounded)")

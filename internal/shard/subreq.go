@@ -87,6 +87,9 @@ func wireForm(c gcand, res *align.Result, gst gact.Stats, err error) CandExt {
 
 // outcome is wireForm's inverse for a candidate whose extension ran:
 // the alignment (nil when the first tile rejected it) and work stats.
+// A CIGAR that does not consume exactly the reported spans, or a
+// negative or reversed span, is an error: the sub-response is
+// malformed, and its SAM line would disagree with its POS and clips.
 func (c *CandExt) outcome() (*align.Result, gact.Stats, error) {
 	gst := gact.Stats{Tiles: c.Tiles, Cells: c.Cells, FirstTileScore: c.FirstTileScore}
 	if !c.Aligned {
@@ -95,6 +98,10 @@ func (c *CandExt) outcome() (*align.Result, gact.Stats, error) {
 	cig, err := align.ParseCigar(c.Cigar)
 	if err != nil {
 		return nil, gst, fmt.Errorf("shard: candidate (q=%d r=%d): %w", c.QueryPos, c.RefPos, err)
+	}
+	if c.RefStart < 0 || c.QueryStart < 0 || cig.RefLen() != c.RefEnd-c.RefStart || cig.QueryLen() != c.QueryEnd-c.QueryStart {
+		return nil, gst, fmt.Errorf("shard: candidate (q=%d r=%d): cigar %s does not span ref [%d,%d) × query [%d,%d)",
+			c.QueryPos, c.RefPos, c.Cigar, c.RefStart, c.RefEnd, c.QueryStart, c.QueryEnd)
 	}
 	return &align.Result{
 		Score:      c.Score,

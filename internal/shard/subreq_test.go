@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 
 	"darwin/internal/core"
@@ -93,10 +94,13 @@ func TestScatterShardsMergeBitIdentity(t *testing.T) {
 	}
 }
 
-// TestMergeReadScattersRejectsOverlap: feeding the same shard group's
-// sub-response twice (a double-merge) must fail loudly, not silently
-// double candidates past the truncation limit.
-func TestMergeReadScattersRejectsOverlap(t *testing.T) {
+// TestMergeReadScattersRejectsMalformed: a sub-response the merge
+// cannot trust must fail it loudly — the same shard group's
+// sub-response fed twice (a double-merge), rather than silently
+// doubling candidates past the truncation limit, and an aligned
+// candidate whose CIGAR disagrees with its spans, rather than reaching
+// RecordsFor as a SAM line whose CIGAR contradicts its POS and clips.
+func TestMergeReadScattersRejectsMalformed(t *testing.T) {
 	ref := testGenome(t, 60000, 77)
 	cfg := smallConfig()
 	sm, err := New(ref, cfg, Config{Shards: 2})
@@ -108,11 +112,47 @@ func TestMergeReadScattersRejectsOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs[0].Strand[0])+len(rs[0].Strand[1]) == 0 {
-		t.Fatal("test needs a read with candidates")
+	strand, k := -1, -1
+	for s, cs := range rs[0].Strand {
+		for i, c := range cs {
+			if c.Aligned && strand < 0 {
+				strand, k = s, i
+			}
+		}
 	}
-	if _, err := MergeReadScatters(cfg.MaxCandidates, []ReadScatter{rs[0], rs[0]}); err == nil {
-		t.Fatal("duplicate sub-response merged without error")
+	if strand < 0 {
+		t.Fatal("test needs a read with an aligned candidate")
+	}
+	if _, err := MergeReadScatters(0, rs[:1]); err != nil {
+		t.Fatalf("well-formed sub-response: %v", err)
+	}
+	// edited returns the sub-response with its aligned candidate changed
+	// by edit, leaving rs untouched.
+	edited := func(edit func(*CandExt)) []ReadScatter {
+		p := rs[0]
+		p.Strand[strand] = slices.Clone(p.Strand[strand])
+		edit(&p.Strand[strand][k])
+		return []ReadScatter{p}
+	}
+	for _, tc := range []struct {
+		name  string
+		parts []ReadScatter
+	}{
+		{"duplicate-sub-response", []ReadScatter{rs[0], rs[0]}},
+		{"ref-span-longer-than-cigar", edited(func(c *CandExt) { c.RefEnd++ })},
+		{"query-span-shorter-than-cigar", edited(func(c *CandExt) { c.QueryEnd-- })},
+		{"reversed-ref-span", edited(func(c *CandExt) { c.RefStart, c.RefEnd = c.RefEnd, c.RefStart })},
+		{"negative-query-span", edited(func(c *CandExt) {
+			d := c.QueryEnd + 1
+			c.QueryStart -= d
+			c.QueryEnd -= d
+		})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := MergeReadScatters(0, tc.parts); err == nil {
+				t.Error("malformed sub-response merged without error")
+			}
+		})
 	}
 }
 
