@@ -54,9 +54,11 @@ fallback:
 # re-sealed mutated index files (no panic, only coded errors, and
 # Lookup answers on every table it accepts), and the DWCP checkpoint
 # reader on re-sealed mutated checkpoints (coded errors, or a
-# checkpoint that writes back byte-identically), and the FASTA and
+# checkpoint that writes back byte-identically), the FASTA and
 # FASTQ readers (no panic, and whatever they accept writes back and
-# re-reads to the same records).
+# re-reads to the same records), and the mapping-request preamble of
+# /v1/map and the cluster scatter endpoint (no panic, a known refusal,
+# or a request inside its limits).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMyersInfix$$' -fuzztime 20s ./internal/align/
 	$(GO) test -run '^$$' -fuzz '^FuzzMaxCell$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/align/
@@ -67,6 +69,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/jobs/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFASTA$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/dna/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFASTQ$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/dna/
+	$(GO) test -run '^$$' -fuzz '^FuzzEndpointRead$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/server/
 
 check: vet race test-allocs fallback fuzz serve-smoke chaos-smoke index-smoke cluster-smoke assembly-smoke metrics-lint
 
@@ -77,9 +80,10 @@ serve-smoke:
 
 # Resilience check: darwind under injected flush errors, per-read
 # panics, and stream hiccups must return only well-formed responses,
-# open the per-source circuit breaker within its threshold, refuse
-# -faults without DARWIN_ALLOW_FAULTS=1, and drain with goroutines
-# back at the pre-serve baseline.
+# refuse -faults without DARWIN_ALLOW_FAULTS=1, and drain with
+# goroutines back at the pre-serve baseline; a poisoned sidecar load,
+# failing router scatter attempts (per-worker breakers open, then
+# recover) and failing job checkpoints must each degrade gracefully.
 chaos-smoke:
 	./scripts/chaos_smoke.sh
 

@@ -151,7 +151,6 @@ func run() error {
 	all := flag.Bool("all", false, "request all alignments per read")
 	timeoutMS := flag.Int("timeout-ms", 0, "per-request timeout_ms field (0 = server default)")
 	outPath := flag.String("out", "", "append response SAM text to this file (requests ?format=sam)")
-	reference := flag.String("reference", "", "reference field sent with each request (non-default needs darwind -allow-ref-load)")
 	retries := flag.Int("retries", 3, "max retries per request on 429/503/504 (0 disables)")
 	retryMaxWait := flag.Duration("retry-max-wait", 2*time.Second, "cap on a single retry backoff wait")
 	strict := flag.Bool("strict", false, "validate 200 NDJSON responses; malformed or per-read error lines fail the run")
@@ -242,7 +241,6 @@ func run() error {
 		Seq  string `json:"seq"`
 	}
 	type wireReq struct {
-		Reference string     `json:"reference,omitempty"`
 		Reads     []wireRead `json:"reads"`
 		All       bool       `json:"all,omitempty"`
 		TimeoutMS int        `json:"timeout_ms,omitempty"`
@@ -252,7 +250,6 @@ func run() error {
 	readsPerBody := make([]int, nBodies)
 	for b := 0; b < nBodies; b++ {
 		var wr wireReq
-		wr.Reference = *reference
 		wr.All = *all
 		wr.TimeoutMS = *timeoutMS
 		for i := b * (*batch); i < (b+1)*(*batch) && i < len(reads); i++ {

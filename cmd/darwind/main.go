@@ -1,9 +1,9 @@
-// Command darwind is the long-running alignment service: it loads the
+// Command darwind is the long-running alignment service: it loads one
 // reference index once (the cost the paper's Table 3 amortizes away),
-// keeps it resident in an LRU cache, and maps reads arriving over
-// HTTP/JSON: each request takes a slot of an admission gate (one slot
-// per CPU, -queue waiters, overflow → 429) and maps on its own core
-// under its own deadline, with graceful drain.
+// keeps it resident, and maps reads arriving over HTTP/JSON against it:
+// each request takes a slot of an admission gate (one slot per CPU,
+// -queue waiters, overflow → 429) and maps on its own core under its
+// own deadline, with graceful drain.
 //
 // Usage:
 //
@@ -15,7 +15,7 @@
 //	                 (?format=sam streams SAM text instead)
 //	GET  /healthz    liveness (200 while the process runs)
 //	GET  /readyz     readiness (200 once the default index is warm)
-//	GET  /v1/indexes resident index metadata
+//	GET  /v1/indexes the resident index's metadata
 //
 // SIGTERM/SIGINT starts a graceful drain: /readyz flips to 503, new
 // requests are rejected, in-flight requests finish, and the final
@@ -47,18 +47,13 @@ func main() {
 
 func run() error {
 	addr := flag.String("addr", ":8844", "listen address (use :0 for an ephemeral port)")
-	refPath := flag.String("ref", "", "default reference FASTA, indexed at startup (required)")
+	refPath := flag.String("ref", "", "reference FASTA, indexed at startup and served (required)")
 	engineFlags := indexio.AddFlags(flag.CommandLine)
-	cacheSize := flag.Int("cache", 4, "max resident indexes (LRU)")
-	allowRefLoad := flag.Bool("allow-ref-load", false, "let requests name reference FASTA paths to load on demand")
 	queueBound := flag.Int("queue", 256, "max /v1/map requests waiting for a mapping slot, one slot per CPU (overflow → 429)")
 	reqTimeout := flag.Duration("req-timeout", 60*time.Second, "per-request deadline cap")
 	maxReads := flag.Int("max-reads", 1024, "max reads per request")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to flush in-flight work on shutdown")
 	readDeadline := flag.Duration("read-deadline", 0, "per-read mapping deadline within a request (0 = none)")
-	indexBudget := flag.Float64("index-budget", 0.5, "fraction of a request's deadline an on-demand index load may consume")
-	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive index-build failures that open a source's circuit breaker")
-	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker rejects before admitting a probe build")
 	leakCheck := flag.Bool("leak-check", false, "after drain, verify goroutines returned to the pre-serve baseline (exit 1 on leak)")
 	workerName := flag.String("worker-name", "", "cluster-worker mode: this process's name in the cluster map (requires -cluster-workers and a sharded engine)")
 	clusterWorkers := flag.String("cluster-workers", "", "cluster roster as name=url,name=url — must match darwin-router's -workers exactly")
@@ -92,8 +87,7 @@ func run() error {
 	}
 	defer session.Close()
 
-	// -index / -index-write name the default reference's index file;
-	// sidecar discovery applies to every reference the server loads.
+	// -index / -index-write name the reference's index file.
 	resolveStart := time.Now()
 	cfg, scfg, src, err := engineFlags.Resolve(*refPath)
 	if err != nil {
@@ -146,15 +140,10 @@ func run() error {
 		DisableSidecar:     !src.Sidecar,
 		Core:               cfg,
 		Shard:              scfg,
-		CacheSize:          *cacheSize,
 		QueueBound:         *queueBound,
 		ReadDeadline:       *readDeadline,
 		RequestTimeout:     *reqTimeout,
 		MaxReadsPerRequest: *maxReads,
-		AllowRefLoad:       *allowRefLoad,
-		IndexBudgetFrac:    *indexBudget,
-		BreakerThreshold:   *breakerThreshold,
-		BreakerCooldown:    *breakerCooldown,
 		Logger:             log,
 		SlowCapture:        *slowCapture,
 		Worker:             workerCfg,

@@ -53,9 +53,6 @@ type MyersState struct {
 	blocks int
 }
 
-// NewMyersState returns an empty state; buffers grow on first use.
-func NewMyersState() *MyersState { return &MyersState{} }
-
 // grow sizes the block-width buffers and the cols-column history.
 func (s *MyersState) grow(blocks, cols int) {
 	if cap(s.pv) < blocks || cap(s.peq[0]) < blocks {

@@ -69,11 +69,6 @@ func (rt *Router) handleMap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req := body.MapRequest
-	if req.Reference != "" {
-		ep.Reject(w, r, http.StatusForbidden, server.CodeRefLoadDisabled,
-			"the cluster serves one pinned reference; per-request references are not routable")
-		return
-	}
 	span := obs.SpanFromContext(r.Context())
 	span.SetAttr("shards", int64(rt.shardCount))
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)

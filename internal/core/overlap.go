@@ -344,9 +344,6 @@ func collectOverlaps(best map[overlapKey]Overlap) []Overlap {
 	return out
 }
 
-// NumReads returns the number of reads the overlapper was built over.
-func (o *Overlapper) NumReads() int { return len(o.reads) }
-
 // Reads returns the read set the overlapper indexes (shared, not a
 // copy — callers must not mutate).
 func (o *Overlapper) Reads() []dna.Seq { return o.reads }

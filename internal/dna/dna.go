@@ -73,9 +73,6 @@ func Base(code byte) byte {
 	return baseTable[code]
 }
 
-// Complement returns the Watson-Crick complement of an ASCII nucleotide.
-func Complement(b byte) byte { return complementTable[b] }
-
 // AppendCodes appends the base codes (CodeA..CodeN) of s to dst and
 // returns the extended slice. Aligner kernels pre-encode each tile once
 // with this instead of decoding ASCII per DP cell (Section 7's

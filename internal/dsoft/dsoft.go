@@ -334,6 +334,3 @@ func (f *Filter) BinOf(refPos, queryPos int) int {
 	}
 	return d / b
 }
-
-// NumBins returns the current number of allocated bins (NB).
-func (f *Filter) NumBins() int { return len(f.bpCount) }

@@ -54,7 +54,7 @@ func seedIndexes(f *testing.F) [][]byte {
 // FuzzIndexOpen feeds mutated index files to the reader. Each input is
 // re-sealed (header and section CRC-32Cs recomputed) before it is
 // written, so mutations reach the structural checks behind the
-// checksums. Open, Inspect, ReadFingerprint, Ref, Table and Lookup on a
+// checksums. Open, Inspect, Ref, Table and Lookup on a
 // table Table returned must never panic, and every rejection must be a
 // FormatError with a known code.
 func FuzzIndexOpen(f *testing.F) {
@@ -85,8 +85,6 @@ func FuzzIndexOpen(f *testing.F) {
 		}
 		_, err := indexfile.Inspect(path)
 		check("Inspect", err)
-		_, err = indexfile.ReadFingerprint(path)
-		check("ReadFingerprint", err)
 		file, err := indexfile.Open(path, indexfile.Options{})
 		check("Open", err)
 		if err != nil {

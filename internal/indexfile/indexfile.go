@@ -31,9 +31,8 @@
 // sparse codes+spans index, plus the position table.
 //
 // Because the header contains every section checksum, the FNV-64a hash
-// of the header bytes fingerprints the entire file content; it is
-// readable from the preamble alone (ReadFingerprint) and is what the
-// serving layer folds into its index cache keys.
+// of the header bytes fingerprints the entire file content; cluster
+// workers advertise it and the router refuses workers that disagree.
 package indexfile
 
 import (

@@ -252,48 +252,3 @@ func Verify(path string) (Info, error) {
 	f.Close()
 	return info, nil
 }
-
-// ReadFingerprint returns the file's content fingerprint from the
-// preamble and header alone — no payload I/O — after verifying magic,
-// version, and header CRC. The serving layer folds it into cache keys
-// so a rebuilt index file is a different cache entry.
-func ReadFingerprint(path string) (uint64, error) {
-	osf, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer osf.Close()
-	var pre [preambleLen]byte
-	if _, err := osf.ReadAt(pre[:], 0); err != nil {
-		return 0, formatErr(CodeTruncated, path, "file shorter than the %d-byte preamble", preambleLen)
-	}
-	if string(pre[:8]) != Magic {
-		return 0, formatErr(CodeBadMagic, path, "not an index file (magic %q)", pre[:8])
-	}
-	if v := binary.LittleEndian.Uint32(pre[8:]); v != Version {
-		return 0, formatErr(CodeBadVersion, path, "format version %d, this build reads %d", v, Version)
-	}
-	headerLen := int(binary.LittleEndian.Uint32(pre[12:]))
-	// Check the claimed length against the file before allocating it.
-	if size := fileSize(osf); int64(preambleLen+headerLen+4) > size {
-		return 0, formatErr(CodeTruncated, path, "header claims %d bytes past a %d-byte file", headerLen, size)
-	}
-	buf := make([]byte, headerLen+4)
-	if _, err := osf.ReadAt(buf, preambleLen); err != nil {
-		return 0, fmt.Errorf("indexfile: reading %s header: %w", path, err)
-	}
-	blob := buf[:headerLen]
-	wantCRC := binary.LittleEndian.Uint32(buf[headerLen:])
-	if got := crc32.Checksum(blob, castagnoli); got != wantCRC {
-		return 0, formatErr(CodeChecksumMismatch, path, "header CRC %08x != stored %08x", got, wantCRC)
-	}
-	return fingerprint(blob), nil
-}
-
-func fileSize(f *os.File) int64 {
-	st, err := f.Stat()
-	if err != nil {
-		return -1
-	}
-	return st.Size()
-}

@@ -134,49 +134,29 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFingerprint pins the cache-invalidation contract: identical
-// content fingerprints identically across writes, different content
-// differs, and ReadFingerprint agrees with the full Open.
+// TestFingerprint pins the fingerprint contract cluster workers are
+// compared on: identical content fingerprints identically across
+// writes, different content differs.
 func TestFingerprint(t *testing.T) {
 	ref := dna.Random(rand.New(rand.NewSource(42)), 20000, 0.5)
-	idx := buildIndex(t, ref, 11, seedtable.Options{})
 	dir := t.TempDir()
-	a, b := filepath.Join(dir, "a.dwi"), filepath.Join(dir, "b.dwi")
-	if err := Write(a, idx); err != nil {
-		t.Fatal(err)
+	fingerprintOf := func(name string, seq dna.Seq) uint64 {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := Write(path, buildIndex(t, seq, 11, seedtable.Options{})); err != nil {
+			t.Fatal(err)
+		}
+		info, err := Verify(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Fingerprint
 	}
-	if err := Write(b, idx); err != nil {
-		t.Fatal(err)
-	}
-	fpA, err := ReadFingerprint(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fpB, err := ReadFingerprint(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fpA, fpB := fingerprintOf("a.dwi", ref), fingerprintOf("b.dwi", ref)
 	if fpA != fpB {
 		t.Errorf("identical content, different fingerprints: %016x vs %016x", fpA, fpB)
 	}
-	info, err := Verify(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Fingerprint != fpA {
-		t.Errorf("ReadFingerprint %016x != Verify fingerprint %016x", fpA, info.Fingerprint)
-	}
-
-	idx2 := buildIndex(t, ref[:10000], 11, seedtable.Options{})
-	c := filepath.Join(dir, "c.dwi")
-	if err := Write(c, idx2); err != nil {
-		t.Fatal(err)
-	}
-	fpC, err := ReadFingerprint(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fpC == fpA {
+	if fpC := fingerprintOf("c.dwi", ref[:10000]); fpC == fpA {
 		t.Error("different content produced the same fingerprint")
 	}
 }

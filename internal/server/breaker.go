@@ -1,34 +1,17 @@
 package server
 
 import (
-	"errors"
 	"sync"
 	"time"
-
-	"darwin/internal/obs"
 )
 
-// Breaker observability: transitions and the number of sources
-// currently open.
-var (
-	cBreakerOpens = obs.Default.Counter("server/breaker_opens")
-	cBreakerFast  = obs.Default.Counter("server/breaker_fast_fails")
-	gBreakerOpen  = obs.Default.Gauge("server/breakers_open")
-)
-
-// ErrCircuitOpen is returned (wrapped) when a source's breaker is
-// rejecting work; the HTTP layer maps it to a structured 503 with the
-// cooldown as Retry-After.
-var ErrCircuitOpen = errors.New("server: index build circuit open")
-
-// Breaker is a per-source circuit breaker over index builds. Repeated
-// consecutive build failures for one reference mean the source is
-// doomed (missing file, corrupt FASTA, injected fault) — re-running
-// the build for every request just burns an executor-side build slot
-// per request. After Threshold consecutive failures the breaker opens:
-// requests fail fast with ErrCircuitOpen until Cooldown passes, then a
-// single probe build is allowed through (half-open); its outcome
-// closes or re-opens the circuit.
+// Breaker is a circuit breaker over one cluster worker's sub-requests.
+// Repeated consecutive failures mean the worker is down or sick, and
+// sending it every sub-request just spends an attempt per shard on it.
+// After Threshold consecutive failures the breaker opens: Allow refuses
+// until Cooldown passes, then admits a single probe (half-open), whose
+// outcome closes or re-opens the circuit. The router counts the
+// transitions in its own cluster/* metrics.
 type Breaker struct {
 	threshold int
 	cooldown  time.Duration
@@ -59,10 +42,10 @@ func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
 	return &Breaker{threshold: threshold, cooldown: cooldown}
 }
 
-// Allow reports whether a build attempt may proceed. In the open
-// state it returns false until the cooldown elapses, then admits
-// exactly one probe (half-open); while that probe is in flight every
-// other caller keeps failing fast.
+// Allow reports whether an attempt may proceed. In the open state it
+// returns false until the cooldown elapses, then admits exactly one
+// probe (half-open); while that probe is in flight every other caller
+// keeps failing fast.
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -74,34 +57,25 @@ func (b *Breaker) Allow() bool {
 			b.state = breakerHalfOpen
 			return true
 		}
-		cBreakerFast.Inc()
 		return false
 	default: // half-open: a probe is already in flight
-		cBreakerFast.Inc()
 		return false
 	}
 }
 
-// Success records a successful build, closing the circuit.
+// Success records a successful attempt, closing the circuit.
 func (b *Breaker) Success() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state != breakerClosed {
-		gBreakerOpen.Add(-1)
-	}
 	b.state = breakerClosed
 	b.failures = 0
 }
 
-// Failure records a failed build: in the closed state it opens the
-// circuit once Threshold consecutive failures accumulate; a failed
-// half-open probe re-opens immediately.
-func (b *Breaker) Failure() { b.ReportFailure() }
-
-// ReportFailure is Failure that also reports whether this failure
-// transitioned the breaker to open — callers with their own
-// per-backend metrics (the cluster router) count open transitions
-// without polling State.
+// ReportFailure records a failed attempt: in the closed state it opens
+// the circuit once Threshold consecutive failures accumulate; a failed
+// half-open probe re-opens immediately. It reports whether this failure
+// opened the circuit, so the router counts open transitions without
+// polling State.
 func (b *Breaker) ReportFailure() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -111,14 +85,11 @@ func (b *Breaker) ReportFailure() bool {
 		if b.failures >= b.threshold {
 			b.state = breakerOpen
 			b.openedAt = time.Now()
-			cBreakerOpens.Inc()
-			gBreakerOpen.Add(1)
 			return true
 		}
 	case breakerHalfOpen:
 		b.state = breakerOpen
 		b.openedAt = time.Now()
-		cBreakerOpens.Inc()
 		return true
 	}
 	return false

@@ -16,13 +16,10 @@ const (
 	CodeMethodNotAllow  = "method_not_allowed"
 	CodeTooManyReads    = "too_many_reads"
 	CodeRefLoadDisabled = "ref_load_disabled"
-	CodeRefLoadFailed   = "ref_load_failed"
-	CodeCircuitOpen     = "circuit_open"
 	CodeFaultInjected   = "fault_injected"
 	CodeQueueFull       = "queue_full"
 	CodeDraining        = "draining"
 	CodeWarming         = "warming"
-	CodeNoIndex         = "no_index"
 	CodeDeadline        = "deadline_exceeded"
 	CodeCanceled        = "canceled"
 	CodeInternal        = "internal"

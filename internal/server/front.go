@@ -175,8 +175,10 @@ const statusClientClosedRequest = 499
 
 // Read is the preamble of a mapping request: method, drain and
 // readiness checks, then — as the server.admit stage — body decode,
-// read-count and empty-sequence validation and the server/admit fault
-// point. It returns the body, its reads' sequences and the request's
+// validation and the server/admit fault point. Validation refuses a
+// body naming a reference (every tier serves only the one it warmed), a
+// scatter body's malformed shard list, a bad read count and empty
+// sequences. It returns the body, its reads' sequences and the request's
 // deadline (the tier's cap, shortened by the client's timeout_ms). ok
 // is false when it has answered the request itself.
 func (e *Endpoint) Read(w http.ResponseWriter, r *http.Request) (req RequestBody, reads []dna.Seq, timeout time.Duration, ok bool) {
@@ -209,9 +211,20 @@ func (e *Endpoint) Read(w http.ResponseWriter, r *http.Request) (req RequestBody
 		e.Reject(w, r, http.StatusBadRequest, CodeBadRequest, "bad request body: %v", err)
 		return
 	}
+	var shardErr error
+	if e.scatter {
+		shardErr = checkShardList(req.Shards)
+	}
 	switch {
+	case req.Reference != "":
+		e.Reject(w, r, http.StatusForbidden, CodeRefLoadDisabled,
+			"this tier serves one pinned reference; per-request references are not supported")
+		return
 	case e.scatter && (len(req.Reads) == 0 || len(req.Shards) == 0):
 		e.Reject(w, r, http.StatusBadRequest, CodeBadRequest, "scatter needs reads and shards")
+		return
+	case shardErr != nil:
+		e.Reject(w, r, http.StatusBadRequest, CodeBadRequest, "%v", shardErr)
 		return
 	case len(req.Reads) == 0:
 		e.Reject(w, r, http.StatusBadRequest, CodeBadRequest, "no reads")
@@ -250,6 +263,23 @@ func (e *Endpoint) Read(w http.ResponseWriter, r *http.Request) (req RequestBody
 		}
 	}
 	return req, reads, timeout, true
+}
+
+// checkShardList refuses a scatter body's shard list that names a
+// negative or repeated ID. Whether the worker owns each shard is the
+// handler's question.
+func checkShardList(shards []int) error {
+	seen := make(map[int]bool, len(shards))
+	for _, id := range shards {
+		switch {
+		case id < 0:
+			return fmt.Errorf("negative shard %d", id)
+		case seen[id]:
+			return fmt.Errorf("shard %d listed twice", id)
+		}
+		seen[id] = true
+	}
+	return nil
 }
 
 // Reject answers a request the endpoint will not run with a structured

@@ -117,33 +117,3 @@ func TestSidecarFallback(t *testing.T) {
 		t.Fatal("corrupt explicit index warmed successfully; want a hard failure")
 	}
 }
-
-// TestIndexFingerprintInCacheKey: rewriting the index file yields a
-// distinct cache entry instead of serving the stale mapping.
-func TestIndexFingerprintInCacheKey(t *testing.T) {
-	cfg := testCoreConfig()
-	refPath, idxPath := writeRefAndIndex(t, cfg, true)
-	s := New(Config{DefaultRef: refPath, Core: cfg})
-	if err := s.Warm(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	first := s.defaultEntry.Load()
-
-	// Rewrite the sidecar from the same records but a different engine
-	// parameterization footprint: reuse the same cfg (content identical)
-	// would fingerprint identically, so rebuild over a truncated ref.
-	ref2 := dna.Random(rand.New(rand.NewSource(72)), 40000, 0.5)
-	if _, err := indexio.WriteFile(idxPath, []dna.Record{{Name: "chr1", Seq: ref2}}, cfg, core.ShardSpec{}); err != nil {
-		t.Fatal(err)
-	}
-	entry, _, err := s.loadEntry(context.Background(), refPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if entry.Key == first.Key {
-		t.Error("rewritten index produced the same cache key; stale mapping would be served")
-	}
-	if entry.Fingerprint == first.Fingerprint {
-		t.Error("rewritten index produced the same fingerprint")
-	}
-}

