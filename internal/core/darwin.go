@@ -186,15 +186,11 @@ func New(ref dna.Seq, cfg Config) (*Darwin, error) {
 	if err := fpIndexBuild.Fire(); err != nil {
 		return nil, fmt.Errorf("core: building seed table: %w", err)
 	}
-	endSpan := obs.Trace.Start("core.index")
 	table, err := seedtable.Build(ref, cfg.SeedK, cfg.TableOptions)
-	endSpan()
 	if err != nil {
 		return nil, fmt.Errorf("core: building seed table: %w", err)
 	}
-	buildTime := time.Since(start)
-	tIndex.Observe(buildTime)
-	return assemble(ref, table, cfg, buildTime)
+	return assemble(ref, table, cfg, tIndex.Since(start))
 }
 
 // NewWithTable assembles an engine around a prebuilt seed table — the
@@ -350,12 +346,10 @@ func publishRead(alns []ReadAlignment, st *MapStats, elapsed time.Duration) {
 // (Figure 6: "the forward and reverse-complement of P reads are used
 // as queries"). Alignments are sorted by descending score.
 func (d *Darwin) MapRead(q dna.Seq) ([]ReadAlignment, MapStats) {
-	endSpan := obs.Trace.Start("core.map_read")
 	start := time.Now()
 	out, stats := d.mapRead(q, nil)
 	SortAlignments(out)
 	publishRead(out, &stats, time.Since(start))
-	endSpan()
 	return out, stats
 }
 

@@ -272,10 +272,8 @@ func (o *Overlapper) Run(ctx context.Context, r OverlapRun) ([]Overlap, OverlapS
 			return
 		}
 		busy := time.Now()
-		endSpan := obs.Trace.StartTID("overlap.read", tid)
 		res := o.queryRead(pool[tid-1], q, r.MinOverlap)
-		endSpan()
-		tOverlapBusy.Observe(time.Since(busy))
+		tOverlapBusy.SinceOn(busy, tid)
 		slots[q%window] <- res
 	})
 	// finish is every exit once workers run: it stops and joins them.

@@ -251,7 +251,6 @@ type readOutcome struct {
 // trusted (see readOutcome), so the caller must give worker tid fresh
 // state before its next read.
 func (b *Batch) Read(tid, i int, engine *gact.Engine, mapRead func() ([]ReadAlignment, MapStats, error)) (res MapResult, retire bool) {
-	endTrace := obs.Trace.StartTID("core.map_read.worker", tid)
 	sp := b.Parent.StartChild("core.read")
 	if sp != nil {
 		sp.SetAttr("read", int64(i))
@@ -260,8 +259,7 @@ func (b *Batch) Read(tid, i int, engine *gact.Engine, mapRead func() ([]ReadAlig
 	}
 	busy := time.Now()
 	oc := runGuarded(mapRead, b.budget)
-	elapsed := time.Since(busy)
-	tWorkerBusy.Observe(elapsed)
+	elapsed := tWorkerBusy.SinceOn(busy, tid)
 	if oc.err == nil {
 		SortAlignments(oc.alns)
 		publishRead(oc.alns, &oc.st, elapsed)
@@ -270,7 +268,6 @@ func (b *Batch) Read(tid, i int, engine *gact.Engine, mapRead func() ([]ReadAlig
 		engine.SetSpan(nil)
 		finishReadSpan(sp, busy, oc)
 	}
-	endTrace()
 	return MapResult{Index: i, Alignments: oc.alns, Stats: oc.st, Err: oc.err}, oc.retire
 }
 

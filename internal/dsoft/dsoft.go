@@ -7,12 +7,12 @@
 //
 // Counting unique bases (rather than seed hits) is what makes D-SOFT
 // more precise than hit-counting filters at the same sensitivity — the
-// contrast Figure 2 illustrates and the HitCountMode option ablates.
+// contrast Figure 2 illustrates; the hit-counting side of it is the
+// GraphMap-class filter in internal/baseline.
 //
 // The implementation mirrors the hardware's structures: per-bin
-// bp_count and last_hit_pos arrays (the bin-count SRAM), an NZ list so
-// only touched bins are cleared between queries, and an optional
-// 5-bit saturating bp_count for exact hardware fidelity.
+// bp_count and last_hit_pos arrays (the bin-count SRAM) and an NZ list
+// so only touched bins are cleared between queries.
 package dsoft
 
 import (
@@ -40,8 +40,8 @@ var (
 // Config holds D-SOFT parameters. The paper's defaults are B=128,
 // stride=1; (k, N, h) are the tuning knobs of Figure 11 and Table 4.
 type Config struct {
-	// N is the number of seeds drawn from the query (from position
-	// Start, advancing by Stride).
+	// N is the number of seeds drawn from the query (from its first
+	// base, advancing by Stride).
 	N int
 	// H is the threshold: bins whose unique-base count reaches H are
 	// reported as candidates.
@@ -52,16 +52,6 @@ type Config struct {
 	// Stride is the distance between consecutive seed start positions
 	// (Darwin uses 1).
 	Stride int
-	// Start is the first seed offset in the query.
-	Start int
-	// SaturateCounts emulates the hardware's 5-bit saturating
-	// bp_count counters (values cap at 31). Candidate sets are
-	// identical to exact counting whenever H ≤ 31−k+1.
-	SaturateCounts bool
-	// HitCountMode counts seed hits instead of unique covered bases —
-	// the strategy of BLAST-like/GraphMap-like filters, kept as an
-	// ablation of D-SOFT's central idea.
-	HitCountMode bool
 	// ResetGap, when positive, clears a bin whose last hit is more
 	// than ResetGap query bases behind the current seed, letting the
 	// bin fire again. Read mapping never needs this (one alignment
@@ -143,8 +133,6 @@ type Filter struct {
 	lastHit []int32
 	nz      []int32
 	qPad    int
-
-	saturateMax int32
 }
 
 // New creates a filter over the given seed table. A nil table yields
@@ -167,10 +155,7 @@ func New(table *seedtable.Table, cfg Config) (*Filter, error) {
 	if cfg.Stride <= 0 {
 		cfg.Stride = 1
 	}
-	f := &Filter{cfg: cfg, saturateMax: 1<<31 - 1}
-	if cfg.SaturateCounts {
-		f.saturateMax = 31 // 5-bit counter
-	}
+	f := &Filter{cfg: cfg}
 	return f, f.SetTable(table)
 }
 
@@ -228,7 +213,6 @@ func (f *Filter) Query(q dna.Seq) ([]Candidate, Stats) {
 // buffer has grown to the working-set size.
 func (f *Filter) QueryInto(q dna.Seq, out []Candidate) ([]Candidate, Stats) {
 	defer tFilter.Time()()
-	defer obs.Trace.Start("dsoft.query")()
 	k := f.table.K()
 	B := f.cfg.BinSize
 	f.ensureBins(len(q))
@@ -236,8 +220,8 @@ func (f *Filter) QueryInto(q dna.Seq, out []Candidate) ([]Candidate, Stats) {
 
 	var st Stats
 
-	end := f.cfg.Start + f.cfg.N*f.cfg.Stride
-	for j := f.cfg.Start; j < end && j+k <= len(q); j += f.cfg.Stride {
+	end := f.cfg.N * f.cfg.Stride
+	for j := 0; j < end && j+k <= len(q); j += f.cfg.Stride {
 		code, ok := dna.PackSeed(q, j, k)
 		if !ok {
 			st.SeedsSkipped++
@@ -258,21 +242,12 @@ func (f *Filter) QueryInto(q dna.Seq, out []Candidate) ([]Candidate, Stats) {
 			if f.cfg.ResetGap > 0 && last != int32(-k) && int32(j)-last > int32(f.cfg.ResetGap) {
 				count = 0 // stale bin: allow a fresh crossing
 			}
-			var add int32
-			if f.cfg.HitCountMode {
-				add = 1
-			} else {
-				overlap := int32(0)
-				if o := last + int32(k) - int32(j); o > 0 {
-					overlap = o
-				}
-				add = int32(k) - overlap
+			overlap := int32(0)
+			if o := last + int32(k) - int32(j); o > 0 {
+				overlap = o
 			}
 			f.lastHit[bin] = int32(j)
-			newCount := count + add
-			if newCount > f.saturateMax {
-				newCount = f.saturateMax
-			}
+			newCount := count + int32(k) - overlap
 			f.bpCount[bin] = newCount
 			// Emit on first crossing of h (Algorithm 1 line 12). The
 			// reported bin is canonical (⌊(i−j)/B⌋): qPad is a multiple
@@ -297,8 +272,8 @@ func (f *Filter) Trace(q dna.Seq) [][]int {
 	B := f.cfg.BinSize
 	f.ensureBins(len(q))
 	var out [][]int
-	end := f.cfg.Start + f.cfg.N*f.cfg.Stride
-	for j := f.cfg.Start; j < end && j+k <= len(q); j += f.cfg.Stride {
+	end := f.cfg.N * f.cfg.Stride
+	for j := 0; j < end && j+k <= len(q); j += f.cfg.Stride {
 		code, ok := dna.PackSeed(q, j, k)
 		if !ok {
 			continue

@@ -126,11 +126,8 @@ func (e *Engine) Extend(R, Q dna.Seq, iSeed, jSeed int) (res *align.Result, stat
 	iEnd, jEnd := min(len(R), iSeed+fT), min(len(Q), jSeed+fT)
 	minFirst := max(1, cfg.MinFirstTile)
 	ftStart := time.Now()
-	endSpan := obs.Trace.Start("gact.first_tile")
 	first := e.ta.AlignFirstTile(R[iSeed:iEnd], Q[jSeed:jEnd], fT-cfg.O, minFirst)
-	endSpan()
-	ftTime := time.Since(ftStart)
-	tFirstTile.Observe(ftTime)
+	ftTime := tFirstTile.Since(ftStart)
 	stats.add(iEnd-iSeed, jEnd-jSeed)
 	stats.FirstTileScore = first.Score
 	if first.Score < minFirst {
@@ -202,14 +199,12 @@ func (e *Engine) extendDir(R, Q dna.Seq, iCurr, jCurr int, stats *Stats, rev boo
 	rLen, qLen := len(R), len(Q)
 	for iCurr > 0 && jCurr > 0 {
 		iStart, jStart := max(0, iCurr-cfg.T), max(0, jCurr-cfg.T)
-		endSpan := obs.Trace.Start("gact.tile")
 		var res align.TileResult
 		if rev {
 			res = e.ta.AlignTileReversed(R[rLen-iCurr:rLen-iStart], Q[qLen-jCurr:qLen-jStart], false, cfg.T-cfg.O)
 		} else {
 			res = e.ta.AlignTile(R[iStart:iCurr], Q[jStart:jCurr], false, cfg.T-cfg.O)
 		}
-		endSpan()
 		stats.add(iCurr-iStart, jCurr-jStart)
 		if res.IOff == 0 && res.JOff == 0 {
 			break

@@ -27,7 +27,10 @@ import (
 // reject counter; gact/first_tile_reject is the part of
 // gact/first_tile spent on tiles the filter then discarded, so
 // first_tile_reject ÷ stage/align is the share of alignment time that
-// bought nothing. Per-tile spans go to the tracer when enabled.
+// bought nothing. With tracing on, stage/align and gact/first_tile
+// each add one trace event per Extend; extension tiles have no timer
+// and no event of their own — their time is stage/align less its
+// gact/first_tile child (and BenchmarkAlignTile measures one tile).
 var (
 	cExtensions   = obs.Default.Counter("gact/extensions")
 	cTiles        = obs.Default.Counter("gact/tiles")
@@ -174,11 +177,8 @@ func Extend(R, Q dna.Seq, iSeed, jSeed int, cfg *Config) (*align.Result, *Stats,
 	fT := cfg.firstT()
 	iEnd, jEnd := min(len(R), iSeed+fT), min(len(Q), jSeed+fT)
 	ftStart := time.Now()
-	endSpan := obs.Trace.Start("gact.first_tile")
 	first := align.AlignTile(R[iSeed:iEnd], Q[jSeed:jEnd], true, fT-cfg.O, &cfg.Scoring)
-	endSpan()
-	ftTime := time.Since(ftStart)
-	tFirstTile.Observe(ftTime)
+	ftTime := tFirstTile.Since(ftStart)
 	stats.add(iEnd-iSeed, jEnd-jSeed)
 	stats.FirstTileScore = first.Score
 	if first.Score <= 0 || len(first.Cigar) == 0 || first.Score < cfg.MinFirstTile {
@@ -227,9 +227,7 @@ func extendLeft(R, Q dna.Seq, iCurr, jCurr int, cfg *Config, stats *Stats) (alig
 	var cigar align.Cigar
 	for iCurr > 0 && jCurr > 0 {
 		iStart, jStart := max(0, iCurr-cfg.T), max(0, jCurr-cfg.T)
-		endSpan := obs.Trace.Start("gact.tile")
 		res := align.AlignTile(R[iStart:iCurr], Q[jStart:jCurr], false, cfg.T-cfg.O, &cfg.Scoring)
-		endSpan()
 		stats.add(iCurr-iStart, jCurr-jStart)
 		if res.IOff == 0 && res.JOff == 0 {
 			break

@@ -22,7 +22,7 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.DebugAddr, "debug-addr", "", "serve pprof/expvar/stage-summary debug HTTP on this address (e.g. :6060, :0; empty disables)")
 	fs.StringVar(&f.ReportPath, "report", "", "write a machine-readable JSON run report to this path on exit")
-	fs.StringVar(&f.TracePath, "trace-out", "", "write Chrome trace_event JSON spans to this path on exit")
+	fs.StringVar(&f.TracePath, "trace-out", "", "write the stage timers' intervals as Chrome trace_event JSON to this path on exit")
 	return f
 }
 
@@ -42,7 +42,7 @@ type Session struct {
 func (f *Flags) Start(tool string) (*Session, error) {
 	s := &Session{flags: f}
 	if f.DebugAddr != "" {
-		srv, err := ServeDebug(f.DebugAddr, Default, Trace)
+		srv, err := ServeDebug(f.DebugAddr, Default)
 		if err != nil {
 			return nil, err
 		}

@@ -20,8 +20,9 @@ type Server struct {
 }
 
 // ServeDebug starts the debug endpoint on addr (e.g. ":6060" or ":0"
-// for an ephemeral port) over the given registry and tracer.
-func ServeDebug(addr string, reg *Registry, tr *Tracer) (*Server, error) {
+// for an ephemeral port) over the given registry and the process
+// tracer, Trace.
+func ServeDebug(addr string, reg *Registry) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: debug listener: %w", err)
@@ -60,12 +61,12 @@ func ServeDebug(addr string, reg *Registry, tr *Tracer) (*Server, error) {
 	})
 	mux.Handle("/metrics", MetricsHandler(reg))
 	mux.HandleFunc("/debug/chrome-trace", func(w http.ResponseWriter, _ *http.Request) {
-		if !tr.Enabled() && tr.Len() == 0 {
+		if !Trace.Enabled() && Trace.Len() == 0 {
 			http.Error(w, "tracer disabled (run with -trace-out or enable obs.Trace)", http.StatusServiceUnavailable)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		tr.WriteChromeTrace(w)
+		Trace.WriteChromeTrace(w)
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {

@@ -1,9 +1,9 @@
 // Package obs is the engine's always-on observability layer: a
 // process-wide, concurrency-safe registry of counters, gauges, timers,
-// and histograms built on sync/atomic, a pipeline tracer that can dump
-// Chrome trace_event JSON, an opt-in debug HTTP endpoint (pprof +
-// expvar-style JSON + plain-text stage summary), and a machine-readable
-// end-of-run report writer.
+// and histograms built on sync/atomic, a Chrome trace_event dump of
+// the registry timers' intervals, an opt-in debug HTTP endpoint (pprof
+// + expvar-style JSON + plain-text stage summary), and a
+// machine-readable end-of-run report writer.
 //
 // The paper's whole evaluation is per-stage accounting — Figure 13's
 // filtration/alignment runtime split, Figure 12's first-tile-score
@@ -22,6 +22,12 @@
 // measurements (e.g. olc/polish, which internally re-runs filter and
 // align) deliberately stay out of the stage/ namespace so stage
 // timings never double-count.
+//
+// A stage is timed once, by its registry Timer. The Chrome trace
+// (-trace-out, /debug/chrome-trace) is a by-product: while Trace is
+// enabled each timed interval also becomes one event named after its
+// timer, on lane 0 or, for the worker loops' busy timers, on the
+// worker's own lane. Trace names are therefore registry names.
 package obs
 
 import (
@@ -57,23 +63,43 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Timer accumulates durations: total elapsed time and observation
-// count, both atomic.
+// count, both atomic. It carries the name its registry gave it;
+// Since, SinceOn and Time also append a Chrome trace event under that
+// name while Trace is enabled.
 type Timer struct {
+	name  string
 	count atomic.Int64
 	nanos atomic.Int64
 }
 
-// Observe records one duration.
+// Observe records one duration and no trace event: it is for a
+// sub-account of an interval another timer already traces (e.g.
+// gact/first_tile_reject within gact/first_tile).
 func (t *Timer) Observe(d time.Duration) {
 	t.count.Add(1)
 	t.nanos.Add(int64(d))
 }
 
-// Time starts a measurement; calling the returned func records the
-// elapsed time. Usage: defer t.Time()().
+// Since records the time elapsed since start and returns it.
+func (t *Timer) Since(start time.Time) time.Duration { return t.SinceOn(start, 0) }
+
+// SinceOn is Since with the trace event on thread lane tid (a worker
+// index), so per-worker lanes separate in the trace viewer. With
+// tracing off its only cost beyond Observe is one atomic load.
+func (t *Timer) SinceOn(start time.Time, tid int) time.Duration {
+	d := time.Since(start)
+	t.Observe(d)
+	if Trace.enabled.Load() {
+		Trace.record(t.name, tid, start, d)
+	}
+	return d
+}
+
+// Time starts a measurement; calling the returned func records it as
+// Since does. Usage: defer t.Time()().
 func (t *Timer) Time() func() {
 	start := time.Now()
-	return func() { t.Observe(time.Since(start)) }
+	return func() { t.Since(start) }
 }
 
 // Count returns the number of observations.
@@ -168,7 +194,7 @@ func (r *Registry) Timer(name string) *Timer {
 	if t, ok := r.timers[name]; ok {
 		return t
 	}
-	t = &Timer{}
+	t = &Timer{name: name}
 	r.timers[name] = t
 	return t
 }

@@ -105,20 +105,35 @@ func TestHistogramClampAndOutOfRange(t *testing.T) {
 	}
 }
 
+// withTracer points Trace at a fresh, disabled tracer holding at most
+// maxSpans events until the test ends.
+func withTracer(t *testing.T, maxSpans int) *Tracer {
+	prev := Trace
+	Trace = NewTracer(maxSpans)
+	t.Cleanup(func() { Trace = prev })
+	return Trace
+}
+
+// TestTracerChromeJSON: a timer's interval becomes one Chrome event
+// named after the timer, on the lane SinceOn names, lasting what the
+// timer recorded; nothing is recorded while tracing is off, and
+// Observe never traces.
 func TestTracerChromeJSON(t *testing.T) {
-	tr := NewTracer(100)
-	if end := tr.Start("off"); end == nil {
-		t.Fatal("disabled Start returned nil")
-	} else {
-		end()
-	}
+	tr := withTracer(t, 100)
+	tm := NewRegistry().Timer("stage/work")
+	tm.Since(time.Now())
+	tm.Time()()
 	if tr.Len() != 0 {
-		t.Fatal("disabled tracer recorded a span")
+		t.Fatal("disabled tracer recorded an event")
 	}
 	tr.Enable()
-	end := tr.StartTID("work", 3)
+	start := time.Now()
 	time.Sleep(time.Millisecond)
-	end()
+	d := tm.SinceOn(start, 3)
+	tm.Observe(time.Second)
+	if tm.Count() != 4 {
+		t.Errorf("timer count = %d, want 4", tm.Count())
+	}
 	var b strings.Builder
 	if err := tr.WriteChromeTrace(&b); err != nil {
 		t.Fatal(err)
@@ -131,19 +146,22 @@ func TestTracerChromeJSON(t *testing.T) {
 		t.Fatalf("got %d events, want 1", len(events))
 	}
 	e := events[0]
-	if e["name"] != "work" || e["ph"] != "X" || e["tid"] != float64(3) {
+	if e["name"] != "stage/work" || e["ph"] != "X" || e["tid"] != float64(3) {
 		t.Errorf("bad event: %+v", e)
 	}
-	if e["dur"].(float64) < 900 { // ≥ 0.9ms in microseconds
-		t.Errorf("dur = %v µs, want ≥ 900", e["dur"])
+	if want := float64(d) / float64(time.Microsecond); e["dur"] != want || want < 900 { // ≥ 0.9ms in microseconds
+		t.Errorf("dur = %v µs, want the timer's %v µs (≥ 900)", e["dur"], want)
 	}
 }
 
+// TestTracerCap: past the cap, events are counted as dropped while the
+// timer itself keeps counting.
 func TestTracerCap(t *testing.T) {
-	tr := NewTracer(2)
+	tr := withTracer(t, 2)
 	tr.Enable()
+	tm := NewRegistry().Timer("s")
 	for i := 0; i < 5; i++ {
-		tr.Start("s")()
+		tm.Since(time.Now())
 	}
 	if tr.Len() != 2 {
 		t.Errorf("len = %d, want cap 2", tr.Len())
@@ -151,13 +169,17 @@ func TestTracerCap(t *testing.T) {
 	if tr.Dropped() != 3 {
 		t.Errorf("dropped = %d, want 3", tr.Dropped())
 	}
+	if tm.Count() != 5 {
+		t.Errorf("timer count = %d, want 5", tm.Count())
+	}
 }
 
 func TestServeDebugWhileRunning(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("core/reads").Add(42)
 	reg.Timer("stage/filter").Observe(time.Second)
-	srv, err := ServeDebug("127.0.0.1:0", reg, Trace)
+	withTracer(t, 10)
+	srv, err := ServeDebug("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,6 +231,9 @@ func TestServeDebugWhileRunning(t *testing.T) {
 	}
 	if code, body := get("/debug/pprof/"); code != 200 || !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/: %d", code)
+	}
+	if code, _ := get("/debug/chrome-trace"); code != http.StatusServiceUnavailable {
+		t.Errorf("/debug/chrome-trace with tracing off: %d, want 503", code)
 	}
 	if code, _ := get("/"); code != 200 {
 		t.Errorf("index: %d", code)

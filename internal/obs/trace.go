@@ -8,15 +8,15 @@ import (
 	"time"
 )
 
-// Tracer records pipeline spans — one per stage execution (seed
-// lookup, D-SOFT query, first-tile filter, per-GACT-tile extension,
-// SAM emit, ...) — and can dump them as Chrome trace_event JSON for
-// chrome://tracing / Perfetto. Disabled tracers are near-free: Start
-// is one atomic load and returns a shared no-op closure.
+// Tracer stores the intervals the registry timers record while it is
+// enabled — one event per Timer.Since / SinceOn / Time call, named
+// after the timer — and dumps them as Chrome trace_event JSON for
+// chrome://tracing / Perfetto. It has no naming API of its own. When
+// disabled, a timer pays one atomic load for it.
 //
-// Span storage is bounded; once the cap is reached further spans are
+// Event storage is bounded; once the cap is reached further events are
 // counted as dropped rather than grown without bound (a mapping run
-// can produce millions of per-tile spans).
+// times every read and candidate).
 type Tracer struct {
 	enabled atomic.Bool
 	dropped atomic.Int64
@@ -34,11 +34,11 @@ type span struct {
 	dur   time.Duration
 }
 
-// Trace is the process-wide tracer the pipeline packages record into.
-// It starts disabled; CLIs enable it when span output is requested.
+// Trace is the process-wide tracer the registry timers record into.
+// It starts disabled; CLIs enable it when trace output is requested.
 var Trace = NewTracer(1 << 18)
 
-// NewTracer returns a disabled tracer storing at most maxSpans spans.
+// NewTracer returns a disabled tracer storing at most maxSpans events.
 func NewTracer(maxSpans int) *Tracer {
 	if maxSpans < 1 {
 		maxSpans = 1
@@ -46,7 +46,7 @@ func NewTracer(maxSpans int) *Tracer {
 	return &Tracer{max: maxSpans}
 }
 
-// Enable turns span recording on.
+// Enable turns event recording on.
 func (t *Tracer) Enable() {
 	t.mu.Lock()
 	if t.base.IsZero() {
@@ -56,52 +56,30 @@ func (t *Tracer) Enable() {
 	t.enabled.Store(true)
 }
 
-// Enabled reports whether spans are being recorded.
+// Enabled reports whether events are being recorded.
 func (t *Tracer) Enabled() bool { return t.enabled.Load() }
 
-var noopEnd = func() {}
-
-// Start opens a span on thread-track 0; the returned func closes it.
-func (t *Tracer) Start(name string) func() { return t.StartTID(name, 0) }
-
-// StartTID opens a span on the given thread track (e.g. a worker
-// index, so per-worker lanes separate in the trace viewer).
-func (t *Tracer) StartTID(name string, tid int) func() {
-	if !t.enabled.Load() {
-		return noopEnd
-	}
-	start := time.Now()
-	return func() {
-		dur := time.Since(start)
-		t.mu.Lock()
-		if len(t.spans) >= t.max {
-			t.mu.Unlock()
-			t.dropped.Add(1)
-			return
-		}
-		t.spans = append(t.spans, span{name: name, tid: int32(tid), start: start.Sub(t.base), dur: dur})
+// record stores one interval of the named timer on lane tid.
+func (t *Tracer) record(name string, tid int, start time.Time, dur time.Duration) {
+	t.mu.Lock()
+	if len(t.spans) >= t.max {
 		t.mu.Unlock()
+		t.dropped.Add(1)
+		return
 	}
+	t.spans = append(t.spans, span{name: name, tid: int32(tid), start: start.Sub(t.base), dur: dur})
+	t.mu.Unlock()
 }
 
-// Len returns the number of recorded spans.
+// Len returns the number of recorded events.
 func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.spans)
 }
 
-// Dropped returns the number of spans discarded at the storage cap.
+// Dropped returns the number of events discarded at the storage cap.
 func (t *Tracer) Dropped() int64 { return t.dropped.Load() }
-
-// Reset discards all recorded spans and the drop count.
-func (t *Tracer) Reset() {
-	t.mu.Lock()
-	t.spans = t.spans[:0]
-	t.base = time.Now()
-	t.mu.Unlock()
-	t.dropped.Store(0)
-}
 
 // chromeEvent is one trace_event entry ("X" = complete event,
 // timestamps in microseconds).
@@ -114,7 +92,7 @@ type chromeEvent struct {
 	Dur  float64 `json:"dur"`
 }
 
-// WriteChromeTrace dumps the recorded spans as a Chrome trace_event
+// WriteChromeTrace dumps the recorded events as a Chrome trace_event
 // JSON array, loadable in chrome://tracing or ui.perfetto.dev.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	t.mu.Lock()

@@ -79,7 +79,6 @@ func (f *fragment) span(readLens []int) (int, int) {
 // merge, and cancellation returns ctx.Err() with a nil layout.
 func BuildLayoutContext(ctx context.Context, readLens []int, overlaps []core.Overlap) (*Layout, error) {
 	defer tLayout.Time()()
-	defer obs.Trace.Start("olc.layout")()
 	n := len(readLens)
 
 	// Canonical processing order: score descending, ties broken on the

@@ -32,7 +32,6 @@ var tPolish = obs.Default.Timer("olc/polish")
 // polish.
 func PolishContext(ctx context.Context, draft dna.Seq, reads []dna.Seq, cfg core.Config, workers int) (dna.Seq, error) {
 	defer tPolish.Time()()
-	defer obs.Trace.Start("olc.polish")()
 	cols, err := MapPileup(ctx, draft, reads, cfg, workers)
 	if err != nil {
 		return nil, fmt.Errorf("olc: polish: %w", err)

@@ -189,13 +189,13 @@ func (s *Server) openDefault() (*IndexEntry, error) {
 	}
 	e := newIndexEntry(l, cap(s.mapGate.slots))
 	if l.File != nil {
-		tIndexLoad.Observe(time.Since(start))
+		tIndexLoad.Since(start)
 		s.log.Info("index mapped from file",
 			"path", e.IndexFile, "mapped_bytes", e.MappedBytes,
 			"fingerprint", fmt.Sprintf("%016x", e.Fingerprint))
 		return e, nil
 	}
-	tIndexBuild.Observe(time.Since(start))
+	tIndexBuild.Since(start)
 	if l.Fallback != nil {
 		s.log.Warn("sidecar index load failed; rebuilding from FASTA",
 			"path", indexfile.SidecarPath(s.cfg.DefaultRef), "error", l.Fallback)

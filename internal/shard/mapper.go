@@ -235,7 +235,7 @@ func (m *ScatterMapper) run(ctx context.Context, span string, reads []dna.Seq, i
 	if err := m.scatter(ctx, b.Workers, reads, revs, ids, acc); err != nil {
 		return nil, err
 	}
-	tScatter.Observe(time.Since(scatterStart))
+	tScatter.Since(scatterStart)
 	// Process-wide counter deltas, so concurrent clones sharing the Set
 	// blur each other's numbers slightly; per-call exactness is not
 	// worth threading counters through Acquire.
@@ -266,7 +266,7 @@ func (m *ScatterMapper) run(ctx context.Context, span string, reads []dna.Seq, i
 		}
 		return nil
 	})
-	tGather.Observe(time.Since(gatherStart))
+	tGather.Since(gatherStart)
 	if err != nil {
 		return nil, err
 	}

@@ -184,26 +184,22 @@ func (s *Set) Acquire(i int) (*seedtable.Table, error) {
 	}
 	var t *seedtable.Table
 	var err error
+	var elapsed time.Duration
 	if s.load != nil {
-		endSpan := obs.Trace.Start("shard.load")
 		t, err = s.load(i)
-		endSpan()
 		if err != nil {
 			return nil, fmt.Errorf("shard: loading shard %d: %w", i, err)
 		}
-		tLoad.Observe(time.Since(start))
+		elapsed = tLoad.Since(start)
 		cLoads.Inc()
 	} else {
-		endSpan := obs.Trace.Start("shard.build")
 		t, err = seedtable.BuildRange(s.ref, sh.part.Extent.Start, sh.part.Extent.End, s.k, s.opts)
-		endSpan()
 		if err != nil {
 			return nil, fmt.Errorf("shard: building shard %d: %w", i, err)
 		}
-		tBuild.Observe(time.Since(start))
+		elapsed = tBuild.Since(start)
 		cBuilds.Inc()
 	}
-	elapsed := time.Since(start)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -64,8 +64,12 @@ for want in darwin_core_reads_total darwin_shard_ darwin_server_ \
     fi
 done
 
-# The default kernel mode is auto: a mapped high-identity read must
-# have routed at least one extension tile through the bitvector tier.
+# The default kernel mode is auto: a mapped high-identity read's
+# accepted first tile is refilled in the diagonal band gapBand bounds
+# (align/kernel.go firstTile), and fillTrace counts that banded refill
+# under the bitvector tier — so at least one must show here. On a
+# vector host, vector-eligible extension tiles skip the bitvector tier
+# (bitvectorBand) and add nothing to it.
 if ! grep -Eq '^darwin_gact_tile_bitvector_total [1-9]' "$tmp/metrics.txt"; then
     echo "metrics-lint: FAIL — darwin_gact_tile_bitvector_total missing or zero:" >&2
     grep darwin_gact_tile "$tmp/metrics.txt" >&2 || true
