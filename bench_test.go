@@ -301,8 +301,11 @@ func BenchmarkGACTExtend10k(b *testing.B) {
 
 // BenchmarkEngineExtend10k is the same alignment on the production
 // path: one reused gact.Engine (allocation-free TileAligner, score-pass
-// first tile, bitvector tier) instead of the allocating reference
-// gact.Extend above.
+// first tile, banded extension tiles) instead of the allocating
+// reference gact.Extend above. banded_share is the share of tiles
+// filled in a band, fallback_share the share whose band failed its
+// check and was refilled in full; a worse guess of the band
+// (align.TileAligner's certifiedFill) shows in both.
 func BenchmarkEngineExtend10k(b *testing.B) {
 	ref, q := benchPair(b, 10000, readsim.PacBio)
 	cfg := gact.DefaultConfig()
@@ -316,6 +319,11 @@ func BenchmarkEngineExtend10k(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	ks := engine.KernelStats()
+	tiles := float64(ks.BitvectorTiles + ks.LUTTiles)
+	b.ReportMetric(float64(ks.BitvectorTiles)/tiles, "banded_share")
+	b.ReportMetric(float64(ks.FallbackTiles)/tiles, "fallback_share")
 }
 
 // BenchmarkMyers10k measures the Edlib-class baseline on the same

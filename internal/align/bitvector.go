@@ -38,26 +38,36 @@ import (
 // The profit gate makes the tier a *fast path* rather than a wager:
 // when the band the rescored bound proves reaches across the tile
 // (low-identity or unrelated tiles), the tile falls back to the full
-// LUT fill and is counted in KernelStats.FallbackTiles. A tile the
-// vector pointer fill takes (maxcell_amd64.go) skips the tier under
-// KernelAuto altogether: that fill does a whole 320² tile in about the
-// time of the Myers pass, rescore and banded fill at ≈ 10 % error, so
-// the tier pays only on tiles more similar than that, and the mapping
-// workloads' tiles are not (EXPERIMENTS.md, BenchmarkProfitGate).
+// LUT fill and is counted in KernelStats.FallbackTiles.
+//
+// Under KernelAuto a tile the vector pointer fill takes
+// (maxcell_amd64.go) skips the Myers pass: on 32 lanes the pass and
+// rescore alone cost more than a whole 320² fill (BenchmarkProfitGate).
+// Such a tile certifies its own band instead (certifiedFill). It is
+// filled in the band proved by a score guessed from the previous
+// tile's, and that fill's H(n,m), a real path's score and so a lower
+// bound, stands in for S_bv: when the band it proves fits inside the
+// one filled, the fill is exact. Otherwise the tile is refilled in
+// full and counted as a fallback. On map_pacbio that bands ≈ 92 % of
+// the tiles and fails the check on ≈ 3 % (EXPERIMENTS.md
+// "Self-certifying bands").
 
 // KernelMode selects the TileAligner's tile-kernel tier.
 type KernelMode uint8
 
 const (
-	// KernelAuto (the default) runs the bitvector fast path on
-	// extension tiles the vector fill does not take, falling back to
-	// the full LUT kernel when the profit gate rejects, the tile
-	// contains N codes, or the geometry is unfriendly; a first tile
-	// that passes its score pass is refilled inside the band its exact
-	// score proves, or in full when that band spans the sub-tile.
-	// Results are bit-identical to KernelLUT on every field GACT
-	// consumes (Score, IOff, JOff, Cigar; plus MaxI/MaxJ on first
-	// tiles, which come from the score pass in every mode).
+	// KernelAuto (the default) fills an extension tile the vector fill
+	// takes in the band a score guessed from the previous tile proves,
+	// and keeps it when the banded fill's own H(n,m) certifies the band,
+	// else refills it in full (certifiedFill). It runs the bitvector
+	// fast path on the other extension tiles, falling back to the full
+	// LUT kernel when the profit gate rejects, the tile contains N
+	// codes, or the geometry is unfriendly. A first tile that passes
+	// its score pass is refilled inside the band its exact score
+	// proves, or in full when that band spans the sub-tile. Results are
+	// bit-identical to KernelLUT on every field GACT consumes (Score,
+	// IOff, JOff, Cigar; plus MaxI/MaxJ on first tiles, which come from
+	// the score pass in every mode).
 	KernelAuto KernelMode = iota
 	// KernelLUT always runs the full branchless LUT fill (over the score
 	// pass's sub-tile, for a first tile) — the reference the property
@@ -112,12 +122,15 @@ const (
 // KernelStats counts tiles and DP cells per kernel path, one tile per
 // AlignTile call. LUTTiles covers every tile whose pointer matrix came
 // from a full LUT fill — fallbacks included — and every first tile
-// rejected on its score pass; BitvectorTiles the banded ones.
-// FallbackTiles is the subset of LUTTiles that attempted the bitvector
-// pass first and hit the profit gate (or a divergence cap). The cell
-// counts are the cells actually filled, so cells-per-second can be
-// compared per path: BitvectorCells the banded fills, LUTCells the full
-// fills plus the n·m cells of every first tile's score pass.
+// rejected on its score pass; BitvectorTiles the banded ones, however
+// their band was proven (Myers pass, first-tile score, or certified
+// guess). FallbackTiles is the subset of LUTTiles that tried a band
+// first: the bitvector pass hit the profit gate (or a divergence cap),
+// or a guessed band failed its check. The cell counts are the cells
+// actually filled, so cells-per-second can be compared per path:
+// BitvectorCells the banded fills, LUTCells the full fills, the banded
+// fills a failed check threw away, and the n·m cells of every first
+// tile's score pass.
 type KernelStats struct {
 	LUTTiles       int64
 	LUTCells       int64
@@ -153,9 +166,6 @@ func (a *TileAligner) KernelStats() KernelStats { return a.ks }
 // tile must take the full LUT fill.
 func (a *TileAligner) bitvectorBand(rc, qc []byte) int {
 	n, m := len(rc), len(qc)
-	if a.mode == KernelAuto && a.vectorOK(n, m) {
-		return -1 // the full vector fill costs about what the pass does
-	}
 	if n < bitvecMinSide || m < bitvecMinSide || (m+63)/64 > bitvecMaxBlocks {
 		return -1
 	}
@@ -184,6 +194,61 @@ func (a *TileAligner) bitvectorBand(rc, qc []byte) int {
 	diverged := a.maxDiv > 0 && int(a.wmax)*(n+m)-2*sbv > 2*a.maxDiv
 	if diverged || 2*band+1 >= min(n, m) {
 		a.ks.FallbackTiles++
+		return -1
+	}
+	return band
+}
+
+const (
+	// rateShift is the fixed-point scale of the aligner's score-per-base
+	// rate: 16 fraction bits.
+	rateShift = 16
+	// guessSlack is how far, in score units, certifiedFill's guess sits
+	// below the previous tile's rate: wider bands fail fewer checks but
+	// fill more cells (EXPERIMENTS.md "Self-certifying bands").
+	guessSlack = 20
+)
+
+// certifiedFill aligns an extension tile the vector fill takes under
+// KernelAuto. It fills the tile in the band a guessed score proves
+// (guessBand) and keeps that fill when its own H(n, m) certifies it:
+// the banded fill's H(n, m) is a real path's score, so a lower bound on
+// the full fill's, and if its gapBand fits the filled band, the band
+// theorem makes Score, IOff, JOff and Cigar exact. A tile that fails the
+// check is refilled in full, never in the wider band its banded H(n, m)
+// proves: that value depends on the lane width, while the verdict does
+// not. If the band holds gapBand of the true H(n, m), every width
+// computes H(n, m) itself and passes; if not, no lower bound can pass.
+// So the counters match across widths. A failed tile counts as a
+// FallbackTiles LUT tile with both fills' cells.
+func (a *TileAligner) certifiedFill(rc, qc []byte, maxOff int) TileResult {
+	n, m := len(rc), len(qc)
+	band := a.guessBand(n, m)
+	if band < 0 {
+		return a.fillTrace(rc, qc, -1, maxOff)
+	}
+	cells, score := a.fill(rc, qc, band)
+	if a.gapBand(n, m, score) <= band {
+		a.ks.BitvectorTiles++
+		a.ks.BitvectorCells += cells
+		return a.trace(n, m, score, maxOff)
+	}
+	a.ks.FallbackTiles++
+	a.ks.LUTCells += cells
+	return a.fillTrace(rc, qc, -1, maxOff)
+}
+
+// guessBand is the band gapBand gives an n×m tile scoring guessSlack
+// below the last traced tile's rate, or −1 when the aligner has traced
+// no tile with a positive score or the band spans the tile. Engine.Extend
+// traces its first tile before any extension tile, so a guess never
+// reaches across reads.
+func (a *TileAligner) guessBand(n, m int) int {
+	if a.rate <= 0 {
+		return -1
+	}
+	band := a.gapBand(n, m, a.rate*min(n, m)>>rateShift-guessSlack)
+	if 2*band+1 >= min(n, m) {
 		return -1
 	}
 	return band

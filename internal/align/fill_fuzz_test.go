@@ -13,8 +13,8 @@ import (
 // m) and the cell count agree; and the tile API's extension, reversed
 // and first tiles return the reference AlignTile's result in the
 // fuzzed kernel mode, with the scalar aligner's KernelStats in the lut
-// and bitvector modes (under auto, vector-eligible extension tiles skip
-// the bitvector tier). On amd64 with AVX2 that is the vector fill at
+// and bitvector modes (under auto, vector-eligible extension tiles
+// certify a guessed band instead of running the bitvector tier). On amd64 with AVX2 that is the vector fill at
 // every width the CPU has against its oracle, and so against each
 // other; under purego or elsewhere, the scalar rows alone.
 func FuzzFill(f *testing.F) {

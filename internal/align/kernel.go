@@ -43,11 +43,13 @@ type TileAligner struct {
 
 	// Kernel-tier state (see bitvector.go): the selected mode, the
 	// optional divergence cap, the scoring's maximum substitution
-	// score (the band derivation's wmax), the embedded bitvector
-	// scratch, and the per-path counters.
+	// score (the band derivation's wmax), the score per base of the
+	// last traced tile (in 1/2^rateShift units, 0 before the first),
+	// the embedded bitvector scratch, and the per-path counters.
 	mode   KernelMode
 	maxDiv int
 	wmax   int32
+	rate   int
 	bv     MyersState
 	ks     KernelStats
 
@@ -185,14 +187,15 @@ func (a *TileAligner) align(rTile, qTile dna.Seq, minFirst, maxOff int, reversed
 	}
 	a.rCode, a.qCode = rc, qc
 
-	if minFirst > 0 {
+	switch {
+	case minFirst > 0:
 		return a.firstTile(rc, qc, minFirst, maxOff)
+	case a.mode == KernelAuto && a.vectorOK(n, m):
+		return a.certifiedFill(rc, qc, maxOff)
+	case a.mode != KernelLUT:
+		return a.fillTrace(rc, qc, a.bitvectorBand(rc, qc), maxOff)
 	}
-	band := -1
-	if a.mode != KernelLUT {
-		band = a.bitvectorBand(rc, qc)
-	}
-	return a.fillTrace(rc, qc, band, maxOff)
+	return a.fillTrace(rc, qc, -1, maxOff)
 }
 
 // firstTile composes a first tile from the two things it is: a score
@@ -228,7 +231,6 @@ func (a *TileAligner) firstTile(rc, qc []byte, minScore, maxOff int) TileResult 
 // else the diagonal band bandCols describes — and traces back from the
 // bottom-right cell, counting the tile under the tier that filled it.
 func (a *TileAligner) fillTrace(rc, qc []byte, band, maxOff int) TileResult {
-	n, m := len(rc), len(qc)
 	cells, score := a.fill(rc, qc, band)
 	if band < 0 {
 		a.ks.LUTTiles++
@@ -237,6 +239,14 @@ func (a *TileAligner) fillTrace(rc, qc []byte, band, maxOff int) TileResult {
 		a.ks.BitvectorTiles++
 		a.ks.BitvectorCells += cells
 	}
+	return a.trace(len(rc), len(qc), score, maxOff)
+}
+
+// trace traces back from the bottom-right cell of the filled n×m tile,
+// whose H(n, m) is score, and keeps the tile's score per base for the
+// next tile's guess (certifiedFill).
+func (a *TileAligner) trace(n, m, score, maxOff int) TileResult {
+	a.rate = score << rateShift / min(n, m)
 	cigar, iOff, jOff := a.traceback(n, m, maxOff)
 	return TileResult{Score: score, IOff: iOff, JOff: jOff, Cigar: cigar}
 }
@@ -306,6 +316,18 @@ func bandCols(n, m, j, band int) (lo, hi int) {
 		return 1, n
 	}
 	return max(1, j+(n-m)-band), min(n, j+(n-m)+band)
+}
+
+// bandCells is the number of cells of an n×m tile inside band
+// (bandCols), the count a fill reports.
+func bandCells(n, m, band int) int64 {
+	var cells int64
+	for j := 1; j <= m; j++ {
+		if lo, hi := bandCols(n, m, j, band); hi >= lo {
+			cells += int64(hi - lo + 1)
+		}
+	}
+	return cells
 }
 
 // fillCoded computes the local affine-gap DP matrix exactly as

@@ -294,8 +294,9 @@ func TestQuickLinearFillMatchesAffine(t *testing.T) {
 // the workload it exists for — high-identity extension tiles — and must
 // fall back on unrelated tiles, whose proven band spans the tile,
 // rather than fill it banded; a divergence cap (SetKernelDivergence)
-// turns low-identity tiles away too. Tiles the vector fill takes skip
-// the tier under auto, without counting a fallback.
+// turns low-identity tiles away too. A fresh aligner's first tile the
+// vector fill takes has no guessed band (certifiedFill) and is filled
+// in full, without counting a fallback.
 func TestKernelTierFallbackRate(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	sc := GACTEval()
@@ -359,6 +360,99 @@ func TestKernelTierFallbackRate(t *testing.T) {
 	if fb := ks.FallbackTiles - before.FallbackTiles; fb < 30 {
 		t.Errorf("low-identity tiles under a divergence cap: only %d of 40 fell back (bitvector %d)",
 			fb, ks.BitvectorTiles-before.BitvectorTiles)
+	}
+}
+
+// certifiedAligners is one KernelAuto aligner per vector width the CPU
+// has and a KernelLUT reference, or a skip where no width exists: only
+// the vector fill's tiles are banded by certifiedFill.
+func certifiedAligners(t *testing.T) (auto []*TileAligner, lut *TileAligner) {
+	t.Helper()
+	if vectorLanes == 0 {
+		t.Skip("no vector lanes: extension tiles keep the bitvector tier")
+	}
+	sc := GACTEval()
+	auto, err := widthAligners(&sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lut, _ = NewTileAligner(&sc)
+	lut.SetKernel(KernelLUT)
+	return auto, lut
+}
+
+// certifiedTile runs one extension tile through every auto aligner and
+// the lut one: the results must agree, and so must the auto aligners'
+// KernelStats, which it returns as their growth.
+func certifiedTile(t *testing.T, auto []*TileAligner, lut *TileAligner, rTile, qTile dna.Seq) (TileResult, KernelStats) {
+	t.Helper()
+	want := cloneTile(lut.AlignTile(rTile, qTile, false, 192))
+	var ks KernelStats
+	for k, ta := range auto {
+		before := ta.KernelStats()
+		got := ta.AlignTile(rTile, qTile, false, 192)
+		if d := tileContractDiff(got, want, false); d != "" {
+			t.Fatalf("%d×%d tile, %d lanes: auto vs lut: %s\n got %+v\nwant %+v", len(rTile), len(qTile), ta.lanes, d, got, want)
+		}
+		grown := ta.KernelStats().since(before)
+		if k > 0 && grown != ks {
+			t.Fatalf("%d×%d tile: %d lanes count %+v, %d lanes %+v", len(rTile), len(qTile), ta.lanes, grown, auto[0].lanes, ks)
+		}
+		ks = grown
+	}
+	return want, ks
+}
+
+// A left extension of PacBio-like tiles, cut as GACT cuts them (each
+// tile ends where the previous one's path began): under auto every tile
+// returns what lut does, the first — the aligner has traced nothing to
+// guess from — in a full fill, and at least 90 % in the band the
+// previous tile's score guessed.
+func TestCertifiedBandChain(t *testing.T) {
+	auto, lut := certifiedAligners(t)
+	rng := rand.New(rand.NewSource(101))
+	R := dna.Random(rng, 8000, 0.45)
+	Q := mutate(rng, R, 0.15)
+	tiles := 0
+	for iCurr, jCurr := len(R), len(Q); iCurr > 0 && jCurr > 0; tiles++ {
+		rTile, qTile := R[max(0, iCurr-320):iCurr], Q[max(0, jCurr-320):jCurr]
+		res, ks := certifiedTile(t, auto, lut, rTile, qTile)
+		if full := int64(len(rTile) * len(qTile)); tiles == 0 && ks != (KernelStats{LUTTiles: 1, LUTCells: full}) {
+			t.Errorf("a fresh aligner's first extension tile counted %+v, want one full fill of %d cells", ks, full)
+		}
+		if res.IOff == 0 && res.JOff == 0 {
+			break
+		}
+		iCurr -= res.IOff
+		jCurr -= res.JOff
+	}
+	if tiles < 30 {
+		t.Fatalf("the extension stopped after %d tiles", tiles)
+	}
+	total := auto[0].KernelStats()
+	t.Logf("%d tiles: %+v", tiles, total)
+	if total.BitvectorTiles+total.LUTTiles != int64(tiles) || 10*total.BitvectorTiles < 9*int64(tiles) {
+		t.Errorf("%d tiles: %+v, want ≥ 90 %% banded", tiles, total)
+	}
+}
+
+// A high-identity tile guesses a narrow band, which an unrelated tile's
+// H(n, m) cannot certify: the unrelated tile comes back as lut's, as one
+// LUT tile and one fallback, with the cells of the banded attempt and of
+// the full refill.
+func TestCertifiedBandFallback(t *testing.T) {
+	auto, lut := certifiedAligners(t)
+	rng := rand.New(rand.NewSource(102))
+	rTile := dna.Random(rng, 400, 0.45)
+	certifiedTile(t, auto, lut, rTile[:320], mutate(rng, rTile, 0.02)[:320])
+	_, ks := certifiedTile(t, auto, lut, rTile[:320], mutate(rng, rTile, 0.02)[:320])
+	if ks.BitvectorTiles != 1 {
+		t.Fatalf("second high-identity tile counted %+v, want a banded one", ks)
+	}
+	band := auto[0].guessBand(320, 320)
+	_, ks = certifiedTile(t, auto, lut, dna.Random(rng, 320, 0.45), dna.Random(rng, 320, 0.45))
+	if want := (KernelStats{LUTTiles: 1, LUTCells: bandCells(320, 320, band) + 320*320, FallbackTiles: 1}); band < 0 || ks != want {
+		t.Errorf("unrelated tile after a high-identity one (band %d) counted %+v, want %+v", band, ks, want)
 	}
 }
 
@@ -428,5 +522,64 @@ func TestParseKernelMode(t *testing.T) {
 	}
 	if _, err := ParseKernelMode("simd"); err == nil {
 		t.Error("ParseKernelMode(\"simd\") should fail")
+	}
+}
+
+// BenchmarkCertifiedBand times a chain of 15 %-error 320² extension
+// tiles on the scalar rows, where KernelAuto still runs the bitvector
+// tier (purego builds, hosts without AVX2, affine scorings), under the
+// paper's linear scoring and an affine one (wga.DefaultConfig's: match
+// 2, mismatch 3, open 5, extend 2). myers is the tier as auto runs it:
+// the Myers pass, rescore and banded fill, or the full fill when its
+// profit gate rejects. certified is certifiedFill on the same tiles:
+// the band the previous tile's score guesses, kept when its own H(n, m)
+// certifies it. Both report µs per tile and their tier split; the
+// comparison decides whether the Myers tier can go at no cost.
+func BenchmarkCertifiedBand(b *testing.B) {
+	const side, chain = 320, 16
+	rng := rand.New(rand.NewSource(103))
+	var refs, qs []dna.Seq
+	for range chain {
+		r := dna.Random(rng, side+80, 0.45)
+		refs, qs = append(refs, r[:side]), append(qs, mutate(rng, r, 0.15)[:side])
+	}
+	affine := Simple(2, 3, 5)
+	affine.GapExtend = 2
+	for _, sc := range []struct {
+		name string
+		sc   Scoring
+	}{{"linear", GACTEval()}, {"affine", affine}} {
+		for _, certified := range []bool{false, true} {
+			name := sc.name + "/myers"
+			if certified {
+				name = sc.name + "/certified"
+			}
+			b.Run(name, func(b *testing.B) {
+				ta, err := NewTileAligner(&sc.sc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ta.vecSub = nil // the scalar rows, as under purego
+				ta.Preallocate(side)
+				b.ResetTimer()
+				for i := range b.N {
+					r, q := refs[i%chain], qs[i%chain]
+					if !certified {
+						ta.AlignTile(r, q, false, side-128)
+						continue
+					}
+					ta.rCode = dna.AppendCodes(ta.rCode[:0], r)
+					ta.qCode = dna.AppendCodes(ta.qCode[:0], q)
+					ta.certifiedFill(ta.rCode, ta.qCode, side-128)
+				}
+				b.StopTimer()
+				ks := ta.KernelStats()
+				tiles := float64(ks.BitvectorTiles + ks.LUTTiles)
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/tile")
+				b.ReportMetric(float64(ks.BitvectorTiles)/tiles, "banded_share")
+				b.ReportMetric(float64(ks.FallbackTiles)/tiles, "fallback_share")
+				b.ReportMetric(float64(ks.BitvectorCells+ks.LUTCells)/tiles, "filled_cells/tile")
+			})
+		}
 	}
 }

@@ -197,11 +197,6 @@ func (a *TileAligner) maxCellVector(rc, qc []byte) {
 // from fillCoded's.
 func (a *TileAligner) fillVector(rc, qc []byte, band int) (cells int64, score int) {
 	n, m := len(rc), len(qc)
-	for j := 1; j <= m; j++ {
-		if lo, hi := bandCols(n, m, j, band); hi >= lo {
-			cells += int64(hi - lo + 1)
-		}
-	}
 	rev, h := a.vectorRows(rc)
 	pad, blocks := -m&15, (m+15)/16
 	if a.lanes == 16 {
@@ -213,7 +208,7 @@ func (a *TileAligner) fillVector(rc, qc []byte, band int) (cells int64, score in
 			q := blockQuery(qc, 16*b-pad)
 			linearFill16(&rev[n+30-t0], &h[48+t0], t1-t0+1, (*[16]byte)(q[:16]), a.vecSub, a.open, &a.ptr[(b*(n+15)+t0)*16])
 		}
-		return cells, int(h[64+n])
+		return bandCells(n, m, band), int(h[64+n])
 	}
 	// Blocks lo and hi = lo+1 run as one 32-lane block. The pairs end at
 	// the last block, so its row m is lane 31's and reaches h; with an
@@ -242,7 +237,7 @@ func (a *TileAligner) fillVector(rc, qc []byte, band int) (cells int64, score in
 		linearFill32(&rev[n+30-t0], &h[t0], &q, a.vecSub, a.open,
 			&a.ptr[(hi*(n+15)+t0-16)*16], 256-16*(n+15), nLo, nBoth, nHi)
 	}
-	return cells, int(h[64+n])
+	return bandCells(n, m, band), int(h[64+n])
 }
 
 // blockSteps is the step range [t0, t1] that 16-row block b of an n×m

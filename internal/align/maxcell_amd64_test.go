@@ -174,9 +174,12 @@ func TestVectorMaxCellMatchesScalar(t *testing.T) {
 // pointer byte, H(n, m) and the cell count agree, and on banded fills
 // under a band the exact score proves, H(n, m), the cell count and the
 // traceback; and an aligner on the vector passes returns the TileResult
-// and KernelStats of one kept to the scalar passes (vecSub nil), and
-// exactly those of the other width, on banded, first and reversed tiles
-// in every kernel mode. They cover every m mod 16 residue and odd and
+// of one kept to the scalar passes (vecSub nil), and exactly the
+// TileResult and KernelStats of the other width, on banded, first and
+// reversed tiles in every kernel mode. Its KernelStats are the scalar
+// aligner's too, except for auto's extension tiles: there each side
+// counts one tile, and the vector side's is banded exactly when the
+// band theorem's check on the exact H(n, m) passes for its guessed band. They cover every m mod 16 residue and odd and
 // even 32-row block counts, tiles narrower than a block, N-rich and
 // repeat tiles, gap 0 and both sides of the int16 bound, each set of
 // aligners reused across differently shaped tiles.
@@ -253,13 +256,14 @@ func TestVectorFillMatchesScalar(t *testing.T) {
 			}
 			for _, call := range []struct {
 				name string
+				ext  bool
 				run  func(a *TileAligner) TileResult
 			}{
-				{"extension", func(a *TileAligner) TileResult { return a.AlignTile(rTile, qTile, false, maxOff) }},
-				{"reversed", func(a *TileAligner) TileResult { return a.AlignTileReversed(rTile, qTile, false, maxOff) }},
-				{"first", func(a *TileAligner) TileResult { return a.AlignTile(rTile, qTile, true, maxOff) }},
-				{"reversed first", func(a *TileAligner) TileResult { return a.AlignTileReversed(rTile, qTile, true, maxOff) }},
-				{"thresholded first", func(a *TileAligner) TileResult { return a.AlignFirstTile(rTile, qTile, maxOff, minScore) }},
+				{"extension", true, func(a *TileAligner) TileResult { return a.AlignTile(rTile, qTile, false, maxOff) }},
+				{"reversed", true, func(a *TileAligner) TileResult { return a.AlignTileReversed(rTile, qTile, false, maxOff) }},
+				{"first", false, func(a *TileAligner) TileResult { return a.AlignTile(rTile, qTile, true, maxOff) }},
+				{"reversed first", false, func(a *TileAligner) TileResult { return a.AlignTileReversed(rTile, qTile, true, maxOff) }},
+				{"thresholded first", false, func(a *TileAligner) TileResult { return a.AlignFirstTile(rTile, qTile, maxOff, minScore) }},
 			} {
 				sks := s.scalar.KernelStats()
 				want := call.run(s.scalar)
@@ -267,15 +271,33 @@ func TestVectorFillMatchesScalar(t *testing.T) {
 				var widest TileResult
 				var widestKS KernelStats
 				for k, vec := range s.vec {
+					n, m := len(rTile), len(qTile)
+					certified := mode == KernelAuto && call.ext && vec.vectorOK(n, m)
+					band := vec.guessBand(n, m)
 					vks := vec.KernelStats()
 					got := cloneTile(call.run(vec))
 					vks = vec.KernelStats().since(vks)
 					d := tileContractDiff(got, want, true)
-					// Under auto an extension tile the vector fill takes
-					// skips the bitvector tier, which the scalar aligner
-					// may run; it is still one tile.
-					skipped := mode == KernelAuto && vks.BitvectorTiles == 0
-					if d == "" && vks != sks && !(skipped && vks.LUTTiles == sks.LUTTiles+sks.BitvectorTiles) {
+					if d == "" && certified {
+						// Under auto an extension tile the vector fill takes
+						// is filled in its guessed band (certifiedFill), while
+						// the scalar aligner runs the bitvector tier: each
+						// counts one tile, and the vector side's is banded
+						// exactly when the band theorem's check on the exact
+						// H(n, m) passes.
+						full := int64(n) * int64(m)
+						wantKS := KernelStats{LUTTiles: 1, LUTCells: full}
+						if band >= 0 {
+							cells := bandCells(n, m, band)
+							wantKS = KernelStats{BitvectorTiles: 1, BitvectorCells: cells}
+							if vec.gapBand(n, m, want.Score) > band {
+								wantKS = KernelStats{LUTTiles: 1, LUTCells: cells + full, FallbackTiles: 1}
+							}
+						}
+						if vks != wantKS || sks.LUTTiles+sks.BitvectorTiles != 1 {
+							d = fmt.Sprintf("guessed band %d: stats %+v, want %+v (scalar %+v)", band, vks, wantKS, sks)
+						}
+					} else if d == "" && vks != sks {
 						d = fmt.Sprintf("stats %+v != scalar %+v", vks, sks)
 					}
 					if k == 0 {

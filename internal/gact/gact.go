@@ -44,10 +44,16 @@ var (
 
 	// Kernel-tier split (Engine only; the free functions use the
 	// reference AlignTile, which has no tiers): tiles and actually
-	// filled DP cells per path. tile_lut counts every full-LUT fill,
-	// fallbacks included; tile_fallback is the subset that attempted
-	// the bitvector tier and hit its profit gate, so the fallback
-	// rate is tile_fallback / (tile_bitvector + tile_fallback). Note
+	// filled DP cells per path. tile_bitvector counts every banded
+	// fill — accepted first tiles, and extension tiles whose band a
+	// Myers pass or (on the vector fill) a certified guess proved;
+	// tile_lut counts every full-LUT fill, fallbacks included;
+	// tile_fallback is the subset that tried a band first — the
+	// bitvector tier's profit gate rejected it, or a guessed band
+	// failed its check, in which case cells_lut also holds the cells
+	// of the discarded banded fill — so the fallback rate of the
+	// extension tiles that tried a band is tile_fallback /
+	// (tile_bitvector + tile_fallback). Note
 	// gact/cells stays the *geometric* tile area — the work a
 	// cell-at-a-time kernel would do — so cells/s measures effective
 	// throughput across kernel generations; cells_bitvector/cells_lut
@@ -76,9 +82,10 @@ type Config struct {
 	// Scoring configures the PE array's 18 scoring parameters.
 	Scoring align.Scoring
 	// Kernel selects the Engine's tile-kernel tier (the zero value,
-	// align.KernelAuto, runs the bitvector fast path, with its provable
-	// bit-identical fallback, only on tiles the vector fill does not
-	// take; see align.KernelMode).
+	// align.KernelAuto, bands extension tiles with a provable
+	// bit-identical fallback: by a certified guess on tiles the vector
+	// fill takes, by the bitvector fast path on the others; see
+	// align.KernelMode).
 	Kernel align.KernelMode
 	// KernelDivergence adds a fallback threshold to the auto tier's
 	// profit gate: the maximum allowed gap, in score units, between a

@@ -67,9 +67,10 @@ done
 # The default kernel mode is auto: a mapped high-identity read's
 # accepted first tile is refilled in the diagonal band gapBand bounds
 # (align/kernel.go firstTile), and fillTrace counts that banded refill
-# under the bitvector tier — so at least one must show here. On a
-# vector host, vector-eligible extension tiles skip the bitvector tier
-# (bitvectorBand) and add nothing to it.
+# under the bitvector tier — so at least one must show here. Extension
+# tiles add to it too: on a vector host those whose guessed band
+# certifies itself (certifiedFill), elsewhere those the bitvector
+# pass bands.
 if ! grep -Eq '^darwin_gact_tile_bitvector_total [1-9]' "$tmp/metrics.txt"; then
     echo "metrics-lint: FAIL — darwin_gact_tile_bitvector_total missing or zero:" >&2
     grep darwin_gact_tile "$tmp/metrics.txt" >&2 || true
