@@ -32,7 +32,7 @@ loc:
 # detector changes allocation behaviour), so check runs them in a
 # separate non-race pass.
 test-allocs:
-	$(GO) test -run 'SteadyStateAllocs' ./internal/align/ ./internal/gact/
+	$(GO) test -run 'SteadyStateAllocs' ./internal/align/ ./internal/gact/ ./internal/obs/
 
 # The scalar passes the vector ones fall back to: run under the purego
 # tag (TestQuickMaxCell, FuzzFill's and FuzzEngineExtend's corpora and
@@ -56,9 +56,11 @@ fallback:
 # reader on re-sealed mutated checkpoints (coded errors, or a
 # checkpoint that writes back byte-identically), the FASTA and
 # FASTQ readers (no panic, and whatever they accept writes back and
-# re-reads to the same records), and the mapping-request preamble of
+# re-reads to the same records), the mapping-request preamble of
 # /v1/map and the cluster scatter endpoint (no panic, a known refusal,
-# or a request inside its limits).
+# or a request inside its limits), and the /v1/jobs submit decoder
+# (no panic, a coded refusal, or a job jobs.Submit accepts whose
+# persisted payload reads back).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMyersInfix$$' -fuzztime 20s ./internal/align/
 	$(GO) test -run '^$$' -fuzz '^FuzzMaxCell$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/align/
@@ -70,6 +72,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFASTA$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/dna/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFASTQ$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/dna/
 	$(GO) test -run '^$$' -fuzz '^FuzzEndpointRead$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzJobSubmit$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/server/
 
 check: vet race test-allocs fallback fuzz serve-smoke chaos-smoke index-smoke cluster-smoke assembly-smoke metrics-lint
 

@@ -33,6 +33,7 @@ var (
 	cBreakerFast   = obs.Default.Counter("cluster/breaker_fast_fails")
 	gWorkers       = obs.Default.Gauge("cluster/workers")
 	hSubreqLatency = obs.Default.Histogram("cluster/subreq_latency_ms", 0, 10000, 100)
+	tScatter       = obs.Default.Timer("cluster/scatter")
 
 	fpScatter = faults.Default.Point("cluster/scatter")
 )
@@ -421,11 +422,9 @@ func (rt *Router) scatterAll(ctx context.Context, span *obs.Span, reads []server
 		wg.Add(1)
 		go func(s int, body []byte) {
 			defer wg.Done()
-			sub := span.StartChild("cluster.scatter")
-			if sub != nil {
-				sub.SetAttr("shard", int64(s))
-			}
-			byShard[s], errs[s] = rt.scatterShard(ctx, sub, s, body, len(reads), reqID, traceparent)
+			sub := tScatter.Start(span)
+			sub.Span().SetAttr("shard", int64(s))
+			byShard[s], errs[s] = rt.scatterShard(ctx, sub.Span(), s, body, len(reads), reqID, traceparent)
 			sub.End()
 		}(s, body)
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"darwin/internal/obs"
 	"darwin/internal/server"
 	"darwin/internal/shard"
 )
@@ -121,6 +122,9 @@ func postMap(t *testing.T, tc *testCluster, hdr map[string]string) *httptest.Res
 // TestRouterIdentityPropagation: the ingress request ID and the
 // client's traceparent ride every scatter sub-request verbatim, and
 // the merged NDJSON line carries the same ID — one trace across hops.
+// The router's captured span tree holds one cluster/scatter child per
+// shard, labelled with the worker that answered, and every span in it
+// is named by a registry timer.
 func TestRouterIdentityPropagation(t *testing.T) {
 	var mu sync.Mutex
 	type hop struct{ reqID, traceparent string }
@@ -152,6 +156,28 @@ func TestRouterIdentityPropagation(t *testing.T) {
 	}
 	if line.RequestID != wantID {
 		t.Errorf("NDJSON request_id %q, want %q", line.RequestID, wantID)
+	}
+	caps := tc.rt.SlowCaptures()
+	if len(caps) != 1 || caps[0].RequestID != wantID {
+		t.Fatalf("slow captures %+v, want one for %s", caps, wantID)
+	}
+	timers := obs.Default.Snapshot().Timers
+	scatters := 0
+	for _, c := range caps[0].Span.Children {
+		c.Walk(func(sp obs.SpanSnapshot) {
+			if _, ok := timers[sp.Name]; !ok {
+				t.Errorf("span %q is not a registry timer", sp.Name)
+			}
+			if sp.Name == "cluster/scatter" {
+				scatters++
+				if w := sp.Labels["worker"]; !strings.HasPrefix(w, "worker-") {
+					t.Errorf("cluster/scatter span labels %v, want a worker", sp.Labels)
+				}
+			}
+		})
+	}
+	if scatters != testShards {
+		t.Errorf("%d cluster/scatter spans, want %d", scatters, testShards)
 	}
 	mu.Lock()
 	defer mu.Unlock()

@@ -15,9 +15,14 @@ import (
 // Batch observability: the worker gauge plus a busy-time timer, so
 // utilization = core/worker_busy seconds / (wall × core/workers) is
 // derivable from any run report, whichever engine mapped the batch.
+// core/map times a monolithic Map call; stage/filter and stage/align,
+// recorded by dsoft and gact, name a read's span children.
 var (
 	gWorkers    = obs.Default.Gauge("core/workers")
+	tMap        = obs.Default.Timer("core/map")
 	tWorkerBusy = obs.Default.Timer("core/worker_busy")
+	tFilter     = obs.Default.Timer("stage/filter")
+	tAlign      = obs.Default.Timer("stage/align")
 	cReadPanics = obs.Default.Counter("core/read_panics")
 	cReadExpiry = obs.Default.Counter("core/read_deadline_expired")
 )
@@ -204,15 +209,15 @@ func (d *Darwin) clonePool(n int) ([]*Darwin, error) {
 }
 
 // Batch is the state the reads of one Map call share: the resolved
-// worker count, the span their core.read spans hang under and the
-// per-read deadline. Both engines' Map build one and run every read
+// worker count, the span their core/worker_busy spans hang under and
+// the per-read deadline. Both engines' Map build one and run every read
 // through Read.
 type Batch struct {
 	// Workers is the resolved worker count: DefaultWorkers of the
 	// setting, at most one per read, at least 1.
 	Workers int
-	// Parent is the span each read's core.read span is opened under
-	// (nil when the call is untraced).
+	// Parent is the span each read's core/worker_busy span is opened
+	// under (nil when the call is untraced).
 	Parent *obs.Span
 
 	budget time.Duration
@@ -239,48 +244,48 @@ type readOutcome struct {
 
 // Read is the one guarded per-read body of every batch path: it maps
 // read i on worker tid by calling mapRead inside the safety envelope
-// and the per-read instrumentation, in this order — open the core.read
-// span (engine records its extensions into it), run mapRead under panic
-// recovery, the core/map_read fault point and the per-read deadline,
-// charge core/worker_busy, sort and publish the alignments, close the
-// span. mapRead returns the read's alignments in any order; its error,
-// a panic or a blown deadline all become the MapResult's Err and never
-// leave this read.
+// and the per-read instrumentation, in this order — open the read's
+// core/worker_busy stage on lane tid (the engine records its
+// extensions into its span), run mapRead under panic recovery, the
+// core/map_read fault point and the per-read deadline, end the stage,
+// sort and publish the alignments, annotate the span. mapRead returns
+// the read's alignments in any order; its error, a panic or a blown
+// deadline all become the MapResult's Err and never leave this read.
 //
 // retire reports that the private state mapRead ran on can no longer be
 // trusted (see readOutcome), so the caller must give worker tid fresh
 // state before its next read.
 func (b *Batch) Read(tid, i int, engine *gact.Engine, mapRead func() ([]ReadAlignment, MapStats, error)) (res MapResult, retire bool) {
-	sp := b.Parent.StartChild("core.read")
+	busy := tWorkerBusy.StartOn(b.Parent, tid)
+	sp := busy.Span()
 	if sp != nil {
 		sp.SetAttr("read", int64(i))
 		sp.SetAttr("worker", int64(tid))
 		engine.SetSpan(sp)
 	}
-	busy := time.Now()
 	oc := runGuarded(mapRead, b.budget)
-	elapsed := tWorkerBusy.SinceOn(busy, tid)
+	elapsed := busy.End()
 	if oc.err == nil {
 		SortAlignments(oc.alns)
 		publishRead(oc.alns, &oc.st, elapsed)
 	}
 	if sp != nil {
 		engine.SetSpan(nil)
-		finishReadSpan(sp, busy, oc)
+		annotateReadSpan(sp, busy.Start(), oc)
 	}
 	return MapResult{Index: i, Alignments: oc.alns, Stats: oc.st, Err: oc.err}, oc.retire
 }
 
-// finishReadSpan closes one read's trace span: work attributes from
-// the read's MapStats, plus synthesized stage/filter and stage/align
-// children carrying the same per-read durations the Registry's stage
-// timers aggregate — so a captured tree splits one read's latency the
-// same way the process-wide timers split the fleet's. The filter span
-// is anchored at the read's start and the align span immediately after
+// annotateReadSpan fills in one read's closed span: work attributes
+// from the read's MapStats, plus stage/filter and stage/align children
+// carrying the same per-read durations the Registry's stage timers
+// aggregate — so a captured tree splits one read's latency the same
+// way the process-wide timers split the fleet's. The filter span is
+// anchored at the read's start and the align span immediately after
 // it: the pipeline's phase order in the monolithic engine, and where
 // the read's time went, not when, in the sharded one (its filter passes
 // ran earlier, interleaved with other reads').
-func finishReadSpan(sp *obs.Span, busy time.Time, oc readOutcome) {
+func annotateReadSpan(sp *obs.Span, start time.Time, oc readOutcome) {
 	st := oc.st
 	sp.SetAttr("candidates", int64(st.Candidates))
 	sp.SetAttr("passed_htile", int64(st.PassedHTile))
@@ -290,9 +295,8 @@ func finishReadSpan(sp *obs.Span, busy time.Time, oc readOutcome) {
 	if oc.err != nil {
 		sp.SetAttr("failed", 1)
 	}
-	sp.AddTimedChild("stage/filter", busy, st.FiltrationTime)
-	sp.AddTimedChild("stage/align", busy.Add(st.FiltrationTime), st.AlignmentTime)
-	sp.End()
+	sp.AddTimedChild(tFilter, start, st.FiltrationTime)
+	sp.AddTimedChild(tAlign, start.Add(st.FiltrationTime), st.AlignmentTime)
 }
 
 // PanicError turns a recovered panic value into a per-read error and
@@ -369,11 +373,12 @@ func (d *Darwin) Map(ctx context.Context, reads []dna.Seq, options ...MapOption)
 		return nil, err
 	}
 	b := NewBatch(len(reads), ResolveMapOptions(options))
-	// Trace hook: under a traced request the batch gets a core.map span
-	// with one core.read child per read; untraced callers (CLIs,
+	// Under a traced request the batch's core/map stage is a span with
+	// one core/worker_busy child per read; untraced callers (CLIs,
 	// benchmarks) pay one context lookup and per-read nil checks.
-	_, b.Parent = obs.StartSpan(ctx, "core.map")
-	defer b.Parent.End()
+	stage := tMap.Start(obs.SpanFromContext(ctx))
+	defer stage.End()
+	b.Parent = stage.Span()
 	b.Parent.SetAttr("reads", int64(len(reads)))
 	b.Parent.SetAttr("workers", int64(b.Workers))
 	// One worker maps inline on the receiver; more map on clones so bin

@@ -82,10 +82,11 @@ func (e *Engine) Config() *Config { return &e.cfg }
 
 // SetSpan installs (nil clears) the per-read trace span subsequent
 // Extend calls record into: aggregate extension/tile/cell attributes
-// for every candidate, plus a timed gact.extend child for candidates
-// that survive the first-tile filter (rejections are the overwhelming
-// majority downstream of D-SOFT; giving each a child would blow the
-// tree's child cap without saying anything a counter doesn't).
+// for every candidate, plus a gact/extend child, carrying the interval
+// that timer records, for candidates that survive the first-tile
+// filter (rejections are the overwhelming majority downstream of
+// D-SOFT; giving each a child would blow the tree's child cap without
+// saying anything a counter doesn't).
 func (e *Engine) SetSpan(sp *obs.Span) { e.span.Store(sp) }
 
 // Extend computes exactly what the free function Extend computes —
@@ -93,19 +94,12 @@ func (e *Engine) SetSpan(sp *obs.Span) { e.span.Store(sp) }
 // engine's reused state. Stats are returned by value so the rejected
 // path stays allocation-free.
 func (e *Engine) Extend(R, Q dna.Seq, iSeed, jSeed int) (res *align.Result, stats Stats, err error) {
-	if sp := e.span.Load(); sp != nil {
-		extStart := time.Now()
+	sp := e.span.Load()
+	if sp != nil {
 		defer func() {
 			sp.AddAttr("gact_extensions", 1)
 			sp.AddAttr("gact_tiles", int64(stats.Tiles))
 			sp.AddAttr("gact_cells", stats.Cells)
-			if res != nil {
-				c := sp.AddTimedChild("gact.extend", extStart, time.Since(extStart))
-				c.SetAttr("tiles", int64(stats.Tiles))
-				c.SetAttr("cells", stats.Cells)
-				c.SetAttr("first_tile_score", int64(stats.FirstTileScore))
-				c.SetAttr("score", int64(res.Score))
-			}
 		}()
 	}
 	cfg := &e.cfg
@@ -115,7 +109,20 @@ func (e *Engine) Extend(R, Q dna.Seq, iSeed, jSeed int) (res *align.Result, stat
 	if iSeed < 0 || iSeed >= len(R) || jSeed < 0 || jSeed >= len(Q) {
 		return nil, stats, fmt.Errorf("gact: seed position (%d,%d) outside R[0,%d) × Q[0,%d)", iSeed, jSeed, len(R), len(Q))
 	}
-	defer tAlign.Time()()
+	start := time.Now()
+	defer func() {
+		d := tAlign.Since(start)
+		if res == nil {
+			return
+		}
+		tExtend.Observe(d)
+		if c := sp.AddTimedChild(tExtend, start, d); c != nil {
+			c.SetAttr("tiles", int64(stats.Tiles))
+			c.SetAttr("cells", stats.Cells)
+			c.SetAttr("first_tile_score", int64(stats.FirstTileScore))
+			c.SetAttr("score", int64(res.Score))
+		}
+	}()
 	defer e.publishKernel()
 
 	// First tile, spanning forward from the candidate. The kernel is

@@ -27,10 +27,12 @@ import (
 // reject counter; gact/first_tile_reject is the part of
 // gact/first_tile spent on tiles the filter then discarded, so
 // first_tile_reject ÷ stage/align is the share of alignment time that
-// bought nothing. With tracing on, stage/align and gact/first_tile
-// each add one trace event per Extend; extension tiles have no timer
-// and no event of their own — their time is stage/align less its
-// gact/first_tile child (and BenchmarkAlignTile measures one tile).
+// bought nothing, and gact/extend (Engine only, record-only), the
+// stage/align time of accepted candidates, is about the rest. With
+// tracing on, stage/align and gact/first_tile each add one trace event
+// per Extend; extension tiles have no timer and no event of their own —
+// their time is stage/align less its gact/first_tile child (and
+// BenchmarkAlignTile measures one tile).
 var (
 	cExtensions   = obs.Default.Counter("gact/extensions")
 	cTiles        = obs.Default.Counter("gact/tiles")
@@ -39,6 +41,7 @@ var (
 	tAlign        = obs.Default.Timer("stage/align")
 	tFirstTile    = obs.Default.Timer("gact/first_tile")
 	tFirstReject  = obs.Default.Timer("gact/first_tile_reject")
+	tExtend       = obs.Default.Timer("gact/extend")
 	hFirstScore   = obs.Default.Histogram("gact/first_tile_score", 0, 384, 48)
 	hTilesPerExt  = obs.Default.Histogram("gact/tiles_per_extension", 0, 128, 32)
 

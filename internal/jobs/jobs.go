@@ -28,6 +28,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -251,6 +252,13 @@ func (m *Manager) Submit(kind Kind, recs []dna.Record, p Params) (Status, error)
 		return Status{}, fmt.Errorf("jobs: polish_rounds %d, want >= 0", p.PolishRounds)
 	case p.MinContig < 0:
 		return Status{}, fmt.Errorf("jobs: min_contig %d, want >= 0", p.MinContig)
+	}
+	// A line break in a name would split its record in reads.fa, the
+	// payload a restart resumes from.
+	for i := range recs {
+		if strings.ContainsAny(recs[i].Name, "\r\n") {
+			return Status{}, fmt.Errorf("jobs: read %d name %q holds a line break", i, recs[i].Name)
+		}
 	}
 	m.mu.Lock()
 	if m.draining {

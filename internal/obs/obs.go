@@ -19,15 +19,18 @@
 // plain timers, and "stage/<stage>" for the disjoint pipeline-stage
 // timers whose sum approximates wall clock on a single-worker run
 // (load_input, index, filter, align, emit, layout, ...). Overlapping
-// measurements (e.g. olc/polish, which internally re-runs filter and
-// align) deliberately stay out of the stage/ namespace so stage
-// timings never double-count.
+// measurements stay out of the stage/ namespace so stage timings never
+// double-count: olc/polish, for one, times each Assemble's polish stage
+// as a whole, and the polish re-enters filter and align.
 //
-// A stage is timed once, by its registry Timer. The Chrome trace
-// (-trace-out, /debug/chrome-trace) is a by-product: while Trace is
-// enabled each timed interval also becomes one event named after its
-// timer, on lane 0 or, for the worker loops' busy timers, on the
-// worker's own lane. Trace names are therefore registry names.
+// A stage is timed once, by its registry Timer, and goes by that one
+// name everywhere. The Chrome trace (-trace-out, /debug/chrome-trace)
+// is a by-product: while Trace is enabled each timed interval also
+// becomes one event named after its timer, on lane 0 or, for the
+// worker loops' busy timers, on the worker's own lane. A request's
+// span tree is another view: every child span is the interval of one
+// timer (Timer.Start, Span.AddTimedChild), so only a root span names
+// itself. Trace names and span names are therefore registry names.
 package obs
 
 import (

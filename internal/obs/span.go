@@ -8,19 +8,23 @@ import (
 	"time"
 )
 
-// Span is one node of a request-scoped trace tree: a named, timed
-// stage of one request's journey through the serving path (admission,
-// index load, queue wait, the map stage, per-read mapping, GACT
-// extension), with integer attributes (reads, candidates, tiles,
-// cells, shard hits) and child spans for sub-stages.
+// Span is one node of a request-scoped trace tree: a timed stage of
+// one request's journey through the serving path (admission, queue
+// wait, the map stage, per-read mapping, GACT extension), with integer
+// attributes (reads, candidates, tiles, cells, shard hits) and child
+// spans for sub-stages.
 //
 // Spans complement the process-wide Registry: the Registry aggregates
 // totals across all requests, a Span tree attributes the same stage
 // timings to one request, which is what makes a single slow request
-// debuggable. Spans are carried through the pipeline via
-// context.Context (ContextWithSpan / StartSpan); code paths that see
-// no span in their context pay only a nil check, so untraced work —
-// CLIs, benchmarks — is unaffected.
+// debuggable. Only a root has a name of its own (NewRequestSpan).
+// Every child is the interval of one registry Timer, opened by
+// Timer.Start and closed with that timer's own reading, or attached
+// after the fact by AddTimedChild: a span name is a timer name. Spans
+// are carried through the pipeline via context.Context
+// (ContextWithSpan / SpanFromContext); code paths that see no span pay
+// only a nil check, so untraced work — CLIs, benchmarks — is
+// unaffected.
 //
 // All methods are safe on a nil *Span (they do nothing), and safe for
 // concurrent use: a multi-worker Map attaches children from its worker
@@ -32,8 +36,7 @@ type Span struct {
 	name string
 	root *Span // self for roots; carries the request ID
 
-	requestID string    // root only
-	rootStart time.Time // root only: zero point for snapshot offsets
+	requestID string // root only
 
 	mu       sync.Mutex
 	start    time.Time
@@ -54,17 +57,13 @@ const maxSpanChildren = 256
 // identity every log line, error envelope, and response record of the
 // request carries; name is the root stage (e.g. "http POST /v1/map").
 func NewRequestSpan(requestID, name string) *Span {
-	now := time.Now()
-	s := &Span{name: name, requestID: requestID, rootStart: now, start: now}
+	s := &Span{name: name, requestID: requestID, start: time.Now()}
 	s.root = s
 	return s
 }
 
-// NewSpan starts a free-standing root span with no request identity.
-func NewSpan(name string) *Span { return NewRequestSpan("", name) }
-
 // RequestID returns the request identity of the span's tree ("" for
-// free-standing spans).
+// an untraced call).
 func (s *Span) RequestID() string {
 	if s == nil {
 		return ""
@@ -72,62 +71,50 @@ func (s *Span) RequestID() string {
 	return s.root.requestID
 }
 
-// Name returns the span's stage name.
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
-// StartChild opens a child span starting now. Returns nil (a valid
-// no-op span) when s is nil or the child cap is reached.
-func (s *Span) StartChild(name string) *Span {
+// addChild attaches a child named name starting at start, ended with
+// duration d when ended is set. It returns nil (a valid no-op span)
+// when s is nil or at its child cap.
+func (s *Span) addChild(name string, start time.Time, d time.Duration, ended bool) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{name: name, root: s.root, start: time.Now()}
+	c := &Span{name: name, root: s.root, start: start, dur: d, ended: ended}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if len(s.children) >= maxSpanChildren {
 		s.dropped++
-		s.mu.Unlock()
 		return nil
 	}
 	s.children = append(s.children, c)
-	s.mu.Unlock()
 	return c
 }
 
-// AddTimedChild attaches an already-finished child with explicit
-// timing — how synthesized stage spans (per-read filter/align splits
-// measured by the pipeline itself) enter the tree. Returns the child
-// for attribute annotation.
-func (s *Span) AddTimedChild(name string, start time.Time, d time.Duration) *Span {
-	if s == nil {
-		return nil
-	}
-	c := &Span{name: name, root: s.root, start: start, dur: d, ended: true}
-	s.mu.Lock()
-	if len(s.children) >= maxSpanChildren {
-		s.dropped++
-		s.mu.Unlock()
-		return nil
-	}
-	s.children = append(s.children, c)
-	s.mu.Unlock()
-	return c
+// AddTimedChild attaches an already-measured interval of t, which
+// started at start and lasted d, as a finished child named after t.
+// It records nothing into t: the code that measured the interval has
+// already recorded it there (e.g. the per-read stage/filter and
+// stage/align splits). Returns the child for attribute annotation.
+func (s *Span) AddTimedChild(t *Timer, start time.Time, d time.Duration) *Span {
+	return s.addChild(t.name, start, d, true)
 }
 
-// End closes the span. Safe to call more than once; only the first
+// End closes a root span. Safe to call more than once; only the first
 // call records the duration.
 func (s *Span) End() {
+	if s != nil {
+		s.finish(time.Since(s.start))
+	}
+}
+
+// finish closes s with duration d unless it is already closed.
+func (s *Span) finish(d time.Duration) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	if !s.ended {
 		s.ended = true
-		s.dur = time.Since(s.start)
+		s.dur = d
 	}
 	s.mu.Unlock()
 }
@@ -144,6 +131,46 @@ func (s *Span) Duration() time.Duration {
 		return s.dur
 	}
 	return time.Since(s.start)
+}
+
+// Stage is one interval of a registry Timer, opened by Timer.Start or
+// StartOn and closed by End. Under a traced parent it is also a child
+// span named after the timer, closed with the same duration the timer
+// records, so a request's tree and the registry read one clock under
+// one name. A Stage is a value: untraced, opening and closing one
+// allocates nothing. Each Stage must be ended exactly once.
+type Stage struct {
+	t     *Timer
+	span  *Span
+	start time.Time
+	tid   int
+}
+
+// Start opens an interval of t now, as a child of parent when parent
+// is non-nil.
+func (t *Timer) Start(parent *Span) Stage { return t.StartOn(parent, 0) }
+
+// StartOn is Start with the interval's trace event on thread lane tid
+// (a worker index), as SinceOn.
+func (t *Timer) StartOn(parent *Span, tid int) Stage {
+	start := time.Now()
+	return Stage{t: t, span: parent.addChild(t.name, start, 0, false), start: start, tid: tid}
+}
+
+// Span returns the stage's child span (nil when untraced), for
+// attributes and as the parent of sub-stages.
+func (st Stage) Span() *Span { return st.span }
+
+// Start returns the time the stage opened, for anchoring sub-intervals
+// (AddTimedChild) inside it.
+func (st Stage) Start() time.Time { return st.start }
+
+// End records the interval into the timer (and the trace, as SinceOn
+// does), closes the span with the same duration and returns it.
+func (st Stage) End() time.Duration {
+	d := st.t.SinceOn(st.start, st.tid)
+	st.span.finish(d)
+	return d
 }
 
 // SetAttr sets an integer attribute, replacing any previous value.
@@ -188,28 +215,6 @@ func (s *Span) SetLabel(key, value string) {
 	}
 	s.labels[key] = value
 	s.mu.Unlock()
-}
-
-// Label returns a string attribute ("", false when absent or s is nil).
-func (s *Span) Label(key string) (string, bool) {
-	if s == nil {
-		return "", false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.labels[key]
-	return v, ok
-}
-
-// Attr returns an attribute value (0, false when absent or s is nil).
-func (s *Span) Attr(key string) (int64, bool) {
-	if s == nil {
-		return 0, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.attrs[key]
-	return v, ok
 }
 
 // SpanSnapshot is a JSON-friendly copy of a span tree. Offsets and
@@ -313,21 +318,6 @@ func ContextWithSpan(ctx context.Context, s *Span) context.Context {
 func SpanFromContext(ctx context.Context) *Span {
 	s, _ := ctx.Value(spanKey{}).(*Span)
 	return s
-}
-
-// StartSpan opens a child of ctx's active span and returns a context
-// carrying the child plus the child itself (nil when ctx is untraced;
-// all Span methods tolerate nil). Callers pair it with child.End().
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	parent := SpanFromContext(ctx)
-	if parent == nil {
-		return ctx, nil
-	}
-	c := parent.StartChild(name)
-	if c == nil {
-		return ctx, nil
-	}
-	return ContextWithSpan(ctx, c), c
 }
 
 // RequestIDFromContext returns the request identity of ctx's active

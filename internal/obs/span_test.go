@@ -14,11 +14,13 @@ func TestSpanNilSafety(t *testing.T) {
 	s.End()
 	s.SetAttr("x", 1)
 	s.AddAttr("x", 1)
-	if _, ok := s.Attr("x"); ok {
-		t.Fatal("nil span reported an attribute")
+	s.SetLabel("k", "v")
+	tm := NewRegistry().Timer("core/map")
+	if c := s.AddTimedChild(tm, time.Now(), time.Millisecond); c != nil {
+		t.Fatal("nil span produced a timed child")
 	}
-	if c := s.StartChild("child"); c != nil {
-		t.Fatal("nil span produced a child")
+	if st := tm.Start(s); st.Span() != nil {
+		t.Fatal("nil span produced a stage child")
 	}
 	if got := s.RequestID(); got != "" {
 		t.Fatalf("nil span request ID = %q", got)
@@ -27,12 +29,14 @@ func TestSpanNilSafety(t *testing.T) {
 		t.Fatalf("nil span duration = %v", d)
 	}
 	snap := s.Snapshot()
-	if snap.Name != "" {
+	if snap.Name != "" || snap.Attrs != nil || snap.Labels != nil {
 		t.Fatalf("nil span snapshot = %+v", snap)
 	}
 }
 
 func TestSpanTreeAndContext(t *testing.T) {
+	reg := NewRegistry()
+	tMap, tExtend := reg.Timer("core/map"), reg.Timer("gact/extend")
 	root := NewRequestSpan("req-123", "http POST /v1/map")
 	ctx := ContextWithSpan(context.Background(), root)
 
@@ -40,39 +44,43 @@ func TestSpanTreeAndContext(t *testing.T) {
 		t.Fatalf("RequestIDFromContext = %q", got)
 	}
 
-	cctx, child := StartSpan(ctx, "core.map")
+	st := tMap.Start(SpanFromContext(ctx))
+	child := st.Span()
 	if child == nil {
-		t.Fatal("StartSpan returned nil child under a traced context")
+		t.Fatal("Start returned no child under a traced parent")
 	}
 	child.SetAttr("reads", 4)
 	child.AddAttr("reads", 2)
-	if v, _ := child.Attr("reads"); v != 6 {
-		t.Fatalf("reads attr = %d, want 6", v)
-	}
+	cctx := ContextWithSpan(ctx, child)
 	if got := RequestIDFromContext(cctx); got != "req-123" {
 		t.Fatalf("child context lost request ID: %q", got)
 	}
 
-	_, grand := StartSpan(cctx, "gact.extend")
-	grand.SetAttr("tiles", 9)
+	grand := tExtend.Start(SpanFromContext(cctx))
+	grand.Span().SetAttr("tiles", 9)
 	grand.End()
-	child.End()
+	d := st.End()
 	root.End()
 
 	snap := root.Snapshot()
 	if snap.RequestID != "req-123" {
 		t.Fatalf("root snapshot request_id = %q", snap.RequestID)
 	}
-	cm := snap.Find("core.map")
+	cm := snap.Find("core/map")
 	if cm == nil {
-		t.Fatal("core.map span missing from snapshot")
+		t.Fatal("core/map span missing from snapshot")
 	}
 	if cm.Attrs["reads"] != 6 {
-		t.Fatalf("core.map reads attr = %d", cm.Attrs["reads"])
+		t.Fatalf("core/map reads attr = %d", cm.Attrs["reads"])
 	}
-	ge := snap.Find("gact.extend")
+	// One clock: the span carries exactly the interval the timer got.
+	if cm.InProgress || cm.DurationUS != d.Microseconds() || tMap.Total() != d || tMap.Count() != 1 {
+		t.Fatalf("core/map span %dus (in progress %v), timer %v over %d calls, stage %v",
+			cm.DurationUS, cm.InProgress, tMap.Total(), tMap.Count(), d)
+	}
+	ge := snap.Find("gact/extend")
 	if ge == nil || ge.Attrs["tiles"] != 9 {
-		t.Fatalf("gact.extend span missing or wrong: %+v", ge)
+		t.Fatalf("gact/extend span missing or wrong: %+v", ge)
 	}
 	// Depth ordering: child spans start at or after their parent.
 	if cm.StartUS < snap.StartUS {
@@ -88,26 +96,35 @@ func TestSpanTreeAndContext(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatalf("unmarshal snapshot: %v", err)
 	}
-	if back.Find("gact.extend") == nil {
-		t.Fatal("round-tripped snapshot lost gact.extend")
+	if back.Find("gact/extend") == nil {
+		t.Fatal("round-tripped snapshot lost gact/extend")
 	}
 }
 
-func TestStartSpanUntracedIsNoop(t *testing.T) {
+// TestStageUntracedIsNoop: without a parent a stage still records into
+// its timer and opens no span (alloc_test.go pins that it allocates
+// nothing).
+func TestStageUntracedIsNoop(t *testing.T) {
+	tm := NewRegistry().Timer("core/map")
 	ctx := context.Background()
-	c2, sp := StartSpan(ctx, "core.map")
-	if sp != nil {
-		t.Fatal("StartSpan minted a span without a root in context")
+	st := tm.Start(SpanFromContext(ctx))
+	if st.Span() != nil {
+		t.Fatal("Start minted a span without a parent")
 	}
-	if c2 != ctx {
-		t.Fatal("StartSpan allocated a new context on the untraced path")
+	if ContextWithSpan(ctx, st.Span()) != ctx {
+		t.Fatal("ContextWithSpan allocated a new context on the untraced path")
+	}
+	st.End()
+	if tm.Count() != 1 {
+		t.Fatalf("timer count = %d after one untraced stage, want 1", tm.Count())
 	}
 }
 
 func TestSpanChildCapDropsNotGrows(t *testing.T) {
-	root := NewSpan("root")
+	tm := NewRegistry().Timer("c")
+	root := NewRequestSpan("", "root")
 	for i := 0; i < maxSpanChildren+10; i++ {
-		root.StartChild("c").End()
+		tm.Start(root).End()
 	}
 	snap := root.Snapshot()
 	if len(snap.Children) != maxSpanChildren {
@@ -116,18 +133,23 @@ func TestSpanChildCapDropsNotGrows(t *testing.T) {
 	if snap.DroppedChildren != 10 {
 		t.Fatalf("dropped = %d, want 10", snap.DroppedChildren)
 	}
+	// A dropped child is still a recorded interval.
+	if n := tm.Count(); n != maxSpanChildren+10 {
+		t.Fatalf("timer count = %d, want %d", n, maxSpanChildren+10)
+	}
 }
 
 func TestSpanConcurrentChildren(t *testing.T) {
-	root := NewSpan("root")
+	tm := NewRegistry().Timer("worker")
+	root := NewRequestSpan("", "root")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				c := root.StartChild("worker")
-				c.AddAttr("n", 1)
+				c := tm.Start(root)
+				c.Span().AddAttr("n", 1)
 				c.End()
 			}
 		}()
@@ -141,9 +163,10 @@ func TestSpanConcurrentChildren(t *testing.T) {
 }
 
 func TestAddTimedChild(t *testing.T) {
-	root := NewSpan("root")
+	tm := NewRegistry().Timer("stage/filter")
+	root := NewRequestSpan("", "root")
 	start := time.Now().Add(-3 * time.Millisecond)
-	c := root.AddTimedChild("stage/filter", start, 2*time.Millisecond)
+	c := root.AddTimedChild(tm, start, 2*time.Millisecond)
 	c.SetAttr("candidates", 7)
 	root.End()
 	snap := root.Snapshot()
@@ -159,6 +182,9 @@ func TestAddTimedChild(t *testing.T) {
 	}
 	if f.Attrs["candidates"] != 7 {
 		t.Fatal("timed child attrs lost")
+	}
+	if tm.Count() != 0 {
+		t.Fatalf("AddTimedChild recorded %d intervals into its timer, want 0", tm.Count())
 	}
 }
 
@@ -201,7 +227,7 @@ func TestSlowRingTopK(t *testing.T) {
 
 func TestSlowRingNilSafety(t *testing.T) {
 	var ring *SlowRing
-	ring.Offer(NewSpan("x"))
+	ring.Offer(NewRequestSpan("", "x"))
 	if ring.Len() != 0 || ring.Snapshot() != nil {
 		t.Fatal("nil ring misbehaved")
 	}
@@ -210,33 +236,25 @@ func TestSlowRingNilSafety(t *testing.T) {
 
 func TestSpanLabels(t *testing.T) {
 	s := NewRequestSpan("rid", "root")
-	hop := s.StartChild("cluster.scatter")
-	hop.SetLabel("worker", "worker-1")
-	hop.SetLabel("worker", "worker-2") // replaces
+	hop := NewRegistry().Timer("cluster/scatter").Start(s)
+	hop.Span().SetLabel("worker", "worker-1")
+	hop.Span().SetLabel("worker", "worker-2") // replaces
 	hop.End()
 	s.End()
-	if v, ok := hop.Label("worker"); !ok || v != "worker-2" {
-		t.Fatalf("Label = %q, %v; want worker-2, true", v, ok)
+	snap := s.Snapshot()
+	if got, ok := snap.Children[0].Labels["worker"]; !ok || got != "worker-2" {
+		t.Fatalf("snapshot label = %q, %v; want worker-2, true", got, ok)
 	}
-	if _, ok := hop.Label("missing"); ok {
+	if _, ok := snap.Children[0].Labels["missing"]; ok {
 		t.Fatal("missing label reported present")
 	}
-	snap := s.Snapshot()
-	if got := snap.Children[0].Labels["worker"]; got != "worker-2" {
-		t.Fatalf("snapshot label = %q, want worker-2", got)
-	}
 	// Labels must round-trip the snapshot's JSON form (it is served by
-	// /debug/slow) and stay nil-safe.
+	// /debug/slow).
 	b, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(string(b), `"labels":{"worker":"worker-2"}`) {
 		t.Fatalf("snapshot JSON missing labels: %s", b)
-	}
-	var nilSpan *Span
-	nilSpan.SetLabel("k", "v")
-	if _, ok := nilSpan.Label("k"); ok {
-		t.Fatal("nil span stored a label")
 	}
 }

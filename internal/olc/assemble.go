@@ -9,7 +9,15 @@ import (
 	"darwin/internal/obs"
 )
 
-var tAssemble = obs.Default.Timer("olc/assemble")
+// One timer per Assemble stage. olc/polish (one per Assemble, not per
+// round) re-enters stage/filter and stage/align, so it is not a stage/.
+var (
+	tAssemble  = obs.Default.Timer("olc/assemble")
+	tOverlap   = obs.Default.Timer("olc/overlap")
+	tLayout    = obs.Default.Timer("stage/layout")
+	tConsensus = obs.Default.Timer("olc/consensus")
+	tPolish    = obs.Default.Timer("olc/polish")
+)
 
 // Settings is the resolved configuration of an assembly pipeline run.
 // Callers use Options; Settings is exported so the server can report
@@ -147,8 +155,9 @@ func (s *Settings) progress(stage string, done, total int) {
 
 // overlapStage runs (or resumes, or skips) the overlap pass.
 func overlapStage(ctx context.Context, reads []dna.Seq, s *Settings, minOverlap int) ([]core.Overlap, core.OverlapStats, error) {
-	sctx, span := obs.StartSpan(ctx, "olc/overlap")
-	defer span.End()
+	stage := tOverlap.Start(obs.SpanFromContext(ctx))
+	defer stage.End()
+	span := stage.Span()
 	span.SetAttr("reads", int64(len(reads)))
 	span.SetAttr("workers", int64(core.DefaultWorkers(s.Workers)))
 	if err := fpOverlap.Fire(); err != nil {
@@ -172,7 +181,7 @@ func overlapStage(ctx context.Context, reads []dna.Seq, s *Settings, minOverlap 
 	if s.Resume != nil {
 		span.SetAttr("resume_read", int64(s.Resume.NextRead))
 	}
-	overlaps, stats, err := ovp.Run(sctx, core.OverlapRun{
+	overlaps, stats, err := ovp.Run(ctx, core.OverlapRun{
 		MinOverlap:      minOverlap,
 		Workers:         s.Workers,
 		Resume:          s.Resume,
@@ -199,9 +208,11 @@ func Overlap(ctx context.Context, reads []dna.Seq, options ...Option) ([]core.Ov
 // Assemble runs the full overlap-layout-consensus pipeline under ctx:
 // all-vs-all overlap (resumable via WithCheckpoint), greedy layout,
 // read splicing, and majority-vote polishing. It subsumes the
-// positional BuildLayoutContext/Splice/PolishContext free functions; each stage is
-// traced as a child span (olc/overlap, olc/layout, olc/consensus,
-// olc/polish) and guarded by a fault point of the same name.
+// positional BuildLayoutContext/Splice/PolishContext free functions.
+// Each stage is timed once by its registry timer (olc/overlap,
+// stage/layout, olc/consensus, olc/polish), which under a traced ctx is
+// also the stage's child span, and is guarded by a fault point
+// (olc/overlap, olc/layout, olc/consensus, olc/polish).
 func Assemble(ctx context.Context, reads []dna.Seq, options ...Option) (*Assembly, error) {
 	defer tAssemble.Time()()
 	s := ResolveOptions(options)
@@ -222,22 +233,22 @@ func Assemble(ctx context.Context, reads []dna.Seq, options ...Option) (*Assembl
 
 	// Layout.
 	{
-		lctx, span := obs.StartSpan(ctx, "olc/layout")
-		span.SetAttr("overlaps", int64(len(overlaps)))
+		stage := tLayout.Start(obs.SpanFromContext(ctx))
+		stage.Span().SetAttr("overlaps", int64(len(overlaps)))
 		if err := fpLayout.Fire(); err != nil {
-			span.End()
+			stage.End()
 			return nil, err
 		}
 		s.progress("layout", 0, 1)
-		layout, err := BuildLayoutContext(lctx, readLens, overlaps)
+		layout, err := BuildLayoutContext(ctx, readLens, overlaps)
 		if err != nil {
-			span.End()
+			stage.End()
 			return nil, err
 		}
 		asm.Layout = layout
 		asm.Stats = Summarize(layout)
-		span.SetAttr("contigs", int64(len(layout.Contigs)))
-		span.End()
+		stage.Span().SetAttr("contigs", int64(len(layout.Contigs)))
+		stage.End()
 		s.progress("layout", 1, 1)
 	}
 
@@ -248,9 +259,9 @@ func Assemble(ctx context.Context, reads []dna.Seq, options ...Option) (*Assembl
 	}
 	var drafts []draft
 	{
-		_, span := obs.StartSpan(ctx, "olc/consensus")
+		stage := tConsensus.Start(obs.SpanFromContext(ctx))
 		if err := fpConsensus.Fire(); err != nil {
-			span.End()
+			stage.End()
 			return nil, err
 		}
 		kept := 0
@@ -265,21 +276,23 @@ func Assemble(ctx context.Context, reads []dna.Seq, options ...Option) (*Assembl
 				continue
 			}
 			if err := ctx.Err(); err != nil {
-				span.End()
+				stage.End()
 				return nil, err
 			}
 			drafts = append(drafts, draft{ci: ci, seq: Splice(reads, c)})
 			done++
 			s.progress("consensus", done, kept)
 		}
-		span.SetAttr("contigs", int64(len(drafts)))
-		span.End()
+		stage.Span().SetAttr("contigs", int64(len(drafts)))
+		stage.End()
 	}
 
 	// Polish: each multi-read contig gets PolishRounds of majority-vote
 	// recall against the read set.
 	{
-		pctx, span := obs.StartSpan(ctx, "olc/polish")
+		stage := tPolish.Start(obs.SpanFromContext(ctx))
+		span := stage.Span()
+		pctx := obs.ContextWithSpan(ctx, span)
 		totalRounds := 0
 		for _, d := range drafts {
 			if len(asm.Layout.Contigs[d.ci].Placements) > 1 {
@@ -294,12 +307,12 @@ func Assemble(ctx context.Context, reads []dna.Seq, options ...Option) (*Assembl
 			placements := len(asm.Layout.Contigs[d.ci].Placements)
 			for round := 0; round < s.PolishRounds && placements > 1; round++ {
 				if err := fpPolish.Fire(); err != nil {
-					span.End()
+					stage.End()
 					return nil, err
 				}
 				polished, err := PolishContext(pctx, d.seq, reads, s.Config, s.Workers)
 				if err != nil {
-					span.End()
+					stage.End()
 					return nil, err
 				}
 				d.seq = polished
@@ -307,7 +320,7 @@ func Assemble(ctx context.Context, reads []dna.Seq, options ...Option) (*Assembl
 				s.progress("polish", done, totalRounds)
 			}
 		}
-		span.End()
+		stage.End()
 	}
 
 	for _, d := range drafts {

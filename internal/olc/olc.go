@@ -23,14 +23,7 @@ import (
 	"darwin/internal/obs"
 )
 
-// Layout is a disjoint pipeline stage; polishing re-runs the engine's
-// filter and align stages internally, so its timer deliberately lives
-// outside the stage/ namespace (see package obs) to keep stage sums
-// honest.
-var (
-	tLayout  = obs.Default.Timer("stage/layout")
-	cContigs = obs.Default.Counter("olc/contigs")
-)
+var cContigs = obs.Default.Counter("olc/contigs")
 
 // Placement positions one read inside a contig frame.
 type Placement struct {
@@ -78,7 +71,6 @@ func (f *fragment) span(readLens []int) (int, int) {
 // each read's length. ctx is checked periodically during the greedy
 // merge, and cancellation returns ctx.Err() with a nil layout.
 func BuildLayoutContext(ctx context.Context, readLens []int, overlaps []core.Overlap) (*Layout, error) {
-	defer tLayout.Time()()
 	n := len(readLens)
 
 	// Canonical processing order: score descending, ties broken on the

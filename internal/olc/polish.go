@@ -7,13 +7,7 @@ import (
 
 	"darwin/internal/core"
 	"darwin/internal/dna"
-	"darwin/internal/obs"
 )
-
-// tPolish is outside the stage/ namespace: polishing internally
-// re-enters the filter/align stage timers, so counting it as its own
-// stage would double-book that time.
-var tPolish = obs.Default.Timer("olc/polish")
 
 // PolishContext performs the consensus phase of OLC assembly (Section
 // 2: "the final DNA sequence is derived by taking a consensus of reads,
@@ -31,7 +25,6 @@ var tPolish = obs.Default.Timer("olc/polish")
 // checked between reads, and a read whose mapping fails fails the
 // polish.
 func PolishContext(ctx context.Context, draft dna.Seq, reads []dna.Seq, cfg core.Config, workers int) (dna.Seq, error) {
-	defer tPolish.Time()()
 	cols, err := MapPileup(ctx, draft, reads, cfg, workers)
 	if err != nil {
 		return nil, fmt.Errorf("olc: polish: %w", err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"darwin/internal/core"
@@ -13,11 +14,13 @@ import (
 	"darwin/internal/readsim"
 )
 
-// TestTraceEventsAreRegistryTimers: the Chrome trace is a view of the
-// registry timers. With tracing on, a two-worker Darwin.Map and an
-// Assemble emit only events named after timers in obs.Default, with
-// the worker loops' busy timers on worker lanes (tid ≥ 1); with
-// tracing off they record nothing.
+// TestTraceEventsAreRegistryTimers: the Chrome trace and a request's
+// span tree are views of the registry timers. With tracing on, a
+// two-worker Darwin.Map and an Assemble emit only events named after
+// timers in obs.Default, with the worker loops' busy timers on worker
+// lanes (tid ≥ 1); with tracing off they record nothing. Run under a
+// root span, Assemble's tree has its four stages as the root's
+// children and names every span after a registry timer.
 func TestTraceEventsAreRegistryTimers(t *testing.T) {
 	prev := obs.Trace
 	obs.Trace = obs.NewTracer(1 << 16)
@@ -41,14 +44,17 @@ func TestTraceEventsAreRegistryTimers(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	var root *obs.Span
 	run := func() {
 		t.Helper()
 		if _, err := d.Map(ctx, reads, core.WithWorkers(2)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Assemble(ctx, reads, WithConfig(cfg), WithMinOverlap(1000), WithPolishRounds(1), WithWorkers(2)); err != nil {
+		root = obs.NewRequestSpan("asm-trace", "job assemble")
+		if _, err := Assemble(obs.ContextWithSpan(ctx, root), reads, WithConfig(cfg), WithMinOverlap(1000), WithPolishRounds(1), WithWorkers(2)); err != nil {
 			t.Fatal(err)
 		}
+		root.End()
 	}
 
 	run()
@@ -87,5 +93,19 @@ func TestTraceEventsAreRegistryTimers(t *testing.T) {
 		if !seen[name] {
 			t.Errorf("no %s event in the trace", name)
 		}
+	}
+
+	tree := root.Snapshot()
+	var stages []string
+	for _, c := range tree.Children {
+		stages = append(stages, c.Name)
+		c.Walk(func(sp obs.SpanSnapshot) {
+			if _, ok := timers[sp.Name]; !ok {
+				t.Errorf("span %q is not a registry timer", sp.Name)
+			}
+		})
+	}
+	if want := []string{"olc/overlap", "stage/layout", "olc/consensus", "olc/polish"}; !slices.Equal(stages, want) {
+		t.Errorf("Assemble's stage spans = %v, want %v", stages, want)
 	}
 }

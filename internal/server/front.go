@@ -174,7 +174,7 @@ type RequestBody struct {
 const statusClientClosedRequest = 499
 
 // Read is the preamble of a mapping request: method, drain and
-// readiness checks, then — as the server.admit stage — body decode,
+// readiness checks, then — as the server/admit stage — body decode,
 // validation and the server/admit fault point. Validation refuses a
 // body naming a reference (every tier serves only the one it warmed), a
 // scatter body's malformed shard list, a bad read count and empty
@@ -200,11 +200,11 @@ func (e *Endpoint) Read(w http.ResponseWriter, r *http.Request) (req RequestBody
 		return
 	}
 
-	// One span child covers decode, validation and the admission fault
-	// point — admission rejections are cheap by design, and the span
-	// proves it.
+	// One stage covers decode, validation and the admission fault
+	// point — admission rejections are cheap by design, and the
+	// server/admit timer proves it.
 	span := obs.SpanFromContext(r.Context())
-	admit := span.StartChild("server.admit")
+	admit := tAdmit.Start(span)
 	defer admit.End()
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, f.maxBodyBytes))
 	if err := dec.Decode(&req); err != nil {
@@ -249,7 +249,7 @@ func (e *Endpoint) Read(w http.ResponseWriter, r *http.Request) (req RequestBody
 		e.Reject(w, r, http.StatusServiceUnavailable, CodeFaultInjected, "%v", err)
 		return
 	}
-	admit.SetAttr("reads", int64(len(reads)))
+	admit.Span().SetAttr("reads", int64(len(reads)))
 	span.SetAttr("reads", int64(len(reads)))
 	e.reads.Add(int64(len(reads)))
 	if !e.scatter {

@@ -10,13 +10,17 @@ import (
 
 // Admission observability: queue depth is the backpressure signal and
 // queue wait is what a request paid for arriving while every slot was
-// taken.
+// taken. server/admit (the preamble both tiers share), server/queue_wait
+// and server/map are the stages the Server-Timing header reports.
 var (
 	cJobs          = obs.Default.Counter("server/jobs")
 	cJobsRejected  = obs.Default.Counter("server/jobs_rejected")
 	cJobsCancelled = obs.Default.Counter("server/jobs_cancelled")
 	gQueueDepth    = obs.Default.Gauge("server/queue_depth")
 	hQueueWait     = obs.Default.Histogram("server/queue_wait_ms", 0, 1000, 50)
+	tQueueWait     = obs.Default.Timer("server/queue_wait")
+	tAdmit         = obs.Default.Timer("server/admit")
+	tMap           = obs.Default.Timer("server/map")
 )
 
 // Admission errors.

@@ -6,13 +6,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"darwin/internal/dna"
+	"darwin/internal/faults"
 	"darwin/internal/genome"
 	"darwin/internal/jobs"
 	"darwin/internal/readsim"
@@ -331,4 +334,94 @@ func TestJobsHTTPCancelAndNotDone(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantEnvelopeCode(t, resp, http.StatusConflict, CodeJobCanceled)
+}
+
+// FuzzJobSubmit drives the /v1/jobs submit decoder — JSON, NDJSON or
+// FASTA body, and a query string — with arbitrary input. It must not
+// panic, and never answers 5xx but draining. A refusal is 400, 413 or
+// 429 with its envelope code. A 202 names a kind and parameters
+// jobs.Submit accepts, and its persisted payload, the one a restart
+// resumes from, reads back as the job's count of non-empty reads.
+// Every accepted job fails at once at the olc/overlap fault point, so
+// none builds an index.
+func FuzzJobSubmit(f *testing.F) {
+	f.Cleanup(faults.Default.Reset)
+	if err := faults.Default.Enable("olc/overlap=error=fuzz"); err != nil {
+		f.Fatal(err)
+	}
+	dir := f.TempDir()
+	mgr, err := jobs.New(jobs.Config{Dir: dir, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { mgr.Drain(context.Background()) })
+	s := New(Config{Jobs: mgr, MaxBodyBytes: 4096})
+	contentTypes := []string{"application/json", "application/x-ndjson", "text/x-fasta"}
+	refusals := map[int]string{
+		http.StatusBadRequest:            CodeBadRequest,
+		http.StatusRequestEntityTooLarge: CodePayloadTooLarge,
+		http.StatusTooManyRequests:       CodeQueueFull,
+		http.StatusServiceUnavailable:    CodeDraining,
+	}
+
+	// The shapes jobs_test.go submits, per content type.
+	for _, seed := range []struct {
+		body  string
+		ct    uint8
+		query string
+	}{
+		{`{"reads":[{"name":"r0","seq":"ACGTACGT"},{"seq":"GGCCAATT"}]}`, 0, ""},
+		{`{"kind":"overlap","reads":[{"name":"r0","seq":"ACGTACGT"}],"min_overlap":500,"polish_rounds":0,"min_contig":10}`, 0, ""},
+		{`{"reads":[{"name":"r0","seq":"ACGTACGT"}],"polish_rounds":-1}`, 0, ""},
+		{`{"reads":[{"name":"r0","seq":""}]}`, 0, ""},
+		{`{"kind":"nope","reads":[{"name":"r0","seq":"ACGT"}]}`, 0, ""},
+		{`{"reads":[]}`, 0, "kind=overlap"},
+		{`{"reads":[{"name":"r0","seq":"` + strings.Repeat("ACGT", 1100) + `"}]}`, 0, ""},
+		{"{\"name\":\"a\",\"seq\":\"ACGT\"}\n\n{\"seq\":\"GGCC\"}\n", 1, "polish=1"},
+		{"{\"name\":\"a\",\"seq\":\"ACGT\"}\nnot json\n", 1, ""},
+		{">r0\nACGTACGT\n>r1\nGGCCAATT\n", 2, "kind=overlap&min_overlap=800&polish=1&min_contig=5"},
+		{">r0\nACGTACGT\n", 2, "min_overlap=nope"},
+		{">r0\nACGTACGT\n", 2, "polish=-1"},
+		{"", 2, ""},
+		// A name that would split its record in the persisted payload.
+		{`{"reads":[{"name":"a\n>b","seq":"ACGT"}]}`, 0, ""},
+	} {
+		f.Add([]byte(seed.body), seed.ct, seed.query)
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte, ct uint8, query string) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body))
+		r.URL.RawQuery = query
+		r.Header.Set("Content-Type", contentTypes[int(ct)%len(contentTypes)])
+		w := httptest.NewRecorder()
+		s.handleJobSubmit(w, r)
+		if w.Code != http.StatusAccepted {
+			var eb ErrorBody
+			if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil {
+				t.Fatalf("refused with %d and no envelope: %q", w.Code, w.Body.Bytes())
+			}
+			if code, known := refusals[w.Code]; !known || eb.Error.Code != code {
+				t.Fatalf("refused with %d %q, want one of %v", w.Code, eb.Error.Code, refusals)
+			}
+			return
+		}
+		var st jobs.Status
+		if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+			t.Fatalf("202 body %q: %v", w.Body.Bytes(), err)
+		}
+		p := st.Params
+		if (st.Kind != jobs.KindOverlap && st.Kind != jobs.KindAssemble) || st.Reads < 1 ||
+			p.MinOverlap <= 0 || p.PolishRounds < 0 || p.MinContig < 0 {
+			t.Fatalf("accepted job %+v", st)
+		}
+		recs, err := dna.ReadFile(filepath.Join(dir, st.ID, "reads.fa"))
+		if err != nil || len(recs) != st.Reads {
+			t.Fatalf("accepted job of %d reads persisted %d (%v)", st.Reads, len(recs), err)
+		}
+		for i, rec := range recs {
+			if len(rec.Seq) == 0 {
+				t.Fatalf("accepted read %d (%q) with an empty sequence", i, rec.Name)
+			}
+		}
+	})
 }

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"fmt"
 	"log/slog"
 	"net/http"
+	"strings"
 	"time"
 
 	"darwin/internal/obs"
@@ -108,55 +110,26 @@ func (f *Front) withObs(h http.Handler) http.Handler {
 // Server-Timing header value (e.g. "admit;dur=0.3, queue_wait;dur=1.2,
 // map;dur=8.0, total;dur=9.9") so clients see where server-side
 // time went without a debug endpoint round-trip. Only the
-// server.-prefixed children appear, under their short names.
+// server/-prefixed children appear, under their short names.
 func serverTiming(span *obs.Span) string {
 	if span == nil {
 		return ""
 	}
-	snap := span.Snapshot()
 	var b []byte
-	for _, c := range snap.Children {
-		name, ok := trimServerStage(c.Name)
-		if !ok {
-			continue
+	for _, c := range span.Snapshot().Children {
+		if name, ok := strings.CutPrefix(c.Name, "server/"); ok {
+			b = appendTimingEntry(b, name, c.DurationUS)
 		}
-		if len(b) > 0 {
-			b = append(b, ", "...)
-		}
-		b = appendTimingEntry(b, name, c.DurationUS)
 	}
+	return string(appendTimingEntry(b, "total", span.Duration().Microseconds()))
+}
+
+// appendTimingEntry appends one "name;dur=<ms>.<tenths>" entry,
+// comma-separated from any before it.
+func appendTimingEntry(b []byte, name string, us int64) []byte {
 	if len(b) > 0 {
 		b = append(b, ", "...)
 	}
-	b = appendTimingEntry(b, "total", span.Duration().Microseconds())
-	return string(b)
-}
-
-func appendTimingEntry(b []byte, name string, us int64) []byte {
-	b = append(b, name...)
-	b = append(b, ";dur="...)
-	ms := us / 1000
-	frac := (us % 1000) / 100
-	b = appendInt(b, ms)
-	b = append(b, '.')
-	b = appendInt(b, frac)
-	return b
-}
-
-func appendInt(b []byte, v int64) []byte {
-	if v < 0 {
-		v = 0
-	}
-	if v >= 10 {
-		b = appendInt(b, v/10)
-	}
-	return append(b, byte('0'+v%10))
-}
-
-func trimServerStage(name string) (string, bool) {
-	const prefix = "server."
-	if len(name) > len(prefix) && name[:len(prefix)] == prefix {
-		return name[len(prefix):], true
-	}
-	return "", false
+	us = max(us, 0)
+	return fmt.Appendf(b, "%s;dur=%d.%d", name, us/1000, us%1000/100)
 }

@@ -308,22 +308,21 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 // this level — core's Map confines them to MapResult.Err.
 func (s *Server) mapReads(ctx context.Context, entry *IndexEntry, reads []dna.Seq) (results []core.MapResult, err error) {
 	span := obs.SpanFromContext(ctx)
-	enqueued := time.Now()
+	queued := tQueueWait.Start(span)
 	err = s.mapGate.acquire(ctx)
+	wait := queued.End()
 	if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrDraining) {
 		cJobsRejected.Inc()
 		return nil, err
 	}
 	cJobs.Inc()
-	wait := time.Since(enqueued)
 	hQueueWait.Observe(float64(wait) / float64(time.Millisecond))
-	span.AddTimedChild("server.queue_wait", enqueued, wait)
 	if err != nil {
 		return nil, err // ctx ended before a slot came free
 	}
 	defer s.mapGate.release()
 
-	stage := span.StartChild("server.map")
+	stage := tMap.Start(span)
 	defer stage.End()
 	defer func() {
 		if r := recover(); r != nil {
@@ -331,7 +330,7 @@ func (s *Server) mapReads(ctx context.Context, entry *IndexEntry, reads []dna.Se
 			results, err = nil, fmt.Errorf("server: mapping panicked: %v", r)
 		}
 	}()
-	stage.SetAttr("reads", int64(len(reads)))
+	stage.Span().SetAttr("reads", int64(len(reads)))
 	if err := fpFlush.Fire(); err != nil {
 		return nil, err
 	}
@@ -339,7 +338,7 @@ func (s *Server) mapReads(ctx context.Context, entry *IndexEntry, reads []dna.Se
 	if err != nil {
 		return nil, err
 	}
-	results, err = engine.Map(obs.ContextWithSpan(ctx, stage), reads,
+	results, err = engine.Map(obs.ContextWithSpan(ctx, stage.Span()), reads,
 		core.WithWorkers(1), core.WithDeadlinePerRead(s.cfg.ReadDeadline))
 	// Not deferred: a clone that panicked mid-read is not pooled again.
 	entry.Release(engine)

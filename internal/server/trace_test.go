@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"reflect"
 	"strings"
@@ -46,12 +47,29 @@ func postMap(t *testing.T, url, reqID string, body []byte) (*http.Response, []Ma
 	return resp, lines
 }
 
+// checkSpansAreTimers fails t for every non-root span of tree whose
+// name is not a registry timer: a child span is the interval of one
+// timer, so the tree and the registry share one vocabulary.
+func checkSpansAreTimers(t *testing.T, tree obs.SpanSnapshot) {
+	t.Helper()
+	timers := obs.Default.Snapshot().Timers
+	for _, c := range tree.Children {
+		c.Walk(func(sp obs.SpanSnapshot) {
+			if _, ok := timers[sp.Name]; !ok {
+				t.Errorf("span %q is not a registry timer", sp.Name)
+			}
+		})
+	}
+}
+
 // TestTracedRequestSpanTree maps one traced request and checks the
 // captured span tree end to end: the request ID threads from the
 // inbound header through the response header, every NDJSON line, and
 // the slow-capture ring; every stage timer the Registry advanced
-// during serving appears as a span in the tree; and the root's
-// sequential stage children sum to no more than the root itself.
+// during serving appears as a span in the tree, and every span is
+// named by a registry timer; the map stage's span and its timer read
+// one clock; and the root's sequential stage children sum to no more
+// than the root itself.
 func TestTracedRequestSpanTree(t *testing.T) {
 	srv, ts, reads := testService(t, Config{SlowCapture: 4})
 	before := obs.Default.Snapshot()
@@ -65,10 +83,12 @@ func TestTracedRequestSpanTree(t *testing.T) {
 		t.Errorf("response X-Request-ID = %q, want %q", got, reqID)
 	}
 	st := resp.Header.Get("Server-Timing")
-	for _, stage := range []string{"admit;dur=", "queue_wait;dur=", "map;dur=", "total;dur="} {
-		if !strings.Contains(st, stage) {
-			t.Errorf("Server-Timing %q missing stage %q", st, stage)
-		}
+	var names []string
+	for _, entry := range strings.Split(st, ", ") {
+		names = append(names, strings.SplitN(entry, ";dur=", 2)[0])
+	}
+	if want := []string{"admit", "queue_wait", "map", "total"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("Server-Timing %q names stages %v, want %v", st, names, want)
 	}
 	if len(lines) != len(reads) {
 		t.Fatalf("%d NDJSON lines for %d reads", len(lines), len(reads))
@@ -100,6 +120,7 @@ func TestTracedRequestSpanTree(t *testing.T) {
 			t.Errorf("stage timer %s advanced (%d obs) but has no span in the tree", name, ts.Count)
 		}
 	}
+	checkSpansAreTimers(t, tree)
 	// The serving pipeline's own stages: the root's children are the
 	// request's sequential stages and nothing else, and the engine's
 	// spans hang under the map stage.
@@ -107,30 +128,35 @@ func TestTracedRequestSpanTree(t *testing.T) {
 	for _, c := range tree.Children {
 		stages = append(stages, c.Name)
 	}
-	if want := []string{"server.admit", "server.queue_wait", "server.map"}; !reflect.DeepEqual(stages, want) {
+	if want := []string{"server/admit", "server/queue_wait", "server/map"}; !reflect.DeepEqual(stages, want) {
 		t.Errorf("root children = %v, want %v", stages, want)
 	}
-	if m := tree.Find("server.map"); m != nil {
+	if m := tree.Find("server/map"); m != nil {
 		if m.Attrs["reads"] != int64(len(reads)) {
-			t.Errorf("server.map attrs %v, want reads=%d", m.Attrs, len(reads))
+			t.Errorf("server/map attrs %v, want reads=%d", m.Attrs, len(reads))
 		}
-		for _, name := range []string{"core.map", "core.read"} {
+		for _, name := range []string{"core/map", "core/worker_busy"} {
 			if m.Find(name) == nil {
-				t.Errorf("span %s missing under server.map", name)
+				t.Errorf("span %s missing under server/map", name)
 			}
+		}
+		// One clock: the span carries the very interval its timer got.
+		tm := diff.Timers["server/map"]
+		if us := tm.Seconds * 1e6; tm.Count != 1 || math.Abs(us-float64(m.DurationUS)) > 1 {
+			t.Errorf("server/map span %dus, timer %.1fus over %d calls", m.DurationUS, us, tm.Count)
 		}
 	}
 	// A mapped PacBio read accepts at least one candidate, so the GACT
 	// engine must have recorded an extension child with work attrs.
-	ext := tree.Find("gact.extend")
+	ext := tree.Find("gact/extend")
 	if ext == nil {
-		t.Fatalf("no gact.extend span in tree")
+		t.Fatalf("no gact/extend span in tree")
 	}
 	if ext.Attrs["tiles"] == 0 || ext.Attrs["cells"] == 0 {
-		t.Errorf("gact.extend attrs %v missing tiles/cells", ext.Attrs)
+		t.Errorf("gact/extend attrs %v missing tiles/cells", ext.Attrs)
 	}
-	if rd := tree.Find("core.read"); rd != nil && rd.Attrs["candidates"] == 0 {
-		t.Errorf("core.read attrs %v missing candidates", rd.Attrs)
+	if rd := tree.Find("core/worker_busy"); rd != nil && rd.Attrs["candidates"] == 0 {
+		t.Errorf("core/worker_busy attrs %v missing candidates", rd.Attrs)
 	}
 
 	// Sequential stage children cannot outlast the request: their sum
@@ -147,7 +173,8 @@ func TestTracedRequestSpanTree(t *testing.T) {
 
 // TestTracedRequestShardedSpanTree is the sharded-path variant of the
 // span-tree check: under a 4-shard index the captured tree must show
-// the scatter-gather split with shard attrs instead of core.map.
+// the scatter-gather split with shard attrs instead of core/map, every
+// span named by a registry timer.
 func TestTracedRequestShardedSpanTree(t *testing.T) {
 	srv, ts, reads := testService(t, Config{
 		SlowCapture: 4,
@@ -171,17 +198,18 @@ func TestTracedRequestShardedSpanTree(t *testing.T) {
 	if tree.RequestID != reqID {
 		t.Errorf("captured tree request_id %q, want %q", tree.RequestID, reqID)
 	}
-	for _, name := range []string{"server.admit", "server.queue_wait", "server.map", "shard.map", "shard.scatter", "shard.gather", "core.read", "stage/filter", "stage/align", "gact.extend"} {
+	for _, name := range []string{"server/admit", "server/queue_wait", "server/map", "shard/map", "shard/scatter", "shard/gather", "core/worker_busy", "stage/filter", "stage/align", "gact/extend"} {
 		if tree.Find(name) == nil {
 			t.Errorf("span %s missing from sharded tree", name)
 		}
 	}
-	if ms := tree.Find("shard.map"); ms != nil && ms.Attrs["shards"] != 4 {
-		t.Errorf("shard.map attrs %v, want shards=4", ms.Attrs)
+	checkSpansAreTimers(t, tree)
+	if ms := tree.Find("shard/map"); ms != nil && ms.Attrs["shards"] != 4 {
+		t.Errorf("shard/map attrs %v, want shards=4", ms.Attrs)
 	}
-	if sc := tree.Find("shard.scatter"); sc != nil {
+	if sc := tree.Find("shard/scatter"); sc != nil {
 		if sc.Attrs["shard_hits"]+sc.Attrs["shard_builds"] == 0 {
-			t.Errorf("shard.scatter attrs %v show no shard acquisitions", sc.Attrs)
+			t.Errorf("shard/scatter attrs %v show no shard acquisitions", sc.Attrs)
 		}
 	}
 }
@@ -244,17 +272,17 @@ func TestConcurrentRequestsOwnTheirSpans(t *testing.T) {
 		var maps, coreReads int64
 		c.Span.Walk(func(sp obs.SpanSnapshot) {
 			switch sp.Name {
-			case "server.map":
+			case "server/map":
 				maps++
 				if sp.Attrs["reads"] != wantReads {
-					t.Errorf("capture %s: server.map reads=%d, want %d", c.RequestID, sp.Attrs["reads"], wantReads)
+					t.Errorf("capture %s: server/map reads=%d, want %d", c.RequestID, sp.Attrs["reads"], wantReads)
 				}
-			case "core.read":
+			case "core/worker_busy":
 				coreReads++
 			}
 		})
 		if maps != 1 || coreReads != wantReads {
-			t.Errorf("capture %s: %d server.map and %d core.read spans, want 1 and %d", c.RequestID, maps, coreReads, wantReads)
+			t.Errorf("capture %s: %d server/map and %d core/worker_busy spans, want 1 and %d", c.RequestID, maps, coreReads, wantReads)
 		}
 	}
 	for i := 0; i < n; i++ {

@@ -19,9 +19,13 @@ import (
 // record themselves; the per-read core/* roll-ups come from the shared
 // per-read body (core.Batch.Read), so downstream tooling reads
 // core/reads as "reads mapped" without caring which engine mapped them.
+// shard/map and shard/scatter_shards time whole Map and ScatterShards
+// calls, the two entries to run.
 var (
-	tScatter = obs.Default.Timer("shard/scatter")
-	tGather  = obs.Default.Timer("shard/gather")
+	tMap           = obs.Default.Timer("shard/map")
+	tScatterShards = obs.Default.Timer("shard/scatter_shards")
+	tScatter       = obs.Default.Timer("shard/scatter")
+	tGather        = obs.Default.Timer("shard/gather")
 )
 
 // gcand is a D-SOFT candidate lifted into global reference coordinates.
@@ -193,7 +197,7 @@ func (m *ScatterMapper) Map(ctx context.Context, reads []dna.Seq, options ...cor
 	for i := range ids {
 		ids[i] = i
 	}
-	return m.run(ctx, "shard.map", reads, ids, m.cfg.MaxCandidates, core.ResolveMapOptions(options), nil)
+	return m.run(ctx, tMap, reads, ids, m.cfg.MaxCandidates, core.ResolveMapOptions(options), nil)
 }
 
 // run is the sharded executor behind Map and ScatterShards, which
@@ -203,8 +207,8 @@ func (m *ScatterMapper) Map(ctx context.Context, reads []dna.Seq, options ...cor
 // GACT-extend them and fold the outcomes into a MapResult. When wire
 // is non-nil each extended candidate's outcome is also recorded in
 // wire[read] — the sub-response form, which the in-process path never
-// pays for.
-func (m *ScatterMapper) run(ctx context.Context, span string, reads []dna.Seq, ids []int, limit int, o core.MapSettings, wire []ReadScatter) ([]core.MapResult, error) {
+// pays for. timer times the whole call.
+func (m *ScatterMapper) run(ctx context.Context, timer *obs.Timer, reads []dna.Seq, ids []int, limit int, o core.MapSettings, wire []ReadScatter) ([]core.MapResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -212,11 +216,12 @@ func (m *ScatterMapper) run(ctx context.Context, span string, reads []dna.Seq, i
 	if err := m.ensureWorkers(b.Workers); err != nil {
 		return nil, err
 	}
-	// Trace hook: under a traced request the batch gets a span with
+	// Under a traced request the call's stage is a span with
 	// scatter/gather phase children; untraced callers pay one context
 	// lookup and nil checks.
-	_, mSpan := obs.StartSpan(ctx, span)
-	defer mSpan.End()
+	stage := timer.Start(obs.SpanFromContext(ctx))
+	defer stage.End()
+	mSpan := stage.Span()
 	mSpan.SetAttr("reads", int64(len(reads)))
 	mSpan.SetAttr("workers", int64(b.Workers))
 	mSpan.SetAttr("shards", int64(len(ids)))
@@ -228,28 +233,25 @@ func (m *ScatterMapper) run(ctx context.Context, span string, reads []dna.Seq, i
 	}
 	acc := make([]perRead, len(reads))
 
-	scatterStart := time.Now()
-	scSpan := mSpan.StartChild("shard.scatter")
-	defer scSpan.End() // idempotent; covers the error return
+	sc := tScatter.Start(mSpan)
 	hits0, builds0 := cAcquireHits.Value(), cBuilds.Value()
-	if err := m.scatter(ctx, b.Workers, reads, revs, ids, acc); err != nil {
-		return nil, err
-	}
-	tScatter.Since(scatterStart)
+	err := m.scatter(ctx, b.Workers, reads, revs, ids, acc)
 	// Process-wide counter deltas, so concurrent clones sharing the Set
 	// blur each other's numbers slightly; per-call exactness is not
 	// worth threading counters through Acquire.
-	scSpan.SetAttr("shard_hits", cAcquireHits.Value()-hits0)
-	scSpan.SetAttr("shard_builds", cBuilds.Value()-builds0)
-	scSpan.End()
+	sc.Span().SetAttr("shard_hits", cAcquireHits.Value()-hits0)
+	sc.Span().SetAttr("shard_builds", cBuilds.Value()-builds0)
+	sc.End()
+	if err != nil {
+		return nil, err
+	}
 
 	// Gather: per-read candidate merge, truncation, GACT extension
 	// against the full resident reference at global anchors.
-	gatherStart := time.Now()
-	b.Parent = mSpan.StartChild("shard.gather")
-	defer b.Parent.End()
+	gather := tGather.Start(mSpan)
+	b.Parent = gather.Span()
 	out := make([]core.MapResult, len(reads))
-	err := core.ForEach(ctx, b.Workers, len(reads), func(tid, i int) error {
+	err = core.ForEach(ctx, b.Workers, len(reads), func(tid, i int) error {
 		w := m.workers[tid-1]
 		var retire bool
 		out[i], retire = b.Read(tid, i, w.Engine, func() ([]core.ReadAlignment, core.MapStats, error) {
@@ -266,7 +268,7 @@ func (m *ScatterMapper) run(ctx context.Context, span string, reads []dna.Seq, i
 		}
 		return nil
 	})
-	tGather.Since(gatherStart)
+	gather.End()
 	if err != nil {
 		return nil, err
 	}

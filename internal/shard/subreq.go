@@ -152,7 +152,7 @@ func (m *ScatterMapper) ScatterShards(ctx context.Context, reads []dna.Seq, shar
 		}
 	}
 	out := make([]ReadScatter, len(reads))
-	res, err := m.run(ctx, "shard.scatter_shards", reads, ids, 0, core.MapSettings{Workers: workers}, out)
+	res, err := m.run(ctx, tScatterShards, reads, ids, 0, core.MapSettings{Workers: workers}, out)
 	if err != nil {
 		return nil, err
 	}

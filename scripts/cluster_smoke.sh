@@ -142,8 +142,8 @@ if ! grep -Eq '"requests": [1-9]' "$tmp/router_stats.json"; then
     exit 1
 fi
 curl -fsS "http://$router_addr/debug/slow" > "$tmp/router_slow.json"
-if ! grep -q '"cluster.scatter"' "$tmp/router_slow.json" || ! grep -Eq '"worker": "w[01]"' "$tmp/router_slow.json"; then
-    echo "cluster-smoke: FAIL — router /debug/slow has no cluster.scatter span naming its worker:" >&2
+if ! grep -q '"cluster/scatter"' "$tmp/router_slow.json" || ! grep -Eq '"worker": "w[01]"' "$tmp/router_slow.json"; then
+    echo "cluster-smoke: FAIL — router /debug/slow has no cluster/scatter span naming its worker:" >&2
     head -c 2000 "$tmp/router_slow.json" >&2
     exit 1
 fi
