@@ -32,7 +32,7 @@ loc:
 # detector changes allocation behaviour), so check runs them in a
 # separate non-race pass.
 test-allocs:
-	$(GO) test -run 'SteadyStateAllocs' ./internal/align/ ./internal/gact/ ./internal/obs/
+	$(GO) test -run 'SteadyStateAllocs' ./internal/align/ ./internal/gact/ ./internal/obs/ ./internal/dsoft/
 
 # The scalar passes the vector ones fall back to: run under the purego
 # tag (TestQuickMaxCell, FuzzFill's and FuzzEngineExtend's corpora and
@@ -50,7 +50,9 @@ fallback:
 # reference AlignTile, ParseCigar on worker-supplied CIGAR text (no
 # panic, and whatever it accepts prints back unchanged),
 # gact.Engine.Extend — score pass, banded refills,
-# bitvector tier — vs the free reference Extend, the .dwi reader on
+# bitvector tier — vs the free reference Extend, D-SOFT's Query on
+# rolled seed codes vs Algorithm 1 with a dna.PackSeed per seed, and
+# its Trace seed for seed, the .dwi reader on
 # re-sealed mutated index files (no panic, only coded errors, and
 # Lookup answers on every table it accepts), and the DWCP checkpoint
 # reader on re-sealed mutated checkpoints (coded errors, or a
@@ -67,6 +69,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFill$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/align/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCigar$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/align/
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineExtend$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/gact/
+	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/dsoft/
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexOpen$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/indexfile/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/jobs/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFASTA$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/dna/

@@ -133,6 +133,8 @@ type Filter struct {
 	lastHit []int32
 	nz      []int32
 	qPad    int
+
+	codes []uint32 // the query's packed seeds (appendSeeds), reused across queries
 }
 
 // New creates a filter over the given seed table. A nil table yields
@@ -220,13 +222,16 @@ func (f *Filter) QueryInto(q dna.Seq, out []Candidate) ([]Candidate, Stats) {
 
 	var st Stats
 
-	end := f.cfg.N * f.cfg.Stride
-	for j := 0; j < end && j+k <= len(q); j += f.cfg.Stride {
-		code, ok := dna.PackSeed(q, j, k)
-		if !ok {
+	// Pack every seed first, then issue the lookups back to back: no
+	// packing work sits between one seed-table miss and the next, so
+	// the misses overlap, as the hardware streams them to DRAM.
+	f.codes = appendSeeds(f.codes[:0], q, k, f.cfg.N, f.cfg.Stride)
+	for s, code := range f.codes {
+		if code == noSeed {
 			st.SeedsSkipped++
 			continue
 		}
+		j := s * f.cfg.Stride
 		st.SeedsIssued++
 		hits := f.table.Lookup(code)
 		st.Hits += len(hits)
@@ -272,12 +277,12 @@ func (f *Filter) Trace(q dna.Seq) [][]int {
 	B := f.cfg.BinSize
 	f.ensureBins(len(q))
 	var out [][]int
-	end := f.cfg.N * f.cfg.Stride
-	for j := 0; j < end && j+k <= len(q); j += f.cfg.Stride {
-		code, ok := dna.PackSeed(q, j, k)
-		if !ok {
+	f.codes = appendSeeds(f.codes[:0], q, k, f.cfg.N, f.cfg.Stride)
+	for s, code := range f.codes {
+		if code == noSeed {
 			continue
 		}
+		j := s * f.cfg.Stride
 		hits := f.table.Lookup(code)
 		bins := make([]int, len(hits))
 		for x, hit := range hits {
@@ -286,6 +291,46 @@ func (f *Filter) Trace(q dna.Seq) [][]int {
 		out = append(out, bins)
 	}
 	return out
+}
+
+// noSeed marks a seed window holding a base with no 2-bit code. A real
+// code has at most 2·dna.MaxSeedSize = 30 bits, so it never equals it.
+const noSeed = ^uint32(0)
+
+// appendSeeds appends to dst one entry per seed a query issues — the
+// starts j = 0, stride, 2·stride, … with j < n·stride and j+k ≤ len(q)
+// — holding the seed's packed 2k-bit code, or noSeed when its k bases
+// hold a byte dna.Code maps to CodeN. The code rolls over every base
+// (one shift-and-mask each, restarting after an N), as the seed table
+// is built, instead of repacking k bases per seed.
+func appendSeeds(dst []uint32, q dna.Seq, k, n, stride int) []uint32 {
+	if len(q) < k || n <= 0 {
+		return dst
+	}
+	seeds := min(n, (len(q)-k)/stride+1) // the last start is (seeds−1)·stride
+	mask := uint32(1)<<(2*k) - 1
+	var code uint32
+	valid := 0    // bases since the last N
+	next := k - 1 // the base that ends the next emitted seed
+	end := (seeds-1)*stride + k
+	for i := 0; i < end; i++ {
+		c := dna.Code(q[i])
+		if c == dna.CodeN {
+			valid = 0
+		} else {
+			valid++
+		}
+		code = (code<<2 | uint32(c&3)) & mask
+		if i == next {
+			next += stride
+			if valid >= k {
+				dst = append(dst, code)
+			} else {
+				dst = append(dst, noSeed)
+			}
+		}
+	}
+	return dst
 }
 
 // clear resets only the touched bins, as the hardware's NZ queue does

@@ -52,6 +52,33 @@ func naiveDSOFT(ref, q dna.Seq, k int, cfg Config, qPad int) []Candidate {
 	return out
 }
 
+// naiveSeeds is the seed-stream oracle: with a fresh dna.PackSeed per
+// seed and a brute-force reference scan, it counts the seeds Query
+// issues and skips and the hits it processes, and returns the padded
+// bin of every hit of every issued seed — what Trace must return.
+func naiveSeeds(ref, q dna.Seq, k int, cfg Config, qPad int) (Stats, [][]int) {
+	var st Stats
+	var trace [][]int
+	end := cfg.N * cfg.Stride
+	for j := 0; j < end && j+k <= len(q); j += cfg.Stride {
+		seed, ok := dna.PackSeed(q, j, k)
+		if !ok {
+			st.SeedsSkipped++
+			continue
+		}
+		st.SeedsIssued++
+		bins := []int{}
+		for i := 0; i+k <= len(ref); i++ {
+			if code, ok := dna.PackSeed(ref, i, k); ok && code == seed {
+				bins = append(bins, (i-j+qPad)/cfg.BinSize)
+			}
+		}
+		st.Hits += len(bins)
+		trace = append(trace, bins)
+	}
+	return st, trace
+}
+
 func buildTable(t *testing.T, ref dna.Seq, k int) *seedtable.Table {
 	t.Helper()
 	tab, err := seedtable.Build(ref, k, seedtable.Options{NoMask: true})
@@ -80,6 +107,59 @@ func TestMatchesNaiveOracle(t *testing.T) {
 		want := naiveDSOFT(ref, q, k, cfg, f.qPad)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (k=%d cfg=%+v):\ngot  %v\nwant %v", trial, k, cfg, got, want)
+		}
+	}
+
+	// The places a rolling seed code can go wrong: a window that an N
+	// (or a lower-case base, or an IUPAC byte that has no 2-bit code)
+	// enters or leaves, strides that skip rolled positions, and an
+	// N·Stride reaching past the query's end.
+	edits := []struct {
+		name string
+		edit func(q dna.Seq, k int)
+	}{
+		{"clean", func(q dna.Seq, k int) {}},
+		{"N at 0", func(q dna.Seq, k int) { q[0] = 'N' }},
+		{"N at k-1", func(q dna.Seq, k int) { q[k-1] = 'N' }},
+		{"N at len-1", func(q dna.Seq, k int) { q[len(q)-1] = 'N' }},
+		{"N run at 0", func(q dna.Seq, k int) { copy(q, "NNN") }},
+		{"N run at k-1", func(q dna.Seq, k int) { copy(q[k-1:], "NNNN") }},
+		{"N run at len-1", func(q dna.Seq, k int) { copy(q[len(q)-3:], "NNN") }},
+		{"two Ns under k apart", func(q dna.Seq, k int) { q[40], q[40+k-2] = 'N', 'N' }},
+		{"lower case", func(q dna.Seq, k int) {
+			for i := 10; i < 70; i++ {
+				q[i] |= 0x20
+			}
+		}},
+		{"IUPAC", func(q dna.Seq, k int) { q[k-1], q[50], q[len(q)-1] = 'R', 'y', 'n' }},
+	}
+	for trial, e := range edits {
+		ref := dna.Random(rng, 400, 0.5)
+		start := rng.Intn(300)
+		base := append(dna.Random(rng, 20, 0.5), ref[start:start+60]...)
+		base = append(base, dna.Random(rng, 20, 0.5)...)
+		k := 4 + trial%3
+		tab := buildTable(t, ref, k)
+		for _, stride := range []int{1, 2, k, k + 3} {
+			for _, n := range []int{60, 1000} { // 1000·Stride is past the query's end
+				q := base.Clone()
+				e.edit(q, k)
+				cfg := Config{N: n, H: 5 + trial%8, BinSize: 16, Stride: stride}
+				f, err := New(tab, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, st := f.Query(q)
+				want := naiveDSOFT(ref, q, k, cfg, f.qPad)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s (k=%d cfg=%+v):\ngot  %v\nwant %v", e.name, k, cfg, got, want)
+				}
+				wantSt, _ := naiveSeeds(ref, q, k, cfg, f.qPad)
+				if st.SeedsIssued != wantSt.SeedsIssued || st.SeedsSkipped != wantSt.SeedsSkipped {
+					t.Fatalf("%s (k=%d cfg=%+v): issued/skipped %d/%d, PackSeed counts %d/%d",
+						e.name, k, cfg, st.SeedsIssued, st.SeedsSkipped, wantSt.SeedsIssued, wantSt.SeedsSkipped)
+				}
+			}
 		}
 	}
 }
@@ -346,6 +426,17 @@ func TestTraceMatchesQuery(t *testing.T) {
 	if hits != st.Hits {
 		t.Errorf("trace has %d hits, Query processed %d", hits, st.Hits)
 	}
+
+	// Seed for seed against the PackSeed oracle, with Ns inside seed
+	// windows: Trace and Query skip the same seeds.
+	q[3], q[200], q[203], q[len(q)-1] = 'N', 'N', 'n', 'N'
+	wantSt, want := naiveSeeds(ref, q, 6, f.Config(), f.qPad)
+	if got := f.Trace(q); !reflect.DeepEqual(got, want) {
+		t.Errorf("trace of a query with Ns differs from the PackSeed oracle:\ngot  %v\nwant %v", got, want)
+	}
+	if _, st := f.Query(q); st.SeedsIssued != wantSt.SeedsIssued || st.SeedsSkipped != wantSt.SeedsSkipped || st.Hits != wantSt.Hits {
+		t.Errorf("Query stats %+v, PackSeed oracle %+v", st, wantSt)
+	}
 	if DefaultConfig(300, 10).BinSize != 128 {
 		t.Error("DefaultConfig bin size should be the paper's 128")
 	}
@@ -368,7 +459,8 @@ func TestShortQuery(t *testing.T) {
 // QueryInto must append to the caller's buffer and return exactly what
 // Query returns, and reusing the buffer across queries must not change
 // candidates — the contract core.Darwin's steady-state map loop
-// depends on.
+// depends on. That a warm buffer allocates nothing is pinned by
+// TestQuerySteadyStateAllocs.
 func TestQueryIntoReusesBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	ref := dna.Random(rng, 600, 0.5)
@@ -389,14 +481,5 @@ func TestQueryIntoReusesBuffer(t *testing.T) {
 		if gotSt != wantSt {
 			t.Fatalf("trial %d: stats mismatch: %+v vs %+v", trial, gotSt, wantSt)
 		}
-	}
-	// The sentinel: once grown, the buffer is reused, not reallocated.
-	q := append(dna.Seq(nil), ref[100:250]...)
-	f.QueryInto(q, buf[:0])
-	if n := testing.AllocsPerRun(20, func() {
-		out, _ := f.QueryInto(q, buf[:0])
-		buf = out
-	}); n > 0 {
-		t.Errorf("QueryInto with a warm buffer allocates %.1f times per call, want 0", n)
 	}
 }
