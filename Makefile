@@ -52,7 +52,9 @@ fallback:
 # gact.Engine.Extend — score pass, banded refills,
 # bitvector tier — vs the free reference Extend, D-SOFT's Query on
 # rolled seed codes vs Algorithm 1 with a dna.PackSeed per seed, and
-# its Trace seed for seed, the .dwi reader on
+# its Trace seed for seed, both seed-table layouts' Lookup and Ranks +
+# Hits vs a map-built oracle (fuzzed references with N, lower case and
+# IUPAC bytes; no mask, the local mask, a global mask), the .dwi reader on
 # re-sealed mutated index files (no panic, only coded errors, and
 # Lookup answers on every table it accepts), and the DWCP checkpoint
 # reader on re-sealed mutated checkpoints (coded errors, or a
@@ -70,6 +72,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCigar$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/align/
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineExtend$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/gact/
 	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/dsoft/
+	$(GO) test -run '^$$' -fuzz '^FuzzLookup$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/seedtable/
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexOpen$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/indexfile/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/jobs/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFASTA$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/dna/

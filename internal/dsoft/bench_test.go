@@ -9,16 +9,10 @@ import (
 	"darwin/internal/seedtable"
 )
 
-// BenchmarkQuery is D-SOFT at the serve_direct workload's shape: a
-// 2 Mbp genome under a dense k = 12 pointer table, N = 600 seeds of
-// 1 kbp PacBio reads, h = 22. It reports ns per seed — the filter's
-// per-seed layer cost without the serving harness around it.
-func BenchmarkQuery(b *testing.B) {
+// serveGenome returns the serve_direct workload's shape: a 2 Mbp
+// genome and 256 PacBio reads of 1 kbp from it, forward-stranded.
+func serveGenome(b *testing.B) (dna.Seq, []dna.Seq) {
 	g, err := genome.Generate(genome.Config{Length: 2_000_000, GC: 0.45, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tab, err := seedtable.Build(g.Seq, 12, seedtable.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -33,7 +27,14 @@ func BenchmarkQuery(b *testing.B) {
 			qs[i] = dna.RevComp(r.Seq)
 		}
 	}
-	f, err := New(tab, DefaultConfig(600, 22))
+	return g.Seq, qs
+}
+
+// benchQuery runs every query against every table, one filter rebound
+// per table as the sharded mapper does, and reports ns per seed per
+// table.
+func benchQuery(b *testing.B, tabs []*seedtable.Table, qs []dna.Seq) {
+	f, err := New(nil, DefaultConfig(600, 22))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -41,9 +42,51 @@ func BenchmarkQuery(b *testing.B) {
 	seeds := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var st Stats
-		out, st = f.QueryInto(qs[i%len(qs)], out[:0])
-		seeds += st.SeedsIssued + st.SeedsSkipped
+		for _, tab := range tabs {
+			if err := f.SetTable(tab); err != nil {
+				b.Fatal(err)
+			}
+			var st Stats
+			out, st = f.QueryInto(qs[i%len(qs)], out[:0])
+			seeds += st.SeedsIssued + st.SeedsSkipped
+		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(seeds), "ns/seed")
+}
+
+// BenchmarkQuery is D-SOFT at the serve_direct workload's shape on one
+// monolithic table: a 2 Mbp genome at k = 12, N = 600 seeds of 1 kbp
+// PacBio reads, h = 22. It reports ns per seed — the filter's per-seed
+// layer cost without the serving harness around it.
+func BenchmarkQuery(b *testing.B) {
+	ref, qs := serveGenome(b)
+	tab, err := seedtable.Build(ref, 12, seedtable.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchQuery(b, []*seedtable.Table{tab}, qs)
+}
+
+// BenchmarkQuerySharded is the same genome as serve_direct serves it:
+// four shard tables of ≈ 520 kbp (500 kbp cores plus 10 kbp of overlap
+// on each side) under the whole genome's mask, each looking up every
+// seed of every read. ns/seed is per seed per shard.
+func BenchmarkQuerySharded(b *testing.B) {
+	ref, qs := serveGenome(b)
+	mask, err := seedtable.ComputeMask(ref, 12, seedtable.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const shards, overlap = 4, 10_000
+	core := len(ref) / shards
+	var tabs []*seedtable.Table
+	for s := 0; s < shards; s++ {
+		start, end := max(s*core-overlap, 0), min((s+1)*core+overlap, len(ref))
+		tab, err := seedtable.BuildRange(ref, start, end, 12, seedtable.Options{Mask: mask})
+		if err != nil {
+			b.Fatal(err)
+		}
+		tabs = append(tabs, tab)
+	}
+	benchQuery(b, tabs, qs)
 }

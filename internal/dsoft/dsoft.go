@@ -134,7 +134,7 @@ type Filter struct {
 	nz      []int32
 	qPad    int
 
-	codes []uint32 // the query's packed seeds (appendSeeds), reused across queries
+	codes []uint32 // the query's packed seeds (appendSeeds), then their ranks; reused across queries
 }
 
 // New creates a filter over the given seed table. A nil table yields
@@ -225,15 +225,18 @@ func (f *Filter) QueryInto(q dna.Seq, out []Candidate) ([]Candidate, Stats) {
 	// Pack every seed first, then issue the lookups back to back: no
 	// packing work sits between one seed-table miss and the next, so
 	// the misses overlap, as the hardware streams them to DRAM.
+	// Then resolve them all to ranks in one pass, so the directory reads
+	// also go back to back, before any hit list is walked.
 	f.codes = appendSeeds(f.codes[:0], q, k, f.cfg.N, f.cfg.Stride)
-	for s, code := range f.codes {
-		if code == noSeed {
+	f.table.Ranks(f.codes)
+	for s, rank := range f.codes {
+		if rank == noSeed {
 			st.SeedsSkipped++
 			continue
 		}
 		j := s * f.cfg.Stride
 		st.SeedsIssued++
-		hits := f.table.Lookup(code)
+		hits := f.table.Hits(rank) // nil for seedtable.Absent
 		st.Hits += len(hits)
 		for _, hit := range hits {
 			i := int(hit)
@@ -278,12 +281,13 @@ func (f *Filter) Trace(q dna.Seq) [][]int {
 	f.ensureBins(len(q))
 	var out [][]int
 	f.codes = appendSeeds(f.codes[:0], q, k, f.cfg.N, f.cfg.Stride)
-	for s, code := range f.codes {
-		if code == noSeed {
+	f.table.Ranks(f.codes)
+	for s, rank := range f.codes {
+		if rank == noSeed {
 			continue
 		}
 		j := s * f.cfg.Stride
-		hits := f.table.Lookup(code)
+		hits := f.table.Hits(rank)
 		bins := make([]int, len(hits))
 		for x, hit := range hits {
 			bins[x] = (int(hit) - j + f.qPad) / B
@@ -294,7 +298,8 @@ func (f *Filter) Trace(q dna.Seq) [][]int {
 }
 
 // noSeed marks a seed window holding a base with no 2-bit code. A real
-// code has at most 2·dna.MaxSeedSize = 30 bits, so it never equals it.
+// code has at most 2·dna.MaxSeedSize = 30 bits, so it never equals it,
+// and it lies above seedtable.Absent, so Table.Ranks passes it through.
 const noSeed = ^uint32(0)
 
 // appendSeeds appends to dst one entry per seed a query issues — the

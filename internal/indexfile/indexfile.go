@@ -3,10 +3,10 @@
 // table(s), the global high-frequency mask, and the concatenated
 // reference bytes in their exact in-memory layout.
 //
-// Darwin's seed position table is deliberately flat — a dense pointer
-// table over sequentially stored hit lists (Section 3, Figure 3), laid
-// out so the D-SOFT hardware can stream it in long DRAM bursts — and
-// that same flatness makes it trivially serializable: there is no
+// Darwin's seed position table is deliberately flat — an index over
+// sequentially stored hit lists (Section 3, Figure 3), laid out so the
+// D-SOFT hardware can stream it in long DRAM bursts — and that same
+// flatness makes it trivially serializable: there is no
 // pointer graph to fix up, so a loader can mmap(2) the file and hand
 // out seedtable.Table / dna.Seq views backed by mapped memory with no
 // copy. Rebuilding the table from FASTA is the cold-start cost every
@@ -15,7 +15,7 @@
 // # Layout
 //
 //	offset 0   magic   "DWINDEX\x00" (8 bytes)
-//	offset 8   u32     format version (currently 2)
+//	offset 8   u32     format version (currently 3)
 //	offset 12  u32     header length H
 //	offset 16  header  H bytes (see below)
 //	16+H       u32     CRC-32C of the header bytes
@@ -27,8 +27,8 @@
 // geometry, per-table mask statistics, and a section table giving each
 // payload section's kind, owning table, absolute offset, byte length,
 // and CRC-32C checksum. Section kinds are the reference bytes, the
-// global mask codes, and per table either a dense pointer table or a
-// sparse codes+spans index, plus the position table.
+// global mask codes, and per table a rank directory (k ≤ 12) or the
+// sorted present codes (k > 12), then the start and position arrays.
 //
 // Because the header contains every section checksum, the FNV-64a hash
 // of the header bytes fingerprints the entire file content; cluster
@@ -51,7 +51,7 @@ const Magic = "DWINDEX\x00"
 
 // Version is the current format version; a file of any other version
 // is rejected as bad_version.
-const Version = 2
+const Version = 3
 
 // Ext is the conventional file extension; SidecarPath derives the
 // auto-discovered sidecar name for a reference FASTA from it.
@@ -157,13 +157,14 @@ type TableMeta struct {
 	MaskedHits             int
 }
 
-// Section kinds.
+// Section kinds. Kinds 2 and 4 held other arrays before version 3, so
+// the version check must come before any section is read.
 const (
 	secRef   = 0 // concatenated reference, ASCII bytes
 	secMask  = 1 // global mask codes, ascending u32
-	secPtr   = 2 // dense pointer table, u32
-	secCodes = 3 // sparse seed codes, ascending u32
-	secSpans = 4 // sparse spans, [2]u32 pairs
+	secDir   = 2 // rank directory, u64 per 32 codes (k ≤ 12)
+	secCodes = 3 // present seed codes, ascending u32 (k > 12)
+	secStart = 4 // one offset into pos per present code, plus the end, u32
 	secPos   = 5 // position table, u32
 )
 
@@ -171,9 +172,9 @@ const (
 var sectionKindNames = map[uint32]string{
 	secRef:   "ref",
 	secMask:  "mask",
-	secPtr:   "ptr",
+	secDir:   "dir",
 	secCodes: "codes",
-	secSpans: "spans",
+	secStart: "start",
 	secPos:   "pos",
 }
 

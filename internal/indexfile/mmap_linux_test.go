@@ -114,8 +114,11 @@ func TestViewsZeroCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	parts := tab.Parts()
-	if len(parts.Ptr) > 0 && !aliases(f.data, u32Bytes(parts.Ptr)) {
-		t.Error("pointer table was copied out of the mapping")
+	if len(parts.Dir) > 0 && !aliases(f.data, u64Bytes(parts.Dir)) {
+		t.Error("rank directory was copied out of the mapping")
+	}
+	if len(parts.Start) > 0 && !aliases(f.data, u32Bytes(parts.Start)) {
+		t.Error("start array was copied out of the mapping")
 	}
 	if len(parts.Pos) > 0 && !aliases(f.data, u32Bytes(parts.Pos)) {
 		t.Error("position table was copied out of the mapping")

@@ -179,7 +179,7 @@ func (f *File) MaskCodes() []uint32 {
 }
 
 // Table reconstructs seed table i from its sections. On little-endian
-// hosts the table's pointer, code, span, and position slices are
+// hosts the table's directory, code, start, and position slices are
 // zero-copy views over the file bytes — a mapped table costs page-ins,
 // not a build.
 func (f *File) Table(i int) (*seedtable.Table, error) {
@@ -194,16 +194,19 @@ func (f *File) Table(i int) (*seedtable.Table, error) {
 		MaskThreshold: f.info.Params.MaskThreshold,
 		MaskedSeeds:   meta.MaskedSeeds,
 		MaskedHits:    meta.MaskedHits,
-		Ptr:           viewU32(f.findSection(secPtr, ti)),
+		Dir:           viewU64(f.findSection(secDir, ti)),
 		Codes:         viewU32(f.findSection(secCodes, ti)),
-		Spans:         viewPairs(f.findSection(secSpans, ti)),
+		Start:         viewU32(f.findSection(secStart, ti)),
 		Pos:           viewU32(f.findSection(secPos, ti)),
 	}
+	// Build always materializes the position array and a sparse table's
+	// code list, even when every seed was masked; match it so a loaded
+	// table is deep-equal to a freshly built one.
 	if parts.Pos == nil {
-		// Build always materializes the position array, even when every
-		// seed was masked; match it so a loaded table is deep-equal to a
-		// freshly built one.
 		parts.Pos = []uint32{}
+	}
+	if parts.Dir == nil && parts.Codes == nil {
+		parts.Codes = []uint32{}
 	}
 	t, err := seedtable.FromParts(parts)
 	if err != nil {

@@ -244,12 +244,13 @@ func TestLoadErrorsCounted(t *testing.T) {
 	}
 }
 
-// A dense pointer table is checked only at its last entry when a file
-// opens, so a CRC-valid file can carry a pointer pair that decreases or
-// runs past the position table. Lookup must answer nil for the seeds on
-// either side of such an entry, not panic, and every other seed as the
-// pristine table does.
-func TestLookupCorruptPointerPair(t *testing.T) {
+// A rank directory is checked only at its last word when a file opens,
+// and a start array only at its ends, so a CRC-valid file can carry a
+// directory word whose rank runs past start, or a start entry that runs
+// past the position table and so makes its own pair decrease. Lookup
+// must answer nil for the codes such an entry governs, not panic, and
+// every other code as the pristine table does.
+func TestLookupCorruptDirectory(t *testing.T) {
 	ref := dna.Random(rand.New(rand.NewSource(45)), 30000, 0.5)
 	path := filepath.Join(t.TempDir(), "x.dwi")
 	if err := Write(path, buildIndex(t, ref, 11, seedtable.Options{})); err != nil {
@@ -259,14 +260,12 @@ func TestLookupCorruptPointerPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ptrOff int64 = -1
+	offsets := map[string]int64{}
 	for _, s := range info.Sections {
-		if s.Kind == "ptr" {
-			ptrOff = s.Offset
-		}
+		offsets[s.Kind] = s.Offset
 	}
-	if ptrOff < 0 {
-		t.Fatal("k=11 index has no dense pointer section")
+	if _, ok := offsets["dir"]; !ok {
+		t.Fatal("k=11 index has no rank directory section")
 	}
 	pristine, err := Open(path, Options{})
 	if err != nil {
@@ -277,36 +276,69 @@ func TestLookupCorruptPointerPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rankOf := func(c uint32) uint32 {
+		r := []uint32{c}
+		want.Ranks(r)
+		return r[0]
+	}
 	code, ok := dna.PackSeed(ref, 1000, 11)
-	if !ok || len(want.Lookup(code)) == 0 || code == 0 {
-		t.Fatalf("seed %d at 1000 has no hits", code)
+	rank := rankOf(code)
+	if !ok || len(want.Lookup(code)) == 0 || rank == 0 {
+		t.Fatalf("seed %d at 1000 has no hits or rank 0", code)
 	}
-	bad := corrupt(t, path, func(b []byte) []byte {
-		// ptr[code] past every position: ptr[code−1] < ptr[code] runs
-		// off the table, ptr[code] > ptr[code+1] decreases.
-		binary.LittleEndian.PutUint32(b[ptrOff+4*int64(code):], 0xfffffff0)
-		return Reseal(b)
-	})
-	f, err := Open(bad, Options{})
-	if err != nil {
-		t.Fatalf("re-sealed file: %v", err)
+	cases := []struct {
+		name     string
+		at       int64 // byte offset of the corrupted u32
+		affected func(c uint32) bool
+	}{
+		// Each entry becomes 0xfffffff0.
+		{
+			// The block's rank word, past every start entry: the block's
+			// codes all rank past start.
+			name: "rank_past_start", at: offsets["dir"] + 8*int64(code>>5) + 4,
+			affected: func(c uint32) bool { return c>>5 == code>>5 },
+		},
+		{
+			// start[rank] past every position: rank−1's pair runs off the
+			// position table, rank's pair decreases.
+			name: "start_past_pos", at: offsets["start"] + 4*int64(rank),
+			affected: func(c uint32) bool { r := rankOf(c); return r == rank || r == rank-1 },
+		},
 	}
-	defer f.Close()
-	tab, err := f.Table(0)
-	if err != nil {
-		t.Fatalf("re-sealed file's table: %v", err)
-	}
-	for _, c := range []uint32{code - 1, code} {
-		if got := tab.Lookup(c); got != nil {
-			t.Errorf("Lookup(%d) = %d positions, want nil", c, len(got))
-		}
-	}
-	for c := uint32(0); c < 1<<22; c += 997 {
-		if c == code-1 || c == code {
-			continue
-		}
-		if got := tab.Lookup(c); !equalU32(got, want.Lookup(c)) {
-			t.Fatalf("Lookup(%d) = %v, pristine %v", c, got, want.Lookup(c))
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := corrupt(t, path, func(b []byte) []byte {
+				binary.LittleEndian.PutUint32(b[tc.at:], 0xfffffff0)
+				return Reseal(b)
+			})
+			f, err := Open(bad, Options{})
+			if err != nil {
+				t.Fatalf("re-sealed file: %v", err)
+			}
+			defer f.Close()
+			tab, err := f.Table(0)
+			if err != nil {
+				t.Fatalf("re-sealed file's table: %v", err)
+			}
+			if got := tab.Lookup(code); got != nil {
+				t.Errorf("Lookup(%d) = %d positions, want nil", code, len(got))
+			}
+			hit := 0
+			for c := uint32(0); c < 1<<22; c++ {
+				got := tab.Lookup(c)
+				switch {
+				case tc.affected(c):
+					if got != nil {
+						t.Fatalf("Lookup(%d) = %d positions, want nil", c, len(got))
+					}
+					hit++
+				case !equalU32(got, want.Lookup(c)):
+					t.Fatalf("Lookup(%d) = %v, pristine %v", c, got, want.Lookup(c))
+				}
+			}
+			if hit < 2 {
+				t.Errorf("only %d codes affected; the corruption reached less than its block or pair", hit)
+			}
+		})
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // The on-disk format is little-endian. On a little-endian host (every
 // platform the engine targets in practice) the payload sections are
-// exactly the in-memory layout of []uint32 / [][2]uint32, so reading a
+// exactly the in-memory layout of []uint32 / []uint64, so reading a
 // section is reinterpreting mapped bytes — no decode, no copy. The
 // generic paths below keep the format correct on big-endian hosts and
 // on misaligned buffers at the cost of one copy.
@@ -32,9 +32,9 @@ func u32Bytes(v []uint32) []byte {
 	return out
 }
 
-// pairBytes returns the little-endian byte image of v ([2]uint32 pairs,
-// 8 bytes each), zero-copy on little-endian hosts.
-func pairBytes(v [][2]uint32) []byte {
+// u64Bytes returns the little-endian byte image of v, zero-copy on
+// little-endian hosts.
+func u64Bytes(v []uint64) []byte {
 	if len(v) == 0 {
 		return nil
 	}
@@ -42,9 +42,8 @@ func pairBytes(v [][2]uint32) []byte {
 		return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*8)
 	}
 	out := make([]byte, len(v)*8)
-	for i, p := range v {
-		binary.LittleEndian.PutUint32(out[i*8:], p[0])
-		binary.LittleEndian.PutUint32(out[i*8+4:], p[1])
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(out[i*8:], x)
 	}
 	return out
 }
@@ -72,19 +71,18 @@ func viewU32(b []byte) []uint32 {
 	return out
 }
 
-// viewPairs reinterprets a little-endian byte section as [][2]uint32
-// under the same zero-copy conditions as viewU32.
-func viewPairs(b []byte) [][2]uint32 {
+// viewU64 reinterprets a little-endian byte section as []uint64 under
+// the same zero-copy conditions as viewU32, at 8-byte alignment.
+func viewU64(b []byte) []uint64 {
 	if len(b) == 0 {
 		return nil
 	}
 	if hostLittleEndian && aligned(b, 8) {
-		return unsafe.Slice((*[2]uint32)(unsafe.Pointer(&b[0])), len(b)/8)
+		return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), len(b)/8)
 	}
-	out := make([][2]uint32, len(b)/8)
+	out := make([]uint64, len(b)/8)
 	for i := range out {
-		out[i][0] = binary.LittleEndian.Uint32(b[i*8:])
-		out[i][1] = binary.LittleEndian.Uint32(b[i*8+4:])
+		out[i] = binary.LittleEndian.Uint64(b[i*8:])
 	}
 	return out
 }

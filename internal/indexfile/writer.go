@@ -61,8 +61,8 @@ func (idx *Index) validate() error {
 }
 
 // sections lays out the payload: the reference, the mask, then each
-// table's pointer (or codes+spans) and position sections. Offsets are
-// assigned by Write after the header length is known.
+// table's directory (or sorted codes), start and position sections.
+// Offsets are assigned by Write after the header length is known.
 func (idx *Index) sections() ([]section, [][]byte) {
 	var secs []section
 	var payloads [][]byte
@@ -79,12 +79,12 @@ func (idx *Index) sections() ([]section, [][]byte) {
 	add(secMask, noTable, u32Bytes(idx.MaskCodes))
 	for i, p := range idx.Parts {
 		ti := uint32(i)
-		if p.Dense() {
-			add(secPtr, ti, u32Bytes(p.Ptr))
+		if p.Dir != nil {
+			add(secDir, ti, u64Bytes(p.Dir))
 		} else {
 			add(secCodes, ti, u32Bytes(p.Codes))
-			add(secSpans, ti, pairBytes(p.Spans))
 		}
+		add(secStart, ti, u32Bytes(p.Start))
 		add(secPos, ti, u32Bytes(p.Pos))
 	}
 	return secs, payloads

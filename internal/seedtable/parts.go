@@ -2,6 +2,7 @@ package seedtable
 
 import (
 	"fmt"
+	"math/bits"
 
 	"darwin/internal/dna"
 )
@@ -12,8 +13,8 @@ import (
 // indexfile) writes them verbatim and hands back FromParts views over
 // mapped memory, so a loaded table is the built table, not a decode of
 // it. This mirrors the property Darwin's hardware depends on: the seed
-// position table is a dense pointer array over sequentially stored hit
-// lists (Section 3, Figure 3), with no pointer graph to fix up.
+// position table is flat arrays over sequentially stored hit lists
+// (Section 3, Figure 3), with no pointer graph to fix up.
 type Parts struct {
 	// K is the seed size.
 	K int
@@ -26,18 +27,17 @@ type Parts struct {
 	MaskedSeeds int
 	MaskedHits  int
 
-	// Ptr is the dense pointer table (4^K+1 entries); nil in sparse
-	// mode (K > directLimit).
-	Ptr []uint32
-	// Codes and Spans are the sparse index; nil in dense mode.
+	// Dir is the rank directory (one word per 32 codes) when
+	// K ≤ directLimit, else nil.
+	Dir []uint64
+	// Codes are the present codes, ascending, when K > directLimit,
+	// else nil.
 	Codes []uint32
-	Spans [][2]uint32
-	// Pos is the position table shared by both modes.
+	// Start has one offset into Pos per present code, plus the end.
+	Start []uint32
+	// Pos is the position table shared by both layouts.
 	Pos []uint32
 }
-
-// Dense reports whether the parts describe a dense pointer table.
-func (p Parts) Dense() bool { return p.K <= directLimit }
 
 // Parts exposes the table's flat storage for serialization. The slices
 // alias the table's internal storage and must not be modified.
@@ -48,9 +48,9 @@ func (t *Table) Parts() Parts {
 		MaskThreshold: t.maskMax,
 		MaskedSeeds:   t.maskedSeeds,
 		MaskedHits:    t.maskedHits,
-		Ptr:           t.ptr,
+		Dir:           t.dir,
 		Codes:         t.codes,
-		Spans:         t.spans,
+		Start:         t.start,
 		Pos:           t.pos,
 	}
 }
@@ -58,45 +58,49 @@ func (t *Table) Parts() Parts {
 // FromParts reconstructs a Table from its flat storage. The slices are
 // retained, not copied, so views over read-only mapped memory work
 // directly; the table never writes to them after construction. It
-// validates the structural invariants that keep Lookup in bounds —
-// content integrity (bit flips) is the index file's checksum job.
+// validates, in O(1), the structural invariants the lookup path does
+// not check per call — content integrity (bit flips) is the index
+// file's checksum job, and Ranks and Hits bound every rank and start
+// pair they read.
 func FromParts(p Parts) (*Table, error) {
 	if err := checkK(p.K, p.RefLen, "window"); err != nil {
 		return nil, err
 	}
-	t := &Table{
+	if len(p.Start) == 0 || p.Start[0] != 0 {
+		return nil, fmt.Errorf("seedtable: start array must open with 0 (%d entries)", len(p.Start))
+	}
+	if n := p.Start[len(p.Start)-1]; int(n) != len(p.Pos) {
+		return nil, fmt.Errorf("seedtable: start array ends at %d but position table has %d entries", n, len(p.Pos))
+	}
+	present := len(p.Start) - 1
+	if p.K <= directLimit {
+		if len(p.Codes) != 0 {
+			return nil, fmt.Errorf("seedtable: directory table (k=%d) carries sorted codes", p.K)
+		}
+		if want := (dna.NumSeeds(p.K) + 31) / 32; len(p.Dir) != want {
+			return nil, fmt.Errorf("seedtable: directory has %d words, want %d for k=%d", len(p.Dir), want, p.K)
+		}
+		last := p.Dir[len(p.Dir)-1]
+		if total := int(last>>32) + bits.OnesCount32(uint32(last)); total != present {
+			return nil, fmt.Errorf("seedtable: directory ranks %d codes but start array has %d", total, present)
+		}
+	} else {
+		if len(p.Dir) != 0 {
+			return nil, fmt.Errorf("seedtable: sparse table (k=%d) carries a directory", p.K)
+		}
+		if len(p.Codes) != present {
+			return nil, fmt.Errorf("seedtable: %d sparse codes but start array has %d", len(p.Codes), present)
+		}
+	}
+	return &Table{
 		k:           p.K,
 		refLen:      p.RefLen,
 		maskMax:     p.MaskThreshold,
 		maskedSeeds: p.MaskedSeeds,
 		maskedHits:  p.MaskedHits,
-	}
-	if p.Dense() {
-		if len(p.Codes) != 0 || len(p.Spans) != 0 {
-			return nil, fmt.Errorf("seedtable: dense table (k=%d) carries sparse sections", p.K)
-		}
-		if want := dna.NumSeeds(p.K) + 1; len(p.Ptr) != want {
-			return nil, fmt.Errorf("seedtable: pointer table has %d entries, want %d for k=%d", len(p.Ptr), want, p.K)
-		}
-		if n := p.Ptr[len(p.Ptr)-1]; int(n) != len(p.Pos) {
-			return nil, fmt.Errorf("seedtable: pointer table ends at %d but position table has %d entries", n, len(p.Pos))
-		}
-		t.ptr = p.Ptr
-	} else {
-		if len(p.Ptr) != 0 {
-			return nil, fmt.Errorf("seedtable: sparse table (k=%d) carries a dense pointer section", p.K)
-		}
-		if len(p.Codes) != len(p.Spans) {
-			return nil, fmt.Errorf("seedtable: %d sparse codes but %d spans", len(p.Codes), len(p.Spans))
-		}
-		for i, sp := range p.Spans {
-			if sp[0] > sp[1] || int(sp[1]) > len(p.Pos) {
-				return nil, fmt.Errorf("seedtable: span %d [%d,%d) outside position table of %d entries", i, sp[0], sp[1], len(p.Pos))
-			}
-		}
-		t.codes = p.Codes
-		t.spans = p.Spans
-	}
-	t.pos = p.Pos
-	return t, nil
+		dir:         p.Dir,
+		codes:       p.Codes,
+		start:       p.Start,
+		pos:         p.Pos,
+	}, nil
 }

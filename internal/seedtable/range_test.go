@@ -124,8 +124,20 @@ func TestTableBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := int64(len(tab.ptr))*4 + int64(len(tab.pos))*4
+	// Directory words, one start entry per stored seed plus the end, and
+	// the positions: 8·4^k/32 + 4·(D+1) + 4·P bytes.
+	stored := 0
+	for code := 0; code < dna.NumSeeds(7); code++ {
+		if tab.Lookup(uint32(code)) != nil {
+			stored++
+		}
+	}
+	want := int64(dna.NumSeeds(7)/32)*8 + int64(stored+1)*4 + int64(tab.Positions())*4
 	if got := tab.Bytes(); got != want || got <= 0 {
 		t.Fatalf("Bytes() = %d, want %d", got, want)
+	}
+	sparse := build(ref, 7, Options{}, false)
+	if got, want := sparse.Bytes(), int64(stored)*4+int64(stored+1)*4+int64(tab.Positions())*4; got != want {
+		t.Fatalf("sparse Bytes() = %d, want %d", got, want)
 	}
 }

@@ -1,11 +1,22 @@
 // Package seedtable implements the seed position table of Section 3
-// (Figure 3): for each of the 4^k possible seeds, a pointer table gives
-// the span of a position table holding every occurrence of that seed in
-// the reference, stored sequentially. Sequential hit storage is the
-// property Darwin's D-SOFT accelerator exploits for long DRAM bursts
-// (versus suffix trees / BWT-FM indexes, whose lookups are pointer
-// chases); the companion fmindex package implements that alternative
-// for comparison.
+// (Figure 3): every occurrence of a seed in the reference, stored
+// sequentially in a position table and reached from the seed's packed
+// code. Sequential hit storage is the property Darwin's D-SOFT
+// accelerator exploits for long DRAM bursts (versus suffix trees /
+// BWT-FM indexes, whose lookups are pointer chases); the companion
+// fmindex package implements that alternative for comparison.
+//
+// Figure 3 reaches a seed's hits through a pointer table with one entry
+// per possible seed, 4^k in all, which fits the paper's genomes, where
+// |R| is close to 4^k. The references here are far smaller, so a table
+// is sized to what its reference holds: a code maps to its rank among
+// the codes present, the rank to an offset in a start array with one
+// entry per present code, and that to the code's hits in pos. For
+// k ≤ 12 the rank comes from a directory of 8 bytes per 32 codes
+// (occupancy bits plus the rank of the block's first present code); for
+// larger k the present codes are kept sorted and a code's rank is its
+// index. Ranks resolves a whole batch of codes at once, so D-SOFT
+// issues its directory reads back to back before it walks any hits.
 //
 // Darwin masks high-frequency seeds — those occurring more than
 // 32·|R|/4^k times (Section 5) — to bound worst-case hit lists from
@@ -14,15 +25,27 @@ package seedtable
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"darwin/internal/dna"
 )
 
-// directLimit is the largest k for which a dense 4^k-entry pointer table
-// is allocated (4^12 entries ≈ 67 MB of uint32). Larger k fall back to a
-// sorted sparse representation; lookups behave identically.
+// directLimit is the largest k whose codes are ranked by a directory
+// (4^12 codes cost 4 MiB of directory). Larger k keep their present
+// codes sorted instead; lookups behave identically.
 const directLimit = 12
+
+// Absent is the rank Ranks gives a code the table does not hold: one
+// the reference lacks, or a masked one. Ranks leaves values ≥ Absent
+// untouched, so a caller's own sentinel above it rides through a rank
+// pass.
+const Absent = ^uint32(0) - 1
+
+// noSeed marks a reference window holding a base with no 2-bit code in
+// the build's code buffer; Ranks leaves it alone.
+const noSeed = ^uint32(0)
 
 // Darwin's masking rule (Section 5): a seed occurring more than
 // maskMultiplier·|R|/4^k times is masked. maskFloor keeps the cutoff
@@ -76,7 +99,7 @@ func (m *MaskSet) Codes() []uint32 {
 	for c := range m.codes {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }
 
@@ -113,30 +136,9 @@ func ComputeMask(ref dna.Seq, k int, opts Options) (*MaskSet, error) {
 	if m.threshold == 0 {
 		return m, nil
 	}
-	if k <= directLimit {
-		counts := make([]uint32, dna.NumSeeds(k))
-		forEachSeed(ref, k, func(code uint32, _ int) { counts[code]++ })
-		for c, n := range counts {
-			if int(n) > m.threshold {
-				m.codes[uint32(c)] = struct{}{}
-			}
-		}
-		return m, nil
-	}
-	// Sparse k: sort the code stream and run-length count, the same
-	// O(occurrences) strategy buildSparse uses.
-	codes := make([]uint32, 0, len(ref))
-	forEachSeed(ref, k, func(code uint32, _ int) { codes = append(codes, code) })
-	sort.Slice(codes, func(a, b int) bool { return codes[a] < codes[b] })
-	for i := 0; i < len(codes); {
-		j := i
-		for j < len(codes) && codes[j] == codes[i] {
-			j++
-		}
-		if j-i > m.threshold {
-			m.codes[codes[i]] = struct{}{}
-		}
-		i = j
+	t, _ := index(ref, k, k <= directLimit)
+	for _, c := range t.codesOver(m.threshold) {
+		m.codes[c] = struct{}{}
 	}
 	return m, nil
 }
@@ -146,16 +148,19 @@ type Table struct {
 	k       int
 	refLen  int
 	maskMax int
-	mask    *MaskSet // non-nil: precomputed global mask instead of local counts
 
-	// Dense mode (k ≤ directLimit): ptr has 4^k+1 entries; the hits for
-	// seed code c occupy pos[ptr[c]:ptr[c+1]].
-	ptr []uint32
+	// Directory layout (k ≤ directLimit): dir[b] covers codes 32b …
+	// 32b+31, their occupancy bits in the low word and the rank of the
+	// block's first present code in the high word.
+	dir []uint64
 
-	// Sparse mode (k > directLimit): codes lists the distinct seed codes
-	// in ascending order and spans[i] delimits pos for codes[i].
+	// Sparse layout (k > directLimit): the present codes, ascending; a
+	// code's rank is its index.
 	codes []uint32
-	spans [][2]uint32
+
+	// start has one entry per present code plus a final one: rank r's
+	// hits are pos[start[r]:start[r+1]].
+	start []uint32
 
 	// pos is the position table: reference offsets grouped by seed code,
 	// ascending within each group.
@@ -170,7 +175,7 @@ func Build(ref dna.Seq, k int, opts Options) (*Table, error) {
 	if err := checkK(k, len(ref), "reference"); err != nil {
 		return nil, err
 	}
-	return build(ref, k, opts), nil
+	return build(ref, k, opts, k <= directLimit), nil
 }
 
 // BuildRange constructs a seed table over the reference window
@@ -194,120 +199,196 @@ func BuildRange(ref dna.Seq, start, end, k int, opts Options) (*Table, error) {
 	if err := checkK(k, end-start, "window"); err != nil {
 		return nil, err
 	}
-	return build(ref[start:end], k, opts), nil
+	return build(ref[start:end], k, opts, k <= directLimit), nil
 }
 
-// build indexes every k-mer of seq under opts' mask.
-func build(seq dna.Seq, k int, opts Options) *Table {
-	t := &Table{k: k, refLen: len(seq), mask: opts.Mask}
+// build indexes every k-mer of seq under opts' mask, ranking codes by
+// a directory or by a sorted code list. Every pass is O(|seq|) plus,
+// for a directory, one pass over its 4^k/32 words.
+func build(seq dna.Seq, k int, opts Options, directory bool) *Table {
+	t, seeds := index(seq, k, directory)
 	if opts.Mask != nil {
 		t.maskMax = opts.Mask.Threshold()
-	} else {
-		t.maskMax = opts.maskThreshold(len(seq), k)
+		t.drop(seeds, opts.Mask.Codes())
+	} else if t.maskMax = opts.maskThreshold(len(seq), k); t.maskMax > 0 {
+		t.drop(seeds, t.codesOver(t.maskMax))
 	}
-	if k <= directLimit {
-		t.buildDense(seq)
-	} else {
-		t.buildSparse(seq)
-	}
+	t.fill(seeds)
 	return t
 }
 
-// buildDense uses a two-pass counting sort into a 4^k+1 pointer table.
-func (t *Table) buildDense(ref dna.Seq) {
-	n := dna.NumSeeds(t.k)
-	counts := make([]uint32, n+1)
-	forEachSeed(ref, t.k, func(code uint32, _ int) {
-		counts[code+1]++
-	})
-	// Mask high-frequency seeds by zeroing their counts: seeds in the
-	// precomputed global set when one was supplied, else seeds whose
-	// local count crosses the threshold.
-	switch {
-	case t.mask != nil:
-		for code := range t.mask.codes {
-			if int(code)+1 <= n && counts[code+1] > 0 {
-				t.maskedSeeds++
-				t.maskedHits += int(counts[code+1])
-				counts[code+1] = 0
+// index rolls every seed of seq into a buffer, indexes the codes
+// present, and rewrites the buffer in place to each seed's rank (the
+// same Ranks pass D-SOFT runs). It returns the unmasked table with
+// start holding each rank's occurrence count, and the rank buffer.
+func index(seq dna.Seq, k int, directory bool) (*Table, []uint32) {
+	t := &Table{k: k, refLen: len(seq)}
+	seeds := rollSeeds(seq, k)
+	present := 0
+	if directory {
+		t.dir = make([]uint64, (dna.NumSeeds(k)+31)/32)
+		for _, c := range seeds {
+			if c != noSeed {
+				t.dir[c>>5] |= 1 << (c & 31)
 			}
 		}
-	case t.maskMax > 0:
-		for c := 1; c <= n; c++ {
-			if int(counts[c]) > t.maskMax {
-				t.maskedSeeds++
-				t.maskedHits += int(counts[c])
-				counts[c] = 0
+		present = t.rankDir()
+	} else {
+		codes := make([]uint32, 0, len(seeds))
+		for _, c := range seeds {
+			if c != noSeed {
+				codes = append(codes, c)
 			}
 		}
+		slices.Sort(codes)
+		t.codes = slices.Clone(slices.Compact(codes))
+		present = len(t.codes)
 	}
-	for c := 1; c <= n; c++ {
-		counts[c] += counts[c-1]
-	}
-	t.ptr = counts
-	t.pos = make([]uint32, t.ptr[n])
-	fill := make([]uint32, n)
-	copy(fill, t.ptr[:n])
-	forEachSeed(ref, t.k, func(code uint32, i int) {
-		if t.ptr[code+1] == t.ptr[code] {
-			return // masked (or impossible) seed
+	t.start = make([]uint32, present+1)
+	t.Ranks(seeds)
+	for _, r := range seeds {
+		if r < Absent {
+			t.start[r]++
 		}
-		t.pos[fill[code]] = uint32(i)
-		fill[code]++
-	})
+	}
+	return t, seeds
 }
 
-// buildSparse sorts (code, position) pairs packed into uint64s and
-// derives per-code spans; memory is O(occurrences) instead of O(4^k).
-func (t *Table) buildSparse(ref dna.Seq) {
-	pairs := make([]uint64, 0, len(ref))
-	forEachSeed(ref, t.k, func(code uint32, i int) {
-		pairs = append(pairs, uint64(code)<<32|uint64(uint32(i)))
-	})
-	sort.Slice(pairs, func(a, b int) bool { return pairs[a] < pairs[b] })
-	t.pos = make([]uint32, 0, len(pairs))
-	for i := 0; i < len(pairs); {
-		code := uint32(pairs[i] >> 32)
-		j := i
-		for j < len(pairs) && uint32(pairs[j]>>32) == code {
-			j++
-		}
-		masked := (t.mask != nil && t.mask.Masked(code)) ||
-			(t.mask == nil && t.maskMax > 0 && j-i > t.maskMax)
-		if masked {
-			t.maskedSeeds++
-			t.maskedHits += j - i
-			i = j
-			continue
-		}
-		start := uint32(len(t.pos))
-		for ; i < j; i++ {
-			t.pos = append(t.pos, uint32(pairs[i]))
-		}
-		t.codes = append(t.codes, code)
-		t.spans = append(t.spans, [2]uint32{start, uint32(len(t.pos))})
-	}
-}
-
-func forEachSeed(ref dna.Seq, k int, fn func(code uint32, pos int)) {
-	// Incremental rolling pack: maintain the 2k-bit window, resetting
-	// after an N. This is O(|ref|) rather than O(|ref|·k).
+// rollSeeds returns the code of every k-base window of seq, indexed by
+// the window's start, or noSeed for a window holding a byte dna.Code
+// maps to CodeN. The code rolls over every base (one shift-and-mask
+// each), not k bases per window.
+func rollSeeds(seq dna.Seq, k int) []uint32 {
+	out := make([]uint32, len(seq)-k+1)
 	mask := uint32(dna.NumSeeds(k) - 1)
 	var code uint32
-	valid := 0
-	for i := 0; i < len(ref); i++ {
-		c := dna.Code(ref[i])
+	valid := 0 // bases since the last N
+	for i, b := range seq {
+		c := dna.Code(b)
 		if c == dna.CodeN {
 			valid = 0
-			code = 0
-			continue
+		} else {
+			valid++
 		}
-		code = (code<<2 | uint32(c)) & mask
-		valid++
-		if valid >= k {
-			fn(code, i-k+1)
+		code = (code<<2 | uint32(c&3)) & mask
+		if i >= k-1 {
+			if valid >= k {
+				out[i-k+1] = code
+			} else {
+				out[i-k+1] = noSeed
+			}
 		}
 	}
+	return out
+}
+
+// rankDir writes each directory block's first rank from the occupancy
+// bits and returns the number of present codes.
+func (t *Table) rankDir() int {
+	var r uint32
+	for b, w := range t.dir {
+		occ := uint32(w)
+		t.dir[b] = uint64(r)<<32 | uint64(occ)
+		r += uint32(bits.OnesCount32(occ))
+	}
+	return int(r)
+}
+
+// codesOver returns, ascending, the present codes whose occurrence
+// count (held in start before fill) exceeds n.
+func (t *Table) codesOver(n int) []uint32 {
+	var out []uint32
+	for r, c := range t.start[:len(t.start)-1] {
+		if int(c) > n {
+			out = append(out, t.codeOf(r))
+		}
+	}
+	return out
+}
+
+// codeOf returns the present code of rank r. In a directory that code
+// sits in the last block whose first rank is ≤ r, as the r−first-th
+// occupied bit.
+func (t *Table) codeOf(r int) uint32 {
+	if t.dir == nil {
+		return t.codes[r]
+	}
+	b := sort.Search(len(t.dir), func(b int) bool { return int(t.dir[b]>>32) > r }) - 1
+	occ := uint32(t.dir[b])
+	for i := r - int(t.dir[b]>>32); i > 0; i-- {
+		occ &= occ - 1
+	}
+	return uint32(b)<<5 | uint32(bits.TrailingZeros32(occ))
+}
+
+// drop masks the given codes (ascending; codes the table lacks are
+// skipped) before fill: it records them under MaskedSeeds/MaskedHits,
+// takes them out of the directory or code list, and renumbers the
+// remaining ranks in seeds and in the per-rank counts held in start.
+func (t *Table) drop(seeds, gone []uint32) {
+	ranks := slices.Clone(gone)
+	t.Ranks(ranks)
+	ranks = slices.DeleteFunc(ranks, func(r uint32) bool { return r == Absent })
+	if len(ranks) == 0 {
+		return
+	}
+	if t.dir != nil {
+		for _, c := range gone {
+			if int(c>>5) < len(t.dir) {
+				t.dir[c>>5] &^= 1 << (c & 31)
+			}
+		}
+		t.rankDir()
+	}
+	remap := make([]uint32, len(t.start)-1)
+	next := uint32(0)
+	for r := range remap {
+		n := t.start[r]
+		if len(ranks) > 0 && ranks[0] == uint32(r) {
+			ranks = ranks[1:]
+			remap[r] = Absent
+			t.maskedSeeds++
+			t.maskedHits += int(n)
+			continue
+		}
+		remap[r] = next
+		t.start[next] = n
+		if t.dir == nil {
+			t.codes[next] = t.codes[r]
+		}
+		next++
+	}
+	t.start = t.start[:next+1]
+	t.start[next] = 0
+	if t.dir == nil {
+		t.codes = t.codes[:next]
+	}
+	for i, r := range seeds {
+		if r < Absent {
+			seeds[i] = remap[r]
+		}
+	}
+}
+
+// fill turns the per-rank counts in start into offsets and stores each
+// seed's position under its rank, in reference order, so every hit
+// list is ascending.
+func (t *Table) fill(seeds []uint32) {
+	var sum uint32
+	for r, n := range t.start {
+		t.start[r] = sum
+		sum += n
+	}
+	t.pos = make([]uint32, sum)
+	for i, r := range seeds {
+		if r < Absent {
+			t.pos[t.start[r]] = uint32(i)
+			t.start[r]++
+		}
+	}
+	// Each start[r] now holds rank r's end, which is rank r+1's start.
+	copy(t.start[1:], t.start)
+	t.start[0] = 0
 }
 
 // K returns the seed size.
@@ -329,38 +410,75 @@ func (t *Table) MaskedHits() int { return t.maskedHits }
 // Positions returns the total number of stored (unmasked) positions.
 func (t *Table) Positions() int { return len(t.pos) }
 
-// Bytes returns the table's retained heap footprint (pointer table or
-// sparse code/span index plus the position table) — the quantity a
+// Bytes returns the table's retained heap footprint (directory or
+// sorted codes, start and position arrays) — the quantity a
 // byte-budgeted shard set accounts against its MaxResidentBytes.
 func (t *Table) Bytes() int64 {
-	return int64(len(t.ptr))*4 + int64(len(t.pos))*4 +
-		int64(len(t.codes))*4 + int64(len(t.spans))*8
+	return int64(len(t.dir))*8 + int64(len(t.codes))*4 +
+		int64(len(t.start))*4 + int64(len(t.pos))*4
+}
+
+// Ranks rewrites each seed code in codes to its rank in the table, or
+// to Absent when the table does not hold it. Values ≥ Absent are left
+// as they are. A directory word whose rank a corrupt (yet CRC-valid)
+// index file pushed past start answers Absent: FromParts checks only
+// the directory's last word, since a full check would read every word,
+// every page of a mapped file, at open.
+func (t *Table) Ranks(codes []uint32) {
+	if t.dir == nil {
+		for i, c := range codes {
+			if c >= Absent {
+				continue
+			}
+			if r, ok := slices.BinarySearch(t.codes, c); ok {
+				codes[i] = uint32(r)
+			} else {
+				codes[i] = Absent
+			}
+		}
+		return
+	}
+	dir, present := t.dir, uint32(len(t.start)-1)
+	for i, c := range codes {
+		if c >= Absent {
+			continue
+		}
+		if int(c>>5) >= len(dir) {
+			codes[i] = Absent
+			continue
+		}
+		w := dir[c>>5]
+		bit := uint32(1) << (c & 31)
+		r := uint32(w>>32) + uint32(bits.OnesCount32(uint32(w)&(bit-1)))
+		if uint32(w)&bit == 0 || r >= present {
+			r = Absent
+		}
+		codes[i] = r
+	}
+}
+
+// Hits returns the reference positions of the code with rank r (from
+// Ranks), in ascending order. The returned slice aliases internal
+// storage and must not be modified. Absent returns nil, and so does a
+// rank whose start pair a corrupt index file made decreasing or ran
+// past the position table.
+func (t *Table) Hits(r uint32) []uint32 {
+	if int(r) >= len(t.start)-1 {
+		return nil
+	}
+	s, e := t.start[r], t.start[r+1]
+	if s >= e || int(e) > len(t.pos) {
+		return nil
+	}
+	return t.pos[s:e]
 }
 
 // Lookup returns the reference positions of the seed with the given
-// packed code, in ascending order. The returned slice aliases internal
-// storage and must not be modified. Masked and absent seeds return nil,
-// and so does a seed whose pointer pair a corrupt (yet CRC-valid) index
-// file made decreasing or ran past the position table: FromParts checks
-// only the pointer table's last entry, since a full check would read
-// all 4^k pointers, every page of a mapped file, at open.
+// packed code: its rank, then Hits. Masked and absent seeds return nil.
 func (t *Table) Lookup(code uint32) []uint32 {
-	if t.ptr != nil {
-		if int(code) >= len(t.ptr)-1 {
-			return nil
-		}
-		s, e := t.ptr[code], t.ptr[code+1]
-		if s >= e || int(e) > len(t.pos) {
-			return nil
-		}
-		return t.pos[s:e]
-	}
-	i := sort.Search(len(t.codes), func(i int) bool { return t.codes[i] >= code })
-	if i == len(t.codes) || t.codes[i] != code {
-		return nil
-	}
-	sp := t.spans[i]
-	return t.pos[sp[0]:sp[1]]
+	r := [1]uint32{code}
+	t.Ranks(r[:])
+	return t.Hits(r[0])
 }
 
 // LookupSeq packs the k bases of q starting at pos and looks them up.
@@ -375,12 +493,14 @@ func (t *Table) LookupSeq(q dna.Seq, pos int) []uint32 {
 
 // Stats summarizes the table for reporting and for the DRAM model.
 type Stats struct {
-	K            int
-	RefLen       int
-	Positions    int
-	MaskedSeeds  int
-	MaskedHits   int
-	HitsPerSeed  float64 // mean hits per possible seed value (paper Table 3 column)
+	K           int
+	RefLen      int
+	Positions   int
+	MaskedSeeds int
+	MaskedHits  int
+	HitsPerSeed float64 // mean hits per possible seed value (paper Table 3 column)
+	// PointerBytes is what leads from a code to its hits: the
+	// directory (or sorted codes) plus the start array.
 	PointerBytes int64
 	PositionByte int64
 }
@@ -391,35 +511,22 @@ type Stats struct {
 // query seeds that come from the same genome (Table 3).
 func (t *Table) Stats() Stats {
 	st := Stats{
-		K:           t.k,
-		RefLen:      t.refLen,
-		Positions:   len(t.pos),
-		MaskedSeeds: t.maskedSeeds,
-		MaskedHits:  t.maskedHits,
+		K:            t.k,
+		RefLen:       t.refLen,
+		Positions:    len(t.pos),
+		MaskedSeeds:  t.maskedSeeds,
+		MaskedHits:   t.maskedHits,
+		PointerBytes: t.Bytes() - int64(len(t.pos))*4,
+		PositionByte: int64(len(t.pos)) * 4,
 	}
-	if t.ptr != nil {
-		st.PointerBytes = int64(len(t.ptr)) * 4
-		var sumSq, sum float64
-		for c := 0; c+1 < len(t.ptr); c++ {
-			n := float64(t.ptr[c+1] - t.ptr[c])
-			sumSq += n * n
-			sum += n
-		}
-		if sum > 0 {
-			st.HitsPerSeed = sumSq / sum
-		}
-	} else {
-		st.PointerBytes = int64(len(t.codes)) * 12 // code + span
-		var sumSq, sum float64
-		for _, sp := range t.spans {
-			n := float64(sp[1] - sp[0])
-			sumSq += n * n
-			sum += n
-		}
-		if sum > 0 {
-			st.HitsPerSeed = sumSq / sum
-		}
+	var sumSq, sum float64
+	for r := 0; r+1 < len(t.start); r++ {
+		n := float64(t.start[r+1] - t.start[r])
+		sumSq += n * n
+		sum += n
 	}
-	st.PositionByte = int64(len(t.pos)) * 4
+	if sum > 0 {
+		st.HitsPerSeed = sumSq / sum
+	}
 	return st
 }

@@ -75,7 +75,7 @@ func TestLookupMatchesOracleSparse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.ptr != nil {
+	if tab.dir != nil {
 		t.Fatal("expected sparse mode")
 	}
 	// Query seeds drawn from the reference (present) and random (mostly absent).
@@ -104,8 +104,7 @@ func TestDenseSparseAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse := &Table{k: k, refLen: len(ref)}
-	sparse.buildSparse(ref)
+	sparse := build(ref, k, Options{NoMask: true}, false)
 	for i := 0; i+k <= len(ref); i += 13 {
 		code, ok := dna.PackSeed(ref, i, k)
 		if !ok {
@@ -226,9 +225,16 @@ func TestStatsBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A k = 8 directory is 4^8/32 words of 8 bytes; start has one entry
+	// per distinct seed plus the end.
 	st := tab.Stats()
-	if st.PointerBytes != int64(dna.NumSeeds(8)+1)*4 {
-		t.Errorf("pointer bytes = %d", st.PointerBytes)
+	distinct := map[uint32]bool{}
+	for i := 0; i+8 <= len(ref); i++ {
+		code, _ := dna.PackSeed(ref, i, 8)
+		distinct[code] = true
+	}
+	if want := int64(dna.NumSeeds(8)/32)*8 + int64(len(distinct)+1)*4; st.PointerBytes != want {
+		t.Errorf("pointer bytes = %d, want %d", st.PointerBytes, want)
 	}
 	if st.PositionByte != int64(st.Positions)*4 {
 		t.Errorf("position bytes = %d", st.PositionByte)

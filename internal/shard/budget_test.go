@@ -36,8 +36,9 @@ func TestBudgetedGenomeScaleMapping(t *testing.T) {
 	ref := g.Seq
 	// k=14 (the paper's PacBio reference-guided setting) uses the sparse
 	// table layout, whose size scales with the extent — the regime where
-	// sharding actually bounds memory. Dense small-k tables carry a
-	// 4^k-entry pointer array per shard regardless of extent.
+	// sharding actually bounds memory. Tables with k ≤ 12 also carry a
+	// 4^k/32-word rank directory per shard (4 MiB at k=12) regardless of
+	// extent.
 	cfg := core.DefaultConfig(14, 600, 24)
 
 	reads, err := readsim.SimulateN(ref, 48, readsim.Config{Profile: readsim.PacBio, MeanLen: 3000, Seed: 809})
