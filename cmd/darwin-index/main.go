@@ -78,7 +78,6 @@ func runBuild(args []string) error {
 	n := fs.Int("n", 750, "D-SOFT seeds per query strand N")
 	h := fs.Int("h", 24, "D-SOFT base-count threshold h")
 	shards := fs.Int("shards", 0, "split the index into this many shards (0 = monolithic)")
-	shardOverlap := fs.Int("shard-overlap", 0, "shard overlap margin in bases (0 = exactness minimum)")
 	fs.Parse(args)
 	if *refPath == "" {
 		return fmt.Errorf("build: -ref is required")
@@ -96,7 +95,7 @@ func runBuild(args []string) error {
 		return fmt.Errorf("no sequences in %s", *refPath)
 	}
 	cfg := core.DefaultConfig(*k, *n, *h)
-	spec := core.ShardSpec{Shards: *shards, Overlap: *shardOverlap}
+	spec := core.ShardSpec{Shards: *shards}
 
 	start := time.Now()
 	idx, err := indexio.WriteFile(outPath, recs, cfg, spec)

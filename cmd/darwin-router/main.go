@@ -49,10 +49,7 @@ func run() error {
 	addr := flag.String("addr", ":8850", "listen address (use :0 for an ephemeral port)")
 	workers := flag.String("workers", "", "worker roster as name=url,name=url (required; names must match each worker's -worker-name)")
 	replication := flag.Int("replication", 2, "replicas per shard (must match the workers' -cluster-replication)")
-	hedgeQuantile := flag.Float64("hedge-quantile", 0.9, "per-worker latency quantile after which a sub-request is hedged to the next replica")
-	hedgeMin := flag.Duration("hedge-min", 2*time.Millisecond, "lower clamp on the adaptive hedge delay")
-	hedgeMax := flag.Duration("hedge-max", 2*time.Second, "upper clamp on the adaptive hedge delay (also used while latency windows are empty)")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "fixed hedge delay overriding the adaptive quantile (0 = adaptive)")
+	hedgeDelay := flag.Duration("hedge-delay", 0, "fixed hedge delay overriding the adaptive one, the p90 of each worker's latency clamped to [2ms, 2s] (0 = adaptive)")
 	reqTimeout := flag.Duration("req-timeout", 60*time.Second, "per-request deadline cap")
 	maxReads := flag.Int("max-reads", 1024, "max reads per request")
 	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive sub-request failures that open a worker's circuit breaker")
@@ -89,9 +86,6 @@ func run() error {
 	rt, err := cluster.New(cluster.Config{
 		Workers:            roster,
 		Replication:        *replication,
-		HedgeQuantile:      *hedgeQuantile,
-		HedgeMin:           *hedgeMin,
-		HedgeMax:           *hedgeMax,
 		HedgeDelay:         *hedgeDelay,
 		RequestTimeout:     *reqTimeout,
 		MaxReadsPerRequest: *maxReads,

@@ -113,8 +113,9 @@ func run() error {
 			Name:               name,
 			ScatterConcurrency: *scatterConcurrency,
 			// Ownership is derived from the actual index geometry at
-			// warm time: -shard-mem decides the shard count during the
-			// build, so it cannot be hashed before the index exists.
+			// warm time: without -shards the shard count is the one a
+			// sharded -index file records, so it cannot be hashed
+			// before the index is open.
 			AssignShards: func(shards int) ([]int, error) { return cmap.OwnedBy(name, shards) },
 		}
 	} else if *clusterWorkers != "" {

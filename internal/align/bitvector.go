@@ -2,7 +2,6 @@ package align
 
 import (
 	"bytes"
-	"fmt"
 
 	"darwin/internal/dna"
 )
@@ -52,7 +51,9 @@ import (
 // the tiles and fails the check on ≈ 3 % (EXPERIMENTS.md
 // "Self-certifying bands").
 
-// KernelMode selects the TileAligner's tile-kernel tier.
+// KernelMode selects the TileAligner's tile-kernel tier. Production
+// runs KernelAuto, the zero value; the other two modes exist for the
+// tests and benchmarks that pin and measure it.
 type KernelMode uint8
 
 const (
@@ -81,32 +82,6 @@ const (
 	// tiles run as under KernelAuto.
 	KernelBitvector
 )
-
-// String returns the flag spelling of the mode.
-func (k KernelMode) String() string {
-	switch k {
-	case KernelAuto:
-		return "auto"
-	case KernelLUT:
-		return "lut"
-	case KernelBitvector:
-		return "bitvector"
-	}
-	return fmt.Sprintf("KernelMode(%d)", uint8(k))
-}
-
-// ParseKernelMode parses a -tile-kernel flag value.
-func ParseKernelMode(s string) (KernelMode, error) {
-	switch s {
-	case "auto", "":
-		return KernelAuto, nil
-	case "lut":
-		return KernelLUT, nil
-	case "bitvector", "bv":
-		return KernelBitvector, nil
-	}
-	return KernelAuto, fmt.Errorf("align: unknown kernel mode %q (want auto, bitvector, or lut)", s)
-}
 
 const (
 	// bitvecMinSide: tiles with a side below this skip the bitvector

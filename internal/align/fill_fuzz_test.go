@@ -80,11 +80,11 @@ func FuzzFill(f *testing.F) {
 				got := run(ta, ref, query, tc.first, off)
 				run(scalar, ref, query, tc.first, off)
 				if d := tileContractDiff(got, want, tc.first); d != "" {
-					t.Fatalf("%s %s tile %d×%d, %+v, maxOff %d, %d lanes: %s\n got %+v\nwant %+v", km, tc.name, n, m, sc, off, ta.lanes, d, got, want)
+					t.Fatalf("%s %s tile %d×%d, %+v, maxOff %d, %d lanes: %s\n got %+v\nwant %+v", kernelName[km], tc.name, n, m, sc, off, ta.lanes, d, got, want)
 				}
 				if km != KernelAuto || tc.first {
 					if vks, sks = ta.KernelStats().since(vks), scalar.KernelStats().since(sks); vks != sks {
-						t.Fatalf("%s %s tile %d×%d, %+v, %d lanes: stats %+v, scalar %+v", km, tc.name, n, m, sc, ta.lanes, vks, sks)
+						t.Fatalf("%s %s tile %d×%d, %+v, %d lanes: stats %+v, scalar %+v", kernelName[km], tc.name, n, m, sc, ta.lanes, vks, sks)
 					}
 				}
 			}

@@ -9,6 +9,9 @@ import (
 	"darwin/internal/dna"
 )
 
+// kernelName spells each KernelMode in test messages and map keys.
+var kernelName = [...]string{KernelAuto: "auto", KernelLUT: "lut", KernelBitvector: "bitvector"}
+
 // tileContractDiff compares two TileResults on the fields GACT
 // consumes: Score, IOff, JOff, and Cigar always; MaxI/MaxJ only when
 // firstTile was set (TileResult documents them as first-tile fields;
@@ -123,7 +126,7 @@ func TestQuickKernelTiers(t *testing.T) {
 				return false
 			}
 			ta.SetKernel(mode)
-			tiers[mode.String()] = ta
+			tiers[kernelName[mode]] = ta
 		}
 		if rng.Intn(2) == 0 {
 			// Random divergence thresholds, tiny ones included: they may
@@ -506,22 +509,6 @@ func TestFirstTileKernelStats(t *testing.T) {
 	ks = ta.KernelStats()
 	if ks.LUTTiles != before.LUTTiles+1 || ks.BitvectorTiles != before.BitvectorTiles {
 		t.Errorf("KernelLUT first tile: %+v -> %+v, want one more LUT tile", before, ks)
-	}
-}
-
-// Mode parsing round-trips, and rejects junk.
-func TestParseKernelMode(t *testing.T) {
-	for _, m := range []KernelMode{KernelAuto, KernelLUT, KernelBitvector} {
-		got, err := ParseKernelMode(m.String())
-		if err != nil || got != m {
-			t.Errorf("ParseKernelMode(%q) = %v, %v; want %v", m.String(), got, err, m)
-		}
-	}
-	if got, err := ParseKernelMode(""); err != nil || got != KernelAuto {
-		t.Errorf("ParseKernelMode(\"\") = %v, %v; want auto", got, err)
-	}
-	if _, err := ParseKernelMode("simd"); err == nil {
-		t.Error("ParseKernelMode(\"simd\") should fail")
 	}
 }
 

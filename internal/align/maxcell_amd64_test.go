@@ -307,7 +307,7 @@ func TestVectorFillMatchesScalar(t *testing.T) {
 					}
 					if d != "" {
 						t.Fatalf("%s %s tile %d×%d, %+v, maxOff %d: %d-lane vs scalar: %s\n got %+v\nwant %+v\nref   %s\nquery %s",
-							mode, call.name, len(rTile), len(qTile), sc, maxOff, vec.lanes, d, got, want, rTile, qTile)
+							kernelName[mode], call.name, len(rTile), len(qTile), sc, maxOff, vec.lanes, d, got, want, rTile, qTile)
 					}
 				}
 			}

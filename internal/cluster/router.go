@@ -38,6 +38,16 @@ var (
 	fpScatter = faults.Default.Point("cluster/scatter")
 )
 
+// The adaptive hedge: a sub-request is hedged to the next replica once
+// it outlives its worker's hedgeQuantile latency, clamped to
+// [hedgeMin, hedgeMax]; hedgeMax is also the delay while a worker's
+// latency window is still empty.
+const (
+	hedgeQuantile = 0.9
+	hedgeMin      = 2 * time.Millisecond
+	hedgeMax      = 2 * time.Second
+)
+
 // Config assembles a router.
 type Config struct {
 	// Workers is the cluster roster (see ParseWorkers).
@@ -45,15 +55,9 @@ type Config struct {
 	// Replication is the per-shard replica count (default 2, clamped
 	// to the roster size).
 	Replication int
-	// HedgeQuantile picks the per-worker latency quantile after which
-	// a sub-request is hedged to the next replica (default 0.9).
-	HedgeQuantile float64
-	// HedgeMin and HedgeMax clamp the adaptive hedge delay; HedgeMax
-	// also serves as the delay while a worker's latency window is
-	// still empty (defaults 2ms and 2s).
-	HedgeMin, HedgeMax time.Duration
-	// HedgeDelay, when positive, overrides the adaptive delay with a
-	// fixed one — deterministic hedging for tests and smoke scripts.
+	// HedgeDelay, when positive, overrides the adaptive delay
+	// (hedgeQuantile, clamped to [hedgeMin, hedgeMax]) with a fixed
+	// one — deterministic hedging for tests and smoke scripts.
 	HedgeDelay time.Duration
 	// RequestTimeout caps one ingress request (default 60s).
 	RequestTimeout time.Duration
@@ -76,18 +80,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Replication <= 0 {
 		c.Replication = 2
-	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile >= 1 {
-		c.HedgeQuantile = 0.9
-	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = 2 * time.Millisecond
-	}
-	if c.HedgeMax <= 0 {
-		c.HedgeMax = 2 * time.Second
-	}
-	if c.HedgeMax < c.HedgeMin {
-		c.HedgeMax = c.HedgeMin
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
@@ -242,22 +234,22 @@ type attemptResult struct {
 // hedgeDelay picks how long to wait on a worker before hedging its
 // sub-request to the next replica: the fixed override if configured,
 // else the worker's rolling latency quantile clamped to
-// [HedgeMin, HedgeMax] — an empty window hedges at HedgeMax, so a
+// [hedgeMin, hedgeMax] — an empty window hedges at hedgeMax, so a
 // cold router is conservative rather than doubling load.
 func (rt *Router) hedgeDelay(ws *workerState) time.Duration {
 	if rt.cfg.HedgeDelay > 0 {
 		return rt.cfg.HedgeDelay
 	}
-	q := ws.lat.Quantile(time.Minute, rt.cfg.HedgeQuantile)
+	q := ws.lat.Quantile(time.Minute, hedgeQuantile)
 	d := time.Duration(q * float64(time.Millisecond))
-	if d < rt.cfg.HedgeMin {
+	if d < hedgeMin {
 		if q <= 0 {
-			return rt.cfg.HedgeMax
+			return hedgeMax
 		}
-		return rt.cfg.HedgeMin
+		return hedgeMin
 	}
-	if d > rt.cfg.HedgeMax {
-		return rt.cfg.HedgeMax
+	if d > hedgeMax {
+		return hedgeMax
 	}
 	return d
 }

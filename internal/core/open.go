@@ -7,17 +7,11 @@ import "darwin/internal/dna"
 // declared here, below internal/shard (which imports core and names it
 // shard.Config), so every layer describes geometry with one type.
 type ShardSpec struct {
-	// Shards is the number of shards to split the reference into.
-	// Mutually exclusive with ShardSize.
+	// Shards is the number of shards to split the reference into. Each
+	// shard's extent extends beyond its core on both sides by the
+	// candidate-exactness minimum (shard.MinOverlap) rounded up to the
+	// D-SOFT bin size.
 	Shards int
-	// ShardSize is the shard core size in bases (rounded up to the
-	// D-SOFT bin size). Used when Shards is zero.
-	ShardSize int
-	// Overlap is the margin each shard's extent extends beyond its core
-	// on both sides. Values below the candidate-exactness minimum
-	// (shard.MinOverlap) are raised to it, so correctness never depends
-	// on this knob.
-	Overlap int
 	// MaxResidentBytes bounds the total bytes of shard seed tables kept
 	// resident (LRU eviction). Zero means unbounded. The budget covers
 	// the seed tables only — the packed reference sequence (1 byte per
@@ -26,10 +20,10 @@ type ShardSpec struct {
 	MaxResidentBytes int64
 }
 
-// Enabled reports whether the spec asks for sharding at all (a shard
-// count or size was given). A zero ShardSpec means "use the monolithic
-// engine".
-func (s ShardSpec) Enabled() bool { return s.Shards > 0 || s.ShardSize > 0 }
+// Enabled reports whether the spec asks for sharding at all. A zero
+// ShardSpec means "use the monolithic engine", or the geometry a
+// sharded index file records.
+func (s ShardSpec) Enabled() bool { return s.Shards > 0 }
 
 // OpenConfig is Open's argument: the records to concatenate and the
 // engine parameters.

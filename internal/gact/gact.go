@@ -88,7 +88,8 @@ type Config struct {
 	// align.KernelAuto, bands extension tiles with a provable
 	// bit-identical fallback: by a certified guess on tiles the vector
 	// fill takes, by the bitvector fast path on the others; see
-	// align.KernelMode).
+	// align.KernelMode). Every binary runs the zero value; tests and
+	// benchmarks set the others.
 	Kernel align.KernelMode
 	// KernelDivergence adds a fallback threshold to the auto tier's
 	// profit gate: the maximum allowed gap, in score units, between a

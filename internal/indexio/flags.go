@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 
-	"darwin/internal/align"
 	"darwin/internal/core"
 	"darwin/internal/dna"
 	"darwin/internal/shard"
@@ -19,9 +18,7 @@ type Flags struct {
 	K, N, H      int
 	HTile        int
 	TileT, TileO int
-	TileKernel   string
 	Shards       int
-	ShardOverlap int
 	ShardMem     string
 	Index        string
 	IndexWrite   string
@@ -38,10 +35,8 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.HTile, "htile", 90, "first GACT tile score threshold (0 disables)")
 	fs.IntVar(&f.TileT, "T", 320, "GACT tile size T")
 	fs.IntVar(&f.TileO, "O", 128, "GACT tile overlap O")
-	fs.StringVar(&f.TileKernel, "tile-kernel", "auto", "tile DP kernel tier: auto (vector fill where it applies, else bitvector fast path with LUT fallback), bitvector, or lut")
 	fs.IntVar(&f.Shards, "shards", 0, "split the reference index into this many shards (0 = monolithic)")
-	fs.IntVar(&f.ShardOverlap, "shard-overlap", 0, "shard overlap margin in bases (0 = exactness minimum)")
-	fs.StringVar(&f.ShardMem, "shard-mem", "", "resident shard seed-table budget, e.g. 512M (empty = unbounded)")
+	fs.StringVar(&f.ShardMem, "shard-mem", "", "resident shard seed-table budget, e.g. 512M (empty = unbounded); needs -shards or a sharded -index")
 	fs.StringVar(&f.Index, "index", "", "load the reference index from this prebuilt .dwi file (darwin-index build) instead of building it; load failure is fatal")
 	fs.StringVar(&f.IndexWrite, "index-write", "", "build the reference index, write it to this .dwi path, then map from it")
 	fs.BoolVar(&f.NoSidecar, "no-sidecar", false, "do not auto-load a <ref>.dwi sidecar index next to the reference")
@@ -57,10 +52,7 @@ func (f *Flags) Resolve(refPath string) (cfg core.Config, spec core.ShardSpec, s
 	cfg.HTile = f.HTile
 	cfg.GACT.T = f.TileT
 	cfg.GACT.O = f.TileO
-	if cfg.GACT.Kernel, err = align.ParseKernelMode(f.TileKernel); err != nil {
-		return cfg, spec, src, err
-	}
-	spec = core.ShardSpec{Shards: f.Shards, Overlap: f.ShardOverlap}
+	spec = core.ShardSpec{Shards: f.Shards}
 	if f.ShardMem != "" {
 		if spec.MaxResidentBytes, err = shard.ParseBytes(f.ShardMem); err != nil {
 			return cfg, spec, src, err

@@ -15,6 +15,7 @@
 package indexio
 
 import (
+	"errors"
 	"fmt"
 	"os"
 
@@ -79,10 +80,17 @@ type Loaded struct {
 	Fallback error
 }
 
+// errMonolithicBudget refuses a shard-table budget on an engine that
+// has no shard tables: the monolithic engine's one table is always
+// resident, so the budget would be silently ignored.
+var errMonolithicBudget = errors.New("a resident shard budget (-shard-mem) needs a sharded engine: set -shards, or load a sharded index")
+
 // OpenSource turns src into a warm mapper under cfg, sharded when spec
-// is enabled. An index file is mapped and its tables served as views —
-// no build pass, no FASTA parse; otherwise the reference is built, the
-// two engines being alignment-bit-identical.
+// is enabled or a sharded index file is loaded under a zero spec. An
+// index file is mapped and its tables served as views — no build pass,
+// no FASTA parse; otherwise the reference is built, the two engines
+// being alignment-bit-identical. A residency budget on a monolithic
+// engine is an error.
 func OpenSource(src Source, cfg core.Config, spec core.ShardSpec) (*Loaded, error) {
 	var fallback error
 	if path, explicit := src.IndexFile(); path != "" {
@@ -94,6 +102,9 @@ func OpenSource(src Source, cfg core.Config, spec core.ShardSpec) (*Loaded, erro
 			return nil, err
 		}
 		fallback = err
+	}
+	if !spec.Enabled() && spec.MaxResidentBytes > 0 {
+		return nil, errMonolithicBudget
 	}
 	recs := src.Records
 	if recs == nil {
@@ -179,7 +190,7 @@ func Build(recs []dna.Record, cfg core.Config, spec core.ShardSpec) (*indexfile.
 		return idx, nil
 	}
 
-	geo, err := shard.Partition(len(seq), spec.Shards, spec.ShardSize, spec.Overlap, shard.MinOverlap(cfg), cfg.BinSize)
+	geo, err := shard.Partition(len(seq), spec.Shards, shard.MinOverlap(cfg), cfg.BinSize)
 	if err != nil {
 		return nil, err
 	}
@@ -264,8 +275,11 @@ func assemble(f *indexfile.File, cfg core.Config, spec core.ShardSpec) (*Loaded,
 		if spec.Enabled() {
 			return nil, &indexfile.FormatError{
 				Code: indexfile.CodeGeometryMismatch, Path: f.Path(),
-				Detail: fmt.Sprintf("index is monolithic but a sharded engine was requested (shards=%d size=%d)", spec.Shards, spec.ShardSize),
+				Detail: fmt.Sprintf("index is monolithic but a sharded engine was requested (shards=%d)", spec.Shards),
 			}
+		}
+		if spec.MaxResidentBytes > 0 {
+			return nil, errMonolithicBudget
 		}
 		table, err := f.Table(0)
 		if err != nil {
@@ -280,7 +294,7 @@ func assemble(f *indexfile.File, cfg core.Config, spec core.ShardSpec) (*Loaded,
 
 	geo := fileGeometry(info, cfg.BinSize)
 	if spec.Enabled() {
-		want, err := shard.Partition(len(seq), spec.Shards, spec.ShardSize, spec.Overlap, shard.MinOverlap(cfg), cfg.BinSize)
+		want, err := shard.Partition(len(seq), spec.Shards, shard.MinOverlap(cfg), cfg.BinSize)
 		if err != nil {
 			return nil, err
 		}

@@ -7,11 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"darwin/internal/core"
 	"darwin/internal/dna"
 	"darwin/internal/indexfile"
+	"darwin/internal/seedtable"
 	"darwin/internal/shard"
 )
 
@@ -39,6 +41,20 @@ func writeIndex(t *testing.T, recs []dna.Record, cfg core.Config, spec core.Shar
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "ref.dwi")
 	if _, err := WriteFile(path, recs, cfg, spec); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// writeRefFASTA writes recs to dir/ref.fa and returns the path.
+func writeRefFASTA(t *testing.T, dir string, recs []dna.Record) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := dna.WriteFASTA(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "ref.fa")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -221,18 +237,7 @@ func TestOpenSource(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	writeFASTA := func(t *testing.T, dir string) string {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := dna.WriteFASTA(&buf, recs); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, "ref.fa")
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
+	writeFASTA := func(t *testing.T, dir string) string { return writeRefFASTA(t, dir, recs) }
 	writeDWI := func(t *testing.T, path string, cfg core.Config, spec core.ShardSpec, corrupt bool) {
 		t.Helper()
 		if _, err := WriteFile(path, recs, cfg, spec); err != nil {
@@ -366,6 +371,162 @@ func TestOpenSource(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestShardBudgetNeedsShardedEngine: a resident shard budget is refused
+// wherever the source resolves to the monolithic engine, which has no
+// shard tables to evict, and kept when a sharded index file supplies
+// the geometry under a zero spec.
+func TestShardBudgetNeedsShardedEngine(t *testing.T) {
+	recs := testRecords(59, 50_000)
+	cfg := testConfig(11)
+	mono := writeIndex(t, recs, cfg, core.ShardSpec{})
+	sharded := writeIndex(t, recs, cfg, core.ShardSpec{Shards: 3})
+	fasta := writeRefFASTA(t, t.TempDir(), recs)
+	if _, err := WriteFile(indexfile.SidecarPath(fasta), recs, cfg, core.ShardSpec{}); err != nil {
+		t.Fatal(err)
+	}
+	const budget = 1 << 20
+	cases := []struct {
+		name    string
+		src     Source
+		spec    core.ShardSpec
+		refused bool
+	}{
+		{"records", Source{Records: recs}, core.ShardSpec{MaxResidentBytes: budget}, true},
+		{"fasta_no_sidecar", Source{Path: fasta}, core.ShardSpec{MaxResidentBytes: budget}, true},
+		{"monolithic_sidecar", Source{Path: fasta, Sidecar: true}, core.ShardSpec{MaxResidentBytes: budget}, true},
+		{"monolithic_dwi", Source{Index: mono}, core.ShardSpec{MaxResidentBytes: budget}, true},
+		{"sharded_dwi_zero_spec", Source{Index: sharded}, core.ShardSpec{MaxResidentBytes: budget}, false},
+		{"records_sharded", Source{Records: recs}, core.ShardSpec{Shards: 2, MaxResidentBytes: budget}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := OpenSource(tc.src, cfg, tc.spec)
+			if tc.refused {
+				if err == nil {
+					if l.File != nil {
+						l.File.Close()
+					}
+					t.Fatal("a budget on the monolithic engine was accepted")
+				}
+				if !strings.Contains(err.Error(), "-shards") {
+					t.Errorf("error %q does not name -shards", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l.File != nil {
+				defer l.File.Close()
+			}
+			if l.Set == nil {
+				t.Fatal("budgeted source opened the monolithic engine")
+			}
+			if st, _ := l.Set.Snapshot(); st.BudgetBytes != budget {
+				t.Errorf("budget %d, want %d", st.BudgetBytes, budget)
+			}
+		})
+	}
+}
+
+// writeWideIndex writes a sharded index whose shard extents carry a
+// margin wider than the candidate-exactness minimum, as files written
+// with an explicit overlap margin once were.
+func writeWideIndex(t *testing.T, path string, recs []dna.Record, cfg core.Config, shards, extra int) *shard.Geometry {
+	t.Helper()
+	idx, err := Build(recs, cfg, core.ShardSpec{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := dna.Seq(idx.Ref)
+	geo, err := shard.Partition(len(seq), shards, shard.MinOverlap(cfg)+extra, cfg.BinSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mask, err := seedtable.ComputeMask(seq, cfg.SeedK, cfg.TableOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := cfg.TableOptions
+	opts.Mask = mask
+	idx.ShardSize, idx.Overlap = geo.ShardSize, geo.Overlap
+	idx.Tables, idx.Parts = nil, nil
+	for _, part := range geo.Parts {
+		tab, err := seedtable.BuildRange(seq, part.Extent.Start, part.Extent.End, cfg.SeedK, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := tab.Parts()
+		idx.Tables = append(idx.Tables, indexfile.TableMeta{
+			ExtentStart: part.Extent.Start, ExtentEnd: part.Extent.End,
+			CoreStart: part.Core.Start, CoreEnd: part.Core.End,
+			MaskedSeeds: p.MaskedSeeds, MaskedHits: p.MaskedHits,
+		})
+		idx.Parts = append(idx.Parts, p)
+	}
+	if err := indexfile.Write(path, idx); err != nil {
+		t.Fatal(err)
+	}
+	return geo
+}
+
+// TestWideMarginFile: the overlap margin is always the exactness
+// minimum rounded up to B, so a file recording a wider one is adopted
+// (and maps exactly) only under a zero spec. Under -shards N it is a
+// geometry_mismatch: fatal for an explicit index, a rebuild for a
+// discovered sidecar.
+func TestWideMarginFile(t *testing.T) {
+	recs := testRecords(60, 60_000)
+	cfg := testConfig(11)
+	fresh, _, err := core.NewMulti(recs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := sampleReads(recs, 4, 800, 61)
+	want, err := fresh.Map(context.Background(), reads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fasta := writeRefFASTA(t, t.TempDir(), recs)
+	wide := writeWideIndex(t, indexfile.SidecarPath(fasta), recs, cfg, 3, 5000)
+	if min := shard.MinOverlap(cfg); wide.Overlap <= min+cfg.BinSize {
+		t.Fatalf("margin %d is not wider than the minimum %d rounded up", wide.Overlap, min)
+	}
+
+	l, err := Open(indexfile.SidecarPath(fasta), cfg, core.ShardSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.File.Close()
+	if got := l.Set.Geometry(); got.Overlap != wide.Overlap || !reflect.DeepEqual(got.Parts, wide.Parts) {
+		t.Errorf("adopted geometry %+v, want the file's %+v", got, wide)
+	}
+	got, err := l.Mapper.Map(context.Background(), reads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i].Err != nil || !reflect.DeepEqual(got[i].Alignments, want[i].Alignments) {
+			t.Errorf("read %d: result differs from a freshly built engine (err %v)", i, got[i].Err)
+		}
+	}
+
+	spec := core.ShardSpec{Shards: 3}
+	if _, err := Open(indexfile.SidecarPath(fasta), cfg, spec); indexfile.ErrCode(err) != indexfile.CodeGeometryMismatch {
+		t.Errorf("explicit open under -shards 3: %v, want %s", err, indexfile.CodeGeometryMismatch)
+	}
+	rebuilt, err := OpenSource(Source{Path: fasta, Sidecar: true}, cfg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rebuilt.File != nil || indexfile.ErrCode(rebuilt.Fallback) != indexfile.CodeGeometryMismatch {
+		t.Errorf("sidecar under -shards 3: File %v, Fallback %v; want a rebuild after %s", rebuilt.File, rebuilt.Fallback, indexfile.CodeGeometryMismatch)
+	}
+	if g := rebuilt.Set.Geometry(); g.Overlap == wide.Overlap {
+		t.Errorf("rebuilt geometry kept the file's margin %d", g.Overlap)
 	}
 }
 

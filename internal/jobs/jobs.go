@@ -526,15 +526,6 @@ func (m *Manager) execute(ctx context.Context, j *job, resume *core.OverlapCheck
 		return
 	}
 
-	// The job ID is the request identity of the whole execution: the
-	// span tree and every log line carry it, exactly as X-Request-ID
-	// rides a map request.
-	span := obs.NewRequestSpan(id, "job "+string(kind))
-	span.SetLabel("job_id", id)
-	span.SetLabel("kind", string(kind))
-	defer span.End()
-	ctx = obs.ContextWithSpan(ctx, span)
-
 	opts := []olc.Option{
 		olc.WithMinOverlap(p.MinOverlap),
 		olc.WithPolishRounds(p.PolishRounds),

@@ -4,9 +4,9 @@ import "darwin/internal/faults"
 
 // Fault injection points for the assembly pipeline (armed only via
 // faults.Setup; a single atomic load each when disarmed). One point
-// per stage, fired at stage entry inside Assemble/Overlap — not inside
-// the deprecated positional wrappers — so an injected error surfaces
-// through the same error path a served job sees:
+// per stage, fired at stage entry inside Assemble/Overlap, so an
+// injected error surfaces through the same error path a served job
+// sees:
 //
 //   - olc/overlap fires before the all-vs-all overlap pass;
 //   - olc/layout before the greedy merge;

@@ -39,9 +39,9 @@ type WorkerConfig struct {
 	// router cannot silently double-serve a shard.
 	OwnedShards []int
 	// AssignShards, when set, computes OwnedShards once the index is
-	// loaded and the true shard count is known (a -shard-mem geometry
-	// is not knowable before the build). cmd/darwind wires this to the
-	// cluster map's rendezvous assignment.
+	// loaded and the true shard count is known (without -shards it is
+	// the count a sharded index file records). cmd/darwind wires this
+	// to the cluster map's rendezvous assignment.
 	AssignShards func(shards int) ([]int, error)
 	// ScatterConcurrency is the scatter gate's slot count (default 4);
 	// excess load sheds with 429 + Retry-After so the router's hedging
@@ -110,7 +110,7 @@ type ScatterResponse struct {
 // hand before the server reports ready).
 func (s *Server) warmOwnedShards(ctx context.Context, entry *IndexEntry) error {
 	if entry.Shards == nil {
-		return fmt.Errorf("server: worker mode requires a sharded engine (-shards or -shard-mem)")
+		return fmt.Errorf("server: worker mode requires a sharded engine (-shards, or a sharded -index)")
 	}
 	geo := entry.Shards.Geometry()
 	if s.cfg.Worker.AssignShards != nil {

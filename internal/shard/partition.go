@@ -14,6 +14,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -22,8 +23,9 @@ import (
 
 // ParseBytes parses a human byte-size flag value: a plain integer, or
 // one with a K/M/G suffix (binary multiples), case-insensitive, with
-// an optional trailing B. Used by the -shard-mem flags of cmd/darwin
-// and cmd/darwind.
+// an optional trailing B. Negative sizes and sizes past math.MaxInt64
+// bytes are errors. Used by the -shard-mem flags of cmd/darwin and
+// cmd/darwind.
 func ParseBytes(s string) (int64, error) {
 	t := strings.TrimSuffix(strings.ToUpper(strings.TrimSpace(s)), "B")
 	mult := int64(1)
@@ -36,7 +38,7 @@ func ParseBytes(s string) (int64, error) {
 		mult, t = 1<<30, t[:len(t)-1]
 	}
 	n, err := strconv.ParseInt(t, 10, 64)
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || n > math.MaxInt64/mult {
 		return 0, fmt.Errorf("shard: bad byte size %q", s)
 	}
 	return n * mult, nil
@@ -101,32 +103,23 @@ func roundUp(n, unit int) int {
 	return (n + unit - 1) / unit * unit
 }
 
-// Partition splits a reference of refLen bases into count shards (or
-// into shards of shardSize bases when count is 0), with the given
-// overlap margin. Shard size and overlap are rounded up to multiples
-// of binSize; overlap below minOverlap is raised to it. The final
-// shard absorbs the remainder, so every core has at least one seed's
-// worth of sequence.
-func Partition(refLen, count, shardSize, overlap, minOverlap, binSize int) (*Geometry, error) {
+// Partition splits a reference of refLen bases into count shards.
+// Cores are ⌈refLen/count⌉ bases and the overlap margin is minOverlap
+// bases, both rounded up to multiples of binSize. The final shard
+// absorbs the remainder, so every core has at least one seed's worth
+// of sequence.
+func Partition(refLen, count, minOverlap, binSize int) (*Geometry, error) {
 	if refLen <= 0 {
 		return nil, fmt.Errorf("shard: reference length %d must be positive", refLen)
 	}
 	if binSize <= 0 || binSize&(binSize-1) != 0 {
 		return nil, fmt.Errorf("shard: bin size %d must be a positive power of two", binSize)
 	}
-	switch {
-	case count > 0 && shardSize > 0:
-		return nil, fmt.Errorf("shard: set shard count or shard size, not both")
-	case count > 0:
-		shardSize = (refLen + count - 1) / count
-	case shardSize <= 0:
-		return nil, fmt.Errorf("shard: need a shard count or a shard size")
+	if count <= 0 {
+		return nil, fmt.Errorf("shard: shard count %d must be positive", count)
 	}
-	shardSize = roundUp(shardSize, binSize)
-	if overlap < minOverlap {
-		overlap = minOverlap
-	}
-	overlap = roundUp(overlap, binSize)
+	shardSize := roundUp((refLen+count-1)/count, binSize)
+	overlap := roundUp(minOverlap, binSize)
 
 	g := &Geometry{RefLen: refLen, ShardSize: shardSize, Overlap: overlap, BinSize: binSize}
 	n := (refLen + shardSize - 1) / shardSize

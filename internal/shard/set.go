@@ -76,7 +76,7 @@ type Set struct {
 // time). No shard tables are built yet — they materialize on first
 // Acquire.
 func NewSet(ref dna.Seq, cfg core.Config, scfg Config) (*Set, error) {
-	geo, err := Partition(len(ref), scfg.Shards, scfg.ShardSize, scfg.Overlap, MinOverlap(cfg), cfg.BinSize)
+	geo, err := Partition(len(ref), scfg.Shards, MinOverlap(cfg), cfg.BinSize)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -32,22 +33,22 @@ func TestPartitionInvariants(t *testing.T) {
 	cfg := smallConfig()
 	minOv := MinOverlap(cfg)
 	cases := []struct {
-		refLen, count, size, overlap int
+		refLen, count int
 	}{
-		{100000, 4, 0, 0},
-		{100000, 1, 0, 0},
-		{100000, 0, 30000, 0},
-		{100000, 7, 0, 5000},
-		{131072, 4, 0, 0}, // exact multiple
-		{999, 3, 0, 0},    // shorter than one bin per shard
+		{100000, 4},
+		{100000, 1},
+		{100000, 7},
+		{131072, 4}, // exact multiple
+		{999, 3},    // shorter than one bin per shard
 	}
+	wantOverlap := roundUp(minOv, cfg.BinSize)
 	for _, c := range cases {
-		g, err := Partition(c.refLen, c.count, c.size, c.overlap, minOv, cfg.BinSize)
+		g, err := Partition(c.refLen, c.count, minOv, cfg.BinSize)
 		if err != nil {
 			t.Fatalf("%+v: %v", c, err)
 		}
-		if g.Overlap < minOv || g.Overlap%cfg.BinSize != 0 {
-			t.Fatalf("%+v: overlap %d below minimum %d or unaligned", c, g.Overlap, minOv)
+		if g.Overlap != wantOverlap {
+			t.Fatalf("%+v: overlap %d, want the minimum %d rounded up to B = %d", c, g.Overlap, wantOverlap, cfg.BinSize)
 		}
 		if g.ShardSize%cfg.BinSize != 0 {
 			t.Fatalf("%+v: shard size %d not bin-aligned", c, g.ShardSize)
@@ -87,17 +88,47 @@ func TestPartitionInvariants(t *testing.T) {
 }
 
 func TestPartitionErrors(t *testing.T) {
-	if _, err := Partition(0, 2, 0, 0, 0, 128); err == nil {
+	if _, err := Partition(0, 2, 0, 128); err == nil {
 		t.Error("zero reference length should error")
 	}
-	if _, err := Partition(1000, 2, 500, 0, 0, 128); err == nil {
-		t.Error("count and size together should error")
+	if _, err := Partition(1000, 0, 0, 128); err == nil {
+		t.Error("zero shard count should error")
 	}
-	if _, err := Partition(1000, 0, 0, 0, 0, 128); err == nil {
-		t.Error("neither count nor size should error")
-	}
-	if _, err := Partition(1000, 2, 0, 0, 0, 100); err == nil {
+	if _, err := Partition(1000, 2, 0, 100); err == nil {
 		t.Error("non-power-of-two bin size should error")
+	}
+}
+
+func TestParseBytes(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want int64 // -1: an error
+	}{
+		{"0", 0},
+		{"512", 512},
+		{"4k", 4 << 10},
+		{" 256M ", 256 << 20},
+		{"2GB", 2 << 30},
+		{"8589934591G", 8589934591 << 30}, // the largest G count that fits
+		{"9223372036854775807", math.MaxInt64},
+		{"", -1},
+		{"-1M", -1},
+		{"12T", -1},
+		{"8589934592G", -1}, // 2^63 bytes
+		{"9000000000G", -1},
+		{"9007199254740992K", -1},
+		{"9223372036854775808", -1},
+	} {
+		got, err := ParseBytes(c.in)
+		if c.want < 0 {
+			if err == nil {
+				t.Errorf("ParseBytes(%q) = %d, want an error", c.in, got)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("ParseBytes(%q) = %d, %v; want %d", c.in, got, err, c.want)
+		}
 	}
 }
 
@@ -357,8 +388,8 @@ func TestNewErrors(t *testing.T) {
 	if _, err := New(nil, cfg, Config{Shards: 2}); err == nil {
 		t.Error("empty reference should error")
 	}
-	if _, err := New(ref, cfg, Config{Shards: 2, ShardSize: 100}); err == nil {
-		t.Error("count and size together should error")
+	if _, err := New(ref, cfg, Config{}); err == nil {
+		t.Error("zero shard count should error")
 	}
 	bad := cfg
 	bad.SeedN = 0

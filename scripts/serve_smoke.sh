@@ -6,6 +6,8 @@
 #   4. fire darwin-client at it, assert non-empty SAM output
 #   5. assert /v1/indexes reports the sharded index's per-shard residency
 #   6. SIGTERM darwind, assert clean drain (exit 0 + drain log line)
+#   7. boot again from a prebuilt index, assert no build pass
+#   8. assert a shard budget without -shards is refused at boot
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -188,3 +190,21 @@ if ! grep -q "drain complete" "$tmp/darwind2.log"; then
     exit 1
 fi
 echo "serve-smoke: OK (prebuilt-index boot served without a build pass)"
+
+# ---------------------------------------------------------------------------
+# Phase 3: a resident shard budget on the monolithic engine would never
+# evict anything, so darwind must refuse it at boot, naming -shards.
+# ---------------------------------------------------------------------------
+echo "serve-smoke: phase 3 — -shard-mem without -shards is refused"
+if timeout 60 "$tmp/bin/darwind" -addr 127.0.0.1:0 -ref "$tmp/ref.fa" -no-sidecar \
+    -k 11 -n 400 -h 20 -shard-mem 256M 2> "$tmp/darwind3.log"; then
+    echo "serve-smoke: FAIL — darwind accepted -shard-mem on a monolithic engine:" >&2
+    cat "$tmp/darwind3.log" >&2
+    exit 1
+fi
+if ! grep -q -- "needs a sharded engine: set -shards" "$tmp/darwind3.log"; then
+    echo "serve-smoke: FAIL — the refusal does not name -shards:" >&2
+    cat "$tmp/darwind3.log" >&2
+    exit 1
+fi
+echo "serve-smoke: OK (shard budget refused on the monolithic engine)"
