@@ -1,5 +1,5 @@
 # Developer workflow targets. `make check` is the gate perf and
-# refactor PRs must keep green (vet, the full test suite under the race
+# refactor PRs must keep green (gofmt, vet, the full test suite under the race
 # detector, allocation pins, the scalar score-pass fallback, fuzz
 # targets, the smoke scripts);
 # `make bench` runs the paper table/figure and kernel micro-benchmarks.
@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: build test check race vet loc test-allocs fallback fuzz bench serve-smoke chaos-smoke index-smoke cluster-smoke assembly-smoke metrics-lint
+.PHONY: build test check fmt race vet loc test-allocs fallback fuzz bench serve-smoke chaos-smoke index-smoke cluster-smoke assembly-smoke metrics-lint
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file as gofmt would write it: the check fails listing any
+# file `gofmt -l` names.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 race:
 	$(GO) test -race ./...
@@ -80,7 +85,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEndpointRead$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSubmit$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/server/
 
-check: vet race test-allocs fallback fuzz serve-smoke chaos-smoke index-smoke cluster-smoke assembly-smoke metrics-lint
+check: fmt vet race test-allocs fallback fuzz serve-smoke chaos-smoke index-smoke cluster-smoke assembly-smoke metrics-lint
 
 # End-to-end serving check: darwind on a synthetic genome, load from
 # darwin-client, non-empty SAM back, clean drain on SIGTERM.

@@ -53,7 +53,6 @@ func run() error {
 	reqTimeout := flag.Duration("req-timeout", 60*time.Second, "per-request deadline cap")
 	maxReads := flag.Int("max-reads", 1024, "max reads per request")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to flush in-flight work on shutdown")
-	readDeadline := flag.Duration("read-deadline", 0, "per-read mapping deadline within a request (0 = none)")
 	leakCheck := flag.Bool("leak-check", false, "after drain, verify goroutines returned to the pre-serve baseline (exit 1 on leak)")
 	workerName := flag.String("worker-name", "", "cluster-worker mode: this process's name in the cluster map (requires -cluster-workers and a sharded engine)")
 	clusterWorkers := flag.String("cluster-workers", "", "cluster roster as name=url,name=url — must match darwin-router's -workers exactly")
@@ -142,7 +141,6 @@ func run() error {
 		Core:               cfg,
 		Shard:              scfg,
 		QueueBound:         *queueBound,
-		ReadDeadline:       *readDeadline,
 		RequestTimeout:     *reqTimeout,
 		MaxReadsPerRequest: *maxReads,
 		Logger:             log,

@@ -32,7 +32,7 @@ const maxKernelSide = 1 << 15
 //     parameters so int32 cannot overflow for any tile the kernel
 //     accepts.
 //
-// A TileAligner is not safe for concurrent use; each engine clone owns
+// A TileAligner is not safe for concurrent use; each core.Worker owns
 // one (mirroring the hardware, where each GACT array has private
 // traceback SRAM).
 type TileAligner struct {

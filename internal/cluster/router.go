@@ -155,8 +155,8 @@ func New(cfg Config) (*Router, error) {
 }
 
 // Probe interrogates every worker's /v1/shards, checks the advertised
-// geometries, reference layouts, fingerprints, and truncation limits
-// agree, and checks each worker's owned set is exactly what the shared
+// geometries, reference layouts, engine parameters, fingerprints, and
+// truncation limits agree, and checks each worker's owned set is exactly what the shared
 // cluster map assigns it. Any disagreement is a boot failure: a
 // cluster that cannot merge bit-identically must not serve.
 func (rt *Router) Probe(ctx context.Context) error {
@@ -199,6 +199,9 @@ func (rt *Router) Probe(ctx context.Context) error {
 		}
 		if sr.Geometry != first.Geometry {
 			return fmt.Errorf("cluster: %s geometry %+v differs from %+v", ws.Name, sr.Geometry, first.Geometry)
+		}
+		if sr.Engine != first.Engine {
+			return fmt.Errorf("cluster: %s engine parameters %+v differ from %+v", ws.Name, sr.Engine, first.Engine)
 		}
 		if sr.Fingerprint != first.Fingerprint {
 			return fmt.Errorf("cluster: %s serves index %q, others %q", ws.Name, sr.Fingerprint, first.Fingerprint)

@@ -391,3 +391,50 @@ func TestRouterProbeRejectsMismatch(t *testing.T) {
 		t.Fatal("router ready after a failed probe")
 	}
 }
+
+// TestRouterProbeRejectsEngineMismatch: workers that agree on geometry,
+// reference layout, ownership and truncation limit but map with a
+// different D-SOFT threshold would merge into SAM that neither produces
+// alone, so the probe must refuse them as it refuses mixed geometry.
+// The advertisements are raw JSON, the engine parameters added under
+// their wire name.
+func TestRouterProbeRejectsEngineMismatch(t *testing.T) {
+	workers := []Worker{{Name: "worker-0"}, {Name: "worker-1"}}
+	cmap, err := NewMap(workers, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range []int{20, 24} {
+		owned, err := cmap.OwnedBy(workers[i].Name, testShards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(server.ShardsResponse{
+			Worker: workers[i].Name, Owned: owned, Geometry: testGeo,
+			Ref: testRefMeta, MaxCandidates: testMaxCands,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var adv map[string]any
+		if err := json.Unmarshal(raw, &adv); err != nil {
+			t.Fatal(err)
+		}
+		adv["engine"] = map[string]int{"k": 12, "n": 750, "h": h, "htile": 90, "tile_t": 320, "tile_o": 128}
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			json.NewEncoder(w).Encode(adv)
+		}))
+		t.Cleanup(srv.Close)
+		workers[i].URL = srv.URL
+	}
+	rt, err := New(Config{Workers: workers, Replication: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Probe(t.Context()); err == nil || !strings.Contains(err.Error(), "engine") {
+		t.Fatalf("probe over workers with h=20 and h=24: %v, want an engine-parameter refusal", err)
+	}
+	if rt.Ready() {
+		t.Fatal("router ready after a failed probe")
+	}
+}

@@ -91,44 +91,30 @@ func DefaultConfig(k, n, h int) Config {
 }
 
 // Mapper is the read-mapping surface shared by the monolithic engine
-// (Darwin) and the sharded scatter-gather mapper (internal/shard): one
-// read or a batch in, score-sorted alignments in global reference
+// (Darwin) and the sharded scatter-gather mapper (internal/shard): a
+// batch of reads in, score-sorted alignments in global reference
 // coordinates out, bit-identical across the two implementations.
 // Construct one with indexio.OpenSource, which selects the
 // implementation from shard geometry; the serving layer holds this
-// interface so an index cache entry can be backed by either engine.
+// interface so its resident index can be backed by either engine.
 //
-// The surface splits into three concerns:
-//
-//   - Mapping: Map is the primary batch entrypoint (context-first,
-//     functional options); MapRead maps a single read inline on the
-//     receiver.
-//   - Concurrency: CloneMapper derives an engine that shares the
-//     immutable index (seed tables, reference bytes) but owns private
-//     mutable scratch — D-SOFT bin state, GACT traceback, candidate
-//     buffers — so clones map concurrently without locks. This
-//     mirrors the hardware split between replicated read-only DRAM
-//     seed tables and per-array SRAM.
-//   - Introspection: Ref exposes the indexed (concatenated)
-//     reference; IndexBuildTime reports cumulative index-construction
-//     time, the one-time cost the paper's Table 3 separates from
-//     per-read work (for a sharded mapper it grows as shards are
-//     (re)built on demand).
+// Both implementations are safe for concurrent use. They split their
+// state as the hardware does: the index (seed tables, reference bytes)
+// is shared and read-only, like the DRAM seed tables, and each call
+// takes the mutable scratch it maps with — D-SOFT bin state, GACT
+// traceback, candidate buffers, the per-array SRAM — from the engine's
+// Pool and gives it back when done.
 type Mapper interface {
-	// MapRead maps one read, both strands; alignments are sorted by
-	// SortAlignments order.
-	MapRead(q dna.Seq) ([]ReadAlignment, MapStats)
 	// Map maps every read under ctx, results in input order. Options:
-	// WithWorkers, WithDeadlinePerRead. Per-read
-	// failures land in MapResult.Err; batch-level failures (cancelled
-	// context) are returned as the error.
+	// WithWorkers. Per-read failures land in MapResult.Err; batch-level
+	// failures (cancelled context) are returned as the error.
 	Map(ctx context.Context, reads []dna.Seq, options ...MapOption) ([]MapResult, error)
-	// CloneMapper returns an engine sharing immutable index state but
-	// with private mutable scratch, safe for another goroutine.
-	CloneMapper() (Mapper, error)
 	// Ref returns the indexed (concatenated) reference sequence.
 	Ref() dna.Seq
-	// IndexBuildTime reports cumulative index-construction time.
+	// IndexBuildTime reports cumulative index-construction time, the
+	// one-time cost the paper's Table 3 separates from per-read work
+	// (for a sharded mapper it grows as shards are (re)built on
+	// demand).
 	IndexBuildTime() time.Duration
 }
 
@@ -157,20 +143,13 @@ func SortAlignments(alns []ReadAlignment) {
 	})
 }
 
-// Darwin maps queries against one reference.
+// Darwin maps queries against one reference. It is safe for
+// concurrent use: every call takes its private machinery from pool.
 type Darwin struct {
-	ref    dna.Seq
-	table  *seedtable.Table
-	filter *dsoft.Filter
-	engine *gact.Engine
-	cfg    Config
-
-	// Per-engine scratch, reused across reads so the steady-state map
-	// loop allocates only its results: the D-SOFT candidate buffer and
-	// the reverse-complement query buffer. Clones get fresh scratch
-	// (see Clone), so engines never share mutable state.
-	cands  []dsoft.Candidate
-	revBuf dna.Seq
+	ref   dna.Seq
+	table *seedtable.Table
+	cfg   Config
+	pool  *Pool
 
 	// TableBuildTime records seed-table construction (software-side in
 	// the paper's de novo accounting).
@@ -216,47 +195,14 @@ func NewWithTable(ref dna.Seq, table *seedtable.Table, cfg Config) (*Darwin, err
 	return assemble(ref, table, cfg, 0)
 }
 
-// Parts is one goroutine's private mapping machinery — the hardware's
-// per-array SRAM: a D-SOFT filter (bin counts) and a GACT engine
-// (traceback). Everything else an engine holds is immutable and shared.
-type Parts struct {
-	Filter *dsoft.Filter
-	Engine *gact.Engine
-}
-
-// NewParts derives the filter and GACT engine cfg describes; it is the
-// one place the Config → dsoft.Config / gact.Config plumbing lives
-// (HTile becomes the engine's first-tile threshold), used by every
-// engine constructor here and by the sharded mapper's workers. A nil
-// table leaves the filter unbound, to be pointed at shard tables with
-// Filter.SetTable.
-func NewParts(table *seedtable.Table, cfg Config) (Parts, error) {
-	filter, err := dsoft.New(table, dsoft.Config{
-		N:       cfg.SeedN,
-		H:       cfg.Threshold,
-		BinSize: cfg.BinSize,
-		Stride:  cfg.SeedStride,
-	})
-	if err != nil {
-		return Parts{}, fmt.Errorf("core: configuring D-SOFT: %w", err)
-	}
-	g := cfg.GACT
-	g.MinFirstTile = cfg.HTile
-	engine, err := gact.NewEngine(&g)
-	if err != nil {
-		return Parts{}, fmt.Errorf("core: configuring GACT: %w", err)
-	}
-	return Parts{Filter: filter, Engine: engine}, nil
-}
-
-// assemble wraps fresh Parts around an index: the tail of New and
-// NewWithTable, and all of Clone.
+// assemble wraps a worker pool around an index: the tail of New and
+// NewWithTable.
 func assemble(ref dna.Seq, table *seedtable.Table, cfg Config, buildTime time.Duration) (*Darwin, error) {
-	parts, err := NewParts(table, cfg)
+	pool, err := NewPool(table, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Darwin{ref: ref, table: table, filter: parts.Filter, engine: parts.Engine, cfg: cfg, TableBuildTime: buildTime}, nil
+	return &Darwin{ref: ref, table: table, cfg: cfg, pool: pool, TableBuildTime: buildTime}, nil
 }
 
 // Ref returns the indexed reference.
@@ -347,31 +293,32 @@ func publishRead(alns []ReadAlignment, st *MapStats, elapsed time.Duration) {
 // as queries"). Alignments are sorted by descending score.
 func (d *Darwin) MapRead(q dna.Seq) ([]ReadAlignment, MapStats) {
 	start := time.Now()
-	out, stats := d.mapRead(q, nil)
+	w := d.pool.Get()
+	out, stats := d.mapRead(w, q, nil)
+	d.pool.Put(w) // not deferred: a worker a panic ran through is dropped
 	SortAlignments(out)
 	publishRead(out, &stats, time.Since(start))
 	return out, stats
 }
 
-// mapRead runs the Fig. 6 pipeline for both orientations of q:
+// mapRead runs the Fig. 6 pipeline for both orientations of q on w:
 // alignments in extension order, forward strand first, not yet sorted
 // or published. window, when non-nil, restricts each candidate's GACT
 // extension to the reference segment [lo, hi) it names for the
 // candidate's position, or drops the candidate (ok false) — the de novo
 // overlap step clips to the target read and drops self-hits this way.
 // Returned coordinates are global either way.
-func (d *Darwin) mapRead(q dna.Seq, window func(refPos int) (lo, hi int, ok bool)) ([]ReadAlignment, MapStats) {
+func (d *Darwin) mapRead(w *Worker, q dna.Seq, window func(refPos int) (lo, hi int, ok bool)) ([]ReadAlignment, MapStats) {
 	var out []ReadAlignment
 	var stats MapStats
 	for _, rev := range []bool{false, true} {
 		query := q
 		if rev {
-			d.revBuf = dna.AppendRevComp(d.revBuf[:0], q)
-			query = d.revBuf
+			w.revBuf = dna.AppendRevComp(w.revBuf[:0], q)
+			query = w.revBuf
 		}
 		start := time.Now()
-		cands, dst := d.filter.QueryInto(query, d.cands[:0])
-		d.cands = cands
+		cands, dst := w.Query(query)
 		stats.DSOFT.Add(dst)
 		stats.Candidates += len(cands)
 		stats.FiltrationTime += time.Since(start)
@@ -389,7 +336,7 @@ func (d *Darwin) mapRead(q dna.Seq, window func(refPos int) (lo, hi int, ok bool
 					continue
 				}
 			}
-			res, gst, err := d.engine.Extend(d.ref[lo:hi], query, c.RefPos-lo, c.QueryPos)
+			res, gst, err := w.Engine.Extend(d.ref[lo:hi], query, c.RefPos-lo, c.QueryPos)
 			if err != nil {
 				continue // invalid anchor geometry; candidate is unusable
 			}

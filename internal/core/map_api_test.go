@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"darwin/internal/core"
 	"darwin/internal/dna"
@@ -21,7 +20,7 @@ import (
 // mapContractEngines builds the three engines every Map contract case
 // runs over — the monolithic Darwin and the sharded mapper at 1 and 4
 // shards — on one genome, plus n reads simulated from it. The per-read
-// contract (isolation, deadline, progress, cancellation) is the shared
+// contract (isolation, progress, cancellation) is the shared
 // per-read body's, so it must hold identically for all of them.
 func mapContractEngines(t *testing.T, n int) (map[string]core.Mapper, []dna.Seq) {
 	t.Helper()
@@ -115,19 +114,6 @@ func TestMapPerReadContract(t *testing.T) {
 					t.Errorf("injected-error reads %v, want exactly one", failed)
 				} else if workers == 1 && failed[0] != 1 {
 					t.Errorf("injected error on read %d, want 1", failed[0])
-				}
-
-				// A read held past WithDeadlinePerRead fails alone with
-				// DeadlineExceeded. The stall is at the fault point, before
-				// any extension, so a clock that starts late or is only
-				// consulted between extensions misses it. Margins are wide
-				// (a read maps in well under 1s even under the race
-				// detector; 4s is well past the budget).
-				isDeadline := func(err error) bool { return errors.Is(err, context.DeadlineExceeded) }
-				if failed := failedReads(t, "core/map_read=after=2,times=1,delay=4s", isDeadline, w, core.WithDeadlinePerRead(time.Second)); len(failed) != 1 {
-					t.Errorf("deadline-expired reads %v, want exactly one", failed)
-				} else if workers == 1 && failed[0] != 2 {
-					t.Errorf("deadline expired on read %d, want 2", failed[0])
 				}
 
 				// A cancelled context is a batch-level failure: ctx.Err()

@@ -158,8 +158,8 @@ type OverlapRun struct {
 	// MinOverlap is the minimum reported overlap length on the target
 	// read.
 	MinOverlap int
-	// Workers is how many engine clones query reads concurrently
-	// (0 = DefaultWorkers). The output does not depend on it.
+	// Workers is how many goroutines query reads concurrently
+	// (0 = DefaultWorkers), each on a worker from the engine's Pool. The output does not depend on it.
 	Workers int
 	// Resume, when non-nil, restarts the pass at Resume.NextRead with
 	// the deduplication state rebuilt from Resume.Overlaps.
@@ -186,13 +186,13 @@ type readOverlaps struct {
 }
 
 // queryRead runs read q, both strands, against the concatenated
-// reference on engine e. Each GACT extension is clipped to the segment
+// reference on worker w. Each GACT extension is clipped to the segment
 // of the read its candidate falls in: N padding contributes nothing to
 // scores (the hardware's Σext semantics), so an unclipped extension
 // would silently bridge adjacent reads and misattribute the overlap. A
 // read's trivial self-hit in the concatenated reference is dropped.
-func (o *Overlapper) queryRead(e *Darwin, q, minOverlap int) readOverlaps {
-	alns, st := e.mapRead(o.reads[q], func(refPos int) (lo, hi int, ok bool) {
+func (o *Overlapper) queryRead(w *Worker, q, minOverlap int) readOverlaps {
+	alns, st := o.darwin.mapRead(w, o.reads[q], func(refPos int) (lo, hi int, ok bool) {
 		t := o.readAt(refPos)
 		lo, hi = o.offsets[t], o.offsets[t]+len(o.reads[t])
 		return lo, hi, t != q && refPos < hi
@@ -220,7 +220,7 @@ func (o *Overlapper) queryRead(e *Darwin, q, minOverlap int) readOverlaps {
 }
 
 // Run executes the overlap pass described by r. Workers query reads
-// concurrently on engine clones, at most a window of reads ahead of
+// concurrently, each on its own Worker from the engine's Pool, at most a window of reads ahead of
 // the merge; the calling goroutine alone folds their results, strictly
 // in read order, and is the only one to call Progress and Save. The
 // fold is therefore the serial one — same tie-breaks, same checkpoint
@@ -262,24 +262,23 @@ func (o *Overlapper) Run(ctx context.Context, r OverlapRun) ([]Overlap, OverlapS
 	for i := range slots {
 		slots[i] = make(chan readOverlaps, 1)
 	}
-	pool, err := o.darwin.clonePool(workers)
-	if err != nil {
-		return nil, stats, err
-	}
+	ws := o.darwin.pool.Take(workers)
 	var stopped atomic.Bool // set by finish: reads still queued are dropped
 	feed, join := startWorkers(workers, window, func(tid, q int) {
 		if stopped.Load() {
 			return
 		}
 		busy := time.Now()
-		res := o.queryRead(pool[tid-1], q, r.MinOverlap)
+		res := o.queryRead(ws[tid-1], q, r.MinOverlap)
 		tOverlapBusy.SinceOn(busy, tid)
 		slots[q%window] <- res
 	})
-	// finish is every exit once workers run: it stops and joins them.
+	// finish is every exit once workers run: it stops and joins them
+	// and puts their machinery back in the pool.
 	finish := func(err error) ([]Overlap, OverlapStats, error) {
 		stopped.Store(true)
 		join()
+		o.darwin.pool.Put(ws...)
 		out := collectOverlaps(best)
 		cOverlapsOut.Add(int64(len(out)))
 		return out, stats, err

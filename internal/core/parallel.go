@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"darwin/internal/dna"
-	"darwin/internal/gact"
 	"darwin/internal/obs"
 )
 
@@ -24,28 +23,7 @@ var (
 	tFilter     = obs.Default.Timer("stage/filter")
 	tAlign      = obs.Default.Timer("stage/align")
 	cReadPanics = obs.Default.Counter("core/read_panics")
-	cReadExpiry = obs.Default.Counter("core/read_deadline_expired")
 )
-
-// Clone returns an engine sharing this one's (immutable) seed table
-// but with private D-SOFT bin state, a private GACT kernel, and fresh
-// scratch buffers, safe to use from another goroutine. This mirrors
-// the hardware, where the seed tables are replicated read-only across
-// DRAM channels while each query stream owns its bin-count SRAM and
-// each GACT array its traceback SRAM.
-//
-// Clone reads only fields that are immutable after New (reference,
-// seed table, config, build time) — never the mutable scratch — so it
-// is safe to call even while another goroutine is still mapping on
-// the receiver. The per-read deadline watchdog relies on this: an
-// abandoned read's goroutine may keep mutating its engine's scratch,
-// and the worker recovers by cloning a fresh engine from the original.
-func (d *Darwin) Clone() (*Darwin, error) {
-	return assemble(d.ref, d.table, d.cfg, d.TableBuildTime)
-}
-
-// CloneMapper implements the Mapper interface over Clone.
-func (d *Darwin) CloneMapper() (Mapper, error) { return d.Clone() }
 
 // IndexBuildTime implements the Mapper interface (seed-table
 // construction time).
@@ -60,10 +38,9 @@ type MapResult struct {
 	// Stats instruments the read's mapping.
 	Stats MapStats
 	// Err is set when this read individually failed — it panicked
-	// mid-pipeline, blew its per-read deadline (wraps
-	// context.DeadlineExceeded), or hit an injected fault — while the
-	// rest of the batch completed normally. A batch-level failure
-	// (cancelled context, clone failure) is returned by Map itself.
+	// mid-pipeline or hit an injected fault — while the rest of the
+	// batch completed normally. A batch-level failure (cancelled
+	// context) is returned by Map itself.
 	Err error
 }
 
@@ -74,9 +51,6 @@ type MapResult struct {
 type MapSettings struct {
 	// Workers is the worker-goroutine count (0 = DefaultWorkers).
 	Workers int
-	// DeadlinePerRead bounds one read's wall-clock mapping time
-	// (0 = unbounded).
-	DeadlinePerRead time.Duration
 }
 
 // MapOption configures a Map call.
@@ -92,8 +66,8 @@ func ResolveMapOptions(options []MapOption) MapSettings {
 }
 
 // WithWorkers sets the number of worker goroutines. 1 runs inline on
-// the receiver; <= 0 (and the default) uses DefaultWorkers. Workers
-// beyond len(reads) are not spawned.
+// the calling goroutine; <= 0 (and the default) uses DefaultWorkers.
+// Workers beyond len(reads) are not spawned.
 func WithWorkers(n int) MapOption {
 	return func(o *MapSettings) { o.Workers = n }
 }
@@ -108,20 +82,6 @@ func DefaultWorkers(n int) int {
 		return n
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// WithDeadlinePerRead bounds each individual read's wall-clock mapping
-// time. A read that exceeds the budget gets MapResult.Err wrapping
-// context.DeadlineExceeded while the rest of the batch proceeds: the
-// stuck read's goroutine is abandoned (it cannot be interrupted
-// mid-DP-tile) and its worker continues on fresh private state, so one
-// pathological read costs one engine clone, never the batch. (The
-// sharded mapper runs the same watchdog around a read's extension
-// phase; its D-SOFT passes are interleaved with other reads' in
-// shard-major order and are not charged.) Zero or negative disables
-// the bound (the default).
-func WithDeadlinePerRead(d time.Duration) MapOption {
-	return func(o *MapSettings) { o.DeadlinePerRead = d }
 }
 
 // startWorkers is the one worker loop behind every batch pass: n
@@ -194,24 +154,11 @@ send:
 	return nil
 }
 
-// clonePool returns n clones of d, one per worker goroutine. All are
-// made up front, so a Clone error leaves nothing running.
-func (d *Darwin) clonePool(n int) ([]*Darwin, error) {
-	pool := make([]*Darwin, n)
-	for i := range pool {
-		e, err := d.Clone()
-		if err != nil {
-			return nil, err
-		}
-		pool[i] = e
-	}
-	return pool, nil
-}
-
-// Batch is the state the reads of one Map call share: the resolved
-// worker count, the span their core/worker_busy spans hang under and
-// the per-read deadline. Both engines' Map build one and run every read
-// through Read.
+// Batch is the state the reads of one Map call share: the workers they
+// run on, taken from the engine's Pool, and the span their
+// core/worker_busy spans hang under. Both engines' Map build one with
+// NewBatch, run every read through Read and give the workers back with
+// Close.
 type Batch struct {
 	// Workers is the resolved worker count: DefaultWorkers of the
 	// setting, at most one per read, at least 1.
@@ -220,21 +167,37 @@ type Batch struct {
 	// under (nil when the call is untraced).
 	Parent *obs.Span
 
-	budget time.Duration
+	pool *Pool
+	ws   []*Worker
 }
 
-// NewBatch resolves o for a batch of n reads and records the worker
-// count in the core/workers gauge.
-func NewBatch(n int, o MapSettings) *Batch {
+// NewBatch resolves o for a batch of n reads, takes that many workers
+// from pool and records the count in the core/workers gauge.
+func NewBatch(pool *Pool, n int, o MapSettings) *Batch {
 	workers := max(min(DefaultWorkers(o.Workers), n), 1)
 	gWorkers.Set(int64(workers))
-	return &Batch{Workers: workers, budget: o.DeadlinePerRead}
+	return &Batch{Workers: workers, pool: pool, ws: pool.Take(workers)}
 }
 
-// readOutcome is one guarded read's result. retire marks the private
-// state the read ran on as no longer trustworthy: it panicked
-// mid-update, or its goroutine was abandoned at the deadline and may
-// still be mutating it.
+// Worker returns the machinery of worker tid (1..Workers).
+func (b *Batch) Worker(tid int) *Worker { return b.ws[tid-1] }
+
+// Retire drops worker tid, whose state a panic may have left
+// half-updated, and returns the fresh worker that replaces it.
+func (b *Batch) Retire(tid int) *Worker {
+	b.ws[tid-1] = b.pool.Get()
+	return b.ws[tid-1]
+}
+
+// Close puts the batch's workers back in the pool. A caller that is
+// unwinding from a panic skips it, so those workers are dropped.
+func (b *Batch) Close() {
+	b.pool.Put(b.ws...)
+	b.ws = nil
+}
+
+// readOutcome is one guarded read's result; retire marks a read that
+// panicked, so the worker it ran on may be mid-update.
 type readOutcome struct {
 	alns   []ReadAlignment
 	st     MapStats
@@ -245,35 +208,35 @@ type readOutcome struct {
 // Read is the one guarded per-read body of every batch path: it maps
 // read i on worker tid by calling mapRead inside the safety envelope
 // and the per-read instrumentation, in this order — open the read's
-// core/worker_busy stage on lane tid (the engine records its
-// extensions into its span), run mapRead under panic recovery, the
-// core/map_read fault point and the per-read deadline, end the stage,
-// sort and publish the alignments, annotate the span. mapRead returns
-// the read's alignments in any order; its error, a panic or a blown
-// deadline all become the MapResult's Err and never leave this read.
-//
-// retire reports that the private state mapRead ran on can no longer be
-// trusted (see readOutcome), so the caller must give worker tid fresh
-// state before its next read.
-func (b *Batch) Read(tid, i int, engine *gact.Engine, mapRead func() ([]ReadAlignment, MapStats, error)) (res MapResult, retire bool) {
+// core/worker_busy stage on lane tid (the worker's GACT engine records
+// its extensions into its span), run mapRead under panic recovery and
+// the core/map_read fault point, end the stage, sort and publish the
+// alignments, annotate the span. mapRead returns the read's alignments
+// in any order; its error or a panic becomes the MapResult's Err and
+// never leaves this read. A worker a panic ran through is retired.
+func (b *Batch) Read(tid, i int, mapRead func(w *Worker) ([]ReadAlignment, MapStats, error)) MapResult {
+	w := b.Worker(tid)
 	busy := tWorkerBusy.StartOn(b.Parent, tid)
 	sp := busy.Span()
 	if sp != nil {
 		sp.SetAttr("read", int64(i))
 		sp.SetAttr("worker", int64(tid))
-		engine.SetSpan(sp)
+		w.Engine.SetSpan(sp)
 	}
-	oc := runGuarded(mapRead, b.budget)
+	oc := runRecovered(w, mapRead)
 	elapsed := busy.End()
 	if oc.err == nil {
 		SortAlignments(oc.alns)
 		publishRead(oc.alns, &oc.st, elapsed)
 	}
 	if sp != nil {
-		engine.SetSpan(nil)
+		w.Engine.SetSpan(nil)
 		annotateReadSpan(sp, busy.Start(), oc)
 	}
-	return MapResult{Index: i, Alignments: oc.alns, Stats: oc.st, Err: oc.err}, oc.retire
+	if oc.retire {
+		b.Retire(tid)
+	}
+	return MapResult{Index: i, Alignments: oc.alns, Stats: oc.st, Err: oc.err}
 }
 
 // annotateReadSpan fills in one read's closed span: work attributes
@@ -314,12 +277,12 @@ func PanicError(r any) error {
 	return fmt.Errorf("core: read mapping panicked: %v", r)
 }
 
-// runRecovered runs one read with panic isolation: a panic anywhere in
-// the filter/extend pipeline (or injected at the core/map_read fault
-// point) becomes this read's error instead of killing the worker. The
-// fault point fires inside the recover scope so injected panics
-// exercise the same containment as organic ones.
-func runRecovered(mapRead func() ([]ReadAlignment, MapStats, error)) (oc readOutcome) {
+// runRecovered runs one read on w with panic isolation: a panic
+// anywhere in the filter/extend pipeline (or injected at the
+// core/map_read fault point) becomes this read's error instead of
+// killing the goroutine. The fault point fires inside the recover scope
+// so injected panics exercise the same containment as organic ones.
+func runRecovered(w *Worker, mapRead func(w *Worker) ([]ReadAlignment, MapStats, error)) (oc readOutcome) {
 	defer func() {
 		if err := PanicError(recover()); err != nil {
 			oc = readOutcome{err: err, retire: true}
@@ -328,51 +291,25 @@ func runRecovered(mapRead func() ([]ReadAlignment, MapStats, error)) (oc readOut
 	if err := fpMapRead.Fire(); err != nil {
 		return readOutcome{err: err}
 	}
-	alns, st, err := mapRead()
+	alns, st, err := mapRead(w)
 	return readOutcome{alns: alns, st: st, err: err}
 }
 
-// runGuarded is runRecovered under an optional wall-clock budget. With
-// no budget it runs inline. With a budget it runs under a watchdog: on
-// expiry the read's goroutine is abandoned and the read fails with a
-// deadline error.
-func runGuarded(mapRead func() ([]ReadAlignment, MapStats, error), budget time.Duration) readOutcome {
-	if budget <= 0 {
-		return runRecovered(mapRead)
-	}
-	ch := make(chan readOutcome, 1)
-	go func() { ch <- runRecovered(mapRead) }()
-	timer := time.NewTimer(budget)
-	defer timer.Stop()
-	select {
-	case oc := <-ch:
-		return oc
-	case <-timer.C:
-		cReadExpiry.Inc()
-		return readOutcome{
-			err:    fmt.Errorf("core: read exceeded per-read deadline %v: %w", budget, context.DeadlineExceeded),
-			retire: true,
-		}
-	}
-}
-
 // Map maps every read, in input order, under ctx: the primary batch
-// entrypoint.
+// entrypoint. It may be called from any number of goroutines at once.
 //
 // Cancellation is checked between reads — a read that has entered the
-// pipeline always completes (unless WithDeadlinePerRead abandons it),
-// the granularity a served request can be dropped at without
-// corrupting shared engine state. On cancellation Map returns
-// ctx.Err() and no results.
+// pipeline always completes, the granularity a served request can be
+// dropped at without corrupting a worker's state. On cancellation Map
+// returns ctx.Err() and no results.
 //
-// Per-read failures (panics, per-read deadline expiry, injected
-// faults) are confined to that read's MapResult.Err; the rest of the
-// batch completes normally.
+// Per-read failures (panics, injected faults) are confined to that
+// read's MapResult.Err; the rest of the batch completes normally.
 func (d *Darwin) Map(ctx context.Context, reads []dna.Seq, options ...MapOption) ([]MapResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	b := NewBatch(len(reads), ResolveMapOptions(options))
+	b := NewBatch(d.pool, len(reads), ResolveMapOptions(options))
 	// Under a traced request the batch's core/map stage is a span with
 	// one core/worker_busy child per read; untraced callers (CLIs,
 	// benchmarks) pay one context lookup and per-read nil checks.
@@ -381,32 +318,15 @@ func (d *Darwin) Map(ctx context.Context, reads []dna.Seq, options ...MapOption)
 	b.Parent = stage.Span()
 	b.Parent.SetAttr("reads", int64(len(reads)))
 	b.Parent.SetAttr("workers", int64(b.Workers))
-	// One worker maps inline on the receiver; more map on clones so bin
-	// state never races. So does a lone worker under a deadline: an
-	// abandoned read's goroutine keeps mutating the engine it ran on,
-	// which must then be one this call owns, not one the caller reuses.
-	pool := []*Darwin{d}
-	if b.Workers > 1 || b.budget > 0 {
-		var err error
-		if pool, err = d.clonePool(b.Workers); err != nil {
-			return nil, err
-		}
-	}
 	out := make([]MapResult, len(reads))
 	err := ForEach(ctx, b.Workers, len(reads), func(tid, i int) error {
-		e := pool[tid-1]
-		var retire bool
-		out[i], retire = b.Read(tid, i, e.engine, func() ([]ReadAlignment, MapStats, error) {
-			alns, st := e.mapRead(reads[i], nil)
+		out[i] = b.Read(tid, i, func(w *Worker) ([]ReadAlignment, MapStats, error) {
+			alns, st := d.mapRead(w, reads[i], nil)
 			return alns, st, nil
 		})
-		if retire {
-			var err error
-			pool[tid-1], err = d.Clone()
-			return err
-		}
 		return nil
 	})
+	b.Close()
 	if err != nil {
 		return nil, err
 	}

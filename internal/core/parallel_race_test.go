@@ -19,7 +19,7 @@ func stripTimes(s MapStats) MapStats {
 
 // TestMapWorkerCountInvariance maps one read set with 1 and 8
 // workers and asserts bit-identical alignments and per-read stats —
-// under `go test -race` this also exercises the cloned-engine and
+// under `go test -race` this also exercises the pooled-worker and
 // registry instrumentation paths for data races.
 func TestMapWorkerCountInvariance(t *testing.T) {
 	ref := testGenome(t, 120000, 227)
@@ -68,14 +68,12 @@ func TestMapWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestClonePerWorkerConcurrentUse exercises the serving pattern: a
-// shared warm engine, one long-lived clone per worker, and concurrent
-// MapRead traffic interleaved across all clones (the index cache +
-// pooled-clone layout of internal/server). Each read's alignments
-// and work counts must be byte-identical to mapping it serially on
-// the original engine — under `go test -race` this also proves the
-// clones share no mutable state.
-func TestClonePerWorkerConcurrentUse(t *testing.T) {
+// TestConcurrentCallsOnOneEngine exercises the serving pattern: one
+// warm engine and concurrent traffic on it from several goroutines,
+// through both MapRead and two-worker Map batches. Every read's alignments and work counts must
+// equal mapping it serially — under `go test -race` this also proves
+// the pooled workers share no mutable state.
+func TestConcurrentCallsOnOneEngine(t *testing.T) {
 	ref := testGenome(t, 100000, 331)
 	d, err := New(ref, DefaultConfig(11, 500, 20))
 	if err != nil {
@@ -96,38 +94,47 @@ func TestClonePerWorkerConcurrentUse(t *testing.T) {
 		serialAlns[i], serialStats[i] = d.MapRead(q)
 	}
 
-	const workers = 6
+	// Goroutines take two-read chunks: even chunks read by read through
+	// MapRead, odd ones as one Map call on two workers.
+	const goroutines, chunk = 6, 2
 	gotAlns := make([][]ReadAlignment, len(seqs))
 	gotStats := make([]MapStats, len(seqs))
 	next := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		clone, err := d.Clone()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func(e *Darwin) {
+		go func() {
 			defer wg.Done()
-			for i := range next {
-				// Each clone maps several reads back to back, like a
-				// pooled clone serving successive requests.
-				gotAlns[i], gotStats[i] = e.MapRead(seqs[i])
+			for lo := range next {
+				if lo/chunk%2 == 0 {
+					for i := lo; i < lo+chunk; i++ {
+						gotAlns[i], gotStats[i] = d.MapRead(seqs[i])
+					}
+					continue
+				}
+				res, err := d.Map(context.Background(), seqs[lo:lo+chunk], WithWorkers(2))
+				if err != nil {
+					t.Error(err)
+					continue
+				}
+				for j, r := range res {
+					gotAlns[lo+j], gotStats[lo+j] = r.Alignments, r.Stats
+				}
 			}
-		}(clone)
+		}()
 	}
-	for i := range seqs {
-		next <- i
+	for lo := 0; lo < len(seqs); lo += chunk {
+		next <- lo
 	}
 	close(next)
 	wg.Wait()
 
 	for i := range seqs {
 		if !reflect.DeepEqual(serialAlns[i], gotAlns[i]) {
-			t.Errorf("read %d: alignments differ between serial engine and concurrent clones", i)
+			t.Errorf("read %d: alignments differ between serial and concurrent calls", i)
 		}
 		if !reflect.DeepEqual(stripTimes(serialStats[i]), stripTimes(gotStats[i])) {
-			t.Errorf("read %d: stats differ between serial engine and concurrent clones:\n  %+v\nvs\n  %+v",
+			t.Errorf("read %d: stats differ between serial and concurrent calls:\n  %+v\nvs\n  %+v",
 				i, stripTimes(serialStats[i]), stripTimes(gotStats[i]))
 		}
 	}

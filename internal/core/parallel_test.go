@@ -114,30 +114,36 @@ func TestMapDeterministicOrdering(t *testing.T) {
 	}
 }
 
-func TestCloneIndependentState(t *testing.T) {
+// TestPooledWorkersCarryNoState interleaves single-read calls with a
+// four-worker Map that grows the engine's pool: a query must map the
+// same whichever pooled worker runs it, and whatever ran there before.
+func TestPooledWorkersCarryNoState(t *testing.T) {
 	ref := testGenome(t, 50000, 193)
 	d, err := New(ref, DefaultConfig(11, 400, 18))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := d.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Table() != d.Table() {
-		t.Error("clone should share the seed table")
-	}
-	// Interleaved queries on both engines must match fresh queries.
 	q1 := ref[1000:3000].Clone()
 	q2 := ref[20000:22000].Clone()
 	a1, _ := d.MapRead(q1)
-	b1, _ := c.MapRead(q2)
-	a2, _ := d.MapRead(q1)
-	b2, _ := c.MapRead(q2)
-	if Best(a1).Result.Score != Best(a2).Result.Score {
-		t.Error("original engine state leaked across queries")
+	b1, _ := d.MapRead(q2)
+	res, err := d.Map(context.Background(), []dna.Seq{q2, q1, q2, q1}, WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if Best(b1).Result.Score != Best(b2).Result.Score {
-		t.Error("cloned engine state leaked across queries")
+	a2, _ := d.MapRead(q1)
+	b2, _ := d.MapRead(q2)
+	for _, c := range []struct {
+		name      string
+		got, want []ReadAlignment
+	}{
+		{"q1 after a batch", a2, a1},
+		{"q2 after a batch", b2, b1},
+		{"q1 in the batch", res[1].Alignments, a1},
+		{"q2 in the batch", res[2].Alignments, b1},
+	} {
+		if len(c.want) == 0 || !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s: %d alignments differ from the first query's %d", c.name, len(c.got), len(c.want))
+		}
 	}
 }

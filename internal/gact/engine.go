@@ -3,7 +3,6 @@ package gact
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"darwin/internal/align"
@@ -14,8 +13,8 @@ import (
 
 // gact/extend fires per candidate extension: an error drops just that
 // candidate (core treats it like bad anchor geometry), a delay models
-// a stuck tile pipeline (caught by core's per-read watchdog), a panic
-// is contained by core's per-read recover.
+// a stuck tile pipeline, a panic is contained by core's per-read
+// recover.
 var fpExtend = faults.Default.Point("gact/extend")
 
 // Engine is the stateful GACT aligner: the free function Extend with
@@ -33,19 +32,14 @@ var fpExtend = faults.Default.Point("gact/extend")
 // replacing Extend's two whole-sequence dna.Reverse copies per
 // candidate.
 //
-// An Engine is not safe for concurrent use; clone one per worker
-// (core.Darwin.Clone does this), mirroring the hardware's per-array
-// private traceback SRAM.
+// An Engine is not safe for concurrent use; each core.Worker owns one,
+// mirroring the hardware's per-array private traceback SRAM.
 type Engine struct {
 	cfg Config
 	ta  *align.TileAligner
 
 	// span is the per-read trace sink Extend records into when set.
-	// Atomic rather than a plain field: a read abandoned by core's
-	// per-read watchdog leaves a stray goroutine still extending inside
-	// this engine while the owning worker clears the sink and moves on
-	// — the clear must not race the stray goroutine's load.
-	span atomic.Pointer[obs.Span]
+	span *obs.Span
 
 	// path is the current candidate's alignment under assembly (see
 	// Extend), reused across Extend calls.
@@ -87,14 +81,14 @@ func (e *Engine) Config() *Config { return &e.cfg }
 // filter (rejections are the overwhelming majority downstream of
 // D-SOFT; giving each a child would blow the tree's child cap without
 // saying anything a counter doesn't).
-func (e *Engine) SetSpan(sp *obs.Span) { e.span.Store(sp) }
+func (e *Engine) SetSpan(sp *obs.Span) { e.span = sp }
 
 // Extend computes exactly what the free function Extend computes —
 // same tiles, same result, same published observability — using the
 // engine's reused state. Stats are returned by value so the rejected
 // path stays allocation-free.
 func (e *Engine) Extend(R, Q dna.Seq, iSeed, jSeed int) (res *align.Result, stats Stats, err error) {
-	sp := e.span.Load()
+	sp := e.span
 	if sp != nil {
 		defer func() {
 			sp.AddAttr("gact_extensions", 1)

@@ -93,9 +93,9 @@ func TestRenderSeries(t *testing.T) {
 // divide-by-zero/NaN bin indexing (and a panic on empty Counts) in Add.
 func TestHistogramDegenerateConfig(t *testing.T) {
 	cases := []struct {
-		name      string
-		min, max  float64
-		bins      int
+		name     string
+		min, max float64
+		bins     int
 	}{
 		{"zero bins", 0, 10, 0},
 		{"negative bins", 0, 10, -3},

@@ -53,7 +53,7 @@ type Settings struct {
 	// instead of indexing reads again — for multi-pass callers that
 	// already paid for the table build.
 	Overlapper *core.Overlapper
-	// Workers is how many engine clones the overlap and polish stages
+	// Workers is how many engine workers the overlap and polish stages
 	// run on (0 = core.DefaultWorkers). Output does not depend on it.
 	Workers int
 }

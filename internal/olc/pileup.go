@@ -69,8 +69,8 @@ func (p Pileup) Add(read dna.Seq, aln *core.ReadAlignment) {
 }
 
 // MapPileup maps reads onto ref with the Darwin engine and piles up
-// each read's best alignment. Reads are mapped in batches on workers
-// engine clones (0 = core.DefaultWorkers) and folded in read order;
+// each read's best alignment. Reads are mapped in batches by workers
+// goroutines (0 = core.DefaultWorkers) and folded in read order;
 // votes are integer counts, so the pileup does not depend on workers.
 // A read whose mapping fails (core.MapResult.Err) fails the pileup
 // rather than silently losing its votes, and cancellation returns

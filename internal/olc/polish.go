@@ -20,7 +20,7 @@ import (
 // raw read rate (~15% for PacBio) to well under 1%, mirroring the
 // consensus-accuracy argument of Section 2.
 //
-// The votes are MapPileup's: workers engine clones (0 =
+// The votes are MapPileup's: workers goroutines (0 =
 // core.DefaultWorkers), output independent of workers, cancellation
 // checked between reads, and a read whose mapping fails fails the
 // polish.

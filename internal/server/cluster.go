@@ -4,10 +4,10 @@ package server
 // scatter-gather. A worker is an ordinary darwind whose sharded engine
 // serves two extra endpoints — GET /v1/shards advertises which shards
 // this process owns plus everything a stateless router needs to merge
-// results (geometry, reference layout, truncation limit, index
-// fingerprint), and POST /v1/cluster/scatter runs a shard-scoped
-// sub-request via shard.ScatterShards, returning candidates and
-// extension outcomes in global coordinates. The router recombines them
+// results (geometry, reference layout, engine parameters, truncation
+// limit, index fingerprint), and POST /v1/cluster/scatter runs a
+// shard-scoped sub-request via shard.ScatterShards, returning
+// candidates and extension outcomes in global coordinates. The router recombines them
 // with shard.MergeReadScatters; bit-identity to the monolith is proven
 // in internal/shard's tests and asserted end to end by
 // scripts/cluster_smoke.sh.
@@ -76,12 +76,27 @@ type GeometryMeta struct {
 	Shards    int `json:"shards"`
 }
 
+// EngineMeta is the engine parameters on the wire: the D-SOFT and GACT
+// settings the engine flags (indexio.Flags) set, which neither the
+// geometry nor an index file records. Routers compare it across
+// workers: two workers started with different -h would merge into SAM
+// that neither one alone produces.
+type EngineMeta struct {
+	SeedK     int `json:"k"`
+	SeedN     int `json:"n"`
+	Threshold int `json:"h"`
+	HTile     int `json:"htile"`
+	TileT     int `json:"tile_t"`
+	TileO     int `json:"tile_o"`
+}
+
 // ShardsResponse is the GET /v1/shards ownership advertisement.
 type ShardsResponse struct {
 	Worker        string       `json:"worker"`
 	Owned         []int        `json:"owned"`
 	Geometry      GeometryMeta `json:"geometry"`
 	Ref           RefMeta      `json:"ref"`
+	Engine        EngineMeta   `json:"engine"`
 	MaxCandidates int          `json:"max_candidates"`
 	// Fingerprint identifies the persistent index the worker serves
 	// from (hex; empty for FASTA-built indexes). Routers refuse
@@ -172,6 +187,7 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	}
 	owned := append([]int(nil), s.cfg.Worker.OwnedShards...)
 	sort.Ints(owned)
+	cfg := s.cfg.Core
 	resp := ShardsResponse{
 		Worker: s.cfg.Worker.Name,
 		Owned:  owned,
@@ -182,8 +198,12 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 			BinSize:   geo.BinSize,
 			Shards:    len(geo.Parts),
 		},
-		Ref:           meta,
-		MaxCandidates: s.cfg.Core.MaxCandidates,
+		Ref: meta,
+		Engine: EngineMeta{
+			SeedK: cfg.SeedK, SeedN: cfg.SeedN, Threshold: cfg.Threshold,
+			HTile: cfg.HTile, TileT: cfg.GACT.T, TileO: cfg.GACT.O,
+		},
+		MaxCandidates: cfg.MaxCandidates,
 	}
 	if entry.Fingerprint != 0 {
 		resp.Fingerprint = fmt.Sprintf("%016x", entry.Fingerprint)
@@ -218,14 +238,7 @@ func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.scatterGate.release()
 
-	entry := s.defaultEntry.Load()
-	mapper, err := entry.Acquire()
-	if err != nil {
-		ep.Reject(w, r, http.StatusInternalServerError, CodeInternal, "engine clone: %v", err)
-		return
-	}
-	defer entry.Release(mapper)
-	sm, ok := mapper.(*shard.ScatterMapper)
+	sm, ok := s.defaultEntry.Load().Engine.(*shard.ScatterMapper)
 	if !ok {
 		ep.Reject(w, r, http.StatusInternalServerError, CodeInternal, "worker engine is not sharded")
 		return

@@ -30,13 +30,11 @@ var (
 )
 
 // IndexEntry is the resident index: a warm engine plus the reference
-// metadata needed to emit SAM records, and a small pool of engine
-// clones so concurrent single-worker requests never share mutable
-// D-SOFT bin state.
+// metadata needed to emit SAM records.
 type IndexEntry struct {
 	// Engine is the warm engine — monolithic (*core.Darwin) or sharded
-	// (*shard.ScatterMapper). Never call MapRead on it directly from
-	// concurrent request paths — acquire a clone.
+	// (*shard.ScatterMapper). Both are safe for concurrent use, so every
+	// request maps on it directly.
 	Engine core.Mapper
 	// Shards is the sharded engine's residency-managed set; nil for a
 	// monolithic index. Exposed for /v1/indexes reporting.
@@ -58,18 +56,12 @@ type IndexEntry struct {
 	// MappedBytes is the size of the mapping backing this entry's
 	// tables and reference (zero for built entries).
 	MappedBytes int64
-
-	clones chan core.Mapper
 }
 
-// newIndexEntry wraps an opened reference as the resident entry,
-// keeping up to poolSize idle clones. For a mapped index file the
-// mapping lives as long as the process (the entry's engine aliases it),
-// so the file is never closed here.
-func newIndexEntry(l *indexio.Loaded, poolSize int) *IndexEntry {
-	if poolSize < 1 {
-		poolSize = 1
-	}
+// newIndexEntry wraps an opened reference as the resident entry. For a
+// mapped index file the mapping lives as long as the process (the
+// entry's engine aliases it), so the file is never closed here.
+func newIndexEntry(l *indexio.Loaded) *IndexEntry {
 	sqs := make([]sam.RefSeq, l.Ref.NumSeqs())
 	for i := range sqs {
 		sqs[i] = sam.RefSeq{Name: l.Ref.Name(i), Len: l.Ref.Len(i)}
@@ -80,7 +72,6 @@ func newIndexEntry(l *indexio.Loaded, poolSize int) *IndexEntry {
 		Ref:       l.Ref,
 		SQ:        sqs,
 		BuildTime: l.Mapper.IndexBuildTime(),
-		clones:    make(chan core.Mapper, poolSize),
 	}
 	if l.File != nil {
 		e.IndexFile = l.File.Path()
@@ -88,25 +79,4 @@ func newIndexEntry(l *indexio.Loaded, poolSize int) *IndexEntry {
 		e.MappedBytes = l.File.MappedBytes()
 	}
 	return e
-}
-
-// Acquire returns an engine clone for exclusive use; pair with
-// Release. Clones share the immutable seed table (and, for sharded
-// indexes, the residency budget), so this is cheap relative to an
-// index build but still worth pooling per request.
-func (e *IndexEntry) Acquire() (core.Mapper, error) {
-	select {
-	case c := <-e.clones:
-		return c, nil
-	default:
-		return e.Engine.CloneMapper()
-	}
-}
-
-// Release returns a clone to the pool (dropped if the pool is full).
-func (e *IndexEntry) Release(c core.Mapper) {
-	select {
-	case e.clones <- c:
-	default:
-	}
 }

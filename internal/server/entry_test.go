@@ -12,15 +12,15 @@ import (
 	"darwin/internal/shard"
 )
 
-// buildEntry opens recs through the front door, as Server.Warm does,
-// and wraps the result with a two-clone pool.
+// buildEntry opens recs through the front door and wraps the result as
+// Server.Warm does.
 func buildEntry(t *testing.T, recs []dna.Record, scfg shard.Config) *IndexEntry {
 	t.Helper()
 	l, err := indexio.OpenSource(indexio.Source{Records: recs}, testCoreConfig(), scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newIndexEntry(l, 2)
+	return newIndexEntry(l)
 }
 
 func testCoreConfig() core.Config {
@@ -61,13 +61,8 @@ func TestEntrySharded(t *testing.T) {
 	if st.Shards != 3 || st.Resident != 1 || len(detail) != 3 {
 		t.Errorf("snapshot = %+v with %d detail rows, want 3 shards / 1 resident", st, len(detail))
 	}
-	// Clones must share the set (and thus the budget).
-	c, err := sharded.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sharded.Release(c)
-	if c.(*shard.ScatterMapper).Set() != sharded.Shards {
-		t.Error("acquired clone does not share the entry's shard set")
+	// The set the entry reports is the one its engine maps through.
+	if sharded.Engine.(*shard.ScatterMapper).Set() != sharded.Shards {
+		t.Error("the entry's shard set is not its engine's")
 	}
 }

@@ -38,7 +38,7 @@ var (
 // finds every slot taken waits for one under its own context, unless
 // queue requests are waiting already, in which case it is refused.
 // Reads share nothing, so requests are never coalesced: each admitted
-// request maps on its own engine clone and is cancelled by its own
+// request maps on its own engine worker and is cancelled by its own
 // context alone.
 type gate struct {
 	slots chan struct{} // holds one token per running request

@@ -49,10 +49,6 @@ type Config struct {
 	// (one slot per CPU); a request past it is refused with 429
 	// (default 256).
 	QueueBound int
-	// ReadDeadline bounds one read's wall-clock mapping time
-	// (core.WithDeadlinePerRead); zero disables it. One stuck read then
-	// fails individually instead of stalling its request.
-	ReadDeadline time.Duration
 	// RequestTimeout caps per-request wall time (default 60s); a
 	// request's timeout_ms can only shorten it.
 	RequestTimeout time.Duration
@@ -187,7 +183,7 @@ func (s *Server) openDefault() (*IndexEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: opening reference %s: %w", s.cfg.DefaultRef, err)
 	}
-	e := newIndexEntry(l, cap(s.mapGate.slots))
+	e := newIndexEntry(l)
 	if l.File != nil {
 		tIndexLoad.Since(start)
 		s.log.Info("index mapped from file",
@@ -298,8 +294,8 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 }
 
 // mapReads is the map stage of one /v1/map request: wait for a slot of
-// the map gate, then map the reads with one worker on a pooled engine
-// clone, under the request's own context — a request that is cancelled
+// the map gate, then map the reads with one worker on the resident
+// engine, under the request's own context — a request that is cancelled
 // or out of time stops mapping at its next read and frees its slot.
 //
 // The slot is the shared resource a faulty request must not take down:
@@ -334,15 +330,7 @@ func (s *Server) mapReads(ctx context.Context, entry *IndexEntry, reads []dna.Se
 	if err := fpFlush.Fire(); err != nil {
 		return nil, err
 	}
-	engine, err := entry.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	results, err = engine.Map(obs.ContextWithSpan(ctx, stage.Span()), reads,
-		core.WithWorkers(1), core.WithDeadlinePerRead(s.cfg.ReadDeadline))
-	// Not deferred: a clone that panicked mid-read is not pooled again.
-	entry.Release(engine)
-	return results, err
+	return entry.Engine.Map(obs.ContextWithSpan(ctx, stage.Span()), reads, core.WithWorkers(1))
 }
 
 // RecordsFor converts one read's alignments to SAM records — the same

@@ -9,7 +9,6 @@ import (
 
 	"darwin/internal/core"
 	"darwin/internal/dna"
-	"darwin/internal/dsoft"
 	"darwin/internal/obs"
 	"darwin/internal/seedtable"
 )
@@ -34,14 +33,6 @@ type gcand struct {
 	QueryPos int
 }
 
-// worker is one goroutine's mutable machinery: a D-SOFT filter rebound
-// across shard tables (bin arrays sized once to the largest extent), a
-// private GACT kernel, and a candidate scratch buffer.
-type worker struct {
-	core.Parts
-	buf []dsoft.Candidate
-}
-
 // perRead accumulates one read's scatter output across shards.
 type perRead struct {
 	strand [2][]gcand // forward, reverse
@@ -60,14 +51,13 @@ type perRead struct {
 // MaxCandidates truncation exactly, and GACT-extends against the full
 // resident reference — making alignments bit-identical to core.Darwin.
 //
-// A ScatterMapper is not safe for concurrent use (its workers are
-// private to a running call); use Clone for additional goroutines.
-// Clones share the Set, so concurrent clones also share the residency
-// budget.
+// A ScatterMapper is safe for concurrent use: its calls take their
+// workers from one core.Pool, and all of them share the Set and so its
+// residency budget.
 type ScatterMapper struct {
-	set     *Set
-	cfg     core.Config
-	workers []*worker
+	set  *Set
+	cfg  core.Config
+	pool *core.Pool
 }
 
 // New builds a ScatterMapper over ref. The reference is partitioned
@@ -76,19 +66,18 @@ func New(ref dna.Seq, cfg core.Config, scfg Config) (*ScatterMapper, error) {
 	if len(ref) == 0 {
 		return nil, fmt.Errorf("shard: empty reference")
 	}
-	m := &ScatterMapper{cfg: cfg}
-	// The first worker doubles as up-front validation of the filter and
-	// kernel configuration, as core.New does, so a bad config fails at
-	// construction rather than mid-batch.
-	if err := m.ensureWorkers(1); err != nil {
+	// The pool's first worker doubles as up-front validation of the
+	// filter and kernel configuration, as core.New's does, so a bad
+	// config fails at construction rather than mid-batch.
+	pool, err := core.NewPool(nil, cfg)
+	if err != nil {
 		return nil, err
 	}
 	set, err := NewSet(ref, cfg, scfg)
 	if err != nil {
 		return nil, err
 	}
-	m.set = set
-	return m, nil
+	return &ScatterMapper{set: set, cfg: cfg, pool: pool}, nil
 }
 
 // FromSet builds a ScatterMapper over an existing Set — the
@@ -99,11 +88,11 @@ func FromSet(set *Set, cfg core.Config) (*ScatterMapper, error) {
 	if set == nil {
 		return nil, fmt.Errorf("shard: nil set")
 	}
-	m := &ScatterMapper{set: set, cfg: cfg}
-	if err := m.ensureWorkers(1); err != nil {
+	pool, err := core.NewPool(nil, cfg)
+	if err != nil {
 		return nil, err
 	}
-	return m, nil
+	return &ScatterMapper{set: set, cfg: cfg, pool: pool}, nil
 }
 
 // NewMulti is New over a multi-sequence reference, concatenated with
@@ -133,65 +122,15 @@ func (m *ScatterMapper) Config() core.Config { return m.cfg }
 // (global mask pass plus all shard builds so far).
 func (m *ScatterMapper) IndexBuildTime() time.Duration { return m.set.BuildTime() }
 
-// Clone returns a mapper sharing the shard set (and its budget) with
-// private scratch state.
-func (m *ScatterMapper) Clone() (*ScatterMapper, error) {
-	return &ScatterMapper{set: m.set, cfg: m.cfg}, nil
-}
-
-// CloneMapper implements core.Mapper.
-func (m *ScatterMapper) CloneMapper() (core.Mapper, error) { return m.Clone() }
-
-// newWorker builds one worker's private state; table (nil in the
-// gather phase) is the shard table its filter starts bound to.
-func (m *ScatterMapper) newWorker(table *seedtable.Table) (*worker, error) {
-	parts, err := core.NewParts(nil, m.cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &worker{Parts: parts}, parts.Filter.SetTable(table)
-}
-
-// ensureWorkers grows the worker pool to n states.
-func (m *ScatterMapper) ensureWorkers(n int) error {
-	for len(m.workers) < n {
-		w, err := m.newWorker(nil)
-		if err != nil {
-			return err
-		}
-		m.workers = append(m.workers, w)
-	}
-	return nil
-}
-
-// MapRead maps one read through the sharded pipeline. Equivalent to
-// core.Darwin.MapRead up to instrumentation: alignments and candidate
-// counts are bit-identical; DSOFT work stats count per-shard work (a
-// read's seeds are issued against every shard's table), so SeedsIssued
-// and friends scale with the shard count.
-func (m *ScatterMapper) MapRead(q dna.Seq) ([]core.ReadAlignment, core.MapStats) {
-	res, err := m.Map(context.Background(), []dna.Seq{q}, core.WithWorkers(1))
-	if err != nil || len(res) != 1 || res[0].Err != nil {
-		// Background context never cancels; shard builds were validated
-		// at construction. Treat any residual failure as unmapped.
-		return nil, core.MapStats{}
-	}
-	return res[0].Alignments, res[0].Stats
-}
-
 // Map maps a batch with cancellation between reads and between shards.
 // Results are in input order and deterministic for any worker count
 // and any shard geometry: each read's merged candidates are sorted
 // into the monolithic engine's emission order before truncation, and
 // alignments pass through core.SortAlignments.
 //
-// Per-read failures — a panic in a read's filter or extension work, an
-// injected core/map_read fault, or a core.WithDeadlinePerRead budget
-// blown — land in that read's MapResult.Err while the rest of the
-// batch completes. The per-read deadline bounds a read's extension
-// phase (core's watchdog around the gather of that read); its D-SOFT
-// passes run interleaved with every other read's, shard by shard, and
-// are not charged to it.
+// Per-read failures — a panic in a read's filter or extension work, or
+// an injected core/map_read fault — land in that read's MapResult.Err
+// while the rest of the batch completes.
 func (m *ScatterMapper) Map(ctx context.Context, reads []dna.Seq, options ...core.MapOption) ([]core.MapResult, error) {
 	ids := make([]int, len(m.set.shards))
 	for i := range ids {
@@ -212,10 +151,7 @@ func (m *ScatterMapper) run(ctx context.Context, timer *obs.Timer, reads []dna.S
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	b := core.NewBatch(len(reads), o)
-	if err := m.ensureWorkers(b.Workers); err != nil {
-		return nil, err
-	}
+	b := core.NewBatch(m.pool, len(reads), o)
 	// Under a traced request the call's stage is a span with
 	// scatter/gather phase children; untraced callers pay one context
 	// lookup and nil checks.
@@ -235,14 +171,15 @@ func (m *ScatterMapper) run(ctx context.Context, timer *obs.Timer, reads []dna.S
 
 	sc := tScatter.Start(mSpan)
 	hits0, builds0 := cAcquireHits.Value(), cBuilds.Value()
-	err := m.scatter(ctx, b.Workers, reads, revs, ids, acc)
-	// Process-wide counter deltas, so concurrent clones sharing the Set
+	err := m.scatter(ctx, b, reads, revs, ids, acc)
+	// Process-wide counter deltas, so concurrent calls sharing the Set
 	// blur each other's numbers slightly; per-call exactness is not
 	// worth threading counters through Acquire.
 	sc.Span().SetAttr("shard_hits", cAcquireHits.Value()-hits0)
 	sc.Span().SetAttr("shard_builds", cBuilds.Value()-builds0)
 	sc.End()
 	if err != nil {
+		b.Close()
 		return nil, err
 	}
 
@@ -252,23 +189,17 @@ func (m *ScatterMapper) run(ctx context.Context, timer *obs.Timer, reads []dna.S
 	b.Parent = gather.Span()
 	out := make([]core.MapResult, len(reads))
 	err = core.ForEach(ctx, b.Workers, len(reads), func(tid, i int) error {
-		w := m.workers[tid-1]
-		var retire bool
-		out[i], retire = b.Read(tid, i, w.Engine, func() ([]core.ReadAlignment, core.MapStats, error) {
+		out[i] = b.Read(tid, i, func(w *core.Worker) ([]core.ReadAlignment, core.MapStats, error) {
 			var sub *ReadScatter
 			if wire != nil {
 				sub = &wire[i]
 			}
 			return m.gather(w, &acc[i], reads[i], revs[i], limit, sub)
 		})
-		if retire {
-			var err error
-			m.workers[tid-1], err = m.newWorker(nil)
-			return err
-		}
 		return nil
 	})
 	gather.End()
+	b.Close()
 	if err != nil {
 		return nil, err
 	}
@@ -276,12 +207,19 @@ func (m *ScatterMapper) run(ctx context.Context, timer *obs.Timer, reads []dna.S
 }
 
 // scatter is the shard-major D-SOFT phase: for each shard in ids, bind
-// every worker's filter to its table (acquired once per batch) and
-// query every read, appending the core-owned candidates to the read's
-// accumulator in global coordinates. Each accumulator has one writer at
-// a time, and the gather sorts, so the result does not depend on which
-// worker took which read.
-func (m *ScatterMapper) scatter(ctx context.Context, workers int, reads, revs []dna.Seq, ids []int, acc []perRead) error {
+// the filter of each of b's workers to its table (acquired once per
+// batch) and query every read, appending the core-owned candidates to
+// the read's accumulator in global coordinates. Each accumulator has
+// one writer at a time, and the gather sorts, so the result does not
+// depend on which worker took which read.
+func (m *ScatterMapper) scatter(ctx context.Context, b *core.Batch, reads, revs []dna.Seq, ids []int, acc []perRead) error {
+	// bind points every worker's filter at table; nil unpins the
+	// shard's table so eviction can reclaim it.
+	bind := func(table *seedtable.Table) {
+		for tid := 1; tid <= b.Workers; tid++ {
+			b.Worker(tid).Filter.SetTable(table)
+		}
+	}
 	for _, si := range ids {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -291,30 +229,20 @@ func (m *ScatterMapper) scatter(ctx context.Context, workers int, reads, revs []
 			return err
 		}
 		part := m.set.shards[si].part
-		for _, w := range m.workers[:workers] {
-			if err := w.Filter.SetTable(table); err != nil {
-				return err
-			}
-		}
-		err = core.ForEach(ctx, workers, len(reads), func(tid, i int) error {
+		bind(table)
+		err = core.ForEach(ctx, b.Workers, len(reads), func(tid, i int) error {
 			pr := &acc[i]
 			if pr.err != nil {
 				return nil // poisoned by an earlier shard's pass; skip
 			}
-			if pr.err = scatterRead(m.workers[tid-1], pr, reads[i], revs[i], part); pr.err != nil {
+			if pr.err = scatterRead(b.Worker(tid), pr, reads[i], revs[i], part); pr.err != nil {
 				// The filter's bin state may be mid-update after a
 				// panic; replace the worker before its next read.
-				var err error
-				m.workers[tid-1], err = m.newWorker(table)
-				return err
+				return b.Retire(tid).Filter.SetTable(table)
 			}
 			return nil
 		})
-		// Unpin the shard table from every worker before the next
-		// shard (or an early return) so eviction can reclaim it.
-		for _, w := range m.workers[:workers] {
-			w.Filter.SetTable(nil)
-		}
+		bind(nil)
 		if err != nil {
 			return err
 		}
@@ -325,7 +253,7 @@ func (m *ScatterMapper) scatter(ctx context.Context, workers int, reads, revs []
 // scatterRead runs one read's D-SOFT pass over one shard with panic
 // isolation: a panic (a poisoned read crashing the filter) fails the
 // read, never the batch or the worker.
-func scatterRead(w *worker, pr *perRead, fwd, rev dna.Seq, part Part) (err error) {
+func scatterRead(w *core.Worker, pr *perRead, fwd, rev dna.Seq, part Part) (err error) {
 	defer func() {
 		if perr := core.PanicError(recover()); perr != nil {
 			err = perr
@@ -333,8 +261,7 @@ func scatterRead(w *worker, pr *perRead, fwd, rev dna.Seq, part Part) (err error
 	}()
 	for strand, query := range []dna.Seq{fwd, rev} {
 		start := time.Now()
-		cands, dst := w.Filter.QueryInto(query, w.buf[:0])
-		w.buf = cands
+		cands, dst := w.Query(query)
 		pr.stats.DSOFT.Add(dst)
 		for _, c := range cands {
 			gpos := c.RefPos + part.Extent.Start
@@ -374,8 +301,8 @@ func truncate[T any](cs []T, limit int) []T {
 // candidates, keep the first limit, GACT-extend each against the full
 // reference at its global anchor and fold the outcome into the read's
 // alignments and statistics. It runs inside core.Batch.Read, which
-// supplies panic isolation, the fault point and the deadline.
-func (m *ScatterMapper) gather(w *worker, pr *perRead, fwd, rev dna.Seq, limit int, sub *ReadScatter) ([]core.ReadAlignment, core.MapStats, error) {
+// supplies panic isolation and the fault point.
+func (m *ScatterMapper) gather(w *core.Worker, pr *perRead, fwd, rev dna.Seq, limit int, sub *ReadScatter) ([]core.ReadAlignment, core.MapStats, error) {
 	if pr.err != nil {
 		return nil, core.MapStats{}, pr.err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"darwin/internal/core"
@@ -322,8 +323,8 @@ func TestEvictionThrash(t *testing.T) {
 	}
 }
 
-// TestMapReadMatchesMap checks the single-read surface agrees with
-// the batch surface and the monolithic engine.
+// TestMapReadMatchesMap checks the monolithic engine's single-read
+// surface agrees with the sharded batch surface, one read at a time.
 func TestMapReadMatchesMap(t *testing.T) {
 	ref := testGenome(t, 60000, 501)
 	cfg := smallConfig()
@@ -338,45 +339,74 @@ func TestMapReadMatchesMap(t *testing.T) {
 	reads := boundaryReads(t, ref, sm.Set().Geometry())[:6]
 	for i, r := range reads {
 		wantAlns, wantStats := mono.MapRead(r)
-		gotAlns, gotStats := sm.MapRead(r)
-		if !reflect.DeepEqual(gotAlns, wantAlns) {
+		got, err := sm.Map(context.Background(), []dna.Seq{r}, core.WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[0].Alignments, wantAlns) {
 			t.Errorf("read %d: MapRead alignments diverge", i)
 		}
-		if gotStats.Candidates != wantStats.Candidates {
-			t.Errorf("read %d: candidates %d, want %d", i, gotStats.Candidates, wantStats.Candidates)
+		if got[0].Stats.Candidates != wantStats.Candidates {
+			t.Errorf("read %d: candidates %d, want %d", i, got[0].Stats.Candidates, wantStats.Candidates)
 		}
 	}
 }
 
-// TestCloneSharesBudget maps concurrently through clones and checks
-// the shared set's residency accounting stays within budget.
-func TestCloneSharesBudget(t *testing.T) {
+// TestConcurrentCallsOnOneMapper maps from several goroutines at once
+// through one ScatterMapper under the tightest residency budget, half
+// of them by Map and half by ScatterShards over every shard: each
+// result must equal a serial run's, and the shared set's accounting
+// must hold. Under `go test -race` this also proves the calls share no
+// mutable state beyond the set.
+func TestConcurrentCallsOnOneMapper(t *testing.T) {
 	ref := testGenome(t, 80000, 601)
 	cfg := smallConfig()
 	sm, err := New(ref, cfg, Config{Shards: 4, MaxResidentBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := sm.CloneMapper()
+	reads := boundaryReads(t, ref, sm.Set().Geometry())[:8]
+	all := []int{0, 1, 2, 3}
+	ctx := context.Background()
+	wantMap, err := sm.Map(ctx, reads, core.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m2.(*ScatterMapper).Set() != sm.Set() {
-		t.Fatal("clone does not share the shard set")
+	wantScatter, err := sm.ScatterShards(ctx, reads, all, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	reads := boundaryReads(t, ref, sm.Set().Geometry())[:8]
-	done := make(chan error, 2)
-	for _, m := range []core.Mapper{sm, m2} {
-		go func(m core.Mapper) {
-			_, err := m.Map(context.Background(), reads, core.WithWorkers(2))
-			done <- err
-		}(m)
+
+	const goroutines = 4
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g%2 == 0 {
+				got, err := sm.Map(ctx, reads, core.WithWorkers(2))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range got {
+					if !reflect.DeepEqual(got[i].Alignments, wantMap[i].Alignments) {
+						t.Errorf("goroutine %d read %d: Map alignments differ from a serial run", g, i)
+					}
+				}
+				return
+			}
+			got, err := sm.ScatterShards(ctx, reads, all, 2)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !reflect.DeepEqual(got, wantScatter) {
+				t.Errorf("goroutine %d: ScatterShards differs from a serial run", g)
+			}
+		}()
 	}
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
+	wg.Wait()
 	if st, _ := sm.Set().Snapshot(); st.Resident < 1 {
 		t.Fatalf("no shards resident after mapping: %+v", st)
 	}

@@ -36,7 +36,8 @@ func TestScatterShardsMergeBitIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Three ways to carve 4 shards into disjoint worker-owned
-		// groups; each group runs on its own clone, as on its own node.
+		// groups; each group is its own ScatterShards call, as on its
+		// own node.
 		groupings := [][][]int{
 			{{0}, {1}, {2}, {3}},
 			{{0, 2}, {1, 3}},
@@ -45,11 +46,7 @@ func TestScatterShardsMergeBitIdentity(t *testing.T) {
 		for _, groups := range groupings {
 			parts := make([][]ReadScatter, len(groups))
 			for gi, g := range groups {
-				worker, err := sm.Clone()
-				if err != nil {
-					t.Fatal(err)
-				}
-				rs, err := worker.ScatterShards(context.Background(), reads, g, 2)
+				rs, err := sm.ScatterShards(context.Background(), reads, g, 2)
 				if err != nil {
 					t.Fatalf("max=%d groups=%v: %v", maxCand, groups, err)
 				}

@@ -68,7 +68,7 @@ func DefaultConfig(coreCfg core.Config) Config {
 	return Config{Core: coreCfg, MinDepth: 5, MinFrac: 0.5}
 }
 
-// CallContext maps the reads on one engine clone per CPU and returns
+// CallContext maps the reads on one engine worker per CPU and returns
 // variant calls sorted by position. Cancellation is honoured between
 // reads, and a read that fails to map fails the call.
 func CallContext(ctx context.Context, ref dna.Seq, reads []dna.Seq, cfg Config) ([]Variant, error) {
