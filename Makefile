@@ -41,10 +41,13 @@ test-allocs:
 
 # The scalar passes the vector ones fall back to: run under the purego
 # tag (TestQuickMaxCell, FuzzFill's and FuzzEngineExtend's corpora and
-# the rest of both packages on linearPair and linearRow), and vetted for
-# arm64, which has no assembly and cannot be run here.
+# the rest of both packages on linearPair and linearRow), the pinned
+# output digests on the scalar kernels (they must match the vector
+# kernels' bytes), and vetted for arm64, which has no assembly and
+# cannot be run here.
 fallback:
 	$(GO) test -tags purego ./internal/align/ ./internal/gact/
+	GOFLAGS=-tags=purego $(GO) test -run '^TestOutputDigests$$' .
 	GOARCH=arm64 $(GO) vet ./internal/align/ ./internal/gact/
 
 # Bounded runs of the fuzz targets, on top of their committed seed

@@ -65,9 +65,9 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "darwin: wrote index %s\n", src.Index)
 	}
 
-	tLoad := obs.Default.Timer("stage/load_input").Time()
+	load := obs.Default.Timer("stage/load_input").Start(nil)
 	reads, err := dna.ReadFile(*readsPath)
-	tLoad()
+	load.End()
 	if err != nil {
 		return err
 	}
@@ -144,18 +144,18 @@ func run() error {
 			fmt.Fprintf(os.Stderr, "darwin: read %q failed: %v\n", rec.Name, results[ri].Err)
 			alns = nil
 		}
-		stopEmit := tEmit.Time()
+		emit := tEmit.Start(nil)
 		recs := server.RecordsFor(ref, rec.Name, rec.Seq, alns, *allAlignments)
 		if recs[0].Flag&sam.FlagUnmapped == 0 {
 			mapped++
 		}
 		for _, r := range recs {
 			if err := w.Write(r); err != nil {
-				stopEmit()
+				emit.End()
 				return err
 			}
 		}
-		stopEmit()
+		emit.End()
 	}
 	if err := w.Flush(); err != nil {
 		return err

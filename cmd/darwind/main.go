@@ -57,7 +57,6 @@ func run() error {
 	workerName := flag.String("worker-name", "", "cluster-worker mode: this process's name in the cluster map (requires -cluster-workers and a sharded engine)")
 	clusterWorkers := flag.String("cluster-workers", "", "cluster roster as name=url,name=url — must match darwin-router's -workers exactly")
 	clusterReplication := flag.Int("cluster-replication", 2, "replicas per shard in the cluster map — must match darwin-router")
-	scatterConcurrency := flag.Int("scatter-concurrency", 4, "max concurrent cluster scatter sub-requests (overflow → 429)")
 	jobsDir := flag.String("jobs-dir", "", "enable the assembly job API, persisting jobs under this directory")
 	jobsConcurrency := flag.Int("jobs-concurrency", 1, "max simultaneously executing assembly jobs")
 	jobsCkptEvery := flag.Int("jobs-checkpoint-every", 16, "overlap-stage checkpoint cadence in reads")
@@ -108,9 +107,8 @@ func run() error {
 		}
 		name := *workerName
 		workerCfg = server.WorkerConfig{
-			Enabled:            true,
-			Name:               name,
-			ScatterConcurrency: *scatterConcurrency,
+			Enabled: true,
+			Name:    name,
 			// Ownership is derived from the actual index geometry at
 			// warm time: without -shards the shard count is the one a
 			// sharded -index file records, so it cannot be hashed

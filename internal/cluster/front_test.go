@@ -322,3 +322,46 @@ func TestRouterAnswersLikeDarwind(t *testing.T) {
 		})
 	}
 }
+
+// TestRouterProbeRejectsLayoutMismatch: two FASTA-built darwind workers
+// (no index fingerprint to compare) over the same bases under different
+// sequence names agree on geometry, engine, ownership and total length,
+// yet merged SAM would carry only one worker's names. The probe must
+// refuse them.
+func TestRouterProbeRejectsLayoutMismatch(t *testing.T) {
+	seq := dna.Random(rand.New(rand.NewSource(5)), 20000, 0.5)
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	roster := []Worker{{Name: "w0"}, {Name: "w1"}}
+	cmap, err := NewMap(roster, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, seqName := range []string{"chr1", "chrA"} {
+		var buf bytes.Buffer
+		if err := dna.WriteFASTA(&buf, []dna.Record{{Name: seqName, Seq: seq}}); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "ref.fa")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		name := roster[i].Name
+		cfg := server.Config{DefaultRef: path, Core: core.DefaultConfig(11, 400, 18), DisableSidecar: true, Logger: quiet,
+			Shard: shard.Config{Shards: 2},
+			Worker: server.WorkerConfig{Enabled: true, Name: name,
+				AssignShards: func(n int) ([]int, error) { return cmap.OwnedBy(name, n) }}}
+		ts := httptest.NewServer(warmDarwind(t, cfg).Handler())
+		t.Cleanup(ts.Close)
+		roster[i].URL = ts.URL
+	}
+	rt, err := New(Config{Workers: roster, Replication: 1, Logger: quiet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Probe(t.Context()); err == nil || !strings.Contains(err.Error(), "reference layout") {
+		t.Fatalf("probe over workers naming their sequence chr1 and chrA: %v, want a reference-layout refusal", err)
+	}
+	if rt.Ready() {
+		t.Fatal("router ready after a failed probe")
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -200,6 +201,10 @@ func (rt *Router) Probe(ctx context.Context) error {
 		if sr.Geometry != first.Geometry {
 			return fmt.Errorf("cluster: %s geometry %+v differs from %+v", ws.Name, sr.Geometry, first.Geometry)
 		}
+		if !sameLayout(sr.Ref, first.Ref) {
+			return fmt.Errorf("cluster: %s reference layout (%d sequences, %d bp) differs from %s's (%d sequences, %d bp): names, offsets or lengths disagree",
+				ws.Name, len(sr.Ref.Names), sr.Ref.TotalLen, first.Worker, len(first.Ref.Names), first.Ref.TotalLen)
+		}
 		if sr.Engine != first.Engine {
 			return fmt.Errorf("cluster: %s engine parameters %+v differ from %+v", ws.Name, sr.Engine, first.Engine)
 		}
@@ -224,6 +229,15 @@ func (rt *Router) Probe(ctx context.Context) error {
 	rt.fingerprint = first.Fingerprint
 	rt.SetReady()
 	return nil
+}
+
+// sameLayout reports whether two workers lay out the same reference:
+// the same sequence names, offsets and lengths, and the same total
+// length. SAM takes its header and coordinates from one worker's
+// layout, so every worker must hold that layout.
+func sameLayout(a, b server.RefMeta) bool {
+	return a.TotalLen == b.TotalLen && slices.Equal(a.Names, b.Names) &&
+		slices.Equal(a.Offsets, b.Offsets) && slices.Equal(a.Lengths, b.Lengths)
 }
 
 // attemptResult is one replica attempt's outcome.

@@ -161,7 +161,7 @@ func New(ref dna.Seq, cfg Config) (*Darwin, error) {
 	if len(ref) == 0 {
 		return nil, fmt.Errorf("core: empty reference")
 	}
-	start := time.Now()
+	stage := tIndex.Start(nil)
 	if err := fpIndexBuild.Fire(); err != nil {
 		return nil, fmt.Errorf("core: building seed table: %w", err)
 	}
@@ -169,7 +169,7 @@ func New(ref dna.Seq, cfg Config) (*Darwin, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: building seed table: %w", err)
 	}
-	return assemble(ref, table, cfg, tIndex.Since(start))
+	return assemble(ref, table, cfg, stage.End())
 }
 
 // NewWithTable assembles an engine around a prebuilt seed table — the

@@ -14,15 +14,13 @@ import (
 
 // Overlap-step observability: overlap/reads_done advances once per
 // queried read (both strands), which is what drives -progress in
-// cmd/darwin-overlap; filter/align time lands in the shared stage
-// timers via the dsoft/gact packages. overlap/workers and
-// overlap/worker_busy mirror core/workers and core/worker_busy:
-// utilization = busy seconds / (wall × workers).
+// cmd/darwin-overlap. Each read runs through Batch.Read, so worker
+// count, busy time and the per-read roll-ups are the core/* ones;
+// filter/align time lands in the shared stage timers via the dsoft/gact
+// packages.
 var (
-	cOverlapReads   = obs.Default.Counter("overlap/reads_done")
-	cOverlapsOut    = obs.Default.Counter("overlap/overlaps_found")
-	gOverlapWorkers = obs.Default.Gauge("overlap/workers")
-	tOverlapBusy    = obs.Default.Timer("overlap/worker_busy")
+	cOverlapReads = obs.Default.Counter("overlap/reads_done")
+	cOverlapsOut  = obs.Default.Counter("overlap/overlaps_found")
 )
 
 // Overlap is a detected pairwise overlap between two reads in the
@@ -177,60 +175,54 @@ type OverlapRun struct {
 	Progress func(done, total int)
 }
 
-// readOverlaps is one read's contribution to a pass: its candidate
-// overlaps (forward strand then reverse, each in extension order) and
-// the statistics of producing them.
-type readOverlaps struct {
-	ovs []Overlap
-	st  MapStats
-}
-
-// queryRead runs read q, both strands, against the concatenated
-// reference on worker w. Each GACT extension is clipped to the segment
-// of the read its candidate falls in: N padding contributes nothing to
-// scores (the hardware's Σext semantics), so an unclipped extension
-// would silently bridge adjacent reads and misattribute the overlap. A
-// read's trivial self-hit in the concatenated reference is dropped.
-func (o *Overlapper) queryRead(w *Worker, q, minOverlap int) readOverlaps {
-	alns, st := o.darwin.mapRead(w, o.reads[q], func(refPos int) (lo, hi int, ok bool) {
+// window is read q's clip rule for the mapping pipeline: each GACT
+// extension is clipped to the segment of the read its candidate falls
+// in. N padding contributes nothing to scores (the hardware's Σext
+// semantics), so an unclipped extension would silently bridge adjacent
+// reads and misattribute the overlap. A read's trivial self-hit in the
+// concatenated reference is dropped.
+func (o *Overlapper) window(q int) func(refPos int) (lo, hi int, ok bool) {
+	return func(refPos int) (lo, hi int, ok bool) {
 		t := o.readAt(refPos)
 		lo, hi = o.offsets[t], o.offsets[t]+len(o.reads[t])
 		return lo, hi, t != q && refPos < hi
-	})
-	out := readOverlaps{st: st}
-	for _, a := range alns {
-		target := o.readAt(a.Result.RefStart)
-		tStart := a.Result.RefStart - o.offsets[target]
-		tEnd := min(a.Result.RefEnd-o.offsets[target], len(o.reads[target]))
-		if tEnd-tStart < minOverlap {
-			continue
-		}
-		out.ovs = append(out.ovs, Overlap{
-			Target:      target,
-			Query:       q,
-			QueryRev:    a.Reverse,
-			TargetStart: tStart,
-			TargetEnd:   tEnd,
-			QueryStart:  a.Result.QueryStart,
-			QueryEnd:    a.Result.QueryEnd,
-			Score:       a.Result.Score,
-		})
 	}
-	return out
 }
 
-// Run executes the overlap pass described by r. Workers query reads
-// concurrently, each on its own Worker from the engine's Pool, at most a window of reads ahead of
-// the merge; the calling goroutine alone folds their results, strictly
-// in read order, and is the only one to call Progress and Save. The
-// fold is therefore the serial one — same tie-breaks, same checkpoint
+// overlapOf converts one of read q's alignments against the
+// concatenated reference into an overlap; ok is false when it covers
+// fewer than minOverlap bases of its target.
+func (o *Overlapper) overlapOf(q int, a *ReadAlignment, minOverlap int) (ov Overlap, ok bool) {
+	target := o.readAt(a.Result.RefStart)
+	tStart := a.Result.RefStart - o.offsets[target]
+	tEnd := min(a.Result.RefEnd-o.offsets[target], len(o.reads[target]))
+	return Overlap{
+		Target:      target,
+		Query:       q,
+		QueryRev:    a.Reverse,
+		TargetStart: tStart,
+		TargetEnd:   tEnd,
+		QueryStart:  a.Result.QueryStart,
+		QueryEnd:    a.Result.QueryEnd,
+		Score:       a.Result.Score,
+	}, tEnd-tStart >= minOverlap
+}
+
+// Run executes the overlap pass described by r. Each read runs
+// through Batch.Read, the mapping path's guarded per-read body, on one
+// of the batch's workers, at most a window of reads ahead of the merge;
+// the calling goroutine alone folds their results, strictly in read
+// order, and is the only one to call Progress and Save. The fold is
+// therefore the serial one — same tie-breaks, same checkpoint
 // boundaries, same statistic sums — so overlaps, counters and every
 // checkpoint are identical for any worker count and any resume point.
 //
 // ctx is checked before each read is merged: on cancellation Run saves
 // a checkpoint at the first unmerged read (when Save is set) and
 // returns the overlaps merged so far with ctx.Err(), joined with the
-// save's error if that failed too. No goroutine outlives Run.
+// save's error if that failed too. A read that fails (MapResult.Err: a
+// panic or an injected fault) fails the pass with an error naming it.
+// No goroutine outlives Run.
 //
 // Stats cover only the reads processed by this call: a resumed pass
 // reports the remaining work, not the pre-checkpoint history. With
@@ -239,46 +231,44 @@ func (o *Overlapper) queryRead(w *Worker, q, minOverlap int) readOverlaps {
 func (o *Overlapper) Run(ctx context.Context, r OverlapRun) ([]Overlap, OverlapStats, error) {
 	stats := OverlapStats{TableBuildTime: o.darwin.TableBuildTime}
 	best := map[overlapKey]Overlap{}
-	merge := func(ovs []Overlap) {
-		for i := range ovs {
-			k := keyOf(&ovs[i])
-			if cur, ok := best[k]; !ok || ovs[i].Score > cur.Score {
-				best[k] = ovs[i]
-			}
+	keep := func(ov Overlap) {
+		k := keyOf(&ov)
+		if cur, ok := best[k]; !ok || ov.Score > cur.Score {
+			best[k] = ov
 		}
 	}
 	start, n := 0, len(o.reads)
 	if r.Resume != nil {
 		start = max(r.Resume.NextRead, 0)
-		merge(r.Resume.Overlaps)
+		for _, ov := range r.Resume.Overlaps {
+			keep(ov)
+		}
 	}
-	workers := max(min(DefaultWorkers(r.Workers), n-start), 1)
-	gOverlapWorkers.Set(int64(workers))
+	b := NewBatch(o.darwin.pool, n-start, MapSettings{Workers: r.Workers})
 	// Each in-flight read owns the slot at its index modulo the window;
 	// a slot is free again once its read is merged, which is before the
 	// read a window later is fed, so no worker ever blocks on its send.
-	window := 2 * workers
-	slots := make([]chan readOverlaps, window)
+	window := 2 * b.Workers
+	slots := make([]chan MapResult, window)
 	for i := range slots {
-		slots[i] = make(chan readOverlaps, 1)
+		slots[i] = make(chan MapResult, 1)
 	}
-	ws := o.darwin.pool.Take(workers)
 	var stopped atomic.Bool // set by finish: reads still queued are dropped
-	feed, join := startWorkers(workers, window, func(tid, q int) {
+	feed, join := startWorkers(b.Workers, window, func(tid, q int) {
 		if stopped.Load() {
 			return
 		}
-		busy := time.Now()
-		res := o.queryRead(ws[tid-1], q, r.MinOverlap)
-		tOverlapBusy.SinceOn(busy, tid)
-		slots[q%window] <- res
+		slots[q%window] <- b.Read(tid, q, func(w *Worker) ([]ReadAlignment, MapStats, error) {
+			alns, st := o.darwin.mapRead(w, o.reads[q], o.window(q))
+			return alns, st, nil
+		})
 	})
 	// finish is every exit once workers run: it stops and joins them
-	// and puts their machinery back in the pool.
+	// and gives the batch's workers back.
 	finish := func(err error) ([]Overlap, OverlapStats, error) {
 		stopped.Store(true)
 		join()
-		o.darwin.pool.Put(ws...)
+		b.Close()
 		out := collectOverlaps(best)
 		cOverlapsOut.Add(int64(len(out)))
 		return out, stats, err
@@ -303,8 +293,15 @@ func (o *Overlapper) Run(ctx context.Context, r OverlapRun) ([]Overlap, OverlapS
 			feed <- next
 		}
 		res := <-slots[q%window]
-		merge(res.ovs)
-		stats.Map.add(res.st)
+		if res.Err != nil {
+			return finish(fmt.Errorf("core: overlapping read %d: %w", q, res.Err))
+		}
+		for i := range res.Alignments {
+			if ov, ok := o.overlapOf(q, &res.Alignments[i], r.MinOverlap); ok {
+				keep(ov)
+			}
+		}
+		stats.Map.add(res.Stats)
 		cOverlapReads.Inc()
 		if r.Progress != nil {
 			r.Progress(q+1, n)

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"regexp"
 	"runtime"
 	"strconv"
 	"testing"
 	"time"
 
 	"darwin/internal/dna"
+	"darwin/internal/faults"
 )
 
 // overlapTestSet is a 64-read set over a small genome, dense enough
@@ -70,8 +73,8 @@ func TestOverlapRunWorkerCountInvariance(t *testing.T) {
 		if !reflect.DeepEqual(got.ckpts, want.ckpts) {
 			t.Errorf("workers=%d: checkpoint sequence differs from workers=1", workers)
 		}
-		if g := gOverlapWorkers.Value(); g != int64(workers) {
-			t.Errorf("overlap/workers gauge = %d, want %d", g, workers)
+		if g := gWorkers.Value(); g != int64(workers) {
+			t.Errorf("core/workers gauge = %d, want %d", g, workers)
 		}
 	}
 }
@@ -209,4 +212,45 @@ func TestOverlapRunEarlyExits(t *testing.T) {
 			waitGoroutines(t, base)
 		}
 	})
+}
+
+// TestOverlapRunReadPanic: a panic inside one read's extension fails
+// the pass with an error naming that read instead of killing the
+// process; the workers stop, no goroutine is left behind, and the
+// worker the panic ran through is retired, so the next pass on the same
+// Overlapper returns the clean overlaps.
+func TestOverlapRunReadPanic(t *testing.T) {
+	defer faults.Default.Reset()
+	ov, seqs := overlapTestSet(t)
+	run := OverlapRun{MinOverlap: 400, Workers: 1}
+	clean, _, err := ov.Run(context.Background(), run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := regexp.MustCompile(`overlapping read (\d+): core: read mapping panicked: .*boom`)
+	for _, workers := range []int{1, 3} {
+		run.Workers = workers
+		base := runtime.NumGoroutine()
+		if err := faults.Default.Enable("gact/extend=after=200,times=1,panic=boom"); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := ov.Run(context.Background(), run)
+		faults.Default.Reset()
+		m := named.FindStringSubmatch(fmt.Sprint(err))
+		if m == nil {
+			t.Fatalf("workers=%d: err = %v, want a panicked read named", workers, err)
+		}
+		if q, _ := strconv.Atoi(m[1]); q >= len(seqs) {
+			t.Errorf("workers=%d: error names read %d of %d", workers, q, len(seqs))
+		}
+		waitGoroutines(t, base)
+
+		got, _, err := ov.Run(context.Background(), run)
+		if err != nil {
+			t.Fatalf("workers=%d: pass after the panic: %v", workers, err)
+		}
+		if !reflect.DeepEqual(got, clean) {
+			t.Errorf("workers=%d: pass after the panic differs from a clean one", workers)
+		}
+	}
 }

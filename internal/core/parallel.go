@@ -156,9 +156,9 @@ send:
 
 // Batch is the state the reads of one Map call share: the workers they
 // run on, taken from the engine's Pool, and the span their
-// core/worker_busy spans hang under. Both engines' Map build one with
-// NewBatch, run every read through Read and give the workers back with
-// Close.
+// core/worker_busy spans hang under. Both engines' Map and
+// Overlapper.Run build one with NewBatch, run every read through Read
+// and give the workers back with Close.
 type Batch struct {
 	// Workers is the resolved worker count: DefaultWorkers of the
 	// setting, at most one per read, at least 1.

@@ -214,7 +214,7 @@ func (f *Filter) Query(q dna.Seq) ([]Candidate, Stats) {
 // steady-state mapping pays no per-query candidate allocation once the
 // buffer has grown to the working-set size.
 func (f *Filter) QueryInto(q dna.Seq, out []Candidate) ([]Candidate, Stats) {
-	defer tFilter.Time()()
+	defer tFilter.Start(nil).End()
 	k := f.table.K()
 	B := f.cfg.BinSize
 	f.ensureBins(len(q))

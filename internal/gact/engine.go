@@ -3,7 +3,6 @@ package gact
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"darwin/internal/align"
 	"darwin/internal/dna"
@@ -103,14 +102,14 @@ func (e *Engine) Extend(R, Q dna.Seq, iSeed, jSeed int) (res *align.Result, stat
 	if iSeed < 0 || iSeed >= len(R) || jSeed < 0 || jSeed >= len(Q) {
 		return nil, stats, fmt.Errorf("gact: seed position (%d,%d) outside R[0,%d) × Q[0,%d)", iSeed, jSeed, len(R), len(Q))
 	}
-	start := time.Now()
+	stage := tAlign.Start(nil)
 	defer func() {
-		d := tAlign.Since(start)
+		d := stage.End()
 		if res == nil {
 			return
 		}
 		tExtend.Observe(d)
-		if c := sp.AddTimedChild(tExtend, start, d); c != nil {
+		if c := sp.AddTimedChild(tExtend, stage.Start(), d); c != nil {
 			c.SetAttr("tiles", int64(stats.Tiles))
 			c.SetAttr("cells", stats.Cells)
 			c.SetAttr("first_tile_score", int64(stats.FirstTileScore))
@@ -126,9 +125,9 @@ func (e *Engine) Extend(R, Q dna.Seq, iSeed, jSeed int) (res *align.Result, stat
 	fT := cfg.firstT()
 	iEnd, jEnd := min(len(R), iSeed+fT), min(len(Q), jSeed+fT)
 	minFirst := max(1, cfg.MinFirstTile)
-	ftStart := time.Now()
+	ft := tFirstTile.Start(nil)
 	first := e.ta.AlignFirstTile(R[iSeed:iEnd], Q[jSeed:jEnd], fT-cfg.O, minFirst)
-	ftTime := tFirstTile.Since(ftStart)
+	ftTime := ft.End()
 	stats.add(iEnd-iSeed, jEnd-jSeed)
 	stats.FirstTileScore = first.Score
 	if first.Score < minFirst {

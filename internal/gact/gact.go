@@ -13,7 +13,6 @@ package gact
 
 import (
 	"fmt"
-	"time"
 
 	"darwin/internal/align"
 	"darwin/internal/dna"
@@ -180,16 +179,16 @@ func Extend(R, Q dna.Seq, iSeed, jSeed int, cfg *Config) (*align.Result, *Stats,
 	if iSeed < 0 || iSeed >= len(R) || jSeed < 0 || jSeed >= len(Q) {
 		return nil, nil, fmt.Errorf("gact: seed position (%d,%d) outside R[0,%d) × Q[0,%d)", iSeed, jSeed, len(R), len(Q))
 	}
-	defer tAlign.Time()()
+	defer tAlign.Start(nil).End()
 	stats := &Stats{}
 
 	// First tile, spanning forward from the candidate. Traceback
 	// starts at the highest-scoring cell.
 	fT := cfg.firstT()
 	iEnd, jEnd := min(len(R), iSeed+fT), min(len(Q), jSeed+fT)
-	ftStart := time.Now()
+	ft := tFirstTile.Start(nil)
 	first := align.AlignTile(R[iSeed:iEnd], Q[jSeed:jEnd], true, fT-cfg.O, &cfg.Scoring)
-	ftTime := tFirstTile.Since(ftStart)
+	ftTime := ft.End()
 	stats.add(iEnd-iSeed, jEnd-jSeed)
 	stats.FirstTileScore = first.Score
 	if first.Score <= 0 || len(first.Cigar) == 0 || first.Score < cfg.MinFirstTile {
@@ -260,7 +259,7 @@ func ExtendLeftOnly(R, Q dna.Seq, iSeed, jSeed int, cfg *Config) (*align.Result,
 	if iSeed <= 0 || iSeed > len(R) || jSeed <= 0 || jSeed > len(Q) {
 		return nil, nil, fmt.Errorf("gact: seed position (%d,%d) outside R[0,%d] × Q[0,%d]", iSeed, jSeed, len(R), len(Q))
 	}
-	defer tAlign.Time()()
+	defer tAlign.Start(nil).End()
 	stats := &Stats{}
 	fT := cfg.firstT()
 	iStart, jStart := max(0, iSeed-fT), max(0, jSeed-fT)

@@ -41,8 +41,7 @@ func Open(path string, opts Options) (*File, error) {
 		cLoadErrors.Inc()
 		return nil, fmt.Errorf("indexfile: opening %s: %w", path, err)
 	}
-	stop := tLoad.Time()
-	defer stop()
+	defer tLoad.Start(nil).End()
 	f, err := open(path, opts)
 	if err != nil {
 		cLoadErrors.Inc()
@@ -113,15 +112,15 @@ func (f *File) parse(opts Options) error {
 		}
 	}
 	if !opts.SkipChecksums {
-		stop := tLoadVerify.Time()
+		verify := tLoadVerify.Start(nil)
 		for i, s := range secs {
 			if got := crc32.Checksum(f.sectionBytes(s), castagnoli); got != s.crc {
-				stop()
+				verify.End()
 				return formatErr(CodeChecksumMismatch, path, "section %d (%s) CRC %08x != stored %08x",
 					i, sectionKindNames[s.kind], got, s.crc)
 			}
 		}
-		stop()
+		verify.End()
 	}
 	f.info, f.secs = *info, secs
 	return nil

@@ -95,8 +95,7 @@ func (idx *Index) sections() ([]section, [][]byte) {
 // crashed build never leaves a half-written index where a sidecar
 // loader would find it.
 func Write(path string, idx *Index) (err error) {
-	stop := tSave.Time()
-	defer stop()
+	defer tSave.Start(nil).End()
 	if err := idx.validate(); err != nil {
 		return err
 	}

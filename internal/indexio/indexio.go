@@ -108,10 +108,10 @@ func OpenSource(src Source, cfg core.Config, spec core.ShardSpec) (*Loaded, erro
 	}
 	recs := src.Records
 	if recs == nil {
-		stop := tLoadInput.Time()
+		stage := tLoadInput.Start(nil)
 		var err error
 		recs, err = dna.ReadFile(src.Path)
-		stop()
+		stage.End()
 		if err != nil {
 			return nil, err
 		}

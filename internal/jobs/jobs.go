@@ -514,6 +514,13 @@ func (m *Manager) start(j *job, resume *core.OverlapCheckpoint) {
 
 // execute runs the pipeline for one job that holds an executor slot.
 func (m *Manager) execute(ctx context.Context, j *job, resume *core.OverlapCheckpoint) {
+	// A panic in any stage fails this job, not the process and the
+	// other jobs and requests it serves.
+	defer func() {
+		if r := recover(); r != nil {
+			m.failJob(j, fmt.Errorf("jobs: job panicked: %v", r), "")
+		}
+	}()
 	j.mu.Lock()
 	now := time.Now().UTC()
 	j.st.State = StateRunning

@@ -7,10 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"darwin/internal/dna"
+	"darwin/internal/faults"
 	"darwin/internal/genome"
 	"darwin/internal/readsim"
 )
@@ -168,6 +170,34 @@ func TestJobLifecycleOverlap(t *testing.T) {
 	}
 	if !bytes.HasPrefix(data, []byte(`{"target":`)) {
 		t.Errorf("result does not look like overlap NDJSON: %.40q", data)
+	}
+}
+
+// TestJobPanicFailsJob: a panic in a job's stage fails that job with
+// the panic in its error, and the manager goes on to run the next job.
+func TestJobPanicFailsJob(t *testing.T) {
+	defer faults.Default.Reset()
+	m := newTestManager(t, t.TempDir(), 0)
+	defer m.Drain(context.Background())
+	recs := testRecords(t, 20)
+	if err := faults.Default.Enable("olc/layout=times=1,panic=boom"); err != nil {
+		t.Fatal(err)
+	}
+	st, err := m.Submit(KindAssemble, recs, testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := waitState(t, m, st.ID, 2*time.Minute)
+	faults.Default.Reset()
+	if fin.State != StateFailed || !strings.Contains(fin.Error, "panicked") || !strings.Contains(fin.Error, "boom") {
+		t.Fatalf("panicked job: state %s, error %q; want failed with the panic", fin.State, fin.Error)
+	}
+	st, err = m.Submit(KindAssemble, recs, testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitState(t, m, st.ID, 2*time.Minute); fin.State != StateDone {
+		t.Errorf("job after the panic: state %s (error %q), want done", fin.State, fin.Error)
 	}
 }
 

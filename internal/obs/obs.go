@@ -66,43 +66,24 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Timer accumulates durations: total elapsed time and observation
-// count, both atomic. It carries the name its registry gave it;
-// Since, SinceOn and Time also append a Chrome trace event under that
-// name while Trace is enabled.
+// count, both atomic. It carries the name its registry gave it. An
+// interval is timed with Start or StartOn and Stage.End, which also
+// append a Chrome trace event under that name while Trace is enabled;
+// Observe records an interval measured elsewhere.
 type Timer struct {
 	name  string
 	count atomic.Int64
 	nanos atomic.Int64
 }
 
-// Observe records one duration and no trace event: it is for a
-// sub-account of an interval another timer already traces (e.g.
-// gact/first_tile_reject within gact/first_tile).
+// Observe records one duration and no trace event. It is for an
+// interval measured elsewhere: a sub-account of an interval another
+// timer already traces (gact/first_tile_reject within gact/first_tile),
+// or an interval whose timer is chosen only once it has ended (index
+// load vs build).
 func (t *Timer) Observe(d time.Duration) {
 	t.count.Add(1)
 	t.nanos.Add(int64(d))
-}
-
-// Since records the time elapsed since start and returns it.
-func (t *Timer) Since(start time.Time) time.Duration { return t.SinceOn(start, 0) }
-
-// SinceOn is Since with the trace event on thread lane tid (a worker
-// index), so per-worker lanes separate in the trace viewer. With
-// tracing off its only cost beyond Observe is one atomic load.
-func (t *Timer) SinceOn(start time.Time, tid int) time.Duration {
-	d := time.Since(start)
-	t.Observe(d)
-	if Trace.enabled.Load() {
-		Trace.record(t.name, tid, start, d)
-	}
-	return d
-}
-
-// Time starts a measurement; calling the returned func records it as
-// Since does. Usage: defer t.Time()().
-func (t *Timer) Time() func() {
-	start := time.Now()
-	return func() { t.Since(start) }
 }
 
 // Count returns the number of observations.

@@ -115,21 +115,21 @@ func withTracer(t *testing.T, maxSpans int) *Tracer {
 }
 
 // TestTracerChromeJSON: a timer's interval becomes one Chrome event
-// named after the timer, on the lane SinceOn names, lasting what the
+// named after the timer, on the lane StartOn names, lasting what the
 // timer recorded; nothing is recorded while tracing is off, and
 // Observe never traces.
 func TestTracerChromeJSON(t *testing.T) {
 	tr := withTracer(t, 100)
 	tm := NewRegistry().Timer("stage/work")
-	tm.Since(time.Now())
-	tm.Time()()
+	tm.Start(nil).End()
+	tm.StartOn(nil, 2).End()
 	if tr.Len() != 0 {
 		t.Fatal("disabled tracer recorded an event")
 	}
 	tr.Enable()
-	start := time.Now()
+	stage := tm.StartOn(nil, 3)
 	time.Sleep(time.Millisecond)
-	d := tm.SinceOn(start, 3)
+	d := stage.End()
 	tm.Observe(time.Second)
 	if tm.Count() != 4 {
 		t.Errorf("timer count = %d, want 4", tm.Count())
@@ -161,7 +161,7 @@ func TestTracerCap(t *testing.T) {
 	tr.Enable()
 	tm := NewRegistry().Timer("s")
 	for i := 0; i < 5; i++ {
-		tm.Since(time.Now())
+		tm.Start(nil).End()
 	}
 	if tr.Len() != 2 {
 		t.Errorf("len = %d, want cap 2", tr.Len())

@@ -20,8 +20,8 @@ type Report struct {
 	Args        []string  `json:"args,omitempty"`
 	Start       time.Time `json:"start"`
 	WallSeconds float64   `json:"wall_seconds"`
-	// Workers is the mapping parallelism (gauge core/workers, or
-	// overlap/workers for a run that only overlaps); stage
+	// Workers is the mapping parallelism (gauge core/workers, which
+	// every batch pass sets, the de novo overlap pass included); stage
 	// timings are cumulative across workers, so with Workers > 1 they
 	// may legitimately sum past wall clock.
 	Workers int `json:"workers,omitempty"`
@@ -78,10 +78,6 @@ func (r *Run) Report() *Report {
 		Histograms:  diff.Histograms,
 		Throughput:  map[string]float64{},
 	}
-	if rep.Workers == 0 {
-		// A de novo run maps nothing through core.Map.
-		rep.Workers = int(diff.Gauges["overlap/workers"])
-	}
 	for _, st := range rep.Stages {
 		rep.StageSecondsTotal += st.Seconds
 	}
@@ -92,9 +88,6 @@ func (r *Run) Report() *Report {
 			}
 		}
 		rate("reads_per_sec", "core/reads")
-		if _, ok := rep.Throughput["reads_per_sec"]; !ok {
-			rate("reads_per_sec", "overlap/reads_done")
-		}
 		rate("cells_per_sec", "gact/cells")
 		rate("tiles_per_sec", "gact/tiles")
 		rate("seeds_per_sec", "dsoft/seeds_issued")

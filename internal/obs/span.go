@@ -138,7 +138,9 @@ func (s *Span) Duration() time.Duration {
 // span named after the timer, closed with the same duration the timer
 // records, so a request's tree and the registry read one clock under
 // one name. A Stage is a value: untraced, opening and closing one
-// allocates nothing. Each Stage must be ended exactly once.
+// allocates nothing. Each Stage must be ended at most once; one
+// abandoned on an error path records nothing (a traced one leaves its
+// span open).
 type Stage struct {
 	t     *Timer
 	span  *Span
@@ -151,7 +153,7 @@ type Stage struct {
 func (t *Timer) Start(parent *Span) Stage { return t.StartOn(parent, 0) }
 
 // StartOn is Start with the interval's trace event on thread lane tid
-// (a worker index), as SinceOn.
+// (a worker index), so per-worker lanes separate in the trace viewer.
 func (t *Timer) StartOn(parent *Span, tid int) Stage {
 	start := time.Now()
 	return Stage{t: t, span: parent.addChild(t.name, start, 0, false), start: start, tid: tid}
@@ -165,10 +167,15 @@ func (st Stage) Span() *Span { return st.span }
 // (AddTimedChild) inside it.
 func (st Stage) Start() time.Time { return st.start }
 
-// End records the interval into the timer (and the trace, as SinceOn
-// does), closes the span with the same duration and returns it.
+// End records the interval into the timer and, while Trace is enabled,
+// the trace (with tracing off that costs one atomic load), closes the
+// span with the same duration and returns it.
 func (st Stage) End() time.Duration {
-	d := st.t.SinceOn(st.start, st.tid)
+	d := time.Since(st.start)
+	st.t.Observe(d)
+	if Trace.enabled.Load() {
+		Trace.record(st.t.name, st.tid, st.start, d)
+	}
 	st.span.finish(d)
 	return d
 }

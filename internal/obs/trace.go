@@ -9,7 +9,7 @@ import (
 )
 
 // Tracer stores the intervals the registry timers record while it is
-// enabled — one event per Timer.Since / SinceOn / Time call, named
+// enabled — one event per Stage.End (Timer.Start / StartOn), named
 // after the timer — and dumps them as Chrome trace_event JSON for
 // chrome://tracing / Perfetto. It has no naming API of its own. When
 // disabled, a timer pays one atomic load for it.

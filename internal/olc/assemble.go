@@ -214,7 +214,7 @@ func Overlap(ctx context.Context, reads []dna.Seq, options ...Option) ([]core.Ov
 // also the stage's child span, and is guarded by a fault point
 // (olc/overlap, olc/layout, olc/consensus, olc/polish).
 func Assemble(ctx context.Context, reads []dna.Seq, options ...Option) (*Assembly, error) {
-	defer tAssemble.Time()()
+	defer tAssemble.Start(nil).End()
 	s := ResolveOptions(options)
 	readLens := make([]int, len(reads))
 	for i := range reads {

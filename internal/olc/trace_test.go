@@ -85,11 +85,11 @@ func TestTraceEventsAreRegistryTimers(t *testing.T) {
 			t.Errorf("event %q is not a registry timer", e.Name)
 		}
 		seen[e.Name] = true
-		if (e.Name == "core/worker_busy" || e.Name == "overlap/worker_busy") && e.TID < 1 {
+		if e.Name == "core/worker_busy" && e.TID < 1 {
 			t.Errorf("%s event on lane %d, want a worker lane ≥ 1", e.Name, e.TID)
 		}
 	}
-	for _, name := range []string{"core/worker_busy", "overlap/worker_busy", "stage/filter", "stage/align", "gact/first_tile", "olc/assemble"} {
+	for _, name := range []string{"core/worker_busy", "stage/filter", "stage/align", "gact/first_tile", "olc/assemble"} {
 		if !seen[name] {
 			t.Errorf("no %s event in the trace", name)
 		}

@@ -43,18 +43,12 @@ type WorkerConfig struct {
 	// the count a sharded index file records). cmd/darwind wires this
 	// to the cluster map's rendezvous assignment.
 	AssignShards func(shards int) ([]int, error)
-	// ScatterConcurrency is the scatter gate's slot count (default 4);
-	// excess load sheds with 429 + Retry-After so the router's hedging
-	// and failover see backpressure instead of queueing.
-	ScatterConcurrency int
 }
 
-func (c WorkerConfig) withDefaults() WorkerConfig {
-	if c.ScatterConcurrency <= 0 {
-		c.ScatterConcurrency = 4
-	}
-	return c
-}
+// scatterConcurrency is the scatter gate's slot count; excess load
+// sheds with 429 + Retry-After so the router's hedging and failover see
+// backpressure instead of queueing.
+const scatterConcurrency = 4
 
 // RefMeta is the reference coordinate layout on the wire — enough for
 // a router to rebuild a layout-only core.Reference (LocateSpan, Name)

@@ -81,7 +81,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueBound <= 0 {
 		c.QueueBound = 256
 	}
-	c.Worker = c.Worker.withDefaults()
 	return c
 }
 
@@ -93,7 +92,7 @@ type Server struct {
 
 	// mapGate admits /v1/map requests: one slot per CPU, QueueBound
 	// waiters. scatterGate admits cluster sub-requests in worker mode:
-	// ScatterConcurrency slots and no waiters, because the router
+	// scatterConcurrency slots and no waiters, because the router
 	// prefers a fast 429 it can fail over or hedge against to a queue
 	// that smears tail latency.
 	mapGate     *gate
@@ -114,7 +113,7 @@ func New(cfg Config) *Server {
 		Front:       NewFront("server", cfg.Logger, cfg.RequestTimeout, cfg.MaxReadsPerRequest, cfg.MaxBodyBytes, cfg.SlowCapture),
 		cfg:         cfg,
 		mapGate:     newGate(core.DefaultWorkers(0), cfg.QueueBound),
-		scatterGate: newGate(cfg.Worker.ScatterConcurrency, 0),
+		scatterGate: newGate(scatterConcurrency, 0),
 	}
 	s.Front.tierStats = s.darwindStats
 	s.HandleFunc("/v1/map", s.handleMap)
@@ -185,13 +184,13 @@ func (s *Server) openDefault() (*IndexEntry, error) {
 	}
 	e := newIndexEntry(l)
 	if l.File != nil {
-		tIndexLoad.Since(start)
+		tIndexLoad.Observe(time.Since(start))
 		s.log.Info("index mapped from file",
 			"path", e.IndexFile, "mapped_bytes", e.MappedBytes,
 			"fingerprint", fmt.Sprintf("%016x", e.Fingerprint))
 		return e, nil
 	}
-	tIndexBuild.Since(start)
+	tIndexBuild.Observe(time.Since(start))
 	if l.Fallback != nil {
 		s.log.Warn("sidecar index load failed; rebuilding from FASTA",
 			"path", indexfile.SidecarPath(s.cfg.DefaultRef), "error", l.Fallback)

@@ -178,28 +178,30 @@ func (s *Set) Acquire(i int) (*seedtable.Table, error) {
 	}
 	s.mu.Unlock()
 
-	start := time.Now()
+	timer := tBuild
+	if s.load != nil {
+		timer = tLoad
+	}
+	stage := timer.Start(nil)
 	if err := fpShardBuild.Fire(); err != nil {
 		return nil, fmt.Errorf("shard: building shard %d: %w", i, err)
 	}
 	var t *seedtable.Table
 	var err error
-	var elapsed time.Duration
 	if s.load != nil {
 		t, err = s.load(i)
 		if err != nil {
 			return nil, fmt.Errorf("shard: loading shard %d: %w", i, err)
 		}
-		elapsed = tLoad.Since(start)
 		cLoads.Inc()
 	} else {
 		t, err = seedtable.BuildRange(s.ref, sh.part.Extent.Start, sh.part.Extent.End, s.k, s.opts)
 		if err != nil {
 			return nil, fmt.Errorf("shard: building shard %d: %w", i, err)
 		}
-		elapsed = tBuild.Since(start)
 		cBuilds.Inc()
 	}
+	elapsed := stage.End()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
