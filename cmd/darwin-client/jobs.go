@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"darwin/internal/dna"
+	"darwin/internal/jobs"
+	"darwin/internal/server"
 )
 
 // jobModeConfig is the -jobs-target submit/poll/fetch flow's knobs.
@@ -28,40 +30,10 @@ type jobModeConfig struct {
 	out        string
 }
 
-// jobStatus mirrors the server's jobs.Status fields the client reads.
-type jobStatus struct {
-	ID     string `json:"id"`
-	Kind   string `json:"kind"`
-	State  string `json:"state"`
-	Reads  int    `json:"reads"`
-	Stages map[string]struct {
-		Done  int `json:"done"`
-		Total int `json:"total"`
-	} `json:"stages"`
-	Resumed     bool   `json:"resumed"`
-	ResumeRead  int    `json:"resume_read"`
-	Checkpoints int    `json:"checkpoints"`
-	Error       string `json:"error"`
-	ErrorCode   string `json:"error_code"`
-	Result      *struct {
-		Overlaps int `json:"overlaps"`
-		Contigs  int `json:"contigs"`
-		TotalLen int `json:"total_len"`
-		N50      int `json:"n50"`
-	} `json:"result"`
-}
-
-// errEnvelope is the server's structured error body.
-type errEnvelope struct {
-	Error struct {
-		Code      string `json:"code"`
-		Message   string `json:"message"`
-		RequestID string `json:"request_id"`
-	} `json:"error"`
-}
-
+// decodeEnvelope renders the server's structured error body, or the
+// raw body when it is not one.
 func decodeEnvelope(body []byte) string {
-	var env errEnvelope
+	var env server.ErrorBody
 	if json.Unmarshal(body, &env) == nil && env.Error.Code != "" {
 		return fmt.Sprintf("%s: %s (request %s)", env.Error.Code, env.Error.Message, env.Error.RequestID)
 	}
@@ -110,7 +82,7 @@ func runJobMode(cfg jobModeConfig) error {
 	if resp.StatusCode != http.StatusAccepted {
 		return fmt.Errorf("submit: HTTP %d: %s", resp.StatusCode, decodeEnvelope(body))
 	}
-	var st jobStatus
+	var st jobs.Status
 	if err := json.Unmarshal(body, &st); err != nil {
 		return fmt.Errorf("submit: bad response: %w", err)
 	}
@@ -137,22 +109,22 @@ func runJobMode(cfg jobModeConfig) error {
 			lastLine = line
 		}
 		switch st.State {
-		case "done":
+		case jobs.StateDone:
 			return fetchJobResult(client, base, st, cfg.out)
-		case "failed":
+		case jobs.StateFailed:
 			code := st.ErrorCode
 			if code == "" {
-				code = "internal"
+				code = server.CodeInternal
 			}
 			return fmt.Errorf("job %s failed (%s): %s", st.ID, code, st.Error)
-		case "canceled":
+		case jobs.StateCanceled:
 			return fmt.Errorf("job %s was canceled", st.ID)
 		}
 	}
 }
 
 // progressLine renders a compact stage-progress summary.
-func progressLine(st jobStatus) string {
+func progressLine(st jobs.Status) string {
 	var parts []string
 	names := make([]string, 0, len(st.Stages))
 	for name := range st.Stages {
@@ -175,7 +147,7 @@ func progressLine(st jobStatus) string {
 
 // fetchJobResult streams GET /v1/jobs/{id}/result to out (or stdout)
 // and prints the result summary.
-func fetchJobResult(client *http.Client, base string, st jobStatus, outPath string) error {
+func fetchJobResult(client *http.Client, base string, st jobs.Status, outPath string) error {
 	resp, err := client.Get(base + "/v1/jobs/" + st.ID + "/result")
 	if err != nil {
 		return err

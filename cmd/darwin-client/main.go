@@ -7,8 +7,8 @@
 //
 // Usage:
 //
-//	darwin-client -addr 127.0.0.1:8844 -reads reads.fq -requests 200 -concurrency 8 -batch 4
-//	darwin-client -addr 127.0.0.1:8844 -reads reads.fq -rate 50 -duration 10s
+//	darwin-client -target 127.0.0.1:8844 -reads reads.fq -requests 200 -concurrency 8 -batch 4
+//	darwin-client -target 127.0.0.1:8844 -reads reads.fq -rate 50 -duration 10s
 //	darwin-client -target 127.0.0.1:8850,127.0.0.1:8844 -reads reads.fq -requests 200
 //
 // -target takes one or more comma-separated targets (darwind or
@@ -35,6 +35,7 @@ import (
 
 	"darwin/internal/dna"
 	"darwin/internal/obs"
+	"darwin/internal/server"
 )
 
 // Client-side metrics: mirrored into the obs registry so -report
@@ -140,8 +141,7 @@ func retryableStatus(status int) bool {
 }
 
 func run() error {
-	addr := flag.String("addr", "", "darwind address host:port (or use -target)")
-	targetSpec := flag.String("target", "", "comma-separated targets (darwind or darwin-router, host:port or URL); round-robin per request, supersedes -addr")
+	targetSpec := flag.String("target", "", "comma-separated targets (darwind or darwin-router, host:port or URL); round-robin per request (required)")
 	readsPath := flag.String("reads", "", "reads FASTA/FASTQ to replay (required)")
 	requests := flag.Int("requests", 100, "closed-loop: total requests to send")
 	concurrency := flag.Int("concurrency", 4, "closed-loop: in-flight requests")
@@ -179,26 +179,22 @@ func run() error {
 			out:        *jobOut,
 		})
 	}
-	if (*addr == "" && *targetSpec == "") || *readsPath == "" {
-		return fmt.Errorf("-addr (or -target) and -reads are required")
+	if *targetSpec == "" || *readsPath == "" {
+		return fmt.Errorf("-target and -reads are required")
 	}
 	var targets []string
-	if *targetSpec != "" {
-		for _, tg := range strings.Split(*targetSpec, ",") {
-			tg = strings.TrimSpace(tg)
-			if tg == "" {
-				continue
-			}
-			if !strings.Contains(tg, "://") {
-				tg = "http://" + tg
-			}
-			targets = append(targets, strings.TrimRight(tg, "/"))
+	for _, tg := range strings.Split(*targetSpec, ",") {
+		tg = strings.TrimSpace(tg)
+		if tg == "" {
+			continue
 		}
-		if len(targets) == 0 {
-			return fmt.Errorf("-target %q names no targets", *targetSpec)
+		if !strings.Contains(tg, "://") {
+			tg = "http://" + tg
 		}
-	} else {
-		targets = []string{"http://" + *addr}
+		targets = append(targets, strings.TrimRight(tg, "/"))
+	}
+	if len(targets) == 0 {
+		return fmt.Errorf("-target %q names no targets", *targetSpec)
 	}
 	session, err := obsFlags.Start("darwin-client")
 	if err != nil {
@@ -236,24 +232,13 @@ func run() error {
 
 	// Pre-encode request bodies round-robin over the read set so the
 	// hot loop measures the service, not client-side JSON encoding.
-	type wireRead struct {
-		Name string `json:"name"`
-		Seq  string `json:"seq"`
-	}
-	type wireReq struct {
-		Reads     []wireRead `json:"reads"`
-		All       bool       `json:"all,omitempty"`
-		TimeoutMS int        `json:"timeout_ms,omitempty"`
-	}
 	nBodies := (len(reads) + *batch - 1) / *batch
 	bodies := make([][]byte, nBodies)
 	readsPerBody := make([]int, nBodies)
 	for b := 0; b < nBodies; b++ {
-		var wr wireReq
-		wr.All = *all
-		wr.TimeoutMS = *timeoutMS
+		wr := server.MapRequest{All: *all, TimeoutMS: *timeoutMS}
 		for i := b * (*batch); i < (b+1)*(*batch) && i < len(reads); i++ {
-			wr.Reads = append(wr.Reads, wireRead{Name: reads[i].Name, Seq: string(reads[i].Seq)})
+			wr.Reads = append(wr.Reads, server.ReadInput{Name: reads[i].Name, Seq: reads[i].Seq})
 		}
 		readsPerBody[b] = len(wr.Reads)
 		if bodies[b], err = json.Marshal(wr); err != nil {

@@ -61,9 +61,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if engineFlags.IndexWrite != "" {
-		fmt.Fprintf(os.Stderr, "darwin: wrote index %s\n", src.Index)
-	}
 
 	load := obs.Default.Timer("stage/load_input").Start(nil)
 	reads, err := dna.ReadFile(*readsPath)
@@ -97,10 +94,7 @@ func run() error {
 			ref.NumSeqs(), len(ref.Seq()), cfg.SeedK, engine.IndexBuildTime())
 	}
 
-	sqs := make([]sam.RefSeq, ref.NumSeqs())
-	for i := range sqs {
-		sqs[i] = sam.RefSeq{Name: ref.Name(i), Len: ref.Len(i)}
-	}
+	sqs := server.RefSeqs(ref)
 	var w *sam.Writer
 	if *out == "" {
 		w = sam.NewWriter(os.Stdout, sqs, "darwin")

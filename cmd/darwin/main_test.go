@@ -10,7 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"darwin/internal/core"
 	"darwin/internal/dna"
+	"darwin/internal/indexio"
 )
 
 // TestMain lets the test binary stand in for the darwin command: a
@@ -40,7 +42,9 @@ func darwin(t *testing.T, args ...string) string {
 // the single N between two reference sequences. Its span cannot be
 // located in one sequence, so it must come out as an unmapped record
 // and be counted as such — not vanish from the SAM while counted as
-// mapped. It also checks that an explicit -index needs no -ref.
+// mapped. It also checks that an explicit -index, written as
+// darwin-index build writes it, needs no -ref and gives the SAM of the
+// FASTA build.
 func TestEveryReadGetsARecord(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	// 127 mod 128: chr1 is padded by exactly one N before chr2.
@@ -68,8 +72,8 @@ func TestEveryReadGetsARecord(t *testing.T) {
 	})
 	engine := []string{"-reads", reads, "-k", "11", "-n", "400", "-h", "20"}
 
-	built, dwi := filepath.Join(dir, "built.sam"), filepath.Join(dir, "ref.dwi")
-	stderr := darwin(t, append(engine, "-ref", ref, "-index-write", dwi, "-out", built)...)
+	built := filepath.Join(dir, "built.sam")
+	stderr := darwin(t, append(engine, "-ref", ref, "-no-sidecar", "-out", built)...)
 	if !strings.Contains(stderr, "mapped 2/3 reads") {
 		t.Errorf("summary does not count the bridging read as unmapped:\n%s", stderr)
 	}
@@ -88,6 +92,14 @@ func TestEveryReadGetsARecord(t *testing.T) {
 		t.Errorf("SAM records:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 
+	recs, err := dna.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dwi := filepath.Join(dir, "ref.dwi")
+	if _, err := indexio.WriteFile(dwi, recs, core.DefaultConfig(11, 400, 20), core.ShardSpec{}); err != nil {
+		t.Fatal(err)
+	}
 	loaded := filepath.Join(dir, "loaded.sam")
 	darwin(t, append(engine, "-index", dwi, "-out", loaded)...)
 	if sam2, err := os.ReadFile(loaded); err != nil || !bytes.Equal(sam, sam2) {

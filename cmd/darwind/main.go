@@ -85,14 +85,9 @@ func run() error {
 	}
 	defer session.Close()
 
-	// -index / -index-write name the reference's index file.
-	resolveStart := time.Now()
 	cfg, scfg, src, err := engineFlags.Resolve(*refPath)
 	if err != nil {
 		return err
-	}
-	if engineFlags.IndexWrite != "" {
-		log.Info("index written", "path", src.Index, "took", time.Since(resolveStart).Round(time.Millisecond))
 	}
 
 	var workerCfg server.WorkerConfig

@@ -18,20 +18,25 @@ import (
 	"strings"
 	"testing"
 
+	"darwin/internal/cluster"
 	"darwin/internal/core"
 	"darwin/internal/dna"
 	"darwin/internal/server"
+	"darwin/internal/shard"
 )
 
 // digestsPath holds one "name sha256" line per pinned output.
 const digestsPath = "testdata/output_digests.txt"
 
 // TestOutputDigests pins the bytes the tools emit: darwin's SAM for
-// PacBio and ONT_1D reads on a monolithic and a 3-shard index, the
+// PacBio and ONT_1D reads on a monolithic and a 3-shard index, built
+// from the FASTA and loaded from a `darwin-index build` file, the
 // darwin-overlap TSV, the darwin-assemble contigs and one /v1/map
-// NDJSON body from an in-process darwind. Refactors of the engines must
-// leave every digest as it is; a change that moves one on purpose
-// re-pins it and says why. The scratch directory is replaced by a
+// NDJSON body from an in-process darwind and from an in-process router
+// over two darwind workers. Refactors of the engines must leave every
+// digest as it is; a change that moves one on purpose re-pins it and
+// says why. A loaded index's SAM pins to its FASTA build's digest, and
+// the router's body to darwind's. The scratch directory is replaced by a
 // fixed token before hashing, so a path that leaks into an output does
 // not make the digest depend on where the test ran.
 func TestOutputDigests(t *testing.T) {
@@ -42,6 +47,7 @@ func TestOutputDigests(t *testing.T) {
 	genomesim := buildTool(t, dir, "genomesim")
 	readsim := buildTool(t, dir, "readsim")
 	darwin := buildTool(t, dir, "darwin")
+	indexTool := buildTool(t, dir, "darwin-index")
 	overlap := buildTool(t, dir, "darwin-overlap")
 	assemble := buildTool(t, dir, "darwin-assemble")
 
@@ -61,16 +67,27 @@ func TestOutputDigests(t *testing.T) {
 	refPath := filepath.Join(dir, "ref.fa")
 	runTool(t, genomesim, "-len", "40000", "-seed", "21", "-out", refPath)
 	engine := []string{"-k", "11", "-n", "600", "-h", "20"}
+	shardCounts := []string{"0", "3"}
+	for _, shards := range shardCounts {
+		runTool(t, indexTool, append([]string{"build", "-ref", refPath, "-shards", shards,
+			"-out", filepath.Join(dir, "ref-"+shards+".dwi")}, engine...)...)
+	}
 	for _, profile := range []string{"pacbio", "ont1d"} {
 		reads := filepath.Join(dir, profile+".fq")
 		runTool(t, readsim, "-ref", refPath, "-profile", profile, "-n", "12",
 			"-len", "2000", "-seed", "22", "-out", reads)
-		for _, shards := range []string{"0", "3"} {
-			out := filepath.Join(dir, profile+"-"+shards+".sam")
-			args := append([]string{"-ref", refPath, "-reads", reads, "-no-sidecar",
-				"-shards", shards, "-out", out}, engine...)
-			runTool(t, darwin, args...)
-			digestFile(fmt.Sprintf("darwin/%s/shards=%s", profile, shards), out)
+		for _, shards := range shardCounts {
+			for _, src := range []struct {
+				suffix string
+				flags  []string
+			}{
+				{"", []string{"-ref", refPath, "-no-sidecar"}},
+				{"/index", []string{"-index", filepath.Join(dir, "ref-"+shards+".dwi")}},
+			} {
+				out := filepath.Join(dir, profile+"-"+shards+".sam")
+				runTool(t, darwin, append(append(src.flags, "-reads", reads, "-shards", shards, "-out", out), engine...)...)
+				digestFile(fmt.Sprintf("darwin/%s/shards=%s%s", profile, shards, src.suffix), out)
+			}
 		}
 	}
 
@@ -86,7 +103,9 @@ func TestOutputDigests(t *testing.T) {
 	runTool(t, assemble, append(denovo, "-polish", "1", "-out", asmPath)...)
 	digestFile("darwin-assemble", asmPath)
 
-	digest("darwind/v1/map", darwindMapBody(t, refPath, filepath.Join(dir, "pacbio.fq")))
+	mapReq := mapRequest(t, filepath.Join(dir, "pacbio.fq"))
+	digest("darwind/v1/map", mapBody(t, darwind(t, refPath, core.ShardSpec{}, server.WorkerConfig{}), mapReq))
+	digest("darwin-router/v1/map", mapBody(t, router(t, refPath), mapReq))
 
 	want := readDigests(t)
 	for _, name := range sortedKeys(got) {
@@ -108,23 +127,59 @@ func TestOutputDigests(t *testing.T) {
 	}
 }
 
-// darwindMapBody serves refPath from an in-process darwind and returns
-// the NDJSON body of one /v1/map request carrying the reads in
-// readsPath, under a fixed request ID.
-func darwindMapBody(t *testing.T, refPath, readsPath string) []byte {
+var quiet = slog.New(slog.NewTextHandler(io.Discard, nil))
+
+// darwind serves refPath from an in-process darwind with the digest's
+// engine flags, sharded by spec and in worker mode if w is enabled.
+func darwind(t *testing.T, refPath string, spec core.ShardSpec, w server.WorkerConfig) *httptest.Server {
 	t.Helper()
 	s := server.New(server.Config{
 		DefaultRef:     refPath,
 		DisableSidecar: true,
 		Core:           core.DefaultConfig(11, 600, 20),
-		Logger:         slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Shard:          spec,
+		Worker:         w,
+		Logger:         quiet,
 	})
 	if err := s.Warm(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	t.Cleanup(ts.Close)
+	return ts
+}
 
+// router serves refPath through an in-process darwin-router over two
+// 3-shard darwind workers, each shard on both (replication 2).
+func router(t *testing.T, refPath string) *httptest.Server {
+	t.Helper()
+	roster := []cluster.Worker{{Name: "w0"}, {Name: "w1"}}
+	cmap, err := cluster.NewMap(roster, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range roster {
+		name := roster[i].Name
+		w := server.WorkerConfig{Enabled: true, Name: name,
+			AssignShards: func(n int) ([]int, error) { return cmap.OwnedBy(name, n) }}
+		roster[i].URL = darwind(t, refPath, shard.Config{Shards: 3}, w).URL
+	}
+	rt, err := cluster.New(cluster.Config{Workers: roster, Replication: 2, Logger: quiet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Probe(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// mapRequest is the /v1/map body carrying every read in readsPath,
+// all alignments per read.
+func mapRequest(t *testing.T, readsPath string) []byte {
+	t.Helper()
 	recs, err := dna.ReadFile(readsPath)
 	if err != nil {
 		t.Fatal(err)
@@ -137,6 +192,13 @@ func darwindMapBody(t *testing.T, refPath, readsPath string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return raw
+}
+
+// mapBody posts raw to ts's /v1/map under a fixed request ID and
+// returns the NDJSON body.
+func mapBody(t *testing.T, ts *httptest.Server, raw []byte) []byte {
+	t.Helper()
 	hreq, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/map", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)

@@ -135,8 +135,8 @@ func (m *Map) ReplicasFor(shard int) []int {
 }
 
 // OwnedBy returns the sorted shard indices (out of shards total) whose
-// replica sets include the named worker — the set a worker passes to
-// server.WorkerConfig.OwnedShards at boot.
+// replica sets include the named worker — what a worker's
+// server.WorkerConfig.AssignShards answers at boot.
 func (m *Map) OwnedBy(name string, shards int) ([]int, error) {
 	found := false
 	for _, w := range m.Workers {

@@ -220,10 +220,7 @@ func (rt *Router) Probe(ctx context.Context) error {
 		return fmt.Errorf("cluster: reference layout: %w", err)
 	}
 	rt.ref = ref
-	rt.sq = rt.sq[:0]
-	for i := 0; i < ref.NumSeqs(); i++ {
-		rt.sq = append(rt.sq, sam.RefSeq{Name: ref.Name(i), Len: ref.Len(i)})
-	}
+	rt.sq = server.RefSeqs(ref)
 	rt.shardCount = first.Geometry.Shards
 	rt.maxCandidates = first.MaxCandidates
 	rt.fingerprint = first.Fingerprint

@@ -62,25 +62,8 @@ func NewReference(recs []dna.Record, pad int) (*Reference, error) {
 // bytes and the names/offsets/lengths come from the index header
 // instead of a fresh NewReference concatenation.
 func NewReferenceFromMeta(seq dna.Seq, names []string, offsets, lengths []int) (*Reference, error) {
-	if len(names) == 0 {
-		return nil, fmt.Errorf("core: no reference sequences")
-	}
-	if len(offsets) != len(names) || len(lengths) != len(names) {
-		return nil, fmt.Errorf("core: %d names vs %d offsets vs %d lengths", len(names), len(offsets), len(lengths))
-	}
-	prevEnd := 0
-	for i := range names {
-		if lengths[i] <= 0 {
-			return nil, fmt.Errorf("core: reference sequence %q has non-positive length %d", names[i], lengths[i])
-		}
-		if offsets[i] < prevEnd {
-			return nil, fmt.Errorf("core: reference sequence %q at offset %d overlaps its predecessor ending at %d",
-				names[i], offsets[i], prevEnd)
-		}
-		prevEnd = offsets[i] + lengths[i]
-	}
-	if prevEnd > len(seq) {
-		return nil, fmt.Errorf("core: reference metadata spans %d bases but the sequence has %d", prevEnd, len(seq))
+	if err := checkLayout(names, offsets, lengths, len(seq)); err != nil {
+		return nil, err
 	}
 	return &Reference{seq: seq, names: names, offsets: offsets, lengths: lengths}, nil
 }
@@ -92,27 +75,37 @@ func NewReferenceFromMeta(seq dna.Seq, names []string, offsets, lengths []int) (
 // holding reference bases. total is the concatenated length the layout
 // describes; Seq returns nil, so only coordinate methods may be used.
 func NewReferenceLayout(names []string, offsets, lengths []int, total int) (*Reference, error) {
+	if err := checkLayout(names, offsets, lengths, total); err != nil {
+		return nil, err
+	}
+	return &Reference{names: names, offsets: offsets, lengths: lengths}, nil
+}
+
+// checkLayout validates a recorded layout of total concatenated bases:
+// at least one sequence, one offset and one length per name, positive
+// lengths, and sequences in order, disjoint and inside total.
+func checkLayout(names []string, offsets, lengths []int, total int) error {
 	if len(names) == 0 {
-		return nil, fmt.Errorf("core: no reference sequences")
+		return fmt.Errorf("core: no reference sequences")
 	}
 	if len(offsets) != len(names) || len(lengths) != len(names) {
-		return nil, fmt.Errorf("core: %d names vs %d offsets vs %d lengths", len(names), len(offsets), len(lengths))
+		return fmt.Errorf("core: %d names vs %d offsets vs %d lengths", len(names), len(offsets), len(lengths))
 	}
 	prevEnd := 0
 	for i := range names {
 		if lengths[i] <= 0 {
-			return nil, fmt.Errorf("core: reference sequence %q has non-positive length %d", names[i], lengths[i])
+			return fmt.Errorf("core: reference sequence %q has non-positive length %d", names[i], lengths[i])
 		}
 		if offsets[i] < prevEnd {
-			return nil, fmt.Errorf("core: reference sequence %q at offset %d overlaps its predecessor ending at %d",
+			return fmt.Errorf("core: reference sequence %q at offset %d overlaps its predecessor ending at %d",
 				names[i], offsets[i], prevEnd)
 		}
 		prevEnd = offsets[i] + lengths[i]
 	}
 	if prevEnd > total {
-		return nil, fmt.Errorf("core: reference layout spans %d bases but the reference has %d", prevEnd, total)
+		return fmt.Errorf("core: reference layout spans %d bases but the reference has %d", prevEnd, total)
 	}
-	return &Reference{names: names, offsets: offsets, lengths: lengths}, nil
+	return nil
 }
 
 // Seq returns the concatenated sequence the engine indexes.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"darwin/internal/core"
-	"darwin/internal/dna"
 	"darwin/internal/shard"
 )
 
@@ -21,7 +20,6 @@ type Flags struct {
 	Shards       int
 	ShardMem     string
 	Index        string
-	IndexWrite   string
 	NoSidecar    bool
 }
 
@@ -38,15 +36,13 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.Shards, "shards", 0, "split the reference index into this many shards (0 = monolithic)")
 	fs.StringVar(&f.ShardMem, "shard-mem", "", "resident shard seed-table budget, e.g. 512M (empty = unbounded); needs -shards or a sharded -index")
 	fs.StringVar(&f.Index, "index", "", "load the reference index from this prebuilt .dwi file (darwin-index build) instead of building it; load failure is fatal")
-	fs.StringVar(&f.IndexWrite, "index-write", "", "build the reference index, write it to this .dwi path, then map from it")
 	fs.BoolVar(&f.NoSidecar, "no-sidecar", false, "do not auto-load a <ref>.dwi sidecar index next to the reference")
 	return f
 }
 
 // Resolve turns the parsed flags into OpenSource's arguments for the
-// reference at refPath. With -index-write it first builds the index
-// from refPath and writes it, and the returned source loads that file.
-// refPath may be empty only when -index names the file to load.
+// reference at refPath, which may be empty only when -index names the
+// file to load.
 func (f *Flags) Resolve(refPath string) (cfg core.Config, spec core.ShardSpec, src Source, err error) {
 	cfg = core.DefaultConfig(f.K, f.N, f.H)
 	cfg.HTile = f.HTile
@@ -60,20 +56,8 @@ func (f *Flags) Resolve(refPath string) (cfg core.Config, spec core.ShardSpec, s
 	}
 
 	src = Source{Path: refPath, Index: f.Index, Sidecar: !f.NoSidecar}
-	switch {
-	case f.Index != "" && f.IndexWrite != "":
-		err = fmt.Errorf("-index and -index-write are mutually exclusive")
-	case f.Index == "" && refPath == "":
+	if f.Index == "" && refPath == "" {
 		err = fmt.Errorf("-ref is required unless -index names a prebuilt index")
-	case f.IndexWrite != "":
-		var recs []dna.Record
-		if recs, err = dna.ReadFile(refPath); err != nil {
-			break
-		}
-		if _, err = WriteFile(f.IndexWrite, recs, cfg, spec); err != nil {
-			err = fmt.Errorf("writing index %s: %w", f.IndexWrite, err)
-		}
-		src.Index = f.IndexWrite
 	}
 	return cfg, spec, src, err
 }

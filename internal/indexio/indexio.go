@@ -232,8 +232,9 @@ func WriteFile(path string, recs []dna.Record, cfg core.Config, spec core.ShardS
 // Open maps the index file at path and assembles a mapper from it
 // under cfg/spec. The file's parameters must match cfg exactly, and
 // its shard geometry must match what spec would partition (a sharded
-// file with a zero spec adopts the file's geometry; a monolithic file
-// with a sharded spec — or vice versa — is a geometry mismatch).
+// file with a zero spec adopts the file's geometry if its overlap
+// margin is at least shard.MinOverlap(cfg); a monolithic file with a
+// sharded spec — or vice versa — is a geometry mismatch).
 // Rejections are indexfile.FormatErrors with stable codes. This is
 // OpenSource's index-file arm — OpenSource(Source{Index: path}, …) —
 // under the signature the benchmark harness compiles against.
@@ -300,6 +301,14 @@ func assemble(f *indexfile.File, cfg core.Config, spec core.ShardSpec) (*Loaded,
 		}
 		if err := checkGeometry(f.Path(), geo, want); err != nil {
 			return nil, err
+		}
+	} else if need := shard.MinOverlap(cfg); geo.Overlap < need {
+		// Adopting the file's partition is exact only when its margin
+		// covers the engine's seeds per strand: a file written under a
+		// smaller -n loses candidates that straddle a core boundary.
+		return nil, &indexfile.FormatError{
+			Code: indexfile.CodeGeometryMismatch, Path: f.Path(),
+			Detail: fmt.Sprintf("index shard overlap %d bp is below the %d bp this engine's k, n and B need", geo.Overlap, need),
 		}
 	}
 	set, err := shard.NewSetPrebuilt(seq, cfg.SeedK, geo, spec.MaxResidentBytes, f.Table)

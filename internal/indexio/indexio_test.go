@@ -536,6 +536,36 @@ func TestWideMarginFile(t *testing.T) {
 	}
 }
 
+// TestNarrowMarginFile: a sharded file written under a smaller N has a
+// margin below shard.MinOverlap of the engine that loads it, and
+// adopting that partition would drop candidates straddling a core
+// boundary. It is a geometry_mismatch under a zero spec too: fatal for
+// an explicit index, a rebuild from the FASTA for a discovered sidecar.
+func TestNarrowMarginFile(t *testing.T) {
+	recs := testRecords(60, 60_000)
+	written := core.DefaultConfig(11, 50, 20)
+	cfg := core.DefaultConfig(11, 750, 300)
+	fasta := writeRefFASTA(t, t.TempDir(), recs)
+	sidecar := indexfile.SidecarPath(fasta)
+	if _, err := WriteFile(sidecar, recs, written, core.ShardSpec{Shards: 12}); err != nil {
+		t.Fatal(err)
+	}
+	if l, err := Open(sidecar, cfg, core.ShardSpec{}); indexfile.ErrCode(err) != indexfile.CodeGeometryMismatch {
+		if l != nil {
+			l.File.Close()
+		}
+		t.Fatalf("explicit open of a file written at N=%d under N=%d: %v, want %s (minimum margin %d)",
+			written.SeedN, cfg.SeedN, err, indexfile.CodeGeometryMismatch, shard.MinOverlap(cfg))
+	}
+	rebuilt, err := OpenSource(Source{Path: fasta, Sidecar: true}, cfg, core.ShardSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rebuilt.File != nil || indexfile.ErrCode(rebuilt.Fallback) != indexfile.CodeGeometryMismatch {
+		t.Errorf("sidecar: File %v, Fallback %v; want a rebuild after %s", rebuilt.File, rebuilt.Fallback, indexfile.CodeGeometryMismatch)
+	}
+}
+
 // sampleReads slices exact substrings out of the reference records —
 // deterministic queries that are guaranteed to map.
 func sampleReads(recs []dna.Record, n, readLen int, seed int64) []dna.Seq {

@@ -34,8 +34,8 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Stable structured error codes for rejected checkpoint files. The
-// server maps any of them to the wire code "checkpoint_corrupt".
+// Stable structured error codes for rejected checkpoint files. A job
+// that fails on any of them carries CodeCheckpointCorrupt.
 const (
 	CodeBadMagic         = "bad_magic"
 	CodeBadVersion       = "bad_version"

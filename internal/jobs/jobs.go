@@ -85,6 +85,17 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
+// Failure codes a failed job's Status.ErrorCode carries when its
+// persisted state does not verify; darwind refuses the job's result
+// with the same code.
+const (
+	// CodePayloadCorrupt: reads.fa is unreadable or holds a different
+	// read count than job.json.
+	CodePayloadCorrupt = "payload_corrupt"
+	// CodeCheckpointCorrupt: the overlap checkpoint was rejected.
+	CodeCheckpointCorrupt = "checkpoint_corrupt"
+)
+
 // Params are the resolved pipeline parameters a job runs with —
 // resolved, because job.json must replay them exactly on resume.
 type Params struct {
@@ -390,7 +401,7 @@ func (m *Manager) ResultFile(id string) (path, contentType string, err error) {
 // process left pending or running, resuming the overlap stage from its
 // checkpoint when one verifies. A payload that is unreadable or holds
 // a different read count than job.json fails the job with ErrorCode
-// "payload_corrupt", and a corrupt checkpoint with "checkpoint_corrupt",
+// CodePayloadCorrupt, and a corrupt checkpoint with CodeCheckpointCorrupt,
 // rather than silently computing on bad input — the operator decides
 // whether to resubmit.
 func (m *Manager) Recover() (restarted int, err error) {
@@ -424,7 +435,7 @@ func (m *Manager) Recover() (restarted int, err error) {
 			lerr = fmt.Errorf("jobs: payload holds %d reads, job.json says %d", len(recs), st.Reads)
 		}
 		if lerr != nil {
-			m.failJob(j, lerr, "payload_corrupt")
+			m.failJob(j, lerr, CodePayloadCorrupt)
 			continue
 		}
 		j.reads = make([]dna.Seq, len(recs))
@@ -438,7 +449,7 @@ func (m *Manager) Recover() (restarted int, err error) {
 			c, cerr := ReadCheckpoint(ckptPath, j.fingerprint)
 			if cerr != nil {
 				cCkptCorrupt.Inc()
-				m.failJob(j, cerr, "checkpoint_corrupt")
+				m.failJob(j, cerr, CodeCheckpointCorrupt)
 				m.log.Warn("job recovery: corrupt checkpoint", "job", id, "err", cerr)
 				continue
 			}
@@ -618,7 +629,7 @@ func (m *Manager) finishInterrupted(j *job) {
 // failJob moves a job to failed with an optional structured code.
 func (m *Manager) failJob(j *job, err error, code string) {
 	if code == "" && IsCheckpointError(err) {
-		code = "checkpoint_corrupt"
+		code = CodeCheckpointCorrupt
 	}
 	j.mu.Lock()
 	now := time.Now().UTC()

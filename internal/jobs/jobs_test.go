@@ -403,7 +403,7 @@ func TestRecoverCorruptCheckpoint(t *testing.T) {
 	if fin.State != StateFailed {
 		t.Fatalf("state = %s, want failed", fin.State)
 	}
-	if fin.ErrorCode != "checkpoint_corrupt" {
+	if fin.ErrorCode != CodeCheckpointCorrupt {
 		t.Errorf("error code = %q, want checkpoint_corrupt", fin.ErrorCode)
 	}
 }
@@ -480,7 +480,7 @@ func TestRecoverShortPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != StateFailed || st.ErrorCode != "payload_corrupt" {
+	if st.State != StateFailed || st.ErrorCode != CodePayloadCorrupt {
 		t.Errorf("state = %s, code = %q; want failed, payload_corrupt", st.State, st.ErrorCode)
 	}
 }

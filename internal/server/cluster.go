@@ -17,8 +17,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 
+	"darwin/internal/indexio"
 	"darwin/internal/obs"
 	"darwin/internal/shard"
 )
@@ -33,15 +34,13 @@ type WorkerConfig struct {
 	// Name is this worker's identity in the cluster map; it must match
 	// the name the router hashes shards against.
 	Name string
-	// OwnedShards are the shard indices this worker serves. Warm
-	// pre-acquires them and scatter requests for any other shard are
-	// rejected — ownership is a contract, not a hint, so a stale
-	// router cannot silently double-serve a shard.
-	OwnedShards []int
-	// AssignShards, when set, computes OwnedShards once the index is
-	// loaded and the true shard count is known (without -shards it is
-	// the count a sharded index file records). cmd/darwind wires this
-	// to the cluster map's rendezvous assignment.
+	// AssignShards computes the shard indices this worker serves once
+	// the index is loaded and the true shard count is known (without
+	// -shards it is the count a sharded index file records).
+	// cmd/darwind wires it to the cluster map's rendezvous assignment.
+	// Warm pre-acquires the owned shards and scatter requests for any
+	// other shard are rejected — ownership is a contract, not a hint,
+	// so a stale router cannot silently double-serve a shard.
 	AssignShards func(shards int) ([]int, error)
 }
 
@@ -112,52 +111,45 @@ type ScatterResponse struct {
 	Results []shard.ReadScatter `json:"results"`
 }
 
-// warmOwnedShards validates worker-mode wiring at boot and makes the
-// owned shards resident: the engine must be sharded, every owned index
-// must exist in the geometry, and the residency budget must admit each
-// owned table (Acquire builds or loads it now, so the budget shows its
-// hand before the server reports ready).
-func (s *Server) warmOwnedShards(ctx context.Context, entry *IndexEntry) error {
-	if entry.Shards == nil {
-		return fmt.Errorf("server: worker mode requires a sharded engine (-shards, or a sharded -index)")
+// warmOwnedShards validates worker-mode wiring at boot, resolves the
+// shards this worker owns (returned sorted) and makes them resident:
+// the engine must be sharded, every owned index must exist in the
+// geometry, and the residency budget must admit each owned table
+// (Acquire builds or loads it now, so the budget shows its hand before
+// the server reports ready).
+func (s *Server) warmOwnedShards(ctx context.Context, l *indexio.Loaded) ([]int, error) {
+	if l.Set == nil {
+		return nil, fmt.Errorf("server: worker mode requires a sharded engine (-shards, or a sharded -index)")
 	}
-	geo := entry.Shards.Geometry()
-	if s.cfg.Worker.AssignShards != nil {
-		owned, err := s.cfg.Worker.AssignShards(len(geo.Parts))
-		if err != nil {
-			return err
-		}
-		s.cfg.Worker.OwnedShards = owned
+	if s.cfg.Worker.AssignShards == nil {
+		return nil, fmt.Errorf("server: worker %q has no shard assignment", s.cfg.Worker.Name)
 	}
-	if len(s.cfg.Worker.OwnedShards) == 0 {
-		return fmt.Errorf("server: worker %q owns no shards under the cluster map", s.cfg.Worker.Name)
+	geo := l.Set.Geometry()
+	owned, err := s.cfg.Worker.AssignShards(len(geo.Parts))
+	if err != nil {
+		return nil, err
 	}
+	if len(owned) == 0 {
+		return nil, fmt.Errorf("server: worker %q owns no shards under the cluster map", s.cfg.Worker.Name)
+	}
+	owned = slices.Clone(owned)
+	slices.Sort(owned)
 	s.log.Info("cluster worker mode",
-		"worker", s.cfg.Worker.Name, "owned_shards", fmt.Sprint(s.cfg.Worker.OwnedShards),
+		"worker", s.cfg.Worker.Name, "owned_shards", fmt.Sprint(owned),
 		"shards_total", len(geo.Parts))
-	for _, id := range s.cfg.Worker.OwnedShards {
+	for _, id := range owned {
 		if id < 0 || id >= len(geo.Parts) {
-			return fmt.Errorf("server: worker %q assigned shard %d but the index has %d shards",
+			return nil, fmt.Errorf("server: worker %q assigned shard %d but the index has %d shards",
 				s.cfg.Worker.Name, id, len(geo.Parts))
 		}
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
-		if _, err := entry.Shards.Acquire(id); err != nil {
-			return fmt.Errorf("server: warming shard %d: %w", id, err)
-		}
-	}
-	return nil
-}
-
-// ownsShard reports whether the worker serves shard id.
-func (s *Server) ownsShard(id int) bool {
-	for _, o := range s.cfg.Worker.OwnedShards {
-		if o == id {
-			return true
+		if _, err := l.Set.Acquire(id); err != nil {
+			return nil, fmt.Errorf("server: warming shard %d: %w", id, err)
 		}
 	}
-	return false
+	return owned, nil
 }
 
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
@@ -165,26 +157,25 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 		httpError(r.Context(), w, http.StatusMethodNotAllowed, CodeMethodNotAllow, "GET required")
 		return
 	}
-	entry := s.defaultEntry.Load()
-	if entry == nil || !s.ready.Load() {
+	l := s.index.Load()
+	if l == nil || !s.ready.Load() {
 		w.Header().Set("Retry-After", "1")
 		httpError(r.Context(), w, http.StatusServiceUnavailable, CodeWarming, "index warming")
 		return
 	}
-	geo := entry.Shards.Geometry()
-	ref := entry.Ref
+	geo := l.Set.Geometry()
+	ref := l.Ref
 	meta := RefMeta{TotalLen: len(ref.Seq())}
 	for i := 0; i < ref.NumSeqs(); i++ {
 		meta.Names = append(meta.Names, ref.Name(i))
 		meta.Offsets = append(meta.Offsets, ref.Offset(i))
 		meta.Lengths = append(meta.Lengths, ref.Len(i))
 	}
-	owned := append([]int(nil), s.cfg.Worker.OwnedShards...)
-	sort.Ints(owned)
 	cfg := s.cfg.Core
 	resp := ShardsResponse{
-		Worker: s.cfg.Worker.Name,
-		Owned:  owned,
+		Worker:      s.cfg.Worker.Name,
+		Owned:       s.owned,
+		Fingerprint: fingerprint(l),
 		Geometry: GeometryMeta{
 			RefLen:    geo.RefLen,
 			ShardSize: geo.ShardSize,
@@ -199,9 +190,6 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 		},
 		MaxCandidates: cfg.MaxCandidates,
 	}
-	if entry.Fingerprint != 0 {
-		resp.Fingerprint = fmt.Sprintf("%016x", entry.Fingerprint)
-	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	json.NewEncoder(w).Encode(resp)
 }
@@ -213,7 +201,7 @@ func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, id := range req.Shards {
-		if !s.ownsShard(id) {
+		if _, owned := slices.BinarySearch(s.owned, id); !owned {
 			ep.Reject(w, r, http.StatusConflict, CodeShardNotOwned,
 				"worker %q does not own shard %d (stale cluster map?)", s.cfg.Worker.Name, id)
 			return
@@ -232,7 +220,7 @@ func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.scatterGate.release()
 
-	sm, ok := s.defaultEntry.Load().Engine.(*shard.ScatterMapper)
+	sm, ok := s.index.Load().Mapper.(*shard.ScatterMapper)
 	if !ok {
 		ep.Reject(w, r, http.StatusInternalServerError, CodeInternal, "worker engine is not sharded")
 		return

@@ -14,8 +14,9 @@ import (
 // map (409), and serves a well-formed one.
 func TestScatterPreamble(t *testing.T) {
 	_, ts, reads := testService(t, Config{
-		Shard:  shard.Config{Shards: 4},
-		Worker: WorkerConfig{Enabled: true, Name: "w", OwnedShards: []int{0, 1}},
+		Shard: shard.Config{Shards: 4},
+		Worker: WorkerConfig{Enabled: true, Name: "w",
+			AssignShards: func(int) ([]int, error) { return []int{1, 0}, nil }},
 	})
 	read := ReadInput{Name: "r", Seq: reads[0].Seq}
 	rows := []struct {

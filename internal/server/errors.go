@@ -31,9 +31,9 @@ const (
 	CodeJobCanceled     = "job_canceled"
 	CodeJobNotDone      = "job_not_done"
 	CodePayloadTooLarge = "payload_too_large"
-	// checkpoint_corrupt rides through jobs.Status.ErrorCode; the
-	// constant exists so handlers and tests name it consistently.
-	CodeCheckpointCorrupt = "checkpoint_corrupt"
+	// A failed job's result is refused with the job's own code, which
+	// package jobs declares (jobs.CodePayloadCorrupt,
+	// jobs.CodeCheckpointCorrupt).
 )
 
 // ErrorBody is the structured JSON error envelope every non-200

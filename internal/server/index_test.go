@@ -6,21 +6,71 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"darwin/internal/core"
 	"darwin/internal/dna"
 	"darwin/internal/indexfile"
 	"darwin/internal/indexio"
+	"darwin/internal/shard"
 )
 
-// writeRefAndIndex writes a synthetic FASTA and a matching prebuilt
-// index, returning both paths.
-func writeRefAndIndex(t *testing.T, cfg core.Config, sidecar bool) (refPath, idxPath string) {
+func testCoreConfig() core.Config {
+	return core.DefaultConfig(11, 400, 18)
+}
+
+// TestEntrySharded checks that the resident index Warm holds, sharded,
+// serves the same alignments as a monolithic one, and that the shard
+// set /v1/indexes reports is the one its engine maps through.
+func TestEntrySharded(t *testing.T) {
+	refPath, _ := writeRef(t)
+	warm := func(scfg shard.Config) *indexio.Loaded {
+		t.Helper()
+		s := New(Config{DefaultRef: refPath, DisableSidecar: true, Core: testCoreConfig(), Shard: scfg})
+		if err := s.Warm(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return s.index.Load()
+	}
+	mono := warm(shard.Config{})
+	sharded := warm(shard.Config{Shards: 3, MaxResidentBytes: 1})
+	if mono.Set != nil {
+		t.Error("monolithic index reports a shard set")
+	}
+	if sharded.Set == nil {
+		t.Fatal("sharded index has no shard set")
+	}
+	ref := sharded.Ref.Seq()
+	reads := []dna.Seq{ref[1000:3500].Clone(), ref[30000:32500].Clone(), dna.RevComp(ref[45000:47500])}
+	want, err := mono.Mapper.Map(context.Background(), reads, core.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sharded.Mapper.Map(context.Background(), reads, core.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if len(got[i].Alignments) == 0 || !reflect.DeepEqual(got[i].Alignments, want[i].Alignments) {
+			t.Fatalf("read %d: %d alignments sharded vs %d monolithic, or they differ", i, len(got[i].Alignments), len(want[i].Alignments))
+		}
+	}
+	st, detail := sharded.Set.Snapshot()
+	if st.Shards != 3 || st.Resident != 1 || len(detail) != 3 {
+		t.Errorf("snapshot = %+v with %d detail rows, want 3 shards / 1 resident", st, len(detail))
+	}
+	if sharded.Mapper.(*shard.ScatterMapper).Set() != sharded.Set {
+		t.Error("the reported shard set is not the engine's")
+	}
+}
+
+// writeRef writes a synthetic one-sequence FASTA, returning its path
+// and records.
+func writeRef(t *testing.T) (string, []dna.Record) {
 	t.Helper()
 	ref := dna.Random(rand.New(rand.NewSource(71)), 60000, 0.5)
-	dir := t.TempDir()
-	refPath = filepath.Join(dir, "ref.fa")
+	refPath := filepath.Join(t.TempDir(), "ref.fa")
 	var buf bytes.Buffer
 	recs := []dna.Record{{Name: "chr1", Seq: ref}}
 	if err := dna.WriteFASTA(&buf, recs); err != nil {
@@ -29,10 +79,18 @@ func writeRefAndIndex(t *testing.T, cfg core.Config, sidecar bool) (refPath, idx
 	if err := os.WriteFile(refPath, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return refPath, recs
+}
+
+// writeRefAndIndex writes a synthetic FASTA and a matching prebuilt
+// index, returning both paths.
+func writeRefAndIndex(t *testing.T, cfg core.Config, sidecar bool) (refPath, idxPath string) {
+	t.Helper()
+	refPath, recs := writeRef(t)
 	if sidecar {
 		idxPath = indexfile.SidecarPath(refPath)
 	} else {
-		idxPath = filepath.Join(dir, "prebuilt.dwi")
+		idxPath = filepath.Join(filepath.Dir(refPath), "prebuilt.dwi")
 	}
 	if _, err := indexio.WriteFile(idxPath, recs, cfg, core.ShardSpec{}); err != nil {
 		t.Fatal(err)
@@ -41,7 +99,7 @@ func writeRefAndIndex(t *testing.T, cfg core.Config, sidecar bool) (refPath, idx
 }
 
 // TestWarmFromExplicitIndex: -index cold-start serves without a build
-// and reports the mapping on the entry.
+// from the mapped file.
 func TestWarmFromExplicitIndex(t *testing.T) {
 	cfg := testCoreConfig()
 	refPath, idxPath := writeRefAndIndex(t, cfg, false)
@@ -49,19 +107,27 @@ func TestWarmFromExplicitIndex(t *testing.T) {
 	if err := s.Warm(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	e := s.defaultEntry.Load()
-	if e.IndexFile != idxPath {
-		t.Errorf("entry.IndexFile = %q, want %q", e.IndexFile, idxPath)
+	l := s.index.Load()
+	if indexPath(l) != idxPath {
+		t.Fatalf("index file = %q, want %q", indexPath(l), idxPath)
 	}
-	if e.MappedBytes == 0 {
-		t.Error("entry.MappedBytes = 0, want the mapping size")
+	if l.File.MappedBytes() == 0 {
+		t.Error("MappedBytes = 0, want the mapping size")
 	}
-	if e.Fingerprint == 0 {
-		t.Error("entry.Fingerprint = 0, want the file fingerprint")
+	if fingerprint(l) == "" {
+		t.Error("no fingerprint, want the file's")
 	}
-	if e.BuildTime != 0 {
-		t.Errorf("entry.BuildTime = %v for a mapped load, want 0 (no build pass)", e.BuildTime)
+	if bt := l.Mapper.IndexBuildTime(); bt != 0 {
+		t.Errorf("IndexBuildTime = %v for a mapped load, want 0 (no build pass)", bt)
 	}
+}
+
+// indexPath is the index file l was mapped from, "" when it was built.
+func indexPath(l *indexio.Loaded) string {
+	if l.File == nil {
+		return ""
+	}
+	return l.File.Path()
 }
 
 // TestWarmFromSidecar: the `<ref>.dwi` file next to the FASTA is
@@ -73,8 +139,8 @@ func TestWarmFromSidecar(t *testing.T) {
 	if err := s.Warm(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if e := s.defaultEntry.Load(); e.IndexFile != idxPath {
-		t.Errorf("sidecar not discovered: entry.IndexFile = %q, want %q", e.IndexFile, idxPath)
+	if got := indexPath(s.index.Load()); got != idxPath {
+		t.Errorf("sidecar not discovered: index file = %q, want %q", got, idxPath)
 	}
 
 	// DisableSidecar must ignore the same file.
@@ -82,8 +148,8 @@ func TestWarmFromSidecar(t *testing.T) {
 	if err := s2.Warm(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if e := s2.defaultEntry.Load(); e.IndexFile != "" {
-		t.Errorf("DisableSidecar still loaded %q", e.IndexFile)
+	if got := indexPath(s2.index.Load()); got != "" {
+		t.Errorf("DisableSidecar still loaded %q", got)
 	}
 }
 
@@ -108,8 +174,8 @@ func TestSidecarFallback(t *testing.T) {
 	if err := s.Warm(context.Background()); err != nil {
 		t.Fatalf("corrupt sidecar did not fall back to FASTA build: %v", err)
 	}
-	if e := s.defaultEntry.Load(); e.IndexFile != "" {
-		t.Errorf("fallback entry still claims index file %q", e.IndexFile)
+	if got := indexPath(s.index.Load()); got != "" {
+		t.Errorf("fallback still claims index file %q", got)
 	}
 
 	s2 := New(Config{DefaultRef: refPath, DefaultIndex: idxPath, Core: cfg})

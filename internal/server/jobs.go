@@ -258,8 +258,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // handleJobResult streams a done job's output file, or explains with a
 // structured code why there is nothing to stream: job_not_done while
 // the pipeline runs, job_canceled after a cancel, the job's own error
-// code (checkpoint_corrupt, payload_corrupt, fault_injected, internal)
-// after a failure.
+// code (jobs.CodeCheckpointCorrupt, jobs.CodePayloadCorrupt, or
+// internal when it has none) after a failure.
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request, id string) {
 	ctx := r.Context()
 	st, err := s.jobs.Get(id)

@@ -24,6 +24,13 @@ import (
 // into their request's error.
 var cMapPanics = obs.Default.Counter("server/map_panics")
 
+// The one-time cost of the resident index: a FASTA build or a mapped
+// index file.
+var (
+	tIndexBuild = obs.Default.Timer("server/index_build")
+	tIndexLoad  = obs.Default.Timer("server/index_load")
+)
+
 // Config assembles the service.
 type Config struct {
 	// DefaultRef is the reference FASTA warmed at startup, the one
@@ -99,7 +106,15 @@ type Server struct {
 	scatterGate *gate
 	scatterEP   *Endpoint
 
-	defaultEntry atomic.Pointer[IndexEntry]
+	// index is the resident reference as indexio.OpenSource returned
+	// it; nil until Warm. Its engine is safe for concurrent use, so
+	// every request maps on it directly. A mapped index file stays open
+	// for the life of the process: the engine's tables are views over
+	// it. sq (its @SQ header) and owned (the worker's shards, sorted)
+	// are set before index is stored and never change after.
+	index atomic.Pointer[indexio.Loaded]
+	sq    []sam.RefSeq
+	owned []int
 
 	// jobs is the assembly job manager (nil when the job API is off).
 	jobs *jobs.Manager
@@ -138,7 +153,7 @@ func (s *Server) Warm(ctx context.Context) error {
 	if s.cfg.DefaultRef == "" {
 		return fmt.Errorf("server: no default reference configured")
 	}
-	entry, err := s.openDefault()
+	l, err := s.openDefault()
 	if err != nil {
 		return err
 	}
@@ -150,11 +165,12 @@ func (s *Server) Warm(ctx context.Context) error {
 		// the first sub-request must be as fast as the millionth, and a
 		// geometry the cluster map disagrees with must fail boot, not
 		// the first scatter.
-		if err := s.warmOwnedShards(ctx, entry); err != nil {
+		if s.owned, err = s.warmOwnedShards(ctx, l); err != nil {
 			return err
 		}
 	}
-	s.defaultEntry.Store(entry)
+	s.sq = RefSeqs(l.Ref)
+	s.index.Store(l)
 	s.SetReady()
 	return nil
 }
@@ -175,27 +191,35 @@ func (s *Server) Drain(ctx context.Context) error {
 // from the explicitly configured DefaultIndex, else from the FASTA with
 // `<ref>.dwi` sidecar discovery unless disabled. What a failed index
 // load means for each is OpenSource's rule.
-func (s *Server) openDefault() (*IndexEntry, error) {
+func (s *Server) openDefault() (*indexio.Loaded, error) {
 	src := indexio.Source{Path: s.cfg.DefaultRef, Index: s.cfg.DefaultIndex, Sidecar: !s.cfg.DisableSidecar}
 	start := time.Now()
 	l, err := indexio.OpenSource(src, s.cfg.Core, s.cfg.Shard)
 	if err != nil {
 		return nil, fmt.Errorf("server: opening reference %s: %w", s.cfg.DefaultRef, err)
 	}
-	e := newIndexEntry(l)
 	if l.File != nil {
 		tIndexLoad.Observe(time.Since(start))
 		s.log.Info("index mapped from file",
-			"path", e.IndexFile, "mapped_bytes", e.MappedBytes,
-			"fingerprint", fmt.Sprintf("%016x", e.Fingerprint))
-		return e, nil
+			"path", l.File.Path(), "mapped_bytes", l.File.MappedBytes(),
+			"fingerprint", fingerprint(l))
+		return l, nil
 	}
 	tIndexBuild.Observe(time.Since(start))
 	if l.Fallback != nil {
 		s.log.Warn("sidecar index load failed; rebuilding from FASTA",
 			"path", indexfile.SidecarPath(s.cfg.DefaultRef), "error", l.Fallback)
 	}
-	return e, nil
+	return l, nil
+}
+
+// fingerprint is the hex content fingerprint of the index file l was
+// mapped from, "" for a reference built from FASTA.
+func fingerprint(l *indexio.Loaded) string {
+	if l.File == nil {
+		return ""
+	}
+	return fmt.Sprintf("%016x", l.File.Info().Fingerprint)
 }
 
 func (s *Server) handleIndexes(w http.ResponseWriter, _ *http.Request) {
@@ -215,20 +239,21 @@ func (s *Server) handleIndexes(w http.ResponseWriter, _ *http.Request) {
 	}
 	// The one resident index, as a one-entry array.
 	out := []indexInfo{}
-	if e := s.defaultEntry.Load(); e != nil {
+	if l := s.index.Load(); l != nil {
 		info := indexInfo{
-			Key:          s.cfg.DefaultRef,
-			Sequences:    e.Ref.NumSeqs(),
-			Bases:        len(e.Ref.Seq()),
-			BuildSeconds: e.BuildTime.Seconds(),
-			IndexFile:    e.IndexFile,
-			MappedBytes:  e.MappedBytes,
+			Key:       s.cfg.DefaultRef,
+			Sequences: l.Ref.NumSeqs(),
+			Bases:     len(l.Ref.Seq()),
+			// Cumulative: a sharded engine adds each shard table it
+			// builds or loads from its file to the global mask pass.
+			BuildSeconds: l.Mapper.IndexBuildTime().Seconds(),
+			Fingerprint:  fingerprint(l),
 		}
-		if e.Fingerprint != 0 {
-			info.Fingerprint = fmt.Sprintf("%016x", e.Fingerprint)
+		if l.File != nil {
+			info.IndexFile, info.MappedBytes = l.File.Path(), l.File.MappedBytes()
 		}
-		if e.Shards != nil {
-			st, detail := e.Shards.Snapshot()
+		if l.Set != nil {
+			st, detail := l.Set.Snapshot()
 			info.Sharding = &shardingInfo{Stats: st, Shards: detail}
 		}
 		out = append(out, info)
@@ -280,8 +305,8 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	entry := s.defaultEntry.Load()
-	results, err := s.mapReads(ctx, entry, reads)
+	l := s.index.Load()
+	results, err := s.mapReads(ctx, l.Mapper, reads)
 	if err != nil {
 		if ctx.Err() != nil {
 			cJobsCancelled.Inc()
@@ -289,7 +314,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		ep.Fail(ctx, w, r, err, http.StatusInternalServerError, CodeInternal)
 		return
 	}
-	s.WriteResults(w, r, entry.Ref, entry.SQ, body.MapRequest, results)
+	s.WriteResults(w, r, l.Ref, s.sq, body.MapRequest, results)
 }
 
 // mapReads is the map stage of one /v1/map request: wait for a slot of
@@ -301,7 +326,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 // a panic anywhere in the stage (or injected at server/flush) is
 // recovered into the request's error. Per-read failures never reach
 // this level — core's Map confines them to MapResult.Err.
-func (s *Server) mapReads(ctx context.Context, entry *IndexEntry, reads []dna.Seq) (results []core.MapResult, err error) {
+func (s *Server) mapReads(ctx context.Context, m core.Mapper, reads []dna.Seq) (results []core.MapResult, err error) {
 	span := obs.SpanFromContext(ctx)
 	queued := tQueueWait.Start(span)
 	err = s.mapGate.acquire(ctx)
@@ -329,7 +354,17 @@ func (s *Server) mapReads(ctx context.Context, entry *IndexEntry, reads []dna.Se
 	if err := fpFlush.Fire(); err != nil {
 		return nil, err
 	}
-	return entry.Engine.Map(obs.ContextWithSpan(ctx, stage.Span()), reads, core.WithWorkers(1))
+	return m.Map(obs.ContextWithSpan(ctx, stage.Span()), reads, core.WithWorkers(1))
+}
+
+// RefSeqs is ref's SAM @SQ header, one entry per sequence: the one
+// place every tier that writes SAM turns a Reference into it.
+func RefSeqs(ref *core.Reference) []sam.RefSeq {
+	sq := make([]sam.RefSeq, ref.NumSeqs())
+	for i := range sq {
+		sq[i] = sam.RefSeq{Name: ref.Name(i), Len: ref.Len(i)}
+	}
+	return sq
 }
 
 // RecordsFor converts one read's alignments to SAM records — the same

@@ -244,12 +244,12 @@ func TestMapRejectsBadRequests(t *testing.T) {
 func TestConcurrentRequestsMatchDirectMapping(t *testing.T) {
 	s, ts, reads := testService(t, Config{})
 	s.mapGate = newGate(2, 16)
-	entry := s.defaultEntry.Load()
+	l := s.index.Load()
 	seqs := make([]dna.Seq, len(reads))
 	for i := range reads {
 		seqs[i] = reads[i].Seq
 	}
-	direct, err := entry.Engine.Map(context.Background(), seqs, core.WithWorkers(1))
+	direct, err := l.Mapper.Map(context.Background(), seqs, core.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestConcurrentRequestsMatchDirectMapping(t *testing.T) {
 					t.Errorf("request %d line %d: %v", i, k, err)
 					return
 				}
-				want, err := json.Marshal(RecordsFor(entry.Ref, fmt.Sprintf("read%d", k), seqs[off+k], direct[off+k].Alignments, false))
+				want, err := json.Marshal(RecordsFor(l.Ref, fmt.Sprintf("read%d", k), seqs[off+k], direct[off+k].Alignments, false))
 				if err != nil {
 					t.Error(err)
 					return

@@ -84,7 +84,7 @@ echo "chaos-smoke: darwind ready on $addr with faults armed"
 
 # Load under chaos. The client validates every NDJSON line; a body the
 # server half-wrote would show up as "malformed lines" in the summary.
-"$tmp/bin/darwin-client" -addr "$addr" -reads "$tmp/reads.fq" \
+"$tmp/bin/darwin-client" -target "$addr" -reads "$tmp/reads.fq" \
     -requests 30 -concurrency 4 -batch 4 -retries 4 > "$tmp/client.out"
 cat "$tmp/client.out"
 if grep -q "malformed lines" "$tmp/client.out"; then
@@ -157,7 +157,7 @@ if ! grep -q "sidecar index load failed" "$tmp/darwind3.log"; then
     exit 1
 fi
 
-"$tmp/bin/darwin-client" -addr "$addr" -reads "$tmp/reads.fq" \
+"$tmp/bin/darwin-client" -target "$addr" -reads "$tmp/reads.fq" \
     -requests 4 -concurrency 2 -batch 4 -out "$tmp/out3.sam" >/dev/null
 if ! grep -qv '^@' "$tmp/out3.sam"; then
     echo "chaos-smoke: FAIL — no SAM records after sidecar fallback" >&2

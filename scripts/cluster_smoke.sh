@@ -70,7 +70,7 @@ echo "cluster-smoke: mapping through a monolithic darwind"
 mono_pid=$!; pids+=("$mono_pid")
 mono_addr=$(wait_ready "$tmp/mono.log" "$mono_pid")
 # -concurrency 1 keeps request order deterministic so SAM files diff.
-"$tmp/bin/darwin-client" -addr "$mono_addr" -reads "$tmp/reads.fq" \
+"$tmp/bin/darwin-client" -target "$mono_addr" -reads "$tmp/reads.fq" \
     -requests 8 -concurrency 1 -batch 4 -out "$tmp/mono.sam" >/dev/null
 kill -TERM "$mono_pid"; wait "$mono_pid" || true
 

@@ -54,7 +54,7 @@ if [ -z "$addr" ]; then
 fi
 echo "serve-smoke: darwind ready on $addr"
 
-"$tmp/bin/darwin-client" -addr "$addr" -reads "$tmp/reads.fq" \
+"$tmp/bin/darwin-client" -target "$addr" -reads "$tmp/reads.fq" \
     -requests 24 -concurrency 4 -batch 4 -out "$tmp/out.sam"
 
 if ! grep -qv '^@' "$tmp/out.sam"; then
@@ -144,7 +144,7 @@ if ! grep -q "index mapped from file" "$tmp/darwind2.log"; then
 fi
 echo "serve-smoke: index-boot darwind ready on $addr"
 
-"$tmp/bin/darwin-client" -addr "$addr" -reads "$tmp/reads.fq" \
+"$tmp/bin/darwin-client" -target "$addr" -reads "$tmp/reads.fq" \
     -requests 8 -concurrency 2 -batch 4 -out "$tmp/out2.sam"
 if ! grep -qv '^@' "$tmp/out2.sam"; then
     echo "serve-smoke: FAIL — no SAM records from the index-boot server" >&2
