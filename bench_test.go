@@ -286,23 +286,10 @@ func BenchmarkScorePass(b *testing.B) {
 	}
 }
 
-// BenchmarkGACTExtend10k measures a full 10 kbp GACT alignment
-// (Fig. 10's software series at its longest point).
-func BenchmarkGACTExtend10k(b *testing.B) {
-	ref, q := benchPair(b, 10000, readsim.PacBio)
-	cfg := gact.DefaultConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := gact.Extend(ref, q, 0, 0, &cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineExtend10k is the same alignment on the production
+// BenchmarkEngineExtend10k measures a full 10 kbp GACT alignment
+// (Fig. 10's software series at its longest point) on the production
 // path: one reused gact.Engine (allocation-free TileAligner, score-pass
-// first tile, banded extension tiles) instead of the allocating
-// reference gact.Extend above. banded_share is the share of tiles
+// first tile, banded extension tiles). banded_share is the share of tiles
 // filled in a band, fallback_share the share whose band failed its
 // check and was refilled in full; a worse guess of the band
 // (align.TileAligner's certifiedFill) shows in both.

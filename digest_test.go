@@ -33,9 +33,10 @@ const digestsPath = "testdata/output_digests.txt"
 // from the FASTA and loaded from a `darwin-index build` file, the
 // darwin-overlap TSV, the darwin-assemble contigs and one /v1/map
 // NDJSON body from an in-process darwind and from an in-process router
-// over two darwind workers. Refactors of the engines must leave every
-// digest as it is; a change that moves one on purpose re-pins it and
-// says why. A loaded index's SAM pins to its FASTA build's digest, and
+// over two darwind workers, plus the run-report counters of the four
+// FASTA-built darwin runs and of darwin-overlap. Refactors of the
+// engines must leave every digest as it is; a change that moves one on
+// purpose re-pins it and says why. A loaded index's SAM pins to its FASTA build's digest, and
 // the router's body to darwind's. The scratch directory is replaced by a
 // fixed token before hashing, so a path that leaks into an output does
 // not make the digest depend on where the test ran.
@@ -77,17 +78,19 @@ func TestOutputDigests(t *testing.T) {
 		runTool(t, readsim, "-ref", refPath, "-profile", profile, "-n", "12",
 			"-len", "2000", "-seed", "22", "-out", reads)
 		for _, shards := range shardCounts {
+			report := filepath.Join(dir, profile+"-"+shards+".json")
 			for _, src := range []struct {
 				suffix string
 				flags  []string
 			}{
-				{"", []string{"-ref", refPath, "-no-sidecar"}},
+				{"", []string{"-ref", refPath, "-no-sidecar", "-report", report}},
 				{"/index", []string{"-index", filepath.Join(dir, "ref-"+shards+".dwi")}},
 			} {
 				out := filepath.Join(dir, profile+"-"+shards+".sam")
 				runTool(t, darwin, append(append(src.flags, "-reads", reads, "-shards", shards, "-out", out), engine...)...)
 				digestFile(fmt.Sprintf("darwin/%s/shards=%s%s", profile, shards, src.suffix), out)
 			}
+			digest(fmt.Sprintf("darwin/%s/shards=%s/counters", profile, shards), reportCounters(t, report))
 		}
 	}
 
@@ -97,8 +100,10 @@ func TestOutputDigests(t *testing.T) {
 	denovo := []string{"-reads", ovReads, "-k", "11", "-n", "500", "-h", "20",
 		"-stride", "3", "-min-overlap", "600"}
 	ovPath := filepath.Join(dir, "ov.tsv")
-	runTool(t, overlap, append(denovo, "-out", ovPath)...)
+	ovReport := filepath.Join(dir, "ov.json")
+	runTool(t, overlap, append(denovo, "-out", ovPath, "-report", ovReport)...)
 	digestFile("darwin-overlap", ovPath)
+	digest("darwin-overlap/counters", reportCounters(t, ovReport))
 	asmPath := filepath.Join(dir, "contigs.fa")
 	runTool(t, assemble, append(denovo, "-polish", "1", "-out", asmPath)...)
 	digestFile("darwin-assemble", asmPath)
@@ -125,6 +130,49 @@ func TestOutputDigests(t *testing.T) {
 		}
 		t.Logf("digests of this tree:\n%s", b.String())
 	}
+}
+
+// kernelTierCounters split GACT's tiles and cells by kernel path. The
+// split differs between the vector and the purego build (a vector fill
+// guesses a band where the scalar build runs a Myers pass), so the
+// counter digests leave it out.
+var kernelTierCounters = map[string]bool{
+	"gact/tile_bitvector":  true,
+	"gact/tile_fallback":   true,
+	"gact/tile_lut":        true,
+	"gact/cells_bitvector": true,
+	"gact/cells_lut":       true,
+}
+
+// reportCounters renders a run report's nonzero counters, one
+// "name value" line each in name order, without the kernel-tier split.
+// Timers, gauges and histograms vary from run to run and are left out;
+// so are zero counters, so that a counter added elsewhere in the
+// process does not move a digest.
+func reportCounters(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	names := make([]string, 0, len(rep.Counters))
+	for name, v := range rep.Counters {
+		if v != 0 && !kernelTierCounters[name] {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	var b bytes.Buffer
+	for _, name := range names {
+		fmt.Fprintf(&b, "%s %d\n", name, rep.Counters[name])
+	}
+	return b.Bytes()
 }
 
 var quiet = slog.New(slog.NewTextHandler(io.Discard, nil))

@@ -34,8 +34,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	cfg := gact.Config{T: 4, O: 1, Scoring: sc}
-	res, stats, err := gact.ExtendLeftOnly(R, Q, len(R), len(Q), &cfg)
+	// The engine's first tile spans forward from the anchor: at (4,3)
+	// it is Figure 4's last tile, R[4:8] × Q[3:7], and the extension
+	// then runs left to the sequence starts.
+	eng, err := gact.NewEngine(&gact.Config{T: 4, O: 1, Scoring: sc})
+	if err != nil {
+		return err
+	}
+	res, stats, err := eng.Extend(R, Q, 4, 3)
 	if err != nil {
 		return err
 	}

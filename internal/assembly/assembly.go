@@ -107,17 +107,8 @@ func (d *DarwinMapper) MapBest(read dna.Seq) MapOutcome {
 	d.reads++
 	// Accumulate everything except the per-candidate score list, which
 	// would grow unboundedly over long runs.
-	d.Stats.DSOFT.SeedsIssued += st.DSOFT.SeedsIssued
-	d.Stats.DSOFT.SeedsSkipped += st.DSOFT.SeedsSkipped
-	d.Stats.DSOFT.Hits += st.DSOFT.Hits
-	d.Stats.DSOFT.BinsTouched += st.DSOFT.BinsTouched
-	d.Stats.DSOFT.Candidates += st.DSOFT.Candidates
-	d.Stats.Candidates += st.Candidates
-	d.Stats.PassedHTile += st.PassedHTile
-	d.Stats.Tiles += st.Tiles
-	d.Stats.Cells += st.Cells
-	d.Stats.FiltrationTime += st.FiltrationTime
-	d.Stats.AlignmentTime += st.AlignmentTime
+	st.FirstTileScores = nil
+	d.Stats.Add(st)
 
 	best := core.Best(alns)
 	out := MapOutcome{Times: baseline.StageTimes{

@@ -246,7 +246,9 @@ type MapStats struct {
 	FiltrationTime, AlignmentTime time.Duration
 }
 
-func (s *MapStats) add(o MapStats) {
+// Add accumulates another call's statistics (exported aggregation so
+// callers never hand-sum fields; see the reflection test).
+func (s *MapStats) Add(o MapStats) {
 	s.DSOFT.Add(o.DSOFT)
 	s.Candidates += o.Candidates
 	s.PassedHTile += o.PassedHTile
@@ -256,10 +258,6 @@ func (s *MapStats) add(o MapStats) {
 	s.FiltrationTime += o.FiltrationTime
 	s.AlignmentTime += o.AlignmentTime
 }
-
-// Add accumulates another call's statistics (exported aggregation so
-// callers never hand-sum fields; see the reflection test).
-func (s *MapStats) Add(o MapStats) { s.add(o) }
 
 // AddExtension folds one candidate's GACT extension outcome into the
 // read's statistics and alignment list — the single accounting rule

@@ -301,7 +301,7 @@ func (o *Overlapper) Run(ctx context.Context, r OverlapRun) ([]Overlap, OverlapS
 				keep(ov)
 			}
 		}
-		stats.Map.add(res.Stats)
+		stats.Map.Add(res.Stats)
 		cOverlapReads.Inc()
 		if r.Progress != nil {
 			r.Progress(q+1, n)

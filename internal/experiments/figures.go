@@ -79,19 +79,22 @@ func Fig9a(o Options) (*Result, error) {
 	sc := align.GACTEval()
 	for _, g := range grid {
 		row := []string{fmt.Sprintf("(%d,%d)", g.T, g.O)}
+		eng, err := gact.NewEngine(&gact.Config{T: g.T, O: g.O, FirstTileT: 384, Scoring: sc})
+		if err != nil {
+			return nil, err
+		}
 		for _, p := range readsim.Profiles {
 			pairs, err := makePairs(ref, o, p, count, readLen)
 			if err != nil {
 				return nil, err
 			}
-			cfg := gact.Config{T: g.T, O: g.O, FirstTileT: 384, Scoring: sc}
 			optimal, total := 0, 0
 			var gactSum, optSum float64
 			for _, pr := range pairs {
 				// Anchor mid-read, as a D-SOFT candidate would.
 				iSeed := len(pr.region) / 2
 				jSeed := iSeed * len(pr.read) / len(pr.region)
-				res, _, err := gact.Extend(pr.region, pr.read, iSeed, jSeed, &cfg)
+				res, _, err := eng.Extend(pr.region, pr.read, iSeed, jSeed)
 				if err != nil || res == nil {
 					continue
 				}
@@ -158,6 +161,10 @@ func Fig10(o Options) (*Result, error) {
 	perLen := max(4, o.Reads/10)
 	cfg := gact.DefaultConfig()
 	cfg.MinFirstTile = 0
+	eng, err := gact.NewEngine(&cfg)
+	if err != nil {
+		return nil, err
+	}
 	darwin := hw.NewDarwin()
 
 	// Throughput is each length's best of several 50 ms windows, the
@@ -189,7 +196,7 @@ func Fig10(o Options) (*Result, error) {
 	for w := 0; w < windows; w++ {
 		for li := range lengths {
 			g, err := measure(pairs[li], func(pr alignPair) error {
-				_, _, err := gact.Extend(pr.region, pr.read, 0, 0, &cfg)
+				_, _, err := eng.Extend(pr.region, pr.read, 0, 0)
 				return err
 			})
 			if err != nil {
@@ -289,6 +296,10 @@ func Fig12(o Options) (*Result, error) {
 
 	gcfg := gact.DefaultConfig() // FirstTileT = 384
 	gcfg.MinFirstTile = 0
+	eng, err := gact.NewEngine(&gcfg)
+	if err != nil {
+		return nil, err
+	}
 	for _, p := range readsim.Profiles {
 		reads, err := simulate(ref, o, p)
 		if err != nil {
@@ -318,7 +329,7 @@ func Fig12(o Options) (*Result, error) {
 					cands = cands[:64]
 				}
 				for _, c := range cands {
-					_, st, err := gact.Extend(ref, q, c.RefPos, c.QueryPos, &gcfg)
+					_, st, err := eng.Extend(ref, q, c.RefPos, c.QueryPos)
 					if err != nil {
 						continue
 					}

@@ -16,8 +16,9 @@ import (
 // recover.
 var fpExtend = faults.Default.Point("gact/extend")
 
-// Engine is the stateful GACT aligner: the free function Extend with
-// the per-candidate allocations hoisted into reusable state. It owns a
+// Engine is the GACT aligner every mapping path runs (Algorithm 2
+// with the per-candidate allocations hoisted into reusable state;
+// oracle_test.go holds the plain reference it must match). It owns a
 // TileAligner (the allocation-free DP kernel) and a buffer the
 // candidate's path is assembled in, so a rejected candidate — the
 // common case downstream of D-SOFT — costs no heap allocation at all
@@ -28,8 +29,7 @@ var fpExtend = faults.Default.Point("gact/extend")
 // Right extension runs on the reversed coordinate frame without ever
 // materializing reversed sequences: tiles are cut from the forward
 // slices and precoded back-to-front by TileAligner.AlignTileReversed,
-// replacing Extend's two whole-sequence dna.Reverse copies per
-// candidate.
+// so no candidate pays for whole-sequence dna.Reverse copies.
 //
 // An Engine is not safe for concurrent use; each core.Worker owns one,
 // mirroring the hardware's per-array private traceback SRAM.
@@ -82,10 +82,21 @@ func (e *Engine) Config() *Config { return &e.cfg }
 // saying anything a counter doesn't).
 func (e *Engine) SetSpan(sp *obs.Span) { e.span = sp }
 
-// Extend computes exactly what the free function Extend computes —
-// same tiles, same result, same published observability — using the
-// engine's reused state. Stats are returned by value so the rejected
-// path stays allocation-free.
+// Extend aligns Q against R around the D-SOFT candidate position
+// (iSeed, jSeed) — the seed-hit position of a candidate bin. The first
+// tile (size FirstTileT, default T) spans forward from the candidate,
+// R[iSeed:iSeed+T'] × Q[jSeed:jSeed+T'], so a candidate near the start
+// of the query (where D-SOFT draws its seeds) still sees a full tile
+// of context — the geometry the h_tile filter of Figure 12 assumes.
+// Traceback starts at the tile's highest-scoring cell; left and then
+// right extension tiles follow per Algorithm 2.
+//
+// It returns the alignment (global coordinates, forward order) and
+// tile statistics. The candidate must satisfy 0 ≤ iSeed < len(R),
+// 0 ≤ jSeed < len(Q). A nil result with nil error means the candidate
+// was rejected: the first tile scored below max(1, MinFirstTile).
+// Stats are returned by value so the rejected path stays
+// allocation-free.
 func (e *Engine) Extend(R, Q dna.Seq, iSeed, jSeed int) (res *align.Result, stats Stats, err error) {
 	sp := e.span
 	if sp != nil {
@@ -187,13 +198,14 @@ func (e *Engine) publishKernel() {
 	e.lastKS = ks
 }
 
-// extendDir runs extendLeft's loop, appending each consumed tile's
-// path back-to-front to e.path, and returns the final left-end
-// coordinates. With rev set, (iCurr, jCurr) and the returned
-// coordinates are in the reversed frame — position x of Reverse(R) —
-// and each tile is cut from the forward slices: reversed-frame
-// rR[iStart:iCurr] is R[len(R)−iCurr : len(R)−iStart] read
-// back-to-front, which AlignTileReversed precodes directly.
+// extendDir runs Algorithm 2's non-first-tile loop from (iCurr, jCurr)
+// until a tile consumes nothing or a sequence start is reached,
+// appending each consumed tile's path back-to-front to e.path, and
+// returns the final left-end coordinates. With rev set, (iCurr, jCurr)
+// and the returned coordinates are in the reversed frame — position x
+// of Reverse(R) — and each tile is cut from the forward slices:
+// reversed-frame rR[iStart:iCurr] is R[len(R)−iCurr : len(R)−iStart]
+// read back-to-front, which AlignTileReversed precodes directly.
 func (e *Engine) extendDir(R, Q dna.Seq, iCurr, jCurr int, stats *Stats, rev bool) (int, int) {
 	cfg := &e.cfg
 	rLen, qLen := len(R), len(Q)

@@ -99,6 +99,43 @@ func TestEngineReuseAfterReject(t *testing.T) {
 	}
 }
 
+// TestEngineFigure4 runs the paper's worked example (Figures 1 and 4)
+// on the production engine: anchored at (4,3), the first tile is
+// Figure 4's last tile R[4:8] × Q[3:7], and left extension must reach
+// the optimal Smith-Waterman alignment in three tiles.
+func TestEngineFigure4(t *testing.T) {
+	R := dna.NewSeq("GCGACTTT")
+	Q := dna.NewSeq("GTCGTTT")
+	sc := align.Figure1()
+	engine, err := NewEngine(&Config{T: 4, O: 1, Scoring: sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, stats, err := engine.Extend(R, Q, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res == nil {
+		t.Fatal("no alignment")
+	}
+	if err := res.Check(R, Q); err != nil {
+		t.Fatal(err)
+	}
+	opt, err := align.SmithWaterman(R, Q, &sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Score != 9 || res.Score != opt.Score {
+		t.Errorf("score = %d, want 9 (optimal %d)", res.Score, opt.Score)
+	}
+	if got := res.Cigar.String(); got != "1M1I2M2D3M" || got != opt.Cigar.String() {
+		t.Errorf("cigar = %s, want 1M1I2M2D3M (optimal %s)", got, opt.Cigar)
+	}
+	if stats.Tiles != 3 {
+		t.Errorf("tiles = %d, want 3 (Figure 4's T1..T3)", stats.Tiles)
+	}
+}
+
 // Engine must reject out-of-range anchors exactly like Extend.
 func TestEngineErrors(t *testing.T) {
 	cfg := DefaultConfig()

@@ -15,23 +15,22 @@ import (
 	"fmt"
 
 	"darwin/internal/align"
-	"darwin/internal/dna"
 	"darwin/internal/obs"
 )
 
-// Pipeline observability (package obs): every Extend publishes its
-// tile/cell counts — the "alignment" half of the paper's Figure 13
+// Pipeline observability (package obs): every Engine.Extend publishes
+// its tile/cell counts — the "alignment" half of the paper's Figure 13
 // split — under the disjoint stage/align timer, with the first-tile
 // filter (Figure 12) broken out as a sub-timer, score histogram, and
 // reject counter; gact/first_tile_reject is the part of
 // gact/first_tile spent on tiles the filter then discarded, so
 // first_tile_reject ÷ stage/align is the share of alignment time that
-// bought nothing, and gact/extend (Engine only, record-only), the
-// stage/align time of accepted candidates, is about the rest. With
-// tracing on, stage/align and gact/first_tile each add one trace event
-// per Extend; extension tiles have no timer and no event of their own —
-// their time is stage/align less its gact/first_tile child (and
-// BenchmarkAlignTile measures one tile).
+// bought nothing, and gact/extend (record-only), the stage/align time
+// of accepted candidates, is about the rest. With tracing on,
+// stage/align and gact/first_tile each add one trace event per Extend;
+// extension tiles have no timer and no event of their own — their time
+// is stage/align less its gact/first_tile child (and BenchmarkAlignTile
+// measures one tile).
 var (
 	cExtensions   = obs.Default.Counter("gact/extensions")
 	cTiles        = obs.Default.Counter("gact/tiles")
@@ -44,9 +43,8 @@ var (
 	hFirstScore   = obs.Default.Histogram("gact/first_tile_score", 0, 384, 48)
 	hTilesPerExt  = obs.Default.Histogram("gact/tiles_per_extension", 0, 128, 32)
 
-	// Kernel-tier split (Engine only; the free functions use the
-	// reference AlignTile, which has no tiers): tiles and actually
-	// filled DP cells per path. tile_bitvector counts every banded
+	// Kernel-tier split: tiles and actually filled DP cells per path
+	// of the Engine's TileAligner. tile_bitvector counts every banded
 	// fill — accepted first tiles, and extension tiles whose band a
 	// Myers pass or (on the vector fill) a certified guess proved;
 	// tile_lut counts every full-LUT fill, fallbacks included;
@@ -157,133 +155,4 @@ func (s *Stats) publish(rejected bool) {
 	if rejected {
 		cHTileRejects.Inc()
 	}
-}
-
-// Extend aligns Q against R around the D-SOFT candidate position
-// (iSeed, jSeed) — the seed-hit position of a candidate bin. The first
-// tile (size FirstTileT, default T) spans forward from the candidate,
-// R[iSeed:iSeed+T'] × Q[jSeed:jSeed+T'], so a candidate near the start
-// of the query (where D-SOFT draws its seeds) still sees a full tile
-// of context — the geometry the h_tile filter of Figure 12 assumes.
-// Traceback starts at the tile's highest-scoring cell; left and then
-// right extension tiles follow per Algorithm 2.
-//
-// It returns the alignment (global coordinates, forward order) and
-// tile statistics. The candidate must satisfy 0 ≤ iSeed < len(R),
-// 0 ≤ jSeed < len(Q). A nil result with nil error means the candidate
-// was rejected: the first tile was empty or scored below MinFirstTile.
-func Extend(R, Q dna.Seq, iSeed, jSeed int, cfg *Config) (*align.Result, *Stats, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, nil, err
-	}
-	if iSeed < 0 || iSeed >= len(R) || jSeed < 0 || jSeed >= len(Q) {
-		return nil, nil, fmt.Errorf("gact: seed position (%d,%d) outside R[0,%d) × Q[0,%d)", iSeed, jSeed, len(R), len(Q))
-	}
-	defer tAlign.Start(nil).End()
-	stats := &Stats{}
-
-	// First tile, spanning forward from the candidate. Traceback
-	// starts at the highest-scoring cell.
-	fT := cfg.firstT()
-	iEnd, jEnd := min(len(R), iSeed+fT), min(len(Q), jSeed+fT)
-	ft := tFirstTile.Start(nil)
-	first := align.AlignTile(R[iSeed:iEnd], Q[jSeed:jEnd], true, fT-cfg.O, &cfg.Scoring)
-	ftTime := ft.End()
-	stats.add(iEnd-iSeed, jEnd-jSeed)
-	stats.FirstTileScore = first.Score
-	if first.Score <= 0 || len(first.Cigar) == 0 || first.Score < cfg.MinFirstTile {
-		tFirstReject.Observe(ftTime)
-		stats.publish(true)
-		return nil, stats, nil
-	}
-
-	// Global coordinates of the alignment's right end (the first
-	// tile's max cell) and of the running left end.
-	rightI := iSeed + first.MaxI
-	rightJ := jSeed + first.MaxJ
-	curI := rightI - first.IOff
-	curJ := rightJ - first.JOff
-	cigar := first.Cigar
-
-	// Left extension (Algorithm 2 with t already consumed).
-	leftCigar, leftI, leftJ := extendLeft(R, Q, curI, curJ, cfg, stats)
-	cigar = leftCigar.Concat(cigar)
-
-	// Right extension: Algorithm 2 on reversed sequences from the
-	// mirrored right end.
-	rR, rQ := dna.Reverse(R), dna.Reverse(Q)
-	revCigar, revI, revJ := extendLeft(rR, rQ, len(R)-rightI, len(Q)-rightJ, cfg, stats)
-	rightI = len(R) - revI
-	rightJ = len(Q) - revJ
-	cigar = cigar.Concat(revCigar.Reverse())
-
-	res := &align.Result{
-		RefStart:   leftI,
-		RefEnd:     rightI,
-		QueryStart: leftJ,
-		QueryEnd:   rightJ,
-		Cigar:      cigar,
-	}
-	res.Score = res.Rescore(R, Q, &cfg.Scoring)
-	stats.publish(false)
-	return res, stats, nil
-}
-
-// extendLeft runs the non-first-tile loop of Algorithm 2 from
-// (iCurr, jCurr) until a tile consumes nothing or a sequence start is
-// reached, returning the prepended path and the final left-end
-// coordinates.
-func extendLeft(R, Q dna.Seq, iCurr, jCurr int, cfg *Config, stats *Stats) (align.Cigar, int, int) {
-	var cigar align.Cigar
-	for iCurr > 0 && jCurr > 0 {
-		iStart, jStart := max(0, iCurr-cfg.T), max(0, jCurr-cfg.T)
-		res := align.AlignTile(R[iStart:iCurr], Q[jStart:jCurr], false, cfg.T-cfg.O, &cfg.Scoring)
-		stats.add(iCurr-iStart, jCurr-jStart)
-		if res.IOff == 0 && res.JOff == 0 {
-			break
-		}
-		cigar = res.Cigar.Concat(cigar)
-		iCurr -= res.IOff
-		jCurr -= res.JOff
-	}
-	return cigar, iCurr, jCurr
-}
-
-// ExtendLeftOnly runs pure left extension per Algorithm 2 from
-// (iSeed, jSeed), first tile included — useful for validating the
-// algorithm in isolation (Figure 4's example is a left extension).
-func ExtendLeftOnly(R, Q dna.Seq, iSeed, jSeed int, cfg *Config) (*align.Result, *Stats, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, nil, err
-	}
-	if iSeed <= 0 || iSeed > len(R) || jSeed <= 0 || jSeed > len(Q) {
-		return nil, nil, fmt.Errorf("gact: seed position (%d,%d) outside R[0,%d] × Q[0,%d]", iSeed, jSeed, len(R), len(Q))
-	}
-	defer tAlign.Start(nil).End()
-	stats := &Stats{}
-	fT := cfg.firstT()
-	iStart, jStart := max(0, iSeed-fT), max(0, jSeed-fT)
-	first := align.AlignTile(R[iStart:iSeed], Q[jStart:jSeed], true, fT-cfg.O, &cfg.Scoring)
-	stats.add(iSeed-iStart, jSeed-jStart)
-	stats.FirstTileScore = first.Score
-	if first.Score <= 0 || len(first.Cigar) == 0 || first.Score < cfg.MinFirstTile {
-		stats.publish(true)
-		return nil, stats, nil
-	}
-	rightI := iStart + first.MaxI
-	rightJ := jStart + first.MaxJ
-	curI := rightI - first.IOff
-	curJ := rightJ - first.JOff
-	leftCigar, leftI, leftJ := extendLeft(R, Q, curI, curJ, cfg, stats)
-	cigar := leftCigar.Concat(first.Cigar)
-	res := &align.Result{
-		RefStart:   leftI,
-		RefEnd:     rightI,
-		QueryStart: leftJ,
-		QueryEnd:   rightJ,
-		Cigar:      cigar,
-	}
-	res.Score = res.Rescore(R, Q, &cfg.Scoring)
-	stats.publish(false)
-	return res, stats, nil
 }
