@@ -76,13 +76,13 @@ func (rt *Router) handleMap(w http.ResponseWriter, r *http.Request) {
 
 	// Workers get the remaining budget in their own timeout_ms so a
 	// sub-request shed by the router's deadline is also shed worker-side.
-	byShard, err := rt.scatterAll(ctx, span, req.Reads, int(timeout/time.Millisecond),
+	byGroup, err := rt.scatterAll(ctx, span, req.Reads, int(timeout/time.Millisecond),
 		obs.RequestIDFromContext(ctx), r.Header.Get("traceparent"))
 	if err != nil {
 		ep.Fail(ctx, w, r, err, http.StatusBadGateway, server.CodeScatterFailed)
 		return
 	}
-	results, err := rt.mergeAll(byShard, len(req.Reads))
+	results, err := rt.mergeAll(byGroup, len(req.Reads))
 	if err != nil {
 		ep.Fail(ctx, w, r, fmt.Errorf("merge: %w", err), http.StatusInternalServerError, server.CodeInternal)
 		return

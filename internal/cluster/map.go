@@ -16,7 +16,9 @@ package cluster
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -132,6 +134,39 @@ func (m *Map) ReplicasFor(shard int) []int {
 		return m.Workers[ia].Name < m.Workers[ib].Name
 	})
 	return idx[:m.Replication]
+}
+
+// replicaGroup is a set of shards whose ordered replica lists are
+// equal: the same primary and the same hedge and failover targets, so
+// one scatter sub-request serves all of them and hedges or fails over
+// as a unit.
+type replicaGroup struct {
+	replicas []int  // indices into Workers, primary first
+	shards   []int  // ascending
+	label    string // shards as "0,2", for spans and logs
+}
+
+// groups partitions shards 0..shards-1 by their ordered replica list,
+// in order of each group's lowest shard.
+func (m *Map) groups(shards int) []replicaGroup {
+	var out []replicaGroup
+	for s := 0; s < shards; s++ {
+		replicas := m.ReplicasFor(s)
+		i := slices.IndexFunc(out, func(g replicaGroup) bool { return slices.Equal(g.replicas, replicas) })
+		if i < 0 {
+			i = len(out)
+			out = append(out, replicaGroup{replicas: replicas})
+		}
+		out[i].shards = append(out[i].shards, s)
+	}
+	for i := range out {
+		ids := make([]string, len(out[i].shards))
+		for j, s := range out[i].shards {
+			ids[j] = strconv.Itoa(s)
+		}
+		out[i].label = strings.Join(ids, ",")
+	}
+	return out
 }
 
 // OwnedBy returns the sorted shard indices (out of shards total) whose

@@ -98,7 +98,7 @@ func (c Config) withDefaults() Config {
 }
 
 // workerState is the router's per-worker view: breaker and latency
-// window, both shared across all shards the worker serves.
+// window, both shared across all replica groups the worker serves.
 type workerState struct {
 	Worker
 	br  *server.Breaker
@@ -125,6 +125,10 @@ type Router struct {
 	shardCount    int
 	maxCandidates int
 	fingerprint   string
+	// groups are the shards grouped by ordered replica list, one
+	// scatter sub-request each; the map is static, so they are fixed
+	// once shardCount is known.
+	groups []replicaGroup
 }
 
 // New assembles a router; call Probe to learn the cluster's geometry
@@ -222,6 +226,7 @@ func (rt *Router) Probe(ctx context.Context) error {
 	rt.ref = ref
 	rt.sq = server.RefSeqs(ref)
 	rt.shardCount = first.Geometry.Shards
+	rt.groups = rt.cmap.groups(rt.shardCount)
 	rt.maxCandidates = first.MaxCandidates
 	rt.fingerprint = first.Fingerprint
 	rt.SetReady()
@@ -245,7 +250,7 @@ type attemptResult struct {
 	err     error
 }
 
-// hedgeDelay picks how long to wait on a worker before hedging its
+// hedgeDelay picks how long to wait on a worker before hedging a
 // sub-request to the next replica: the fixed override if configured,
 // else the worker's rolling latency quantile clamped to
 // [hedgeMin, hedgeMax] — an empty window hedges at hedgeMax, so a
@@ -268,25 +273,26 @@ func (rt *Router) hedgeDelay(ws *workerState) time.Duration {
 	return d
 }
 
-// scatterShard resolves one shard's sub-request against its replica
-// set: the primary first, an immediate failover on error, and a hedge
-// to the next replica once the primary outlives its latency quantile.
+// scatterGroup resolves one replica group's sub-request against its
+// replica list: the primary first, an immediate failover on error, and
+// a hedge to the next replica once the primary outlives its latency
+// quantile. The group moves as a unit: every attempt carries all of
+// its shards.
 // Exactly one successful response is returned; the moment it arrives
 // every other in-flight attempt's context is cancelled (the loser's
 // work is abandoned, not merged — the exactly-one-merge property the
 // duplicate guard in shard.MergeReadScatters backstops).
-func (rt *Router) scatterShard(ctx context.Context, span *obs.Span, shardID int, body []byte, nReads int, reqID, traceparent string) ([]shard.ReadScatter, error) {
-	replicas := rt.cmap.ReplicasFor(shardID)
+func (rt *Router) scatterGroup(ctx context.Context, span *obs.Span, g replicaGroup, body []byte, nReads int, reqID, traceparent string) ([]shard.ReadScatter, error) {
 	ctx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll()
 
-	results := make(chan attemptResult, len(replicas))
+	results := make(chan attemptResult, len(g.replicas))
 	next := 0
 	inflight := 0
 	// launch starts the next replica attempt that its breaker admits.
 	launch := func(hedged bool) bool {
-		for next < len(replicas) {
-			wi := replicas[next]
+		for next < len(g.replicas) {
+			wi := g.replicas[next]
 			next++
 			ws := rt.workers[wi]
 			if !ws.br.Allow() {
@@ -298,15 +304,15 @@ func (rt *Router) scatterShard(ctx context.Context, span *obs.Span, shardID int,
 			}
 			cSubreqs.Inc()
 			inflight++
-			go rt.attempt(ctx, ws, wi, hedged, shardID, body, nReads, reqID, traceparent, results)
+			go rt.attempt(ctx, ws, wi, hedged, body, nReads, reqID, traceparent, results)
 			return true
 		}
 		return false
 	}
 	if !launch(false) {
-		return nil, fmt.Errorf("shard %d: no replica available (breakers open)", shardID)
+		return nil, fmt.Errorf("shards %v: no replica available (breakers open)", g.shards)
 	}
-	primary := rt.workers[replicas[0]]
+	primary := rt.workers[g.replicas[0]]
 	hedge := time.NewTimer(rt.hedgeDelay(primary))
 	defer hedge.Stop()
 
@@ -331,14 +337,14 @@ func (rt *Router) scatterShard(ctx context.Context, span *obs.Span, shardID int,
 			cSubreqFails.Inc()
 			lastErr = res.err
 			rt.log.Warn("scatter sub-request failed",
-				"shard", shardID, "worker", rt.cmap.Workers[res.worker].Name,
+				"shards", g.label, "worker", rt.cmap.Workers[res.worker].Name,
 				"hedged", res.hedged, "request_id", reqID, "error", res.err)
 			// Immediate failover: a failed replica should not make the
 			// request wait out the hedge timer.
 			if launch(res.hedged) {
 				cFailovers.Inc()
 			} else if inflight == 0 {
-				return nil, fmt.Errorf("shard %d: all replicas failed: %w", shardID, lastErr)
+				return nil, fmt.Errorf("shards %v: all replicas failed: %w", g.shards, lastErr)
 			}
 		case <-hedge.C:
 			launch(true)
@@ -352,7 +358,7 @@ func (rt *Router) scatterShard(ctx context.Context, span *obs.Span, shardID int,
 // and latency state. The cluster/scatter fault point fires per attempt
 // — per backend — so chaos runs exercise failover and breaker opens
 // exactly like organic worker failures.
-func (rt *Router) attempt(ctx context.Context, ws *workerState, wi int, hedged bool, shardID int, body []byte, nReads int, reqID, traceparent string, out chan<- attemptResult) {
+func (rt *Router) attempt(ctx context.Context, ws *workerState, wi int, hedged bool, body []byte, nReads int, reqID, traceparent string, out chan<- attemptResult) {
 	start := time.Now()
 	fail := func(err error) {
 		// A canceled context here means the router gave up on this
@@ -412,27 +418,27 @@ func (rt *Router) attempt(ctx context.Context, ws *workerState, wi int, hedged b
 	out <- attemptResult{results: sr.Results, worker: wi, hedged: hedged}
 }
 
-// scatterAll fans one batch out to every shard concurrently and
-// returns per-shard sub-responses, failing if any shard cannot be
-// resolved — a partial reference would break bit-identity, so there
+// scatterAll fans one batch out to every replica group concurrently
+// and returns one sub-response per group, failing if any group cannot
+// be resolved — a partial reference would break bit-identity, so there
 // are no partial answers.
 func (rt *Router) scatterAll(ctx context.Context, span *obs.Span, reads []server.ReadInput, timeoutMS int, reqID, traceparent string) ([][]shard.ReadScatter, error) {
-	byShard := make([][]shard.ReadScatter, rt.shardCount)
-	errs := make([]error, rt.shardCount)
+	byGroup := make([][]shard.ReadScatter, len(rt.groups))
+	errs := make([]error, len(rt.groups))
 	var wg sync.WaitGroup
-	for s := 0; s < rt.shardCount; s++ {
-		body, err := json.Marshal(server.ScatterRequest{Shards: []int{s}, Reads: reads, TimeoutMS: timeoutMS})
+	for gi, g := range rt.groups {
+		body, err := json.Marshal(server.ScatterRequest{Shards: g.shards, Reads: reads, TimeoutMS: timeoutMS})
 		if err != nil {
 			return nil, err
 		}
 		wg.Add(1)
-		go func(s int, body []byte) {
+		go func() {
 			defer wg.Done()
 			sub := tScatter.Start(span)
-			sub.Span().SetAttr("shard", int64(s))
-			byShard[s], errs[s] = rt.scatterShard(ctx, sub.Span(), s, body, len(reads), reqID, traceparent)
+			sub.Span().SetLabel("shards", g.label)
+			byGroup[gi], errs[gi] = rt.scatterGroup(ctx, sub.Span(), g, body, len(reads), reqID, traceparent)
 			sub.End()
-		}(s, body)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -440,18 +446,19 @@ func (rt *Router) scatterAll(ctx context.Context, span *obs.Span, reads []server
 			return nil, err
 		}
 	}
-	return byShard, nil
+	return byGroup, nil
 }
 
-// mergeAll recombines per-shard sub-responses into per-read results,
-// reproducing the monolithic engine's candidate order, truncation, and
-// alignment sort via shard.MergeReadScatters.
-func (rt *Router) mergeAll(byShard [][]shard.ReadScatter, nReads int) ([]core.MapResult, error) {
+// mergeAll recombines per-group sub-responses, which cover disjoint
+// shard sets, into per-read results, reproducing the monolithic
+// engine's candidate order, truncation, and alignment sort via
+// shard.MergeReadScatters.
+func (rt *Router) mergeAll(byGroup [][]shard.ReadScatter, nReads int) ([]core.MapResult, error) {
 	out := make([]core.MapResult, nReads)
-	parts := make([]shard.ReadScatter, len(byShard))
+	parts := make([]shard.ReadScatter, len(byGroup))
 	for i := 0; i < nReads; i++ {
-		for s := range byShard {
-			parts[s] = byShard[s][i]
+		for g := range byGroup {
+			parts[g] = byGroup[g][i]
 		}
 		res, err := shard.MergeReadScatters(rt.maxCandidates, parts)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -40,29 +41,38 @@ var testGeo = server.GeometryMeta{
 }
 
 // startCluster boots one fake worker per scatter handler (named
-// "worker-0", "worker-1", ...) plus a probed router over them.
-// Handlers may be nil for a worker that answers scatters with empty
-// results.
+// "worker-0", "worker-1", ...) plus a probed router over them, on a
+// testShards-shard geometry. Handlers may be nil for a worker that
+// answers scatters with empty results.
 func startCluster(t *testing.T, cfg Config, scatter []http.HandlerFunc) *testCluster {
 	t.Helper()
+	return startNamedCluster(t, cfg, "worker-", testShards, scatter)
+}
+
+// startNamedCluster is startCluster with the worker name prefix and
+// the shard count chosen by the caller.
+func startNamedCluster(t *testing.T, cfg Config, prefix string, shards int, scatter []http.HandlerFunc) *testCluster {
+	t.Helper()
 	tc := &testCluster{}
+	geo := testGeo
+	geo.Shards = shards
 	// The map hashes names only, so replica sets are computable before
 	// the servers exist; handlers read ownership through this pointer
 	// once the roster (with real URLs) is final.
 	for i, fn := range scatter {
-		name := fmt.Sprintf("worker-%d", i)
+		name := fmt.Sprintf("%s%d", prefix, i)
 		if fn == nil {
 			fn = scatterRespond(nil)
 		}
 		mux := http.NewServeMux()
 		mux.HandleFunc("/v1/shards", func(w http.ResponseWriter, _ *http.Request) {
-			owned, err := tc.cmap.OwnedBy(name, testShards)
+			owned, err := tc.cmap.OwnedBy(name, shards)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}
 			json.NewEncoder(w).Encode(server.ShardsResponse{
-				Worker: name, Owned: owned, Geometry: testGeo,
+				Worker: name, Owned: owned, Geometry: geo,
 				Ref: testRefMeta, MaxCandidates: testMaxCands,
 			})
 		})
@@ -122,9 +132,10 @@ func postMap(t *testing.T, tc *testCluster, hdr map[string]string) *httptest.Res
 // TestRouterIdentityPropagation: the ingress request ID and the
 // client's traceparent ride every scatter sub-request verbatim, and
 // the merged NDJSON line carries the same ID — one trace across hops.
-// The router's captured span tree holds one cluster/scatter child per
-// shard, labelled with the worker that answered, and every span in it
-// is named by a registry timer.
+// The router sends one sub-request per replica group, and its captured
+// span tree holds one cluster/scatter child per group, labelled with
+// the group's shards and the worker that answered; every span in it is
+// named by a registry timer.
 func TestRouterIdentityPropagation(t *testing.T) {
 	var mu sync.Mutex
 	type hop struct{ reqID, traceparent string }
@@ -162,33 +173,191 @@ func TestRouterIdentityPropagation(t *testing.T) {
 		t.Fatalf("slow captures %+v, want one for %s", caps, wantID)
 	}
 	timers := obs.Default.Snapshot().Timers
-	scatters := 0
+	var labels []string
 	for _, c := range caps[0].Span.Children {
 		c.Walk(func(sp obs.SpanSnapshot) {
 			if _, ok := timers[sp.Name]; !ok {
 				t.Errorf("span %q is not a registry timer", sp.Name)
 			}
 			if sp.Name == "cluster/scatter" {
-				scatters++
+				labels = append(labels, sp.Labels["shards"])
 				if w := sp.Labels["worker"]; !strings.HasPrefix(w, "worker-") {
 					t.Errorf("cluster/scatter span labels %v, want a worker", sp.Labels)
 				}
 			}
 		})
 	}
-	if scatters != testShards {
-		t.Errorf("%d cluster/scatter spans, want %d", scatters, testShards)
+	var want []string
+	for _, g := range tc.rt.groups {
+		want = append(want, g.label)
+	}
+	slices.Sort(labels)
+	slices.Sort(want)
+	if !slices.Equal(labels, want) {
+		t.Errorf("cluster/scatter spans for shards %q, want one per replica group %q", labels, want)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(hops) != testShards {
-		t.Fatalf("%d sub-requests, want %d", len(hops), testShards)
+	if len(hops) != len(tc.rt.groups) {
+		t.Fatalf("%d sub-requests, want %d (one per replica group)", len(hops), len(tc.rt.groups))
 	}
 	for i, h := range hops {
 		if h.reqID != wantID || h.traceparent != wantTP {
 			t.Errorf("hop %d: got (%q, %q), want (%q, %q)", i, h.reqID, h.traceparent, wantID, wantTP)
 		}
 	}
+}
+
+// TestScatterGroups: the router's replica groups partition the shards,
+// every shard in a group has the group's ordered replica list, and a
+// request costs one sub-request per distinct list. The wants are
+// pinned for the "w0", "w1", ... roster the bench cluster uses, so a
+// change to the rendezvous scores shows here too. The failover row
+// breaks the primary of a multi-shard group: the whole group moves to
+// its next replica in one sub-request and the answer does not change.
+func TestScatterGroups(t *testing.T) {
+	for _, tt := range []struct {
+		workers, shards, want int
+	}{
+		{2, 3, 2}, {2, 4, 2}, {2, 8, 2}, // {2, 4} is the bench's serve_cluster
+		{3, 3, 2}, {3, 4, 3}, {3, 8, 4},
+		{4, 3, 2}, {4, 4, 3}, {4, 8, 6},
+	} {
+		t.Run(fmt.Sprintf("%dworkers/%dshards", tt.workers, tt.shards), func(t *testing.T) {
+			var hops atomic.Int64
+			count := func(w http.ResponseWriter, r *http.Request) {
+				hops.Add(1)
+				scatterRespond(nil)(w, r)
+			}
+			scatter := make([]http.HandlerFunc, tt.workers)
+			for i := range scatter {
+				scatter[i] = count
+			}
+			// Hedging out of the picture: a hedge is one more sub-request.
+			tc := startNamedCluster(t, Config{Replication: 2, HedgeDelay: 10 * time.Second}, "w", tt.shards, scatter)
+			lists := map[string]bool{}
+			seen := make([]int, tt.shards)
+			for _, g := range tc.rt.groups {
+				lists[fmt.Sprint(g.replicas)] = true
+				for _, s := range g.shards {
+					seen[s]++
+					if got := tc.cmap.ReplicasFor(s); !slices.Equal(got, g.replicas) {
+						t.Errorf("shard %d has replicas %v, its group (shards %v) %v", s, got, g.shards, g.replicas)
+					}
+				}
+			}
+			for s, n := range seen {
+				if n != 1 {
+					t.Errorf("shard %d is in %d groups, want 1", s, n)
+				}
+			}
+			if len(lists) != len(tc.rt.groups) {
+				t.Errorf("%d groups for %d distinct replica lists", len(tc.rt.groups), len(lists))
+			}
+			if len(tc.rt.groups) != tt.want {
+				t.Errorf("%d groups, want %d", len(tc.rt.groups), tt.want)
+			}
+			if rec := postMap(t, tc, nil); rec.Code != http.StatusOK {
+				t.Fatalf("HTTP %d: %s", rec.Code, rec.Body)
+			}
+			if got := hops.Load(); got != int64(tt.want) {
+				t.Errorf("%d sub-requests for one request, want %d", got, tt.want)
+			}
+		})
+	}
+
+	t.Run("failover", func(t *testing.T) {
+		const workers, shards = 3, 4
+		var mu sync.Mutex
+		got := map[string][]string{} // worker -> shard labels it was asked for
+		var failing atomic.Value     // worker name that 500s every scatter
+		failing.Store("")
+		handler := func(idx int) http.HandlerFunc {
+			name := fmt.Sprintf("w%d", idx)
+			return func(w http.ResponseWriter, r *http.Request) {
+				var req server.ScatterRequest
+				if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+					http.Error(w, err.Error(), http.StatusBadRequest)
+					return
+				}
+				mu.Lock()
+				got[name] = append(got[name], fmt.Sprint(req.Shards))
+				mu.Unlock()
+				if failing.Load().(string) == name {
+					http.Error(w, `{"code":"internal"}`, http.StatusInternalServerError)
+					return
+				}
+				// One aligned candidate per requested shard on read 0,
+				// so the merged body depends on every shard's answer.
+				results := make([]shard.ReadScatter, len(req.Reads))
+				for i := range results {
+					results[i] = shard.ReadScatter{Read: i}
+				}
+				for _, s := range req.Shards {
+					results[0].Strand[0] = append(results[0].Strand[0], shard.CandExt{
+						QueryPos: 0, RefPos: 10 * s, Ext: true, Aligned: true, Score: 8 + s,
+						RefStart: 10 * s, RefEnd: 10*s + 8, QueryStart: 0, QueryEnd: 8, Cigar: "8M",
+						FirstTileScore: 8 + s, Tiles: 1, Cells: 64,
+					})
+				}
+				json.NewEncoder(w).Encode(server.ScatterResponse{Results: results})
+			}
+		}
+		scatter := make([]http.HandlerFunc, workers)
+		for i := range scatter {
+			scatter[i] = handler(i)
+		}
+		tc := startNamedCluster(t, Config{Replication: 2, HedgeDelay: 10 * time.Second, BreakerThreshold: 100},
+			"w", shards, scatter)
+		var g replicaGroup
+		for _, c := range tc.rt.groups {
+			if len(c.shards) > 1 {
+				g = c
+				break
+			}
+		}
+		if g.shards == nil {
+			t.Fatalf("no multi-shard group among %d shards on %d workers", shards, workers)
+		}
+		hdr := map[string]string{"X-Request-ID": "groups-failover"}
+		healthy := postMap(t, tc, hdr)
+		if healthy.Code != http.StatusOK || !strings.Contains(healthy.Body.String(), `"mapped":true`) {
+			t.Fatalf("healthy: HTTP %d: %s", healthy.Code, healthy.Body)
+		}
+
+		primary, next := tc.workers[g.replicas[0]].Name, tc.workers[g.replicas[1]].Name
+		failing.Store(primary)
+		mu.Lock()
+		clear(got)
+		mu.Unlock()
+		failed := postMap(t, tc, hdr)
+		if failed.Code != http.StatusOK {
+			t.Fatalf("primary %s failing: HTTP %d: %s", primary, failed.Code, failed.Body)
+		}
+		if failed.Body.String() != healthy.Body.String() {
+			t.Errorf("body with %s failing differs:\n%s\nwant\n%s", primary, failed.Body, healthy.Body)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		want := fmt.Sprint(g.shards)
+		if !slices.Contains(got[primary], want) {
+			t.Errorf("primary %s was asked for %v, want shards %s", primary, got[primary], want)
+		}
+		if !slices.Contains(got[next], want) {
+			t.Errorf("next replica %s was asked for %v, want the whole group %s", next, got[next], want)
+		}
+		labels := map[string]bool{}
+		for _, c := range tc.rt.groups {
+			labels[fmt.Sprint(c.shards)] = true
+		}
+		for w, asked := range got {
+			for _, l := range asked {
+				if !labels[l] {
+					t.Errorf("%s was asked for shards %s, which is not one replica group", w, l)
+				}
+			}
+		}
+	})
 }
 
 // TestRouterHedgeCancelsLoser: when the primary stalls, the hedge
@@ -198,9 +367,10 @@ func TestRouterIdentityPropagation(t *testing.T) {
 func TestRouterHedgeCancelsLoser(t *testing.T) {
 	// Which worker is primary for a shard is hash-determined, so the
 	// stall adapts at request time: whichever worker is primary for
-	// the requested shard stalls until its context is cancelled, and
-	// the secondary answers. stall gates the behavior so the boot
-	// probe and map construction happen on fast paths.
+	// the requested shards (one replica group, so one primary) stalls
+	// until its context is cancelled, and the secondary answers. stall
+	// gates the behavior so the boot probe and map construction happen
+	// on fast paths.
 	var stall atomic.Bool
 	var cm *Map
 	cancelled := make(chan string, 4)
@@ -239,20 +409,22 @@ func TestRouterHedgeCancelsLoser(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("HTTP %d: %s", rec.Code, rec.Body)
 	}
-	// Both shards' primaries stalled, so both hedges fired and won.
-	if got := cHedgeFired.Value() - hedgeFiredBefore; got != testShards {
-		t.Errorf("hedge_fired delta %d, want %d", got, testShards)
+	// Every replica group's primary stalled, so each group's hedge
+	// fired and won.
+	groups := int64(len(tc.rt.groups))
+	if got := cHedgeFired.Value() - hedgeFiredBefore; got != groups {
+		t.Errorf("hedge_fired delta %d, want %d", got, groups)
 	}
-	if got := cHedgeWins.Value() - hedgeWinsBefore; got != testShards {
-		t.Errorf("hedge_wins delta %d, want %d", got, testShards)
+	if got := cHedgeWins.Value() - hedgeWinsBefore; got != groups {
+		t.Errorf("hedge_wins delta %d, want %d", got, groups)
 	}
 	// The losers' contexts must be cancelled promptly — not left to
 	// dangle until the 60s request deadline.
-	for i := 0; i < testShards; i++ {
+	for i := int64(0); i < groups; i++ {
 		select {
 		case <-cancelled:
 		case <-time.After(5 * time.Second):
-			t.Fatalf("loser %d of %d: context never cancelled", i+1, testShards)
+			t.Fatalf("loser %d of %d: context never cancelled", i+1, groups)
 		}
 	}
 	// Losing a hedge is router-initiated cancellation, not a worker

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -125,14 +126,23 @@ func Table3(o Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		// One pass over the reads gives the seed and hit counts; its
+		// time is the median of table3Passes passes, since a single cold
+		// pass moves 2–4× with the host.
 		var seeds, hits int
-		start := time.Now()
-		for i := range reads {
-			_, st := filter.Query(reads[i].Seq)
-			seeds += st.SeedsIssued
-			hits += st.Hits
+		passes := make([]float64, table3Passes)
+		for p := range passes {
+			seeds, hits = 0, 0
+			start := time.Now()
+			for i := range reads {
+				_, st := filter.Query(reads[i].Seq)
+				seeds += st.SeedsIssued
+				hits += st.Hits
+			}
+			passes[p] = time.Since(start).Seconds()
 		}
-		elapsed := time.Since(start).Seconds()
+		slices.Sort(passes)
+		elapsed := passes[len(passes)/2]
 		if seeds == 0 || elapsed == 0 {
 			continue
 		}
@@ -151,6 +161,10 @@ func Table3(o Options) (*Result, error) {
 		fmt.Sprintf("\nScaled measurement (synthetic %d bp genome):\n", o.GenomeLen) + scaledTb.Render()
 	return &Result{ID: "table3", Report: report, Values: values}, nil
 }
+
+// table3Passes is how many timed passes over the reads Table 3 takes
+// per seed size; the software column reports their median.
+const table3Passes = 5
 
 // Table4 regenerates the overall comparison: reference-guided mapping
 // of the three read classes against the class-appropriate baseline,

@@ -63,6 +63,17 @@ run_client() {
 }
 
 reads_per_s() { awk -F'[ ,]+' '/^throughput:/{print $4}' "$1"; }
+# subreqs_per_request ADDR — a router's first-attempt scatter
+# sub-requests per /v1/map request it took (client retries included):
+# one per replica-set group, with hedges and failovers left out.
+subreqs_per_request() {
+    curl -fsS "http://$1/metrics" | awk '
+        /^darwin_cluster_scatter_subreqs_total / {s = $2}
+        /^darwin_cluster_hedge_fired_total / {h = $2}
+        /^darwin_cluster_replica_failovers_total / {f = $2}
+        /^darwin_cluster_requests_total / {r = $2}
+        END {printf "%.1f", r ? (s - h - f) / r : 0}'
+}
 lat_p50()    { sed -n 's/^latency: p50=\([^ ]*\).*/\1/p' "$1"; }
 lat_p99()    { sed -n 's/.* p99=\([^ ]*\).*/\1/p' "$1"; }
 
@@ -131,6 +142,7 @@ for n in 1 2 4; do
     rpid=$!; pids+=("$rpid")
     raddr=$(wait_ready "$tmp/router_$n.log" "$rpid")
     run_client "$raddr" "$tmp/cluster_$n.out"
+    subreqs_per_request "$raddr" > "$tmp/subreqs_$n"
     kill -TERM "$rpid"; wait "$rpid" 2>/dev/null || true
     for p in "${wpids[@]}"; do kill -TERM "$p" 2>/dev/null || true; done
     for p in "${wpids[@]}"; do wait "$p" 2>/dev/null || true; done
@@ -141,7 +153,8 @@ echo "cluster-scaling: === scaling curve (reads/s, fixed per-node budget) ==="
 printf '%-28s %s\n' "monolith (unbounded)" "$(reads_per_s "$tmp/mono_unbounded.out")"
 printf '%-28s %s\n' "monolith (budget)"    "$(reads_per_s "$tmp/mono_budget.out")"
 for n in 1 2 4; do
-    printf '%-28s %s\n' "router + $n worker(s)" "$(reads_per_s "$tmp/cluster_$n.out")"
+    printf '%-28s %s (%s sub-requests/request)\n' "router + $n worker(s)" \
+        "$(reads_per_s "$tmp/cluster_$n.out")" "$(cat "$tmp/subreqs_$n")"
 done
 mono=$(reads_per_s "$tmp/mono_budget.out")
 two=$(reads_per_s "$tmp/cluster_2.out")
@@ -192,9 +205,11 @@ hedge_run() {
 }
 
 hedge_run "$ra250" "$tmp/hedge_healthy.out"
+hsub=$(subreqs_per_request "$ra250")
 
-# Stall shard 0's primary (from the router's topology view) so roughly
-# half the scatter sub-requests hang until the hedge fires.
+# Stall shard 0's primary (from the router's topology view) so the
+# sub-requests of shard 0's replica group hang until the hedge fires.
+# How many of a request's sub-requests that is depends on the roster.
 primary=$(curl -fsS "http://$ra250/v1/cluster" | tr -d ' \n' \
     | sed -n 's/.*"replicas":\[\[\"\([^"]*\)".*/\1/p')
 case "$primary" in
@@ -213,7 +228,7 @@ for p in "${hpids[@]}"; do kill -TERM "$p" 2>/dev/null || true; done
 for p in "${hpids[@]}"; do wait "$p" 2>/dev/null || true; done
 
 echo
-echo "cluster-scaling: === hedge tail latency (p50 / p99 per request) ==="
+echo "cluster-scaling: === hedge tail latency (p50 / p99 per request, $hsub sub-requests/request) ==="
 printf '%-36s %-12s %s\n' "healthy, hedge 250ms" \
     "$(lat_p50 "$tmp/hedge_healthy.out")" "$(lat_p99 "$tmp/hedge_healthy.out")"
 printf '%-36s %-12s %s\n' "$primary stalled, hedge 250ms" \
