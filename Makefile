@@ -64,7 +64,11 @@ fallback:
 # Hits vs a map-built oracle (fuzzed references with N, lower case and
 # IUPAC bytes; no mask, the local mask, a global mask), the .dwi reader on
 # re-sealed mutated index files (no panic, only coded errors, and
-# Lookup answers on every table it accepts), and the DWCP checkpoint
+# Lookup answers on every table it accepts), every mapping path against
+# the monolith over fuzzed engine parameters, shard counts and worker
+# groupings (the sharded engine, ScatterShards + merge through the wire
+# form, a loaded .dwi, a budgeted set, and a file written under other
+# parameters: equal alignments and work stats), and the DWCP checkpoint
 # reader on re-sealed mutated checkpoints (coded errors, or a
 # checkpoint that writes back byte-identically), the FASTA and
 # FASTQ readers (no panic, and whatever they accept writes back and
@@ -82,6 +86,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/dsoft/
 	$(GO) test -run '^$$' -fuzz '^FuzzLookup$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/seedtable/
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexOpen$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/indexfile/
+	$(GO) test -run '^$$' -fuzz '^FuzzMapPaths$$' -fuzztime 60s -fuzzminimizetime 1s ./internal/indexio/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/jobs/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFASTA$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/dna/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFASTQ$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/dna/

@@ -1,7 +1,7 @@
 // Command darwin-index builds, inspects, and verifies persistent
 // Darwin index files (internal/indexfile, extension .dwi). A built
-// index carries the seed tables, mask, and reference bytes in their
-// exact in-memory layout, so darwin and darwind cold-start by mapping
+// index carries one whole-reference seed table, the mask, and the
+// reference bytes in their exact in-memory layout, so darwin and darwind cold-start by mapping
 // the file instead of re-running the index build the paper's Table 3
 // charges per run.
 //
@@ -77,7 +77,7 @@ func runBuild(args []string) error {
 	k := fs.Int("k", 12, "D-SOFT seed size k")
 	n := fs.Int("n", 750, "D-SOFT seeds per query strand N")
 	h := fs.Int("h", 24, "D-SOFT base-count threshold h")
-	shards := fs.Int("shards", 0, "split the index into this many shards (0 = monolithic)")
+	shards := fs.Int("shards", 0, "record this shard count as the default for engines that set none (0 = monolithic); the file holds one table either way")
 	fs.Parse(args)
 	if *refPath == "" {
 		return fmt.Errorf("build: -ref is required")
@@ -110,7 +110,7 @@ func runBuild(args []string) error {
 	}
 	layout := "monolithic"
 	if idx.ShardCount > 0 {
-		layout = fmt.Sprintf("%d shards of %d bp (+%d bp overlap)", idx.ShardCount, idx.ShardSize, idx.Overlap)
+		layout = fmt.Sprintf("%d shards by default", idx.ShardCount)
 	}
 	fmt.Fprintf(os.Stderr, "darwin-index: wrote %s: %d sequences, %d bp, k=%d, %s, %d sections, %d bytes, fingerprint %016x (%s)\n",
 		outPath, len(idx.Seqs), len(idx.Ref), idx.Params.SeedK, layout,

@@ -87,8 +87,12 @@ func run() error {
 	engine, ref := l.Mapper, l.Ref
 	if l.Set != nil {
 		geo := l.Set.Geometry()
-		fmt.Fprintf(os.Stderr, "darwin: partitioned %d sequences, %d bp into %d shards of %d bp (+%d bp overlap, k=%d); tables build lazily\n",
-			ref.NumSeqs(), len(ref.Seq()), len(geo.Parts), geo.ShardSize, geo.Overlap, cfg.SeedK)
+		tables := "one whole-reference table"
+		if spec.MaxResidentBytes > 0 {
+			tables = "shard tables build lazily"
+		}
+		fmt.Fprintf(os.Stderr, "darwin: partitioned %d sequences, %d bp into %d shards of %d bp (+%d bp overlap, k=%d); %s\n",
+			ref.NumSeqs(), len(ref.Seq()), len(geo.Parts), geo.ShardSize, geo.Overlap, cfg.SeedK, tables)
 	} else {
 		fmt.Fprintf(os.Stderr, "darwin: indexed %d sequences, %d bp (k=%d) in %s\n",
 			ref.NumSeqs(), len(ref.Seq()), cfg.SeedK, engine.IndexBuildTime())

@@ -34,7 +34,8 @@ const digestsPath = "testdata/output_digests.txt"
 // darwin-overlap TSV, the darwin-assemble contigs and one /v1/map
 // NDJSON body from an in-process darwind and from an in-process router
 // over two darwind workers, plus the run-report counters of the four
-// FASTA-built darwin runs and of darwin-overlap. Refactors of the
+// FASTA-built darwin runs and of darwin-overlap; a 3-shard run's
+// counters must be the monolithic run's plus shard/* lines. Refactors of the
 // engines must leave every digest as it is; a change that moves one on
 // purpose re-pins it and says why. A loaded index's SAM pins to its FASTA build's digest, and
 // the router's body to darwind's. The scratch directory is replaced by a
@@ -74,6 +75,7 @@ func TestOutputDigests(t *testing.T) {
 			"-out", filepath.Join(dir, "ref-"+shards+".dwi")}, engine...)...)
 	}
 	for _, profile := range []string{"pacbio", "ont1d"} {
+		counters := map[string][]byte{} // by shard count
 		reads := filepath.Join(dir, profile+".fq")
 		runTool(t, readsim, "-ref", refPath, "-profile", profile, "-n", "12",
 			"-len", "2000", "-seed", "22", "-out", reads)
@@ -90,7 +92,14 @@ func TestOutputDigests(t *testing.T) {
 				runTool(t, darwin, append(append(src.flags, "-reads", reads, "-shards", shards, "-out", out), engine...)...)
 				digestFile(fmt.Sprintf("darwin/%s/shards=%s%s", profile, shards, src.suffix), out)
 			}
-			digest(fmt.Sprintf("darwin/%s/shards=%s/counters", profile, shards), reportCounters(t, report))
+			counters[shards] = reportCounters(t, report)
+			digest(fmt.Sprintf("darwin/%s/shards=%s/counters", profile, shards), counters[shards])
+		}
+		// The sharded run maps on one whole-reference table with one
+		// D-SOFT pass per strand, the monolith's, so it does the same
+		// work: its counters are the monolith's plus the shard/* set's.
+		if sharded := withoutShardCounters(counters["3"]); !bytes.Equal(sharded, counters["0"]) {
+			t.Errorf("darwin/%s: shards=3 counters without shard/* differ from shards=0:\n%s\nvs\n%s", profile, sharded, counters["0"])
 		}
 	}
 
@@ -171,6 +180,18 @@ func reportCounters(t *testing.T, path string) []byte {
 	var b bytes.Buffer
 	for _, name := range names {
 		fmt.Fprintf(&b, "%s %d\n", name, rep.Counters[name])
+	}
+	return b.Bytes()
+}
+
+// withoutShardCounters drops the shard/* lines of a reportCounters
+// rendering.
+func withoutShardCounters(rendered []byte) []byte {
+	var b bytes.Buffer
+	for _, line := range bytes.SplitAfter(rendered, []byte("\n")) {
+		if !bytes.HasPrefix(line, []byte("shard/")) {
+			b.Write(line)
+		}
 	}
 	return b.Bytes()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -335,7 +336,11 @@ func (rt *Router) scatterGroup(ctx context.Context, span *obs.Span, g replicaGro
 				return res.results, nil
 			}
 			cSubreqFails.Inc()
-			lastErr = res.err
+			// A replica that failed outright outranks one that was only
+			// busy: the group answers 429 only when every replica did.
+			if lastErr == nil || errors.Is(lastErr, server.ErrQueueFull) {
+				lastErr = res.err
+			}
 			rt.log.Warn("scatter sub-request failed",
 				"shards", g.label, "worker", rt.cmap.Workers[res.worker].Name,
 				"hedged", res.hedged, "request_id", reqID, "error", res.err)
@@ -365,8 +370,10 @@ func (rt *Router) attempt(ctx context.Context, ws *workerState, wi int, hedged b
 		// attempt itself — a sibling hedge won, or the caller went
 		// away. The worker did nothing wrong, so its breaker must not
 		// be charged, or routine hedging against a slow-but-healthy
-		// primary would eventually open its breaker.
-		if ctx.Err() != context.Canceled {
+		// primary would eventually open its breaker. Nor did a worker
+		// that answered 429: it is up and shedding load, and opening
+		// its breaker would turn backpressure into an outage.
+		if ctx.Err() != context.Canceled && !errors.Is(err, server.ErrQueueFull) {
 			if ws.br.ReportFailure() {
 				cBreakerOpens.Inc()
 				rt.log.Warn("worker breaker opened", "worker", ws.Name)
@@ -399,7 +406,11 @@ func (rt *Router) attempt(ctx context.Context, ws *workerState, wi int, hedged b
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		fail(fmt.Errorf("worker %s: HTTP %d: %s", ws.Name, resp.StatusCode, bytes.TrimSpace(msg)))
+		err := fmt.Errorf("worker %s: HTTP %d: %s", ws.Name, resp.StatusCode, bytes.TrimSpace(msg))
+		if resp.StatusCode == http.StatusTooManyRequests {
+			err = fmt.Errorf("%w (%v)", server.ErrQueueFull, err)
+		}
+		fail(err)
 		return
 	}
 	var sr server.ScatterResponse
@@ -421,7 +432,9 @@ func (rt *Router) attempt(ctx context.Context, ws *workerState, wi int, hedged b
 // scatterAll fans one batch out to every replica group concurrently
 // and returns one sub-response per group, failing if any group cannot
 // be resolved — a partial reference would break bit-identity, so there
-// are no partial answers.
+// are no partial answers. The error wraps server.ErrQueueFull, which
+// the client sees as 429, only when every group that failed did so
+// because each of its replicas answered 429.
 func (rt *Router) scatterAll(ctx context.Context, span *obs.Span, reads []server.ReadInput, timeoutMS int, reqID, traceparent string) ([][]shard.ReadScatter, error) {
 	byGroup := make([][]shard.ReadScatter, len(rt.groups))
 	errs := make([]error, len(rt.groups))
@@ -441,10 +454,19 @@ func (rt *Router) scatterAll(ctx context.Context, span *obs.Span, reads []server
 		}()
 	}
 	wg.Wait()
+	var busy error
 	for _, err := range errs {
-		if err != nil {
+		switch {
+		case errors.Is(err, server.ErrQueueFull):
+			if busy == nil {
+				busy = err
+			}
+		case err != nil:
 			return nil, err
 		}
+	}
+	if busy != nil {
+		return nil, busy
 	}
 	return byGroup, nil
 }

@@ -610,3 +610,47 @@ func TestRouterProbeRejectsEngineMismatch(t *testing.T) {
 		t.Fatal("router ready after a failed probe")
 	}
 }
+
+// TestRouterQueueFullIsBackpressure: a worker that answers 429
+// queue_full is up and shedding load. The router must not charge its
+// breaker for it, and when every replica of a group answered 429 the
+// client gets 429 with Retry-After, not 502 scatter_failed. A replica
+// that failed outright still makes the request a 502.
+func TestRouterQueueFullIsBackpressure(t *testing.T) {
+	var hits atomic.Int64
+	busy := func(w http.ResponseWriter, _ *http.Request) {
+		hits.Add(1)
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, `{"code":"queue_full"}`, http.StatusTooManyRequests)
+	}
+	tc := startCluster(t, Config{
+		Replication:      1,
+		HedgeDelay:       10 * time.Second,
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Hour,
+	}, []http.HandlerFunc{busy, busy})
+	opens := cBreakerOpens.Value()
+	for i := 0; i < 3; i++ {
+		rec := postMap(t, tc, nil)
+		if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") == "" {
+			t.Fatalf("request %d: HTTP %d (Retry-After %q): %s; want 429 with Retry-After",
+				i, rec.Code, rec.Header().Get("Retry-After"), rec.Body)
+		}
+	}
+	if got := cBreakerOpens.Value() - opens; got != 0 {
+		t.Errorf("%d breaker opens on 429s, want none", got)
+	}
+	// Threshold 1: one charged failure would have opened a breaker and
+	// kept later requests off the worker, so every request reaches it.
+	if got := hits.Load(); got < 3 {
+		t.Errorf("workers saw %d sub-requests over 3 requests, want every request to reach them", got)
+	}
+
+	broken := func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, `{"code":"internal"}`, http.StatusInternalServerError)
+	}
+	tc = startCluster(t, Config{Replication: 2, HedgeDelay: 10 * time.Second}, []http.HandlerFunc{busy, broken})
+	if rec := postMap(t, tc, nil); rec.Code != http.StatusBadGateway {
+		t.Errorf("one replica busy, one broken: HTTP %d: %s; want 502", rec.Code, rec.Body)
+	}
+}

@@ -13,7 +13,8 @@ type ShardSpec struct {
 	// D-SOFT bin size.
 	Shards int
 	// MaxResidentBytes bounds the total bytes of shard seed tables kept
-	// resident (LRU eviction). Zero means unbounded. The budget covers
+	// resident (LRU eviction). Zero means unbounded: every shard then
+	// maps on one whole-reference seed table. The budget covers
 	// the seed tables only — the packed reference sequence (1 byte per
 	// base) always stays resident, since GACT extension reads it
 	// directly at global coordinates.

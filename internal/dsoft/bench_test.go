@@ -90,3 +90,64 @@ func BenchmarkQuerySharded(b *testing.B) {
 	}
 	benchQuery(b, tabs, qs)
 }
+
+// BenchmarkQueryWindow is what a cluster worker pays to scatter a read
+// over some of serve_direct's four shards: on each shard's own table
+// (one pass per shard, the layout a residency budget keeps), or as one
+// pass over the whole-reference table windowed to the requested
+// extents (the layout without a budget). It reports ns per read strand.
+func BenchmarkQueryWindow(b *testing.B) {
+	ref, qs := serveGenome(b)
+	whole, err := seedtable.Build(ref, 12, seedtable.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	mask, err := seedtable.ComputeMask(ref, 12, seedtable.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const shards, overlap = 4, 1024 // shard.MinOverlap at N = 600, rounded up to B
+	extent := func(s int) (int, int) {
+		core := len(ref) / shards
+		return max(s*core-overlap, 0), min((s+1)*core+overlap, len(ref))
+	}
+	type window struct {
+		tab        *seedtable.Table
+		start, end int
+	}
+	run := func(b *testing.B, ws []window) {
+		f, err := New(nil, DefaultConfig(600, 22))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var out []Candidate
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, w := range ws {
+				if err := f.SetTable(w.tab); err != nil {
+					b.Fatal(err)
+				}
+				f.SetWindow(w.start, w.end)
+				out, _ = f.QueryInto(qs[i%len(qs)], out[:0])
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/read")
+	}
+	own := func(s int) window {
+		start, end := extent(s)
+		tab, err := seedtable.BuildRange(ref, start, end, 12, seedtable.Options{Mask: mask})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return window{tab, 0, tab.RefLen()}
+	}
+	s0, _ := extent(0)
+	s1, e1 := extent(1)
+	_, e2 := extent(2)
+	b.Run("shard1/own_table", func(b *testing.B) { run(b, []window{own(1)}) })
+	b.Run("shard1/whole_windowed", func(b *testing.B) { run(b, []window{{whole, s1, e1}}) })
+	b.Run("shards02/own_tables", func(b *testing.B) { run(b, []window{own(0), own(2)}) })
+	b.Run("shards02/whole_windowed", func(b *testing.B) { run(b, []window{{whole, s0, e2}}) })
+	b.Run("all/own_tables", func(b *testing.B) { run(b, []window{own(0), own(1), own(2), own(3)}) })
+	b.Run("all/whole", func(b *testing.B) { run(b, []window{{whole, 0, len(ref)}}) })
+}

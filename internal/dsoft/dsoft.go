@@ -134,6 +134,10 @@ type Filter struct {
 	nz      []int32
 	qPad    int
 
+	// lo and hi bound the hit positions a query sees to [lo, hi)
+	// (SetWindow); a table bound by SetTable sees all of them.
+	lo, hi uint32
+
 	codes []uint32 // the query's packed seeds (appendSeeds), then their ranks; reused across queries
 }
 
@@ -180,7 +184,18 @@ func (f *Filter) SetTable(t *seedtable.Table) error {
 		}
 	}
 	f.table = t
+	f.lo, f.hi = 0, ^uint32(0)
 	return nil
+}
+
+// SetWindow restricts the filter, until the next SetTable, to the hits
+// whose seed lies wholly inside the table positions [start, end) —
+// exactly the hits a table built over that window alone
+// (seedtable.BuildRange) would hold, at their unshifted positions. Bins
+// stay indexed by table position, so a window starting at a multiple
+// of B counts every bin as that window's own table would.
+func (f *Filter) SetWindow(start, end int) {
+	f.lo, f.hi = uint32(max(start, 0)), uint32(max(end-f.k+1, 0))
 }
 
 // ensureBins sizes the bin arrays for a query of length qLen.
@@ -236,9 +251,11 @@ func (f *Filter) QueryInto(q dna.Seq, out []Candidate) ([]Candidate, Stats) {
 		}
 		j := s * f.cfg.Stride
 		st.SeedsIssued++
-		hits := f.table.Hits(rank) // nil for seedtable.Absent
-		st.Hits += len(hits)
-		for _, hit := range hits {
+		for _, hit := range f.table.Hits(rank) {
+			if hit < f.lo || hit >= f.hi {
+				continue
+			}
+			st.Hits++
 			i := int(hit)
 			bin := (i - j + f.qPad) / B
 			last := f.lastHit[bin]
@@ -288,9 +305,11 @@ func (f *Filter) Trace(q dna.Seq) [][]int {
 		}
 		j := s * f.cfg.Stride
 		hits := f.table.Hits(rank)
-		bins := make([]int, len(hits))
-		for x, hit := range hits {
-			bins[x] = (int(hit) - j + f.qPad) / B
+		bins := make([]int, 0, len(hits))
+		for _, hit := range hits {
+			if hit >= f.lo && hit < f.hi {
+				bins = append(bins, (int(hit)-j+f.qPad)/B)
+			}
 		}
 		out = append(out, bins)
 	}

@@ -19,13 +19,13 @@ func Reseal(data []byte) []byte {
 	}
 	blob := data[preambleLen:hdrEnd]
 	if _, secs, err := decodeHeader("", blob); err == nil {
-		// The section table is the header's tail: 28 bytes per entry,
-		// the CRC in the last 4.
-		base := len(blob) - 28*len(secs)
+		// The section table is the header's tail: sectionLen bytes
+		// per entry, the CRC in the last 4.
+		base := len(blob) - sectionLen*len(secs)
 		for i, s := range secs {
 			if s.offset >= 0 && s.length >= 0 && s.length <= int64(len(data))-s.offset {
 				crc := crc32.Checksum(data[s.offset:s.offset+s.length], castagnoli)
-				binary.LittleEndian.PutUint32(blob[base+28*i+24:], crc)
+				binary.LittleEndian.PutUint32(blob[base+sectionLen*(i+1)-4:], crc)
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 // Package indexfile is the persistent on-disk reference index: a
-// versioned little-endian container (.dwi) holding the seed position
-// table(s), the global high-frequency mask, and the concatenated
-// reference bytes in their exact in-memory layout.
+// versioned little-endian container (.dwi) holding one whole-reference
+// seed position table, the global high-frequency mask, and the
+// concatenated reference bytes in their exact in-memory layout.
 //
 // Darwin's seed position table is deliberately flat — an index over
 // sequentially stored hit lists (Section 3, Figure 3), laid out so the
@@ -15,7 +15,7 @@
 // # Layout
 //
 //	offset 0   magic   "DWINDEX\x00" (8 bytes)
-//	offset 8   u32     format version (currently 3)
+//	offset 8   u32     format version (currently 4)
 //	offset 12  u32     header length H
 //	offset 16  header  H bytes (see below)
 //	16+H       u32     CRC-32C of the header bytes
@@ -24,11 +24,15 @@
 // The header records the seeding parameters (k, masking on or off, the
 // D-SOFT bin size, the applied mask threshold), the reference metadata
 // (sequence names, lengths, global offsets, N-pad bin size), the shard
-// geometry, per-table mask statistics, and a section table giving each
-// payload section's kind, owning table, absolute offset, byte length,
-// and CRC-32C checksum. Section kinds are the reference bytes, the
-// global mask codes, and per table a rank directory (k ≤ 12) or the
-// sorted present codes (k > 12), then the start and position arrays.
+// count a zero spec opens the index with, the table's mask statistics,
+// and a section table giving each payload section's kind, absolute
+// offset, byte length, and CRC-32C checksum. Section kinds are the
+// reference bytes, the global mask codes, the table's rank directory
+// (k ≤ 12) or sorted present codes (k > 12), then its start and
+// position arrays. There is one table whatever the shard count: the
+// partition is computed when the file is opened, from the opening
+// engine's parameters, and a sharded engine windows the whole table to
+// each shard's extent.
 //
 // Because the header contains every section checksum, the FNV-64a hash
 // of the header bytes fingerprints the entire file content; cluster
@@ -51,7 +55,7 @@ const Magic = "DWINDEX\x00"
 
 // Version is the current format version; a file of any other version
 // is rejected as bad_version.
-const Version = 3
+const Version = 4
 
 // Ext is the conventional file extension; SidecarPath derives the
 // auto-discovered sidecar name for a reference FASTA from it.
@@ -146,19 +150,9 @@ type SeqMeta struct {
 	Length int // un-padded sequence length
 }
 
-// TableMeta is one seed table's window geometry in global coordinates.
-// A monolithic index has one table spanning [0, refLen) with Core ==
-// Extent; a sharded index has one table per shard with the partition's
-// core/extent spans.
-type TableMeta struct {
-	ExtentStart, ExtentEnd int
-	CoreStart, CoreEnd     int
-	MaskedSeeds            int
-	MaskedHits             int
-}
-
-// Section kinds. Kinds 2 and 4 held other arrays before version 3, so
-// the version check must come before any section is read.
+// Section kinds. Kinds 2 and 4 held other arrays before version 3, and
+// version 3's section entries named an owning table, so the version
+// check must come before any header field past the preamble is read.
 const (
 	secRef   = 0 // concatenated reference, ASCII bytes
 	secMask  = 1 // global mask codes, ascending u32
@@ -178,22 +172,21 @@ var sectionKindNames = map[uint32]string{
 	secPos:   "pos",
 }
 
-// noTable marks sections owned by the file, not one seed table.
-const noTable = ^uint32(0)
-
 // section is one payload section's placement.
 type section struct {
 	kind   uint32
-	table  uint32 // owning table index, noTable for ref/mask
 	offset int64
 	length int64
 	crc    uint32
 }
 
+// sectionLen is one section table entry's encoded size: kind, offset,
+// length, CRC.
+const sectionLen = 24
+
 // SectionInfo is one section's placement for inspect/verify output.
 type SectionInfo struct {
 	Kind   string `json:"kind"`
-	Table  int    `json:"table"` // -1 for file-level sections
 	Offset int64  `json:"offset"`
 	Length int64  `json:"length"`
 	CRC    uint32 `json:"crc32c"`
@@ -202,14 +195,18 @@ type SectionInfo struct {
 // Info is the decoded header: everything about an index file short of
 // the payload bytes.
 type Info struct {
-	Version     int
-	Params      Params
-	RefLen      int
-	Seqs        []SeqMeta
-	ShardCount  int // 0 = monolithic
-	ShardSize   int
-	Overlap     int
-	Tables      []TableMeta
+	Version int
+	Params  Params
+	RefLen  int
+	Seqs    []SeqMeta
+	// ShardCount is the shard count an engine with a zero shard spec
+	// opens the index with (0 = monolithic). It shapes nothing in the
+	// file.
+	ShardCount int
+	// MaskedSeeds and MaskedHits record what masking removed from the
+	// table.
+	MaskedSeeds int
+	MaskedHits  int
 	Sections    []SectionInfo
 	Fingerprint uint64
 	FileSize    int64
@@ -303,21 +300,11 @@ func encodeHeader(info *Info, secs []section) []byte {
 		w.u64(uint64(s.Length))
 	}
 	w.u32(uint32(info.ShardCount))
-	w.u32(uint32(info.ShardSize))
-	w.u32(uint32(info.Overlap))
-	w.u32(uint32(len(info.Tables)))
-	for _, t := range info.Tables {
-		w.u64(uint64(t.ExtentStart))
-		w.u64(uint64(t.ExtentEnd))
-		w.u64(uint64(t.CoreStart))
-		w.u64(uint64(t.CoreEnd))
-		w.u64(uint64(t.MaskedSeeds))
-		w.u64(uint64(t.MaskedHits))
-	}
+	w.u64(uint64(info.MaskedSeeds))
+	w.u64(uint64(info.MaskedHits))
 	w.u32(uint32(len(secs)))
 	for _, s := range secs {
 		w.u32(s.kind)
-		w.u32(s.table)
 		w.u64(uint64(s.offset))
 		w.u64(uint64(s.length))
 		w.u32(s.crc)
@@ -352,31 +339,9 @@ func decodeHeader(path string, blob []byte) (*Info, []section, error) {
 		}
 	}
 	info.ShardCount = int(r.u32())
-	info.ShardSize = int(r.u32())
-	info.Overlap = int(r.u32())
-	nTables := r.count(48)
-	if r.fail || nTables < 1 {
-		return bad("implausible table count %d", nTables)
-	}
-	wantTables := 1
-	if info.ShardCount > 0 {
-		wantTables = info.ShardCount
-	}
-	if nTables != wantTables {
-		return bad("%d tables but shard count %d", nTables, info.ShardCount)
-	}
-	info.Tables = make([]TableMeta, nTables)
-	for i := range info.Tables {
-		info.Tables[i] = TableMeta{
-			ExtentStart: int(r.u64()),
-			ExtentEnd:   int(r.u64()),
-			CoreStart:   int(r.u64()),
-			CoreEnd:     int(r.u64()),
-			MaskedSeeds: int(r.u64()),
-			MaskedHits:  int(r.u64()),
-		}
-	}
-	nSecs := r.count(28)
+	info.MaskedSeeds = int(r.u64())
+	info.MaskedHits = int(r.u64())
+	nSecs := r.count(sectionLen)
 	if r.fail || nSecs < 1 {
 		return bad("implausible section count %d", nSecs)
 	}
@@ -384,7 +349,6 @@ func decodeHeader(path string, blob []byte) (*Info, []section, error) {
 	for i := range secs {
 		secs[i] = section{
 			kind:   r.u32(),
-			table:  r.u32(),
 			offset: int64(r.u64()),
 			length: int64(r.u64()),
 			crc:    r.u32(),
@@ -396,13 +360,15 @@ func decodeHeader(path string, blob []byte) (*Info, []section, error) {
 	if r.off != len(blob) {
 		return bad("%d trailing header bytes", len(blob)-r.off)
 	}
+	seen := map[uint32]bool{}
 	for i, s := range secs {
 		if _, ok := sectionKindNames[s.kind]; !ok {
 			return bad("section %d has unknown kind %d", i, s.kind)
 		}
-		if s.table != noTable && int(s.table) >= nTables {
-			return bad("section %d names table %d of %d", i, s.table, nTables)
+		if seen[s.kind] {
+			return bad("section %d repeats kind %s", i, sectionKindNames[s.kind])
 		}
+		seen[s.kind] = true
 		if s.offset%4 != 0 {
 			return bad("section %d offset %d is not 4-byte aligned", i, s.offset)
 		}
@@ -415,13 +381,8 @@ func decodeHeader(path string, blob []byte) (*Info, []section, error) {
 func sectionInfos(secs []section) []SectionInfo {
 	out := make([]SectionInfo, len(secs))
 	for i, s := range secs {
-		ti := -1
-		if s.table != noTable {
-			ti = int(s.table)
-		}
 		out[i] = SectionInfo{
 			Kind:   sectionKindNames[s.kind],
-			Table:  ti,
 			Offset: s.offset,
 			Length: s.length,
 			CRC:    s.crc,

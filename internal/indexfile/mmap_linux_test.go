@@ -109,7 +109,7 @@ func TestViewsZeroCopy(t *testing.T) {
 	if !aliases(f.data, []byte(seq)) {
 		t.Error("reference bytes were copied out of the mapping")
 	}
-	tab, err := f.Table(0)
+	tab, err := f.Table()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,11 +130,10 @@ func (f *File) sectionBytes(s section) []byte {
 	return f.data[s.offset : s.offset+s.length]
 }
 
-// findSection returns the section of the given kind owned by table
-// (noTable for file-level sections), or nil.
-func (f *File) findSection(kind, table uint32) []byte {
+// findSection returns the section of the given kind, or nil.
+func (f *File) findSection(kind uint32) []byte {
 	for _, s := range f.secs {
-		if s.kind == kind && s.table == table {
+		if s.kind == kind {
 			return f.sectionBytes(s)
 		}
 	}
@@ -153,15 +152,11 @@ func (f *File) Mapped() bool { return f.mapped }
 // MappedBytes returns the mapped (or resident heap) byte count.
 func (f *File) MappedBytes() int64 { return int64(len(f.data)) }
 
-// NumTables returns how many seed tables the file holds (1 for a
-// monolithic index, the shard count for a sharded one).
-func (f *File) NumTables() int { return len(f.info.Tables) }
-
 // Ref returns the concatenated reference as a view over the file
 // bytes. The view is read-only when the file is mapped — writing
 // through it faults.
 func (f *File) Ref() (dna.Seq, error) {
-	b := f.findSection(secRef, noTable)
+	b := f.findSection(secRef)
 	if b == nil {
 		return nil, formatErr(CodeBadHeader, f.path, "no reference section")
 	}
@@ -174,29 +169,24 @@ func (f *File) Ref() (dna.Seq, error) {
 // MaskCodes returns the globally masked seed codes (ascending), viewed
 // over the file bytes.
 func (f *File) MaskCodes() []uint32 {
-	return viewU32(f.findSection(secMask, noTable))
+	return viewU32(f.findSection(secMask))
 }
 
-// Table reconstructs seed table i from its sections. On little-endian
-// hosts the table's directory, code, start, and position slices are
-// zero-copy views over the file bytes — a mapped table costs page-ins,
-// not a build.
-func (f *File) Table(i int) (*seedtable.Table, error) {
-	if i < 0 || i >= len(f.info.Tables) {
-		return nil, fmt.Errorf("indexfile: table %d out of range [0,%d)", i, len(f.info.Tables))
-	}
-	meta := f.info.Tables[i]
-	ti := uint32(i)
+// Table reconstructs the whole-reference seed table from its sections.
+// On little-endian hosts the table's directory, code, start, and
+// position slices are zero-copy views over the file bytes — a mapped
+// table costs page-ins, not a build.
+func (f *File) Table() (*seedtable.Table, error) {
 	parts := seedtable.Parts{
 		K:             f.info.Params.SeedK,
-		RefLen:        meta.ExtentEnd - meta.ExtentStart,
+		RefLen:        f.info.RefLen,
 		MaskThreshold: f.info.Params.MaskThreshold,
-		MaskedSeeds:   meta.MaskedSeeds,
-		MaskedHits:    meta.MaskedHits,
-		Dir:           viewU64(f.findSection(secDir, ti)),
-		Codes:         viewU32(f.findSection(secCodes, ti)),
-		Start:         viewU32(f.findSection(secStart, ti)),
-		Pos:           viewU32(f.findSection(secPos, ti)),
+		MaskedSeeds:   f.info.MaskedSeeds,
+		MaskedHits:    f.info.MaskedHits,
+		Dir:           viewU64(f.findSection(secDir)),
+		Codes:         viewU32(f.findSection(secCodes)),
+		Start:         viewU32(f.findSection(secStart)),
+		Pos:           viewU32(f.findSection(secPos)),
 	}
 	// Build always materializes the position array and a sparse table's
 	// code list, even when every seed was masked; match it so a loaded
@@ -209,7 +199,7 @@ func (f *File) Table(i int) (*seedtable.Table, error) {
 	}
 	t, err := seedtable.FromParts(parts)
 	if err != nil {
-		return nil, formatErr(CodeBadHeader, f.path, "table %d: %v", i, err)
+		return nil, formatErr(CodeBadHeader, f.path, "seed table: %v", err)
 	}
 	return t, nil
 }

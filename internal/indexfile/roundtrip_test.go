@@ -12,7 +12,7 @@ import (
 	"darwin/internal/seedtable"
 )
 
-// buildIndex builds one monolithic in-memory index over ref: global
+// buildIndex builds one in-memory index over ref: global
 // mask, then a table under that mask, the way internal/indexio does.
 func buildIndex(t *testing.T, ref dna.Seq, k int, opts seedtable.Options) *Index {
 	t.Helper()
@@ -35,8 +35,7 @@ func buildIndex(t *testing.T, ref dna.Seq, k int, opts seedtable.Options) *Index
 		Ref:       []byte(ref),
 		Seqs:      []SeqMeta{{Name: "chr1", Offset: 0, Length: len(ref)}},
 		MaskCodes: mask.Codes(),
-		Tables:    []TableMeta{{ExtentStart: 0, ExtentEnd: len(ref), CoreStart: 0, CoreEnd: len(ref)}},
-		Parts:     []seedtable.Parts{tab.Parts()},
+		Table:     tab.Parts(),
 	}
 }
 
@@ -113,15 +112,15 @@ func TestRoundTrip(t *testing.T) {
 			if tc.name == "dense_k8" && len(idx.MaskCodes) == 0 {
 				t.Error("test reference produced an empty mask; the mask roundtrip is untested")
 			}
-			tab, err := f.Table(0)
+			tab, err := f.Table()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(tab.Parts(), idx.Parts[0]) {
+			if !reflect.DeepEqual(tab.Parts(), idx.Table) {
 				t.Error("table parts differ after roundtrip (bit-identity violated)")
 			}
 			// The loaded table must answer lookups, not just deep-equal.
-			orig, err := seedtable.FromParts(idx.Parts[0])
+			orig, err := seedtable.FromParts(idx.Table)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,7 +271,7 @@ func TestLookupCorruptDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pristine.Close()
-	want, err := pristine.Table(0)
+	want, err := pristine.Table()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +315,7 @@ func TestLookupCorruptDirectory(t *testing.T) {
 				t.Fatalf("re-sealed file: %v", err)
 			}
 			defer f.Close()
-			tab, err := f.Table(0)
+			tab, err := f.Table()
 			if err != nil {
 				t.Fatalf("re-sealed file's table: %v", err)
 			}

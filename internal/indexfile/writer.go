@@ -19,15 +19,13 @@ type Index struct {
 	Ref []byte
 	// Seqs locates each sequence inside Ref.
 	Seqs []SeqMeta
-	// ShardCount/ShardSize/Overlap are the partition geometry; all
-	// zero for a monolithic index.
-	ShardCount, ShardSize, Overlap int
+	// ShardCount is the shard count a zero spec opens the index with
+	// (0 = monolithic).
+	ShardCount int
 	// MaskCodes are the globally masked seed codes, ascending.
 	MaskCodes []uint32
-	// Tables and Parts are parallel: window geometry plus the flat
-	// table storage for the monolithic table or each shard's table.
-	Tables []TableMeta
-	Parts  []seedtable.Parts
+	// Table is the flat storage of the whole-reference seed table.
+	Table seedtable.Parts
 }
 
 // validate checks the cross-field invariants Write depends on.
@@ -38,55 +36,39 @@ func (idx *Index) validate() error {
 	if len(idx.Seqs) == 0 {
 		return fmt.Errorf("indexfile: no sequence metadata")
 	}
-	if len(idx.Tables) == 0 || len(idx.Tables) != len(idx.Parts) {
-		return fmt.Errorf("indexfile: %d table metas vs %d parts", len(idx.Tables), len(idx.Parts))
+	if idx.ShardCount < 0 {
+		return fmt.Errorf("indexfile: negative shard count %d", idx.ShardCount)
 	}
-	want := 1
-	if idx.ShardCount > 0 {
-		want = idx.ShardCount
-	}
-	if len(idx.Tables) != want {
-		return fmt.Errorf("indexfile: %d tables for shard count %d", len(idx.Tables), idx.ShardCount)
-	}
-	for i, t := range idx.Tables {
-		if t.ExtentStart < 0 || t.ExtentEnd > len(idx.Ref) || t.ExtentStart >= t.ExtentEnd {
-			return fmt.Errorf("indexfile: table %d extent [%d,%d) outside reference [0,%d)",
-				i, t.ExtentStart, t.ExtentEnd, len(idx.Ref))
-		}
-		if got, want := idx.Parts[i].RefLen, t.ExtentEnd-t.ExtentStart; got != want {
-			return fmt.Errorf("indexfile: table %d covers %d bases but extent spans %d", i, got, want)
-		}
+	if idx.Table.RefLen != len(idx.Ref) {
+		return fmt.Errorf("indexfile: the seed table covers %d bases but the reference has %d", idx.Table.RefLen, len(idx.Ref))
 	}
 	return nil
 }
 
-// sections lays out the payload: the reference, the mask, then each
+// sections lays out the payload: the reference, the mask, then the
 // table's directory (or sorted codes), start and position sections.
 // Offsets are assigned by Write after the header length is known.
 func (idx *Index) sections() ([]section, [][]byte) {
 	var secs []section
 	var payloads [][]byte
-	add := func(kind, table uint32, b []byte) {
+	add := func(kind uint32, b []byte) {
 		secs = append(secs, section{
 			kind:   kind,
-			table:  table,
 			length: int64(len(b)),
 			crc:    crc32.Checksum(b, castagnoli),
 		})
 		payloads = append(payloads, b)
 	}
-	add(secRef, noTable, idx.Ref)
-	add(secMask, noTable, u32Bytes(idx.MaskCodes))
-	for i, p := range idx.Parts {
-		ti := uint32(i)
-		if p.Dir != nil {
-			add(secDir, ti, u64Bytes(p.Dir))
-		} else {
-			add(secCodes, ti, u32Bytes(p.Codes))
-		}
-		add(secStart, ti, u32Bytes(p.Start))
-		add(secPos, ti, u32Bytes(p.Pos))
+	add(secRef, idx.Ref)
+	add(secMask, u32Bytes(idx.MaskCodes))
+	p := idx.Table
+	if p.Dir != nil {
+		add(secDir, u64Bytes(p.Dir))
+	} else {
+		add(secCodes, u32Bytes(p.Codes))
 	}
+	add(secStart, u32Bytes(p.Start))
+	add(secPos, u32Bytes(p.Pos))
 	return secs, payloads
 }
 
@@ -101,19 +83,13 @@ func Write(path string, idx *Index) (err error) {
 	}
 
 	info := &Info{
-		Version:    Version,
-		Params:     idx.Params,
-		RefLen:     len(idx.Ref),
-		Seqs:       idx.Seqs,
-		ShardCount: idx.ShardCount,
-		ShardSize:  idx.ShardSize,
-		Overlap:    idx.Overlap,
-		Tables:     make([]TableMeta, len(idx.Tables)),
-	}
-	copy(info.Tables, idx.Tables)
-	for i, p := range idx.Parts {
-		info.Tables[i].MaskedSeeds = p.MaskedSeeds
-		info.Tables[i].MaskedHits = p.MaskedHits
+		Version:     Version,
+		Params:      idx.Params,
+		RefLen:      len(idx.Ref),
+		Seqs:        idx.Seqs,
+		ShardCount:  idx.ShardCount,
+		MaskedSeeds: idx.Table.MaskedSeeds,
+		MaskedHits:  idx.Table.MaskedHits,
 	}
 
 	// Header length is independent of the section offsets (fixed-size

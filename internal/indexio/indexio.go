@@ -139,15 +139,18 @@ func params(cfg core.Config) indexfile.Params {
 }
 
 // Build constructs the index content for recs under cfg: the N-padded
-// concatenated reference, the global high-frequency mask, and either
-// one whole-reference seed table or one table per shard of the
-// partition spec selects. The tables are built with the shared global
-// mask (Options.Mask), exactly as the engines build them, so mapping
-// through the saved content is bit-identical to mapping through a
-// fresh engine.
+// concatenated reference, the global high-frequency mask, and one
+// whole-reference seed table built under that mask, exactly as the
+// engines build it, so mapping through the saved content is
+// bit-identical to mapping through a fresh engine. spec's shard count
+// is recorded as the default for an engine that opens the file with a
+// zero spec; the content is the same for every count.
 func Build(recs []dna.Record, cfg core.Config, spec core.ShardSpec) (*indexfile.Index, error) {
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("indexio: no reference records")
+	}
+	if spec.Shards < 0 {
+		return nil, fmt.Errorf("indexio: shard count %d must not be negative", spec.Shards)
 	}
 	ref, err := core.NewReference(recs, cfg.BinSize)
 	if err != nil {
@@ -160,13 +163,19 @@ func Build(recs []dna.Record, cfg core.Config, spec core.ShardSpec) (*indexfile.
 	}
 	opts := cfg.TableOptions
 	opts.Mask = mask
+	t, err := seedtable.Build(seq, cfg.SeedK, opts)
+	if err != nil {
+		return nil, err
+	}
 
 	p := params(cfg)
 	p.MaskThreshold = mask.Threshold()
 	idx := &indexfile.Index{
-		Params:    p,
-		Ref:       []byte(seq),
-		MaskCodes: mask.Codes(),
+		Params:     p,
+		Ref:        []byte(seq),
+		ShardCount: spec.Shards,
+		MaskCodes:  mask.Codes(),
+		Table:      t.Parts(),
 	}
 	for i := 0; i < ref.NumSeqs(); i++ {
 		idx.Seqs = append(idx.Seqs, indexfile.SeqMeta{
@@ -174,44 +183,6 @@ func Build(recs []dna.Record, cfg core.Config, spec core.ShardSpec) (*indexfile.
 			Offset: ref.Offset(i),
 			Length: ref.Len(i),
 		})
-	}
-
-	if !spec.Enabled() {
-		t, err := seedtable.Build(seq, cfg.SeedK, opts)
-		if err != nil {
-			return nil, err
-		}
-		p := t.Parts()
-		idx.Tables = []indexfile.TableMeta{{
-			ExtentStart: 0, ExtentEnd: len(seq), CoreStart: 0, CoreEnd: len(seq),
-			MaskedSeeds: p.MaskedSeeds, MaskedHits: p.MaskedHits,
-		}}
-		idx.Parts = []seedtable.Parts{p}
-		return idx, nil
-	}
-
-	geo, err := shard.Partition(len(seq), spec.Shards, shard.MinOverlap(cfg), cfg.BinSize)
-	if err != nil {
-		return nil, err
-	}
-	idx.ShardCount = len(geo.Parts)
-	idx.ShardSize = geo.ShardSize
-	idx.Overlap = geo.Overlap
-	for _, part := range geo.Parts {
-		t, err := seedtable.BuildRange(seq, part.Extent.Start, part.Extent.End, cfg.SeedK, opts)
-		if err != nil {
-			return nil, fmt.Errorf("indexio: building shard %d: %w", part.Index, err)
-		}
-		p := t.Parts()
-		idx.Tables = append(idx.Tables, indexfile.TableMeta{
-			ExtentStart: part.Extent.Start,
-			ExtentEnd:   part.Extent.End,
-			CoreStart:   part.Core.Start,
-			CoreEnd:     part.Core.End,
-			MaskedSeeds: p.MaskedSeeds,
-			MaskedHits:  p.MaskedHits,
-		})
-		idx.Parts = append(idx.Parts, p)
 	}
 	return idx, nil
 }
@@ -230,14 +201,12 @@ func WriteFile(path string, recs []dna.Record, cfg core.Config, spec core.ShardS
 }
 
 // Open maps the index file at path and assembles a mapper from it
-// under cfg/spec. The file's parameters must match cfg exactly, and
-// its shard geometry must match what spec would partition (a sharded
-// file with a zero spec adopts the file's geometry if its overlap
-// margin is at least shard.MinOverlap(cfg); a monolithic file with a
-// sharded spec — or vice versa — is a geometry mismatch).
-// Rejections are indexfile.FormatErrors with stable codes. This is
-// OpenSource's index-file arm — OpenSource(Source{Index: path}, …) —
-// under the signature the benchmark harness compiles against.
+// under cfg/spec. The file's parameters must match cfg exactly; its
+// shard count is the default when spec names none, and the partition
+// is computed from cfg, so any count maps exactly. Rejections are
+// indexfile.FormatErrors with stable codes. This is OpenSource's
+// index-file arm — OpenSource(Source{Index: path}, …) — under the
+// signature the benchmark harness compiles against.
 func Open(path string, cfg core.Config, spec core.ShardSpec) (*Loaded, error) {
 	f, err := indexfile.Open(path, indexfile.Options{})
 	if err != nil {
@@ -252,6 +221,9 @@ func Open(path string, cfg core.Config, spec core.ShardSpec) (*Loaded, error) {
 }
 
 // assemble builds the mapper and reference views over an open file.
+// Without a budget the engine maps on the file's table; under one the
+// shard tables are built from the file's reference and mask, and the
+// table sections go unread.
 func assemble(f *indexfile.File, cfg core.Config, spec core.ShardSpec) (*Loaded, error) {
 	info := f.Info()
 	if err := checkParams(f.Path(), info.Params, params(cfg)); err != nil {
@@ -271,47 +243,29 @@ func assemble(f *indexfile.File, cfg core.Config, spec core.ShardSpec) (*Loaded,
 	if err != nil {
 		return nil, &indexfile.FormatError{Code: indexfile.CodeBadHeader, Path: f.Path(), Detail: err.Error()}
 	}
-
-	if info.ShardCount == 0 {
-		if spec.Enabled() {
-			return nil, &indexfile.FormatError{
-				Code: indexfile.CodeGeometryMismatch, Path: f.Path(),
-				Detail: fmt.Sprintf("index is monolithic but a sharded engine was requested (shards=%d)", spec.Shards),
-			}
-		}
-		if spec.MaxResidentBytes > 0 {
-			return nil, errMonolithicBudget
-		}
-		table, err := f.Table(0)
-		if err != nil {
+	if !spec.Enabled() {
+		spec.Shards = info.ShardCount
+	}
+	if !spec.Enabled() && spec.MaxResidentBytes > 0 {
+		return nil, errMonolithicBudget
+	}
+	var table *seedtable.Table
+	var mask *seedtable.MaskSet
+	if spec.MaxResidentBytes == 0 {
+		if table, err = f.Table(); err != nil {
 			return nil, err
 		}
+	} else {
+		mask = seedtable.NewMaskSet(info.Params.MaskThreshold, f.MaskCodes())
+	}
+	if !spec.Enabled() {
 		eng, err := core.NewWithTable(seq, table, cfg)
 		if err != nil {
 			return nil, &indexfile.FormatError{Code: indexfile.CodeGeometryMismatch, Path: f.Path(), Detail: err.Error()}
 		}
 		return &Loaded{Mapper: eng, Ref: ref, File: f}, nil
 	}
-
-	geo := fileGeometry(info, cfg.BinSize)
-	if spec.Enabled() {
-		want, err := shard.Partition(len(seq), spec.Shards, shard.MinOverlap(cfg), cfg.BinSize)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkGeometry(f.Path(), geo, want); err != nil {
-			return nil, err
-		}
-	} else if need := shard.MinOverlap(cfg); geo.Overlap < need {
-		// Adopting the file's partition is exact only when its margin
-		// covers the engine's seeds per strand: a file written under a
-		// smaller -n loses candidates that straddle a core boundary.
-		return nil, &indexfile.FormatError{
-			Code: indexfile.CodeGeometryMismatch, Path: f.Path(),
-			Detail: fmt.Sprintf("index shard overlap %d bp is below the %d bp this engine's k, n and B need", geo.Overlap, need),
-		}
-	}
-	set, err := shard.NewSetPrebuilt(seq, cfg.SeedK, geo, spec.MaxResidentBytes, f.Table)
+	set, err := shard.NewSetFrom(seq, cfg, spec, table, mask)
 	if err != nil {
 		return nil, &indexfile.FormatError{Code: indexfile.CodeGeometryMismatch, Path: f.Path(), Detail: err.Error()}
 	}
@@ -320,24 +274,6 @@ func assemble(f *indexfile.File, cfg core.Config, spec core.ShardSpec) (*Loaded,
 		return nil, err
 	}
 	return &Loaded{Mapper: m, Ref: ref, Set: set, File: f}, nil
-}
-
-// fileGeometry reconstructs the shard partition recorded in the file.
-func fileGeometry(info indexfile.Info, binSize int) *shard.Geometry {
-	geo := &shard.Geometry{
-		RefLen:    info.RefLen,
-		ShardSize: info.ShardSize,
-		Overlap:   info.Overlap,
-		BinSize:   binSize,
-	}
-	for i, t := range info.Tables {
-		geo.Parts = append(geo.Parts, shard.Part{
-			Index:  i,
-			Core:   shard.Span{Start: t.CoreStart, End: t.CoreEnd},
-			Extent: shard.Span{Start: t.ExtentStart, End: t.ExtentEnd},
-		})
-	}
-	return geo
 }
 
 // checkParams rejects an index built under different seeding
@@ -367,24 +303,4 @@ func maskMode(noMask bool) string {
 		return "disabled"
 	}
 	return "enabled"
-}
-
-// checkGeometry rejects a sharded index whose recorded partition
-// differs from the one the runtime spec would produce — shard-local
-// candidate merging is only exact when boundaries agree.
-func checkGeometry(path string, got, want *shard.Geometry) error {
-	mismatch := func(format string, args ...any) error {
-		return &indexfile.FormatError{Code: indexfile.CodeGeometryMismatch, Path: path, Detail: fmt.Sprintf(format, args...)}
-	}
-	if got.ShardSize != want.ShardSize || got.Overlap != want.Overlap || len(got.Parts) != len(want.Parts) {
-		return mismatch("index partition (%d shards of %d bp, overlap %d) != requested (%d shards of %d bp, overlap %d)",
-			len(got.Parts), got.ShardSize, got.Overlap, len(want.Parts), want.ShardSize, want.Overlap)
-	}
-	for i := range got.Parts {
-		if got.Parts[i].Core != want.Parts[i].Core || got.Parts[i].Extent != want.Parts[i].Extent {
-			return mismatch("shard %d spans core %+v extent %+v in the index but core %+v extent %+v under the requested geometry",
-				i, got.Parts[i].Core, got.Parts[i].Extent, want.Parts[i].Core, want.Parts[i].Extent)
-		}
-	}
-	return nil
 }

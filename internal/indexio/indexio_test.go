@@ -13,7 +13,6 @@ import (
 	"darwin/internal/core"
 	"darwin/internal/dna"
 	"darwin/internal/indexfile"
-	"darwin/internal/seedtable"
 	"darwin/internal/shard"
 )
 
@@ -189,13 +188,13 @@ func TestShardedFileZeroSpecAdoptsGeometry(t *testing.T) {
 	}
 }
 
-// TestMismatchRejections: every parameter/geometry drift is rejected
-// with the stable geometry_mismatch code, never silently served.
+// TestMismatchRejections: every drift in a parameter that shapes the
+// table is rejected with the stable geometry_mismatch code, never
+// silently served.
 func TestMismatchRejections(t *testing.T) {
 	recs := testRecords(56, 60_000)
 	cfg := testConfig(11)
 	mono := writeIndex(t, recs, cfg, core.ShardSpec{})
-	sharded := writeIndex(t, recs, cfg, core.ShardSpec{Shards: 4})
 
 	cases := []struct {
 		name string
@@ -209,8 +208,6 @@ func TestMismatchRejections(t *testing.T) {
 			c.TableOptions.NoMask = true
 			return c
 		}(), core.ShardSpec{}},
-		{"mono_file_sharded_spec", mono, cfg, core.ShardSpec{Shards: 2}},
-		{"sharded_file_wrong_count", sharded, cfg, core.ShardSpec{Shards: 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -220,6 +217,60 @@ func TestMismatchRejections(t *testing.T) {
 			}
 			if code := indexfile.ErrCode(err); code != indexfile.CodeGeometryMismatch {
 				t.Errorf("code %q (err %v), want %q", code, err, indexfile.CodeGeometryMismatch)
+			}
+		})
+	}
+}
+
+// TestShardCountIsADefault: a file holds one table whatever shard count
+// it records, so any requested count opens it — a monolithic file
+// sharded, a sharded one at another count — partitioned as a FASTA
+// build under the same spec would be, and mapping exactly as the
+// monolith does.
+func TestShardCountIsADefault(t *testing.T) {
+	recs := testRecords(56, 60_000)
+	cfg := testConfig(11)
+	mono := writeIndex(t, recs, cfg, core.ShardSpec{})
+	sharded := writeIndex(t, recs, cfg, core.ShardSpec{Shards: 4})
+	fresh, _, err := core.NewMulti(recs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := sampleReads(recs, 4, 800, 57)
+	want, err := fresh.Map(context.Background(), reads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		path string
+		spec core.ShardSpec
+	}{
+		{"mono_file_sharded_spec", mono, core.ShardSpec{Shards: 2}},
+		{"sharded_file_other_count", sharded, core.ShardSpec{Shards: 2}},
+		{"sharded_file_budget", sharded, core.ShardSpec{Shards: 3, MaxResidentBytes: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := Open(tc.path, cfg, tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.File.Close()
+			wantGeo, err := shard.Partition(len(l.Ref.Seq()), tc.spec.Shards, shard.MinOverlap(cfg), cfg.BinSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l.Set == nil || !reflect.DeepEqual(l.Set.Geometry(), wantGeo) {
+				t.Fatalf("opened with set %v, want the %d-shard partition of the opening engine", l.Set, tc.spec.Shards)
+			}
+			got, err := l.Mapper.Map(context.Background(), reads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i].Err != nil || !reflect.DeepEqual(got[i].Alignments, want[i].Alignments) {
+					t.Errorf("read %d: result differs from a freshly built engine (err %v)", i, got[i].Err)
+				}
 			}
 		})
 	}
@@ -272,7 +323,7 @@ func TestOpenSource(t *testing.T) {
 		otherSpec core.ShardSpec
 	}{
 		{"monolith", core.ShardSpec{}, testConfig(12), core.ShardSpec{}},
-		{"4shards", core.ShardSpec{Shards: 4}, cfg, core.ShardSpec{Shards: 3}},
+		{"4shards", core.ShardSpec{Shards: 4}, testConfig(12), core.ShardSpec{Shards: 4}},
 	}
 	for _, g := range geometries {
 		sources := []struct {
@@ -438,77 +489,33 @@ func TestShardBudgetNeedsShardedEngine(t *testing.T) {
 	}
 }
 
-// writeWideIndex writes a sharded index whose shard extents carry a
-// margin wider than the candidate-exactness minimum, as files written
-// with an explicit overlap margin once were.
-func writeWideIndex(t *testing.T, path string, recs []dna.Record, cfg core.Config, shards, extra int) *shard.Geometry {
-	t.Helper()
-	idx, err := Build(recs, cfg, core.ShardSpec{Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := dna.Seq(idx.Ref)
-	geo, err := shard.Partition(len(seq), shards, shard.MinOverlap(cfg)+extra, cfg.BinSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mask, err := seedtable.ComputeMask(seq, cfg.SeedK, cfg.TableOptions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := cfg.TableOptions
-	opts.Mask = mask
-	idx.ShardSize, idx.Overlap = geo.ShardSize, geo.Overlap
-	idx.Tables, idx.Parts = nil, nil
-	for _, part := range geo.Parts {
-		tab, err := seedtable.BuildRange(seq, part.Extent.Start, part.Extent.End, cfg.SeedK, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := tab.Parts()
-		idx.Tables = append(idx.Tables, indexfile.TableMeta{
-			ExtentStart: part.Extent.Start, ExtentEnd: part.Extent.End,
-			CoreStart: part.Core.Start, CoreEnd: part.Core.End,
-			MaskedSeeds: p.MaskedSeeds, MaskedHits: p.MaskedHits,
-		})
-		idx.Parts = append(idx.Parts, p)
-	}
-	if err := indexfile.Write(path, idx); err != nil {
-		t.Fatal(err)
-	}
-	return geo
-}
-
-// TestWideMarginFile: the overlap margin is always the exactness
-// minimum rounded up to B, so a file recording a wider one is adopted
-// (and maps exactly) only under a zero spec. Under -shards N it is a
-// geometry_mismatch: fatal for an explicit index, a rebuild for a
-// discovered sidecar.
-func TestWideMarginFile(t *testing.T) {
+// TestNarrowMarginFile: a file written under a smaller N once recorded
+// a shard margin below shard.MinOverlap of an engine opening it at a
+// larger N, and adopting that partition dropped candidates straddling a
+// core boundary. A file now records no margin: the partition comes from
+// the opening engine, so the same file opens under a zero spec and maps
+// exactly as a monolith at the opening parameters.
+func TestNarrowMarginFile(t *testing.T) {
 	recs := testRecords(60, 60_000)
-	cfg := testConfig(11)
-	fresh, _, err := core.NewMulti(recs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reads := sampleReads(recs, 4, 800, 61)
-	want, err := fresh.Map(context.Background(), reads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fasta := writeRefFASTA(t, t.TempDir(), recs)
-	wide := writeWideIndex(t, indexfile.SidecarPath(fasta), recs, cfg, 3, 5000)
-	if min := shard.MinOverlap(cfg); wide.Overlap <= min+cfg.BinSize {
-		t.Fatalf("margin %d is not wider than the minimum %d rounded up", wide.Overlap, min)
-	}
-
-	l, err := Open(indexfile.SidecarPath(fasta), cfg, core.ShardSpec{})
+	written := core.DefaultConfig(11, 50, 20)
+	cfg := core.DefaultConfig(11, 750, 300)
+	path := writeIndex(t, recs, written, core.ShardSpec{Shards: 12})
+	l, err := Open(path, cfg, core.ShardSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.File.Close()
-	if got := l.Set.Geometry(); got.Overlap != wide.Overlap || !reflect.DeepEqual(got.Parts, wide.Parts) {
-		t.Errorf("adopted geometry %+v, want the file's %+v", got, wide)
+	if got, need := l.Set.Geometry().Overlap, shard.MinOverlap(cfg); got < need {
+		t.Fatalf("opened with a %d bp margin, below the %d bp the opening engine needs", got, need)
+	}
+	fresh, _, err := core.NewMulti(recs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := sampleReads(recs, 6, 1500, 62)
+	want, err := fresh.Map(context.Background(), reads)
+	if err != nil {
+		t.Fatal(err)
 	}
 	got, err := l.Mapper.Map(context.Background(), reads)
 	if err != nil {
@@ -516,53 +523,8 @@ func TestWideMarginFile(t *testing.T) {
 	}
 	for i := range want {
 		if got[i].Err != nil || !reflect.DeepEqual(got[i].Alignments, want[i].Alignments) {
-			t.Errorf("read %d: result differs from a freshly built engine (err %v)", i, got[i].Err)
+			t.Errorf("read %d: result differs from a monolith at the opening parameters (err %v)", i, got[i].Err)
 		}
-	}
-
-	spec := core.ShardSpec{Shards: 3}
-	if _, err := Open(indexfile.SidecarPath(fasta), cfg, spec); indexfile.ErrCode(err) != indexfile.CodeGeometryMismatch {
-		t.Errorf("explicit open under -shards 3: %v, want %s", err, indexfile.CodeGeometryMismatch)
-	}
-	rebuilt, err := OpenSource(Source{Path: fasta, Sidecar: true}, cfg, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rebuilt.File != nil || indexfile.ErrCode(rebuilt.Fallback) != indexfile.CodeGeometryMismatch {
-		t.Errorf("sidecar under -shards 3: File %v, Fallback %v; want a rebuild after %s", rebuilt.File, rebuilt.Fallback, indexfile.CodeGeometryMismatch)
-	}
-	if g := rebuilt.Set.Geometry(); g.Overlap == wide.Overlap {
-		t.Errorf("rebuilt geometry kept the file's margin %d", g.Overlap)
-	}
-}
-
-// TestNarrowMarginFile: a sharded file written under a smaller N has a
-// margin below shard.MinOverlap of the engine that loads it, and
-// adopting that partition would drop candidates straddling a core
-// boundary. It is a geometry_mismatch under a zero spec too: fatal for
-// an explicit index, a rebuild from the FASTA for a discovered sidecar.
-func TestNarrowMarginFile(t *testing.T) {
-	recs := testRecords(60, 60_000)
-	written := core.DefaultConfig(11, 50, 20)
-	cfg := core.DefaultConfig(11, 750, 300)
-	fasta := writeRefFASTA(t, t.TempDir(), recs)
-	sidecar := indexfile.SidecarPath(fasta)
-	if _, err := WriteFile(sidecar, recs, written, core.ShardSpec{Shards: 12}); err != nil {
-		t.Fatal(err)
-	}
-	if l, err := Open(sidecar, cfg, core.ShardSpec{}); indexfile.ErrCode(err) != indexfile.CodeGeometryMismatch {
-		if l != nil {
-			l.File.Close()
-		}
-		t.Fatalf("explicit open of a file written at N=%d under N=%d: %v, want %s (minimum margin %d)",
-			written.SeedN, cfg.SeedN, err, indexfile.CodeGeometryMismatch, shard.MinOverlap(cfg))
-	}
-	rebuilt, err := OpenSource(Source{Path: fasta, Sidecar: true}, cfg, core.ShardSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rebuilt.File != nil || indexfile.ErrCode(rebuilt.Fallback) != indexfile.CodeGeometryMismatch {
-		t.Errorf("sidecar: File %v, Fallback %v; want a rebuild after %s", rebuilt.File, rebuilt.Fallback, indexfile.CodeGeometryMismatch)
 	}
 }
 

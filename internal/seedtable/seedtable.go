@@ -78,6 +78,16 @@ type MaskSet struct {
 	codes     map[uint32]struct{}
 }
 
+// NewMaskSet rebuilds a mask from its serialized form (Codes and
+// Threshold), as a persistent index stores it.
+func NewMaskSet(threshold int, codes []uint32) *MaskSet {
+	m := &MaskSet{threshold: threshold, codes: make(map[uint32]struct{}, len(codes))}
+	for _, c := range codes {
+		m.codes[c] = struct{}{}
+	}
+	return m
+}
+
 // Masked reports whether code is in the set.
 func (m *MaskSet) Masked(code uint32) bool {
 	_, ok := m.codes[code]

@@ -3,7 +3,10 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -22,19 +25,48 @@ func testCoreConfig() core.Config {
 
 // TestEntrySharded checks that the resident index Warm holds, sharded,
 // serves the same alignments as a monolithic one, and that the shard
-// set /v1/indexes reports is the one its engine maps through.
+// set /v1/indexes reports is the one its engine maps through. With no
+// budget, /v1/indexes reports the one whole-reference table once: every
+// shard resident, the table's bytes in resident_bytes, 0 per shard.
 func TestEntrySharded(t *testing.T) {
 	refPath, _ := writeRef(t)
-	warm := func(scfg shard.Config) *indexio.Loaded {
+	warm := func(scfg shard.Config) *Server {
 		t.Helper()
 		s := New(Config{DefaultRef: refPath, DisableSidecar: true, Core: testCoreConfig(), Shard: scfg})
 		if err := s.Warm(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		return s.index.Load()
+		return s
 	}
-	mono := warm(shard.Config{})
-	sharded := warm(shard.Config{Shards: 3, MaxResidentBytes: 1})
+	mono := warm(shard.Config{}).index.Load()
+	sharded := warm(shard.Config{Shards: 3, MaxResidentBytes: 1}).index.Load()
+
+	whole := warm(shard.Config{Shards: 3})
+	rec := httptest.NewRecorder()
+	whole.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/indexes", nil))
+	var infos []struct {
+		Sharding *struct {
+			shard.Stats
+			Detail []shard.ShardInfo `json:"shard_detail"`
+		} `json:"sharding"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &infos); err != nil || len(infos) != 1 || infos[0].Sharding == nil {
+		t.Fatalf("/v1/indexes = %s (%v), want one sharded index", rec.Body, err)
+	}
+	table, err := whole.index.Load().Set.Acquire(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := infos[0].Sharding
+	if sh.Shards != 3 || sh.Resident != 3 || sh.ResidentBytes != table.Bytes() || len(sh.Detail) != 3 {
+		t.Errorf("unbudgeted sharding = %+v, want 3 shards resident on one %d-byte table", sh.Stats, table.Bytes())
+	}
+	for _, d := range sh.Detail {
+		if !d.Resident || d.Bytes != 0 {
+			t.Errorf("shard %d: resident %v, %d bytes; want resident with no table of its own", d.Index, d.Resident, d.Bytes)
+		}
+	}
+
 	if mono.Set != nil {
 		t.Error("monolithic index reports a shard set")
 	}

@@ -9,8 +9,8 @@ import (
 
 	"darwin/internal/core"
 	"darwin/internal/dna"
+	"darwin/internal/dsoft"
 	"darwin/internal/obs"
-	"darwin/internal/seedtable"
 )
 
 // Scatter/gather wall time is the shard-specific split on top of the
@@ -43,13 +43,15 @@ type perRead struct {
 }
 
 // ScatterMapper implements core.Mapper over a shard Set. Batch mapping
-// is shard-major: the outer loop walks shards, so each shard's table is
-// built at most once per batch no matter how small the residency
-// budget, and reads are spread across workers within a shard. The
-// gather phase then merges each read's core-owned candidates in global
-// coordinates, reproduces the monolithic engine's candidate order and
-// MaxCandidates truncation exactly, and GACT-extends against the full
-// resident reference — making alignments bit-identical to core.Darwin.
+// is pass-major: the outer loop walks D-SOFT passes (one over every
+// requested shard on the whole-reference table, one per shard under a
+// budget), so each shard's table is built at most once per batch no
+// matter how small the residency budget, and reads are spread across
+// workers within a pass. The gather phase then merges each read's
+// core-owned candidates in global coordinates, reproduces the
+// monolithic engine's candidate order and MaxCandidates truncation
+// exactly, and GACT-extends against the full resident reference —
+// making alignments bit-identical to core.Darwin.
 //
 // A ScatterMapper is safe for concurrent use: its calls take their
 // workers from one core.Pool, and all of them share the Set and so its
@@ -61,7 +63,8 @@ type ScatterMapper struct {
 }
 
 // New builds a ScatterMapper over ref. The reference is partitioned
-// and masked now; shard seed tables are built lazily during mapping.
+// and indexed now (NewSet); under a residency budget only its mask is,
+// and the shard seed tables are built lazily during mapping.
 func New(ref dna.Seq, cfg core.Config, scfg Config) (*ScatterMapper, error) {
 	if len(ref) == 0 {
 		return nil, fmt.Errorf("shard: empty reference")
@@ -81,9 +84,9 @@ func New(ref dna.Seq, cfg core.Config, scfg Config) (*ScatterMapper, error) {
 }
 
 // FromSet builds a ScatterMapper over an existing Set — the
-// persistent-index path, where the Set was constructed by
-// NewSetPrebuilt around a mapped file's geometry and table loader.
-// The configuration is validated exactly as New does.
+// persistent-index path, where NewSetFrom built the Set around a
+// mapped file's table or mask. The configuration is validated exactly
+// as New does.
 func FromSet(set *Set, cfg core.Config) (*ScatterMapper, error) {
 	if set == nil {
 		return nil, fmt.Errorf("shard: nil set")
@@ -119,10 +122,10 @@ func (m *ScatterMapper) Ref() dna.Seq { return m.set.ref }
 func (m *ScatterMapper) Config() core.Config { return m.cfg }
 
 // IndexBuildTime reports cumulative shard index construction time
-// (global mask pass plus all shard builds so far).
+// (Set.BuildTime).
 func (m *ScatterMapper) IndexBuildTime() time.Duration { return m.set.BuildTime() }
 
-// Map maps a batch with cancellation between reads and between shards.
+// Map maps a batch with cancellation between reads and between passes.
 // Results are in input order and deterministic for any worker count
 // and any shard geometry: each read's merged candidates are sorted
 // into the monolithic engine's emission order before truncation, and
@@ -206,43 +209,66 @@ func (m *ScatterMapper) run(ctx context.Context, timer *obs.Timer, reads []dna.S
 	return out, nil
 }
 
-// scatter is the shard-major D-SOFT phase: for each shard in ids, bind
-// the filter of each of b's workers to its table (acquired once per
-// batch) and query every read, appending the core-owned candidates to
-// the read's accumulator in global coordinates. Each accumulator has
-// one writer at a time, and the gather sorts, so the result does not
+// scatter is the D-SOFT phase: for each pass over the shards in ids
+// (ascending; Set.passes), bind the filter of each of b's workers to
+// the pass's table, windowed to the span from its first shard's extent
+// to its last's (acquired once per batch), and query every read,
+// appending the candidates whose global position lies in one of the
+// pass's cores to the read's accumulator. Each accumulator has one
+// writer at a time, and the gather sorts, so the result does not
 // depend on which worker took which read.
 func (m *ScatterMapper) scatter(ctx context.Context, b *core.Batch, reads, revs []dna.Seq, ids []int, acc []perRead) error {
-	// bind points every worker's filter at table; nil unpins the
-	// shard's table so eviction can reclaim it.
-	bind := func(table *seedtable.Table) {
-		for tid := 1; tid <= b.Workers; tid++ {
-			b.Worker(tid).Filter.SetTable(table)
-		}
-	}
-	for _, si := range ids {
+	set := m.set
+	for _, pass := range set.passes(ids) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		table, err := m.set.Acquire(si)
+		table, err := set.Acquire(pass[0])
 		if err != nil {
 			return err
 		}
-		part := m.set.shards[si].part
-		bind(table)
+		first, last := set.shards[pass[0]].part, set.shards[pass[len(pass)-1]].part
+		// A shard's own table holds its extent at offset 0; the whole
+		// table holds every position where it lies.
+		offset := 0
+		if set.whole == nil {
+			offset = first.Extent.Start
+		}
+		window := Span{Start: first.Extent.Start - offset, End: last.Extent.End - offset}
+		inPass := make([]bool, len(set.shards))
+		for _, id := range pass {
+			inPass[id] = true
+		}
+		owned := func(pos int) bool { return inPass[set.geo.OwnerOf(pos)] }
+		// bind points a worker's filter at the pass's table and window.
+		bind := func(f *dsoft.Filter) error {
+			if err := f.SetTable(table); err != nil {
+				return err
+			}
+			f.SetWindow(window.Start, window.End)
+			return nil
+		}
+		for tid := 1; tid <= b.Workers; tid++ {
+			if err := bind(b.Worker(tid).Filter); err != nil {
+				return err
+			}
+		}
 		err = core.ForEach(ctx, b.Workers, len(reads), func(tid, i int) error {
 			pr := &acc[i]
 			if pr.err != nil {
-				return nil // poisoned by an earlier shard's pass; skip
+				return nil // poisoned by an earlier pass; skip
 			}
-			if pr.err = scatterRead(b.Worker(tid), pr, reads[i], revs[i], part); pr.err != nil {
+			if pr.err = scatterRead(b.Worker(tid), pr, reads[i], revs[i], offset, owned); pr.err != nil {
 				// The filter's bin state may be mid-update after a
 				// panic; replace the worker before its next read.
-				return b.Retire(tid).Filter.SetTable(table)
+				return bind(b.Retire(tid).Filter)
 			}
 			return nil
 		})
-		bind(nil)
+		// Unpin the pass's table so eviction can reclaim it.
+		for tid := 1; tid <= b.Workers; tid++ {
+			b.Worker(tid).Filter.SetTable(nil)
+		}
 		if err != nil {
 			return err
 		}
@@ -250,10 +276,27 @@ func (m *ScatterMapper) scatter(ctx context.Context, b *core.Batch, reads, revs 
 	return nil
 }
 
-// scatterRead runs one read's D-SOFT pass over one shard with panic
-// isolation: a panic (a poisoned read crashing the filter) fails the
-// read, never the batch or the worker.
-func scatterRead(w *core.Worker, pr *perRead, fwd, rev dna.Seq, part Part) (err error) {
+// passes groups ids (ascending) into the D-SOFT passes a scatter runs:
+// all of them in one pass when every shard maps on the whole-reference
+// table — its window spans every requested extent, so each requested
+// core's candidates come out exactly, and a seed is ranked once however
+// the shards interleave — or one pass per shard over its own table.
+func (s *Set) passes(ids []int) [][]int {
+	if s.whole != nil {
+		return [][]int{ids}
+	}
+	out := make([][]int, len(ids))
+	for i := range ids {
+		out[i] = ids[i : i+1]
+	}
+	return out
+}
+
+// scatterRead runs one read's D-SOFT pass with panic isolation: a panic
+// (a poisoned read crashing the filter) fails the read, never the batch
+// or the worker. offset lifts the table's positions to global
+// coordinates, and owned says which of those the pass keeps.
+func scatterRead(w *core.Worker, pr *perRead, fwd, rev dna.Seq, offset int, owned func(pos int) bool) (err error) {
 	defer func() {
 		if perr := core.PanicError(recover()); perr != nil {
 			err = perr
@@ -264,8 +307,7 @@ func scatterRead(w *core.Worker, pr *perRead, fwd, rev dna.Seq, part Part) (err 
 		cands, dst := w.Query(query)
 		pr.stats.DSOFT.Add(dst)
 		for _, c := range cands {
-			gpos := c.RefPos + part.Extent.Start
-			if part.Core.Contains(gpos) {
+			if gpos := c.RefPos + offset; owned(gpos) {
 				pr.strand[strand] = append(pr.strand[strand], gcand{RefPos: gpos, QueryPos: c.QueryPos})
 			}
 		}

@@ -3,13 +3,17 @@
 // a 3 Gbp reference. The accelerator does not keep one monolithic
 // seed-position table — it tiles the table and the D-SOFT bin-count
 // SRAM across four LPDDR4 channels and updates bins per partition
-// (Section 5). Here a Partitioner splits the concatenated reference
-// into fixed-size shards with an overlap margin, each Shard owns its
-// own seed table built lazily under a byte budget (Set), and a
-// ScatterMapper runs D-SOFT per shard, merges candidates in global
-// coordinates, and GACT-extends against the resident reference —
-// producing output bit-identical to the monolithic core.Darwin while
-// bounding peak index memory by the budget instead of the genome.
+// (Section 5), under one reference-wide mask, and looks each seed up
+// once. Here a Partitioner splits the concatenated reference into
+// fixed-size shards with an overlap margin; a shard's core owns the
+// candidates that trigger inside it. With no byte budget every shard
+// maps on one whole-reference seed table, and a ScatterMapper runs one
+// D-SOFT pass per run of adjacent requested shards, windowed to the
+// run's extent; under a budget each shard owns its own table built
+// lazily (Set), one pass per shard. Either way candidates merge in
+// global coordinates and GACT extends against the resident reference,
+// producing output bit-identical to the monolithic core.Darwin, and a
+// budget bounds peak index memory by itself instead of the genome.
 package shard
 
 import (

@@ -17,24 +17,15 @@ import (
 // also tracks its own resident/peak bytes so tests and /v1/indexes can
 // assert per-index budgets.
 var (
+	tIndex          = obs.Default.Timer("stage/index") // core.New's: the index build of a run's stage accounting
 	tBuild          = obs.Default.Timer("shard/build")
 	cBuilds         = obs.Default.Counter("shard/builds")
-	tLoad           = obs.Default.Timer("shard/load")
-	cLoads          = obs.Default.Counter("shard/loads")
 	cEvictions      = obs.Default.Counter("shard/evictions")
 	cAcquireHits    = obs.Default.Counter("shard/acquire_hits")
 	gResidentBytes  = obs.Default.Gauge("shard/resident_bytes")
 	gResidentPeak   = obs.Default.Gauge("shard/resident_bytes_peak")
 	gResidentShards = obs.Default.Gauge("shard/resident_shards")
 )
-
-// TableLoader materializes shard i's seed table from an external
-// source — a persistent index file's per-shard sections — instead of a
-// BuildRange pass. The Set stays loader-agnostic: a loaded table whose
-// slices are views over mapped memory reports its mapped footprint
-// through Table.Bytes, so the byte-budgeted LRU counts mapped bytes
-// exactly as it counts rebuilt bytes.
-type TableLoader func(i int) (*seedtable.Table, error)
 
 // Config is the shard geometry and residency budget: one type with
 // core.ShardSpec, so no layer copies it field by field.
@@ -51,16 +42,18 @@ type shardState struct {
 	elem  *list.Element
 }
 
-// Set owns the shards of one partitioned reference: geometry, the
-// shared global mask (so per-shard tables mask exactly the seeds the
-// monolithic table would), and a byte-budgeted LRU of resident tables.
-// Acquire is safe for concurrent use.
+// Set owns the shards of one partitioned reference: geometry and seed
+// tables. With no residency budget every shard maps on one
+// whole-reference table (whole); under a budget each shard has its own
+// table over its extent, built lazily under the shared global mask (so
+// it masks exactly the seeds the whole table would) and held in a
+// byte-budgeted LRU. Acquire is safe for concurrent use.
 type Set struct {
-	ref  dna.Seq
-	k    int
-	opts seedtable.Options // TableOptions with the global Mask injected
-	geo  *Geometry
-	load TableLoader // non-nil: tables load from a persistent index
+	ref   dna.Seq
+	k     int
+	opts  seedtable.Options // TableOptions with the global Mask injected (budgeted sets)
+	geo   *Geometry
+	whole *seedtable.Table // nil under a budget
 
 	mu            sync.Mutex
 	budget        int64
@@ -71,66 +64,68 @@ type Set struct {
 	shards        []*shardState
 }
 
-// NewSet partitions the reference and precomputes the global
-// high-frequency seed mask (one O(refLen) pass, counted as index build
-// time). No shard tables are built yet — they materialize on first
+// NewSet partitions the reference and builds what its budget calls
+// for, counted as index build time: with no budget the one
+// whole-reference table, under one only the global high-frequency seed
+// mask (one O(refLen) pass), the shard tables materializing on first
 // Acquire.
 func NewSet(ref dna.Seq, cfg core.Config, scfg Config) (*Set, error) {
-	geo, err := Partition(len(ref), scfg.Shards, MinOverlap(cfg), cfg.BinSize)
+	s, err := newSet(ref, cfg, scfg)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
+	stage := tIndex.Start(nil)
 	if err := fpIndexBuild.Fire(); err != nil {
+		return nil, fmt.Errorf("shard: building the seed index: %w", err)
+	}
+	if s.budget == 0 {
+		t, err := seedtable.Build(ref, cfg.SeedK, cfg.TableOptions)
+		if err != nil {
+			return nil, fmt.Errorf("shard: building the seed table: %w", err)
+		}
+		s.hold(t)
+	} else if s.opts.Mask, err = seedtable.ComputeMask(ref, cfg.SeedK, cfg.TableOptions); err != nil {
 		return nil, fmt.Errorf("shard: computing global mask: %w", err)
 	}
-	mask, err := seedtable.ComputeMask(ref, cfg.SeedK, cfg.TableOptions)
+	s.buildTime = stage.End()
+	return s, nil
+}
+
+// NewSetFrom is NewSet over index content that already exists — a
+// persistent index's whole-reference table and its global mask — so no
+// build pass runs at construction: with no budget every shard maps on
+// table, under one the shard tables are built from ref under mask.
+// Only the one the budget calls for is read; the other may be nil.
+func NewSetFrom(ref dna.Seq, cfg core.Config, scfg Config, table *seedtable.Table, mask *seedtable.MaskSet) (*Set, error) {
+	s, err := newSet(ref, cfg, scfg)
 	if err != nil {
-		return nil, fmt.Errorf("shard: computing global mask: %w", err)
+		return nil, err
 	}
-	opts := cfg.TableOptions
-	opts.Mask = mask
-	s := &Set{
-		ref:       ref,
-		k:         cfg.SeedK,
-		opts:      opts,
-		geo:       geo,
-		budget:    scfg.MaxResidentBytes,
-		buildTime: time.Since(start),
-		lru:       list.New(),
-	}
-	for i := range geo.Parts {
-		s.shards = append(s.shards, &shardState{part: geo.Parts[i]})
+	switch {
+	case s.budget > 0 && mask == nil:
+		return nil, fmt.Errorf("shard: a budgeted set needs the global mask")
+	case s.budget > 0:
+		s.opts.Mask = mask
+	case table == nil || table.K() != cfg.SeedK || table.RefLen() != len(ref):
+		return nil, fmt.Errorf("shard: the whole-reference table does not index this %d bp reference at k=%d", len(ref), cfg.SeedK)
+	default:
+		s.hold(table)
 	}
 	return s, nil
 }
 
-// NewSetPrebuilt constructs a Set over an externally supplied geometry
-// whose tables materialize through load instead of BuildRange — the
-// persistent-index path, where geometry and tables come from a mapped
-// file. The loader is invoked lazily per shard under the same
-// singleflight and byte-budgeted LRU as organic builds, so eviction
-// and re-acquire behave identically; only the materialization cost
-// changes (a page-in versus a build).
-func NewSetPrebuilt(ref dna.Seq, k int, geo *Geometry, maxResidentBytes int64, load TableLoader) (*Set, error) {
-	if len(ref) == 0 {
-		return nil, fmt.Errorf("shard: empty reference")
-	}
-	if geo == nil || len(geo.Parts) == 0 {
-		return nil, fmt.Errorf("shard: prebuilt set needs a non-empty geometry")
-	}
-	if load == nil {
-		return nil, fmt.Errorf("shard: prebuilt set needs a table loader")
-	}
-	if geo.RefLen != len(ref) {
-		return nil, fmt.Errorf("shard: geometry covers %d bases but reference has %d", geo.RefLen, len(ref))
+// newSet partitions ref under cfg's margin; the tables come later.
+func newSet(ref dna.Seq, cfg core.Config, scfg Config) (*Set, error) {
+	geo, err := Partition(len(ref), scfg.Shards, MinOverlap(cfg), cfg.BinSize)
+	if err != nil {
+		return nil, err
 	}
 	s := &Set{
 		ref:    ref,
-		k:      k,
+		k:      cfg.SeedK,
+		opts:   cfg.TableOptions,
 		geo:    geo,
-		load:   load,
-		budget: maxResidentBytes,
+		budget: scfg.MaxResidentBytes,
 		lru:    list.New(),
 	}
 	for i := range geo.Parts {
@@ -139,21 +134,35 @@ func NewSetPrebuilt(ref dna.Seq, k int, geo *Geometry, maxResidentBytes int64, l
 	return s, nil
 }
 
+// hold makes t the whole-reference table every shard maps on.
+func (s *Set) hold(t *seedtable.Table) {
+	s.whole = t
+	s.residentBytes, s.peakBytes = t.Bytes(), t.Bytes()
+	gResidentBytes.Set(s.residentBytes)
+	gResidentPeak.Set(s.peakBytes)
+	gResidentShards.Set(int64(len(s.shards)))
+}
+
 // Geometry returns the partition.
 func (s *Set) Geometry() *Geometry { return s.geo }
 
 // Ref returns the concatenated reference.
 func (s *Set) Ref() dna.Seq { return s.ref }
 
-// Acquire returns shard i's seed table, building it if absent and
-// evicting least-recently-used tables if the build pushes residency
-// over budget. The most recently acquired shard is never evicted, so a
-// caller's table stays valid while it queries it even if concurrent
-// acquires of other shards thrash the budget; at least one shard stays
-// resident no matter how small the budget is.
+// Acquire returns the table shard i maps on: the whole-reference table
+// when the set has no budget; otherwise shard i's own, building it if
+// absent and evicting least-recently-used tables if the build pushes
+// residency over budget. The most recently acquired shard is never
+// evicted, so a caller's table stays valid while it queries it even if
+// concurrent acquires of other shards thrash the budget; at least one
+// shard stays resident no matter how small the budget is.
 func (s *Set) Acquire(i int) (*seedtable.Table, error) {
 	if i < 0 || i >= len(s.shards) {
 		return nil, fmt.Errorf("shard: index %d out of range [0,%d)", i, len(s.shards))
+	}
+	if s.whole != nil {
+		cAcquireHits.Inc()
+		return s.whole, nil
 	}
 	sh := s.shards[i]
 	s.mu.Lock()
@@ -178,29 +187,15 @@ func (s *Set) Acquire(i int) (*seedtable.Table, error) {
 	}
 	s.mu.Unlock()
 
-	timer := tBuild
-	if s.load != nil {
-		timer = tLoad
-	}
-	stage := timer.Start(nil)
+	stage := tBuild.Start(nil)
 	if err := fpShardBuild.Fire(); err != nil {
 		return nil, fmt.Errorf("shard: building shard %d: %w", i, err)
 	}
-	var t *seedtable.Table
-	var err error
-	if s.load != nil {
-		t, err = s.load(i)
-		if err != nil {
-			return nil, fmt.Errorf("shard: loading shard %d: %w", i, err)
-		}
-		cLoads.Inc()
-	} else {
-		t, err = seedtable.BuildRange(s.ref, sh.part.Extent.Start, sh.part.Extent.End, s.k, s.opts)
-		if err != nil {
-			return nil, fmt.Errorf("shard: building shard %d: %w", i, err)
-		}
-		cBuilds.Inc()
+	t, err := seedtable.BuildRange(s.ref, sh.part.Extent.Start, sh.part.Extent.End, s.k, s.opts)
+	if err != nil {
+		return nil, fmt.Errorf("shard: building shard %d: %w", i, err)
 	}
+	cBuilds.Inc()
 	elapsed := stage.End()
 
 	s.mu.Lock()
@@ -209,7 +204,7 @@ func (s *Set) Acquire(i int) (*seedtable.Table, error) {
 	sh.elem = s.lru.PushFront(sh)
 	s.residentBytes += t.Bytes()
 	s.buildTime += elapsed
-	for s.budget > 0 && s.residentBytes > s.budget && s.lru.Len() > 1 {
+	for s.residentBytes > s.budget && s.lru.Len() > 1 {
 		victim := s.lru.Back().Value.(*shardState)
 		s.residentBytes -= victim.table.Bytes()
 		s.lru.Remove(victim.elem)
@@ -227,8 +222,9 @@ func (s *Set) Acquire(i int) (*seedtable.Table, error) {
 }
 
 // BuildTime returns cumulative index-construction time so far: the
-// global mask pass plus every shard table built (including rebuilds
-// after eviction).
+// whole-reference table, or the global mask pass plus every shard
+// table built (including rebuilds after eviction); zero for a set over
+// a persistent index that built nothing yet.
 func (s *Set) BuildTime() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -254,7 +250,9 @@ type ShardInfo struct {
 	Index    int  `json:"index"`
 	Core     Span `json:"core"`
 	Resident bool `json:"resident"`
-	// Bytes is the shard table's size when resident, 0 otherwise.
+	// Bytes is the shard's own table's size when resident, 0 otherwise
+	// — and 0 for every shard of a set with no budget, whose one
+	// whole-reference table Stats.ResidentBytes reports once.
 	Bytes int64 `json:"bytes"`
 }
 
@@ -283,10 +281,12 @@ func (s *Set) Snapshot() (Stats, []ShardInfo) {
 	}
 	infos := make([]ShardInfo, len(s.shards))
 	for i, sh := range s.shards {
-		infos[i] = ShardInfo{Index: i, Core: sh.part.Core}
+		infos[i] = ShardInfo{Index: i, Core: sh.part.Core, Resident: s.whole != nil}
 		if sh.table != nil {
 			infos[i].Resident = true
 			infos[i].Bytes = sh.table.Bytes()
+		}
+		if infos[i].Resident {
 			st.Resident++
 		}
 	}

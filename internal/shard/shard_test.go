@@ -9,9 +9,11 @@ import (
 
 	"darwin/internal/core"
 	"darwin/internal/dna"
+	"darwin/internal/dsoft"
 	"darwin/internal/genome"
 	"darwin/internal/obs"
 	"darwin/internal/readsim"
+	"darwin/internal/seedtable"
 )
 
 func testGenome(t *testing.T, n int, seed int64) dna.Seq {
@@ -177,7 +179,11 @@ func boundaryReads(t *testing.T, ref dna.Seq, g *Geometry) []dna.Seq {
 // TestBoundaryEquivalence is the central exactness property: for reads
 // straddling every shard boundary, the sharded mapper's alignments are
 // bit-identical to the monolithic engine's for shard counts 1, 2, 4,
-// and 7 — including candidate counts and MaxCandidates truncation.
+// and 7 — including candidate counts and MaxCandidates truncation —
+// on both layouts: the whole-reference table (no budget), whose one
+// D-SOFT pass per strand is the monolith's, so every MapStats count
+// matches, D-SOFT's included; and per-shard tables (a budget at its
+// floor), whose D-SOFT counts sum over shards.
 func TestBoundaryEquivalence(t *testing.T) {
 	ref := testGenome(t, 120000, 201)
 	cfg := smallConfig()
@@ -189,34 +195,119 @@ func TestBoundaryEquivalence(t *testing.T) {
 	if raceEnabled {
 		shardCounts = []int{1, 4}
 	}
-	for _, shards := range shardCounts {
-		sm, err := New(ref, cfg, Config{Shards: shards})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+	for _, budget := range []int64{0, 1} {
+		for _, shards := range shardCounts {
+			sm, err := New(ref, cfg, Config{Shards: shards, MaxResidentBytes: budget})
+			if err != nil {
+				t.Fatalf("shards=%d budget=%d: %v", shards, budget, err)
+			}
+			reads := boundaryReads(t, ref, sm.Set().Geometry())
+			want, err := mono.Map(context.Background(), reads, core.WithWorkers(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sm.Map(context.Background(), reads, core.WithWorkers(4))
+			if err != nil {
+				t.Fatalf("shards=%d budget=%d: %v", shards, budget, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("shards=%d budget=%d: %d results, want %d", shards, budget, len(got), len(want))
+			}
+			for i := range got {
+				if !reflect.DeepEqual(got[i].Alignments, want[i].Alignments) {
+					t.Errorf("shards=%d budget=%d read %d: alignments diverge from monolithic engine\n got: %+v\nwant: %+v",
+						shards, budget, i, got[i].Alignments, want[i].Alignments)
+				}
+				g, w := workStats(got[i].Stats), workStats(want[i].Stats)
+				if budget > 0 {
+					g.DSOFT, w.DSOFT = dsoft.Stats{}, dsoft.Stats{}
+				}
+				if !reflect.DeepEqual(g, w) {
+					t.Errorf("shards=%d budget=%d read %d: work stats diverge:\n got %+v\nwant %+v", shards, budget, i, g, w)
+				}
+			}
 		}
-		reads := boundaryReads(t, ref, sm.Set().Geometry())
-		want, err := mono.Map(context.Background(), reads, core.WithWorkers(4))
+	}
+}
+
+// workStats is s without its wall-clock fields, the part of MapStats
+// two mapping paths can agree on exactly.
+func workStats(s core.MapStats) core.MapStats {
+	s.FiltrationTime, s.AlignmentTime = 0, 0
+	if len(s.FirstTileScores) == 0 {
+		s.FirstTileScores = nil
+	}
+	return s
+}
+
+// TestScatterOneShardHitsItsExtent: a ScatterShards call over one shard
+// of four on the whole-reference table walks that shard's hits only —
+// its D-SOFT hit count equals a BuildRange table's over the shard's
+// extent under the global mask — and keeps exactly the candidates that
+// table's filter finds inside the shard's core.
+func TestScatterOneShardHitsItsExtent(t *testing.T) {
+	ref := testGenome(t, 120000, 211)
+	cfg := smallConfig()
+	sm, err := New(ref, cfg, Config{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Reads whose first seeds straddle each extent edge, so a window a
+	// base too wide or too narrow changes the hit count.
+	reads := boundaryReads(t, ref, sm.Set().Geometry())
+	for _, part := range sm.Set().Geometry().Parts {
+		for _, edge := range []int{part.Extent.Start, part.Extent.End} {
+			if lo, hi := edge-300, edge+1700; lo >= 0 && hi <= len(ref) {
+				reads = append(reads, ref[lo:hi])
+			}
+		}
+	}
+	mask, err := seedtable.ComputeMask(ref, cfg.SeedK, cfg.TableOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := cfg.TableOptions
+	opts.Mask = mask
+	for _, part := range sm.Set().Geometry().Parts {
+		table, err := seedtable.BuildRange(ref, part.Extent.Start, part.Extent.End, cfg.SeedK, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sm.Map(context.Background(), reads, core.WithWorkers(4))
+		f, err := dsoft.New(table, dsoft.Config{N: cfg.SeedN, H: cfg.Threshold, BinSize: cfg.BinSize, Stride: cfg.SeedStride})
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: %d results, want %d", shards, len(got), len(want))
-		}
-		for i := range got {
-			if !reflect.DeepEqual(got[i].Alignments, want[i].Alignments) {
-				t.Errorf("shards=%d read %d: alignments diverge from monolithic engine\n got: %+v\nwant: %+v",
-					shards, i, got[i].Alignments, want[i].Alignments)
+		var wantHits int64
+		want := make([][2][]CandExt, len(reads))
+		for i, r := range reads {
+			for strand, q := range []dna.Seq{r, dna.RevComp(r)} {
+				cands, st := f.Query(q)
+				wantHits += int64(st.Hits)
+				for _, c := range cands {
+					if g := c.RefPos + part.Extent.Start; part.Core.Contains(g) {
+						want[i][strand] = append(want[i][strand], CandExt{QueryPos: c.QueryPos, RefPos: g})
+					}
+				}
 			}
-			g, w := got[i].Stats, want[i].Stats
-			if g.Candidates != w.Candidates || g.PassedHTile != w.PassedHTile ||
-				g.Tiles != w.Tiles || g.Cells != w.Cells {
-				t.Errorf("shards=%d read %d: work stats diverge: got {cand %d pass %d tiles %d cells %d}, want {%d %d %d %d}",
-					shards, i, g.Candidates, g.PassedHTile, g.Tiles, g.Cells,
-					w.Candidates, w.PassedHTile, w.Tiles, w.Cells)
+		}
+		hits0 := obs.Default.Counter("dsoft/hits").Value()
+		got, err := sm.ScatterShards(context.Background(), reads, []int{part.Index}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hits := obs.Default.Counter("dsoft/hits").Value() - hits0; hits != wantHits {
+			t.Errorf("shard %d: ScatterShards walked %d hits, a table over its extent holds %d", part.Index, hits, wantHits)
+		}
+		for i := range reads {
+			for strand := range 2 {
+				var anchors []CandExt
+				for _, c := range got[i].Strand[strand] {
+					anchors = append(anchors, CandExt{QueryPos: c.QueryPos, RefPos: c.RefPos})
+				}
+				sortCandidates(want[i][strand], func(c CandExt) (int, int) { return c.QueryPos, c.RefPos })
+				if !reflect.DeepEqual(anchors, want[i][strand]) {
+					t.Errorf("shard %d read %d strand %d: candidates %v, the extent's table finds %v", part.Index, i, strand, anchors, want[i][strand])
+				}
 			}
 		}
 	}

@@ -16,17 +16,21 @@ import (
 // each ReadScatter through its JSON wire form, and recombining with
 // MergeReadScatters must be bit-identical to the monolithic engine —
 // alignments and work stats — including when MaxCandidates truncation
-// fires, which is the case the global-merge ordering exists for.
+// fires, which is the case the global-merge ordering exists for. Both
+// layouts run: the whole-reference table (no budget), where a group of
+// adjacent shards is one windowed pass, and per-shard tables (a budget
+// at its floor).
 func TestScatterShardsMergeBitIdentity(t *testing.T) {
 	ref := testGenome(t, 120000, 201)
-	for _, maxCand := range []int{0, 6} {
+	for _, arm := range []struct{ maxCand, budget int }{{0, 0}, {6, 0}, {0, 1}, {6, 1}} {
+		maxCand := arm.maxCand
 		cfg := smallConfig()
 		cfg.MaxCandidates = maxCand
 		mono, err := core.New(ref, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sm, err := New(ref, cfg, Config{Shards: 4})
+		sm, err := New(ref, cfg, Config{Shards: 4, MaxResidentBytes: int64(arm.budget)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,6 +45,7 @@ func TestScatterShardsMergeBitIdentity(t *testing.T) {
 		groupings := [][][]int{
 			{{0}, {1}, {2}, {3}},
 			{{0, 2}, {1, 3}},
+			{{0, 1}, {2, 3}},
 			{{0, 1, 2, 3}},
 		}
 		for _, groups := range groupings {
@@ -48,7 +53,7 @@ func TestScatterShardsMergeBitIdentity(t *testing.T) {
 			for gi, g := range groups {
 				rs, err := sm.ScatterShards(context.Background(), reads, g, 2)
 				if err != nil {
-					t.Fatalf("max=%d groups=%v: %v", maxCand, groups, err)
+					t.Fatalf("max=%d budget=%d groups=%v: %v", maxCand, arm.budget, groups, err)
 				}
 				// Round-trip through the wire encoding so the test
 				// covers exactly what crosses the network.
@@ -69,21 +74,21 @@ func TestScatterShardsMergeBitIdentity(t *testing.T) {
 				}
 				got, err := MergeReadScatters(cfg.MaxCandidates, sub)
 				if err != nil {
-					t.Fatalf("max=%d groups=%v read %d: %v", maxCand, groups, i, err)
+					t.Fatalf("max=%d budget=%d groups=%v read %d: %v", maxCand, arm.budget, groups, i, err)
 				}
 				if got.Err != nil {
-					t.Fatalf("max=%d groups=%v read %d: %v", maxCand, groups, i, got.Err)
+					t.Fatalf("max=%d budget=%d groups=%v read %d: %v", maxCand, arm.budget, groups, i, got.Err)
 				}
 				if !reflect.DeepEqual(got.Alignments, want[i].Alignments) {
-					t.Errorf("max=%d groups=%v read %d: alignments diverge from monolithic engine\n got: %+v\nwant: %+v",
-						maxCand, groups, i, got.Alignments, want[i].Alignments)
+					t.Errorf("max=%d budget=%d groups=%v read %d: alignments diverge from monolithic engine\n got: %+v\nwant: %+v",
+						maxCand, arm.budget, groups, i, got.Alignments, want[i].Alignments)
 				}
 				g, w := got.Stats, want[i].Stats
 				if g.Candidates != w.Candidates || g.PassedHTile != w.PassedHTile ||
 					g.Tiles != w.Tiles || g.Cells != w.Cells ||
 					!reflect.DeepEqual(g.FirstTileScores, w.FirstTileScores) {
-					t.Errorf("max=%d groups=%v read %d: merged stats diverge: got {cand %d pass %d tiles %d cells %d}, want {%d %d %d %d}",
-						maxCand, groups, i, g.Candidates, g.PassedHTile, g.Tiles, g.Cells,
+					t.Errorf("max=%d budget=%d groups=%v read %d: merged stats diverge: got {cand %d pass %d tiles %d cells %d}, want {%d %d %d %d}",
+						maxCand, arm.budget, groups, i, g.Candidates, g.PassedHTile, g.Tiles, g.Cells,
 						w.Candidates, w.PassedHTile, w.Tiles, w.Cells)
 				}
 			}

@@ -33,7 +33,7 @@ cat "$tmp/build.log"
 [ -f "$tmp/ref.fa.dwi" ] || { echo "index-smoke: FAIL — no sidecar written" >&2; exit 1; }
 "$tmp/bin/darwin-index" verify "$tmp/ref.fa.dwi"
 "$tmp/bin/darwin-index" inspect "$tmp/ref.fa.dwi" > "$tmp/inspect.json"
-grep -q '"Version": 3' "$tmp/inspect.json" || {
+grep -q '"Version": 4' "$tmp/inspect.json" || {
     echo "index-smoke: FAIL — inspect output missing version:" >&2
     cat "$tmp/inspect.json" >&2
     exit 1
