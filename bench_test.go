@@ -254,35 +254,42 @@ func BenchmarkProfitGate(b *testing.B) {
 	}
 }
 
-// BenchmarkScorePass times the first tile's score pass alone — what a
-// candidate the h_tile filter rejects costs — on a 384×384 tile of an
-// ONT_1D read against its own region and against an unrelated one,
-// under the paper's scoring. The threshold sits above any score a 384²
-// tile can reach, so every tile is rejected and no refill runs; ns/cell
-// is the production pass (the widest vector lanes the CPU has on amd64,
-// the scalar row pairs under -tags purego); internal/align's
-// BenchmarkScorePass times each width.
+// BenchmarkScorePass times first tiles of 384×384 — what a candidate
+// the h_tile filter sees costs — from an ONT_1D read against its own
+// region and against an unrelated one, under the paper's scoring. At
+// the production h_tile of 90 (htile90) the unrelated tile is rejected
+// on the int8 screen and the related one accepted and traced back;
+// with the threshold above any score a 384² tile can reach (int16,
+// side+1) both are rejected on the int16 score pass alone, the screen's
+// reference. ns/cell is the production pass (the widest vector lanes
+// the CPU has on amd64, the scalar row pairs under -tags purego);
+// internal/align's BenchmarkScorePass times each width.
 func BenchmarkScorePass(b *testing.B) {
 	const side = 384
 	ref, q := anchoredTile(b, readsim.ONT1D, side)
 	unrelated := dna.Random(rand.New(rand.NewSource(73)), side, 0.45)
 	sc := align.GACTEval()
-	for _, pair := range []struct {
-		name string
-		ref  dna.Seq
-	}{{"ont1d", ref}, {"unrelated", unrelated}} {
-		b.Run(pair.name, func(b *testing.B) {
-			ta, err := align.NewTileAligner(&sc)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ta.Preallocate(side)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ta.AlignFirstTile(pair.ref, q, side-128, side+1)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(side*side), "ns/cell")
-		})
+	for _, shape := range []struct {
+		name     string
+		minScore int
+	}{{"htile90", 90}, {"int16", side + 1}} {
+		for _, pair := range []struct {
+			name string
+			ref  dna.Seq
+		}{{"ont1d", ref}, {"unrelated", unrelated}} {
+			b.Run(shape.name+"/"+pair.name, func(b *testing.B) {
+				ta, err := align.NewTileAligner(&sc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ta.Preallocate(side)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ta.AlignFirstTile(pair.ref, q, side-128, shape.minScore)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(side*side), "ns/cell")
+			})
+		}
 	}
 }
 

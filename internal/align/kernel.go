@@ -1,18 +1,22 @@
 package align
 
-import "darwin/internal/dna"
+import (
+	"math"
+
+	"darwin/internal/dna"
+)
 
 // negInf32 is the int32 "minus infinity" for the tile kernel's gap
 // rows, chosen (like gactsim's negInf16) so that subtracting a
 // Validated gap penalty cannot wrap: −2^29 − maxAbsParam > −2^31.
 const negInf32 = int32(-1) << 29
 
-// maxKernelSide is the largest tile side the int32 kernel accepts;
+// MaxTileSide is the largest tile side the int32 kernel accepts;
 // beyond it the aligner falls back to the int-width reference
 // implementation (see maxAbsParam for the overflow arithmetic). GACT
-// tiles are two orders of magnitude smaller, so the fallback is a
-// safety net, not a working path.
-const maxKernelSide = 1 << 15
+// tiles are two orders of magnitude smaller, and gact.Config refuses
+// larger ones, so the fallback is a safety net, not a working path.
+const MaxTileSide = 1 << 15
 
 // TileAligner is the allocation-free production kernel behind GACT's
 // Align step. It computes exactly what the free function AlignTile
@@ -39,7 +43,7 @@ type TileAligner struct {
 	sc        Scoring
 	lut       SubLUT
 	open, ext int32
-	maxSide   int // kernel side limit; a test knob, maxKernelSide in production
+	maxSide   int // kernel side limit; a test knob, MaxTileSide in production
 
 	// Kernel-tier state (see bitvector.go): the selected mode, the
 	// optional divergence cap, the scoring's maximum substitution
@@ -68,12 +72,15 @@ type TileAligner struct {
 	// The vector passes (maxcell_amd64.go): their substitution table,
 	// nil where they cannot run, their width in int16 lanes
 	// (vectorLanes; tests set 16 to run the AVX2 kernels on an
-	// AVX-512 host), their int16 H row and the padded reversed
-	// reference they stream.
+	// AVX-512 host), their int16 H row, the padded reversed reference
+	// they stream, and the first-tile screen's int8 H row and the two
+	// input rows it saves.
 	vecSub *[16]byte
 	lanes  int
 	h16    []int16
 	rRev   []byte
+	h8     []int8
+	h8In   []int8
 }
 
 // NewTileAligner validates sc and returns an aligner with empty
@@ -95,7 +102,7 @@ func NewTileAligner(sc *Scoring) (*TileAligner, error) {
 		lut:     sc.LUT(),
 		open:    int32(sc.GapOpen),
 		ext:     int32(sc.GapExtend),
-		maxSide: maxKernelSide,
+		maxSide: MaxTileSide,
 		wmax:    int32(wmax), // > 0: Validate requires a positive match
 		vecSub:  vectorSub(sc),
 		lanes:   vectorLanes,
@@ -208,8 +215,16 @@ func (a *TileAligner) align(rTile, qTile dna.Seq, minFirst, maxOff int, reversed
 // traceback from the full tile's best cell. The score pass has already
 // computed that cell's score exactly, so the band bound of bitvector.go
 // applies with S = maxScore and no bitvector pass.
+//
+// Under an h_tile threshold int8 lanes can decide, 1 < minScore ≤ 127,
+// the vector score pass is screened first (maxCellScreened): the same
+// result, with a rejected tile scored on int8 lanes alone.
 func (a *TileAligner) firstTile(rc, qc []byte, minScore, maxOff int) TileResult {
-	a.maxCell(rc, qc, a.open == a.ext)
+	if 1 < minScore && minScore <= math.MaxInt8 && a.vectorOK(len(rc), len(qc)) {
+		a.maxCellScreened(rc, qc, minScore)
+	} else {
+		a.maxCell(rc, qc, a.open == a.ext)
+	}
 	score, maxI, maxJ := int(a.maxScore), a.maxI, a.maxJ
 	a.ks.LUTCells += int64(len(rc)) * int64(len(qc))
 	if score < minScore {
@@ -299,11 +314,14 @@ func (a *TileAligner) grow(w, h int) {
 	if cap(a.qCode) < h {
 		a.qCode = make([]byte, 0, h)
 	}
-	// The vector passes' padding (vectorRows): 31 columns either side
-	// of the reversed reference, and the H row's slack either side.
+	// The vector passes' padding (vectorRows, maxCellScreened): 63
+	// columns either side of the reversed reference, and the H rows'
+	// slack either side.
 	if a.vecSub != nil && cap(a.h16) < w+95 {
 		a.h16 = make([]int16, w+95)
-		a.rRev = make([]byte, w+61)
+		a.rRev = make([]byte, w+125)
+		a.h8 = make([]int8, w+191)
+		a.h8In = make([]int8, 2*w)
 	}
 }
 

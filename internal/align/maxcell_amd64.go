@@ -2,6 +2,8 @@
 
 package align
 
+import "math"
+
 // This file is the score pass and the pointer fill on vector lanes:
 // gactsim's linear systolic array (one PE per query row, the reference
 // streaming through) with N_pe = 32 int16 lanes on AVX-512BW
@@ -43,6 +45,29 @@ package align
 // holds column c at h16[64+c]: the 32-lane write of column −30 is a
 // store starting 31 words below it, so column 0 needs 61 words below
 // it, and lane 0's reads reach column n+31.
+//
+// A first tile under an h_tile threshold 1 < minScore ≤ 127 is first
+// screened (maxCellScreened): the same wavefront on int8 lanes, 64 rows
+// per block on AVX-512BW (screenBlock64) and 32 on AVX2 (screenBlock32),
+// twice the int16 pass's rows per step, keeping each lane's maximum but
+// not its step. diag + W saturates at 127, and H − g is an unsigned
+// saturating subtract, max(0, H − g) for 0 ≤ H ≤ 127, the floor the
+// recurrence takes anyway (g is clamped to 127, which changes nothing
+// while H ≤ 127). Only the add can saturate, downwards: every int8 cell
+// is a lower bound of its int16 one, and equal to it while nothing has
+// saturated. A saturated cell is 127 ≥ minScore. So a block whose int8
+// maximum stays below minScore was computed exactly, and one that
+// reaches it holds a cell that truly does. The screen stops at that
+// block and hands the rest of the tile to the int16 blocks, from the
+// input row it saved before the block (exact, since every earlier
+// block was): the cells above score below minScore, so the best cell,
+// ties included, lies from there on. A tile no block accepts is
+// rejected with its exact maximum, and its position comes from
+// rerunning the first block that reached that maximum on bytes, from
+// its saved row, to the first step at which the first lane to reach it
+// does. The byte rows pad the reference with 63 N codes either side
+// (rRev[n+62−i] = rc[i], of which rev is the window from 32) and hold
+// column c at h8[128+c].
 
 // vectorLanes is the CPU's vector width in int16 lanes: 32 where it
 // has AVX-512F/BW/VL and the OS saves opmask and ZMM state, 16 where it
@@ -125,27 +150,56 @@ func linearBlock32(rev *byte, h *int16, n int, q *[32]byte, sub *[16]byte, gap i
 //go:noescape
 func linearFill32(rev *byte, h *int16, q *[32]byte, sub *[16]byte, gap int32, ptr *byte, lo, nLo, nBoth, nHi int)
 
+// screenBlock32 runs one 32-row block of the AVX2 screen: rev is the
+// byte rows' padded reversed reference from its 32nd code (rev[n+30−t+r]
+// is column t−r+1's code, as for linearBlock32), h the int8 row with
+// column c at h[128+c], q the block's query codes. It leaves each lane's
+// maximum, saturated at 127, in best.
+//
+//go:noescape
+func screenBlock32(rev *byte, h *int8, n int, q *[32]byte, sub *[16]byte, gap int32, best *[32]int8)
+
+// screenFind32 reruns screenBlock32's block from the same row and
+// returns the first step t at which lane holds score (column
+// t−lane+1), or n+31 if none does.
+//
+//go:noescape
+func screenFind32(rev *byte, h *int8, n int, q *[32]byte, sub *[16]byte, gap int32, lane int, score int32) int
+
+// screenBlock64 is screenBlock32 on 64 AVX-512BW lanes: rev[n+62−t+r]
+// is column t−r+1's code.
+//
+//go:noescape
+func screenBlock64(rev *byte, h *int8, n int, q *[64]byte, sub *[16]byte, gap int32, best *[64]int8)
+
+// screenFind64 is screenFind32 on 64 lanes: none found is n+63.
+//
+//go:noescape
+func screenFind64(rev *byte, h *int8, n int, q *[64]byte, sub *[16]byte, gap int32, lane int, score int32) int
+
 // vectorRows prepares the vector passes' reference side for rc: the
 // padded reversed codes, N (4) as 0x84 and padding as 0x80, and an int16
-// H row of zeros.
+// H row of zeros. rev is the int16 passes' window of rRev, which pads
+// rc for the byte screen.
 func (a *TileAligner) vectorRows(rc []byte) (rev []byte, h []int16) {
 	n := len(rc)
-	rev = a.rRev[:n+62]
-	for k := range rev {
-		rev[k] = 0x80
+	wide := a.rRev[:n+126]
+	for k := range wide {
+		wide[k] = 0x80
 	}
 	for i, c := range rc {
-		rev[n+30-i] = c | (c&4)<<5
+		wide[n+62-i] = c | (c&4)<<5
 	}
 	h = a.h16[:n+96]
 	clear(h)
-	return rev, h
+	return wide[32 : n+94], h
 }
 
-// blockQuery is the query side of the 32 rows whose first is query row
-// j0 + 1 (codes qc[j0:j0+32]), shifted to q·4, N (4) as 0x90; rows
-// outside the tile are N rows, 0x80. A 16-lane block takes the first 16.
-func blockQuery(qc []byte, j0 int) (q [32]byte) {
+// blockQuery is the query side of the 64 rows whose first is query row
+// j0 + 1 (codes qc[j0:j0+64]), shifted to q·4, N (4) as 0x90; rows
+// outside the tile are N rows, 0x80. A narrower block takes the first
+// 32 or 16.
+func blockQuery(qc []byte, j0 int) (q [64]byte) {
 	for r := range q {
 		q[r] = 0x80
 		if j := j0 + r; j >= 0 && j < len(qc) {
@@ -158,23 +212,91 @@ func blockQuery(qc []byte, j0 int) (q [32]byte) {
 
 // maxCellVector is maxCell's linear pass on the aligner's vector lanes.
 func (a *TileAligner) maxCellVector(rc, qc []byte) {
-	n, m := len(rc), len(qc)
 	rev, h := a.vectorRows(rc)
 	a.maxScore, a.maxI, a.maxJ = 0, 0, 0
+	a.scoreBlocks(rev, h, qc, 0, len(qc))
+}
+
+// scoreBlocks runs the int16 blocks of query rows j0+1 … j1, j0 a
+// multiple of the lane count, over vectorRows' arrays with h holding
+// row j0, and takes their best cell into maxScore, maxI and maxJ.
+func (a *TileAligner) scoreBlocks(rev []byte, h []int16, qc []byte, j0, j1 int) {
+	n := len(rev) - 62
 	var best, at [32]int16
-	for j0 := 0; j0 < m; j0 += a.lanes {
+	for ; j0 < j1; j0 += a.lanes {
 		q := blockQuery(qc, j0)
 		if a.lanes == 32 {
-			linearBlock32(&rev[0], &h[0], n, &q, a.vecSub, a.open, &best, &at)
+			linearBlock32(&rev[0], &h[0], n, (*[32]byte)(q[:32]), a.vecSub, a.open, &best, &at)
 		} else {
 			linearBlock16(&rev[16], &h[48], n, (*[16]byte)(q[:16]), a.vecSub, a.open, (*[16]int16)(best[:16]), (*[16]int16)(at[:16]))
 		}
-		for r := range min(a.lanes, m-j0) {
+		for r := range min(a.lanes, j1-j0) {
 			if s := int32(best[r]); s > a.maxScore {
 				a.maxScore, a.maxI, a.maxJ = s, int(uint16(at[r]))-r+1, j0+r+1
 			}
 		}
 	}
+}
+
+// maxCellScreened is maxCellVector for a first tile wanted only at a
+// score of minScore or more, 1 < minScore ≤ 127: the int8 screen, then
+// the int16 blocks from the block that reaches minScore, or for a
+// rejected tile its best block rerun on bytes to the best cell's
+// column. It leaves maxCellVector's maxScore, maxI and maxJ.
+func (a *TileAligner) maxCellScreened(rc, qc []byte, minScore int) {
+	n, m := len(rc), len(qc)
+	rev, h := a.vectorRows(rc)
+	wide, h8 := a.rRev[:n+126], a.h8[:n+192]
+	clear(h8)
+	// The input rows, columns 1…n, of this block and of the best one.
+	in, topIn := a.h8In[:n], a.h8In[n:2*n]
+	gap := min(a.open, math.MaxInt8)
+	rows := 2 * a.lanes
+	var best [64]int8
+	top, topJ0, topLane := int8(0), 0, 0
+	for j0 := 0; j0 < m; j0 += rows {
+		copy(in, h8[129:])
+		q := blockQuery(qc, j0)
+		if rows == 64 {
+			screenBlock64(&wide[0], &h8[0], n, &q, a.vecSub, gap, &best)
+		} else {
+			screenBlock32(&wide[32], &h8[0], n, (*[32]byte)(q[:32]), a.vecSub, gap, (*[32]int8)(best[:32]))
+		}
+		blockTop, first := int8(0), 0
+		for r, s := range best[:min(rows, m-j0)] {
+			if s > blockTop {
+				blockTop, first = s, r
+			}
+		}
+		if int(blockTop) >= minScore {
+			for c, s := range in {
+				h[65+c] = int16(s) // column c+1
+			}
+			a.maxScore, a.maxI, a.maxJ = 0, 0, 0
+			a.scoreBlocks(rev, h, qc, j0, m)
+			return
+		}
+		if blockTop > top {
+			top, topJ0, topLane = blockTop, j0, first
+			in, topIn = topIn, in
+		}
+	}
+	a.maxScore, a.maxI, a.maxJ = 0, 0, 0
+	if top == 0 {
+		return
+	}
+	// The best block's first lane to reach top is the best cell's row,
+	// and the step it first holds top at is the cell's column. Outside
+	// columns 1…n h8 holds 0, as when the block first ran.
+	copy(h8[129:], topIn)
+	q := blockQuery(qc, topJ0)
+	var t int
+	if rows == 64 {
+		t = screenFind64(&wide[0], &h8[0], n, &q, a.vecSub, gap, topLane, int32(top))
+	} else {
+		t = screenFind32(&wide[32], &h8[0], n, (*[32]byte)(q[:32]), a.vecSub, gap, topLane, int32(top))
+	}
+	a.maxScore, a.maxI, a.maxJ = int32(top), t-topLane+1, topJ0+topLane+1
 }
 
 // fillVector is fillCoded's linear fill on the aligner's vector lanes,
@@ -234,7 +356,7 @@ func (a *TileAligner) fillVector(rc, qc []byte, band int) (cells int64, score in
 			}
 		}
 		q := blockQuery(qc, 16*lo-pad)
-		linearFill32(&rev[n+30-t0], &h[t0], &q, a.vecSub, a.open,
+		linearFill32(&rev[n+30-t0], &h[t0], (*[32]byte)(q[:32]), a.vecSub, a.open,
 			&a.ptr[(hi*(n+15)+t0-16)*16], 256-16*(n+15), nLo, nBoth, nHi)
 	}
 	return bandCells(n, m, band), int(h[64+n])

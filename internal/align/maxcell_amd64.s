@@ -369,3 +369,206 @@ highonly:
 done:
 	VZEROUPPER
 	RET
+
+// The screens are linearBlock16's and linearBlock32's wavefront on int8
+// lanes, twice as many rows per step: 32 in a Y register on AVX2, 64 in
+// a Z register on AVX-512BW. diag + W saturates at 127
+// (maxcell_amd64.go). H ≥ 0 and g ≤ 127, so an unsigned saturating
+// H − g is max(0, H − g), and the floor at 0 needs no instruction of
+// its own. SI points at h[t] of a byte H row with column c at h[128+c],
+// one byte per step. A block (screenBlock32/64) keeps each lane's
+// maximum and no step; rerun from the same row (screenFind32/64), it
+// stops at the first step at which one lane holds a given score.
+
+// SETUP32 sets up an AVX2 screen from its arguments, loaded to DI (rev),
+// SI (h), CX (n), R10 (q), R11 (sub) and AX (gap): DI at rev[n+30]
+// (lane r reads rev[n+30−t+r] = rc[t−r]), CX the step count n+31, Y3 g
+// in every byte, Y9 the block's query codes, Y10 the substitution table
+// in both 128-bit halves, H and the diagonal zero.
+#define SETUP32 \
+	VMOVDQU (R10), Y9; \
+	VBROADCASTI128 (R11), Y10; \
+	VMOVD AX, X3; \
+	VPBROADCASTB X3, Y3; \
+	VPXOR Y0, Y0, Y0; \
+	VPXOR Y2, Y2, Y2; \
+	LEAQ 30(DI)(CX*1), DI; \
+	ADDQ $31, CX
+
+// SCREEN32 is one step of an AVX2 screen: Y0 H (this step, then the
+// previous one), Y1 up, Y2 the previous step's up (this step's
+// diagonal). up is H one byte down with lane 0 from the previous
+// block's row, column t+1: byte 15 of the 16 at h[t+114]. Lane 31
+// writes its column, t−30, to the row the next block reads.
+#define SCREEN32 \
+	VMOVDQU (DI), Y11; \
+	VPOR Y9, Y11, Y11; \
+	VPSHUFB Y11, Y10, Y11; \
+	VPADDSB Y2, Y11, Y11; \
+	VPERM2I128 $0x02, 114(SI), Y0, Y12; \
+	VPALIGNR $15, Y12, Y0, Y1; \
+	VPMAXSB Y1, Y0, Y13; \
+	VPSUBUSB Y3, Y13, Y13; \
+	VPMAXSB Y11, Y13, Y0; \
+	VEXTRACTI128 $1, Y0, X12; \
+	VPEXTRB $15, X12, 98(SI); \
+	VMOVDQU Y1, Y2
+
+// func screenBlock32(rev *byte, h *int8, n int, q *[32]byte, sub *[16]byte, gap int32, best *[32]int8)
+//
+// One 32-row block of the AVX2 screen, steps 0 ≤ t ≤ n+30, each lane's
+// maximum in Y5.
+TEXT ·screenBlock32(SB), NOSPLIT, $0-56
+	MOVQ rev+0(FP), DI
+	MOVQ h+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ q+24(FP), R10
+	MOVQ sub+32(FP), R11
+	MOVL gap+40(FP), AX
+	SETUP32
+	VPXOR Y5, Y5, Y5
+
+screen32:
+	SCREEN32
+	VPMAXSB Y0, Y5, Y5
+	INCQ SI
+	DECQ DI
+	DECQ CX
+	JNZ screen32
+
+	MOVQ best+48(FP), AX
+	VMOVDQU Y5, (AX)
+	VZEROUPPER
+	RET
+
+// func screenFind32(rev *byte, h *int8, n int, q *[32]byte, sub *[16]byte, gap int32, lane int, score int32) int
+//
+// screenBlock32's block again, returning the first step at which lane
+// holds score, or n+31 if none does. R8 is lane, Y6 score in every
+// byte, R9 the step.
+TEXT ·screenFind32(SB), NOSPLIT, $0-72
+	MOVQ rev+0(FP), DI
+	MOVQ h+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ q+24(FP), R10
+	MOVQ sub+32(FP), R11
+	MOVL gap+40(FP), AX
+	SETUP32
+	MOVQ lane+48(FP), R8
+	MOVL score+56(FP), AX
+	VMOVD AX, X6
+	VPBROADCASTB X6, Y6
+	XORQ R9, R9
+
+find32:
+	SCREEN32
+	VPCMPEQB Y6, Y0, Y7
+	VPMOVMSKB Y7, AX
+	BTQ R8, AX
+	JCS found32
+	INCQ R9
+	INCQ SI
+	DECQ DI
+	DECQ CX
+	JNZ find32
+
+found32:
+	MOVQ R9, ret+64(FP)
+	VZEROUPPER
+	RET
+
+// SETUP64 is SETUP32 for the AVX-512BW screens: DI at rev[n+62] (lane r
+// reads rev[n+62−t+r] = rc[t−r]), CX the step count n+63, Z3, Z9 and
+// Z10 g, the query codes and the table in every 128-bit lane, K7 lane
+// 63.
+#define SETUP64 \
+	VMOVDQU64 (R10), Z9; \
+	VBROADCASTI32X4 (R11), Z10; \
+	VPBROADCASTB AX, Z3; \
+	MOVQ $0x8000000000000000, AX; \
+	KMOVQ AX, K7; \
+	VPXORQ Z0, Z0, Z0; \
+	VPXORQ Z2, Z2, Z2; \
+	LEAQ 62(DI)(CX*1), DI; \
+	ADDQ $63, CX
+
+// SCREEN64 is SCREEN32 on Z registers: H = max(diag + W, left − g,
+// up − g), floored at 0, with everything but up − g computed while
+// the shift that gives up is in flight. The shift is UP32's by one
+// byte: the broadcast quadword is h[t+122 … t+129], whose byte 7,
+// column t+1, VPALIGNR carries into lane 0. Lane 63 writes its column,
+// t−62, to h[t+66]: byte 63 of a store at h[t+3] under K7.
+#define SCREEN64 \
+	VMOVDQU64 (DI), Z11; \
+	VPORQ Z9, Z11, Z11; \
+	VPSHUFB Z11, Z10, Z11; \
+	VPADDSB Z2, Z11, Z11; \
+	VPSUBUSB Z3, Z0, Z13; \
+	VPMAXSB Z13, Z11, Z11; \
+	VALIGNQ.BCST $6, 122(SI), Z0, Z12; \
+	VPALIGNR $15, Z12, Z0, Z1; \
+	VPSUBUSB Z3, Z1, Z13; \
+	VPMAXSB Z13, Z11, Z0; \
+	VMOVDQU8 Z0, K7, 3(SI); \
+	VMOVDQA64 Z1, Z2
+
+// func screenBlock64(rev *byte, h *int8, n int, q *[64]byte, sub *[16]byte, gap int32, best *[64]int8)
+//
+// screenBlock32 on AVX-512BW: one 64-row block, steps 0 ≤ t ≤ n+62,
+// each lane's maximum in Z5.
+TEXT ·screenBlock64(SB), NOSPLIT, $0-56
+	MOVQ rev+0(FP), DI
+	MOVQ h+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ q+24(FP), R10
+	MOVQ sub+32(FP), R11
+	MOVL gap+40(FP), AX
+	SETUP64
+	VPXORQ Z5, Z5, Z5
+
+screen64:
+	SCREEN64
+	VPMAXSB Z0, Z5, Z5
+	INCQ SI
+	DECQ DI
+	DECQ CX
+	JNZ screen64
+
+	MOVQ best+48(FP), AX
+	VMOVDQU64 Z5, (AX)
+	VZEROUPPER
+	RET
+
+// func screenFind64(rev *byte, h *int8, n int, q *[64]byte, sub *[16]byte, gap int32, lane int, score int32) int
+//
+// screenFind32 on AVX-512BW: the first step at which lane holds score,
+// or n+63.
+TEXT ·screenFind64(SB), NOSPLIT, $0-72
+	MOVQ rev+0(FP), DI
+	MOVQ h+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ q+24(FP), R10
+	MOVQ sub+32(FP), R11
+	MOVL gap+40(FP), AX
+	SETUP64
+	MOVQ lane+48(FP), R8
+	MOVL score+56(FP), AX
+	VPBROADCASTB AX, Z6
+	XORQ R9, R9
+
+find64:
+	SCREEN64
+	VPCMPEQB Z6, Z0, K1
+	KMOVQ K1, AX
+	BTQ R8, AX
+	JCS found64
+	INCQ R9
+	INCQ SI
+	DECQ DI
+	DECQ CX
+	JNZ find64
+
+found64:
+	MOVQ R9, ret+64(FP)
+	VZEROUPPER
+	RET

@@ -169,6 +169,160 @@ func TestVectorMaxCellMatchesScalar(t *testing.T) {
 	})
 }
 
+// The int8 first-tile screen at every width the CPU has: AlignFirstTile
+// must return the scalar aligner's result, fillLocal's best cell and a
+// path exactly at a score of the threshold or more (firstTileDiff), and
+// maxCellScreened, called directly, the scalar pass's (maxScore, maxI,
+// maxJ) — on every m mod 64 residue up to two 64-row blocks, tiles
+// narrower than a block, all-N rows and references, |W| = 127, gaps 0
+// and ≥ 127, every threshold 2–127 and 1 and 128 and above, and
+// repeats that saturate int8, which every threshold the screen takes
+// must accept.
+func TestVectorFirstTileMatchesScalar(t *testing.T) {
+	if vectorLanes == 0 {
+		t.Skip("no AVX2 on this CPU: first tiles run the scalar pass only")
+	}
+	rng := rand.New(rand.NewSource(8))
+	type set struct {
+		vec    []*TileAligner
+		scalar *TileAligner
+	}
+	sets := map[Scoring]set{}
+	aligners := func(t *testing.T, sc Scoring) set {
+		t.Helper()
+		if s, ok := sets[sc]; ok {
+			return s
+		}
+		vec, err := widthAligners(&sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vec[0].vecSub == nil {
+			t.Fatalf("scoring %+v has no vector table", sc)
+		}
+		scalar, _ := NewTileAligner(&sc)
+		scalar.vecSub = nil
+		sets[sc] = set{vec, scalar}
+		return sets[sc]
+	}
+	check := func(t *testing.T, sc Scoring, rTile, qTile dna.Seq, thresholds ...int) {
+		t.Helper()
+		s := aligners(t, sc)
+		rc, qc := dna.AppendCodes(nil, rTile), dna.AppendCodes(nil, qTile)
+		s.scalar.grow(len(rc)+1, len(qc)+1)
+		s.scalar.maxCellScalar(rc, qc, true)
+		want := [3]int{int(s.scalar.maxScore), s.scalar.maxI, s.scalar.maxJ}
+		if d := firstTileDiff(s.vec, s.scalar, rTile, qTile, max(len(rTile), len(qTile)), thresholds...); d != "" {
+			t.Fatalf("%d×%d tile, %+v: %s\nref   %s\nquery %s", len(rTile), len(qTile), sc, d, rTile, qTile)
+		}
+		for _, minScore := range thresholds {
+			if minScore < 2 || minScore > 127 {
+				continue
+			}
+			for _, ta := range s.vec {
+				ta.grow(len(rc)+1, len(qc)+1)
+				ta.maxCellScreened(rc, qc, minScore)
+				if got := [3]int{int(ta.maxScore), ta.maxI, ta.maxJ}; got != want {
+					t.Fatalf("%d×%d tile, %+v, threshold %d: %d-lane screen (score, i, j) %v, scalar %v\nref   %s\nquery %s",
+						len(rc), len(qc), sc, minScore, ta.lanes, got, want, rTile, qTile)
+				}
+			}
+		}
+	}
+	// The thresholds 1, 128 and 1000, two from 2–127, the tile's own
+	// score and one more.
+	some := func(sc Scoring, rTile, qTile dna.Seq) []int {
+		best := fillLocal(rTile, qTile, &sc).maxScore
+		return []int{1, 2 + rng.Intn(126), 2 + rng.Intn(126), best, best + 1, 128, 1000}
+	}
+	pick := func() Scoring {
+		sc := Simple(1+rng.Intn(4), 1+rng.Intn(4), rng.Intn(3))
+		sc.W[rng.Intn(4)][rng.Intn(4)] = rng.Intn(9) - 4
+		return sc
+	}
+
+	t.Run("every m mod 64", func(t *testing.T) {
+		for m := 1; m <= 128; m++ {
+			for _, n := range []int{1, 31, 32, 33, 63, 64, 65, 200} {
+				sc, rTile := pick(), dna.Random(rng, n, 0.5)
+				qTile := dna.Random(rng, m, 0.5)
+				check(t, sc, rTile, qTile, some(sc, rTile, qTile)...)
+				if m <= n {
+					qTile = mutate(rng, rTile[:m], 0.1)
+					check(t, sc, rTile, qTile, some(sc, rTile, qTile)...)
+				}
+			}
+		}
+	})
+	t.Run("every threshold", func(t *testing.T) {
+		var all []int
+		for s := 0; s <= 130; s++ {
+			all = append(all, s)
+		}
+		sc := GACTEval()
+		for _, rate := range []float64{0.05, 0.3, 0.45} {
+			rTile := dna.Random(rng, 384, 0.45)
+			check(t, sc, rTile, mutate(rng, rTile, rate)[:300], all...)
+		}
+		check(t, sc, dna.Random(rng, 384, 0.45), dna.Random(rng, 384, 0.45), all...)
+	})
+	t.Run("all-N rows", func(t *testing.T) {
+		for it := 0; it < 100; it++ {
+			sc := pick()
+			rTile := tierSeq(rng, 1+rng.Intn(300))
+			qTile := mutate(rng, rTile, 0.2)
+			// An N run over whole blocks, or all of the query.
+			from := rng.Intn(len(qTile))
+			to := min(len(qTile), from+rng.Intn(160))
+			if it%4 == 0 {
+				from, to = 0, len(qTile)
+			}
+			for j := from; j < to; j++ {
+				qTile[j] = 'N'
+			}
+			check(t, sc, rTile, qTile, some(sc, rTile, qTile)...)
+			check(t, sc, bytes.Repeat([]byte("N"), 1+rng.Intn(100)), rTile, 2, 90)
+		}
+	})
+	t.Run("|W| = 127 and wide gaps", func(t *testing.T) {
+		for it := 0; it < 200; it++ {
+			sc := Simple(1+rng.Intn(127), 1+rng.Intn(127), []int{0, 126, 127, 128, 500}[it%5])
+			sc.W[rng.Intn(4)][rng.Intn(4)] = []int{127, -127}[rng.Intn(2)]
+			if sc.W[0][0] <= 0 && sc.W[1][1] <= 0 && sc.W[2][2] <= 0 && sc.W[3][3] <= 0 {
+				continue
+			}
+			rTile := tierSeq(rng, 1+rng.Intn(200))
+			qTile := mutate(rng, rTile, rng.Float64()*0.5)
+			check(t, sc, rTile, qTile, some(sc, rTile, qTile)...)
+		}
+	})
+	t.Run("saturating repeats", func(t *testing.T) {
+		// An exact repeat of 128 bases or more scores past int8 under a
+		// match of 1: the screen saturates, and every threshold up to 127
+		// accepts the tile.
+		for it := 0; it < 20; it++ {
+			sc := Simple(1, 1+rng.Intn(3), rng.Intn(3))
+			unit := dna.Random(rng, 128+rng.Intn(200), 0.5)
+			rTile := append(dna.Random(rng, rng.Intn(100), 0.5), unit...)
+			qTile := append(mutate(rng, dna.Random(rng, rng.Intn(100), 0.5), 0.3), unit...)
+			qTile = append(qTile, dna.Random(rng, rng.Intn(50), 0.5)...)
+			var all []int
+			for s := 1; s <= 127; s++ {
+				all = append(all, s)
+			}
+			check(t, sc, rTile, qTile, append(all, 128, 200)...)
+			s := aligners(t, sc)
+			for _, ta := range s.vec {
+				for minScore := 2; minScore <= 127; minScore++ {
+					if res := ta.AlignFirstTile(rTile, qTile, 0, minScore); res.Score < len(unit) || len(res.Cigar) == 0 {
+						t.Fatalf("%d-lane saturating %d-base repeat at threshold %d: %+v", ta.lanes, len(unit), minScore, res)
+					}
+				}
+			}
+		}
+	})
+}
+
 // The vector pointer fill at every width the CPU has against its
 // oracle, the scalar linear rows, called directly: on full fills every
 // pointer byte, H(n, m) and the cell count agree, and on banded fills
@@ -462,10 +616,13 @@ func BenchmarkAlignTile(b *testing.B) {
 	})
 }
 
-// BenchmarkScorePass is a rejected 384×384 first tile — the score pass
-// alone — at each vector width, against a related and an unrelated
-// reference; the root package's BenchmarkScorePass times the width
-// production picks.
+// BenchmarkScorePass times 384×384 first tiles at each vector width,
+// against a related reference (the query 30 % mutated) and an unrelated
+// one. At the production h_tile of 90 (htile90) the unrelated tile is
+// rejected on the int8 screen and the related one accepted and traced
+// back; above any score a 384² tile reaches (int16, side+1) both are
+// rejected on the int16 score pass alone, the screen's reference. The
+// root package's BenchmarkScorePass times the width production picks.
 func BenchmarkScorePass(b *testing.B) {
 	const side = 384
 	rng := rand.New(rand.NewSource(73))
@@ -473,17 +630,22 @@ func BenchmarkScorePass(b *testing.B) {
 	q := mutate(rng, related, 0.3)[:side]
 	related = related[:side]
 	unrelated := dna.Random(rng, side, 0.45)
-	for _, pair := range []struct {
-		name string
-		ref  dna.Seq
-	}{{"related", related}, {"unrelated", unrelated}} {
-		b.Run(pair.name, func(b *testing.B) {
-			benchWidths(b, side, func(b *testing.B, ta *TileAligner) {
-				for i := 0; i < b.N; i++ {
-					ta.AlignFirstTile(pair.ref, q, side-128, side+1)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(side*side), "ns/cell")
+	for _, shape := range []struct {
+		name     string
+		minScore int
+	}{{"htile90", 90}, {"int16", side + 1}} {
+		for _, pair := range []struct {
+			name string
+			ref  dna.Seq
+		}{{"related", related}, {"unrelated", unrelated}} {
+			b.Run(shape.name+"/"+pair.name, func(b *testing.B) {
+				benchWidths(b, side, func(b *testing.B, ta *TileAligner) {
+					for i := 0; i < b.N; i++ {
+						ta.AlignFirstTile(pair.ref, q, side-128, shape.minScore)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(side*side), "ns/cell")
+				})
 			})
-		})
+		}
 	}
 }

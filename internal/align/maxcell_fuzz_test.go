@@ -1,6 +1,8 @@
 package align
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"darwin/internal/dna"
@@ -77,4 +79,61 @@ func laneWidths() []int {
 		return []int{16}
 	}
 	return nil
+}
+
+// FuzzFirstTile drives arbitrary tiles, linear scorings and h_tile
+// thresholds (0–255: the int8 screen's 2–127 and both sides of it)
+// through AlignFirstTile at every vector width the CPU has, and holds
+// each result to an aligner kept to the scalar passes and its best cell
+// to fillLocal's (firstTileDiff). On amd64 with AVX2 a threshold of
+// 2–127 on a vector-eligible tile runs the screen; under purego or
+// elsewhere, the scalar pass alone.
+func FuzzFirstTile(f *testing.F) {
+	f.Add([]byte("ACGTACGTNNACGTAC"), []byte("CGTACGNTACG"), uint8(0), uint8(0), uint8(1), uint8(6), int8(-3), uint8(90))
+	f.Add(bytes.Repeat([]byte("ACGTTGCA"), 17), bytes.Repeat([]byte("ACGTTGCA"), 17), uint8(0), uint8(0), uint8(1), uint8(0), int8(1), uint8(127))
+	f.Add(bytes.Repeat([]byte("N"), 70), []byte("ACGTACGTAC"), uint8(2), uint8(3), uint8(127), uint8(5), int8(127), uint8(2))
+	f.Fuzz(func(t *testing.T, refB, queryB []byte, match, mismatch, gap, at uint8, w int8, minScore uint8) {
+		const maxLen = 400
+		if len(refB) == 0 || len(queryB) == 0 || len(refB) > maxLen || len(queryB) > maxLen {
+			t.Skip()
+		}
+		sc := Simple(1+int(match)%140, int(mismatch)%140, int(gap)%200)
+		sc.W[at>>2&3][at&3] = int(w)
+		tas, err := widthAligners(&sc)
+		if err != nil {
+			t.Skip() // w cleared every positive match
+		}
+		scalar, _ := NewTileAligner(&sc)
+		scalar.vecSub = nil
+		ref, query := canonSeq(refB), canonSeq(queryB)
+		if d := firstTileDiff(tas, scalar, ref, query, max(len(ref), len(query)), int(minScore)); d != "" {
+			t.Errorf("%d×%d tile, %+v: %s\nref   %s\nquery %s", len(ref), len(query), sc, d, ref, query)
+		}
+	})
+}
+
+// firstTileDiff runs AlignFirstTile(ref, query, maxOff, minScore) at
+// each threshold on each aligner of tas and on scalar, one kept to the
+// scalar passes, and describes the first way a result departs from the
+// scalar one, its (Score, MaxI, MaxJ) from fillLocal's best cell, or
+// its path presence from the threshold; "" when none does.
+func firstTileDiff(tas []*TileAligner, scalar *TileAligner, ref, query dna.Seq, maxOff int, thresholds ...int) string {
+	want := fillLocal(ref, query, scalar.Scoring())
+	oracle := [3]int{want.maxScore, want.maxI, want.maxJ}
+	for _, minScore := range thresholds {
+		wantRes := cloneTile(scalar.AlignFirstTile(ref, query, maxOff, minScore))
+		if got := [3]int{wantRes.Score, wantRes.MaxI, wantRes.MaxJ}; got != oracle {
+			return fmt.Sprintf("threshold %d: scalar (score, i, j) %v, fillLocal %v", minScore, got, oracle)
+		}
+		for _, ta := range tas {
+			got := ta.AlignFirstTile(ref, query, maxOff, minScore)
+			if d := tileContractDiff(got, wantRes, true); d != "" {
+				return fmt.Sprintf("threshold %d, %d lanes (vector pass %v) vs scalar: %s", minScore, ta.lanes, ta.vectorOK(len(ref), len(query)), d)
+			}
+			if accepted := got.Score >= max(1, minScore); accepted != (len(got.Cigar) > 0) {
+				return fmt.Sprintf("threshold %d, %d lanes: score %d with a %d-op path", minScore, ta.lanes, got.Score, len(got.Cigar))
+			}
+		}
+	}
+	return ""
 }

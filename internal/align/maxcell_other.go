@@ -10,6 +10,10 @@ func (a *TileAligner) maxCellVector(rc, qc []byte) {
 	panic("align: no vector score pass on this platform")
 }
 
+func (a *TileAligner) maxCellScreened(rc, qc []byte, minScore int) {
+	panic("align: no vector score pass on this platform")
+}
+
 func (a *TileAligner) fillVector(rc, qc []byte, band int) (int64, int) {
 	panic("align: no vector pointer fill on this platform")
 }

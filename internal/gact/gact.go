@@ -111,6 +111,9 @@ func (c *Config) validate() error {
 	if c.FirstTileT < 0 || (c.FirstTileT > 0 && c.FirstTileT <= c.O) {
 		return fmt.Errorf("gact: first tile size %d must exceed overlap %d", c.FirstTileT, c.O)
 	}
+	if max(c.T, c.FirstTileT) > align.MaxTileSide {
+		return fmt.Errorf("gact: tile size T=%d, first tile size %d: the tile kernel takes sides up to %d", c.T, c.FirstTileT, align.MaxTileSide)
+	}
 	if c.Kernel > align.KernelBitvector {
 		return fmt.Errorf("gact: unknown kernel mode %d", c.Kernel)
 	}

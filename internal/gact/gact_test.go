@@ -246,6 +246,39 @@ func TestExtendErrors(t *testing.T) {
 	}
 }
 
+// Config.validate refuses each out-of-range setting and takes the
+// extremes it allows: tile sides up to the kernel's limit, beyond which
+// TileAligner would fall back to the allocating reference AlignTile.
+func TestConfigValidate(t *testing.T) {
+	max := align.MaxTileSide
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"default", DefaultConfig(), true},
+		{"T 0", Config{T: 0}, false},
+		{"O = T", Config{T: 10, O: 10}, false},
+		{"negative O", Config{T: 10, O: -1}, false},
+		{"first tile ≤ O", Config{T: 10, O: 5, FirstTileT: 3}, false},
+		{"negative first tile", Config{T: 10, O: 5, FirstTileT: -1}, false},
+		{"T at the kernel limit", Config{T: max, O: 128}, true},
+		{"first tile at the kernel limit", Config{T: 320, O: 128, FirstTileT: max}, true},
+		{"T past the kernel limit", Config{T: max + 1, O: 128}, false},
+		{"first tile past the kernel limit", Config{T: 320, O: 128, FirstTileT: max + 1}, false},
+		{"unknown kernel", Config{T: 320, O: 128, Kernel: align.KernelBitvector + 1}, false},
+		{"negative divergence", Config{T: 320, O: 128, KernelDivergence: -1}, false},
+	} {
+		cfg := c.cfg
+		if c.name != "default" {
+			cfg.Scoring = align.GACTEval()
+		}
+		if err := cfg.validate(); (err == nil) != c.ok {
+			t.Errorf("%s: validate(%+v) = %v, want ok %v", c.name, c.cfg, err, c.ok)
+		}
+	}
+}
+
 func TestExtendIdenticalSequences(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	s := dna.Random(rng, 1000, 0.5)

@@ -17,7 +17,7 @@ import (
 // also tracks its own resident/peak bytes so tests and /v1/indexes can
 // assert per-index budgets.
 var (
-	tIndex          = obs.Default.Timer("stage/index") // core.New's: the index build of a run's stage accounting
+	tIndex          = obs.Default.Timer("stage/index") // core.New's: the index builds of a run's stage accounting, lazy shard builds included
 	tBuild          = obs.Default.Timer("shard/build")
 	cBuilds         = obs.Default.Counter("shard/builds")
 	cEvictions      = obs.Default.Counter("shard/evictions")
@@ -187,6 +187,9 @@ func (s *Set) Acquire(i int) (*seedtable.Table, error) {
 	}
 	s.mu.Unlock()
 
+	// A lazy build is index work, so it counts under stage/index too;
+	// Acquire runs between the other stages, never inside one.
+	index := tIndex.Start(nil)
 	stage := tBuild.Start(nil)
 	if err := fpShardBuild.Fire(); err != nil {
 		return nil, fmt.Errorf("shard: building shard %d: %w", i, err)
@@ -197,6 +200,7 @@ func (s *Set) Acquire(i int) (*seedtable.Table, error) {
 	}
 	cBuilds.Inc()
 	elapsed := stage.End()
+	index.End()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

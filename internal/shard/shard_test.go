@@ -414,6 +414,30 @@ func TestEvictionThrash(t *testing.T) {
 	}
 }
 
+// TestLazyBuildsCountAsIndexStage: a budgeted set's lazy shard builds
+// are index work, timed under stage/index as well as shard/build, so a
+// run's stage accounting covers them.
+func TestLazyBuildsCountAsIndexStage(t *testing.T) {
+	ref := testGenome(t, 100000, 403)
+	sm, err := New(ref, smallConfig(), Config{Shards: 5, MaxResidentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := boundaryReads(t, ref, sm.Set().Geometry())
+	index0, build0 := obs.Default.Timer("stage/index").Total(), obs.Default.Timer("shard/build").Total()
+	if _, err := sm.Map(context.Background(), reads, core.WithWorkers(2)); err != nil {
+		t.Fatal(err)
+	}
+	index := obs.Default.Timer("stage/index").Total() - index0
+	build := obs.Default.Timer("shard/build").Total() - build0
+	if build <= 0 {
+		t.Fatalf("shard/build grew by %v: the budgeted run built no shard", build)
+	}
+	if index < build {
+		t.Errorf("stage/index grew by %v, less than shard/build's %v", index, build)
+	}
+}
+
 // TestMapReadMatchesMap checks the monolithic engine's single-read
 // surface agrees with the sharded batch surface, one read at a time.
 func TestMapReadMatchesMap(t *testing.T) {
