@@ -300,8 +300,15 @@ func BenchmarkScorePass(b *testing.B) {
 // filled in a band, fallback_share the share whose band failed its
 // check and was refilled in full; a worse guess of the band
 // (align.TileAligner's certifiedFill) shows in both.
-func BenchmarkEngineExtend10k(b *testing.B) {
-	ref, q := benchPair(b, 10000, readsim.PacBio)
+func BenchmarkEngineExtend10k(b *testing.B) { benchEngineExtend(b, 10000) }
+
+// BenchmarkEngineExtend1k is BenchmarkEngineExtend10k at the 1 kbp
+// PacBio read of the serving workloads, where a read is a first tile
+// and a few extension tiles, so per-tile set-up weighs more.
+func BenchmarkEngineExtend1k(b *testing.B) { benchEngineExtend(b, 1000) }
+
+func benchEngineExtend(b *testing.B, n int) {
+	ref, q := benchPair(b, n, readsim.PacBio)
 	cfg := gact.DefaultConfig()
 	engine, err := gact.NewEngine(&cfg)
 	if err != nil {

@@ -124,6 +124,68 @@ func TestScoringSubN(t *testing.T) {
 	}
 }
 
+// TestRescoreMatchesSub holds Result.Rescore, which scores bases
+// through the code LUT, to the per-base Scoring.Sub sum it replaced, on
+// random canonical paths over sequences of lower case, N, IUPAC codes,
+// bytes ≥ 0x80 and arbitrary bytes, under linear and affine scorings
+// (asymmetric W and the ±maxAbsParam extremes included). gact.Engine
+// and its oracle both score through Rescore, so nothing else would
+// catch a bad LUT index.
+func TestRescoreMatchesSub(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	const alphabet = "ACGTacgtNnRYKMSWBDHVrykmswbdhv-.*\x00\x01\x02\x03\x04\x80\xc1\xff"
+	seq := func(n int) dna.Seq {
+		s := make(dna.Seq, n)
+		for i := range s {
+			if rng.Intn(8) == 0 {
+				s[i] = byte(rng.Intn(256))
+			} else {
+				s[i] = alphabet[rng.Intn(len(alphabet))]
+			}
+		}
+		return s
+	}
+	affine := Simple(3, 4, 6)
+	affine.GapExtend = 2
+	extreme := Simple(maxAbsParam, maxAbsParam, maxAbsParam)
+	extreme.W[2][1] = 7
+	asym := GACTEval()
+	asym.W[0][3], asym.W[3][0] = -5, 2
+	for _, sc := range []Scoring{GACTEval(), Figure1(), affine, extreme, asym} {
+		if err := sc.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for it := 0; it < 300; it++ {
+			var cig Cigar
+			for range 1 + rng.Intn(20) {
+				cig = cig.appendRun([]Op{OpMatch, OpIns, OpDel}[rng.Intn(3)], 1+rng.Intn(30))
+			}
+			res := Result{RefStart: rng.Intn(10), QueryStart: rng.Intn(10), Cigar: cig}
+			ref := seq(res.RefStart + cig.RefLen() + rng.Intn(10))
+			query := seq(res.QueryStart + cig.QueryLen() + rng.Intn(10))
+			want, i, j := 0, res.RefStart, res.QueryStart
+			for _, s := range cig {
+				switch s.Op {
+				case OpMatch:
+					for k := range s.Len {
+						want += sc.Sub(ref[i+k], query[j+k])
+					}
+					i, j = i+s.Len, j+s.Len
+				case OpIns:
+					want -= sc.GapOpen + (s.Len-1)*sc.GapExtend
+					j += s.Len
+				case OpDel:
+					want -= sc.GapOpen + (s.Len-1)*sc.GapExtend
+					i += s.Len
+				}
+			}
+			if got := res.Rescore(ref, query, &sc); got != want {
+				t.Fatalf("%+v: Rescore of %v = %d, per-base Sub sum %d\nref   %q\nquery %q", sc, cig, got, want, ref, query)
+			}
+		}
+	}
+}
+
 // TestPaperFigure1 reproduces the Smith-Waterman example of Figure 1:
 // reference GCGACTTT, query GTCGTTT, match=+2, mismatch=-1, gap=1,
 // optimal score 9 with alignment G-CGACTTT / GTCG--TTT.

@@ -202,7 +202,7 @@ func (a *TileAligner) certifiedFill(rc, qc []byte, maxOff int) TileResult {
 	if band < 0 {
 		return a.fillTrace(rc, qc, -1, maxOff)
 	}
-	cells, score := a.fill(rc, qc, band)
+	cells, score := a.fill(rc, qc, band, traceTop(m, maxOff))
 	if a.gapBand(n, m, score) <= band {
 		a.ks.BitvectorTiles++
 		a.ks.BitvectorCells += cells

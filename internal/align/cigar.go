@@ -31,12 +31,16 @@ type Step struct {
 type Cigar []Step
 
 // AppendOp appends one operation, merging with the trailing run.
-func (c Cigar) AppendOp(op Op) Cigar {
+func (c Cigar) AppendOp(op Op) Cigar { return c.appendRun(op, 1) }
+
+// appendRun appends a run of k ≥ 1 operations, merging with the
+// trailing run.
+func (c Cigar) appendRun(op Op, k int) Cigar {
 	if n := len(c); n > 0 && c[n-1].Op == op {
-		c[n-1].Len++
+		c[n-1].Len += k
 		return c
 	}
-	return append(c, Step{op, 1})
+	return append(c, Step{op, k})
 }
 
 // Concat appends another cigar, merging the boundary runs.
@@ -173,17 +177,21 @@ func (r *Result) Identity(ref, query dna.Seq) float64 {
 	return float64(equal) / float64(matchCols)
 }
 
-// Rescore recomputes the alignment score of the path under sc. It is the
-// ground truth the hardware's running score must agree with; tests use
-// it as an invariant.
+// Rescore recomputes the alignment score of the path under sc, which
+// must pass Validate. It is the ground truth the hardware's running
+// score must agree with; tests use it as an invariant. Bases are
+// scored through sc's SubLUT, the table every kernel reads, which holds
+// Scoring.Sub for every pair of base codes.
 func (r *Result) Rescore(ref, query dna.Seq, sc *Scoring) int {
+	lut := sc.LUT()
 	score := 0
 	i, j := r.RefStart, r.QueryStart
 	for _, s := range r.Cigar {
 		switch s.Op {
 		case OpMatch:
-			for k := 0; k < s.Len; k++ {
-				score += sc.Sub(ref[i+k], query[j+k])
+			q := query[j : j+s.Len]
+			for k, b := range ref[i : i+s.Len] {
+				score += int(lut[(int(dna.Code(q[k]))&7)*LUTStride+int(dna.Code(b))&7])
 			}
 			i += s.Len
 			j += s.Len

@@ -37,13 +37,13 @@ func FuzzFill(f *testing.F) {
 		rc, qc := dna.AppendCodes(nil, ref), dna.AppendCodes(nil, query)
 		n, m := len(rc), len(qc)
 		scalar.grow(n+1, m+1)
-		wantCells, want := scalar.fill(rc, qc, -1)
+		wantCells, want := scalar.fill(rc, qc, -1, 1)
 		km := KernelMode(mode % 3)
 		scalar.SetKernel(km)
 		off := int(maxOff)
 		for _, ta := range tas {
 			ta.grow(n+1, m+1)
-			gotCells, got := ta.fill(rc, qc, -1)
+			gotCells, got := ta.fill(rc, qc, -1, 1)
 			if got != want || gotCells != wantCells {
 				t.Fatalf("%d×%d tile, %+v (vector fill %v, %d lanes): H(n,m) %d over %d cells, scalar %d over %d",
 					n, m, sc, ta.vectorOK(n, m), ta.lanes, got, gotCells, want, wantCells)

@@ -73,12 +73,13 @@ type TileAligner struct {
 	// nil where they cannot run, their width in int16 lanes
 	// (vectorLanes; tests set 16 to run the AVX2 kernels on an
 	// AVX-512 host), their int16 H row, the padded reversed reference
-	// they stream, and the first-tile screen's int8 H row and the two
-	// input rows it saves.
+	// they stream, the padded shifted query codes, and the first-tile
+	// screen's int8 H row and the two input rows it saves.
 	vecSub *[16]byte
 	lanes  int
 	h16    []int16
 	rRev   []byte
+	qVec   []byte
 	h8     []int8
 	h8In   []int8
 }
@@ -246,7 +247,7 @@ func (a *TileAligner) firstTile(rc, qc []byte, minScore, maxOff int) TileResult 
 // else the diagonal band bandCols describes — and traces back from the
 // bottom-right cell, counting the tile under the tier that filled it.
 func (a *TileAligner) fillTrace(rc, qc []byte, band, maxOff int) TileResult {
-	cells, score := a.fill(rc, qc, band)
+	cells, score := a.fill(rc, qc, band, traceTop(len(qc), maxOff))
 	if band < 0 {
 		a.ks.LUTTiles++
 		a.ks.LUTCells += cells
@@ -266,13 +267,19 @@ func (a *TileAligner) trace(n, m, score, maxOff int) TileResult {
 	return TileResult{Score: score, IOff: iOff, JOff: jOff, Cigar: cigar}
 }
 
-// fill writes the tile's pointers and returns the cells it counts and
-// H(n, m), exact in-band. Where the vector score pass is exact it runs
-// on the same lanes (fillVector), elsewhere on the scalar rows
-// (fillCoded); both leave the same traceback.
-func (a *TileAligner) fill(rc, qc []byte, band int) (cells int64, score int) {
+// traceTop is the first query row of an m-row tile whose pointer bytes
+// a traceback clipped to maxOff reads: traceback stops once it has
+// consumed maxOff query bases, so it reads no row above m − maxOff + 1.
+func traceTop(m, maxOff int) int { return m - maxOff + 1 }
+
+// fill writes the tile's pointers in query rows top … m and returns the
+// cells it counts and H(n, m), exact in-band. Where the vector score
+// pass is exact it runs on the same lanes (fillVector), which give the
+// rows above top H alone, elsewhere on the scalar rows (fillCoded),
+// which write every row's pointers; both leave the same traceback.
+func (a *TileAligner) fill(rc, qc []byte, band, top int) (cells int64, score int) {
 	if a.vectorOK(len(rc), len(qc)) {
-		return a.fillVector(rc, qc, band)
+		return a.fillVector(rc, qc, band, top)
 	}
 	cells = a.fillCoded(rc, qc, band, a.open == a.ext)
 	return cells, int(a.hRow[len(rc)])
@@ -314,14 +321,18 @@ func (a *TileAligner) grow(w, h int) {
 	if cap(a.qCode) < h {
 		a.qCode = make([]byte, 0, h)
 	}
-	// The vector passes' padding (vectorRows, maxCellScreened): 63
-	// columns either side of the reversed reference, and the H rows'
-	// slack either side.
+	// The vector passes' padding (vectorRows, vectorQuery,
+	// maxCellScreened): 63 columns either side of the reversed
+	// reference, 32 rows above the query and 64 below it, and the H
+	// rows' slack either side.
 	if a.vecSub != nil && cap(a.h16) < w+95 {
 		a.h16 = make([]int16, w+95)
 		a.rRev = make([]byte, w+125)
 		a.h8 = make([]int8, w+191)
 		a.h8In = make([]int8, 2*w)
+	}
+	if a.vecSub != nil && cap(a.qVec) < h+95 {
+		a.qVec = make([]byte, h+95)
 	}
 }
 
@@ -337,12 +348,17 @@ func bandCols(n, m, j, band int) (lo, hi int) {
 }
 
 // bandCells is the number of cells of an n×m tile inside band
-// (bandCols), the count a fill reports.
+// (bandCols), the count a fill reports: the band is the 2·band + 1
+// diagonals i − j = n − m ± band, counted diagonal by diagonal.
 func bandCells(n, m, band int) int64 {
+	if band < 0 {
+		return int64(n) * int64(m)
+	}
 	var cells int64
-	for j := 1; j <= m; j++ {
-		if lo, hi := bandCols(n, m, j, band); hi >= lo {
-			cells += int64(hi - lo + 1)
+	for d := n - m - band; d <= n-m+band; d++ {
+		// Diagonal d's cells are (i, i − d), 1 ≤ i ≤ n and 1 ≤ i − d ≤ m.
+		if k := min(n, m+d) - max(1, 1+d) + 1; k > 0 {
+			cells += int64(k)
 		}
 	}
 	return cells
@@ -514,63 +530,75 @@ func linearRow(h []int32, p, rc []byte, lut [LUTStride]int16, diag, left, g int3
 
 // traceback walks the pointers of an n×m tile from its bottom-right
 // cell exactly like tracebackFrom, appending into the aligner's reused
-// path buffer.
+// path buffer. It reads no cell more than maxOff rows or columns from
+// (n, m), which is what lets fill leave the rows above traceTop
+// without pointer bytes. It takes each run of one operation in an
+// inner loop and appends the run once.
 func (a *TileAligner) traceback(n, m, maxOff int) (Cigar, int, int) {
 	cig := a.cig[:0]
-	iOff, jOff := 0, 0
-	state := stateH
-	for i, j := n, m; i > 0 || j > 0; {
-		if iOff >= maxOff || jOff >= maxOff {
-			break
-		}
-		var p byte // hNull on row 0 and column 0
-		if i > 0 && j > 0 {
-			p = a.ptr[ptrIndex(n, m, i, j)]
-		}
-		switch state {
-		case stateH:
-			switch p & hMask {
-			case hNull:
-				goto done
-			case hDiag:
-				if i == 0 || j == 0 {
-					goto done
+	ptr := a.ptr
+	// Cell (i, j)'s byte is ptr[x], x = ptrIndex(n, m, i, j), with row j
+	// in lane r of its 16-row block (row m in lane 15). A step left is
+	// x − 16; a step up x − 17, or from lane 0 to lane 15 of the block
+	// above, x + 15 − 16n.
+	x, r := ptrIndex(n, m, n, m), 15
+	wrap := 32 - 16*n
+	i, j := n, m
+	// The walk is in the H matrix at the top of each iteration. It ends
+	// at an hNull byte, on row 0 or column 0 (hNull for tracebackFrom;
+	// a gap run stops on the one it consumes towards and leaves the
+	// other unchanged), or after maxOff bases of either sequence.
+walk:
+	for i > 0 && j > 0 && n-i < maxOff && m-j < maxOff {
+		p := ptr[x]
+		k := 0
+		switch p & hMask {
+		case hNull:
+			break walk
+		case hDiag:
+			steps := min(i, j, maxOff-(n-i), maxOff-(m-j))
+			for {
+				k++
+				x -= 33
+				if r == 0 {
+					x += wrap
 				}
-				cig = cig.AppendOp(OpMatch)
-				i--
-				j--
-				iOff++
-				jOff++
-			case hHoriz:
-				state = hHoriz
-			case hVert:
-				state = hVert
+				r = (r - 1) & 15
+				if k == steps || ptr[x]&hMask != hDiag {
+					break
+				}
 			}
+			i -= k
+			j -= k
+			cig = cig.appendRun(OpMatch, k)
 		case hHoriz: // consuming reference bases (OpDel)
-			if i == 0 {
-				goto done
+			for {
+				k++
+				i--
+				x -= 16
+				if p&horizOpenBit != 0 || i == 0 || n-i >= maxOff {
+					break
+				}
+				p = ptr[x]
 			}
-			cig = cig.AppendOp(OpDel)
-			open := p&horizOpenBit != 0
-			i--
-			iOff++
-			if open {
-				state = stateH
-			}
+			cig = cig.appendRun(OpDel, k)
 		case hVert: // consuming query bases (OpIns)
-			if j == 0 {
-				goto done
+			for {
+				k++
+				j--
+				x -= 17
+				if r == 0 {
+					x += wrap
+				}
+				r = (r - 1) & 15
+				if p&vertOpenBit != 0 || j == 0 || m-j >= maxOff {
+					break
+				}
+				p = ptr[x]
 			}
-			cig = cig.AppendOp(OpIns)
-			open := p&vertOpenBit != 0
-			j--
-			jOff++
-			if open {
-				state = stateH
-			}
+			cig = cig.appendRun(OpIns, k)
 		}
 	}
-done:
 	a.cig = cig
-	return cig.Reverse(), iOff, jOff
+	return cig.Reverse(), n - i, m - j
 }

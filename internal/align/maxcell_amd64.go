@@ -2,7 +2,11 @@
 
 package align
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+	"math/bits"
+)
 
 // This file is the score pass and the pointer fill on vector lanes:
 // gactsim's linear systolic array (one PE per query row, the reference
@@ -131,6 +135,12 @@ func linearBlock16(rev *byte, h *int16, n int, q, sub *[16]byte, gap int32, best
 //go:noescape
 func linearFill16(rev *byte, h *int16, steps int, q, sub *[16]byte, gap int32, ptr *byte)
 
+// linearScore16 is linearFill16 without the pointers: the same steps
+// over the same arrays, storing only lane 15's H to h.
+//
+//go:noescape
+func linearScore16(rev *byte, h *int16, steps int, q, sub *[16]byte, gap int32)
+
 // linearBlock32 is linearBlock16 on 32 lanes, over vectorRows' arrays
 // as they are: rev[n+30−t+r] is column t−r+1's code and h holds column c
 // at h[64+c].
@@ -149,6 +159,13 @@ func linearBlock32(rev *byte, h *int16, n int, q *[32]byte, sub *[16]byte, gap i
 //
 //go:noescape
 func linearFill32(rev *byte, h *int16, q *[32]byte, sub *[16]byte, gap int32, ptr *byte, lo, nLo, nBoth, nHi int)
+
+// linearScore32 is linearFill32 without the pointers: steps steps of
+// a 32-row block from a step s over the same arrays, storing only lane
+// 31's H to h.
+//
+//go:noescape
+func linearScore32(rev *byte, h *int16, q *[32]byte, sub *[16]byte, gap int32, steps int)
 
 // screenBlock32 runs one 32-row block of the AVX2 screen: rev is the
 // byte rows' padded reversed reference from its 32nd code (rev[n+30−t+r]
@@ -184,10 +201,19 @@ func screenFind64(rev *byte, h *int8, n int, q *[64]byte, sub *[16]byte, gap int
 func (a *TileAligner) vectorRows(rc []byte) (rev []byte, h []int16) {
 	n := len(rc)
 	wide := a.rRev[:n+126]
-	for k := range wide {
-		wide[k] = 0x80
+	pad := wide[:63]
+	for k := range pad {
+		pad[k] = 0x80
 	}
-	for i, c := range rc {
+	copy(wide[n+63:], pad)
+	// Eight codes per word: reversed, each with its N bit (c&4)<<5.
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		x := binary.LittleEndian.Uint64(rc[i:])
+		binary.LittleEndian.PutUint64(wide[n+55-i:], bits.ReverseBytes64(x|(x&nBits)<<5))
+	}
+	for ; i < n; i++ {
+		c := rc[i]
 		wide[n+62-i] = c | (c&4)<<5
 	}
 	h = a.h16[:n+96]
@@ -195,17 +221,33 @@ func (a *TileAligner) vectorRows(rc []byte) (rev []byte, h []int16) {
 	return wide[32 : n+94], h
 }
 
-// blockQuery is the query side of the 64 rows whose first is query row
-// j0 + 1 (codes qc[j0:j0+64]), shifted to q·4, N (4) as 0x90; rows
-// outside the tile are N rows, 0x80. A narrower block takes the first
-// 32 or 16.
-func blockQuery(qc []byte, j0 int) (q [64]byte) {
-	for r := range q {
-		q[r] = 0x80
-		if j := j0 + r; j >= 0 && j < len(qc) {
-			c := qc[j]
-			q[r] = c<<2 | (c&4)<<5
-		}
+// nBits is bit 2 of every byte of a word: the N bit of a base code.
+const nBits = 0x0404040404040404
+
+// vectorQuery is the vector passes' query side for qc, built once per
+// tile: row j's code shifted to q·4, N (4) as 0x90, at q[31+j], and
+// N rows (0x80) for the 32 rows above row 1 and the 64 below row m.
+// The lanes of a block whose first row is j0+1, j0 ≥ −32, read
+// q[32+j0:].
+func (a *TileAligner) vectorQuery(qc []byte) []byte {
+	m := len(qc)
+	q := a.qVec[:m+96]
+	for k := range q[:32] {
+		q[k] = 0x80
+	}
+	for k := range q[m+32:] {
+		q[m+32+k] = 0x80
+	}
+	// Eight codes per word: a code is at most 4, so c<<2 stays in its
+	// byte.
+	j := 0
+	for ; j+8 <= m; j += 8 {
+		x := binary.LittleEndian.Uint64(qc[j:])
+		binary.LittleEndian.PutUint64(q[32+j:], x<<2|(x&nBits)<<5)
+	}
+	for ; j < m; j++ {
+		c := qc[j]
+		q[32+j] = c<<2 | (c&4)<<5
 	}
 	return q
 }
@@ -214,21 +256,21 @@ func blockQuery(qc []byte, j0 int) (q [64]byte) {
 func (a *TileAligner) maxCellVector(rc, qc []byte) {
 	rev, h := a.vectorRows(rc)
 	a.maxScore, a.maxI, a.maxJ = 0, 0, 0
-	a.scoreBlocks(rev, h, qc, 0, len(qc))
+	a.scoreBlocks(rev, h, a.vectorQuery(qc), 0, len(qc))
 }
 
 // scoreBlocks runs the int16 blocks of query rows j0+1 … j1, j0 a
-// multiple of the lane count, over vectorRows' arrays with h holding
-// row j0, and takes their best cell into maxScore, maxI and maxJ.
-func (a *TileAligner) scoreBlocks(rev []byte, h []int16, qc []byte, j0, j1 int) {
+// multiple of the lane count, over vectorRows' and vectorQuery's arrays
+// with h holding row j0, and takes their best cell into maxScore, maxI
+// and maxJ.
+func (a *TileAligner) scoreBlocks(rev []byte, h []int16, qv []byte, j0, j1 int) {
 	n := len(rev) - 62
 	var best, at [32]int16
 	for ; j0 < j1; j0 += a.lanes {
-		q := blockQuery(qc, j0)
 		if a.lanes == 32 {
-			linearBlock32(&rev[0], &h[0], n, (*[32]byte)(q[:32]), a.vecSub, a.open, &best, &at)
+			linearBlock32(&rev[0], &h[0], n, (*[32]byte)(qv[32+j0:]), a.vecSub, a.open, &best, &at)
 		} else {
-			linearBlock16(&rev[16], &h[48], n, (*[16]byte)(q[:16]), a.vecSub, a.open, (*[16]int16)(best[:16]), (*[16]int16)(at[:16]))
+			linearBlock16(&rev[16], &h[48], n, (*[16]byte)(qv[32+j0:]), a.vecSub, a.open, (*[16]int16)(best[:16]), (*[16]int16)(at[:16]))
 		}
 		for r := range min(a.lanes, j1-j0) {
 			if s := int32(best[r]); s > a.maxScore {
@@ -246,6 +288,7 @@ func (a *TileAligner) scoreBlocks(rev []byte, h []int16, qc []byte, j0, j1 int) 
 func (a *TileAligner) maxCellScreened(rc, qc []byte, minScore int) {
 	n, m := len(rc), len(qc)
 	rev, h := a.vectorRows(rc)
+	qv := a.vectorQuery(qc)
 	wide, h8 := a.rRev[:n+126], a.h8[:n+192]
 	clear(h8)
 	// The input rows, columns 1…n, of this block and of the best one.
@@ -256,11 +299,11 @@ func (a *TileAligner) maxCellScreened(rc, qc []byte, minScore int) {
 	top, topJ0, topLane := int8(0), 0, 0
 	for j0 := 0; j0 < m; j0 += rows {
 		copy(in, h8[129:])
-		q := blockQuery(qc, j0)
+		q := qv[32+j0:]
 		if rows == 64 {
-			screenBlock64(&wide[0], &h8[0], n, &q, a.vecSub, gap, &best)
+			screenBlock64(&wide[0], &h8[0], n, (*[64]byte)(q), a.vecSub, gap, &best)
 		} else {
-			screenBlock32(&wide[32], &h8[0], n, (*[32]byte)(q[:32]), a.vecSub, gap, (*[32]int8)(best[:32]))
+			screenBlock32(&wide[32], &h8[0], n, (*[32]byte)(q), a.vecSub, gap, (*[32]int8)(best[:32]))
 		}
 		blockTop, first := int8(0), 0
 		for r, s := range best[:min(rows, m-j0)] {
@@ -273,7 +316,7 @@ func (a *TileAligner) maxCellScreened(rc, qc []byte, minScore int) {
 				h[65+c] = int16(s) // column c+1
 			}
 			a.maxScore, a.maxI, a.maxJ = 0, 0, 0
-			a.scoreBlocks(rev, h, qc, j0, m)
+			a.scoreBlocks(rev, h, qv, j0, m)
 			return
 		}
 		if blockTop > top {
@@ -289,12 +332,12 @@ func (a *TileAligner) maxCellScreened(rc, qc []byte, minScore int) {
 	// and the step it first holds top at is the cell's column. Outside
 	// columns 1…n h8 holds 0, as when the block first ran.
 	copy(h8[129:], topIn)
-	q := blockQuery(qc, topJ0)
+	q := qv[32+topJ0:]
 	var t int
 	if rows == 64 {
-		t = screenFind64(&wide[0], &h8[0], n, &q, a.vecSub, gap, topLane, int32(top))
+		t = screenFind64(&wide[0], &h8[0], n, (*[64]byte)(q), a.vecSub, gap, topLane, int32(top))
 	} else {
-		t = screenFind32(&wide[32], &h8[0], n, (*[32]byte)(q[:32]), a.vecSub, gap, topLane, int32(top))
+		t = screenFind32(&wide[32], &h8[0], n, (*[32]byte)(q), a.vecSub, gap, topLane, int32(top))
 	}
 	a.maxScore, a.maxI, a.maxJ = int32(top), t-topLane+1, topJ0+topLane+1
 }
@@ -305,6 +348,12 @@ func (a *TileAligner) maxCellScreened(rc, qc []byte, minScore int) {
 // of ptrIndex. The pad rows are N rows and compute as 0, the boundary
 // row above row 1, so after the last block h[64+n] is H(n, m). It
 // returns the cells fillCoded counts and H(n, m).
+//
+// A block whose rows all lie above top, rows no traceback clipped as
+// the caller's reads (traceTop), runs the same recurrence without
+// pointers (linearScore16/32): the lanes' H, and so every row below,
+// is the same, and the pointer bytes of rows top … m are the full
+// fill's.
 //
 // Under a band, a block runs only from one step before its first real
 // row reaches that row's lo — the extra step hands lane 0 its first
@@ -317,18 +366,26 @@ func (a *TileAligner) maxCellScreened(rc, qc []byte, minScore int) {
 // bitvector.go and the recurrence's monotonicity the cells traceback
 // visits, and H(n, m), are exact; pointer bytes off its path may differ
 // from fillCoded's.
-func (a *TileAligner) fillVector(rc, qc []byte, band int) (cells int64, score int) {
+func (a *TileAligner) fillVector(rc, qc []byte, band, top int) (cells int64, score int) {
 	n, m := len(rc), len(qc)
 	rev, h := a.vectorRows(rc)
+	qv := a.vectorQuery(qc)
 	pad, blocks := -m&15, (m+15)/16
+	// Block b holds rows 16b − pad + 1 … 16b − pad + 16: it stores
+	// pointers from block ptrBlock on.
+	ptrBlock := (top + pad - 1) >> 4
 	if a.lanes == 16 {
 		for b := range blocks {
 			t0, t1, ok := blockSteps(n, m, b, band)
 			if !ok {
 				continue
 			}
-			q := blockQuery(qc, 16*b-pad)
-			linearFill16(&rev[n+30-t0], &h[48+t0], t1-t0+1, (*[16]byte)(q[:16]), a.vecSub, a.open, &a.ptr[(b*(n+15)+t0)*16])
+			q := (*[16]byte)(qv[32+16*b-pad:])
+			if b < ptrBlock {
+				linearScore16(&rev[n+30-t0], &h[48+t0], t1-t0+1, q, a.vecSub, a.open)
+			} else {
+				linearFill16(&rev[n+30-t0], &h[48+t0], t1-t0+1, q, a.vecSub, a.open, &a.ptr[(b*(n+15)+t0)*16])
+			}
 		}
 		return bandCells(n, m, band), int(h[64+n])
 	}
@@ -344,19 +401,30 @@ func (a *TileAligner) fillVector(rc, qc []byte, band int) (cells int64, score in
 		}
 		// Pair steps: block hi's step t is step t+16.
 		t0, t1 = t0+16, t1+16
-		nLo, nBoth, nHi := 0, 0, t1-t0+1
+		loSteps := false
 		if lo >= 0 {
-			if l0, l1, ok := blockSteps(n, m, lo, band); ok {
+			var l0, l1 int
+			if l0, l1, loSteps = blockSteps(n, m, lo, band); loSteps {
 				t0, t1 = min(t0, l0), max(t1, l1)
-				// Block lo stores at its steps t0…min(t1, n+14), block
-				// hi at steps max(t0, 16)…t1; t0 ≤ n+13 and t1 ≥ 16, so
-				// the steps that store both lie between.
-				first, last := max(t0, 16), min(t1, n+14)
-				nLo, nBoth, nHi = first-t0, last-first+1, t1-last
 			}
 		}
-		q := blockQuery(qc, 16*lo-pad)
-		linearFill32(&rev[n+30-t0], &h[t0], (*[32]byte)(q[:32]), a.vecSub, a.open,
+		q := (*[32]byte)(qv[32+16*lo-pad:])
+		if hi < ptrBlock {
+			linearScore32(&rev[n+30-t0], &h[t0], q, a.vecSub, a.open, t1-t0+1)
+			continue
+		}
+		nLo, nBoth, nHi := 0, 0, t1-t0+1
+		if loSteps && lo >= ptrBlock {
+			// Block lo stores at its steps t0…min(t1, n+14), block hi at
+			// steps max(t0, 16)…t1; t0 ≤ n+13 and t1 ≥ 16, so the steps
+			// that store both lie between.
+			first, last := max(t0, 16), min(t1, n+14)
+			nLo, nBoth, nHi = first-t0, last-first+1, t1-last
+		}
+		// Where block lo stores nothing, steps before 16 store block hi's
+		// bytes of steps before 0 into the tail of block lo's bank: no
+		// traceback reads them, and lo ≥ 0 whenever t0 < 16.
+		linearFill32(&rev[n+30-t0], &h[t0], q, a.vecSub, a.open,
 			&a.ptr[(hi*(n+15)+t0-16)*16], 256-16*(n+15), nLo, nBoth, nHi)
 	}
 	return bandCells(n, m, band), int(h[64+n])

@@ -179,6 +179,49 @@ fill:
 	VZEROUPPER
 	RET
 
+// func linearScore16(rev *byte, h *int16, steps int, q, sub *[16]byte, gap int32)
+//
+// linearFill16's steps without the pointers: linearBlock16's H
+// recurrence with no maximum, lane 15's H the only store. Registers as
+// linearFill16's.
+TEXT ·linearScore16(SB), NOSPLIT, $0-44
+	MOVQ rev+0(FP), DI
+	MOVQ h+8(FP), SI
+	MOVQ steps+16(FP), CX
+	MOVQ q+24(FP), AX
+	VMOVDQU (AX), X9
+	MOVQ sub+32(FP), AX
+	VMOVDQU (AX), X10
+	MOVL gap+40(FP), AX
+	VMOVD AX, X3
+	VPBROADCASTW X3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y0, Y0, Y0
+	VPXOR Y2, Y2, Y2
+
+score16:
+	VMOVDQU (DI), X11
+	VPOR X9, X11, X11
+	VPSHUFB X11, X10, X11
+	VPMOVSXBW X11, Y11
+	VPADDSW Y2, Y11, Y11 // diag + W
+	VPMAXSW Y4, Y11, Y11 // max(0, diag + W)
+	VPERM2I128 $0x02, 20(SI), Y0, Y12
+	VPALIGNR $14, Y12, Y0, Y1
+	VPMAXSW Y1, Y0, Y13
+	VPSUBSW Y3, Y13, Y13
+	VPMAXSW Y11, Y13, Y0 // H = max(0, diag + W, max(up, left) − g)
+	VEXTRACTI128 $1, Y0, X12
+	VPEXTRW $7, X12, 4(SI)
+	VMOVDQU Y1, Y2
+	ADDQ $2, SI
+	DECQ DI
+	DECQ CX
+	JNZ score16
+
+	VZEROUPPER
+	RET
+
 // The 32-lane kernels are the same wavefront on AVX-512BW: Z registers
 // hold 32 int16 lanes, lane r at column t−r+1 at step t. SI points at
 // h[t] of an H row with column c at h[64+c] (maxcell_amd64.go).
@@ -367,6 +410,46 @@ highonly:
 	NEXT32(highonly)
 
 done:
+	VZEROUPPER
+	RET
+
+// func linearScore32(rev *byte, h *int16, q *[32]byte, sub *[16]byte, gap int32, steps int)
+//
+// linearFill32's steps without the pointers: FILL32's recurrence with
+// no compares and no code bytes, ordered as linearBlock32's step,
+// lane 31's H the only store. Registers as linearBlock32's.
+TEXT ·linearScore32(SB), NOSPLIT, $0-48
+	MOVQ rev+0(FP), DI
+	MOVQ h+8(FP), SI
+	MOVQ q+16(FP), AX
+	VMOVDQU (AX), Y9
+	MOVQ sub+24(FP), AX
+	VBROADCASTI128 (AX), Y10
+	MOVL gap+32(FP), AX
+	VPBROADCASTW AX, Z3
+	MOVQ steps+40(FP), CX
+	MOVL $0x80000000, AX
+	KMOVD AX, K7
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z2, Z2, Z2
+
+score32:
+	SUB32
+	VPADDSW Z2, Z11, Z11 // diag + W
+	VPMAXSW Z4, Z11, Z11 // max(0, diag + W)
+	VPSUBSW Z3, Z0, Z13  // left − g
+	VPMAXSW Z13, Z11, Z11
+	UP32
+	VPSUBSW Z3, Z1, Z13  // up − g
+	VPMAXSW Z13, Z11, Z0
+	BOTTOM32
+	VMOVDQA64 Z1, Z2
+	ADDQ $2, SI
+	DECQ DI
+	DECQ CX
+	JNZ score32
+
 	VZEROUPPER
 	RET
 

@@ -384,7 +384,7 @@ func TestVectorFillMatchesScalar(t *testing.T) {
 				t.Fatalf("%d×%d tile under %+v is not vector-eligible", n, m, sc)
 			}
 			vec.grow(n+1, m+1)
-			if gotCells, got := vec.fillVector(rc, qc, -1); got != want || gotCells != wantCells {
+			if gotCells, got := vec.fillVector(rc, qc, -1, 1); got != want || gotCells != wantCells {
 				t.Fatalf("%d×%d tile, %+v: %d-lane H(n,m) %d over %d cells, scalar %d over %d\nref   %s\nquery %s",
 					n, m, sc, vec.lanes, got, gotCells, want, wantCells, rTile, qTile)
 			}
@@ -530,7 +530,7 @@ func TestVectorFillMatchesScalar(t *testing.T) {
 			wantCig = slices.Clone(wantCig)
 			for _, vec := range s.vec {
 				vec.grow(n+1, m+1)
-				gotCells, got := vec.fillVector(rc, qc, band)
+				gotCells, got := vec.fillVector(rc, qc, band, 1)
 				cig, i, j := vec.traceback(n, m, max(n, m))
 				if got != want || gotCells != wantCells || i != wantI || j != wantJ || !slices.Equal(cig, wantCig) {
 					t.Fatalf("%d×%d tile, %+v, band %d: %d-lane H(n,m) %d over %d cells, path %v (%d, %d); scalar %d over %d, %v (%d, %d)\nref   %s\nquery %s",
@@ -578,6 +578,98 @@ func TestVectorFillMatchesScalar(t *testing.T) {
 			t.Fatal("vectorOK does not split at 1057 rows")
 		}
 	})
+}
+
+// TestVectorFillTopRows holds the rows fillVector leaves without
+// pointers to what a traceback needs: at every vector width, over tile
+// shapes, bands and a maxOff whose first traced row (traceTop) cuts
+// through a 16-row block, is a block's first row, or lies at or above
+// row 1, a fill from that row gives the scalar full fill's H(n, m),
+// cell count and pointer bytes in every row > m − maxOff, and its
+// traceback clipped to maxOff gives the reference AlignTile's result.
+// The pointer buffer is poisoned before each fill, so a row the fill
+// skipped and the traceback read would show. Under a band (the one the
+// exact H(n, m) proves, as a first tile's refill gets it) H(n, m), the
+// cell count and the traced result are the scalar banded fill's.
+func TestVectorFillTopRows(t *testing.T) {
+	if vectorLanes == 0 {
+		t.Skip("no AVX2 on this CPU: fillTrace runs the scalar rows only")
+	}
+	rng := rand.New(rand.NewSource(48))
+	for it := 0; it < 300; it++ {
+		sc := GACTEval()
+		if it%3 == 1 {
+			sc = Simple(2, 3, 2)
+		}
+		tas, err := widthAligners(&sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scalar, _ := NewTileAligner(&sc)
+		scalar.vecSub = nil
+		rTile := dna.Random(rng, 1+rng.Intn(340), 0.45)
+		qTile := mutate(rng, rTile, rng.Float64()*0.2)
+		if rng.Intn(4) == 0 {
+			qTile = dna.Random(rng, 1+rng.Intn(340), 0.45)
+		}
+		rc, qc := dna.AppendCodes(nil, rTile), dna.AppendCodes(nil, qTile)
+		n, m := len(rc), len(qc)
+		scalar.grow(n+1, m+1)
+		wantCells := scalar.fillCoded(rc, qc, -1, true)
+		want := int(scalar.hRow[n])
+		wantPtr := slices.Clone(scalar.ptr[:ptrLen(n, m)])
+		band := scalar.gapBand(n, m, want)
+		wantBandCells := scalar.fillCoded(rc, qc, band, true)
+
+		// maxOff values: top inside a block, on a block's first row, on
+		// row 1, and above it; and GACT's T − O where the tile is taller.
+		pad, blocks := -m&15, (m+15)/16
+		b := rng.Intn(blocks)
+		offs := []int{m - (16*b - pad + 1 + 1 + rng.Intn(15)) + 1, m - 16*b + pad, m, m + 1 + rng.Intn(40)}
+		if m > 192 {
+			offs = append(offs, 192)
+		}
+		for _, ta := range tas {
+			ta.grow(n+1, m+1)
+			for _, maxOff := range offs {
+				if maxOff < 1 {
+					continue
+				}
+				top := traceTop(m, maxOff)
+				ref := AlignTile(rTile, qTile, false, maxOff, &sc)
+				for _, bd := range []int{-1, band} {
+					ptr := ta.ptr[:ptrLen(n, m)]
+					for k := range ptr {
+						ptr[k] = 0xff
+					}
+					cells, got := ta.fillVector(rc, qc, bd, top)
+					cellsWant := wantCells
+					if bd >= 0 {
+						cellsWant = wantBandCells
+					}
+					if got != want || cells != cellsWant {
+						t.Fatalf("%d×%d tile, %+v, band %d, maxOff %d: %d-lane H(n,m) %d over %d cells, scalar %d over %d\nref   %s\nquery %s",
+							n, m, sc, bd, maxOff, ta.lanes, got, cells, want, cellsWant, rTile, qTile)
+					}
+					if bd < 0 {
+						for j := max(1, top); j <= m; j++ {
+							for i := 1; i <= n; i++ {
+								if x := ptrIndex(n, m, i, j); ptr[x] != wantPtr[x] {
+									t.Fatalf("%d×%d tile, %+v, maxOff %d: %d-lane ptr(%d,%d) = %04b, scalar %04b\nref   %s\nquery %s",
+										n, m, sc, maxOff, ta.lanes, i, j, ptr[x], wantPtr[x], rTile, qTile)
+								}
+							}
+						}
+					}
+					cig, iOff, jOff := ta.traceback(n, m, maxOff)
+					if iOff != ref.IOff || jOff != ref.JOff || !slices.Equal(cig, ref.Cigar) || ref.Score != want {
+						t.Fatalf("%d×%d tile, %+v, band %d, maxOff %d: %d-lane traceback %v (%d, %d), AlignTile %v (%d, %d), score %d vs %d\nref   %s\nquery %s",
+							n, m, sc, bd, maxOff, ta.lanes, cig, iOff, jOff, ref.Cigar, ref.IOff, ref.JOff, want, ref.Score, rTile, qTile)
+					}
+				}
+			}
+		}
+	}
 }
 
 // benchWidths runs bench as a sub-benchmark lanesN on an aligner for

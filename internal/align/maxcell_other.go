@@ -14,6 +14,6 @@ func (a *TileAligner) maxCellScreened(rc, qc []byte, minScore int) {
 	panic("align: no vector score pass on this platform")
 }
 
-func (a *TileAligner) fillVector(rc, qc []byte, band int) (int64, int) {
+func (a *TileAligner) fillVector(rc, qc []byte, band, top int) (int64, int) {
 	panic("align: no vector pointer fill on this platform")
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -32,7 +31,8 @@ type rollingSlot struct {
 type RollingQuantile struct {
 	mu    sync.Mutex
 	slots []rollingSlot
-	rng   uint64 // xorshift state; deterministic, no global rand
+	buf   []float64 // a window's merged samples, reused under mu
+	rng   uint64    // xorshift state; deterministic, no global rand
 	now   func() time.Time
 }
 
@@ -91,6 +91,35 @@ type WindowStats struct {
 // count, sum, and the standard SLO quantiles. window is clamped to
 // the ring's span.
 func (r *RollingQuantile) Window(window time.Duration) WindowStats {
+	var out WindowStats
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out.Count, out.Sum = r.gather(window)
+	if len(r.buf) == 0 {
+		return out
+	}
+	out.P50 = selectQuantile(r.buf, 0.50)
+	out.P95 = selectQuantile(r.buf, 0.95)
+	out.P99 = selectQuantile(r.buf, 0.99)
+	return out
+}
+
+// Quantile returns a single quantile q in [0,1] over the trailing
+// window.
+func (r *RollingQuantile) Quantile(window time.Duration, q float64) float64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gather(window)
+	if len(r.buf) == 0 {
+		return 0
+	}
+	return selectQuantile(r.buf, q)
+}
+
+// gather merges the samples of the slots inside the trailing window
+// into r.buf and returns the slots' count and sum. The caller holds
+// r.mu.
+func (r *RollingQuantile) gather(window time.Duration) (count int64, sum float64) {
 	nowSec := r.now().Unix()
 	span := int64(window / time.Second)
 	if span < 1 {
@@ -102,60 +131,84 @@ func (r *RollingQuantile) Window(window time.Duration) WindowStats {
 	// The current second is still filling; include it anyway — SLO
 	// windows care about recency more than exact second alignment.
 	oldest := nowSec - span + 1
-
-	var out WindowStats
-	merged := make([]float64, 0, int(span)*rollingSlotSamples)
-	r.mu.Lock()
+	r.buf = r.buf[:0]
 	for i := range r.slots {
 		s := &r.slots[i]
 		if s.sec < oldest || s.sec > nowSec {
 			continue
 		}
-		out.Count += s.count
-		out.Sum += s.sum
-		merged = append(merged, s.samples...)
+		count += s.count
+		sum += s.sum
+		r.buf = append(r.buf, s.samples...)
 	}
-	r.mu.Unlock()
-	if len(merged) == 0 {
-		return out
-	}
-	sort.Float64s(merged)
-	out.P50 = quantileOf(merged, 0.50)
-	out.P95 = quantileOf(merged, 0.95)
-	out.P99 = quantileOf(merged, 0.99)
-	return out
+	return count, sum
 }
 
-// Quantile returns a single quantile q in [0,1] over the trailing
-// window.
-func (r *RollingQuantile) Quantile(window time.Duration, q float64) float64 {
-	nowSec := r.now().Unix()
-	span := int64(window / time.Second)
-	if span < 1 {
-		span = 1
+// selectQuantile is quantileOf over v unsorted: it moves the order
+// statistics quantileOf reads to the places sorting v would put them,
+// by selection, and reads them there.
+func selectQuantile(v []float64, q float64) float64 {
+	n := len(v)
+	switch {
+	case n == 1:
+	case q <= 0:
+		selectNth(v, 0)
+	case q >= 1:
+		selectNth(v, n-1)
+	default:
+		i := int(q * float64(n-1)) // quantileOf's index
+		selectNth(v, i)
+		selectNth(v[i+1:], 0)
 	}
-	if span > int64(len(r.slots)) {
-		span = int64(len(r.slots))
-	}
-	oldest := nowSec - span + 1
-	var merged []float64
-	r.mu.Lock()
-	for i := range r.slots {
-		s := &r.slots[i]
-		if s.sec >= oldest && s.sec <= nowSec {
-			merged = append(merged, s.samples...)
+	return quantileOf(v, q)
+}
+
+// selectNth reorders v so that v[k] holds the value sorting v would put
+// there, with no greater value before it and no smaller one after it
+// (Hoare's quickselect, median-of-three pivots).
+func selectNth(v []float64, k int) {
+	lo, hi := 0, len(v)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if v[mid] < v[lo] {
+			v[mid], v[lo] = v[lo], v[mid]
+		}
+		if v[hi] < v[lo] {
+			v[hi], v[lo] = v[lo], v[hi]
+		}
+		if v[hi] < v[mid] {
+			v[hi], v[mid] = v[mid], v[hi]
+		}
+		p := v[mid]
+		i, j := lo, hi
+		for i <= j {
+			for v[i] < p {
+				i++
+			}
+			for v[j] > p {
+				j--
+			}
+			if i <= j {
+				v[i], v[j] = v[j], v[i]
+				i++
+				j--
+			}
+		}
+		// v[lo:j+1] ≤ p ≤ v[i:hi+1], and what lies between equals p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
 		}
 	}
-	r.mu.Unlock()
-	if len(merged) == 0 {
-		return 0
-	}
-	sort.Float64s(merged)
-	return quantileOf(merged, q)
 }
 
 // quantileOf reads quantile q from sorted values (nearest-rank with
-// linear interpolation).
+// linear interpolation): sorted[0] for q ≤ 0, the last value for
+// q ≥ 1, else the values at index ⌊q·(n−1)⌋ and the next one.
 func quantileOf(sorted []float64, q float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]

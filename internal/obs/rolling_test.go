@@ -2,6 +2,8 @@ package obs
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -146,5 +148,70 @@ func TestQuantileOfInterpolates(t *testing.T) {
 	}
 	if q := quantileOf(sorted, 0.875); math.Abs(q-35) > 1e-9 {
 		t.Fatalf("p87.5 = %f, want 35", q)
+	}
+}
+
+// TestRollingQuantileMatchesSort holds Quantile and Window, which read
+// their order statistics by selection in a reused buffer, bit-equal to
+// sorting the window's samples and reading quantileOf: over random
+// samples, heavy duplicates, a single sample and a window with expired
+// slots, at q = 0, 0.5, 0.9, 0.99 and 1, and pins that a warm Quantile
+// allocates nothing.
+func TestRollingQuantileMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	sorted := func(rq *RollingQuantile, window time.Duration) []float64 {
+		oldest := rq.now().Unix() - int64(window/time.Second) + 1
+		var v []float64
+		for _, s := range rq.slots {
+			if s.sec >= oldest && s.sec <= rq.now().Unix() {
+				v = append(v, s.samples...)
+			}
+		}
+		sort.Float64s(v)
+		return v
+	}
+	for _, tc := range []struct {
+		name    string
+		secs    int
+		perSec  int
+		draw    func() float64
+		advance time.Duration // after the samples, so older slots expire
+	}{
+		{"random", 60, 200, func() float64 { return rng.ExpFloat64() * 3 }, 0},
+		{"duplicates", 20, 100, func() float64 { return float64(rng.Intn(4)) }, 0},
+		{"single sample", 1, 1, func() float64 { return 7.25 }, 0},
+		{"expired slots", 60, 50, func() float64 { return rng.Float64() * 100 }, 10 * time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := newFakeClock()
+			rq := NewRollingQuantile(time.Minute)
+			rq.now = clk.now
+			for range tc.secs {
+				for range tc.perSec {
+					rq.Observe(tc.draw())
+				}
+				clk.advance(time.Second)
+			}
+			clk.advance(tc.advance)
+			for _, window := range []time.Duration{time.Minute, 20 * time.Second} {
+				want := sorted(rq, window)
+				if len(want) == 0 {
+					t.Fatalf("window %v holds no samples", window)
+				}
+				for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
+					if got, w := rq.Quantile(window, q), quantileOf(want, q); math.Float64bits(got) != math.Float64bits(w) {
+						t.Errorf("window %v: Quantile(%v) = %v, sorted %v", window, q, got, w)
+					}
+				}
+				st := rq.Window(window)
+				if st.P50 != quantileOf(want, 0.5) || st.P95 != quantileOf(want, 0.95) || st.P99 != quantileOf(want, 0.99) {
+					t.Errorf("window %v: Window %+v, sorted p50 %v p95 %v p99 %v", window, st,
+						quantileOf(want, 0.5), quantileOf(want, 0.95), quantileOf(want, 0.99))
+				}
+			}
+			if n := testing.AllocsPerRun(20, func() { rq.Quantile(time.Minute, 0.9) }); n != 0 {
+				t.Errorf("Quantile allocates %.1f times per call, want 0", n)
+			}
+		})
 	}
 }
