@@ -12,8 +12,10 @@ import (
 )
 
 // handleTopology serves the resolved cluster view: the shard→replica
-// assignment, per-worker breaker state, and rolling latency — the
-// operator's answer to "where would shard 3 go right now?".
+// assignment (each shard's rendezvous order; requests ask the members
+// of its replica set first in turn), per-worker breaker state, and
+// rolling latency — the operator's answer to "where can shard 3 go
+// right now?".
 func (rt *Router) handleTopology(w http.ResponseWriter, _ *http.Request) {
 	type workerView struct {
 		Name      string  `json:"name"`

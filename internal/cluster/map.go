@@ -20,6 +20,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // Worker names one darwind worker process in the cluster map.
@@ -136,37 +137,63 @@ func (m *Map) ReplicasFor(shard int) []int {
 	return idx[:m.Replication]
 }
 
-// replicaGroup is a set of shards whose ordered replica lists are
-// equal: the same primary and the same hedge and failover targets, so
-// one scatter sub-request serves all of them and hedges or fails over
-// as a unit.
+// replicaGroup is a set of shards held by the same set of workers,
+// whatever each shard's rendezvous order among them: any member holds
+// every shard of the group, so one scatter sub-request serves all of
+// them and hedges or fails over as a unit. Members take turns being
+// asked first (order), which spreads the group's load over the set.
 type replicaGroup struct {
-	replicas []int  // indices into Workers, primary first
+	replicas []int  // indices into Workers: the base order, its lowest shard's rendezvous order
 	shards   []int  // ascending
 	label    string // shards as "0,2", for spans and logs
+	// turn counts the requests that have asked the group so far.
+	turn atomic.Uint64
 }
 
-// groups partitions shards 0..shards-1 by their ordered replica list,
-// in order of each group's lowest shard.
-func (m *Map) groups(shards int) []replicaGroup {
-	var out []replicaGroup
+// order returns the replicas in the order request number turn tries
+// them: the base order rotated left by turn, so successive requests
+// ask successive members first; hedges and failovers take the rest in
+// that rotated order.
+func (g *replicaGroup) order(turn uint64) []int {
+	k := int(turn % uint64(len(g.replicas)))
+	return append(slices.Clone(g.replicas[k:]), g.replicas[:k]...)
+}
+
+// groups partitions shards 0..shards-1 by the set of workers that hold
+// them, in order of each group's lowest shard.
+func (m *Map) groups(shards int) []*replicaGroup {
+	var out []*replicaGroup
 	for s := 0; s < shards; s++ {
 		replicas := m.ReplicasFor(s)
-		i := slices.IndexFunc(out, func(g replicaGroup) bool { return slices.Equal(g.replicas, replicas) })
+		i := slices.IndexFunc(out, func(g *replicaGroup) bool { return sameMembers(g.replicas, replicas) })
 		if i < 0 {
 			i = len(out)
-			out = append(out, replicaGroup{replicas: replicas})
+			out = append(out, &replicaGroup{replicas: replicas})
 		}
 		out[i].shards = append(out[i].shards, s)
 	}
-	for i := range out {
-		ids := make([]string, len(out[i].shards))
-		for j, s := range out[i].shards {
+	for _, g := range out {
+		ids := make([]string, len(g.shards))
+		for j, s := range g.shards {
 			ids[j] = strconv.Itoa(s)
 		}
-		out[i].label = strings.Join(ids, ",")
+		g.label = strings.Join(ids, ",")
 	}
 	return out
+}
+
+// sameMembers reports whether two replica lists, each of distinct
+// workers, hold the same workers in any order.
+func sameMembers(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for _, wi := range a {
+		if !slices.Contains(b, wi) {
+			return false
+		}
+	}
+	return true
 }
 
 // OwnedBy returns the sorted shard indices (out of shards total) whose

@@ -126,10 +126,10 @@ type Router struct {
 	shardCount    int
 	maxCandidates int
 	fingerprint   string
-	// groups are the shards grouped by ordered replica list, one
-	// scatter sub-request each; the map is static, so they are fixed
-	// once shardCount is known.
-	groups []replicaGroup
+	// groups are the shards grouped by the set of workers that hold
+	// them, one scatter sub-request each; the map is static, so they
+	// are fixed once shardCount is known.
+	groups []*replicaGroup
 }
 
 // New assembles a router; call Probe to learn the cluster's geometry
@@ -275,25 +275,26 @@ func (rt *Router) hedgeDelay(ws *workerState) time.Duration {
 }
 
 // scatterGroup resolves one replica group's sub-request against its
-// replica list: the primary first, an immediate failover on error, and
-// a hedge to the next replica once the primary outlives its latency
-// quantile. The group moves as a unit: every attempt carries all of
-// its shards.
+// members in this request's turn order (replicaGroup.order): the first
+// member, an immediate failover on error, and a hedge to the next
+// member once the first outlives its latency quantile. The group moves
+// as a unit: every attempt carries all of its shards.
 // Exactly one successful response is returned; the moment it arrives
 // every other in-flight attempt's context is cancelled (the loser's
 // work is abandoned, not merged — the exactly-one-merge property the
 // duplicate guard in shard.MergeReadScatters backstops).
-func (rt *Router) scatterGroup(ctx context.Context, span *obs.Span, g replicaGroup, body []byte, nReads int, reqID, traceparent string) ([]shard.ReadScatter, error) {
+func (rt *Router) scatterGroup(ctx context.Context, span *obs.Span, g *replicaGroup, body []byte, nReads int, reqID, traceparent string) ([]shard.ReadScatter, error) {
 	ctx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll()
 
-	results := make(chan attemptResult, len(g.replicas))
+	order := g.order(g.turn.Add(1) - 1)
+	results := make(chan attemptResult, len(order))
 	next := 0
 	inflight := 0
 	// launch starts the next replica attempt that its breaker admits.
 	launch := func(hedged bool) bool {
-		for next < len(g.replicas) {
-			wi := g.replicas[next]
+		for next < len(order) {
+			wi := order[next]
 			next++
 			ws := rt.workers[wi]
 			if !ws.br.Allow() {
@@ -313,8 +314,7 @@ func (rt *Router) scatterGroup(ctx context.Context, span *obs.Span, g replicaGro
 	if !launch(false) {
 		return nil, fmt.Errorf("shards %v: no replica available (breakers open)", g.shards)
 	}
-	primary := rt.workers[g.replicas[0]]
-	hedge := time.NewTimer(rt.hedgeDelay(primary))
+	hedge := time.NewTimer(rt.hedgeDelay(rt.workers[order[0]]))
 	defer hedge.Stop()
 
 	var lastErr error

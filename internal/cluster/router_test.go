@@ -209,19 +209,22 @@ func TestRouterIdentityPropagation(t *testing.T) {
 }
 
 // TestScatterGroups: the router's replica groups partition the shards,
-// every shard in a group has the group's ordered replica list, and a
-// request costs one sub-request per distinct list. The wants are
-// pinned for the "w0", "w1", ... roster the bench cluster uses, so a
-// change to the rendezvous scores shows here too. The failover row
-// breaks the primary of a multi-shard group: the whole group moves to
-// its next replica in one sub-request and the answer does not change.
+// every shard in a group is held by exactly the group's set of workers,
+// the group's base order is its lowest shard's rendezvous order, and a
+// request costs one sub-request per distinct set. The wants are pinned
+// for the "w0", "w1", ... roster the bench cluster uses, so a change to
+// the rendezvous scores shows here too. The rotation row checks that a
+// group's members take turns being asked first. The failover row
+// breaks the member asked first for a multi-shard group: the whole
+// group moves to its next member in one sub-request and the answer
+// does not change.
 func TestScatterGroups(t *testing.T) {
 	for _, tt := range []struct {
 		workers, shards, want int
 	}{
-		{2, 3, 2}, {2, 4, 2}, {2, 8, 2}, // {2, 4} is the bench's serve_cluster
-		{3, 3, 2}, {3, 4, 3}, {3, 8, 4},
-		{4, 3, 2}, {4, 4, 3}, {4, 8, 6},
+		{2, 3, 1}, {2, 4, 1}, {2, 8, 1}, // {2, 4} is the bench's serve_cluster
+		{3, 3, 2}, {3, 4, 2}, {3, 8, 3},
+		{4, 3, 2}, {4, 4, 2}, {4, 8, 5},
 	} {
 		t.Run(fmt.Sprintf("%dworkers/%dshards", tt.workers, tt.shards), func(t *testing.T) {
 			var hops atomic.Int64
@@ -235,13 +238,18 @@ func TestScatterGroups(t *testing.T) {
 			}
 			// Hedging out of the picture: a hedge is one more sub-request.
 			tc := startNamedCluster(t, Config{Replication: 2, HedgeDelay: 10 * time.Second}, "w", tt.shards, scatter)
-			lists := map[string]bool{}
+			sets := map[string]bool{}
 			seen := make([]int, tt.shards)
 			for _, g := range tc.rt.groups {
-				lists[fmt.Sprint(g.replicas)] = true
+				members := slices.Clone(g.replicas)
+				slices.Sort(members)
+				sets[fmt.Sprint(members)] = true
+				if base := tc.cmap.ReplicasFor(g.shards[0]); !slices.Equal(base, g.replicas) {
+					t.Errorf("group (shards %v) base order %v, want its lowest shard's %v", g.shards, g.replicas, base)
+				}
 				for _, s := range g.shards {
 					seen[s]++
-					if got := tc.cmap.ReplicasFor(s); !slices.Equal(got, g.replicas) {
+					if got := tc.cmap.ReplicasFor(s); !sameMembers(got, g.replicas) {
 						t.Errorf("shard %d has replicas %v, its group (shards %v) %v", s, got, g.shards, g.replicas)
 					}
 				}
@@ -251,8 +259,8 @@ func TestScatterGroups(t *testing.T) {
 					t.Errorf("shard %d is in %d groups, want 1", s, n)
 				}
 			}
-			if len(lists) != len(tc.rt.groups) {
-				t.Errorf("%d groups for %d distinct replica lists", len(tc.rt.groups), len(lists))
+			if len(sets) != len(tc.rt.groups) {
+				t.Errorf("%d groups for %d distinct replica sets", len(tc.rt.groups), len(sets))
 			}
 			if len(tc.rt.groups) != tt.want {
 				t.Errorf("%d groups, want %d", len(tc.rt.groups), tt.want)
@@ -265,6 +273,40 @@ func TestScatterGroups(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run("rotation", func(t *testing.T) {
+		// The bench's shape: both workers hold all four shards, so each
+		// request is one sub-request, and over 2k requests each worker
+		// is asked first — here, asked at all — exactly k times. The
+		// requests run at once: each takes its own turn however they
+		// interleave.
+		const workers, shards, k = 2, 4, 8
+		var asked [workers]atomic.Int64
+		scatter := make([]http.HandlerFunc, workers)
+		for i := range scatter {
+			scatter[i] = func(w http.ResponseWriter, r *http.Request) {
+				asked[i].Add(1)
+				scatterRespond(nil)(w, r)
+			}
+		}
+		tc := startNamedCluster(t, Config{Replication: 2, HedgeDelay: 10 * time.Second}, "w", shards, scatter)
+		var wg sync.WaitGroup
+		for i := 0; i < 2*k; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if rec := postMap(t, tc, nil); rec.Code != http.StatusOK {
+					t.Errorf("request %d: HTTP %d: %s", i, rec.Code, rec.Body)
+				}
+			}()
+		}
+		wg.Wait()
+		for i := range asked {
+			if got := asked[i].Load(); got != k {
+				t.Errorf("w%d was asked %d times over %d requests, want %d", i, got, 2*k, k)
+			}
+		}
+	})
 
 	t.Run("failover", func(t *testing.T) {
 		const workers, shards = 3, 4
@@ -309,14 +351,14 @@ func TestScatterGroups(t *testing.T) {
 		}
 		tc := startNamedCluster(t, Config{Replication: 2, HedgeDelay: 10 * time.Second, BreakerThreshold: 100},
 			"w", shards, scatter)
-		var g replicaGroup
+		var g *replicaGroup
 		for _, c := range tc.rt.groups {
 			if len(c.shards) > 1 {
 				g = c
 				break
 			}
 		}
-		if g.shards == nil {
+		if g == nil {
 			t.Fatalf("no multi-shard group among %d shards on %d workers", shards, workers)
 		}
 		hdr := map[string]string{"X-Request-ID": "groups-failover"}
@@ -325,7 +367,9 @@ func TestScatterGroups(t *testing.T) {
 			t.Fatalf("healthy: HTTP %d: %s", healthy.Code, healthy.Body)
 		}
 
-		primary, next := tc.workers[g.replicas[0]].Name, tc.workers[g.replicas[1]].Name
+		// The members the next request asks first and second.
+		order := g.order(g.turn.Load())
+		primary, next := tc.workers[order[0]].Name, tc.workers[order[1]].Name
 		failing.Store(primary)
 		mu.Lock()
 		clear(got)
@@ -360,21 +404,23 @@ func TestScatterGroups(t *testing.T) {
 	})
 }
 
-// TestRouterHedgeCancelsLoser: when the primary stalls, the hedge
-// fires the next replica, the replica's answer wins, and the stalled
-// primary's sub-request context is cancelled — the loser is abandoned,
-// not merged.
+// TestRouterHedgeCancelsLoser: when the member a group asks first
+// stalls, the hedge fires the next member, its answer wins, and the
+// stalled member's sub-request context is cancelled — the loser is
+// abandoned, not merged. Two requests, so each worker of the rotation
+// is asked first, stalls and loses once.
 func TestRouterHedgeCancelsLoser(t *testing.T) {
-	// Which worker is primary for a shard is hash-determined, so the
-	// stall adapts at request time: whichever worker is primary for
-	// the requested shards (one replica group, so one primary) stalls
-	// until its context is cancelled, and the secondary answers. stall
-	// gates the behavior so the boot probe and map construction happen
-	// on fast paths.
+	// Which member a group asks first rotates per request, so the stall
+	// adapts at request time: before each request the test reads which
+	// worker each group will ask first, and that worker stalls on the
+	// group's shards until its context is cancelled while the next
+	// member answers. stall gates the behavior so the boot probe and
+	// map construction happen on fast paths.
 	var stall atomic.Bool
-	var cm *Map
+	var mu sync.Mutex
+	first := map[string]int{} // group shards -> worker index asked first
 	cancelled := make(chan string, 4)
-	slowIfPrimary := func(idx int) http.HandlerFunc {
+	slowIfFirst := func(idx int) http.HandlerFunc {
 		name := fmt.Sprintf("worker-%d", idx)
 		return func(w http.ResponseWriter, r *http.Request) {
 			var req server.ScatterRequest
@@ -382,7 +428,10 @@ func TestRouterHedgeCancelsLoser(t *testing.T) {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			if stall.Load() && cm.ReplicasFor(req.Shards[0])[0] == idx {
+			mu.Lock()
+			slow := stall.Load() && first[fmt.Sprint(req.Shards)] == idx
+			mu.Unlock()
+			if slow {
 				<-r.Context().Done()
 				cancelled <- name
 				return
@@ -401,34 +450,46 @@ func TestRouterHedgeCancelsLoser(t *testing.T) {
 	// deterministic: if losing a hedge counted as a worker failure,
 	// one lost hedge would open the loser's breaker.
 	tc := startCluster(t, Config{Replication: 2, HedgeDelay: 5 * time.Millisecond, BreakerThreshold: 1},
-		[]http.HandlerFunc{slowIfPrimary(0), slowIfPrimary(1)})
-	cm = tc.cmap
+		[]http.HandlerFunc{slowIfFirst(0), slowIfFirst(1)})
 	stall.Store(true)
 
-	rec := postMap(t, tc, nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("HTTP %d: %s", rec.Code, rec.Body)
-	}
-	// Every replica group's primary stalled, so each group's hedge
-	// fired and won.
+	const requests = 2
 	groups := int64(len(tc.rt.groups))
-	if got := cHedgeFired.Value() - hedgeFiredBefore; got != groups {
-		t.Errorf("hedge_fired delta %d, want %d", got, groups)
-	}
-	if got := cHedgeWins.Value() - hedgeWinsBefore; got != groups {
-		t.Errorf("hedge_wins delta %d, want %d", got, groups)
-	}
-	// The losers' contexts must be cancelled promptly — not left to
-	// dangle until the 60s request deadline.
-	for i := int64(0); i < groups; i++ {
-		select {
-		case <-cancelled:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("loser %d of %d: context never cancelled", i+1, groups)
+	losers := map[string]int{}
+	for i := 0; i < requests; i++ {
+		mu.Lock()
+		for _, g := range tc.rt.groups {
+			first[fmt.Sprint(g.shards)] = g.order(g.turn.Load())[0]
+		}
+		mu.Unlock()
+		rec := postMap(t, tc, nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("request %d: HTTP %d: %s", i, rec.Code, rec.Body)
+		}
+		// The losers' contexts must be cancelled promptly — not left to
+		// dangle until the 60s request deadline.
+		for j := int64(0); j < groups; j++ {
+			select {
+			case name := <-cancelled:
+				losers[name]++
+			case <-time.After(5 * time.Second):
+				t.Fatalf("request %d: loser %d of %d: context never cancelled", i, j+1, groups)
+			}
 		}
 	}
+	// Every group's first member stalled, so each group's hedge fired
+	// and won on every request.
+	if got := cHedgeFired.Value() - hedgeFiredBefore; got != requests*groups {
+		t.Errorf("hedge_fired delta %d, want %d", got, requests*groups)
+	}
+	if got := cHedgeWins.Value() - hedgeWinsBefore; got != requests*groups {
+		t.Errorf("hedge_wins delta %d, want %d", got, requests*groups)
+	}
+	if groups == 1 && (losers["worker-0"] != 1 || losers["worker-1"] != 1) {
+		t.Errorf("losers %v, want each worker asked first, and losing, once", losers)
+	}
 	// Losing a hedge is router-initiated cancellation, not a worker
-	// failure: the stalled-but-healthy primaries' breakers must stay
+	// failure: the stalled-but-healthy workers' breakers must stay
 	// closed, or routine hedging would eject slow workers. The loser's
 	// failure path runs just after its context cancels, so give it a
 	// beat before asserting nothing was charged.
@@ -443,9 +504,10 @@ func TestRouterHedgeCancelsLoser(t *testing.T) {
 	}
 }
 
-// TestRouterFailoverAndBreaker: a failing primary triggers immediate
-// failover (no hedge wait), and once its breaker opens the next
-// request skips it entirely.
+// TestRouterFailoverAndBreaker: a failing first member triggers
+// immediate failover (no hedge wait), and once its breaker opens the
+// next requests skip it entirely — also the one whose turn would ask
+// it first.
 func TestRouterFailoverAndBreaker(t *testing.T) {
 	var mu sync.Mutex
 	hits := map[string]int{}
@@ -471,9 +533,11 @@ func TestRouterFailoverAndBreaker(t *testing.T) {
 		BreakerThreshold: 1,
 		BreakerCooldown:  time.Hour,
 	}, []http.HandlerFunc{flaky(0), flaky(1)})
-	// Break whichever worker is primary for shard 0, so at least one
-	// shard is guaranteed to exercise the failover path.
-	prim := tc.workers[tc.cmap.ReplicasFor(0)[0]].Name
+	// Break whichever worker shard 0's group asks first on the next
+	// request, so at least one group is guaranteed to exercise the
+	// failover path.
+	g := tc.rt.groups[0]
+	prim := tc.workers[g.order(g.turn.Load())[0]].Name
 
 	failing.Store(prim)
 	start := time.Now()
@@ -487,12 +551,15 @@ func TestRouterFailoverAndBreaker(t *testing.T) {
 	afterFirst := hits[prim]
 	mu.Unlock()
 	if afterFirst == 0 {
-		t.Fatalf("%s is shard 0's primary but was never tried", prim)
+		t.Fatalf("%s is asked first for shards %v but was never tried", prim, g.shards)
 	}
 	// Threshold 1: that first failure opened the breaker; the next
-	// request must not touch the broken worker at all.
-	if rec := postMap(t, tc, nil); rec.Code != http.StatusOK {
-		t.Fatalf("request 2: HTTP %d: %s", rec.Code, rec.Body)
+	// requests must not touch the broken worker at all, though the
+	// rotation puts it first again within len(g.replicas) of them.
+	for i := 2; i < 2+len(g.replicas); i++ {
+		if rec := postMap(t, tc, nil); rec.Code != http.StatusOK {
+			t.Fatalf("request %d: HTTP %d: %s", i, rec.Code, rec.Body)
+		}
 	}
 	mu.Lock()
 	defer mu.Unlock()

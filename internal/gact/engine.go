@@ -229,10 +229,16 @@ func (e *Engine) extendDir(R, Q dna.Seq, iCurr, jCurr int, stats *Stats, rev boo
 }
 
 // appendReversed appends c's steps to dst last to first, merging runs
-// as Concat does.
+// as Concat does. c is canonical (positive runs, no two adjacent runs
+// of one op), so only its last step can merge with dst's tail; the rest
+// go in as one copy, reversed in place.
 func appendReversed(dst, c align.Cigar) align.Cigar {
-	for x := len(c) - 1; x >= 0; x-- {
-		dst = dst.Concat(c[x : x+1])
+	if len(c) == 0 {
+		return dst
 	}
+	dst = dst.Concat(c[len(c)-1:])
+	n := len(dst)
+	dst = append(dst, c[:len(c)-1]...)
+	slices.Reverse(dst[n:])
 	return dst
 }

@@ -133,6 +133,21 @@ func (s *Span) Duration() time.Duration {
 	return time.Since(s.start)
 }
 
+// EachChild calls fn with the name and duration (elapsed so far for
+// one still in progress) of each direct child, in the order they were
+// attached, without copying the subtree. fn runs under s's lock, so it
+// must not call back into s.
+func (s *Span) EachChild(fn func(name string, d time.Duration)) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, c := range s.children {
+		fn(c.name, c.Duration())
+	}
+}
+
 // Stage is one interval of a registry Timer, opened by Timer.Start or
 // StartOn and closed by End. Under a traced parent it is also a child
 // span named after the timer, closed with the same duration the timer

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -332,17 +333,20 @@ func setServerTiming(w http.ResponseWriter, r *http.Request) {
 // NDJSON or, for ?format=sam, SAM text. ref translates coordinates (a
 // layout-only Reference is enough) and sq is its @SQ header. Byte
 // identity between the monolith and the cluster hinges on every tier
-// answering through this one function.
+// answering through this one function. Every result is computed before
+// the first byte goes out, so the body is rendered whole and written
+// once.
 func (f *Front) WriteResults(w http.ResponseWriter, r *http.Request, ref *core.Reference, sq []sam.RefSeq, req MapRequest, results []core.MapResult) {
 	f.cRequestsOK.Inc()
 	setServerTiming(w, r)
-	flusher, _ := w.(http.Flusher)
+	var body bytes.Buffer
 	if r.URL.Query().Get("format") == "sam" {
 		// The program name is darwind's on every tier: the cluster's
 		// header must equal the monolith's.
 		w.Header().Set("Content-Type", "text/x-sam; charset=utf-8")
 		for _, line := range sam.HeaderLines(sq, "darwind") {
-			fmt.Fprintln(w, line)
+			body.WriteString(line)
+			body.WriteByte('\n')
 		}
 		for i, rd := range req.Reads {
 			// SAM has no per-record error channel; a failed read becomes an
@@ -352,30 +356,28 @@ func (f *Front) WriteResults(w http.ResponseWriter, r *http.Request, ref *core.R
 				alns = nil
 			}
 			for _, rec := range RecordsFor(ref, rd.Name, rd.Seq, alns, req.All) {
-				fmt.Fprintln(w, rec.Line())
-			}
-			if flusher != nil {
-				flusher.Flush()
+				body.WriteString(rec.Line())
+				body.WriteByte('\n')
 			}
 		}
+		w.Write(body.Bytes())
 		return
 	}
 
-	// One MapResponseLine per read, flushed as it is encoded so clients
-	// see results stream. A read that failed (panic isolation, per-read
-	// deadline, injected fault) gets an error line instead of records —
-	// the other reads in the request are unaffected, which is the whole
-	// point of per-read isolation.
+	// One MapResponseLine per read. A read that failed (panic isolation,
+	// per-read deadline, injected fault) gets an error line instead of
+	// records — the other reads in the request are unaffected, which is
+	// the whole point of per-read isolation.
 	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
 	reqID := obs.RequestIDFromContext(r.Context())
-	enc := json.NewEncoder(w)
+	enc := json.NewEncoder(&body)
 	for i, rd := range req.Reads {
 		line := MapResponseLine{Read: rd.Name, RequestID: reqID}
 		if err := results[i].Err; err != nil {
 			line.Error = err.Error()
 		} else if err := fpStream.Fire(); err != nil {
 			// Injected stream fault: degrade this one line to a
-			// structured error, keep streaming the rest.
+			// structured error, keep writing the rest.
 			line.Error = err.Error()
 		} else {
 			line.Records = RecordsFor(ref, rd.Name, rd.Seq, results[i].Alignments, req.All)
@@ -390,10 +392,8 @@ func (f *Front) WriteResults(w http.ResponseWriter, r *http.Request, ref *core.R
 			}
 		}
 		if err := enc.Encode(line); err != nil {
-			return // client went away
-		}
-		if flusher != nil {
-			flusher.Flush()
+			break
 		}
 	}
+	w.Write(body.Bytes())
 }

@@ -116,11 +116,11 @@ func serverTiming(span *obs.Span) string {
 		return ""
 	}
 	var b []byte
-	for _, c := range span.Snapshot().Children {
-		if name, ok := strings.CutPrefix(c.Name, "server/"); ok {
-			b = appendTimingEntry(b, name, c.DurationUS)
+	span.EachChild(func(name string, d time.Duration) {
+		if name, ok := strings.CutPrefix(name, "server/"); ok {
+			b = appendTimingEntry(b, name, d.Microseconds())
 		}
-	}
+	})
 	return string(appendTimingEntry(b, "total", span.Duration().Microseconds()))
 }
 

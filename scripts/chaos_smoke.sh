@@ -212,8 +212,11 @@ wait_addr() {
 cw0_addr=$(wait_addr "$tmp/cw0.log" "$cw0_pid")
 cw1_addr=$(wait_addr "$tmp/cw1.log" "$cw1_pid")
 
-# times=6 covers request 1 (2 shards x 2 replicas = 4 attempts) plus
-# the first half-open probes, then runs dry so recovery is observable.
+# Both workers hold both shards, so a request is one sub-request that
+# fails over once: 2 attempts, one per worker. times=6 covers requests
+# 1 and 2 (4 attempts, 2 per worker, enough for -breaker-threshold 2)
+# plus the first half-open probes, then runs dry so recovery is
+# observable.
 DARWIN_ALLOW_FAULTS=1 "$tmp/bin/darwin-router" -addr 127.0.0.1:0 \
     -workers "cw0=$cw0_addr,cw1=$cw1_addr" -replication 2 \
     -breaker-threshold 2 -breaker-cooldown 300ms -hedge-delay 5s \
@@ -223,11 +226,13 @@ trap 'kill "$router_pid" 2>/dev/null || true; cleanup_cluster; cleanup' EXIT
 router_addr=$(wait_addr "$tmp/router.log" "$router_pid")
 
 batch='{"reads":[{"name":"r","seq":"ACGTACGTACGTACGTACGTACGTACGT"}]}'
-body=$(curl -sS -X POST -d "$batch" "http://$router_addr/v1/map")
-if ! echo "$body" | grep -q '"code"'; then
-    echo "chaos-smoke: FAIL — router returned an unstructured error under faults: $body" >&2
-    exit 1
-fi
+for _ in 1 2; do
+    body=$(curl -sS -X POST -d "$batch" "http://$router_addr/v1/map")
+    if ! echo "$body" | grep -q '"code"'; then
+        echo "chaos-smoke: FAIL — router returned an unstructured error under faults: $body" >&2
+        exit 1
+    fi
+done
 opens=$(curl -fsS "http://$router_addr/metrics" \
     | awk '/^darwin_cluster_breaker_opens_total /{print int($2)}')
 if [ -z "$opens" ] || [ "$opens" -lt 1 ]; then

@@ -207,9 +207,10 @@ hedge_run() {
 hedge_run "$ra250" "$tmp/hedge_healthy.out"
 hsub=$(subreqs_per_request "$ra250")
 
-# Stall shard 0's primary (from the router's topology view) so the
-# sub-requests of shard 0's replica group hang until the hedge fires.
-# How many of a request's sub-requests that is depends on the roster.
+# Stall the worker that ranks first for shard 0 (from the router's
+# topology view). A replica set's members take turns being asked
+# first, so the sub-requests that ask it first hang until the hedge
+# fires: every other request at this roster's one replica set.
 primary=$(curl -fsS "http://$ra250/v1/cluster" | tr -d ' \n' \
     | sed -n 's/.*"replicas":\[\[\"\([^"]*\)".*/\1/p')
 case "$primary" in

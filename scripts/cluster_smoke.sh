@@ -7,11 +7,13 @@
 #   3. boot 2 cluster workers from the shared .dwi (replication 2, so
 #      each worker owns every shard) and a router over them
 #   4. map the same reads through the router and assert the SAM is
-#      byte-identical to the monolith, the router's /metrics lints
-#      clean, and its /v1/stats and /debug/slow answer
-#   5. SIGSTOP whichever worker is primary for shard 0: sub-requests
-#      to it hang, the hedge fires after -hedge-delay, the survivor
-#      answers — the batch must complete, stay byte-identical,
+#      byte-identical to the monolith, each request cost one scatter
+#      sub-request (both workers hold all four shards), the router's
+#      /metrics lints clean, and its /v1/stats and /debug/slow answer
+#   5. SIGSTOP one worker: the router asks the two workers first in
+#      turn, so every other request's sub-request hangs, the hedge
+#      fires after -hedge-delay, the survivor answers — the batch must
+#      complete, stay byte-identical,
 #      darwin_cluster_hedge_fired_total must go positive, and the
 #      router must have logged nothing at ERROR
 #   6. SIGKILL the stopped worker: connections now fail outright, the
@@ -122,9 +124,21 @@ if ! cmp -s "$tmp/mono.sam" "$tmp/cluster.sam"; then
 fi
 echo "cluster-smoke: router SAM is byte-identical to the monolith"
 
+# Both workers hold all four shards, so the shards form one replica set
+# and each of the 8 /v1/map requests is one scatter sub-request to one
+# worker. A hedge adds one more (a 50ms hedge delay can fire on a slow
+# box), so the sub-requests that were not hedges must be exactly 8.
+curl -fsS "http://$router_addr/metrics" > "$tmp/router_metrics.txt"
+subreqs=$(awk '/^darwin_cluster_scatter_subreqs_total /{print int($2)}' "$tmp/router_metrics.txt")
+hedges=$(awk '/^darwin_cluster_hedge_fired_total /{print int($2)}' "$tmp/router_metrics.txt")
+if [ -z "$subreqs" ] || [ "$((subreqs - ${hedges:-0}))" -ne 8 ]; then
+    echo "cluster-smoke: FAIL — $subreqs scatter sub-requests ($hedges hedges) for 8 requests, want one per request" >&2
+    exit 1
+fi
+echo "cluster-smoke: one scatter sub-request per request ($subreqs sub-requests, $hedges hedges, 8 requests)"
+
 # The router's exposition goes through the same OpenMetrics writer as
 # darwind; lint it and assert the cluster/* namespace is present.
-curl -fsS "http://$router_addr/metrics" > "$tmp/router_metrics.txt"
 "$tmp/bin/metricslint" < "$tmp/router_metrics.txt"
 if ! grep -q '^darwin_cluster_requests_total ' "$tmp/router_metrics.txt"; then
     echo "cluster-smoke: FAIL — router /metrics missing darwin_cluster_* families" >&2
@@ -149,18 +163,20 @@ if ! grep -q '"cluster/scatter"' "$tmp/router_slow.json" || ! grep -Eq '"worker"
 fi
 echo "cluster-smoke: router serves /v1/stats and /debug/slow (scatter spans name their worker)"
 
-# Shard 0's primary is deterministic (rendezvous over names); read it
-# from the router's topology view so the right worker gets degraded.
-primary=$(curl -fsS "http://$router_addr/v1/cluster" | tr -d ' \n' \
+# Stall the worker that ranks first for shard 0 (read from the
+# router's topology view). Any worker would do: the router asks the
+# two first in turn, so the stalled worker is first for every other
+# request, and those requests must hedge to the survivor.
+victim=$(curl -fsS "http://$router_addr/v1/cluster" | tr -d ' \n' \
     | sed -n 's/.*"replicas":\[\[\"\([^"]*\)".*/\1/p')
-case "$primary" in
+case "$victim" in
     w0) victim_pid=$w0_pid ;;
     w1) victim_pid=$w1_pid ;;
-    *) echo "cluster-smoke: FAIL — cannot resolve shard 0 primary from /v1/cluster (got '$primary')" >&2
+    *) echo "cluster-smoke: FAIL — cannot resolve shard 0's first-ranked worker from /v1/cluster (got '$victim')" >&2
        exit 1 ;;
 esac
 
-echo "cluster-smoke: SIGSTOP $primary (shard 0 primary) — hedge must carry the batch"
+echo "cluster-smoke: SIGSTOP $victim (asked first for every other request) — hedge must carry the batch"
 kill -STOP "$victim_pid"
 "$tmp/bin/darwin-client" -target "$router_addr" -reads "$tmp/reads.fq" \
     -requests 8 -concurrency 1 -batch 4 -out "$tmp/hedged.sam" >/dev/null
@@ -184,7 +200,7 @@ if grep -q 'level=ERROR' "$tmp/router.log"; then
 fi
 echo "cluster-smoke: batch completed via hedged replica (hedge_fired=$hedged), SAM still byte-identical"
 
-echo "cluster-smoke: SIGKILL $primary — failover must carry the batch"
+echo "cluster-smoke: SIGKILL $victim — failover must carry the batch"
 kill -CONT "$victim_pid" 2>/dev/null || true
 kill -9 "$victim_pid"
 "$tmp/bin/darwin-client" -target "$router_addr" -reads "$tmp/reads.fq" \
