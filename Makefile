@@ -55,7 +55,8 @@ fallback:
 # its quadratic oracle, the score pass at every vector width the CPU has
 # (32 and 16 lanes on AVX-512BW) vs the scalar pass and fillLocal,
 # thresholded first tiles (the int8 h_tile screen) at every width vs an
-# aligner on the scalar passes and fillLocal, the
+# aligner on the scalar passes and fillLocal, the first-tile batch (one
+# candidate per byte lane) lane by lane vs the scalar score pass, the
 # pointer fill at every width again vs the scalar rows and the
 # reference AlignTile, ParseCigar on worker-supplied CIGAR text (no
 # panic, and whatever it accepts prints back unchanged),
@@ -83,6 +84,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMyersInfix$$' -fuzztime 20s ./internal/align/
 	$(GO) test -run '^$$' -fuzz '^FuzzMaxCell$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/align/
 	$(GO) test -run '^$$' -fuzz '^FuzzFirstTile$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/align/
+	$(GO) test -run '^$$' -fuzz '^FuzzFirstTileBatch$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/align/
 	$(GO) test -run '^$$' -fuzz '^FuzzFill$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/align/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCigar$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/align/
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineExtend$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/gact/

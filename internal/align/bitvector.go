@@ -196,13 +196,15 @@ const (
 // computes H(n, m) itself and passes; if not, no lower bound can pass.
 // So the counters match across widths. A failed tile counts as a
 // FallbackTiles LUT tile with both fills' cells.
-func (a *TileAligner) certifiedFill(rc, qc []byte, maxOff int) TileResult {
-	n, m := len(rc), len(qc)
+func (a *TileAligner) certifiedFill(n, m, maxOff int) TileResult {
+	// A whole tile is laid out for the vector passes exactly where they
+	// are exact on it (align).
+	vec := a.vectorOK(n, m)
 	band := a.guessBand(n, m)
 	if band < 0 {
-		return a.fillTrace(rc, qc, -1, maxOff)
+		return a.fillTrace(n, m, -1, maxOff, vec)
 	}
-	cells, score := a.fill(rc, qc, band, traceTop(m, maxOff))
+	cells, score := a.fill(n, m, band, traceTop(m, maxOff), vec)
 	if a.gapBand(n, m, score) <= band {
 		a.ks.BitvectorTiles++
 		a.ks.BitvectorCells += cells
@@ -210,7 +212,7 @@ func (a *TileAligner) certifiedFill(rc, qc []byte, maxOff int) TileResult {
 	}
 	a.ks.FallbackTiles++
 	a.ks.LUTCells += cells
-	return a.fillTrace(rc, qc, -1, maxOff)
+	return a.fillTrace(n, m, -1, maxOff, vec)
 }
 
 // guessBand is the band gapBand gives an n×m tile scoring guessSlack

@@ -36,14 +36,14 @@ func FuzzFill(f *testing.F) {
 		ref, query := canonSeq(refB), canonSeq(queryB)
 		rc, qc := dna.AppendCodes(nil, ref), dna.AppendCodes(nil, query)
 		n, m := len(rc), len(qc)
-		scalar.grow(n+1, m+1)
-		wantCells, want := scalar.fill(rc, qc, -1, 1)
+		scalar.loadCodes(rc, qc)
+		wantCells, want := scalar.fill(n, m, -1, 1, false)
 		km := KernelMode(mode % 3)
 		scalar.SetKernel(km)
 		off := int(maxOff)
 		for _, ta := range tas {
-			ta.grow(n+1, m+1)
-			gotCells, got := ta.fill(rc, qc, -1, 1)
+			ta.loadCodes(rc, qc)
+			gotCells, got := ta.fill(n, m, -1, 1, ta.vectorOK(n, m))
 			if got != want || gotCells != wantCells {
 				t.Fatalf("%d×%d tile, %+v (vector fill %v, %d lanes): H(n,m) %d over %d cells, scalar %d over %d",
 					n, m, sc, ta.vectorOK(n, m), ta.lanes, got, gotCells, want, wantCells)
@@ -71,7 +71,7 @@ func FuzzFill(f *testing.F) {
 				if tc.reversed {
 					r, q = dna.Reverse(ref), dna.Reverse(query)
 				}
-				want := AlignTile(r, q, tc.first, off, &sc)
+				want := walked(AlignTile(r, q, tc.first, off, &sc))
 				run := (*TileAligner).AlignTile
 				if tc.reversed {
 					run = (*TileAligner).AlignTileReversed

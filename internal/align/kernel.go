@@ -27,11 +27,12 @@ const MaxTileSide = 1 << 15
 //   - the pointer buffer (one byte per cell, in gactsim's per-PE bank
 //     layout, ptrIndex), score rows, precoded tile buffers, and
 //     traceback path grow monotonically and are reused across tiles;
-//   - each tile's sequences are pre-encoded to base codes once, and the
-//     inner loop reads substitution scores from a flat int16 LUT — no
-//     method calls, byte decodes, or N branches per DP cell (the
-//     software analogue of the hardware's ASCII→3-bit converter feeding
-//     the PE array, Section 7);
+//   - each tile's sequences are converted once, to the vector lanes'
+//     bytes or to base codes for the scalar passes, and the inner loops
+//     read substitution scores from a table (an int8 VPSHUFB table, a
+//     flat int16 LUT) — no method calls, byte decodes, or N branches
+//     per DP cell (the software analogue of the hardware's ASCII→3-bit
+//     converter feeding the PE array, Section 7);
 //   - DP rows are int32, not int; Scoring.Validate bounds the
 //     parameters so int32 cannot overflow for any tile the kernel
 //     accepts.
@@ -60,12 +61,13 @@ type TileAligner struct {
 	// Reusable state, grown monotonically.
 	ptr        []byte // pointer bytes, at ptrIndex
 	hRow, vRow []int32
-	rCode      []byte // precoded reference tile
-	qCode      []byte // precoded query tile
+	rCode      []byte // precoded reference tile, where a scalar pass reads it
+	qCode      []byte // precoded query tile, likewise
 	cig        Cigar  // traceback path buffer
 
 	// The best cell of the current first tile, written by the score
-	// pass (maxCell) alone; the pointer fills track no maximum.
+	// pass (maxCellScalar, maxCellVector, maxCellScreened) alone; the
+	// pointer fills track no maximum.
 	maxScore   int32
 	maxI, maxJ int
 
@@ -82,6 +84,11 @@ type TileAligner struct {
 	qVec   []byte
 	h8     []int8
 	h8In   []int8
+
+	// The first-tile batch's lane-major rows (batch.go): reference and
+	// query lane bytes and the int8 H row, grown to the widest batch.
+	bR, bQ []byte
+	bH     []int8
 }
 
 // NewTileAligner validates sc and returns an aligner with empty
@@ -122,9 +129,12 @@ func (a *TileAligner) Preallocate(side int) {
 }
 
 // AlignTile is the stateful equivalent of the package-level AlignTile:
-// identical arguments, identical result. The returned Cigar aliases
-// the aligner's internal buffer and is only valid until the next call;
-// callers that retain it across tiles must copy it first.
+// identical arguments, identical result, except that the Cigar comes
+// last step first — the order the traceback walks it in, without the
+// reversal a forward path costs; gact.Engine assembles a candidate's
+// path from its tiles' walks. The returned Cigar aliases the aligner's
+// internal buffer and is only valid until the next call; callers that
+// retain it across tiles must copy it first.
 func (a *TileAligner) AlignTile(rTile, qTile dna.Seq, firstTile bool, maxOff int) TileResult {
 	return a.align(rTile, qTile, firstMin(firstTile), maxOff, false)
 }
@@ -179,75 +189,106 @@ func (a *TileAligner) align(rTile, qTile dna.Seq, minFirst, maxOff int, reversed
 		if res.Score < minFirst {
 			res = TileResult{Score: res.Score, MaxI: res.MaxI, MaxJ: res.MaxJ}
 		}
+		res.Cigar.Reverse()
 		return res
 	}
 	if maxOff <= 0 {
 		maxOff = max(n, m)
 	}
 	a.grow(n+1, m+1)
-	var rc, qc []byte
-	if reversed {
-		rc = dna.AppendCodesReversed(a.rCode[:0], rTile)
-		qc = dna.AppendCodesReversed(a.qCode[:0], qTile)
-	} else {
-		rc = dna.AppendCodes(a.rCode[:0], rTile)
-		qc = dna.AppendCodes(a.qCode[:0], qTile)
+	// The tile's bases are converted once, for the passes that will
+	// read them: the vector passes' lanes straight from ASCII where they
+	// run, and the base codes where a scalar pass does — every pass where
+	// the vector ones cannot run, and an extension tile's bitvector
+	// tier.
+	vec := a.vectorOK(n, m)
+	if vec {
+		a.vectorTile(rTile, qTile, reversed)
 	}
-	a.rCode, a.qCode = rc, qc
+	if !vec || (minFirst == 0 && a.mode != KernelAuto) {
+		if reversed {
+			a.rCode = dna.AppendCodesReversed(a.rCode[:0], rTile)
+			a.qCode = dna.AppendCodesReversed(a.qCode[:0], qTile)
+		} else {
+			a.rCode = dna.AppendCodes(a.rCode[:0], rTile)
+			a.qCode = dna.AppendCodes(a.qCode[:0], qTile)
+		}
+	}
 
 	switch {
 	case minFirst > 0:
-		return a.firstTile(rc, qc, minFirst, maxOff)
-	case a.mode == KernelAuto && a.vectorOK(n, m):
-		return a.certifiedFill(rc, qc, maxOff)
+		return a.firstTile(n, m, minFirst, maxOff)
+	case a.mode == KernelAuto && vec:
+		return a.certifiedFill(n, m, maxOff)
 	case a.mode != KernelLUT:
-		return a.fillTrace(rc, qc, a.bitvectorBand(rc, qc), maxOff)
+		return a.fillTrace(n, m, a.bitvectorBand(a.rCode, a.qCode), maxOff, vec)
 	}
-	return a.fillTrace(rc, qc, -1, maxOff)
+	return a.fillTrace(n, m, -1, maxOff, vec)
 }
 
 // firstTile composes a first tile from the two things it is: a score
 // pass that locates the best cell (maxI, maxJ) — all the h_tile filter
 // reads — and, for a tile that passes, an extension tile over the
-// sub-tile rc[:maxI] × qc[:maxJ], which ends at that cell. H(i, j)
-// depends only on rc[:i] and qc[:j], so the sub-tile's matrix is the
-// full matrix's top-left corner, cell for cell and pointer for
-// pointer, and the traceback from its bottom-right cell is the
-// traceback from the full tile's best cell. The score pass has already
-// computed that cell's score exactly, so the band bound of bitvector.go
-// applies with S = maxScore and no bitvector pass.
+// sub-tile of its first maxI columns and maxJ rows, which ends at that
+// cell. H(i, j) depends only on the first i reference and j query
+// bases, so the sub-tile's matrix is the full matrix's top-left
+// corner, cell for cell and pointer for pointer, and the traceback from
+// its bottom-right cell is the traceback from the full tile's best
+// cell. The score pass has already computed that cell's score exactly,
+// so the band bound of bitvector.go applies with S = maxScore and no
+// bitvector pass.
 //
 // Under an h_tile threshold int8 lanes can decide, 1 < minScore ≤ 127,
 // the vector score pass is screened first (maxCellScreened): the same
-// result, with a rejected tile scored on int8 lanes alone.
-func (a *TileAligner) firstTile(rc, qc []byte, minScore, maxOff int) TileResult {
-	if 1 < minScore && minScore <= math.MaxInt8 && a.vectorOK(len(rc), len(qc)) {
-		a.maxCellScreened(rc, qc, minScore)
-	} else {
-		a.maxCell(rc, qc, a.open == a.ext)
+// result, with a rejected tile scored on int8 lanes alone. The sub-tile
+// is filled on whichever passes the tile was laid out for, even where
+// the vector ones would be exact on it alone: a tile past their int16
+// bound has no lanes.
+func (a *TileAligner) firstTile(n, m, minScore, maxOff int) TileResult {
+	vec := a.vectorOK(n, m)
+	switch {
+	case !vec:
+		a.maxCellScalar(a.rCode, a.qCode, a.open == a.ext)
+	case 1 < minScore && minScore <= math.MaxInt8:
+		a.maxCellScreened(n, m, minScore)
+	default:
+		a.maxCellVector(n, m)
 	}
 	score, maxI, maxJ := int(a.maxScore), a.maxI, a.maxJ
-	a.ks.LUTCells += int64(len(rc)) * int64(len(qc))
 	if score < minScore {
-		a.ks.LUTTiles++
+		a.CountRejectedFirstTile(n, m)
 		return TileResult{Score: score, MaxI: maxI, MaxJ: maxJ}
 	}
+	a.ks.LUTCells += int64(n) * int64(m) // the score pass's
 	band := -1
 	if a.mode != KernelLUT {
 		if b := a.gapBand(maxI, maxJ, score); 2*b+1 < min(maxI, maxJ) {
 			band = b
 		}
 	}
-	res := a.fillTrace(rc[:maxI], qc[:maxJ], band, maxOff)
+	if vec {
+		a.trimVector(n, maxI)
+	}
+	res := a.fillTrace(maxI, maxJ, band, maxOff, vec)
 	res.MaxI, res.MaxJ = maxI, maxJ
 	return res
 }
 
-// fillTrace fills the precoded tile — the full matrix when band < 0,
-// else the diagonal band bandCols describes — and traces back from the
+// CountRejectedFirstTile counts an n×m first tile rejected below its
+// h_tile threshold in KernelStats: one LUT tile of n·m cells, its score
+// pass. AlignFirstTile counts the tiles it rejects so; a caller that
+// rejects a tile ScoreFirstTiles scored calls it.
+func (a *TileAligner) CountRejectedFirstTile(n, m int) {
+	a.ks.LUTTiles++
+	a.ks.LUTCells += int64(n) * int64(m)
+}
+
+// fillTrace fills the n×m tile — the full matrix when band < 0, else
+// the diagonal band bandCols describes — and traces back from the
 // bottom-right cell, counting the tile under the tier that filled it.
-func (a *TileAligner) fillTrace(rc, qc []byte, band, maxOff int) TileResult {
-	cells, score := a.fill(rc, qc, band, traceTop(len(qc), maxOff))
+// vec says the tile was laid out for the vector passes (fill).
+func (a *TileAligner) fillTrace(n, m, band, maxOff int, vec bool) TileResult {
+	cells, score := a.fill(n, m, band, traceTop(m, maxOff), vec)
 	if band < 0 {
 		a.ks.LUTTiles++
 		a.ks.LUTCells += cells
@@ -255,7 +296,7 @@ func (a *TileAligner) fillTrace(rc, qc []byte, band, maxOff int) TileResult {
 		a.ks.BitvectorTiles++
 		a.ks.BitvectorCells += cells
 	}
-	return a.trace(len(rc), len(qc), score, maxOff)
+	return a.trace(n, m, score, maxOff)
 }
 
 // trace traces back from the bottom-right cell of the filled n×m tile,
@@ -272,17 +313,18 @@ func (a *TileAligner) trace(n, m, score, maxOff int) TileResult {
 // consumed maxOff query bases, so it reads no row above m − maxOff + 1.
 func traceTop(m, maxOff int) int { return m - maxOff + 1 }
 
-// fill writes the tile's pointers in query rows top … m and returns the
-// cells it counts and H(n, m), exact in-band. Where the vector score
-// pass is exact it runs on the same lanes (fillVector), which give the
-// rows above top H alone, elsewhere on the scalar rows (fillCoded),
+// fill writes the n×m tile's pointers in query rows top … m and
+// returns the cells it counts and H(n, m), exact in-band. With vec —
+// the tile was laid out for the vector passes, which vectorOK admits
+// for it — it runs on the lanes (fillVector), which give the rows above
+// top H alone, else on the scalar rows over the base codes (fillCoded),
 // which write every row's pointers; both leave the same traceback.
-func (a *TileAligner) fill(rc, qc []byte, band, top int) (cells int64, score int) {
-	if a.vectorOK(len(rc), len(qc)) {
-		return a.fillVector(rc, qc, band, top)
+func (a *TileAligner) fill(n, m, band, top int, vec bool) (cells int64, score int) {
+	if vec {
+		return a.fillVector(n, m, band, top)
 	}
-	cells = a.fillCoded(rc, qc, band, a.open == a.ext)
-	return cells, int(a.hRow[len(rc)])
+	cells = a.fillCoded(a.rCode[:n], a.qCode[:m], band, a.open == a.ext)
+	return cells, int(a.hRow[n])
 }
 
 // The pointer buffer is laid out as gactsim's traceback memory: the
@@ -321,18 +363,18 @@ func (a *TileAligner) grow(w, h int) {
 	if cap(a.qCode) < h {
 		a.qCode = make([]byte, 0, h)
 	}
-	// The vector passes' padding (vectorRows, vectorQuery,
-	// maxCellScreened): 63 columns either side of the reversed
-	// reference, 32 rows above the query and 64 below it, and the H
-	// rows' slack either side.
+	// The vector passes' padding (vectorTile, maxCellScreened): 63
+	// columns either side of the reversed reference, 32 rows above the
+	// query and 64 below it, each rounded up to the 32 bytes lane
+	// conversion takes at a time, and the H rows' slack either side.
 	if a.vecSub != nil && cap(a.h16) < w+95 {
 		a.h16 = make([]int16, w+95)
-		a.rRev = make([]byte, w+125)
+		a.rRev = make([]byte, w+156)
 		a.h8 = make([]int8, w+191)
 		a.h8In = make([]int8, 2*w)
 	}
-	if a.vecSub != nil && cap(a.qVec) < h+95 {
-		a.qVec = make([]byte, h+95)
+	if a.vecSub != nil && cap(a.qVec) < h+126 {
+		a.qVec = make([]byte, h+126)
 	}
 }
 
@@ -530,7 +572,7 @@ func linearRow(h []int32, p, rc []byte, lut [LUTStride]int16, diag, left, g int3
 
 // traceback walks the pointers of an n×m tile from its bottom-right
 // cell exactly like tracebackFrom, appending into the aligner's reused
-// path buffer. It reads no cell more than maxOff rows or columns from
+// path buffer, and returns the path last step first. It reads no cell more than maxOff rows or columns from
 // (n, m), which is what lets fill leave the rows above traceTop
 // without pointer bytes. It takes each run of one operation in an
 // inner loop and appends the run once.
@@ -600,5 +642,5 @@ walk:
 		}
 	}
 	a.cig = cig
-	return cig.Reverse(), n - i, m - j
+	return cig, n - i, m - j
 }

@@ -51,13 +51,13 @@ func TestQuickKernelMatchesReference(t *testing.T) {
 			if rng.Intn(3) > 0 {
 				maxOff = 1 + rng.Intn(96)
 			}
-			want := AlignTile(rTile, qTile, firstTile, maxOff, &sc)
+			want := walked(AlignTile(rTile, qTile, firstTile, maxOff, &sc))
 			got := ta.AlignTile(rTile, qTile, firstTile, maxOff)
 			if d := tileContractDiff(got, want, firstTile); d != "" {
 				t.Logf("forward mismatch (seed %d it %d): %s: got %+v want %+v", seed, it, d, got, want)
 				return false
 			}
-			wantRev := AlignTile(dna.Reverse(rTile), dna.Reverse(qTile), firstTile, maxOff, &sc)
+			wantRev := walked(AlignTile(dna.Reverse(rTile), dna.Reverse(qTile), firstTile, maxOff, &sc))
 			gotRev := ta.AlignTileReversed(rTile, qTile, firstTile, maxOff)
 			if d := tileContractDiff(gotRev, wantRev, firstTile); d != "" {
 				t.Logf("reversed mismatch (seed %d it %d): %s: got %+v want %+v", seed, it, d, gotRev, wantRev)
@@ -90,7 +90,7 @@ func TestKernelMatchesReferencePaperTiles(t *testing.T) {
 			}
 			first := it%2 == 0
 			maxOff := 384 - 128
-			want := AlignTile(rTile, qTile, first, maxOff, &sc)
+			want := walked(AlignTile(rTile, qTile, first, maxOff, &sc))
 			got := ta.AlignTile(rTile, qTile, first, maxOff)
 			if err := tileContractDiff(got, want, first); err != "" {
 				t.Fatalf("mode %v iteration %d: %s:\n got %+v\nwant %+v", mode, it, err, got, want)
@@ -112,12 +112,12 @@ func TestKernelOversizeFallback(t *testing.T) {
 	ta.maxSide = 16
 	rTile := dna.Random(rng, 40, 0.5)
 	qTile := mutate(rng, rTile, 0.2)
-	want := AlignTile(rTile, qTile, true, 0, &sc)
+	want := walked(AlignTile(rTile, qTile, true, 0, &sc))
 	got := ta.AlignTile(rTile, qTile, true, 0)
 	if d := tileContractDiff(got, want, true); d != "" {
 		t.Fatalf("fallback diverged: %s: got %+v want %+v", d, got, want)
 	}
-	wantRev := AlignTile(dna.Reverse(rTile), dna.Reverse(qTile), false, 24, &sc)
+	wantRev := walked(AlignTile(dna.Reverse(rTile), dna.Reverse(qTile), false, 24, &sc))
 	gotRev := ta.AlignTileReversed(rTile, qTile, false, 24)
 	if d := tileContractDiff(gotRev, wantRev, false); d != "" {
 		t.Fatalf("reversed fallback diverged: %s: got %+v want %+v", d, gotRev, wantRev)
@@ -171,4 +171,37 @@ func TestSubLUTMatchesSub(t *testing.T) {
 			}
 		}
 	}
+}
+
+// loadCodes sets the aligner's tile to the precoded rc × qc as align
+// lays a tile out: the base codes the scalar passes read and, where the
+// aligner has the vector passes, their lanes, from the bases the codes
+// stand for.
+func (a *TileAligner) loadCodes(rc, qc []byte) {
+	a.grow(len(rc)+1, len(qc)+1)
+	a.rCode, a.qCode = append(a.rCode[:0], rc...), append(a.qCode[:0], qc...)
+	if a.vecSub != nil {
+		a.vectorTile(codeBases(rc), codeBases(qc), false)
+	}
+}
+
+// codeBases is the ASCII sequence of base codes cs.
+func codeBases(cs []byte) dna.Seq {
+	s := make(dna.Seq, len(cs))
+	for i, c := range cs {
+		s[i] = dna.Base(c)
+	}
+	return s
+}
+
+// maxCell runs the score pass a first tile takes without a threshold
+// on the precoded tile: the vector pass where it is exact, which
+// requires linear, else the scalar one.
+func (a *TileAligner) maxCell(rc, qc []byte, linear bool) {
+	a.loadCodes(rc, qc)
+	if linear && a.vectorOK(len(rc), len(qc)) {
+		a.maxCellVector(len(rc), len(qc))
+		return
+	}
+	a.maxCellScalar(rc, qc, linear)
 }

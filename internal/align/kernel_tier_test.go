@@ -45,6 +45,14 @@ func cloneTile(res TileResult) TileResult {
 	return res
 }
 
+// walked is a package-level AlignTile result as TileAligner returns
+// it, its path last step first.
+func walked(res TileResult) TileResult {
+	res = cloneTile(res)
+	res.Cigar.Reverse()
+	return res
+}
+
 // tierSeq makes tile-tier-sized sequences, occasionally N-laced (which
 // must force the LUT path without changing results), with lengths
 // biased toward the 64-bit block boundaries the bitvector recurrence
@@ -143,8 +151,8 @@ func TestQuickKernelTiers(t *testing.T) {
 			if rng.Intn(3) > 0 {
 				maxOff = 1 + rng.Intn(200)
 			}
-			want := AlignTile(rTile, qTile, firstTile, maxOff, &sc)
-			wantRev := AlignTile(dna.Reverse(rTile), dna.Reverse(qTile), firstTile, maxOff, &sc)
+			want := walked(AlignTile(rTile, qTile, firstTile, maxOff, &sc))
+			wantRev := walked(AlignTile(dna.Reverse(rTile), dna.Reverse(qTile), firstTile, maxOff, &sc))
 			// A threshold on either side of the score, or absent.
 			minScore := rng.Intn(2*want.Score + 2)
 			wantMin := want
@@ -557,7 +565,7 @@ func BenchmarkCertifiedBand(b *testing.B) {
 					}
 					ta.rCode = dna.AppendCodes(ta.rCode[:0], r)
 					ta.qCode = dna.AppendCodes(ta.qCode[:0], q)
-					ta.certifiedFill(ta.rCode, ta.qCode, side-128)
+					ta.certifiedFill(len(r), len(q), side-128)
 				}
 				b.StopTimer()
 				ks := ta.KernelStats()

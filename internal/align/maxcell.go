@@ -20,19 +20,6 @@ import (
 // rows' left-to-right dependency chains overlap and the H row is read
 // and written once per row pair instead of once per row.
 
-// maxCell locates the highest-scoring cell of the precoded tile. With
-// linear set it runs the collapsed recurrence of linearPair, which
-// open == ext makes valid — on 32 AVX-512 or 16 AVX2 lanes
-// (maxcell_amd64.go) where the CPU has them and int16 cannot overflow —
-// and the affine one, which is valid always, otherwise.
-func (a *TileAligner) maxCell(rc, qc []byte, linear bool) {
-	if linear && a.vectorOK(len(rc), len(qc)) {
-		a.maxCellVector(rc, qc)
-		return
-	}
-	a.maxCellScalar(rc, qc, linear)
-}
-
 // vectorOK reports whether the vector passes are exact on an n×m tile:
 // the scoring fits its int8 table (vecSub set) and no cell can exceed
 // int16 — a local path aligns at most min(n, m) pairs, each worth at
@@ -61,8 +48,12 @@ func vectorSub(sc *Scoring) *[16]byte {
 	return &t
 }
 
-// maxCellScalar is maxCell on the scalar row pairs: the pass wherever
-// vectorOK does not hold, and the oracle of the vector one.
+// maxCellScalar locates the highest-scoring cell of the precoded tile
+// on the scalar row pairs. With linear set it runs the collapsed
+// recurrence of linearPair, which open == ext makes valid, and the
+// affine one, which is valid always, otherwise. It is the pass wherever
+// vectorOK does not hold — where it does, the vector one runs on 32
+// AVX-512 or 16 AVX2 lanes (maxcell_amd64.go) — and that pass's oracle.
 func (a *TileAligner) maxCellScalar(rc, qc []byte, linear bool) {
 	hRow, vRow := a.hRow[:len(rc)+1], a.vRow[:len(rc)+1]
 	for i := range hRow {

@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+
+	"darwin/internal/dna"
 )
 
 // This file is the score pass and the pointer fill on vector lanes:
@@ -14,7 +16,7 @@ import (
 // (linearBlock32, linearFill32) or 16 on AVX2 (linearBlock16,
 // linearFill16), run over one block of N_pe rows of the tile per call
 // and the blocks in ascending row order. It computes linearPair's and
-// linearRow's recurrence, so maxCell and fill take it only under
+// linearRow's recurrence, so firstTile and fill take it only under
 // open == ext, and only where int16 is exact (vectorOK).
 //
 // Lane r holds row j0+r and sits r columns behind lane r−1, so at step
@@ -194,74 +196,115 @@ func screenBlock64(rev *byte, h *int8, n int, q *[64]byte, sub *[16]byte, gap in
 //go:noescape
 func screenFind64(rev *byte, h *int8, n int, q *[64]byte, sub *[16]byte, gap int32, lane int, score int32) int
 
-// vectorRows prepares the vector passes' reference side for rc: the
-// padded reversed codes, N (4) as 0x84 and padding as 0x80, and an int16
-// H row of zeros. rev is the int16 passes' window of rRev, which pads
-// rc for the byte screen.
-func (a *TileAligner) vectorRows(rc []byte) (rev []byte, h []int16) {
-	n := len(rc)
-	wide := a.rRev[:n+126]
-	pad := wide[:63]
-	for k := range pad {
-		pad[k] = 0x80
-	}
-	copy(wide[n+63:], pad)
-	// Eight codes per word: reversed, each with its N bit (c&4)<<5.
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		x := binary.LittleEndian.Uint64(rc[i:])
-		binary.LittleEndian.PutUint64(wide[n+55-i:], bits.ReverseBytes64(x|(x&nBits)<<5))
-	}
-	for ; i < n; i++ {
-		c := rc[i]
-		wide[n+62-i] = c | (c&4)<<5
-	}
-	h = a.h16[:n+96]
-	clear(h)
-	return wide[32 : n+94], h
+// firstTileBatch32 scores 32 first tiles, one per byte lane, over the
+// lane-major rows ScoreFirstTiles builds: r and h n·32 bytes, q m·32
+// (batch.go). It leaves each lane's maximum, saturated at 127, in best.
+//
+//go:noescape
+func firstTileBatch32(r, q *byte, h *int8, n, m int, sub *[16]byte, gap int32, best *[32]int8)
+
+func firstTileBatch(r, q []byte, h []int8, n, m int, sub *[16]byte, gap int32, best *[BatchLanes]int8) {
+	firstTileBatch32(&r[0], &q[0], &h[0], n, m, sub, gap, best)
 }
 
-// nBits is bit 2 of every byte of a word: the N bit of a base code.
-const nBits = 0x0404040404040404
+// laneCodes32 maps n·32 ASCII bytes at p in place to lane bytes: a
+// base to code at the low nibble of its upper-case letter, where hi
+// holds that letter's high nibble, any other byte to 0x80 (batch.go).
+//
+//go:noescape
+func laneCodes32(p *byte, n int, hi, code *[16]byte)
 
-// vectorQuery is the vector passes' query side for qc, built once per
-// tile: row j's code shifted to q·4, N (4) as 0x90, at q[31+j], and
-// N rows (0x80) for the 32 rows above row 1 and the 64 below row m.
-// The lanes of a block whose first row is j0+1, j0 ≥ −32, read
-// q[32+j0:].
-func (a *TileAligner) vectorQuery(qc []byte) []byte {
-	m := len(qc)
-	q := a.qVec[:m+96]
+// laneCodes maps buf, a multiple of 32 bytes, in place from ASCII to
+// the lane bytes code gives the bases (laneRef or laneQuery).
+func laneCodes(buf []byte, code *[16]byte) {
+	if len(buf) > 0 {
+		laneCodes32(&buf[0], len(buf)/32, &laneHi, code)
+	}
+}
+
+// vectorTile lays the tile rTile × qTile — read back-to-front when
+// reversed — out for the vector passes, straight from ASCII: in rRev the
+// reference reversed, rRev[n+62−i] column i+1's code, with 63 pad bytes
+// either side, and in qVec row j's code shifted to q·4 at qVec[31+j],
+// with 32 pad rows above row 1 and 64 below row m. Each side is copied
+// in its order, then converted in place 32 bytes at a time
+// (laneCodes32), as the first-tile batch converts its lanes: a base to
+// its code, every other byte and the padding to 0x80, which scores 0.
+func (a *TileAligner) vectorTile(rTile, qTile dna.Seq, reversed bool) {
+	n, m := len(rTile), len(qTile)
+	wide := a.rRev[:(n+126+31)&^31]
+	for k := range wide[:63] {
+		wide[k] = laneN
+	}
+	if reversed {
+		copy(wide[63:], rTile)
+	} else {
+		reverseInto(wide[63:63+n], rTile)
+	}
+	for k := range wide[n+63:] {
+		wide[n+63+k] = laneN
+	}
+	laneCodes(wide, &laneRef)
+	q := a.qVec[:(m+96+31)&^31]
 	for k := range q[:32] {
-		q[k] = 0x80
+		q[k] = laneN
+	}
+	if reversed {
+		reverseInto(q[32:32+m], qTile)
+	} else {
+		copy(q[32:], qTile)
 	}
 	for k := range q[m+32:] {
-		q[m+32+k] = 0x80
+		q[m+32+k] = laneN
 	}
-	// Eight codes per word: a code is at most 4, so c<<2 stays in its
-	// byte.
-	j := 0
-	for ; j+8 <= m; j += 8 {
-		x := binary.LittleEndian.Uint64(qc[j:])
-		binary.LittleEndian.PutUint64(q[32+j:], x<<2|(x&nBits)<<5)
-	}
-	for ; j < m; j++ {
-		c := qc[j]
-		q[32+j] = c<<2 | (c&4)<<5
-	}
-	return q
+	laneCodes(q, &laneQuery)
 }
 
-// maxCellVector is maxCell's linear pass on the aligner's vector lanes.
-func (a *TileAligner) maxCellVector(rc, qc []byte) {
-	rev, h := a.vectorRows(rc)
+// reverseInto writes s to dst, len(dst) = len(s), last byte first,
+// eight bytes per word.
+func reverseInto(dst []byte, s dna.Seq) {
+	n := len(s)
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		binary.LittleEndian.PutUint64(dst[n-8-i:], bits.ReverseBytes64(binary.LittleEndian.Uint64(s[i:])))
+	}
+	for ; i < n; i++ {
+		dst[n-1-i] = s[i]
+	}
+}
+
+// trimVector cuts the tile vectorTile laid out, n columns wide, to its
+// first n2 columns for a pointer fill (fillVector) of its top-left
+// corner: the reversed reference moves forward by n − n2, so that
+// column n2 sits where the layout keeps the last column. The bytes right
+// of column n2 and the query rows below the corner are then the rest of
+// the tile, not padding, which a fill may leave: a cell depends on no
+// column to its right, so the lanes' cells there reach no cell of the
+// corner, and the fill's blocks end at the corner's last row.
+func (a *TileAligner) trimVector(n, n2 int) {
+	copy(a.rRev, a.rRev[n-n2:n+126])
+}
+
+// vectorRows is the int16 passes' view of an n-column tile's lanes: rev
+// the window of rRev from its 32nd byte, rev[n+30−t+r] column t−r+1's
+// code, and the int16 H row cleared, column c at h[64+c].
+func (a *TileAligner) vectorRows(n int) (rev []byte, h []int16) {
+	h = a.h16[:n+96]
+	clear(h)
+	return a.rRev[32 : n+94], h
+}
+
+// maxCellVector is maxCellScalar's linear pass on the aligner's vector
+// lanes, over the n×m tile vectorTile laid out.
+func (a *TileAligner) maxCellVector(n, m int) {
+	rev, h := a.vectorRows(n)
 	a.maxScore, a.maxI, a.maxJ = 0, 0, 0
-	a.scoreBlocks(rev, h, a.vectorQuery(qc), 0, len(qc))
+	a.scoreBlocks(rev, h, a.qVec, 0, m)
 }
 
 // scoreBlocks runs the int16 blocks of query rows j0+1 … j1, j0 a
-// multiple of the lane count, over vectorRows' and vectorQuery's arrays
-// with h holding row j0, and takes their best cell into maxScore, maxI
+// multiple of the lane count, over vectorRows' and qVec's arrays with h
+// holding row j0, and takes their best cell into maxScore, maxI
 // and maxJ.
 func (a *TileAligner) scoreBlocks(rev []byte, h []int16, qv []byte, j0, j1 int) {
 	n := len(rev) - 62
@@ -285,10 +328,9 @@ func (a *TileAligner) scoreBlocks(rev []byte, h []int16, qv []byte, j0, j1 int) 
 // the int16 blocks from the block that reaches minScore, or for a
 // rejected tile its best block rerun on bytes to the best cell's
 // column. It leaves maxCellVector's maxScore, maxI and maxJ.
-func (a *TileAligner) maxCellScreened(rc, qc []byte, minScore int) {
-	n, m := len(rc), len(qc)
-	rev, h := a.vectorRows(rc)
-	qv := a.vectorQuery(qc)
+func (a *TileAligner) maxCellScreened(n, m, minScore int) {
+	rev, h := a.vectorRows(n)
+	qv := a.qVec
 	wide, h8 := a.rRev[:n+126], a.h8[:n+192]
 	clear(h8)
 	// The input rows, columns 1…n, of this block and of the best one.
@@ -343,9 +385,9 @@ func (a *TileAligner) maxCellScreened(rc, qc []byte, minScore int) {
 }
 
 // fillVector is fillCoded's linear fill on the aligner's vector lanes,
-// for a tile vectorOK admits: the score pass's wavefront with
-// linearRow's selection in every lane, the 16-row blocks in the layout
-// of ptrIndex. The pad rows are N rows and compute as 0, the boundary
+// for an n×m tile vectorOK admits, laid out by vectorTile: the score
+// pass's wavefront with linearRow's selection in every lane, the 16-row
+// blocks in the layout of ptrIndex. The pad rows are N rows and compute as 0, the boundary
 // row above row 1, so after the last block h[64+n] is H(n, m). It
 // returns the cells fillCoded counts and H(n, m).
 //
@@ -366,10 +408,9 @@ func (a *TileAligner) maxCellScreened(rc, qc []byte, minScore int) {
 // bitvector.go and the recurrence's monotonicity the cells traceback
 // visits, and H(n, m), are exact; pointer bytes off its path may differ
 // from fillCoded's.
-func (a *TileAligner) fillVector(rc, qc []byte, band, top int) (cells int64, score int) {
-	n, m := len(rc), len(qc)
-	rev, h := a.vectorRows(rc)
-	qv := a.vectorQuery(qc)
+func (a *TileAligner) fillVector(n, m, band, top int) (cells int64, score int) {
+	rev, h := a.vectorRows(n)
+	qv := a.qVec
 	pad, blocks := -m&15, (m+15)/16
 	// Block b holds rows 16b − pad + 1 … 16b − pad + 16: it stores
 	// pointers from block ptrBlock on.

@@ -655,3 +655,166 @@ found64:
 	MOVQ R9, ret+64(FP)
 	VZEROUPPER
 	RET
+
+// func firstTileBatch32(r, q *byte, h *int8, n, m int, sub *[16]byte, gap int32, best *[32]int8)
+//
+// The first-tile batch (batch.go): 32 first tiles, one per byte lane,
+// scored together. Nothing crosses lanes: each lane runs the linear
+// local recurrence of its own tile over lane-major rows, r[32i+l]
+// column i+1's reference code of lane l, q[32j+l] row j+1's query code
+// shifted to q·4 (m rows, rounded up to even with an N row), and
+// h[32i+l] H at column i+1 of the row above, zero above row 1. H =
+// max(diag + W, max(up, left) − g): the saturating unsigned subtract
+// floors the gap terms at 0, and through them H, as SCREEN32 does.
+//
+// Two rows advance per pass over the columns, as in linearPair: row A
+// at column k+1 and row B, one behind, at column k, so B takes its up
+// and diagonal from A's registers, h is read and written once per row
+// pair, and the two rows' left-to-right chains overlap. A pass is a
+// prologue (A at column 1), n−1 steps (BATCHPAIR) and an epilogue (B at
+// column n, BATCHLAST).
+//
+// Registers: Y3 g in every byte, Y4 row B's H (its left), Y5 each
+// lane's maximum, Y8 and Y9 rows B's and A's query codes, Y10 the
+// substitution table in both 128-bit halves. Over a step, RPREV holds
+// column k's reference codes (loaded by the step before as RNEW), DIAGA
+// row A's diagonal H(j−1, k) (the step before's UP), HA row A's H at
+// column k and DB at column k−1, row B's up and diagonal. The unrolled
+// loop swaps the register pairs instead of moving values. R8 is column
+// k+1's byte offset into r and h, R12 the end, SI walks q.
+#define BATCHPAIR(RNEW, RPREV, UP, DIAGA, HA, DB) \
+	VMOVDQU (DI)(R8*1), RNEW; \
+	VMOVDQU (BX)(R8*1), UP; \
+	VPOR Y9, RNEW, Y11; \
+	VPSHUFB Y11, Y10, Y11; \
+	VPADDSB DIAGA, Y11, Y11; \
+	VPOR Y8, RPREV, Y14; \
+	VPSHUFB Y14, Y10, Y14; \
+	VPADDSB DB, Y14, Y14; \
+	VPMAXSB UP, HA, Y13; \
+	VPSUBUSB Y3, Y13, Y13; \
+	VPMAXSB Y11, Y13, DB; \
+	VPMAXSB HA, Y4, Y15; \
+	VPSUBUSB Y3, Y15, Y15; \
+	VPMAXSB Y14, Y15, Y4; \
+	VMOVDQU Y4, -32(BX)(R8*1); \
+	VPMAXSB DB, Y5, Y5; \
+	VPMAXSB Y4, Y5, Y5; \
+	ADDQ $32, R8
+
+// BATCHLAST is row B's step at column n, over BATCHPAIR's registers.
+#define BATCHLAST(RPREV, HA, DB) \
+	VPOR Y8, RPREV, Y14; \
+	VPSHUFB Y14, Y10, Y14; \
+	VPADDSB DB, Y14, Y14; \
+	VPMAXSB HA, Y4, Y15; \
+	VPSUBUSB Y3, Y15, Y15; \
+	VPMAXSB Y14, Y15, Y4; \
+	VMOVDQU Y4, -32(BX)(R8*1); \
+	VPMAXSB Y4, Y5, Y5
+
+TEXT ·firstTileBatch32(SB), NOSPLIT, $0-64
+	MOVQ r+0(FP), DI
+	MOVQ q+8(FP), SI
+	MOVQ h+16(FP), BX
+	MOVQ n+24(FP), R12
+	SHLQ $5, R12
+	MOVQ m+32(FP), DX
+	INCQ DX
+	SHRQ $1, DX // row pairs
+	MOVQ sub+40(FP), AX
+	VBROADCASTI128 (AX), Y10
+	MOVL gap+48(FP), AX
+	VMOVD AX, X3
+	VPBROADCASTB X3, Y3
+	VPXOR Y5, Y5, Y5
+
+batchrows:
+	VMOVDQU (SI), Y9
+	VMOVDQU 32(SI), Y8
+	// Row A at column 1: left and diagonal are column 0's zeros.
+	VMOVDQU (DI), Y7
+	VMOVDQU (BX), Y2
+	VPOR Y9, Y7, Y11
+	VPSHUFB Y11, Y10, Y11
+	VPSUBUSB Y3, Y2, Y13
+	VPMAXSB Y11, Y13, Y0
+	VPMAXSB Y0, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y4, Y4, Y4
+	MOVQ $32, R8
+
+batchcols:
+	CMPQ R8, R12
+	JEQ batchlast0
+	BATCHPAIR(Y12, Y7, Y1, Y2, Y0, Y6)
+	CMPQ R8, R12
+	JEQ batchlast1
+	BATCHPAIR(Y7, Y12, Y2, Y1, Y6, Y0)
+	JMP batchcols
+
+batchlast0:
+	BATCHLAST(Y7, Y0, Y6)
+	JMP batchnext
+
+batchlast1:
+	BATCHLAST(Y12, Y6, Y0)
+
+batchnext:
+	ADDQ $64, SI
+	DECQ DX
+	JNZ batchrows
+
+	MOVQ best+56(FP), AX
+	VMOVDQU Y5, (AX)
+	VZEROUPPER
+	RET
+
+// func laneCodes32(p *byte, n int, hi, code *[16]byte)
+//
+// Maps n·32 ASCII bytes at p, in place, to lane bytes (batch.go): a
+// base of ACGTacgt to code[lo], its low nibble's entry, and every other
+// byte to 0x80. Bit 5 folds lower case away, and a byte is a base
+// exactly when its high nibble is hi[lo]: hi holds A, C and G's 4 and
+// T's 5 at their low nibbles 1, 3, 7 and 4, and 0xFF, no nibble, at
+// the rest.
+//
+// Registers: Y6 0xDF, Y7 0x0F, Y8 0x80 in every byte, Y9 hi and Y10
+// code in both 128-bit halves.
+TEXT ·laneCodes32(SB), NOSPLIT, $0-32
+	MOVQ p+0(FP), DI
+	MOVQ n+8(FP), CX
+	MOVQ hi+16(FP), AX
+	VBROADCASTI128 (AX), Y9
+	MOVQ code+24(FP), AX
+	VBROADCASTI128 (AX), Y10
+	MOVL $0xDF, AX
+	VMOVD AX, X6
+	VPBROADCASTB X6, Y6
+	MOVL $0x0F, AX
+	VMOVD AX, X7
+	VPBROADCASTB X7, Y7
+	MOVL $0x80, AX
+	VMOVD AX, X8
+	VPBROADCASTB X8, Y8
+	TESTQ CX, CX
+	JZ codesdone
+
+codes:
+	VMOVDQU (DI), Y0
+	VPAND Y6, Y0, Y0
+	VPAND Y7, Y0, Y1 // low nibble
+	VPSRLW $4, Y0, Y2
+	VPAND Y7, Y2, Y2 // high nibble
+	VPSHUFB Y1, Y9, Y3
+	VPCMPEQB Y2, Y3, Y3 // a base
+	VPSHUFB Y1, Y10, Y4
+	VPBLENDVB Y3, Y4, Y8, Y0
+	VMOVDQU Y0, (DI)
+	ADDQ $32, DI
+	DECQ CX
+	JNZ codes
+
+codesdone:
+	VZEROUPPER
+	RET

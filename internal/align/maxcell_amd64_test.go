@@ -68,7 +68,8 @@ func TestVectorMaxCellMatchesScalar(t *testing.T) {
 		want := [3]int{int(ta.maxScore), ta.maxI, ta.maxJ}
 		for _, w := range laneWidths() {
 			ta.lanes = w
-			ta.maxCellVector(rc, qc)
+			ta.loadCodes(rc, qc)
+			ta.maxCellVector(len(rc), len(qc))
 			if got := [3]int{int(ta.maxScore), ta.maxI, ta.maxJ}; got != want {
 				t.Fatalf("%d×%d tile, %+v: %d-lane (score, i, j) %v, scalar %v\nref   %s\nquery %s",
 					len(rc), len(qc), sc, w, got, want, rTile, qTile)
@@ -216,12 +217,12 @@ func TestVectorFirstTileMatchesScalar(t *testing.T) {
 			t.Fatalf("%d×%d tile, %+v: %s\nref   %s\nquery %s", len(rTile), len(qTile), sc, d, rTile, qTile)
 		}
 		for _, minScore := range thresholds {
-			if minScore < 2 || minScore > 127 {
-				continue
+			if minScore < 2 || minScore > 127 || !s.vec[0].vectorOK(len(rc), len(qc)) {
+				continue // the screen's domain
 			}
 			for _, ta := range s.vec {
-				ta.grow(len(rc)+1, len(qc)+1)
-				ta.maxCellScreened(rc, qc, minScore)
+				ta.loadCodes(rc, qc)
+				ta.maxCellScreened(len(rc), len(qc), minScore)
 				if got := [3]int{int(ta.maxScore), ta.maxI, ta.maxJ}; got != want {
 					t.Fatalf("%d×%d tile, %+v, threshold %d: %d-lane screen (score, i, j) %v, scalar %v\nref   %s\nquery %s",
 						len(rc), len(qc), sc, minScore, ta.lanes, got, want, rTile, qTile)
@@ -294,6 +295,22 @@ func TestVectorFirstTileMatchesScalar(t *testing.T) {
 			rTile := tierSeq(rng, 1+rng.Intn(200))
 			qTile := mutate(rng, rTile, rng.Float64()*0.5)
 			check(t, sc, rTile, qTile, some(sc, rTile, qTile)...)
+		}
+	})
+	t.Run("int16-exact corner of a wider tile", func(t *testing.T) {
+		// Under a match of 86 or more a 384² tile is past int16's bound
+		// (384·86 > 32 767), so its lanes are never laid out, while a
+		// best cell at most 250 bases from the origin is within it
+		// (250·127 ≤ 32 767): the accepted tile's corner fill must run
+		// on the codes, not on lanes an earlier tile left.
+		for it := 0; it < 20; it++ {
+			sc := Simple(86+rng.Intn(42), 127, 127)
+			for range 2 {
+				k := 20 + rng.Intn(231)
+				rTile := dna.Random(rng, 384, 0.5)
+				qTile := append(slices.Clone(rTile[:k]), dna.Random(rng, 384-k, 0.5)...)
+				check(t, sc, rTile, qTile, some(sc, rTile, qTile)...)
+			}
 		}
 	})
 	t.Run("saturating repeats", func(t *testing.T) {
@@ -383,8 +400,8 @@ func TestVectorFillMatchesScalar(t *testing.T) {
 			if !vec.vectorOK(n, m) {
 				t.Fatalf("%d×%d tile under %+v is not vector-eligible", n, m, sc)
 			}
-			vec.grow(n+1, m+1)
-			if gotCells, got := vec.fillVector(rc, qc, -1, 1); got != want || gotCells != wantCells {
+			vec.loadCodes(rc, qc)
+			if gotCells, got := vec.fillVector(n, m, -1, 1); got != want || gotCells != wantCells {
 				t.Fatalf("%d×%d tile, %+v: %d-lane H(n,m) %d over %d cells, scalar %d over %d\nref   %s\nquery %s",
 					n, m, sc, vec.lanes, got, gotCells, want, wantCells, rTile, qTile)
 			}
@@ -529,8 +546,8 @@ func TestVectorFillMatchesScalar(t *testing.T) {
 			wantCig, wantI, wantJ := s.scalar.traceback(n, m, max(n, m))
 			wantCig = slices.Clone(wantCig)
 			for _, vec := range s.vec {
-				vec.grow(n+1, m+1)
-				gotCells, got := vec.fillVector(rc, qc, band, 1)
+				vec.loadCodes(rc, qc)
+				gotCells, got := vec.fillVector(n, m, band, 1)
 				cig, i, j := vec.traceback(n, m, max(n, m))
 				if got != want || gotCells != wantCells || i != wantI || j != wantJ || !slices.Equal(cig, wantCig) {
 					t.Fatalf("%d×%d tile, %+v, band %d: %d-lane H(n,m) %d over %d cells, path %v (%d, %d); scalar %d over %d, %v (%d, %d)\nref   %s\nquery %s",
@@ -630,19 +647,19 @@ func TestVectorFillTopRows(t *testing.T) {
 			offs = append(offs, 192)
 		}
 		for _, ta := range tas {
-			ta.grow(n+1, m+1)
+			ta.loadCodes(rc, qc)
 			for _, maxOff := range offs {
 				if maxOff < 1 {
 					continue
 				}
 				top := traceTop(m, maxOff)
-				ref := AlignTile(rTile, qTile, false, maxOff, &sc)
+				ref := walked(AlignTile(rTile, qTile, false, maxOff, &sc))
 				for _, bd := range []int{-1, band} {
 					ptr := ta.ptr[:ptrLen(n, m)]
 					for k := range ptr {
 						ptr[k] = 0xff
 					}
-					cells, got := ta.fillVector(rc, qc, bd, top)
+					cells, got := ta.fillVector(n, m, bd, top)
 					cellsWant := wantCells
 					if bd >= 0 {
 						cellsWant = wantBandCells

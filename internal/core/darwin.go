@@ -307,13 +307,17 @@ func (d *Darwin) MapRead(q dna.Seq) ([]ReadAlignment, MapStats) {
 // overlap step clips to the target read and drops self-hits this way.
 // Returned coordinates are global either way.
 func (d *Darwin) mapRead(w *Worker, q dna.Seq, window func(refPos int) (lo, hi int, ok bool)) ([]ReadAlignment, MapStats) {
-	var out []ReadAlignment
 	var stats MapStats
+	// Both strands' candidates go to GACT in one batch: the forward
+	// strand's are the first nFwd.
+	ext, nFwd := w.Extensions(), 0
+	w.winLo = w.winLo[:0]
 	for _, rev := range []bool{false, true} {
 		query := q
 		if rev {
 			w.revBuf = dna.AppendRevComp(w.revBuf[:0], q)
 			query = w.revBuf
+			nFwd = len(ext)
 		}
 		start := time.Now()
 		cands, dst := w.Query(query)
@@ -324,8 +328,6 @@ func (d *Darwin) mapRead(w *Worker, q dna.Seq, window func(refPos int) (lo, hi i
 		if d.cfg.MaxCandidates > 0 && len(cands) > d.cfg.MaxCandidates {
 			cands = cands[:d.cfg.MaxCandidates]
 		}
-
-		start = time.Now()
 		for _, c := range cands {
 			lo, hi := 0, len(d.ref)
 			if window != nil {
@@ -334,18 +336,24 @@ func (d *Darwin) mapRead(w *Worker, q dna.Seq, window func(refPos int) (lo, hi i
 					continue
 				}
 			}
-			res, gst, err := w.Engine.Extend(d.ref[lo:hi], query, c.RefPos-lo, c.QueryPos)
-			if err != nil {
-				continue // invalid anchor geometry; candidate is unusable
-			}
-			if res != nil {
-				res.RefStart += lo
-				res.RefEnd += lo
-			}
-			out = stats.AddExtension(out, res, gst, rev)
+			ext = append(ext, gact.Candidate{R: d.ref[lo:hi], Q: query, ISeed: c.RefPos - lo, JSeed: c.QueryPos})
+			w.winLo = append(w.winLo, lo)
 		}
-		stats.AlignmentTime += time.Since(start)
 	}
+
+	start := time.Now()
+	var out []ReadAlignment
+	for k, o := range w.Extend(ext) {
+		if o.Err != nil {
+			continue // invalid anchor geometry; candidate is unusable
+		}
+		if o.Res != nil {
+			o.Res.RefStart += w.winLo[k]
+			o.Res.RefEnd += w.winLo[k]
+		}
+		out = stats.AddExtension(out, o.Res, o.Stats, k >= nFwd)
+	}
+	stats.AlignmentTime += time.Since(start)
 	return out, stats
 }
 

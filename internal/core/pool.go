@@ -12,15 +12,19 @@ import (
 
 // Worker is one goroutine's private mapping machinery — the hardware's
 // per-array SRAM: a D-SOFT filter (bin counts), a GACT engine
-// (traceback) and the buffers a read reuses (its candidates and its
-// reverse complement). Everything else an engine holds is immutable
-// and shared.
+// (traceback) and the buffers a read reuses (its candidates, its
+// reverse complement, its GACT candidates over both strands, their
+// outcomes and, in mapRead, each one's reference window offset).
+// Everything else an engine holds is immutable and shared.
 type Worker struct {
 	Filter *dsoft.Filter
 	Engine *gact.Engine
 
 	cands  []dsoft.Candidate
 	revBuf dna.Seq
+	ext    []gact.Candidate
+	outs   []gact.Outcome
+	winLo  []int
 }
 
 // newWorker derives the filter and GACT engine cfg describes; it is the
@@ -53,6 +57,25 @@ func (w *Worker) Query(q dna.Seq) ([]dsoft.Candidate, dsoft.Stats) {
 	cands, st := w.Filter.QueryInto(q, w.cands[:0])
 	w.cands = cands
 	return cands, st
+}
+
+// Extensions returns the worker's reused GACT candidate buffer, empty,
+// for a read's candidates over both strands; hand it, appended to, to
+// Extend.
+func (w *Worker) Extensions() []gact.Candidate { return w.ext[:0] }
+
+// Extend runs the GACT extension of a read's candidates, cands, in one
+// gact.Engine.ExtendBatch call, and returns their outcomes in order,
+// valid until the worker's next Extend. It keeps cands' storage for the
+// worker's next Extensions.
+func (w *Worker) Extend(cands []gact.Candidate) []gact.Outcome {
+	w.ext = cands
+	if cap(w.outs) < len(cands) {
+		w.outs = make([]gact.Outcome, len(cands))
+	}
+	outs := w.outs[:len(cands)]
+	w.Engine.ExtendBatch(cands, outs)
+	return outs
 }
 
 // Pool is an engine's free list of Workers, the one place both engines

@@ -16,8 +16,9 @@ import (
 
 // The Engine's contract with its callers' garbage collector: a
 // candidate the h_tile filter rejects — the common case downstream of
-// D-SOFT — allocates nothing, and an accepted one allocates only the
-// Result it returns: the struct and its cigar.
+// D-SOFT — allocates nothing, whether Extend or a batch rejects it (a
+// batch's buffers grow once and are reused), and an accepted one
+// allocates only the Result it returns: the struct and its cigar.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MinFirstTile = 90
@@ -38,6 +39,24 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("rejected Extend allocates %.1f times per call, want 0", n)
+	}
+	// A full chunk and a tail of rejected candidates: the batch where the
+	// platform has it, Extend for the tail and elsewhere.
+	junks := make([]Candidate, 40)
+	for k := range junks {
+		junks[k] = Candidate{R: ref, Q: junk, ISeed: iSeed + 7*k, JSeed: k}
+	}
+	outs := make([]Outcome, len(junks))
+	engine.ExtendBatch(junks, outs)
+	if n := testing.AllocsPerRun(20, func() {
+		engine.ExtendBatch(junks, outs)
+		for _, o := range outs {
+			if o.Res != nil || o.Err != nil {
+				t.Fatalf("junk candidate: res=%v err=%v, want rejection", o.Res, o.Err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("ExtendBatch of %d rejected candidates allocates %.1f times per call, want 0", len(junks), n)
 	}
 	if n := testing.AllocsPerRun(20, func() {
 		if res, _, _ := engine.Extend(ref, query, iSeed, jSeed); res == nil {

@@ -2,7 +2,6 @@ package gact
 
 import (
 	"fmt"
-	"slices"
 
 	"darwin/internal/align"
 	"darwin/internal/dna"
@@ -19,7 +18,7 @@ var fpExtend = faults.Default.Point("gact/extend")
 // Engine is the GACT aligner every mapping path runs (Algorithm 2
 // with the per-candidate allocations hoisted into reusable state;
 // oracle_test.go holds the plain reference it must match). It owns a
-// TileAligner (the allocation-free DP kernel) and a buffer the
+// TileAligner (the allocation-free DP kernel) and the buffers the
 // candidate's path is assembled in, so a rejected candidate — the
 // common case downstream of D-SOFT — costs no heap allocation at all
 // (nor, since the kernel is told the h_tile threshold, a pointer
@@ -28,7 +27,7 @@ var fpExtend = faults.Default.Point("gact/extend")
 //
 // Right extension runs on the reversed coordinate frame without ever
 // materializing reversed sequences: tiles are cut from the forward
-// slices and precoded back-to-front by TileAligner.AlignTileReversed,
+// slices and read back-to-front by TileAligner.AlignTileReversed,
 // so no candidate pays for whole-sequence dna.Reverse copies.
 //
 // An Engine is not safe for concurrent use; each core.Worker owns one,
@@ -40,14 +39,24 @@ type Engine struct {
 	// span is the per-read trace sink Extend records into when set.
 	span *obs.Span
 
-	// path is the current candidate's alignment under assembly (see
-	// Extend), reused across Extend calls.
-	path align.Cigar
+	// The current candidate's path under assembly (see Extend), in two
+	// halves reused across Extend calls: left[lo:] from its start to the
+	// first tile's best cell, built front-first, and right the rest.
+	left  align.Cigar
+	lo    int
+	right align.Cigar
 
 	// lastKS is the kernel-stat snapshot at the end of the previous
 	// Extend, so publishKernel can emit per-call deltas to the shared
 	// counters.
 	lastKS align.KernelStats
+
+	// ExtendBatch's per-chunk state (batch.go): the lanes' first-tile
+	// windows, each candidate's lane (−1 for none), and the lanes'
+	// scores.
+	batchR, batchQ []dna.Seq
+	batchLane      []int
+	batchScore     [align.BatchLanes]int
 }
 
 // NewEngine validates cfg and returns an engine whose kernel buffers
@@ -100,17 +109,13 @@ func (e *Engine) SetSpan(sp *obs.Span) { e.span = sp }
 func (e *Engine) Extend(R, Q dna.Seq, iSeed, jSeed int) (res *align.Result, stats Stats, err error) {
 	sp := e.span
 	if sp != nil {
-		defer func() {
-			sp.AddAttr("gact_extensions", 1)
-			sp.AddAttr("gact_tiles", int64(stats.Tiles))
-			sp.AddAttr("gact_cells", stats.Cells)
-		}()
+		defer func() { e.addSpanAttrs(stats) }()
 	}
 	cfg := &e.cfg
 	if err := fpExtend.Fire(); err != nil {
 		return nil, stats, err
 	}
-	if iSeed < 0 || iSeed >= len(R) || jSeed < 0 || jSeed >= len(Q) {
+	if !anchorOK(R, Q, iSeed, jSeed) {
 		return nil, stats, fmt.Errorf("gact: seed position (%d,%d) outside R[0,%d) × Q[0,%d)", iSeed, jSeed, len(R), len(Q))
 	}
 	stage := tAlign.Start(nil)
@@ -154,30 +159,48 @@ func (e *Engine) Extend(R, Q dna.Seq, iSeed, jSeed int) (res *align.Result, stat
 	curI := rightI - first.IOff
 	curJ := rightJ - first.JOff
 
-	// The path is assembled in one buffer without knowing the tile count
-	// up front: first.Cigar (which aliases the kernel's buffer) goes in
-	// back-to-front, then each left tile's path back-to-front, so
-	// reversing the buffer yields the left tiles outermost-first followed
-	// by the first tile. Right extension runs as a left extension in the
-	// mirrored coordinate frame, where a tile's path read back-to-front is
-	// its forward-frame path, so its tiles append in order.
-	e.path = appendReversed(e.path[:0], first.Cigar)
+	// The tiles' paths come back last step first (TileAligner.AlignTile), the
+	// order their tracebacks walk them. From the first tile's best cell
+	// the left tiles walk towards the start, so each walk goes in front
+	// of the left half (prependWalk); right extension runs as a left
+	// extension in the mirrored coordinate frame, where a walk is in
+	// forward order, so its tiles append to the right half in order.
+	e.lo = len(e.left)
+	e.prependWalk(first.Cigar)
 	leftI, leftJ := e.extendDir(R, Q, curI, curJ, &stats, false)
-	e.path.Reverse()
+	e.right = e.right[:0]
 	revI, revJ := e.extendDir(R, Q, len(R)-rightI, len(Q)-rightJ, &stats, true)
 	rightI = len(R) - revI
 	rightJ = len(Q) - revJ
 
+	left := e.left[e.lo:]
+	path := append(make(align.Cigar, 0, len(left)+len(e.right)), left...)
 	res = &align.Result{
 		RefStart:   leftI,
 		RefEnd:     rightI,
 		QueryStart: leftJ,
 		QueryEnd:   rightJ,
-		Cigar:      slices.Clone(e.path),
+		Cigar:      appendWalk(path, e.right),
 	}
 	res.Score = res.Rescore(R, Q, &cfg.Scoring)
 	stats.publish(false)
 	return res, stats, nil
+}
+
+// anchorOK reports whether (iSeed, jSeed) lies in R × Q, as Extend
+// requires.
+func anchorOK(R, Q dna.Seq, iSeed, jSeed int) bool {
+	return 0 <= iSeed && iSeed < len(R) && 0 <= jSeed && jSeed < len(Q)
+}
+
+// addSpanAttrs folds one candidate's extension into the span's
+// aggregate attributes, if a span is set.
+func (e *Engine) addSpanAttrs(stats Stats) {
+	if sp := e.span; sp != nil {
+		sp.AddAttr("gact_extensions", 1)
+		sp.AddAttr("gact_tiles", int64(stats.Tiles))
+		sp.AddAttr("gact_cells", stats.Cells)
+	}
 }
 
 // KernelStats returns the cumulative kernel-tier counters of the
@@ -199,11 +222,12 @@ func (e *Engine) publishKernel() {
 }
 
 // extendDir runs Algorithm 2's non-first-tile loop from (iCurr, jCurr)
-// until a tile consumes nothing or a sequence start is reached,
-// appending each consumed tile's path back-to-front to e.path, and
-// returns the final left-end coordinates. With rev set, (iCurr, jCurr)
-// and the returned coordinates are in the reversed frame — position x
-// of Reverse(R) — and each tile is cut from the forward slices:
+// until a tile consumes nothing or a sequence start is reached, putting
+// each consumed tile's walk in front of e's left half, or with rev at
+// the end of its right half, and returns the final left-end
+// coordinates. With rev set, (iCurr, jCurr) and the returned
+// coordinates are in the reversed frame — position x of Reverse(R) —
+// and each tile is cut from the forward slices:
 // reversed-frame rR[iStart:iCurr] is R[len(R)−iCurr : len(R)−iStart]
 // read back-to-front, which AlignTileReversed precodes directly.
 func (e *Engine) extendDir(R, Q dna.Seq, iCurr, jCurr int, stats *Stats, rev bool) (int, int) {
@@ -221,24 +245,45 @@ func (e *Engine) extendDir(R, Q dna.Seq, iCurr, jCurr int, stats *Stats, rev boo
 		if res.IOff == 0 && res.JOff == 0 {
 			break
 		}
-		e.path = appendReversed(e.path, res.Cigar)
+		if rev {
+			e.right = appendWalk(e.right, res.Cigar)
+		} else {
+			e.prependWalk(res.Cigar)
+		}
 		iCurr -= res.IOff
 		jCurr -= res.JOff
 	}
 	return iCurr, jCurr
 }
 
-// appendReversed appends c's steps to dst last to first, merging runs
-// as Concat does. c is canonical (positive runs, no two adjacent runs
-// of one op), so only its last step can merge with dst's tail; the rest
-// go in as one copy, reversed in place.
-func appendReversed(dst, c align.Cigar) align.Cigar {
+// prependWalk puts a tile's walk c, its path last step first, in front
+// of the left half e.left[e.lo:], which so stays in forward order,
+// merging runs as Concat does: c is canonical (positive runs, no two
+// adjacent runs of one op), so only its first step can merge. A full
+// buffer is regrown with the half at the end of one twice the size.
+func (e *Engine) prependWalk(c align.Cigar) {
+	if len(c) > 0 && e.lo < len(e.left) && e.left[e.lo].Op == c[0].Op {
+		e.left[e.lo].Len += c[0].Len
+		c = c[1:]
+	}
+	if e.lo < len(c) {
+		half := e.left[e.lo:]
+		grown := make(align.Cigar, 2*(len(e.left)+len(c)))
+		e.lo = len(grown) - len(half)
+		copy(grown[e.lo:], half)
+		e.left = grown
+	}
+	for _, s := range c {
+		e.lo--
+		e.left[e.lo] = s
+	}
+}
+
+// appendWalk appends c's steps to dst in order, merging the junction
+// run as Concat does; the rest go in as one copy.
+func appendWalk(dst, c align.Cigar) align.Cigar {
 	if len(c) == 0 {
 		return dst
 	}
-	dst = dst.Concat(c[len(c)-1:])
-	n := len(dst)
-	dst = append(dst, c[:len(c)-1]...)
-	slices.Reverse(dst[n:])
-	return dst
+	return append(dst.Concat(c[:1]), c[1:]...)
 }

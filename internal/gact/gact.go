@@ -26,11 +26,16 @@ import (
 // gact/first_tile spent on tiles the filter then discarded, so
 // first_tile_reject ÷ stage/align is the share of alignment time that
 // bought nothing, and gact/extend (record-only), the stage/align time
-// of accepted candidates, is about the rest. With tracing on,
-// stage/align and gact/first_tile each add one trace event per Extend;
-// extension tiles have no timer and no event of their own — their time
-// is stage/align less its gact/first_tile child (and BenchmarkAlignTile
-// measures one tile).
+// of accepted candidates, is about the rest. stage/align and
+// gact/first_tile record one interval (one observation, and with
+// tracing on one trace event) per Extend call and one per first-tile
+// batch call (ExtendBatch), which covers up to align.BatchLanes first
+// tiles: their counts are calls, not candidates or tiles, so their
+// time over their count is not a time per tile. gact/first_tile_reject
+// records one observation per rejected tile, a batch's rejected lanes
+// each taking their share of its interval. Extension tiles have no
+// timer and no event of their own — their time is stage/align less its
+// gact/first_tile child (and BenchmarkAlignTile measures one tile).
 var (
 	cExtensions   = obs.Default.Counter("gact/extensions")
 	cTiles        = obs.Default.Counter("gact/tiles")

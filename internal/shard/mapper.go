@@ -10,6 +10,7 @@ import (
 	"darwin/internal/core"
 	"darwin/internal/dna"
 	"darwin/internal/dsoft"
+	"darwin/internal/gact"
 	"darwin/internal/obs"
 )
 
@@ -340,35 +341,45 @@ func truncate[T any](cs []T, limit int) []T {
 }
 
 // gather is one read's gather phase: per strand, order the scattered
-// candidates, keep the first limit, GACT-extend each against the full
-// reference at its global anchor and fold the outcome into the read's
-// alignments and statistics. It runs inside core.Batch.Read, which
-// supplies panic isolation and the fault point.
+// candidates and keep the first limit; then GACT-extend both strands'
+// candidates in one batch against the full reference at their global
+// anchors and fold each outcome, in order, into the read's alignments
+// and statistics. It runs inside core.Batch.Read, which supplies panic
+// isolation and the fault point.
 func (m *ScatterMapper) gather(w *core.Worker, pr *perRead, fwd, rev dna.Seq, limit int, sub *ReadScatter) ([]core.ReadAlignment, core.MapStats, error) {
 	if pr.err != nil {
 		return nil, core.MapStats{}, pr.err
 	}
-	var alns []core.ReadAlignment
 	stats := pr.stats
+	ext := w.Extensions()
+	var kept [2][]gcand
 	for strand, query := range []dna.Seq{fwd, rev} {
 		cs := pr.strand[strand]
 		sortCandidates(cs, func(c gcand) (int, int) { return c.QueryPos, c.RefPos })
 		stats.Candidates += len(cs)
-		cs = truncate(cs, limit)
+		kept[strand] = truncate(cs, limit)
+		for _, c := range kept[strand] {
+			ext = append(ext, gact.Candidate{R: m.set.ref, Q: query, ISeed: c.RefPos, JSeed: c.QueryPos})
+		}
+	}
+	start := time.Now()
+	outs := w.Extend(ext)
+	var alns []core.ReadAlignment
+	for strand, cs := range kept {
 		if sub != nil {
 			sub.Strand[strand] = make([]CandExt, 0, len(cs))
 		}
-		start := time.Now()
 		for _, c := range cs {
-			res, gst, err := w.Engine.Extend(m.set.ref, query, c.RefPos, c.QueryPos)
-			if err == nil { // else invalid anchor geometry; candidate is unusable
-				alns = stats.AddExtension(alns, res, gst, strand == 1)
+			o := outs[0]
+			outs = outs[1:]
+			if o.Err == nil { // else invalid anchor geometry; candidate is unusable
+				alns = stats.AddExtension(alns, o.Res, o.Stats, strand == 1)
 			}
 			if sub != nil {
-				sub.Strand[strand] = append(sub.Strand[strand], wireForm(c, res, gst, err))
+				sub.Strand[strand] = append(sub.Strand[strand], wireForm(c, o.Res, o.Stats, o.Err))
 			}
 		}
-		stats.AlignmentTime += time.Since(start)
 	}
+	stats.AlignmentTime += time.Since(start)
 	return alns, stats, nil
 }
