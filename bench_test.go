@@ -192,11 +192,13 @@ func benchTile(b *testing.B, sc *align.Scoring, mode align.KernelMode, ref, q dn
 // BenchmarkGACTTile above is the allocating reference oracle — under
 // the paper's linear scoring (open == ext, the linear-gap pointer fill)
 // and under an affine one (open > ext, the affine fill). auto is the
-// production path: the full vector fill for the linear scoring on amd64
-// with AVX2, the Myers pass, rescore and banded fill otherwise, then
-// traceback; lut is the full fill and traceback alone, so its
-// ns/filled_cell is the fill loop's cost per cell. internal/align's
-// BenchmarkAlignTile times each vector width the CPU has.
+// production path: the vector fill for the linear scoring on amd64
+// with AVX2 (on byte lanes first on AVX-512BW), in the band its
+// predecessor's score guesses, the Myers pass, rescore and banded fill
+// otherwise, then traceback; lut is the full fill and traceback alone,
+// so its ns/filled_cell is the fill loop's cost per cell.
+// internal/align's BenchmarkAlignTile times each vector width the CPU
+// has.
 func BenchmarkAlignTile(b *testing.B) {
 	ref, q := anchoredTile(b, readsim.PacBio, 320)
 	affine := align.GACTEval()
@@ -258,11 +260,12 @@ func BenchmarkProfitGate(b *testing.B) {
 // the h_tile filter sees costs — from an ONT_1D read against its own
 // region and against an unrelated one, under the paper's scoring. At
 // the production h_tile of 90 (htile90) the unrelated tile is rejected
-// on the int8 screen and the related one accepted and traced back;
+// on the byte screen and the related one accepted and traced back;
 // with the threshold above any score a 384² tile can reach (int16,
-// side+1) both are rejected on the int16 score pass alone, the screen's
-// reference. ns/cell is the production pass (the widest vector lanes
-// the CPU has on amd64, the scalar row pairs under -tags purego);
+// side+1) both are rejected on the score pass alone: the int16 one on
+// AVX2, the byte screen on AVX-512BW, where it holds every score below
+// 255. ns/cell is the production pass (the widest vector lanes the CPU
+// has on amd64, the scalar row pairs under -tags purego);
 // internal/align's BenchmarkScorePass times each width.
 func BenchmarkScorePass(b *testing.B) {
 	const side = 384

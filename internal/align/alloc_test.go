@@ -55,7 +55,7 @@ func testTileAlignerAllocs(t *testing.T, sc Scoring, lanes int) {
 		t.Fatal(err)
 	}
 	if lanes > 0 {
-		ta.lanes = lanes
+		ta.setWidth(lanes)
 	}
 	rTile := dna.Random(rng, 384, 0.45)
 	qTile := mutate(rng, rTile, 0.15)
@@ -78,6 +78,16 @@ func testTileAlignerAllocs(t *testing.T, sc Scoring, lanes int) {
 		ta.AlignTileReversed(rTile, qTile, false, 192)
 	}); n != 0 {
 		t.Errorf("AlignTileReversed steady state allocates %.1f times per call, want 0", n)
+	}
+	// An identical 320² tile after a 15 %-error one: predicted from the
+	// latter's score to fit byte lanes, it scores past 255, and the byte
+	// fill hands it to the int16 lanes.
+	same := rTile[:320]
+	if n := testing.AllocsPerRun(100, func() {
+		ta.AlignTile(rTile, qTile, false, 192)
+		ta.AlignTile(same, same, false, 192)
+	}); n != 0 {
+		t.Errorf("a saturating tile's steady state allocates %.1f times per call, want 0", n)
 	}
 
 	// First tiles under an h_tile threshold: one rejected on its score
@@ -124,7 +134,7 @@ func testBitvectorAllocs(t *testing.T, sc Scoring, lanes int) {
 		t.Fatal(err)
 	}
 	if lanes > 0 {
-		ta.lanes = lanes
+		ta.setWidth(lanes)
 	}
 	ta.SetKernel(KernelBitvector)
 	rTile := dna.Random(rng, 320, 0.45)

@@ -208,7 +208,7 @@ func (a *TileAligner) certifiedFill(n, m, maxOff int) TileResult {
 	if a.gapBand(n, m, score) <= band {
 		a.ks.BitvectorTiles++
 		a.ks.BitvectorCells += cells
-		return a.trace(n, m, score, maxOff)
+		return a.trace(n, m, score, maxOff, vec)
 	}
 	a.ks.FallbackTiles++
 	a.ks.LUTCells += cells

@@ -46,13 +46,13 @@ func FuzzFill(f *testing.F) {
 			gotCells, got := ta.fill(n, m, -1, 1, ta.vectorOK(n, m))
 			if got != want || gotCells != wantCells {
 				t.Fatalf("%d×%d tile, %+v (vector fill %v, %d lanes): H(n,m) %d over %d cells, scalar %d over %d",
-					n, m, sc, ta.vectorOK(n, m), ta.lanes, got, gotCells, want, wantCells)
+					n, m, sc, ta.vectorOK(n, m), ta.width(), got, gotCells, want, wantCells)
 			}
 			for j := 1; j <= m; j++ {
 				for i := 1; i <= n; i++ {
 					if got, want := ta.ptr[ptrIndex(n, m, i, j)], scalar.ptr[ptrIndex(n, m, i, j)]; got != want {
 						t.Fatalf("%d×%d tile, %+v (vector fill %v, %d lanes): ptr(%d,%d) = %04b, scalar %04b",
-							n, m, sc, ta.vectorOK(n, m), ta.lanes, i, j, got, want)
+							n, m, sc, ta.vectorOK(n, m), ta.width(), i, j, got, want)
 					}
 				}
 			}
@@ -80,11 +80,11 @@ func FuzzFill(f *testing.F) {
 				got := run(ta, ref, query, tc.first, off)
 				run(scalar, ref, query, tc.first, off)
 				if d := tileContractDiff(got, want, tc.first); d != "" {
-					t.Fatalf("%s %s tile %d×%d, %+v, maxOff %d, %d lanes: %s\n got %+v\nwant %+v", kernelName[km], tc.name, n, m, sc, off, ta.lanes, d, got, want)
+					t.Fatalf("%s %s tile %d×%d, %+v, maxOff %d, %d lanes: %s\n got %+v\nwant %+v", kernelName[km], tc.name, n, m, sc, off, ta.width(), d, got, want)
 				}
 				if km != KernelAuto || tc.first {
 					if vks, sks = ta.KernelStats().since(vks), scalar.KernelStats().since(sks); vks != sks {
-						t.Fatalf("%s %s tile %d×%d, %+v, %d lanes: stats %+v, scalar %+v", kernelName[km], tc.name, n, m, sc, ta.lanes, vks, sks)
+						t.Fatalf("%s %s tile %d×%d, %+v, %d lanes: stats %+v, scalar %+v", kernelName[km], tc.name, n, m, sc, ta.width(), vks, sks)
 					}
 				}
 			}

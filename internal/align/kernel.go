@@ -72,18 +72,25 @@ type TileAligner struct {
 	maxI, maxJ int
 
 	// The vector passes (maxcell_amd64.go): their substitution table,
-	// nil where they cannot run, their width in int16 lanes
-	// (vectorLanes; tests set 16 to run the AVX2 kernels on an
-	// AVX-512 host), their int16 H row, the padded reversed reference
-	// they stream, the padded shifted query codes, and the first-tile
-	// screen's int8 H row and the two input rows it saves.
-	vecSub *[16]byte
-	lanes  int
-	h16    []int16
-	rRev   []byte
-	qVec   []byte
-	h8     []int8
-	h8In   []int8
+	// nil where they cannot run; laneW, the same table over every byte
+	// a reference lane ORed with a query lane makes (an N, a byte
+	// ≥ 0x80, scores 0, as VPSHUFB scores it); their width in int16
+	// lanes (vectorLanes; tests set 16 to run the AVX2 kernels on an
+	// AVX-512 host) and whether the pointer fill and every first
+	// tile's score pass run on byte lanes first (fillBytes, screenOK;
+	// on AVX-512BW); their int16 H row, the padded
+	// reversed reference they stream, the padded shifted query codes,
+	// and the int8 H row of the first-tile screen and the byte fill,
+	// and the two input rows it saves.
+	vecSub    *[16]byte
+	laneW     [256]int8
+	lanes     int
+	byteLanes bool
+	h16       []int16
+	rRev      []byte
+	qVec      []byte
+	h8        []int8
+	h8In      []int8
 
 	// The first-tile batch's lane-major rows (batch.go): reference and
 	// query lane bytes and the int8 H row, grown to the widest batch.
@@ -105,16 +112,23 @@ func NewTileAligner(sc *Scoring) (*TileAligner, error) {
 			}
 		}
 	}
-	return &TileAligner{
-		sc:      *sc,
-		lut:     sc.LUT(),
-		open:    int32(sc.GapOpen),
-		ext:     int32(sc.GapExtend),
-		maxSide: MaxTileSide,
-		wmax:    int32(wmax), // > 0: Validate requires a positive match
-		vecSub:  vectorSub(sc),
-		lanes:   vectorLanes,
-	}, nil
+	a := &TileAligner{
+		sc:        *sc,
+		lut:       sc.LUT(),
+		open:      int32(sc.GapOpen),
+		ext:       int32(sc.GapExtend),
+		maxSide:   MaxTileSide,
+		wmax:      int32(wmax), // > 0: Validate requires a positive match
+		vecSub:    vectorSub(sc),
+		lanes:     vectorLanes,
+		byteLanes: vectorLanes == 32,
+	}
+	if a.vecSub != nil {
+		for x, w := range a.vecSub {
+			a.laneW[x] = int8(w)
+		}
+	}
+	return a, nil
 }
 
 // Scoring returns the aligner's scoring parameters.
@@ -238,19 +252,19 @@ func (a *TileAligner) align(rTile, qTile dna.Seq, minFirst, maxOff int, reversed
 // so the band bound of bitvector.go applies with S = maxScore and no
 // bitvector pass.
 //
-// Under an h_tile threshold int8 lanes can decide, 1 < minScore ≤ 127,
-// the vector score pass is screened first (maxCellScreened): the same
-// result, with a rejected tile scored on int8 lanes alone. The sub-tile
-// is filled on whichever passes the tile was laid out for, even where
-// the vector ones would be exact on it alone: a tile past their int16
-// bound has no lanes.
+// Where byte lanes can score it (screenOK), the vector score pass runs
+// on them first (maxCellScreened): the same result, with a rejected
+// tile, and on AVX-512BW any tile scoring below 255, scored on bytes
+// alone. The sub-tile is filled on whichever passes the tile was laid
+// out for, even where the vector ones would be exact on it alone: a
+// tile past their int16 bound has no lanes.
 func (a *TileAligner) firstTile(n, m, minScore, maxOff int) TileResult {
 	vec := a.vectorOK(n, m)
 	switch {
 	case !vec:
 		a.maxCellScalar(a.rCode, a.qCode, a.open == a.ext)
-	case 1 < minScore && minScore <= math.MaxInt8:
-		a.maxCellScreened(n, m, minScore)
+	case a.screenOK(minScore):
+		a.maxCellScreened(n, m)
 	default:
 		a.maxCellVector(n, m)
 	}
@@ -269,9 +283,26 @@ func (a *TileAligner) firstTile(n, m, minScore, maxOff int) TileResult {
 	if vec {
 		a.trimVector(n, maxI)
 	}
+	// The sub-tile's rate, which trace keeps too, predicts its fill's
+	// scores (fillBytes): no cell of it scores above its last.
+	a.rate = score << rateShift / min(maxI, maxJ)
 	res := a.fillTrace(maxI, maxJ, band, maxOff, vec)
 	res.MaxI, res.MaxJ = maxI, maxJ
 	return res
+}
+
+// screenOK reports whether a first tile wanted at a score of minScore
+// or more takes the byte-lane score pass (maxCellScreened): on AVX2
+// lanes, which hold H, under a threshold they decide, 1 < minScore ≤
+// 127; on AVX-512BW, which hold H − 128, whatever the threshold where
+// the byte-lane fills run, else under one of 2–127 — in both cases for
+// a gap a signed byte holds.
+func (a *TileAligner) screenOK(minScore int) bool {
+	threshold := 1 < minScore && minScore <= math.MaxInt8
+	if a.lanes == 16 {
+		return threshold
+	}
+	return a.open <= math.MaxInt8 && (threshold || a.byteLanes)
 }
 
 // CountRejectedFirstTile counts an n×m first tile rejected below its
@@ -296,16 +327,17 @@ func (a *TileAligner) fillTrace(n, m, band, maxOff int, vec bool) TileResult {
 		a.ks.BitvectorTiles++
 		a.ks.BitvectorCells += cells
 	}
-	return a.trace(n, m, score, maxOff)
+	return a.trace(n, m, score, maxOff, vec)
 }
 
 // trace traces back from the bottom-right cell of the filled n×m tile,
 // whose H(n, m) is score, and keeps the tile's score per base for the
-// next tile's guess (certifiedFill).
-func (a *TileAligner) trace(n, m, score, maxOff int) TileResult {
+// next tile's guess (certifiedFill). vec says the tile was laid out for
+// the vector passes.
+func (a *TileAligner) trace(n, m, score, maxOff int, vec bool) TileResult {
 	a.rate = score << rateShift / min(n, m)
-	cigar, iOff, jOff := a.traceback(n, m, maxOff)
-	return TileResult{Score: score, IOff: iOff, JOff: jOff, Cigar: cigar}
+	cigar, iOff, jOff, path := a.traceback(n, m, maxOff, vec)
+	return TileResult{Score: score, IOff: iOff, JOff: jOff, Cigar: cigar, PathScore: path}
 }
 
 // traceTop is the first query row of an m-row tile whose pointer bytes
@@ -364,7 +396,7 @@ func (a *TileAligner) grow(w, h int) {
 		a.qCode = make([]byte, 0, h)
 	}
 	// The vector passes' padding (vectorTile, maxCellScreened): 63
-	// columns either side of the reversed reference, 32 rows above the
+	// columns either side of the reversed reference, 64 rows above the
 	// query and 64 below it, each rounded up to the 32 bytes lane
 	// conversion takes at a time, and the H rows' slack either side.
 	if a.vecSub != nil && cap(a.h16) < w+95 {
@@ -373,8 +405,8 @@ func (a *TileAligner) grow(w, h int) {
 		a.h8 = make([]int8, w+191)
 		a.h8In = make([]int8, 2*w)
 	}
-	if a.vecSub != nil && cap(a.qVec) < h+126 {
-		a.qVec = make([]byte, h+126)
+	if a.vecSub != nil && cap(a.qVec) < h+158 {
+		a.qVec = make([]byte, h+158)
 	}
 }
 
@@ -391,19 +423,29 @@ func bandCols(n, m, j, band int) (lo, hi int) {
 
 // bandCells is the number of cells of an n×m tile inside band
 // (bandCols), the count a fill reports: the band is the 2·band + 1
-// diagonals i − j = n − m ± band, counted diagonal by diagonal.
+// diagonals i − j = n − m ± band. Diagonal d's cells are (i, i − d),
+// 1 ≤ i ≤ n and 1 ≤ i − d ≤ m, min(c, m + d, n − d) of them for
+// c = min(n, m) and 1 − m ≤ d ≤ n − 1: m + d up to d = c − m − 1, c
+// up to n − c, then n − d. The band's diagonals are summed as those
+// three arithmetic series.
 func bandCells(n, m, band int) int64 {
 	if band < 0 {
 		return int64(n) * int64(m)
 	}
-	var cells int64
-	for d := n - m - band; d <= n-m+band; d++ {
-		// Diagonal d's cells are (i, i − d), 1 ≤ i ≤ n and 1 ≤ i − d ≤ m.
-		if k := min(n, m+d) - max(1, 1+d) + 1; k > 0 {
-			cells += int64(k)
-		}
+	lo, hi := max(n-m-band, 1-m), min(n-m+band, n-1)
+	c := min(n, m)
+	return diagSeries(lo, min(hi, c-m-1), m, 1) +
+		diagSeries(max(lo, c-m), min(hi, n-c), c, 0) +
+		diagSeries(max(lo, n-c+1), hi, n, -1)
+}
+
+// diagSeries is the sum of base + sign·d over a ≤ d ≤ b, 0 when b < a.
+func diagSeries(a, b, base, sign int) int64 {
+	if b < a {
+		return 0
 	}
-	return cells
+	k := int64(b - a + 1)
+	return k*int64(base) + int64(sign)*(int64(a+b)*k/2)
 }
 
 // fillCoded computes the local affine-gap DP matrix exactly as
@@ -572,12 +614,21 @@ func linearRow(h []int32, p, rc []byte, lut [LUTStride]int16, diag, left, g int3
 
 // traceback walks the pointers of an n×m tile from its bottom-right
 // cell exactly like tracebackFrom, appending into the aligner's reused
-// path buffer, and returns the path last step first. It reads no cell more than maxOff rows or columns from
-// (n, m), which is what lets fill leave the rows above traceTop
-// without pointer bytes. It takes each run of one operation in an
-// inner loop and appends the run once.
-func (a *TileAligner) traceback(n, m, maxOff int) (Cigar, int, int) {
-	cig := a.cig[:0]
+// path buffer, and returns the path last step first, the bases it
+// consumes and its score, as Result.Rescore scores a path, reading the
+// bases as vec says the tile was laid out. It reads no cell
+// more than maxOff rows or columns from (n, m), which is what lets fill
+// leave the rows above traceTop without pointer bytes. It takes each
+// run of one operation in an inner loop and appends the run once.
+func (a *TileAligner) traceback(n, m, maxOff int, vec bool) (cig Cigar, iOff, jOff, score int) {
+	cig = a.cig[:0]
+	// The bases a diagonal step scores (Result.Rescore's sum): the lanes
+	// vectorTile laid out, through laneW, when vec, else the codes.
+	lw, rv, qv := &a.laneW, a.rRev, a.qVec
+	lut, rc, qc := &a.lut, a.rCode, a.qCode
+	// Gap runs opened and gap bases: a run appendRun merges into the
+	// one before opens nothing.
+	opens, gapBases := 0, 0
 	ptr := a.ptr
 	// Cell (i, j)'s byte is ptr[x], x = ptrIndex(n, m, i, j), with row j
 	// in lane r of its 16-row block (row m in lane 15). A step left is
@@ -600,6 +651,13 @@ walk:
 		case hDiag:
 			steps := min(i, j, maxOff-(n-i), maxOff-(m-j))
 			for {
+				// Cell (i−k, j−k): a step up the diagonal moves its lanes
+				// one forward in rv and one back in qv, its codes one back.
+				if vec {
+					score += int(lw[qv[63+j-k]|rv[n+63-i+k]])
+				} else {
+					score += int(lut[int(qc[j-k-1])&7*LUTStride+int(rc[i-k-1])&7])
+				}
 				k++
 				x -= 33
 				if r == 0 {
@@ -623,6 +681,10 @@ walk:
 				}
 				p = ptr[x]
 			}
+			if len(cig) == 0 || cig[len(cig)-1].Op != OpDel {
+				opens++
+			}
+			gapBases += k
 			cig = cig.appendRun(OpDel, k)
 		case hVert: // consuming query bases (OpIns)
 			for {
@@ -638,9 +700,14 @@ walk:
 				}
 				p = ptr[x]
 			}
+			if len(cig) == 0 || cig[len(cig)-1].Op != OpIns {
+				opens++
+			}
+			gapBases += k
 			cig = cig.appendRun(OpIns, k)
 		}
 	}
 	a.cig = cig
-	return cig, n - i, m - j
+	score -= opens*int(a.open) + (gapBases-opens)*int(a.ext)
+	return cig, n - i, m - j, score
 }

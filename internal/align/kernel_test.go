@@ -205,3 +205,29 @@ func (a *TileAligner) maxCell(rc, qc []byte, linear bool) {
 	}
 	a.maxCellScalar(rc, qc, linear)
 }
+
+// bandCells's closed form against the count it replaces, the band's
+// diagonals cell by cell, for every n, m ≤ 400 and band 0…400: the
+// diagonal-by-diagonal count grows by the two diagonals n − m ± band
+// as band does.
+func TestBandCellsClosedForm(t *testing.T) {
+	diag := func(n, m, d int) int64 { // diagonal d's cells in the tile
+		return int64(max(0, min(n, m+d)-max(1, 1+d)+1))
+	}
+	for n := 1; n <= 400; n++ {
+		for m := 1; m <= 400; m++ {
+			if got, want := bandCells(n, m, -1), int64(n*m); got != want {
+				t.Fatalf("%d×%d tile, no band: %d cells, want %d", n, m, got, want)
+			}
+			want := diag(n, m, n-m)
+			for band := 0; band <= 400; band++ {
+				if band > 0 {
+					want += diag(n, m, n-m-band) + diag(n, m, n-m+band)
+				}
+				if got := bandCells(n, m, band); got != want {
+					t.Fatalf("%d×%d tile, band %d: %d cells, want %d", n, m, band, got, want)
+				}
+			}
+		}
+	}
+}

@@ -13,7 +13,7 @@ import (
 var kernelName = [...]string{KernelAuto: "auto", KernelLUT: "lut", KernelBitvector: "bitvector"}
 
 // tileContractDiff compares two TileResults on the fields GACT
-// consumes: Score, IOff, JOff, and Cigar always; MaxI/MaxJ only when
+// consumes: Score, IOff, JOff, Cigar and PathScore always; MaxI/MaxJ only when
 // firstTile was set (TileResult documents them as first-tile fields;
 // the pointer fills track no maximum). It returns "" on a match, else
 // a description of the first difference.
@@ -34,6 +34,9 @@ func tileContractDiff(got, want TileResult, firstTile bool) string {
 		if got.Cigar[i] != want.Cigar[i] {
 			return fmt.Sprintf("cigar[%d] %+v != %+v", i, got.Cigar[i], want.Cigar[i])
 		}
+	}
+	if got.PathScore != want.PathScore {
+		return fmt.Sprintf("path score %d != %d", got.PathScore, want.PathScore)
 	}
 	return ""
 }
@@ -403,11 +406,11 @@ func certifiedTile(t *testing.T, auto []*TileAligner, lut *TileAligner, rTile, q
 		before := ta.KernelStats()
 		got := ta.AlignTile(rTile, qTile, false, 192)
 		if d := tileContractDiff(got, want, false); d != "" {
-			t.Fatalf("%d×%d tile, %d lanes: auto vs lut: %s\n got %+v\nwant %+v", len(rTile), len(qTile), ta.lanes, d, got, want)
+			t.Fatalf("%d×%d tile, %d lanes: auto vs lut: %s\n got %+v\nwant %+v", len(rTile), len(qTile), ta.width(), d, got, want)
 		}
 		grown := ta.KernelStats().since(before)
 		if k > 0 && grown != ks {
-			t.Fatalf("%d×%d tile: %d lanes count %+v, %d lanes %+v", len(rTile), len(qTile), ta.lanes, grown, auto[0].lanes, ks)
+			t.Fatalf("%d×%d tile: %d lanes count %+v, %d lanes %+v", len(rTile), len(qTile), ta.width(), grown, auto[0].width(), ks)
 		}
 		ks = grown
 	}

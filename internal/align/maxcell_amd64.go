@@ -52,28 +52,29 @@ import (
 // store starting 31 words below it, so column 0 needs 61 words below
 // it, and lane 0's reads reach column n+31.
 //
-// A first tile under an h_tile threshold 1 < minScore ≤ 127 is first
-// screened (maxCellScreened): the same wavefront on int8 lanes, 64 rows
-// per block on AVX-512BW (screenBlock64) and 32 on AVX2 (screenBlock32),
-// twice the int16 pass's rows per step, keeping each lane's maximum but
-// not its step. diag + W saturates at 127, and H − g is an unsigned
+// A first tile is scored on byte lanes where they are exact enough
+// (screenOK, maxCellScreened): the same wavefront, 64 rows per block on
+// AVX-512BW (screenBlock64) and 32 on AVX2 (screenBlock32), twice the
+// int16 pass's rows per step, keeping each lane's maximum but not its
+// step. On AVX2, taken under an h_tile threshold 1 < minScore ≤ 127, a
+// byte holds H: diag + W saturates at 127, and H − g is an unsigned
 // saturating subtract, max(0, H − g) for 0 ≤ H ≤ 127, the floor the
 // recurrence takes anyway (g is clamped to 127, which changes nothing
-// while H ≤ 127). Only the add can saturate, downwards: every int8 cell
-// is a lower bound of its int16 one, and equal to it while nothing has
-// saturated. A saturated cell is 127 ≥ minScore. So a block whose int8
-// maximum stays below minScore was computed exactly, and one that
-// reaches it holds a cell that truly does. The screen stops at that
-// block and hands the rest of the tile to the int16 blocks, from the
+// while H ≤ 127). On AVX-512BW, taken for every first tile whose g is
+// at most 127, a byte holds H − 128 as the byte-lane fills' do (see
+// fillBytes), and every H up to 254 is exact. Either way only the add
+// can saturate at the top, clipping at +127: every byte cell is a lower
+// bound of its int16 one, and equal to it while nothing has saturated. So a block whose byte maximum stays below +127 was
+// computed exactly. The screen stops at the first block that reaches
+// +127 and hands the rest of the tile to the int16 blocks, from the
 // input row it saved before the block (exact, since every earlier
-// block was): the cells above score below minScore, so the best cell,
-// ties included, lies from there on. A tile no block accepts is
-// rejected with its exact maximum, and its position comes from
-// rerunning the first block that reached that maximum on bytes, from
-// its saved row, to the first step at which the first lane to reach it
-// does. The byte rows pad the reference with 63 N codes either side
-// (rRev[n+62−i] = rc[i], of which rev is the window from 32) and hold
-// column c at h8[128+c].
+// block was), after the best cell of the blocks before; the int16
+// blocks take a later row's cell only if it scores more. Otherwise the
+// tile's best cell is the first lane of the earliest block to reach the
+// tile's maximum, at the first step that lane holds it, which rerunning
+// that block on bytes, from its saved row, finds. The byte rows pad the
+// reference with 63 N codes either side (rRev[n+62−i] = rc[i], of which
+// rev is the window from 32) and hold column c at h8[128+c].
 
 // vectorLanes is the CPU's vector width in int16 lanes: 32 where it
 // has AVX-512F/BW/VL and the OS saves opmask and ZMM state, 16 where it
@@ -169,6 +170,25 @@ func linearFill32(rev *byte, h *int16, q *[32]byte, sub *[16]byte, gap int32, pt
 //go:noescape
 func linearScore32(rev *byte, h *int16, q *[32]byte, sub *[16]byte, gap int32, steps int)
 
+// linearFill64 runs one group of four 16-row blocks of the pointer
+// fill on 64 biased byte lanes (fillBytes), from a group step s: lanes
+// 16k…16k+15 are block k's PEs at its step s−16k. rev points at
+// rRev[n+62−s] and h at the biased byte row's h[s], column c at
+// h[128+c]; ptr at block 3's pointer bytes of its step s−48, block k's
+// being (3−k)·stride bytes below. It runs n0 steps that store all four
+// blocks' bytes, then n1 that store blocks 1–3, n2 blocks 2–3 and n3
+// block 3, and reports whether any cell reached H = 255.
+//
+//go:noescape
+func linearFill64(rev *byte, h *int8, q *[64]byte, sub *[16]byte, gap int32, ptr *byte, stride, n0, n1, n2, n3 int) bool
+
+// linearScore64 is linearFill64 without the pointers: steps steps of a
+// group from a step s over the same arrays, storing only lane 63's H to
+// h.
+//
+//go:noescape
+func linearScore64(rev *byte, h *int8, q *[64]byte, sub *[16]byte, gap int32, steps int) bool
+
 // screenBlock32 runs one 32-row block of the AVX2 screen: rev is the
 // byte rows' padded reversed reference from its 32nd code (rev[n+30−t+r]
 // is column t−r+1's code, as for linearBlock32), h the int8 row with
@@ -225,8 +245,8 @@ func laneCodes(buf []byte, code *[16]byte) {
 // vectorTile lays the tile rTile × qTile — read back-to-front when
 // reversed — out for the vector passes, straight from ASCII: in rRev the
 // reference reversed, rRev[n+62−i] column i+1's code, with 63 pad bytes
-// either side, and in qVec row j's code shifted to q·4 at qVec[31+j],
-// with 32 pad rows above row 1 and 64 below row m. Each side is copied
+// either side, and in qVec row j's code shifted to q·4 at qVec[63+j],
+// with 64 pad rows above row 1 and 64 below row m. Each side is copied
 // in its order, then converted in place 32 bytes at a time
 // (laneCodes32), as the first-tile batch converts its lanes: a base to
 // its code, every other byte and the padding to 0x80, which scores 0.
@@ -245,17 +265,17 @@ func (a *TileAligner) vectorTile(rTile, qTile dna.Seq, reversed bool) {
 		wide[n+63+k] = laneN
 	}
 	laneCodes(wide, &laneRef)
-	q := a.qVec[:(m+96+31)&^31]
-	for k := range q[:32] {
+	q := a.qVec[:(m+128+31)&^31]
+	for k := range q[:64] {
 		q[k] = laneN
 	}
 	if reversed {
-		reverseInto(q[32:32+m], qTile)
+		reverseInto(q[64:64+m], qTile)
 	} else {
-		copy(q[32:], qTile)
+		copy(q[64:], qTile)
 	}
-	for k := range q[m+32:] {
-		q[m+32+k] = laneN
+	for k := range q[m+64:] {
+		q[m+64+k] = laneN
 	}
 	laneCodes(q, &laneQuery)
 }
@@ -311,9 +331,9 @@ func (a *TileAligner) scoreBlocks(rev []byte, h []int16, qv []byte, j0, j1 int) 
 	var best, at [32]int16
 	for ; j0 < j1; j0 += a.lanes {
 		if a.lanes == 32 {
-			linearBlock32(&rev[0], &h[0], n, (*[32]byte)(qv[32+j0:]), a.vecSub, a.open, &best, &at)
+			linearBlock32(&rev[0], &h[0], n, (*[32]byte)(qv[64+j0:]), a.vecSub, a.open, &best, &at)
 		} else {
-			linearBlock16(&rev[16], &h[48], n, (*[16]byte)(qv[32+j0:]), a.vecSub, a.open, (*[16]int16)(best[:16]), (*[16]int16)(at[:16]))
+			linearBlock16(&rev[16], &h[48], n, (*[16]byte)(qv[64+j0:]), a.vecSub, a.open, (*[16]int16)(best[:16]), (*[16]int16)(at[:16]))
 		}
 		for r := range min(a.lanes, j1-j0) {
 			if s := int32(best[r]); s > a.maxScore {
@@ -323,41 +343,44 @@ func (a *TileAligner) scoreBlocks(rev []byte, h []int16, qv []byte, j0, j1 int) 
 	}
 }
 
-// maxCellScreened is maxCellVector for a first tile wanted only at a
-// score of minScore or more, 1 < minScore ≤ 127: the int8 screen, then
-// the int16 blocks from the block that reaches minScore, or for a
-// rejected tile its best block rerun on bytes to the best cell's
-// column. It leaves maxCellVector's maxScore, maxI and maxJ.
-func (a *TileAligner) maxCellScreened(n, m, minScore int) {
-	rev, h := a.vectorRows(n)
+// maxCellScreened is maxCellVector on byte lanes (screenOK): the byte
+// blocks, then the int16 blocks from a block that saturates, and the
+// best cell of the byte blocks found by rerunning the best one. It
+// leaves maxCellVector's maxScore, maxI and maxJ.
+func (a *TileAligner) maxCellScreened(n, m int) {
 	qv := a.qVec
 	wide, h8 := a.rRev[:n+126], a.h8[:n+192]
-	clear(h8)
+	rows := 2 * a.lanes
+	zero := int8(0) // H = 0: 64 lanes hold H − 128
+	if rows == 64 {
+		zero = math.MinInt8
+	}
+	setRow(h8, zero)
 	// The input rows, columns 1…n, of this block and of the best one.
 	in, topIn := a.h8In[:n], a.h8In[n:2*n]
 	gap := min(a.open, math.MaxInt8)
-	rows := 2 * a.lanes
 	var best [64]int8
-	top, topJ0, topLane := int8(0), 0, 0
+	top, topJ0, topLane := zero, 0, 0
 	for j0 := 0; j0 < m; j0 += rows {
 		copy(in, h8[129:])
-		q := qv[32+j0:]
+		q := qv[64+j0:]
 		if rows == 64 {
 			screenBlock64(&wide[0], &h8[0], n, (*[64]byte)(q), a.vecSub, gap, &best)
 		} else {
 			screenBlock32(&wide[32], &h8[0], n, (*[32]byte)(q), a.vecSub, gap, (*[32]int8)(best[:32]))
 		}
-		blockTop, first := int8(0), 0
+		blockTop, first := zero, 0
 		for r, s := range best[:min(rows, m-j0)] {
 			if s > blockTop {
 				blockTop, first = s, r
 			}
 		}
-		if int(blockTop) >= minScore {
+		if blockTop == math.MaxInt8 {
+			rev, h := a.vectorRows(n)
 			for c, s := range in {
-				h[65+c] = int16(s) // column c+1
+				h[65+c] = int16(s) - int16(zero) // column c+1
 			}
-			a.maxScore, a.maxI, a.maxJ = 0, 0, 0
+			a.findTop(n, topIn, top, zero, topJ0, topLane)
 			a.scoreBlocks(rev, h, qv, j0, m)
 			return
 		}
@@ -366,22 +389,38 @@ func (a *TileAligner) maxCellScreened(n, m, minScore int) {
 			in, topIn = topIn, in
 		}
 	}
+	a.findTop(n, topIn, top, zero, topJ0, topLane)
+}
+
+// findTop sets maxScore, maxI and maxJ to the screen's best cell: the
+// first step at which lane topLane of the block of rows topJ0+1 … holds
+// top, rerun from that block's input row topIn, or no cell when top is
+// zero, H = 0. Outside columns 1…n h8 holds H = 0, as when the block
+// first ran.
+func (a *TileAligner) findTop(n int, topIn []int8, top, zero int8, topJ0, topLane int) {
 	a.maxScore, a.maxI, a.maxJ = 0, 0, 0
-	if top == 0 {
+	if top == zero {
 		return
 	}
-	// The best block's first lane to reach top is the best cell's row,
-	// and the step it first holds top at is the cell's column. Outside
-	// columns 1…n h8 holds 0, as when the block first ran.
+	wide, h8 := a.rRev[:n+126], a.h8[:n+192]
+	setRow(h8, zero)
 	copy(h8[129:], topIn)
-	q := qv[32+topJ0:]
+	q, gap := a.qVec[64+topJ0:], min(a.open, math.MaxInt8)
 	var t int
-	if rows == 64 {
+	if a.lanes == 32 {
 		t = screenFind64(&wide[0], &h8[0], n, (*[64]byte)(q), a.vecSub, gap, topLane, int32(top))
 	} else {
 		t = screenFind32(&wide[32], &h8[0], n, (*[32]byte)(q), a.vecSub, gap, topLane, int32(top))
 	}
-	a.maxScore, a.maxI, a.maxJ = int32(top), t-topLane+1, topJ0+topLane+1
+	a.maxScore, a.maxI, a.maxJ = int32(top)-int32(zero), t-topLane+1, topJ0+topLane+1
+}
+
+// setRow sets every byte of the row h to v, in doubling copies.
+func setRow(h []int8, v int8) {
+	h[0] = v
+	for c := 1; c < len(h); c *= 2 {
+		copy(h[c:], h[:c])
+	}
 }
 
 // fillVector is fillCoded's linear fill on the aligner's vector lanes,
@@ -409,19 +448,19 @@ func (a *TileAligner) maxCellScreened(n, m, minScore int) {
 // visits, and H(n, m), are exact; pointer bytes off its path may differ
 // from fillCoded's.
 func (a *TileAligner) fillVector(n, m, band, top int) (cells int64, score int) {
-	rev, h := a.vectorRows(n)
 	qv := a.qVec
 	pad, blocks := -m&15, (m+15)/16
 	// Block b holds rows 16b − pad + 1 … 16b − pad + 16: it stores
 	// pointers from block ptrBlock on.
 	ptrBlock := (top + pad - 1) >> 4
 	if a.lanes == 16 {
+		rev, h := a.vectorRows(n)
 		for b := range blocks {
 			t0, t1, ok := blockSteps(n, m, b, band)
 			if !ok {
 				continue
 			}
-			q := (*[16]byte)(qv[32+16*b-pad:])
+			q := (*[16]byte)(qv[64+16*b-pad:])
 			if b < ptrBlock {
 				linearScore16(&rev[n+30-t0], &h[48+t0], t1-t0+1, q, a.vecSub, a.open)
 			} else {
@@ -433,8 +472,25 @@ func (a *TileAligner) fillVector(n, m, band, top int) (cells int64, score int) {
 	// Blocks lo and hi = lo+1 run as one 32-lane block. The pairs end at
 	// the last block, so its row m is lane 31's and reaches h; with an
 	// odd count the first pair's lower block is block −1, 16 more N rows
-	// above the tile, which compute as 0 and store nothing.
-	for hi := 1 - blocks&1; hi < blocks; hi += 2 {
+	// above the tile, which compute as 0 and store nothing. The byte
+	// lanes run first where they may (fillBytes), and the pairs take
+	// over from the first block they leave.
+	from, bytes := 1-blocks&1, a.byteLanes && n >= byteMinSide && a.open <= math.MaxInt8
+	if bytes {
+		b := a.fillBytes(n, m, band, ptrBlock)
+		if b == blocks {
+			return bandCells(n, m, band), int(a.h8[128+n]) - math.MinInt8
+		}
+		from = max(from, b+1)
+	}
+	rev, h := a.vectorRows(n)
+	if bytes {
+		// The pairs' input row: the byte row above block from−1.
+		for c, v := range a.h8In[:n] {
+			h[65+c] = int16(v) - math.MinInt8
+		}
+	}
+	for hi := from; hi < blocks; hi += 2 {
 		lo := hi - 1
 		t0, t1, ok := blockSteps(n, m, hi, band)
 		if !ok {
@@ -449,7 +505,7 @@ func (a *TileAligner) fillVector(n, m, band, top int) (cells int64, score int) {
 				t0, t1 = min(t0, l0), max(t1, l1)
 			}
 		}
-		q := (*[32]byte)(qv[32+16*lo-pad:])
+		q := (*[32]byte)(qv[64+16*lo-pad:])
 		if hi < ptrBlock {
 			linearScore32(&rev[n+30-t0], &h[t0], q, a.vecSub, a.open, t1-t0+1)
 			continue
@@ -469,6 +525,110 @@ func (a *TileAligner) fillVector(n, m, band, top int) (cells int64, score int) {
 			&a.ptr[(hi*(n+15)+t0-16)*16], 256-16*(n+15), nLo, nBoth, nHi)
 	}
 	return bandCells(n, m, band), int(h[64+n])
+}
+
+// The pointer fill on bytes. H ≥ 0, so a signed byte holding H − 128
+// represents every H from 0 to 254 exactly, and saturating arithmetic
+// gives the recurrence's floor for free: H = 0 is −128, below which
+// diag + W, left − g and up − g saturate. linearFill64 runs FILL32's
+// selection on such bytes, 64 rows per step, with the same compares in
+// the same order (diag + W > −128 is diag + W > 0), so while no cell
+// reaches 255 every H and every pointer byte is the int16 kernel's on
+// the same schedule. A cell of 255 or more saturates at +127, and only
+// such a cell does: no value below it reaches +127. The kernels keep
+// the maximum over all their lanes and report one that reached it.
+//
+// A group of four 16-row blocks is one call, the groups ending at the
+// last block as the pairs do (a first group may hold up to three
+// blocks above the tile, N rows that store nothing). A group's steps
+// run from the earliest block's first to the last block's last, and
+// each block stores its bytes from the call's first step to its own
+// last. Before its own first step, block k ≥ 1 of a group stores
+// into the tail of block k−1's bank (n + 15 ≥ 48 steps long, so no
+// further), at steps that block k−1 either stores itself later in the
+// call or leaves out of band, where no traceback reads; so every
+// pointer byte a traceback reads is its block's own. A block stops
+// storing after its last step, where it would reach into block k+1's
+// bank already written: hence the four store phases.
+//
+// A group runs on bytes while the score its last row is predicted to
+// reach stays below byteCutoff: rate·min(j, n) at row j, from the rate
+// of the tile traced last — or, for a first tile's sub-tile, of the
+// sub-tile itself, so that one whose best cell scores below byteCutoff
+// runs wholly on bytes and never saturates. A group that saturates
+// anyway, or is not predicted to fit, hands the tile to the int16
+// pairs from its first block, with the byte row above it, exact, as
+// their input row: the pairs' blocks start at that block, since the
+// groups and the pairs both end at the last block, and they rewrite
+// every pointer byte the group stored that a traceback reads.
+
+const (
+	// byteCutoff is the predicted score below which a group of rows
+	// runs on byte lanes: the first score a biased byte cannot hold.
+	// Of the groups predicted just below it about a quarter saturate,
+	// of those predicted just above it about two fifths, where a wasted
+	// group costs about what it saves when it fits (EXPERIMENTS.md
+	// "Byte-lane fills").
+	byteCutoff = 255
+	// byteMinSide is the narrowest tile fillBytes takes: a block's
+	// bank, n + 15 steps, must hold the 48 a group's last block runs
+	// ahead of its first.
+	byteMinSide = 33
+)
+
+// fillBytes runs fillVector's blocks in 64-row groups on biased byte
+// lanes, from the first while each group is predicted to fit and none
+// saturates, and returns the first block it leaves to the int16 pairs
+// — blocks when it filled the tile, whose H(n, m) is then
+// h8[128+n] + 128 — with their input row, columns 1…n, in h8In.
+func (a *TileAligner) fillBytes(n, m, band, ptrBlock int) int {
+	pad, blocks := -m&15, (m+15)/16
+	rev, h := a.rRev[:n+126], a.h8[:n+192]
+	in := a.h8In[:n] // the group's input row, columns 1…n
+	setRow(h, math.MinInt8)
+	gap := a.open
+	for b0 := blocks - (blocks+3)&^3; b0 < blocks; b0 += 4 {
+		copy(in, h[129:])
+		if a.rate*min(16*b0+64-pad, n)>>rateShift >= byteCutoff {
+			return b0
+		}
+		// Group step t is block b0+k's step t−16k; block k stops storing
+		// after its last step, end[k].
+		t0, t1 := math.MaxInt, -1
+		var end [4]int
+		for k := range end {
+			end[k] = -1
+			if b0+k < 0 {
+				continue // above the tile: stores nothing
+			}
+			s0, s1, ok := blockSteps(n, m, b0+k, band)
+			end[k] = s1 + 16*k
+			if ok {
+				t0, t1 = min(t0, s0+16*k), max(t1, s1+16*k)
+			}
+		}
+		if t1 < 0 {
+			continue // no block of the group meets the band
+		}
+		q := (*[64]byte)(a.qVec[64+16*b0-pad:])
+		var sat bool
+		if b0+3 < ptrBlock {
+			sat = linearScore64(&rev[n+62-t0], &h[t0], q, a.vecSub, gap, t1-t0+1)
+		} else {
+			var steps [4]int
+			last := t0 - 1
+			for k, e := range end {
+				e = min(max(e, last), t1)
+				steps[k], last = e-last, e
+			}
+			sat = linearFill64(&rev[n+62-t0], &h[t0], q, a.vecSub, gap,
+				&a.ptr[((b0+3)*(n+15)+t0-48)*16], 16*(n-1), steps[0], steps[1], steps[2], steps[3])
+		}
+		if sat {
+			return b0
+		}
+	}
+	return blocks
 }
 
 // blockSteps is the step range [t0, t1] that 16-row block b of an n×m

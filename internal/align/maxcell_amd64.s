@@ -453,12 +453,211 @@ score32:
 	VZEROUPPER
 	RET
 
+// The 64-lane fills are linearFill32's and linearScore32's wavefront on
+// biased bytes (maxcell_amd64.go): a lane holds H − 128, so H = 0 is
+// −128 and signed saturation at −128 is the recurrence's floor, and
+// every H up to 254 is exact. A cell of 255 or more saturates at +127,
+// which Z15, the running maximum of every lane's H, records; the call
+// returns whether it reached +127. SI points at h[t] of a biased byte H
+// row with column c at h[128+c], one byte per step, and the lane shift
+// is SCREEN64's.
+//
+// SETUP64B loads a byte fill's arguments at rev+0, h+8, q+16, sub+24
+// and gap+32 into DI, SI, Z9, Z10 and Z3, and sets Z4 to −128 in every
+// byte, Z0 (H) and Z2 (the diagonal) to H = 0, Z15 to −128 and K7 to
+// lane 63.
+#define SETUP64B \
+	MOVQ rev+0(FP), DI; \
+	MOVQ h+8(FP), SI; \
+	MOVQ q+16(FP), AX; \
+	VMOVDQU64 (AX), Z9; \
+	MOVQ sub+24(FP), AX; \
+	VBROADCASTI32X4 (AX), Z10; \
+	MOVL gap+32(FP), AX; \
+	VPBROADCASTB AX, Z3; \
+	MOVL $0x80, AX; \
+	VPBROADCASTB AX, Z4; \
+	VMOVDQA64 Z4, Z0; \
+	VMOVDQA64 Z4, Z2; \
+	VMOVDQA64 Z4, Z15; \
+	MOVQ $0x8000000000000000, AX; \
+	KMOVQ AX, K7
+
+// UP64 shifts H one lane down into Z1 with lane 0 from the previous
+// block's row, column t+1 (SCREEN64).
+#define UP64 \
+	VALIGNQ.BCST $6, 122(SI), Z0, Z12; \
+	VPALIGNR $15, Z12, Z0, Z1
+
+// SUB64 loads the substitution scores of the step into Z11.
+#define SUB64 \
+	VMOVDQU64 (DI), Z11; \
+	VPORQ Z9, Z11, Z11; \
+	VPSHUFB Z11, Z10, Z11
+
+// BOTTOM64 writes lane 63's cell, column t−62, to h[t+66], and takes
+// the step's H into the running maximum.
+#define BOTTOM64 \
+	VMOVDQU8 Z0, K7, 3(SI); \
+	VPMAXSB Z0, Z15, Z15
+
+// SATURATED sets AL to whether Z15 holds +127 in any byte.
+#define SATURATED \
+	MOVL $0x7F, AX; \
+	VPBROADCASTB AX, Z14; \
+	VPCMPEQB Z14, Z15, K1; \
+	KORTESTQ K1, K1; \
+	SETNE AL
+
+// FILL64 is FILL32 on 64 biased byte lanes: diag + W saturates at
+// −128, so it needs no floor, and its compare against −128 is
+// FILL32's against 0. The codes are built in Z13, 16 bytes per
+// 16-row block.
+#define FILL64 \
+	UP64; \
+	SUB64; \
+	VPADDSB Z2, Z11, Z11; \
+	VPCMPGTB Z4, Z11, K1; \
+	VPSUBSB Z3, Z0, Z14; \
+	VPCMPGTB Z11, Z14, K2; \
+	VPMAXSB Z14, Z11, Z11; \
+	VPSUBSB Z3, Z1, Z14; \
+	VPCMPGTB Z11, Z14, K3; \
+	VPMAXSB Z14, Z11, Z0; \
+	VPBLENDMB Z5, Z8, K1, Z13; \
+	VMOVDQU8 Z6, K2, Z13; \
+	VMOVDQU8 Z7, K3, Z13; \
+	BOTTOM64; \
+	VMOVDQA64 Z1, Z2
+
+// NEXT64 advances to the next step and loops to label while CX steps
+// remain. The four banks' bytes 32 steps ahead are fetched first: four
+// stores a step to four lines not in L1 otherwise wait on their
+// misses (EXPERIMENTS.md "Byte-lane fills").
+#define NEXT64(label) \
+	PREFETCHT0 512(BX); \
+	PREFETCHT0 512(BX)(R8*1); \
+	PREFETCHT0 512(BX)(R9*1); \
+	PREFETCHT0 512(BX)(R10*1); \
+	ADDQ $16, BX; \
+	INCQ SI; \
+	DECQ DI; \
+	DECQ CX; \
+	JNZ label
+
+// func linearFill64(rev *byte, h *int8, q *[64]byte, sub *[16]byte, gap int32, ptr *byte, stride, n0, n1, n2, n3 int) bool
+//
+// One group of four 16-row blocks of the pointer layout: lanes
+// 16k…16k+15 are block k's PEs at its step t−16k. BX walks block 3's
+// bank, 16 bytes per step; block k's is (3−k)·stride bytes below it.
+// The call runs n0 steps that store all four blocks, then n1 that store
+// blocks 1–3, n2 blocks 2–3 and n3 block 3 alone.
+//
+// Registers: SETUP64B's, and Z5–Z8 the codes 13, 14, 15 and 12 in every
+// byte; R8, R9 and R10 are −stride, −2·stride and −3·stride.
+TEXT ·linearFill64(SB), NOSPLIT, $0-89
+	SETUP64B
+	MOVQ ptr+40(FP), BX
+	MOVQ stride+48(FP), R8
+	NEGQ R8
+	LEAQ (R8)(R8*1), R9
+	LEAQ (R9)(R8*1), R10
+	MOVL $13, AX
+	VPBROADCASTB AX, Z5
+	MOVL $14, AX
+	VPBROADCASTB AX, Z6
+	MOVL $15, AX
+	VPBROADCASTB AX, Z7
+	MOVL $12, AX
+	VPBROADCASTB AX, Z8
+
+	MOVQ n0+56(FP), CX
+	TESTQ CX, CX
+	JZ from1
+
+fill0:
+	FILL64
+	VMOVDQU X13, (BX)(R10*1)
+	VEXTRACTI32X4 $1, Z13, (BX)(R9*1)
+	VEXTRACTI32X4 $2, Z13, (BX)(R8*1)
+	VEXTRACTI32X4 $3, Z13, (BX)
+	NEXT64(fill0)
+
+from1:
+	MOVQ n1+64(FP), CX
+	TESTQ CX, CX
+	JZ from2
+
+fill1:
+	FILL64
+	VEXTRACTI32X4 $1, Z13, (BX)(R9*1)
+	VEXTRACTI32X4 $2, Z13, (BX)(R8*1)
+	VEXTRACTI32X4 $3, Z13, (BX)
+	NEXT64(fill1)
+
+from2:
+	MOVQ n2+72(FP), CX
+	TESTQ CX, CX
+	JZ from3
+
+fill2:
+	FILL64
+	VEXTRACTI32X4 $2, Z13, (BX)(R8*1)
+	VEXTRACTI32X4 $3, Z13, (BX)
+	NEXT64(fill2)
+
+from3:
+	MOVQ n3+80(FP), CX
+	TESTQ CX, CX
+	JZ filled
+
+fill3:
+	FILL64
+	VEXTRACTI32X4 $3, Z13, (BX)
+	NEXT64(fill3)
+
+filled:
+	SATURATED
+	MOVB AL, ret+88(FP)
+	VZEROUPPER
+	RET
+
+// func linearScore64(rev *byte, h *int8, q *[64]byte, sub *[16]byte, gap int32, steps int) bool
+//
+// linearFill64's steps without the pointers, ordered as linearScore32's
+// step. Registers as SETUP64B's.
+TEXT ·linearScore64(SB), NOSPLIT, $0-49
+	SETUP64B
+	MOVQ steps+40(FP), CX
+
+score64:
+	SUB64
+	VPADDSB Z2, Z11, Z11 // diag + W
+	VPSUBSB Z3, Z0, Z13  // left − g
+	VPMAXSB Z13, Z11, Z11
+	UP64
+	VPSUBSB Z3, Z1, Z13 // up − g
+	VPMAXSB Z13, Z11, Z0
+	BOTTOM64
+	VMOVDQA64 Z1, Z2
+	INCQ SI
+	DECQ DI
+	DECQ CX
+	JNZ score64
+
+	SATURATED
+	MOVB AL, ret+48(FP)
+	VZEROUPPER
+	RET
+
 // The screens are linearBlock16's and linearBlock32's wavefront on int8
 // lanes, twice as many rows per step: 32 in a Y register on AVX2, 64 in
-// a Z register on AVX-512BW. diag + W saturates at 127
-// (maxcell_amd64.go). H ≥ 0 and g ≤ 127, so an unsigned saturating
-// H − g is max(0, H − g), and the floor at 0 needs no instruction of
-// its own. SI points at h[t] of a byte H row with column c at h[128+c],
+// a Z register on AVX-512BW. On AVX2 a lane holds H, diag + W saturates
+// at 127 (maxcell_amd64.go), and since H ≥ 0 and g ≤ 127 an unsigned
+// saturating H − g is max(0, H − g), so the floor at 0 needs no
+// instruction of its own. On AVX-512BW a lane holds H − 128, as the
+// byte-lane fills' do: signed saturation is the floor, and H is exact
+// to 254. SI points at h[t] of a byte H row with column c at h[128+c],
 // one byte per step. A block (screenBlock32/64) keeps each lane's
 // maximum and no step; rerun from the same row (screenFind32/64), it
 // stops at the first step at which one lane holds a given score.
@@ -563,34 +762,36 @@ found32:
 // SETUP64 is SETUP32 for the AVX-512BW screens: DI at rev[n+62] (lane r
 // reads rev[n+62−t+r] = rc[t−r]), CX the step count n+63, Z3, Z9 and
 // Z10 g, the query codes and the table in every 128-bit lane, K7 lane
-// 63.
+// 63, and H and the diagonal −128, H = 0.
 #define SETUP64 \
 	VMOVDQU64 (R10), Z9; \
 	VBROADCASTI32X4 (R11), Z10; \
 	VPBROADCASTB AX, Z3; \
 	MOVQ $0x8000000000000000, AX; \
 	KMOVQ AX, K7; \
-	VPXORQ Z0, Z0, Z0; \
-	VPXORQ Z2, Z2, Z2; \
+	MOVL $0x80, AX; \
+	VPBROADCASTB AX, Z0; \
+	VMOVDQA64 Z0, Z2; \
 	LEAQ 62(DI)(CX*1), DI; \
 	ADDQ $63, CX
 
-// SCREEN64 is SCREEN32 on Z registers: H = max(diag + W, left − g,
-// up − g), floored at 0, with everything but up − g computed while
-// the shift that gives up is in flight. The shift is UP32's by one
-// byte: the broadcast quadword is h[t+122 … t+129], whose byte 7,
-// column t+1, VPALIGNR carries into lane 0. Lane 63 writes its column,
-// t−62, to h[t+66]: byte 63 of a store at h[t+3] under K7.
+// SCREEN64 is SCREEN32 on Z registers of H − 128: H = max(diag + W,
+// left − g, up − g), floored at 0 by the signed saturation, with
+// everything but up − g computed while the shift that gives up is in
+// flight. The shift is UP32's by one byte: the broadcast quadword is
+// h[t+122 … t+129], whose byte 7, column t+1, VPALIGNR carries into
+// lane 0. Lane 63 writes its column, t−62, to h[t+66]: byte 63 of a
+// store at h[t+3] under K7.
 #define SCREEN64 \
 	VMOVDQU64 (DI), Z11; \
 	VPORQ Z9, Z11, Z11; \
 	VPSHUFB Z11, Z10, Z11; \
 	VPADDSB Z2, Z11, Z11; \
-	VPSUBUSB Z3, Z0, Z13; \
+	VPSUBSB Z3, Z0, Z13; \
 	VPMAXSB Z13, Z11, Z11; \
 	VALIGNQ.BCST $6, 122(SI), Z0, Z12; \
 	VPALIGNR $15, Z12, Z0, Z1; \
-	VPSUBUSB Z3, Z1, Z13; \
+	VPSUBSB Z3, Z1, Z13; \
 	VPMAXSB Z13, Z11, Z0; \
 	VMOVDQU8 Z0, K7, 3(SI); \
 	VMOVDQA64 Z1, Z2
@@ -607,7 +808,7 @@ TEXT ·screenBlock64(SB), NOSPLIT, $0-56
 	MOVQ sub+32(FP), R11
 	MOVL gap+40(FP), AX
 	SETUP64
-	VPXORQ Z5, Z5, Z5
+	VMOVDQA64 Z0, Z5
 
 screen64:
 	SCREEN64

@@ -67,7 +67,7 @@ func TestVectorMaxCellMatchesScalar(t *testing.T) {
 		ta.maxCellScalar(rc, qc, true)
 		want := [3]int{int(ta.maxScore), ta.maxI, ta.maxJ}
 		for _, w := range laneWidths() {
-			ta.lanes = w
+			ta.setWidth(w)
 			ta.loadCodes(rc, qc)
 			ta.maxCellVector(len(rc), len(qc))
 			if got := [3]int{int(ta.maxScore), ta.maxI, ta.maxJ}; got != want {
@@ -217,15 +217,15 @@ func TestVectorFirstTileMatchesScalar(t *testing.T) {
 			t.Fatalf("%d×%d tile, %+v: %s\nref   %s\nquery %s", len(rTile), len(qTile), sc, d, rTile, qTile)
 		}
 		for _, minScore := range thresholds {
-			if minScore < 2 || minScore > 127 || !s.vec[0].vectorOK(len(rc), len(qc)) {
-				continue // the screen's domain
-			}
 			for _, ta := range s.vec {
+				if !ta.screenOK(minScore) || !ta.vectorOK(len(rc), len(qc)) {
+					continue // the screen's domain
+				}
 				ta.loadCodes(rc, qc)
-				ta.maxCellScreened(len(rc), len(qc), minScore)
+				ta.maxCellScreened(len(rc), len(qc))
 				if got := [3]int{int(ta.maxScore), ta.maxI, ta.maxJ}; got != want {
 					t.Fatalf("%d×%d tile, %+v, threshold %d: %d-lane screen (score, i, j) %v, scalar %v\nref   %s\nquery %s",
-						len(rc), len(qc), sc, minScore, ta.lanes, got, want, rTile, qTile)
+						len(rc), len(qc), sc, minScore, ta.width(), got, want, rTile, qTile)
 				}
 			}
 		}
@@ -332,7 +332,7 @@ func TestVectorFirstTileMatchesScalar(t *testing.T) {
 			for _, ta := range s.vec {
 				for minScore := 2; minScore <= 127; minScore++ {
 					if res := ta.AlignFirstTile(rTile, qTile, 0, minScore); res.Score < len(unit) || len(res.Cigar) == 0 {
-						t.Fatalf("%d-lane saturating %d-base repeat at threshold %d: %+v", ta.lanes, len(unit), minScore, res)
+						t.Fatalf("%d-lane saturating %d-base repeat at threshold %d: %+v", ta.width(), len(unit), minScore, res)
 					}
 				}
 			}
@@ -380,7 +380,7 @@ func TestVectorFillMatchesScalar(t *testing.T) {
 			if vec.vecSub == nil {
 				t.Fatalf("scoring %+v has no vector table", sc)
 			}
-			vec.lanes = w
+			vec.setWidth(w)
 			s.vec = append(s.vec, vec)
 		}
 		s.scalar, _ = NewTileAligner(&sc)
@@ -403,13 +403,13 @@ func TestVectorFillMatchesScalar(t *testing.T) {
 			vec.loadCodes(rc, qc)
 			if gotCells, got := vec.fillVector(n, m, -1, 1); got != want || gotCells != wantCells {
 				t.Fatalf("%d×%d tile, %+v: %d-lane H(n,m) %d over %d cells, scalar %d over %d\nref   %s\nquery %s",
-					n, m, sc, vec.lanes, got, gotCells, want, wantCells, rTile, qTile)
+					n, m, sc, vec.width(), got, gotCells, want, wantCells, rTile, qTile)
 			}
 			for j := 1; j <= m; j++ {
 				for i := 1; i <= n; i++ {
 					if got, want := vec.ptr[ptrIndex(n, m, i, j)], s.scalar.ptr[ptrIndex(n, m, i, j)]; got != want {
 						t.Fatalf("%d×%d tile, %+v: %d-lane ptr(%d,%d) = %04b, scalar %04b\nref   %s\nquery %s",
-							n, m, sc, vec.lanes, i, j, got, want, rTile, qTile)
+							n, m, sc, vec.width(), i, j, got, want, rTile, qTile)
 					}
 				}
 			}
@@ -474,11 +474,11 @@ func TestVectorFillMatchesScalar(t *testing.T) {
 					if k == 0 {
 						widest, widestKS = got, vks
 					} else if d == "" && (!reflect.DeepEqual(got, widest) || vks != widestKS) {
-						d = fmt.Sprintf("%+v, stats %+v, but %d lanes give %+v, stats %+v", got, vks, s.vec[0].lanes, widest, widestKS)
+						d = fmt.Sprintf("%+v, stats %+v, but %d lanes give %+v, stats %+v", got, vks, s.vec[0].width(), widest, widestKS)
 					}
 					if d != "" {
 						t.Fatalf("%s %s tile %d×%d, %+v, maxOff %d: %d-lane vs scalar: %s\n got %+v\nwant %+v\nref   %s\nquery %s",
-							kernelName[mode], call.name, len(rTile), len(qTile), sc, maxOff, vec.lanes, d, got, want, rTile, qTile)
+							kernelName[mode], call.name, len(rTile), len(qTile), sc, maxOff, vec.width(), d, got, want, rTile, qTile)
 					}
 				}
 			}
@@ -535,7 +535,7 @@ func TestVectorFillMatchesScalar(t *testing.T) {
 			qTile := mutate(rng, rTile, rng.Float64()*0.06)
 			rc, qc := dna.AppendCodes(nil, rTile), dna.AppendCodes(nil, qTile)
 			n, m := len(rc), len(qc)
-			s.scalar.grow(n+1, m+1)
+			s.scalar.loadCodes(rc, qc)
 			s.scalar.fillCoded(rc, qc, -1, true)
 			band := s.scalar.gapBand(n, m, int(s.scalar.hRow[n]))
 			if 2*band+1 < min(n, m) {
@@ -543,15 +543,15 @@ func TestVectorFillMatchesScalar(t *testing.T) {
 			}
 			wantCells := s.scalar.fillCoded(rc, qc, band, true)
 			want := int(s.scalar.hRow[n])
-			wantCig, wantI, wantJ := s.scalar.traceback(n, m, max(n, m))
+			wantCig, wantI, wantJ, _ := s.scalar.traceback(n, m, max(n, m), false)
 			wantCig = slices.Clone(wantCig)
 			for _, vec := range s.vec {
 				vec.loadCodes(rc, qc)
 				gotCells, got := vec.fillVector(n, m, band, 1)
-				cig, i, j := vec.traceback(n, m, max(n, m))
+				cig, i, j, _ := vec.traceback(n, m, max(n, m), true)
 				if got != want || gotCells != wantCells || i != wantI || j != wantJ || !slices.Equal(cig, wantCig) {
 					t.Fatalf("%d×%d tile, %+v, band %d: %d-lane H(n,m) %d over %d cells, path %v (%d, %d); scalar %d over %d, %v (%d, %d)\nref   %s\nquery %s",
-						n, m, sc, band, vec.lanes, got, gotCells, cig, i, j, want, wantCells, wantCig, wantI, wantJ, rTile, qTile)
+						n, m, sc, band, vec.width(), got, gotCells, cig, i, j, want, wantCells, wantCig, wantI, wantJ, rTile, qTile)
 				}
 			}
 		}
@@ -666,22 +666,22 @@ func TestVectorFillTopRows(t *testing.T) {
 					}
 					if got != want || cells != cellsWant {
 						t.Fatalf("%d×%d tile, %+v, band %d, maxOff %d: %d-lane H(n,m) %d over %d cells, scalar %d over %d\nref   %s\nquery %s",
-							n, m, sc, bd, maxOff, ta.lanes, got, cells, want, cellsWant, rTile, qTile)
+							n, m, sc, bd, maxOff, ta.width(), got, cells, want, cellsWant, rTile, qTile)
 					}
 					if bd < 0 {
 						for j := max(1, top); j <= m; j++ {
 							for i := 1; i <= n; i++ {
 								if x := ptrIndex(n, m, i, j); ptr[x] != wantPtr[x] {
 									t.Fatalf("%d×%d tile, %+v, maxOff %d: %d-lane ptr(%d,%d) = %04b, scalar %04b\nref   %s\nquery %s",
-										n, m, sc, maxOff, ta.lanes, i, j, ptr[x], wantPtr[x], rTile, qTile)
+										n, m, sc, maxOff, ta.width(), i, j, ptr[x], wantPtr[x], rTile, qTile)
 								}
 							}
 						}
 					}
-					cig, iOff, jOff := ta.traceback(n, m, maxOff)
+					cig, iOff, jOff, _ := ta.traceback(n, m, maxOff, true)
 					if iOff != ref.IOff || jOff != ref.JOff || !slices.Equal(cig, ref.Cigar) || ref.Score != want {
 						t.Fatalf("%d×%d tile, %+v, band %d, maxOff %d: %d-lane traceback %v (%d, %d), AlignTile %v (%d, %d), score %d vs %d\nref   %s\nquery %s",
-							n, m, sc, bd, maxOff, ta.lanes, cig, iOff, jOff, ref.Cigar, ref.IOff, ref.JOff, want, ref.Score, rTile, qTile)
+							n, m, sc, bd, maxOff, ta.width(), cig, iOff, jOff, ref.Cigar, ref.IOff, ref.JOff, want, ref.Score, rTile, qTile)
 					}
 				}
 			}
@@ -700,38 +700,59 @@ func benchWidths(b *testing.B, side int, bench func(b *testing.B, ta *TileAligne
 	}
 	for _, ta := range tas {
 		ta.Preallocate(side)
-		b.Run(fmt.Sprintf("lanes%d", ta.lanes), func(b *testing.B) { bench(b, ta) })
+		b.Run(fmt.Sprintf("lanes%d", ta.width()), func(b *testing.B) { bench(b, ta) })
 	}
 }
 
-// BenchmarkAlignTile is the full pointer fill and traceback of a
-// 320×320 extension tile at 15 % error at each vector width;
-// ns/filled_cell is the fill loop's cost per cell. The root package's
-// BenchmarkAlignTile times the width production picks.
+// BenchmarkAlignTile is the pointer fill and traceback of a 320×320
+// extension tile at each vector width, lanes64 being the byte-lane fill
+// production runs on AVX-512BW: full, a 15 %-error tile filled whole
+// (KernelLUT); banded, a PacBio-like 12 %-error tile filled in the band
+// its predecessor's score guesses, the same tile each time (KernelAuto,
+// certifiedFill); and saturating, an identical tile scoring 320, past
+// a byte, filled whole. µs/tile is the whole call, ns/filled_cell the
+// call per cell filled. The root package's BenchmarkAlignTile times the
+// width production picks.
 func BenchmarkAlignTile(b *testing.B) {
 	rng := rand.New(rand.NewSource(71))
 	ref := dna.Random(rng, 400, 0.45)
-	q := mutate(rng, ref, 0.15)[:320]
-	ref = ref[:320]
-	benchWidths(b, 320, func(b *testing.B, ta *TileAligner) {
-		ta.SetKernel(KernelLUT)
-		before := ta.KernelStats().LUTCells
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ta.AlignTile(ref, q, false, 192)
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ta.KernelStats().LUTCells-before), "ns/filled_cell")
-	})
+	same := ref[:320]
+	for _, shape := range []struct {
+		name string
+		mode KernelMode
+		q    dna.Seq
+	}{
+		{"full", KernelLUT, mutate(rng, ref, 0.15)[:320]},
+		{"banded", KernelAuto, mutate(rng, ref, 0.12)[:320]},
+		{"saturating", KernelLUT, same},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			benchWidths(b, 320, func(b *testing.B, ta *TileAligner) {
+				ta.SetKernel(shape.mode)
+				ta.AlignTile(same, shape.q, false, 192)
+				before := ta.KernelStats()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ta.AlignTile(same, shape.q, false, 192)
+				}
+				b.StopTimer()
+				ks := ta.KernelStats().since(before)
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/tile")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ks.LUTCells+ks.BitvectorCells), "ns/filled_cell")
+			})
+		})
+	}
 }
 
 // BenchmarkScorePass times 384×384 first tiles at each vector width,
 // against a related reference (the query 30 % mutated) and an unrelated
 // one. At the production h_tile of 90 (htile90) the unrelated tile is
-// rejected on the int8 screen and the related one accepted and traced
+// rejected on the byte screen and the related one accepted and traced
 // back; above any score a 384² tile reaches (int16, side+1) both are
-// rejected on the int16 score pass alone, the screen's reference. The
-// root package's BenchmarkScorePass times the width production picks.
+// rejected on the score pass alone: at lanes32 and lanes16 the int16
+// one, the screen's reference, and at lanes64 the byte screen, which
+// holds every score below 255 there. The root package's
+// BenchmarkScorePass times the width production picks.
 func BenchmarkScorePass(b *testing.B) {
 	const side = 384
 	rng := rand.New(rand.NewSource(73))
@@ -757,4 +778,75 @@ func BenchmarkScorePass(b *testing.B) {
 			})
 		}
 	}
+}
+
+// The byte-lane fill at the edge of its range: an all-match tile of k
+// bases under the paper's scoring has H(k, k) = k as its best cell, so
+// at k = 254 every group fits a byte (fillBytes fills the whole tile),
+// and at 255 and 300 one saturates and hands the tile to the int16
+// pairs. A banded high-identity tile filled after a tile that scored
+// half as much per base is predicted to fit and saturates too. Either
+// way H(n, m), the cell count, the pointer bytes of a full fill and the
+// traceback are the scalar rows'.
+func TestByteFillSaturation(t *testing.T) {
+	if vectorLanes != 32 {
+		t.Skip("no AVX-512BW on this CPU: no byte-lane fill")
+	}
+	rng := rand.New(rand.NewSource(53))
+	sc := GACTEval()
+	check := func(t *testing.T, rTile, qTile dna.Seq, band, rate int, wantBytes bool) {
+		t.Helper()
+		scalar, _ := NewTileAligner(&sc)
+		scalar.vecSub = nil
+		ta, _ := NewTileAligner(&sc)
+		rc, qc := dna.AppendCodes(nil, rTile), dna.AppendCodes(nil, qTile)
+		n, m := len(rc), len(qc)
+		scalar.loadCodes(rc, qc)
+		wantCells := scalar.fillCoded(rc, qc, band, true)
+		want := int(scalar.hRow[n])
+		wantCig, wantI, wantJ, _ := scalar.traceback(n, m, max(n, m), false)
+		wantCig = slices.Clone(wantCig)
+
+		ta.loadCodes(rc, qc)
+		ta.rate = rate
+		ta.vectorRows(n)
+		blocks := (m + 15) / 16
+		if b := ta.fillBytes(n, m, band, 0); (b == blocks) != wantBytes {
+			t.Fatalf("%d×%d tile, band %d: byte lanes stop at block %d of %d, want all on bytes %v", n, m, band, b, blocks, wantBytes)
+		}
+		cells, got := ta.fillVector(n, m, band, 1)
+		if got != want || cells != wantCells {
+			t.Fatalf("%d×%d tile, band %d: H(n,m) %d over %d cells, scalar %d over %d", n, m, band, got, cells, want, wantCells)
+		}
+		if band < 0 {
+			for j := 1; j <= m; j++ {
+				for i := 1; i <= n; i++ {
+					if x := ptrIndex(n, m, i, j); ta.ptr[x] != scalar.ptr[x] {
+						t.Fatalf("%d×%d tile: ptr(%d,%d) = %04b, scalar %04b", n, m, i, j, ta.ptr[x], scalar.ptr[x])
+					}
+				}
+			}
+		}
+		cig, i, j, _ := ta.traceback(n, m, max(n, m), true)
+		if i != wantI || j != wantJ || !slices.Equal(cig, wantCig) {
+			t.Fatalf("%d×%d tile, band %d: path %v (%d, %d), scalar %v (%d, %d)", n, m, band, cig, i, j, wantCig, wantI, wantJ)
+		}
+	}
+	for _, k := range []int{254, 255, 300} {
+		s := dna.Random(rng, k, 0.5)
+		check(t, s, s, -1, 0, k < 255)
+	}
+	// One base short of a match either side keeps the best cell at 254.
+	s := dna.Random(rng, 320, 0.5)
+	check(t, s[:254], append(slices.Clone(s[:254]), 'N'), -1, 0, true)
+
+	rTile := dna.Random(rng, 320, 0.5)
+	qTile := mutate(rng, rTile, 0.02)
+	half := 1 << rateShift / 2
+	ta, _ := NewTileAligner(&sc)
+	band := ta.gapBand(len(rTile), len(qTile), half*min(len(rTile), len(qTile))>>rateShift)
+	if 2*band+1 >= min(len(rTile), len(qTile)) {
+		t.Fatalf("band %d spans the tile", band)
+	}
+	check(t, rTile, qTile, band, half, false)
 }

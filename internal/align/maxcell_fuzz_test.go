@@ -41,7 +41,7 @@ func FuzzMaxCell(f *testing.F) {
 			scalar := [3]int{int(ta.maxScore), ta.maxI, ta.maxJ}
 			if got != oracle || scalar != oracle {
 				t.Errorf("%d×%d tile, %+v (vector pass %v, %d lanes): maxCell %v, scalar %v, fillLocal %v\nref   %s\nquery %s",
-					len(rc), len(qc), sc, ta.vectorOK(len(rc), len(qc)), ta.lanes, got, scalar, oracle, ref, query)
+					len(rc), len(qc), sc, ta.vectorOK(len(rc), len(qc)), ta.width(), got, scalar, oracle, ref, query)
 			}
 		}
 	})
@@ -61,7 +61,7 @@ func widthAligners(sc *Scoring) ([]*TileAligner, error) {
 			return nil, err
 		}
 		if w > 0 {
-			ta.lanes = w
+			ta.setWidth(w)
 		}
 		tas = append(tas, ta)
 	}
@@ -69,12 +69,14 @@ func widthAligners(sc *Scoring) ([]*TileAligner, error) {
 }
 
 // laneWidths are the vector widths the CPU runs, widest first: on
-// AVX-512BW both, the 16-lane kernels then being the 32-lane ones'
-// oracle.
+// AVX-512BW 64 — the 32-lane kernels with byte lanes first wherever
+// they hold the scores (the pointer fill, the score pass of every first
+// tile), as production runs them — then 32 and 16, each narrower one
+// the wider ones' oracle.
 func laneWidths() []int {
 	switch vectorLanes {
 	case 32:
-		return []int{32, 16}
+		return []int{64, 32, 16}
 	case 16:
 		return []int{16}
 	}
@@ -128,12 +130,24 @@ func firstTileDiff(tas []*TileAligner, scalar *TileAligner, ref, query dna.Seq, 
 		for _, ta := range tas {
 			got := ta.AlignFirstTile(ref, query, maxOff, minScore)
 			if d := tileContractDiff(got, wantRes, true); d != "" {
-				return fmt.Sprintf("threshold %d, %d lanes (vector pass %v) vs scalar: %s", minScore, ta.lanes, ta.vectorOK(len(ref), len(query)), d)
+				return fmt.Sprintf("threshold %d, %d lanes (vector pass %v) vs scalar: %s", minScore, ta.width(), ta.vectorOK(len(ref), len(query)), d)
 			}
 			if accepted := got.Score >= max(1, minScore); accepted != (len(got.Cigar) > 0) {
-				return fmt.Sprintf("threshold %d, %d lanes: score %d with a %d-op path", minScore, ta.lanes, got.Score, len(got.Cigar))
+				return fmt.Sprintf("threshold %d, %d lanes: score %d with a %d-op path", minScore, ta.width(), got.Score, len(got.Cigar))
 			}
 		}
 	}
 	return ""
+}
+
+// setWidth sets the aligner to width w of laneWidths: its int16 lanes,
+// and at 64 its byte lanes.
+func (a *TileAligner) setWidth(w int) { a.lanes, a.byteLanes = min(w, 32), w == 64 }
+
+// width is the aligner's width in laneWidths' terms.
+func (a *TileAligner) width() int {
+	if a.byteLanes {
+		return 64
+	}
+	return a.lanes
 }

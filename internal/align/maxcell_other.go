@@ -21,7 +21,7 @@ func (a *TileAligner) maxCellVector(n, m int) {
 	panic("align: no vector score pass on this platform")
 }
 
-func (a *TileAligner) maxCellScreened(n, m, minScore int) {
+func (a *TileAligner) maxCellScreened(n, m int) {
 	panic("align: no vector score pass on this platform")
 }
 

@@ -20,6 +20,10 @@ type TileResult struct {
 	MaxI, MaxJ int
 	// Cigar is the tile-local traceback path, in forward order.
 	Cigar Cigar
+	// PathScore is the score of Cigar's path over the tile's bases, as
+	// Result.Rescore scores a path, so that a caller joining tiles'
+	// paths need not rescore the joined one.
+	PathScore int
 }
 
 // AlignTile is the compute-intensive Align step of GACT (Algorithm 2,
@@ -52,12 +56,14 @@ func AlignTile(rTile, qTile dna.Seq, firstTile bool, maxOff int, sc *Scoring) Ti
 		score = f.maxScore
 	}
 	cigar, iOff, jOff := tracebackFrom(&f, len(rTile), startI, startJ, maxOff, maxOff)
+	path := Result{RefStart: startI - iOff, QueryStart: startJ - jOff, Cigar: cigar}
 	return TileResult{
-		Score: score,
-		IOff:  iOff,
-		JOff:  jOff,
-		MaxI:  f.maxI,
-		MaxJ:  f.maxJ,
-		Cigar: cigar,
+		Score:     score,
+		IOff:      iOff,
+		JOff:      jOff,
+		MaxI:      f.maxI,
+		MaxJ:      f.maxJ,
+		Cigar:     cigar,
+		PathScore: path.Rescore(rTile, qTile, sc),
 	}
 }

@@ -45,6 +45,9 @@ type Engine struct {
 	left  align.Cigar
 	lo    int
 	right align.Cigar
+	// score is the path's score so far: its tiles' PathScores, plus
+	// what joining them added (joined).
+	score int
 
 	// lastKS is the kernel-stat snapshot at the end of the previous
 	// Extend, so publishKernel can emit per-call deltas to the shared
@@ -166,6 +169,7 @@ func (e *Engine) Extend(R, Q dna.Seq, iSeed, jSeed int) (res *align.Result, stat
 	// extension in the mirrored coordinate frame, where a walk is in
 	// forward order, so its tiles append to the right half in order.
 	e.lo = len(e.left)
+	e.score = first.PathScore
 	e.prependWalk(first.Cigar)
 	leftI, leftJ := e.extendDir(R, Q, curI, curJ, &stats, false)
 	e.right = e.right[:0]
@@ -180,9 +184,9 @@ func (e *Engine) Extend(R, Q dna.Seq, iSeed, jSeed int) (res *align.Result, stat
 		RefEnd:     rightI,
 		QueryStart: leftJ,
 		QueryEnd:   rightJ,
-		Cigar:      appendWalk(path, e.right),
+		Cigar:      e.appendWalk(path, e.right),
+		Score:      e.score,
 	}
-	res.Score = res.Rescore(R, Q, &cfg.Scoring)
 	stats.publish(false)
 	return res, stats, nil
 }
@@ -245,8 +249,9 @@ func (e *Engine) extendDir(R, Q dna.Seq, iCurr, jCurr int, stats *Stats, rev boo
 		if res.IOff == 0 && res.JOff == 0 {
 			break
 		}
+		e.score += res.PathScore
 		if rev {
-			e.right = appendWalk(e.right, res.Cigar)
+			e.right = e.appendWalk(e.right, res.Cigar)
 		} else {
 			e.prependWalk(res.Cigar)
 		}
@@ -263,6 +268,7 @@ func (e *Engine) extendDir(R, Q dna.Seq, iCurr, jCurr int, stats *Stats, rev boo
 // buffer is regrown with the half at the end of one twice the size.
 func (e *Engine) prependWalk(c align.Cigar) {
 	if len(c) > 0 && e.lo < len(e.left) && e.left[e.lo].Op == c[0].Op {
+		e.joined(c[0].Op)
 		e.left[e.lo].Len += c[0].Len
 		c = c[1:]
 	}
@@ -281,9 +287,21 @@ func (e *Engine) prependWalk(c align.Cigar) {
 
 // appendWalk appends c's steps to dst in order, merging the junction
 // run as Concat does; the rest go in as one copy.
-func appendWalk(dst, c align.Cigar) align.Cigar {
+func (e *Engine) appendWalk(dst, c align.Cigar) align.Cigar {
 	if len(c) == 0 {
 		return dst
 	}
+	if len(dst) > 0 && dst[len(dst)-1].Op == c[0].Op {
+		e.joined(c[0].Op)
+	}
 	return append(dst.Concat(c[:1]), c[1:]...)
+}
+
+// joined adds to the path's score what merging two runs of op at a
+// junction of tile paths adds to the sum of their scores: for a gap,
+// one opening fewer, as Result.Rescore charges one run.
+func (e *Engine) joined(op align.Op) {
+	if op != align.OpMatch {
+		e.score += e.cfg.Scoring.GapOpen - e.cfg.Scoring.GapExtend
+	}
 }

@@ -246,3 +246,48 @@ func TestEngineKernelTier(t *testing.T) {
 		t.Error("NewEngine should reject a negative kernel divergence")
 	}
 }
+
+// Engine.Extend carries its score across tile junctions instead of
+// rescoring the joined path: a gap longer than T − O is taken by two or
+// more tiles whose walks merge into one run, which under affine gaps
+// opens once, not once per tile. Deletions and insertions of 30–45
+// bases under tiles that consume at most 24 must come out as single
+// runs longer than 24, and the score must be Result.Rescore's, both
+// extension directions included.
+func TestEngineScoreAcrossJunctions(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	cfg := Config{T: 64, O: 40, Scoring: align.Simple(2, 3, 1)}
+	cfg.Scoring.GapOpen = 6
+	engine, err := NewEngine(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crossed := 0
+	for it := 0; it < 40; it++ {
+		ref := dna.Random(rng, 600, 0.5)
+		at, k := 150+rng.Intn(300), 30+rng.Intn(16)
+		query := append(append(dna.Seq{}, ref[:at]...), ref[at+k:]...)
+		if it%2 == 1 {
+			ref, query = query, ref // an insertion instead
+		}
+		iSeed, jSeed := 20, 20
+		if it%4 >= 2 {
+			iSeed, jSeed = len(ref)-100, len(query)-100 // left of the anchor
+		}
+		res, _, err := engine.Extend(ref, query, iSeed, jSeed)
+		if err != nil || res == nil {
+			t.Fatalf("candidate %d: res=%v err=%v", it, res, err)
+		}
+		if want := res.Rescore(ref, query, &cfg.Scoring); res.Score != want {
+			t.Fatalf("candidate %d: carried score %d, Rescore %d, path %v", it, res.Score, want, res.Cigar)
+		}
+		for _, s := range res.Cigar {
+			if s.Op != align.OpMatch && s.Len > cfg.T-cfg.O {
+				crossed++
+			}
+		}
+	}
+	if crossed < 20 {
+		t.Fatalf("only %d of 40 gaps crossed a tile junction as one run", crossed)
+	}
+}

@@ -74,8 +74,11 @@ func fuzzConfig(tile, overlap, first, hTile, scoring, mode uint8) Config {
 // function Extend — reference AlignTile, no reuse, no tiers — returns:
 // the same error or none, the same accept/reject decision, the same
 // Result (coordinates, CIGAR, score) and the same Stats (Tiles, Cells,
-// FirstTileScore), for rejected candidates too. Each input runs twice
-// through one engine, so state a candidate leaves behind shows up.
+// FirstTileScore), for rejected candidates too. The score Extend
+// carries across tile junctions must be Result.Rescore's (the corpus
+// holds affine gaps longer than T − O, which cross one). Each input
+// runs twice through one engine, so state a candidate leaves behind
+// shows up.
 func FuzzEngineExtend(f *testing.F) {
 	ref := []byte("ACGTTGCAAGGCTTACCGATAGGCTAACGTTTGACCATGGACTTGACCGTAAGGCTTAGCATCGGATCAAGTCCGATTGACGGTACCATGACTGGATCA")
 	same := make([]byte, len(ref))
@@ -108,6 +111,11 @@ func FuzzEngineExtend(f *testing.F) {
 			}
 			if err != nil {
 				return
+			}
+			if res != nil {
+				if want := res.Rescore(R, Q, &cfg.Scoring); res.Score != want {
+					t.Fatalf("pass %d: carried score %d, Rescore %d, path %v", pass, res.Score, want, res.Cigar)
+				}
 			}
 			extendEqual(t, "engine vs reference", res, stats, wantRes, wantStats)
 		}
