@@ -317,6 +317,7 @@ func benchEngineExtend(b *testing.B, n int) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := engine.Extend(ref, q, 0, 0); err != nil {

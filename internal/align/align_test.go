@@ -165,18 +165,18 @@ func TestRescoreMatchesSub(t *testing.T) {
 			query := seq(res.QueryStart + cig.QueryLen() + rng.Intn(10))
 			want, i, j := 0, res.RefStart, res.QueryStart
 			for _, s := range cig {
-				switch s.Op {
+				switch s.Op() {
 				case OpMatch:
-					for k := range s.Len {
+					for k := range s.Len() {
 						want += sc.Sub(ref[i+k], query[j+k])
 					}
-					i, j = i+s.Len, j+s.Len
+					i, j = i+s.Len(), j+s.Len()
 				case OpIns:
-					want -= sc.GapOpen + (s.Len-1)*sc.GapExtend
-					j += s.Len
+					want -= sc.GapOpen + (s.Len()-1)*sc.GapExtend
+					j += s.Len()
 				case OpDel:
-					want -= sc.GapOpen + (s.Len-1)*sc.GapExtend
-					i += s.Len
+					want -= sc.GapOpen + (s.Len()-1)*sc.GapExtend
+					i += s.Len()
 				}
 			}
 			if got := res.Rescore(ref, query, &sc); got != want {
@@ -293,7 +293,7 @@ func TestCigarOps(t *testing.T) {
 	if c.RefLen() != 5 || c.QueryLen() != 4 {
 		t.Errorf("lens = (%d,%d), want (5,4)", c.RefLen(), c.QueryLen())
 	}
-	d := Cigar{{OpMatch, 3}}.Concat(Cigar{{OpMatch, 2}, {OpIns, 1}})
+	d := Cigar{NewStep(OpMatch, 3)}.Concat(Cigar{NewStep(OpMatch, 2), NewStep(OpIns, 1)})
 	if d.String() != "5M1I" {
 		t.Errorf("concat = %s, want 5M1I", d)
 	}
@@ -387,21 +387,21 @@ func TestMyersMatchesNaive(t *testing.T) {
 			cost := 0
 			i, j := res.RefStart, res.QueryStart
 			for _, s := range res.Cigar {
-				switch s.Op {
+				switch s.Op() {
 				case OpMatch:
-					for k := 0; k < s.Len; k++ {
+					for k := 0; k < s.Len(); k++ {
 						if ref[i+k] != query[j+k] || ref[i+k] == 'N' {
 							cost++
 						}
 					}
-					i += s.Len
-					j += s.Len
+					i += s.Len()
+					j += s.Len()
 				case OpIns:
-					cost += s.Len
-					j += s.Len
+					cost += s.Len()
+					j += s.Len()
 				case OpDel:
-					cost += s.Len
-					i += s.Len
+					cost += s.Len()
+					i += s.Len()
 				}
 			}
 			if cost != res.Distance {

@@ -247,19 +247,20 @@ func (a *TileAligner) rescoreCodes(rc, qc []byte, cig Cigar) int {
 	i, j := 0, 0
 	open, ext := int(a.open), int(a.ext)
 	for _, s := range cig {
-		switch s.Op {
+		n := s.Len()
+		switch s.Op() {
 		case OpMatch:
-			for k := 0; k < s.Len; k++ {
+			for k := 0; k < n; k++ {
 				score += int(a.lut[(int(qc[j+k])&7)*LUTStride+int(rc[i+k])&7])
 			}
-			i += s.Len
-			j += s.Len
+			i += n
+			j += n
 		case OpIns:
-			score -= open + (s.Len-1)*ext
-			j += s.Len
+			score -= open + (n-1)*ext
+			j += n
 		case OpDel:
-			score -= open + (s.Len-1)*ext
-			i += s.Len
+			score -= open + (n-1)*ext
+			i += n
 		}
 	}
 	return score

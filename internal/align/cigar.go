@@ -3,7 +3,6 @@ package align
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"darwin/internal/dna"
 )
@@ -21,10 +20,52 @@ const (
 	OpDel   Op = 'D'
 )
 
-// Step is a run-length encoded alignment operation.
-type Step struct {
-	Op  Op
-	Len int
+// Step is one run of an alignment path in four bytes: the run length
+// in bits 2–31 and the op in bits 0–1, numbered as BAM numbers these
+// three (0 = M, 1 = I, 2 = D). Build one with NewStep and lengthen it
+// with Grow, the only writers, which hold the length to MaxRun.
+type Step uint32
+
+// MaxRun is the longest run a Step holds, 2^30 − 1.
+const MaxRun = 1<<30 - 1
+
+// stepOps maps a Step's op bits to its Op; 3 is no op.
+var stepOps = [4]Op{OpMatch, OpIns, OpDel}
+
+// NewStep returns a run of n operations op, 0 ≤ n ≤ MaxRun, op one of
+// OpMatch, OpIns and OpDel. Anything else is a bug of the caller:
+// input is checked where it is parsed (ParseCigar).
+func NewStep(op Op, n int) Step {
+	if n < 0 || n > MaxRun {
+		panic(fmt.Sprintf("align: run of %d %c outside [0, MaxRun = %d]", n, op, MaxRun))
+	}
+	var code Step
+	switch op {
+	case OpMatch:
+	case OpIns:
+		code = 1
+	case OpDel:
+		code = 2
+	default:
+		panic(fmt.Sprintf("align: no step op %q", op))
+	}
+	return Step(n)<<2 | code
+}
+
+// Op returns the run's operation.
+func (s Step) Op() Op { return stepOps[s&3] }
+
+// Len returns the run's length.
+func (s Step) Len() int { return int(s >> 2) }
+
+// Grow returns s lengthened by k ≥ 0 operations. A run past MaxRun
+// panics rather than splits: Check requires adjacent runs of one op to
+// be merged, so no canonical path can hold it.
+func (s Step) Grow(k int) Step {
+	if n := s.Len() + k; k < 0 || n > MaxRun {
+		panic(fmt.Sprintf("align: merged run of %d %c exceeds MaxRun = %d", n, s.Op(), MaxRun))
+	}
+	return s + Step(k)<<2
 }
 
 // Cigar is a run-length encoded alignment path.
@@ -36,21 +77,21 @@ func (c Cigar) AppendOp(op Op) Cigar { return c.appendRun(op, 1) }
 // appendRun appends a run of k ≥ 1 operations, merging with the
 // trailing run.
 func (c Cigar) appendRun(op Op, k int) Cigar {
-	if n := len(c); n > 0 && c[n-1].Op == op {
-		c[n-1].Len += k
+	if n := len(c); n > 0 && c[n-1].Op() == op {
+		c[n-1] = c[n-1].Grow(k)
 		return c
 	}
-	return append(c, Step{op, k})
+	return append(c, NewStep(op, k))
 }
 
 // Concat appends another cigar, merging the boundary runs.
 func (c Cigar) Concat(other Cigar) Cigar {
 	for _, s := range other {
-		if s.Len == 0 {
+		if s.Len() == 0 {
 			continue
 		}
-		if n := len(c); n > 0 && c[n-1].Op == s.Op {
-			c[n-1].Len += s.Len
+		if n := len(c); n > 0 && c[n-1].Op() == s.Op() {
+			c[n-1] = c[n-1].Grow(s.Len())
 		} else {
 			c = append(c, s)
 		}
@@ -62,8 +103,8 @@ func (c Cigar) Concat(other Cigar) Cigar {
 func (c Cigar) RefLen() int {
 	n := 0
 	for _, s := range c {
-		if s.Op != OpIns {
-			n += s.Len
+		if s.Op() != OpIns {
+			n += s.Len()
 		}
 	}
 	return n
@@ -73,22 +114,25 @@ func (c Cigar) RefLen() int {
 func (c Cigar) QueryLen() int {
 	n := 0
 	for _, s := range c {
-		if s.Op != OpDel {
-			n += s.Len
+		if s.Op() != OpDel {
+			n += s.Len()
 		}
 	}
 	return n
 }
 
-// String renders the path in CIGAR notation, e.g. "12M1I3M".
-func (c Cigar) String() string {
-	var b strings.Builder
+// AppendText appends the path in CIGAR notation, e.g. "12M1I3M", to
+// dst and returns the extended buffer.
+func (c Cigar) AppendText(dst []byte) []byte {
 	for _, s := range c {
-		b.WriteString(strconv.Itoa(s.Len))
-		b.WriteByte(byte(s.Op))
+		dst = strconv.AppendInt(dst, int64(s.Len()), 10)
+		dst = append(dst, byte(s.Op()))
 	}
-	return b.String()
+	return dst
 }
+
+// String renders the path in CIGAR notation.
+func (c Cigar) String() string { return string(c.AppendText(make([]byte, 0, 4*len(c)))) }
 
 // ParseCigar parses CIGAR notation produced by Cigar.String — only the
 // M/I/D operations the GACT traceback emits, no clips — back into a
@@ -108,9 +152,9 @@ func ParseCigar(s string) (Cigar, error) {
 			return nil, fmt.Errorf("align: malformed cigar %q at offset %d", s, i)
 		}
 		// A leading zero is a zero run or a padded one ("01M"), neither of
-		// which String prints.
+		// which String prints; no Step holds a run past MaxRun.
 		n, err := strconv.Atoi(s[i:j])
-		if err != nil || s[i] == '0' {
+		if err != nil || s[i] == '0' || n > MaxRun {
 			return nil, fmt.Errorf("align: bad cigar run length in %q at offset %d", s, i)
 		}
 		op := Op(s[j])
@@ -119,10 +163,10 @@ func ParseCigar(s string) (Cigar, error) {
 		default:
 			return nil, fmt.Errorf("align: unsupported cigar op %q in %q", s[j], s)
 		}
-		if k := len(c); k > 0 && c[k-1].Op == op {
+		if k := len(c); k > 0 && c[k-1].Op() == op {
 			return nil, fmt.Errorf("align: non-canonical cigar %q: adjacent %c runs", s, op)
 		}
-		c = append(c, Step{op, n})
+		c = append(c, NewStep(op, n))
 		i = j + 1
 	}
 	return c, nil
@@ -155,20 +199,21 @@ func (r *Result) Identity(ref, query dna.Seq) float64 {
 	i, j := r.RefStart, r.QueryStart
 	matchCols, equal := 0, 0
 	for _, s := range r.Cigar {
-		switch s.Op {
+		n := s.Len()
+		switch s.Op() {
 		case OpMatch:
-			for k := 0; k < s.Len; k++ {
+			for k := 0; k < n; k++ {
 				matchCols++
 				if ref[i+k] == query[j+k] {
 					equal++
 				}
 			}
-			i += s.Len
-			j += s.Len
+			i += n
+			j += n
 		case OpIns:
-			j += s.Len
+			j += n
 		case OpDel:
-			i += s.Len
+			i += n
 		}
 	}
 	if matchCols == 0 {
@@ -187,20 +232,21 @@ func (r *Result) Rescore(ref, query dna.Seq, sc *Scoring) int {
 	score := 0
 	i, j := r.RefStart, r.QueryStart
 	for _, s := range r.Cigar {
-		switch s.Op {
+		n := s.Len()
+		switch s.Op() {
 		case OpMatch:
-			q := query[j : j+s.Len]
-			for k, b := range ref[i : i+s.Len] {
+			q := query[j : j+n]
+			for k, b := range ref[i : i+n] {
 				score += int(lut[(int(dna.Code(q[k]))&7)*LUTStride+int(dna.Code(b))&7])
 			}
-			i += s.Len
-			j += s.Len
+			i += n
+			j += n
 		case OpIns:
-			score -= sc.GapOpen + (s.Len-1)*sc.GapExtend
-			j += s.Len
+			score -= sc.GapOpen + (n-1)*sc.GapExtend
+			j += n
 		case OpDel:
-			score -= sc.GapOpen + (s.Len-1)*sc.GapExtend
-			i += s.Len
+			score -= sc.GapOpen + (n-1)*sc.GapExtend
+			i += n
 		}
 	}
 	return score
@@ -223,11 +269,11 @@ func (r *Result) Check(ref, query dna.Seq) error {
 		return fmt.Errorf("align: cigar consumes %d query bases, span is %d", got, want)
 	}
 	for i, s := range r.Cigar {
-		if s.Len <= 0 {
-			return fmt.Errorf("align: cigar step %d has non-positive length %d", i, s.Len)
+		if s.Len() == 0 {
+			return fmt.Errorf("align: cigar step %d has zero length", i)
 		}
-		if i > 0 && r.Cigar[i-1].Op == s.Op {
-			return fmt.Errorf("align: cigar steps %d,%d not merged (%c)", i-1, i, s.Op)
+		if i > 0 && r.Cigar[i-1].Op() == s.Op() {
+			return fmt.Errorf("align: cigar steps %d,%d not merged (%c)", i-1, i, s.Op())
 		}
 	}
 	return nil

@@ -681,7 +681,7 @@ walk:
 				}
 				p = ptr[x]
 			}
-			if len(cig) == 0 || cig[len(cig)-1].Op != OpDel {
+			if len(cig) == 0 || cig[len(cig)-1].Op() != OpDel {
 				opens++
 			}
 			gapBases += k
@@ -700,7 +700,7 @@ walk:
 				}
 				p = ptr[x]
 			}
-			if len(cig) == 0 || cig[len(cig)-1].Op != OpIns {
+			if len(cig) == 0 || cig[len(cig)-1].Op() != OpIns {
 				opens++
 			}
 			gapBases += k

@@ -39,22 +39,22 @@ func checkInfixResult(t *testing.T, ref, query dna.Seq, res *EditResult) bool {
 	// Walk the cigar and count its edit cost directly.
 	cost, i, j := 0, 0, res.RefStart
 	for _, s := range res.Cigar {
-		switch s.Op {
+		switch s.Op() {
 		case OpMatch:
-			for k := 0; k < s.Len; k++ {
+			for k := 0; k < s.Len(); k++ {
 				rc, qc := dna.Code(ref[j+k]), dna.Code(query[i+k])
 				if rc != qc || rc == dna.CodeN {
 					cost++
 				}
 			}
-			i += s.Len
-			j += s.Len
+			i += s.Len()
+			j += s.Len()
 		case OpIns:
-			cost += s.Len
-			i += s.Len
+			cost += s.Len()
+			i += s.Len()
 		case OpDel:
-			cost += s.Len
-			j += s.Len
+			cost += s.Len()
+			j += s.Len()
 		}
 	}
 	if cost != res.Distance {

@@ -149,7 +149,7 @@ func TestQuickCigarAlgebra(t *testing.T) {
 		}
 		// Adjacent runs must be merged.
 		for i := 1; i < len(c); i++ {
-			if c[i-1].Op == c[i].Op {
+			if c[i-1].Op() == c[i].Op() {
 				return false
 			}
 		}

@@ -27,7 +27,8 @@ type Outcome struct {
 // about 19 of the per-candidate screens on a 2-vCPU AVX-512 Xeon
 // (BenchmarkFirstTileBatch against BenchmarkScorePass's
 // htile90/unrelated, EXPERIMENTS.md "First tiles in batches"), so a
-// chunk of fewer candidates than this runs them one by one.
+// chunk expected to reject fewer candidates than this runs them one by
+// one.
 const minBatch = 20
 
 // ExtendBatch extends each of cands as Extend would, in order, and
@@ -41,16 +42,16 @@ const minBatch = 20
 // align.BatchLanes whose first tiles are scored in one call, one per
 // lane. A candidate its lane scores below h_tile is rejected with that
 // exact score and costs no Extend call; the rest, and every candidate
-// of a chunk smaller than minBatch, run Extend. The batch call is one
-// interval of stage/align and of gact/first_tile; gact/first_tile_reject
-// takes each rejected lane's share of it, the interval over the lanes
-// it scored.
+// of a chunk not expected to reject minBatch of them (batchPays), run
+// Extend. The batch call is one interval of stage/align and of
+// gact/first_tile; gact/first_tile_reject takes each rejected lane's
+// share of it, the interval over the lanes it scored.
 func (e *Engine) ExtendBatch(cands []Candidate, out []Outcome) {
 	minFirst := max(1, e.cfg.MinFirstTile)
 	batch := e.ta.FirstTileBatchOK(minFirst)
 	for lo := 0; lo < len(cands); lo += align.BatchLanes {
 		chunk := cands[lo:min(len(cands), lo+align.BatchLanes)]
-		if batch && len(chunk) >= minBatch {
+		if batch && e.batchPays(len(chunk)) {
 			e.extendChunk(chunk, out[lo:], minFirst)
 			continue
 		}
@@ -59,6 +60,18 @@ func (e *Engine) ExtendBatch(cands []Candidate, out []Outcome) {
 			o.Res, o.Stats, o.Err = e.Extend(c.R, c.Q, c.ISeed, c.JSeed)
 		}
 	}
+}
+
+// batchPays reports whether a chunk of n candidates is expected to
+// reject at least minBatch of them, at the reject share of every first
+// tile the engine has decided (all of them, on a fresh engine). Below
+// that the batch call costs more than it saves, and each lane it
+// accepts has its first tile scored twice.
+func (e *Engine) batchPays(n int) bool {
+	if e.firstTiles == 0 {
+		return n >= minBatch
+	}
+	return n*e.rejects >= minBatch*e.firstTiles
 }
 
 // extendChunk is ExtendBatch over at most align.BatchLanes candidates:
@@ -94,6 +107,8 @@ func (e *Engine) extendChunk(cands []Candidate, out []Outcome, minFirst int) {
 		}
 		*o = Outcome{}
 		if o.Err = fpExtend.Fire(); o.Err == nil {
+			e.firstTiles++
+			e.rejects++
 			n, m := len(rs[l]), len(qs[l])
 			o.Stats.add(n, m)
 			o.Stats.FirstTileScore = e.batchScore[l]

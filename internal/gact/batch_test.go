@@ -74,6 +74,82 @@ func runCandidates(t *testing.T, cfg *Config, cands []Candidate, batch bool, spe
 	return run
 }
 
+// TestExtendBatchFollowsRejectShare: a chunk is batched only when the
+// engine's reject share so far predicts minBatch rejects in it. An
+// engine warmed up on true anchors (mostly accepted) runs a full chunk
+// one candidate at a time, with no ScoreFirstTiles call (one
+// gact/first_tile interval per candidate); one warmed up on random
+// anchors (rejected) batches it (one interval for the batch, one per lane it
+// accepts). Either way the outcomes are a loop of Extend's.
+func TestExtendBatchFollowsRejectShare(t *testing.T) {
+	g, err := genome.Generate(genome.Config{Length: 20000, GC: 0.5, Seed: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads, err := readsim.SimulateN(g.Seq, 1, readsim.Config{Profile: readsim.ONT1D, MeanLen: 3000, Seed: 51})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, fwd, trueI := g.Seq, reads[0].Seq, reads[0].RefStart
+	if reads[0].Reverse {
+		ref, trueI = dna.RevComp(g.Seq), len(g.Seq)-reads[0].RefEnd
+	}
+	cfg := DefaultConfig()
+	cfg.MinFirstTile = 90
+	rng := rand.New(rand.NewSource(53))
+	cands := batchCandidates(rng, ref, fwd, trueI, align.BatchLanes)
+	want := runCandidates(t, &cfg, cands, false, "")
+	for _, warmAccepts := range []bool{true, false} {
+		e, err := NewEngine(&cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !e.ta.FirstTileBatchOK(cfg.MinFirstTile) {
+			t.Skip("no first-tile batch on this build or CPU")
+		}
+		for k := 0; k < 10; k++ {
+			j := rng.Intn(len(fwd) / 2)
+			c := Candidate{R: ref, Q: fwd, ISeed: trueI + j, JSeed: j}
+			if !warmAccepts {
+				c.ISeed, c.JSeed = rng.Intn(len(ref)), rng.Intn(len(fwd))
+			}
+			if _, _, err := e.Extend(c.R, c.Q, c.ISeed, c.JSeed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if e.batchPays(len(cands)) == warmAccepts {
+			t.Fatalf("warm-up left %d rejects of %d first tiles", e.rejects, e.firstTiles)
+		}
+		before := obs.Default.Snapshot()
+		out := make([]Outcome, len(cands))
+		e.ExtendBatch(cands, out)
+		tiles := obs.Default.Snapshot().Sub(before).Timers["gact/first_tile"].Count
+		decided, accepted := 0, 0
+		for k, o := range out {
+			w := want.out[k]
+			if fmt.Sprint(o.Err) != fmt.Sprint(w.Err) || o.Stats != w.Stats || !reflect.DeepEqual(o.Res, w.Res) {
+				t.Fatalf("warm accepts %v: candidate %d differs from Extend", warmAccepts, k)
+			}
+			if o.Err == nil {
+				decided++
+			}
+			if o.Res != nil {
+				accepted++
+			}
+		}
+		if accepted == 0 || accepted == decided {
+			t.Fatalf("chunk accepted %d of %d candidates: want some of each", accepted, decided)
+		}
+		wantTiles := int64(decided) // one Extend per candidate
+		if !warmAccepts {
+			wantTiles = int64(1 + accepted) // the batch, then Extend per accepted lane
+		}
+		if tiles != wantTiles {
+			t.Errorf("warm accepts %v: %d gact/first_tile intervals, want %d", warmAccepts, tiles, wantTiles)
+		}
+	}
+}
+
 // batchCandidates draws size candidates over both strands of a read
 // against ref: true anchors (accepted first tiles) and random ones
 // (rejected), anchors whose first tile is clipped at the end of R or

@@ -60,6 +60,9 @@ type Engine struct {
 	batchR, batchQ []dna.Seq
 	batchLane      []int
 	batchScore     [align.BatchLanes]int
+	// firstTiles and rejects count the first tiles the engine has
+	// decided and those it rejected, ExtendBatch's reject share.
+	firstTiles, rejects int
 }
 
 // NewEngine validates cfg and returns an engine whose kernel buffers
@@ -149,7 +152,9 @@ func (e *Engine) Extend(R, Q dna.Seq, iSeed, jSeed int) (res *align.Result, stat
 	ftTime := ft.End()
 	stats.add(iEnd-iSeed, jEnd-jSeed)
 	stats.FirstTileScore = first.Score
+	e.firstTiles++
 	if first.Score < minFirst {
+		e.rejects++
 		tFirstReject.Observe(ftTime)
 		stats.publish(true)
 		return nil, stats, nil
@@ -267,9 +272,9 @@ func (e *Engine) extendDir(R, Q dna.Seq, iCurr, jCurr int, stats *Stats, rev boo
 // adjacent runs of one op), so only its first step can merge. A full
 // buffer is regrown with the half at the end of one twice the size.
 func (e *Engine) prependWalk(c align.Cigar) {
-	if len(c) > 0 && e.lo < len(e.left) && e.left[e.lo].Op == c[0].Op {
-		e.joined(c[0].Op)
-		e.left[e.lo].Len += c[0].Len
+	if len(c) > 0 && e.lo < len(e.left) && e.left[e.lo].Op() == c[0].Op() {
+		e.joined(c[0].Op())
+		e.left[e.lo] = e.left[e.lo].Grow(c[0].Len())
 		c = c[1:]
 	}
 	if e.lo < len(c) {
@@ -291,8 +296,8 @@ func (e *Engine) appendWalk(dst, c align.Cigar) align.Cigar {
 	if len(c) == 0 {
 		return dst
 	}
-	if len(dst) > 0 && dst[len(dst)-1].Op == c[0].Op {
-		e.joined(c[0].Op)
+	if len(dst) > 0 && dst[len(dst)-1].Op() == c[0].Op() {
+		e.joined(c[0].Op())
 	}
 	return append(dst.Concat(c[:1]), c[1:]...)
 }

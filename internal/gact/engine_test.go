@@ -282,7 +282,7 @@ func TestEngineScoreAcrossJunctions(t *testing.T) {
 			t.Fatalf("candidate %d: carried score %d, Rescore %d, path %v", it, res.Score, want, res.Cigar)
 		}
 		for _, s := range res.Cigar {
-			if s.Op != align.OpMatch && s.Len > cfg.T-cfg.O {
+			if s.Op() != align.OpMatch && s.Len() > cfg.T-cfg.O {
 				crossed++
 			}
 		}

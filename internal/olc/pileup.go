@@ -16,10 +16,42 @@ const pileupBatch = 256
 
 // Column is how the reads aligned over one reference position vote.
 type Column struct {
-	Base [4]int32         // votes for A/C/G/T at this position
-	Del  int32            // votes to delete this position
-	Ins  map[string]int32 // votes for an insertion after this position
-	Cov  int32            // reads covering this position
+	Base [4]int32   // votes for A/C/G/T at this position
+	Del  int32      // votes to delete this position
+	Cov  int32      // reads covering this position
+	Ins  []InsVotes // votes for an insertion after this position, one entry per distinct sequence
+}
+
+// InsVotes counts the reads voting to insert Seq after a column. A
+// column holds a few distinct insertions at most, so a slice scanned in
+// full costs less than a map per column (in memory and in allocations).
+type InsVotes struct {
+	Seq string
+	N   int32
+}
+
+// addIns adds one vote to insert ins after the column.
+func (c *Column) addIns(ins []byte) {
+	for k := range c.Ins {
+		if c.Ins[k].Seq == string(ins) {
+			c.Ins[k].N++
+			return
+		}
+	}
+	c.Ins = append(c.Ins, InsVotes{string(ins), 1})
+}
+
+// TopIns returns the insertion after the column with the most votes
+// (the smaller sequence on a tie) and the votes for any insertion
+// there, 0 when there are none.
+func (c *Column) TopIns() (top InsVotes, total int32) {
+	for _, v := range c.Ins {
+		total += v.N
+		if v.N > top.N || (v.N == top.N && v.Seq < top.Seq) {
+			top = v
+		}
+	}
+	return top, total
 }
 
 // Pileup stacks aligned reads column by column against one sequence: a
@@ -37,33 +69,30 @@ func (p Pileup) Add(read dna.Seq, aln *core.ReadAlignment) {
 	}
 	i, j := aln.Result.RefStart, aln.Result.QueryStart
 	for _, s := range aln.Result.Cigar {
-		switch s.Op {
+		n := s.Len()
+		switch s.Op() {
 		case align.OpMatch:
-			for x := 0; x < s.Len; x++ {
+			for x := 0; x < n; x++ {
 				c := &p[i+x]
 				c.Cov++
 				if code := dna.Code(q[j+x]); code < 4 {
 					c.Base[code]++
 				}
 			}
-			i += s.Len
-			j += s.Len
+			i += n
+			j += n
 		case align.OpDel:
-			for x := 0; x < s.Len; x++ {
+			for x := 0; x < n; x++ {
 				c := &p[i+x]
 				c.Cov++
 				c.Del++
 			}
-			i += s.Len
+			i += n
 		case align.OpIns:
 			if i > 0 {
-				c := &p[i-1]
-				if c.Ins == nil {
-					c.Ins = make(map[string]int32)
-				}
-				c.Ins[string(q[j:j+s.Len])]++
+				p[i-1].addIns(q[j : j+n])
 			}
-			j += s.Len
+			j += n
 		}
 	}
 }

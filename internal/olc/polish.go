@@ -3,7 +3,6 @@ package olc
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"darwin/internal/core"
 	"darwin/internal/dna"
@@ -57,33 +56,14 @@ func PolishContext(ctx context.Context, draft dna.Seq, reads []dna.Seq, cfg core
 			}
 			out = append(out, bestBase)
 		}
-		if len(c.Ins) > 0 {
-			// The most-voted insertion wins if a strict majority of
-			// covering reads saw an insertion here.
-			var total int32
-			type iv struct {
-				s string
-				n int32
-			}
-			var ivs []iv
-			for s, n := range c.Ins {
-				total += n
-				ivs = append(ivs, iv{s, n})
-			}
-			// A third of the coverage suffices: alignment-placement
-			// ambiguity splits a true insertion's votes across
-			// neighbouring columns, while spurious read insertions at
-			// any one site stay near the per-read insertion rate
-			// (~9% for PacBio).
-			if total*3 > c.Cov {
-				sort.Slice(ivs, func(a, b int) bool {
-					if ivs[a].n != ivs[b].n {
-						return ivs[a].n > ivs[b].n
-					}
-					return ivs[a].s < ivs[b].s
-				})
-				out = append(out, dna.Seq(ivs[0].s)...)
-			}
+		// The most-voted insertion wins if a strict majority of
+		// covering reads saw an insertion here. A third of the coverage
+		// suffices: alignment-placement ambiguity splits a true
+		// insertion's votes across neighbouring columns, while spurious
+		// read insertions at any one site stay near the per-read
+		// insertion rate (~9% for PacBio).
+		if top, total := c.TopIns(); total*3 > c.Cov {
+			out = append(out, dna.Seq(top.Seq)...)
 		}
 	}
 	return out, nil

@@ -147,13 +147,13 @@ func (s *Writer) Flush() error {
 // CigarWithClips renders an alignment path as a SAM CIGAR with soft
 // clips for the unaligned query prefix/suffix.
 func CigarWithClips(c align.Cigar, queryStart, queryEnd, queryLen int) string {
-	var b strings.Builder
+	b := make([]byte, 0, 4*len(c)+16)
 	if queryStart > 0 {
-		fmt.Fprintf(&b, "%dS", queryStart)
+		b = append(strconv.AppendInt(b, int64(queryStart), 10), 'S')
 	}
-	b.WriteString(c.String())
+	b = c.AppendText(b)
 	if tail := queryLen - queryEnd; tail > 0 {
-		fmt.Fprintf(&b, "%dS", tail)
+		b = append(strconv.AppendInt(b, int64(tail), 10), 'S')
 	}
-	return b.String()
+	return string(b)
 }

@@ -102,7 +102,7 @@ func TestWriterPropagatesErrors(t *testing.T) {
 }
 
 func TestCigarWithClips(t *testing.T) {
-	c := align.Cigar{{Op: align.OpMatch, Len: 8}, {Op: align.OpIns, Len: 2}}
+	c := align.Cigar{align.NewStep(align.OpMatch, 8), align.NewStep(align.OpIns, 2)}
 	if got := CigarWithClips(c, 3, 13, 20); got != "3S8M2I7S" {
 		t.Errorf("cigar = %s, want 3S8M2I7S", got)
 	}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"darwin/internal/align"
 	"darwin/internal/core"
 )
 
@@ -100,7 +101,8 @@ func TestScatterShardsMergeBitIdentity(t *testing.T) {
 // cannot trust must fail it loudly — the same shard group's
 // sub-response fed twice (a double-merge), rather than silently
 // doubling candidates past the truncation limit, and an aligned
-// candidate whose CIGAR disagrees with its spans, rather than reaching
+// candidate whose CIGAR disagrees with its spans or holds a run no
+// align.Step can (past align.MaxRun), rather than reaching
 // RecordsFor as a SAM line whose CIGAR contradicts its POS and clips.
 func TestMergeReadScattersRejectsMalformed(t *testing.T) {
 	ref := testGenome(t, 60000, 77)
@@ -144,6 +146,11 @@ func TestMergeReadScattersRejectsMalformed(t *testing.T) {
 		{"ref-span-longer-than-cigar", edited(func(c *CandExt) { c.RefEnd++ })},
 		{"query-span-shorter-than-cigar", edited(func(c *CandExt) { c.QueryEnd-- })},
 		{"reversed-ref-span", edited(func(c *CandExt) { c.RefStart, c.RefEnd = c.RefEnd, c.RefStart })},
+		{"run-past-MaxRun", edited(func(c *CandExt) {
+			c.Cigar = "1073741824M"
+			c.RefEnd = c.RefStart + align.MaxRun + 1
+			c.QueryEnd = c.QueryStart + align.MaxRun + 1
+		})},
 		{"negative-query-span", edited(func(c *CandExt) {
 			d := c.QueryEnd + 1
 			c.QueryStart -= d

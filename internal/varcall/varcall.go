@@ -117,21 +117,11 @@ func CallContext(ctx context.Context, ref dna.Seq, reads []dna.Seq, cfg Config) 
 			})
 		}
 		// Insertion after this base: most common inserted sequence.
-		if len(c.Ins) > 0 {
-			var total int32
-			bestSeq, bestN := "", int32(0)
-			for s, n := range c.Ins {
-				total += n
-				if n > bestN || (n == bestN && s < bestSeq) {
-					bestSeq, bestN = s, n
-				}
-			}
-			if float64(total) >= cfg.MinFrac*float64(c.Cov) {
-				out = append(out, Variant{
-					Pos: pos, Kind: Ins, Alt: bestSeq,
-					Depth: int(c.Cov), Support: int(total),
-				})
-			}
+		if top, total := c.TopIns(); total > 0 && float64(total) >= cfg.MinFrac*float64(c.Cov) {
+			out = append(out, Variant{
+				Pos: pos, Kind: Ins, Alt: top.Seq,
+				Depth: int(c.Cov), Support: int(total),
+			})
 		}
 	}
 	sort.Slice(out, func(a, b int) bool {
